@@ -11,7 +11,7 @@
 import pytest
 
 from bench_common import once, print_table
-from repro.checker import BFSChecker, DFSChecker, IterativeDeepeningChecker
+from repro.checker import IterativeDeepeningChecker, explore
 from repro.zookeeper import ZkConfig, make_spec, zk4394_mask
 
 CFG = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)
@@ -30,11 +30,11 @@ def test_search_strategy(benchmark, strategy):
     def run():
         spec = _zk4394_spec()
         if strategy == "BFS":
-            return BFSChecker(spec, max_states=200_000, max_time=120).run()
+            return explore(spec, max_states=200_000, max_time=120)
         if strategy == "DFS":
-            return DFSChecker(
-                spec, max_depth=30, max_states=200_000, max_time=120
-            ).run()
+            return explore(
+                spec, strategy="dfs", max_depth=30, max_states=200_000, max_time=120
+            )
         return IterativeDeepeningChecker(
             spec, max_depth=20, step=2, max_time=180
         ).run()
@@ -48,15 +48,13 @@ def test_search_strategy(benchmark, strategy):
 
 def test_masking_effect(benchmark):
     def run():
-        masked = BFSChecker(
+        masked = explore(
             make_spec("mSpec-1", CFG),
             max_states=150_000,
             max_time=90,
             mask=zk4394_mask,
-        ).run()
-        unmasked = BFSChecker(
-            make_spec("mSpec-1", CFG), max_states=150_000, max_time=90
-        ).run()
+        )
+        unmasked = explore(make_spec("mSpec-1", CFG), max_states=150_000, max_time=90)
         return masked, unmasked
 
     masked, unmasked = once(benchmark, run)
@@ -71,12 +69,8 @@ def test_invariant_filtering(benchmark):
     def run():
         full = make_spec("mSpec-1", CFG)
         filtered = _zk4394_spec()
-        full_result = BFSChecker(
-            full, max_states=60_000, max_time=90
-        ).run()
-        filtered_result = BFSChecker(
-            filtered, max_states=60_000, max_time=90
-        ).run()
+        full_result = explore(full, max_states=60_000, max_time=90)
+        filtered_result = explore(filtered, max_states=60_000, max_time=90)
         return full_result, filtered_result
 
     full_result, filtered_result = once(benchmark, run)

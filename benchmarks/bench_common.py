@@ -54,9 +54,7 @@ def hunt(
     violation_limit=10_000,
     strategy="bfs",
     workers=None,
-    incremental=True,
     dedupe="rounds",
-    compile_mode="auto",
 ):
     """One model-checking run, optionally restricted to an invariant
     family (how Table 4 reports per-bug rows)."""
@@ -85,9 +83,7 @@ def hunt(
         mask=zk4394_mask if masked else None,
         stop_at_first=stop_at_first,
         violation_limit=violation_limit,
-        incremental=incremental,
         dedupe=dedupe,
-        compile_mode=compile_mode,
     )
     return engine.run()
 

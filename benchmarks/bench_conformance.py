@@ -26,7 +26,7 @@ import sys
 import pytest
 
 from bench_common import once, print_table
-from repro.checker import BFSChecker
+from repro.checker import explore
 from repro.impl import Ensemble
 from repro.remix import ConformanceChecker
 from repro.zookeeper import V391, ZkConfig, make_spec
@@ -74,7 +74,7 @@ def test_zk4394_confirmation(benchmark):
     """§4.1: the conformance workflow surfaces ZK-4394."""
     spec = make_spec("mSpec-1", CFG)
     spec.invariants = [i for i in spec.invariants if i.ident == "I-14"]
-    result = BFSChecker(spec, max_states=100_000, max_time=120).run()
+    result = explore(spec, max_states=100_000, max_time=120)
     assert result.found_violation
     checker = checker_for("mSpec-1")
 

@@ -8,7 +8,7 @@ reports states/time/outcome.
 import pytest
 
 from bench_common import once, print_table
-from repro.checker import BFSChecker
+from repro.checker import explore
 from repro.zab import ZabConfig, zab_spec
 
 EXPECTED = {
@@ -27,9 +27,9 @@ def test_protocol_variant(benchmark, variant):
     )
 
     def run():
-        return BFSChecker(
+        return explore(
             zab_spec(config), max_states=200_000, max_time=120
-        ).run()
+        )
 
     result = once(benchmark, run)
     _RESULTS[variant] = result

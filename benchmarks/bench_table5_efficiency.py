@@ -17,9 +17,10 @@ smoke benchmark for CI::
 
 which runs all five specs through the exploration engine under a tiny
 budget and writes a JSON artifact (states, transitions, states/sec,
-violated invariant).  ``--compare-legacy`` additionally runs the seed
-checker (:mod:`repro.checker.legacy`) on the same workload and reports
-the engine-vs-legacy throughput ratio.
+violated invariant).  ``--ab-reference`` instead emits the
+``BENCH_engine.json`` artifact: the generated kernel A/B'd against the
+reference expander (``ExplorationEngine(reference=True)``) per
+:data:`AB_ROWS` row, with a hard equal-enumeration check.
 """
 
 import argparse
@@ -157,12 +158,8 @@ def _smoke_row(result):
     }
 
 
-def run_smoke(max_states, max_time, workers, strategy, compare_legacy, dedupe="rounds"):
+def run_smoke(max_states, max_time, workers, strategy, dedupe="rounds"):
     """Run the five Table 5 specs under a small budget; return a report."""
-    from repro.checker.legacy import LegacyBFSChecker
-    from repro.zookeeper import zk4394_mask
-    from repro.zookeeper.specs import SELECTIONS, build_spec
-
     config = bench_config()
     report = {
         "workload": {
@@ -185,120 +182,22 @@ def run_smoke(max_states, max_time, workers, strategy, compare_legacy, dedupe="r
             strategy=strategy,
             dedupe=dedupe,
         )
-        row = _smoke_row(result)
-        if compare_legacy:
-            spec = build_spec(name, SELECTIONS[name], config)
-            checker = LegacyBFSChecker(
-                spec, max_states=max_states, max_time=max_time, mask=zk4394_mask
-            )
-            t0 = time.monotonic()
-            legacy = checker.run()
-            elapsed = time.monotonic() - t0
-            legacy_rate = legacy.states_explored / elapsed if elapsed > 0 else 0.0
-            row["legacy_states_per_second"] = round(legacy_rate, 1)
-            row["engine_speedup"] = (
-                round(row["states_per_second"] / legacy_rate, 2)
-                if legacy_rate
-                else None
-            )
-        report["specs"][name] = row
+        report["specs"][name] = _smoke_row(result)
     return report
 
 
-def run_engine_trajectory(max_states, max_time, workers):
-    """The ``BENCH_engine.json`` perf-trajectory artifact.
-
-    A/Bs the incremental successor path (delta fingerprints, outcome
-    memoization, inherited disabled bits) against full recomputation
-    (``incremental=False``) on every Table 5 spec, sequentially and --
-    when ``workers >= 2`` -- under the sharded BFS modes.  The aggregate
-    throughput ratio is the number CI's perf-smoke gate regresses
-    against.
-    """
-    config = bench_config()
-    report = {
-        "schema": "repro.bench-engine/1",
-        "workload": {
-            "max_states": max_states,
-            "max_time": max_time,
-            "workers": workers,
-        },
-        "specs": {},
-    }
-    inc_states = inc_time = full_states = full_time = 0.0
-    for name in PAPER_A:
-        budget = dict(masked=True, max_states=max_states, max_time=max_time)
-        # The full-recompute arm runs first so that warm OS/allocator
-        # caches never bias the gated (incremental) arm downward on a
-        # noisy shared runner.
-        full = hunt(name, config, workers=1, incremental=False, **budget)
-        incremental = hunt(name, config, workers=1, **budget)
-        row = {
-            "incremental": _smoke_row(incremental),
-            "full_recompute": _smoke_row(full),
-        }
-        # Equal exploration is a soundness check, but only when both
-        # arms were cut by the same deterministic budget -- a max_time
-        # truncation on a congested runner legitimately desynchronizes
-        # the counts.
-        comparable = all(
-            r.completed or r.budget_exhausted == "max_states"
-            for r in (incremental, full)
-        )
-        if comparable and (
-            incremental.states_explored != full.states_explored
-            or incremental.transitions != full.transitions
-        ):
-            raise SystemExit(
-                f"A/B mismatch on {name}: incremental explored "
-                f"{incremental.states_explored}/{incremental.transitions} "
-                f"vs full {full.states_explored}/{full.transitions}"
-            )
-        if not comparable:
-            row["time_truncated"] = True
-        inc_states += incremental.states_explored
-        inc_time += incremental.elapsed_seconds
-        full_states += full.states_explored
-        full_time += full.elapsed_seconds
-        row["incremental_speedup"] = (
-            round(
-                (incremental.states_explored / incremental.elapsed_seconds)
-                / (full.states_explored / full.elapsed_seconds),
-                3,
-            )
-            if incremental.elapsed_seconds > 0
-            and full.elapsed_seconds > 0
-            and full.states_explored
-            else None
-        )
-        if workers >= 2:
-            for mode in ("rounds", "shared"):
-                parallel = hunt(
-                    name, config, workers=workers, dedupe=mode, **budget
-                )
-                row[f"workers{workers}_{mode}"] = _smoke_row(parallel)
-        report["specs"][name] = row
-    inc_rate = inc_states / inc_time if inc_time > 0 else 0.0
-    full_rate = full_states / full_time if full_time > 0 else 0.0
-    report["aggregate"] = {
-        "incremental_states_per_second": round(inc_rate, 1),
-        "full_recompute_states_per_second": round(full_rate, 1),
-        "incremental_speedup": round(inc_rate / full_rate, 3) if full_rate else None,
-    }
-    return report
-
-
-#: The compiled-kernel A/B lane: one row per (protocol, spec, budget).
+#: The kernel-vs-reference A/B lane: one row per (protocol, spec, budget),
+#: kernel-trusted specs only (an untrusted spec *is* the reference arm).
 #: The rows deliberately span both memoization regimes.  The ZooKeeper
 #: specs have wide dependency closures (the hot ``state`` variable sits in
-#: nearly every closure), so kernel replay roughly breaks even with the
-#: interpreted memo path -- those rows feed the regression floor.  The
-#: Raft plugin specs have narrow closures, so the compiled replay path is
-#: the dominant cost -- ``raft-fine@150k`` is the >=1.5x gate row.  Raft
-#: appears at two budgets because memo hit rates (and so the kernel
-#: advantage) grow with frontier depth; the pair records that trend.
-AB_COMPILED_ROWS = (
-    ("zookeeper", "SysSpec", 30_000),
+#: nearly every closure), so the kernel is applier-bound there -- those
+#: rows feed the regression floor.  The Raft plugin specs have narrow
+#: closures, so memo replay is the dominant cost -- ``raft-fine@150k`` is
+#: the ``--min-ratio`` gate row.  Raft appears at two budgets because memo
+#: hit rates (and so the kernel advantage) grow with frontier depth; the
+#: pair records that trend.
+AB_ROWS = (
+    ("zookeeper", "mSpec-1", 30_000),
     ("zookeeper", "mSpec-2", 30_000),
     ("zookeeper", "mSpec-3", 30_000),
     ("raft", "raft-coarse", 100_000),
@@ -307,15 +206,52 @@ AB_COMPILED_ROWS = (
     ("raft", "raft-fine", 150_000),
 )
 
-#: The row the --min-compiled-ratio gate applies to.
-AB_COMPILED_GATE_ROW = "raft-fine@150k"
+#: The row the --min-ratio gate applies to.
+AB_GATE_ROW = "raft-fine@150k"
 
-#: Every row must stay above this compiled/interpreted floor (compiled
-#: must never be a regression, modulo runner noise).
-AB_COMPILED_FLOOR = 0.9
+#: Every row must stay above this kernel/reference floor: the kernel must
+#: never lose to the naive expander it refines.
+AB_FLOOR = 1.0
+
+#: Ratios this script can no longer measure, because the arms they
+#: compared against were deleted (PR 12): the seed checker
+#: (``checker/legacy.py``) and the interpreted-incremental successor path
+#: (``--compile off``).  Frozen here, with the commit that measured them,
+#: so README's speedup-over-seed story stays sourced.
+HISTORICAL = {
+    "measured_at": "e251435 (PR 9), 1-CPU runner, min-of-2 CPU time",
+    "kernel_vs_seed_checker": {
+        "SysSpec@30k": 1.597,
+        "mSpec-2@30k": 2.039,
+        "mSpec-3@30k": 1.982,
+        "raft-coarse@100k": 2.818,
+        "raft-fine@100k": 4.668,
+        "raft-coarse@150k": 3.278,
+        "raft-fine@150k": 4.701,
+        "geomean": 2.788,
+    },
+    "kernel_vs_interpreted_incremental": {
+        "SysSpec@30k": 1.058,
+        "mSpec-2@30k": 1.092,
+        "mSpec-3@30k": 0.983,
+        "raft-coarse@100k": 1.323,
+        "raft-fine@100k": 1.698,
+        "raft-coarse@150k": 1.371,
+        "raft-fine@150k": 1.727,
+        "geomean": 1.293,
+    },
+    "interpreted_incremental_vs_full_recompute": {
+        "SysSpec": 1.029,
+        "mSpec-1": 1.18,
+        "mSpec-2": 1.567,
+        "mSpec-3": 1.177,
+        "mSpec-4": 1.162,
+        "aggregate@6k": 1.215,
+    },
+}
 
 
-def _ab_compiled_spec(protocol, name):
+def _ab_spec(protocol, name):
     if protocol == "zookeeper":
         from repro.zookeeper import zk4394_mask
         from repro.zookeeper.specs import SELECTIONS, build_spec
@@ -327,103 +263,74 @@ def _ab_compiled_spec(protocol, name):
     return raft_make_spec(name, RaftConfig()), None
 
 
-def run_ab_compiled(max_time, reps=2):
-    """The compiled-kernel lane of ``BENCH_engine.json``.
+def run_ab_reference(max_time, reps=2):
+    """The ``BENCH_engine.json`` artifact: kernel vs reference expander.
 
-    Per row, runs the engine with ``--compile on``, ``--compile off`` and
-    the seed checker under the same sequential state budget, interleaved
-    for ``reps`` repetitions with the minimum CPU time kept per arm
-    (min-of-N cancels runner drift far better than wall-clock means).
-    Enumeration must be bitwise-identical between the engine arms --
+    Per row, runs the engine on the generated kernel and with
+    ``reference=True`` under the same sequential state budget,
+    interleaved for ``reps`` repetitions with the minimum CPU time kept
+    per arm (min-of-N cancels runner drift far better than wall-clock
+    means).  Enumeration must be bitwise-identical between the arms --
     states, transitions and violations are compared and a mismatch is a
     hard failure, not a statistic.
     """
     from repro.checker.engine import ExplorationEngine
-    from repro.checker.legacy import LegacyBFSChecker
 
     rows = {}
-    for protocol, name, max_states in AB_COMPILED_ROWS:
-        times = {"compiled": [], "interpreted": [], "seed": []}
+    for protocol, name, max_states in AB_ROWS:
+        times = {"kernel": [], "reference": []}
         explored = {}
-
-        def arm(mode):
-            spec, mask = _ab_compiled_spec(protocol, name)
-            if mode == "seed":
-                runner = LegacyBFSChecker(
-                    spec, max_states=max_states, max_time=max_time, mask=mask
-                )
-            else:
-                runner = ExplorationEngine(
+        for _ in range(reps):
+            for arm in times:
+                spec, mask = _ab_spec(protocol, name)
+                engine = ExplorationEngine(
                     spec,
                     "bfs",
                     max_states=max_states,
                     max_time=max_time,
                     mask=mask,
-                    compile_mode="on" if mode == "compiled" else "off",
+                    reference=arm == "reference",
                 )
-            t0 = time.process_time()
-            result = runner.run()
-            times[mode].append(time.process_time() - t0)
-            explored[mode] = (
-                result.states_explored,
-                result.transitions,
-                sorted(v.invariant.full_name for v in result.violations),
-            )
-
-        for _ in range(reps):
-            for mode in ("compiled", "interpreted", "seed"):
-                arm(mode)
-        if explored["compiled"] != explored["interpreted"]:
+                t0 = time.process_time()
+                result = engine.run()
+                times[arm].append(time.process_time() - t0)
+                explored[arm] = (
+                    result.states_explored,
+                    result.transitions,
+                    sorted(v.invariant.full_name for v in result.violations),
+                )
+                mode = engine.core.memo_stats()["mode"]
+                if (mode == "reference") != (arm == "reference"):
+                    raise SystemExit(f"{name}: {arm} arm ran in {mode} mode")
+        if explored["kernel"] != explored["reference"]:
             raise SystemExit(
-                f"compiled/interpreted enumeration mismatch on {name}: "
-                f"{explored['compiled']} vs {explored['interpreted']}"
+                f"kernel/reference enumeration mismatch on {name}: "
+                f"{explored['kernel']} vs {explored['reference']}"
             )
-        states = explored["compiled"][0]
-        best = {mode: min(ts) for mode, ts in times.items()}
+        best = {arm: min(ts) for arm, ts in times.items()}
         rows[f"{name}@{max_states // 1000}k"] = {
             "spec": name,
             "protocol": protocol,
             "max_states": max_states,
-            "states_explored": states,
-            "compiled_seconds": round(best["compiled"], 3),
-            "interpreted_seconds": round(best["interpreted"], 3),
-            "seed_seconds": round(best["seed"], 3),
-            "compiled_speedup": round(
-                best["interpreted"] / best["compiled"], 3
-            ),
-            "compiled_vs_seed_speedup": round(
-                (best["seed"] / explored["seed"][0]) / (best["compiled"] / states),
-                3,
-            )
-            if explored["seed"][0]
-            else None,
+            "states_explored": explored["kernel"][0],
+            "kernel_seconds": round(best["kernel"], 3),
+            "reference_seconds": round(best["reference"], 3),
+            "kernel_speedup": round(best["reference"] / best["kernel"], 3),
         }
-
-    def geomean(values):
-        values = [v for v in values if v]
-        if not values:
-            return None
-        return round(math.exp(sum(math.log(v) for v in values) / len(values)), 3)
-
-    gate = rows.get(AB_COMPILED_GATE_ROW, {})
+    speedups = [row["kernel_speedup"] for row in rows.values()]
     return {
+        "schema": "repro.bench-engine/2",
+        "workload": {"max_time": max_time, "reps": reps, "timer": "process_time"},
         "rows": rows,
         "aggregate": {
-            "geomean_compiled_speedup": geomean(
-                r["compiled_speedup"] for r in rows.values()
+            "geomean_kernel_speedup": round(
+                math.exp(sum(math.log(v) for v in speedups) / len(speedups)), 3
             ),
-            "geomean_compiled_vs_seed_speedup": geomean(
-                r["compiled_vs_seed_speedup"] for r in rows.values()
-            ),
-            "min_compiled_speedup": min(
-                r["compiled_speedup"] for r in rows.values()
-            ),
-            "gate_row": AB_COMPILED_GATE_ROW,
-            "gate_compiled_speedup": gate.get("compiled_speedup"),
-            "gate_compiled_vs_seed_speedup": gate.get(
-                "compiled_vs_seed_speedup"
-            ),
+            "min_kernel_speedup": min(speedups),
+            "gate_row": AB_GATE_ROW,
+            "gate_kernel_speedup": rows[AB_GATE_ROW]["kernel_speedup"],
         },
+        "historical": HISTORICAL,
     }
 
 
@@ -443,100 +350,47 @@ def main(argv=None):
     )
     parser.add_argument("--json", dest="json_path", default=None)
     parser.add_argument(
-        "--compare-legacy",
+        "--ab-reference",
         action="store_true",
-        help="also run the seed checker and report the speedup ratio",
-    )
-    parser.add_argument(
-        "--ab-incremental",
-        action="store_true",
-        help="emit the BENCH_engine.json perf trajectory instead: "
-        "incremental vs full-recompute A/B per spec (+ parallel modes "
-        "with --workers >= 2)",
+        help="emit the BENCH_engine.json artifact instead: generated "
+        "kernel vs reference expander per AB_ROWS row (own state "
+        "budgets), sequential, min-of-2 CPU time, with a hard "
+        "equal-enumeration check",
     )
     parser.add_argument(
         "--min-ratio",
         type=float,
         default=None,
-        help="with --ab-incremental: exit 1 unless the aggregate "
-        "incremental/full-recompute throughput ratio is at least this "
-        "(CI perf-smoke gate; 1.0 = never slower than full recompute)",
-    )
-    parser.add_argument(
-        "--ab-compiled",
-        action="store_true",
-        help="add the compiled-kernel lane to the report: compiled vs "
-        "interpreted vs seed checker per AB_COMPILED_ROWS row, "
-        "sequential, min-of-2 CPU time, with a hard "
-        "equal-enumeration check",
-    )
-    parser.add_argument(
-        "--min-compiled-ratio",
-        type=float,
-        default=None,
-        help="with --ab-compiled: exit 1 unless the gate row "
-        f"({AB_COMPILED_GATE_ROW}) reaches this compiled/interpreted "
-        f"speedup and every row stays above the {AB_COMPILED_FLOOR} "
-        "regression floor",
+        help=f"with --ab-reference: exit 1 unless the gate row "
+        f"({AB_GATE_ROW}) reaches this kernel/reference speedup and "
+        f"every row stays at or above the {AB_FLOOR} floor",
     )
     args = parser.parse_args(argv)
-    if args.ab_incremental:
-        report = run_engine_trajectory(
-            args.max_states, args.max_time, args.workers
-        )
+    if args.ab_reference:
+        report = run_ab_reference(args.max_time)
     else:
         report = run_smoke(
-            args.max_states,
-            args.max_time,
-            args.workers,
-            args.strategy,
-            args.compare_legacy,
-            args.dedupe,
+            args.max_states, args.max_time, args.workers, args.strategy, args.dedupe
         )
-    if args.ab_compiled:
-        report["ab_compiled"] = run_ab_compiled(args.max_time)
     text = json.dumps(report, indent=2)
     print(text)
     if args.json_path:
         with open(args.json_path, "w") as fh:
             fh.write(text + "\n")
-    if args.ab_incremental and args.min_ratio is not None:
-        ratio = report["aggregate"]["incremental_speedup"]
-        if ratio is None or ratio < args.min_ratio:
+    if args.ab_reference and args.min_ratio is not None:
+        agg = report["aggregate"]
+        gate, floor = agg["gate_kernel_speedup"], agg["min_kernel_speedup"]
+        if gate < args.min_ratio or floor < AB_FLOOR:
             print(
-                f"perf-smoke gate FAILED: incremental/full ratio {ratio} "
-                f"< required {args.min_ratio}",
+                f"kernel gate FAILED: {AB_GATE_ROW} kernel/reference ratio "
+                f"{gate} (required {args.min_ratio}), worst row {floor} "
+                f"(floor {AB_FLOOR})",
                 file=sys.stderr,
             )
             return 1
         print(
-            f"perf-smoke gate ok: incremental/full ratio {ratio} >= "
-            f"{args.min_ratio}",
-            file=sys.stderr,
-        )
-    if args.ab_compiled and args.min_compiled_ratio is not None:
-        agg = report["ab_compiled"]["aggregate"]
-        gate = agg["gate_compiled_speedup"]
-        floor = agg["min_compiled_speedup"]
-        if gate is None or gate < args.min_compiled_ratio:
-            print(
-                f"compiled gate FAILED: {AB_COMPILED_GATE_ROW} "
-                f"compiled/interpreted ratio {gate} < required "
-                f"{args.min_compiled_ratio}",
-                file=sys.stderr,
-            )
-            return 1
-        if floor < AB_COMPILED_FLOOR:
-            print(
-                f"compiled gate FAILED: worst row ratio {floor} < "
-                f"regression floor {AB_COMPILED_FLOOR}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"compiled gate ok: {AB_COMPILED_GATE_ROW} ratio {gate} >= "
-            f"{args.min_compiled_ratio}, worst row {floor} >= "
-            f"{AB_COMPILED_FLOOR}",
+            f"kernel gate ok: {AB_GATE_ROW} ratio {gate} >= {args.min_ratio}, "
+            f"worst row {floor} >= {AB_FLOOR}",
             file=sys.stderr,
         )
     return 0

@@ -8,7 +8,7 @@ reports for each PR; the §5.4 resolution passes.
 import pytest
 
 from bench_common import bench_config, hunt, once, print_table
-from repro.checker import BFSChecker
+from repro.checker import explore
 from repro.zookeeper import final_fix_spec, zk4394_mask
 from repro.zookeeper.specs import PR_VARIANTS
 
@@ -51,9 +51,9 @@ def test_final_fix_verifies(benchmark):
 
     def run():
         spec = final_fix_spec(config)
-        return BFSChecker(
+        return explore(
             spec, max_states=120_000, max_time=120, mask=zk4394_mask
-        ).run()
+        )
 
     result = once(benchmark, run)
     _RESULTS["FinalFix"] = result

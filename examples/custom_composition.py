@@ -11,7 +11,7 @@ and demonstrates the composability guardrails.
 Run:  python examples/custom_composition.py
 """
 
-from repro.checker import BFSChecker
+from repro.checker import explore
 from repro.remix import SpecRegistry
 from repro.tla.composition import CompositionError
 from repro.tla.module import interaction_variables
@@ -51,9 +51,9 @@ def main():
         print(f"  CompositionError: {exc}")
 
     print("\nModel checking the composition (this finds ZK-4643) ...")
-    result = BFSChecker(
+    result = explore(
         spec, max_states=2_000_000, max_time=300, mask=zk4394_mask
-    ).run()
+    )
     print(f"  {result.summary()}")
     if result.found_violation:
         violation = result.first_violation

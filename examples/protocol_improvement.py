@@ -14,7 +14,7 @@ epoch second.  This example model-checks all three protocol variants:
 Run:  python examples/protocol_improvement.py
 """
 
-from repro.checker import BFSChecker
+from repro.checker import explore
 from repro.zab import ZabConfig, zab_spec
 
 
@@ -23,9 +23,9 @@ def main():
         config = ZabConfig(
             max_txns=1, max_crashes=2, max_epoch=3, variant=variant
         )
-        result = BFSChecker(
+        result = explore(
             zab_spec(config), max_states=200_000, max_time=180
-        ).run()
+        )
         if result.found_violation:
             violation = result.first_violation
             print(f"{variant:12s}: VIOLATES "

@@ -13,7 +13,7 @@ level -- the full Remix workflow of the paper in a few lines.
 Run:  python examples/quickstart.py
 """
 
-from repro.checker import BFSChecker
+from repro.checker import explore
 from repro.remix import ConformanceChecker, system_plugin
 from repro.zookeeper import ZkConfig
 
@@ -36,7 +36,7 @@ def main():
           f"{sum(1 for i in spec.invariants if i.source == 'code')} code)")
 
     print("\nModel checking (BFS, stop at first violation) ...")
-    result = BFSChecker(spec, max_states=100_000, max_time=120).run()
+    result = explore(spec, max_states=100_000, max_time=120)
     print(f"  {result.summary()}")
 
     violation = result.first_violation

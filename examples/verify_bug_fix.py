@@ -14,7 +14,7 @@ Synchronization bugs; every one of them still violated an invariant
 Run:  python examples/verify_bug_fix.py
 """
 
-from repro.checker import BFSChecker
+from repro.checker import explore
 from repro.zookeeper import ZkConfig, final_fix_spec, pr_spec, zk4394_mask
 from repro.zookeeper.specs import PR_VARIANTS
 
@@ -22,9 +22,9 @@ CONFIG = ZkConfig(max_txns=2, max_crashes=2, max_partitions=0, max_epoch=3)
 
 
 def check(spec, max_states=300_000, max_time=120):
-    return BFSChecker(
+    return explore(
         spec, max_states=max_states, max_time=max_time, mask=zk4394_mask
-    ).run()
+    )
 
 
 def main():

@@ -25,14 +25,13 @@ The package provides:
 __version__ = "1.1.0"
 
 from repro.tla import Action, Module, Specification, State
-from repro.checker import BFSChecker, CheckResult, ExplorationEngine, explore
+from repro.checker import CheckResult, ExplorationEngine, explore
 
 __all__ = [
     "Action",
     "Module",
     "Specification",
     "State",
-    "BFSChecker",
     "CheckResult",
     "ExplorationEngine",
     "explore",

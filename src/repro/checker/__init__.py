@@ -2,9 +2,8 @@
 BFS (the TLC substitute), DFS and iterative deepening, random walk,
 portfolio racing, coverage, shrinking and rendering."""
 
-from repro.checker.bfs import BFSChecker, check
 from repro.checker.coverage import CoverageReport, measure_coverage
-from repro.checker.dfs import DFSChecker, IterativeDeepeningChecker
+from repro.checker.dfs import IterativeDeepeningChecker
 from repro.checker.engine import (
     DEDUPE_MODES,
     STRATEGIES,
@@ -31,12 +30,10 @@ from repro.checker.shrink import (
 from repro.checker.trace import Trace, traces_project_equal
 
 __all__ = [
-    "BFSChecker",
     "CheckResult",
     "CompiledSpec",
     "CoverageReport",
     "DEDUPE_MODES",
-    "DFSChecker",
     "ExplorationEngine",
     "Fingerprinter",
     "IncrementalFingerprinter",
@@ -48,7 +45,6 @@ __all__ = [
     "Trace",
     "TraceOracle",
     "Violation",
-    "check",
     "explore",
     "fingerprint_state",
     "format_state",

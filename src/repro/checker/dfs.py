@@ -1,14 +1,9 @@
-"""Depth-first and iterative-deepening checkers.
+"""Iterative-deepening depth-first checking (TLC's ``-dfid``).
 
 BFS gives minimal counterexamples but holds the whole frontier in memory;
-DFS reaches deep states cheaply (useful for quick bug smoke-tests before
-an expensive BFS run) at the cost of non-minimal traces.  TLC offers the
-same trade-off via its ``-dfid`` mode, which the iterative-deepening
-variant mirrors.
-
-Since the engine refactor, :class:`DFSChecker` is a thin compatibility
-wrapper over :class:`repro.checker.engine.ExplorationEngine` with
-``strategy="dfs"`` (fingerprinted visited set, replay-based traces).
+DFS (``explore(spec, strategy="dfs")``) reaches deep states cheaply at the
+cost of non-minimal traces.  Iterating DFS over increasing depth bounds
+restores the minimal-depth property of counterexamples.
 """
 
 from __future__ import annotations
@@ -16,43 +11,14 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from repro.checker.engine import ExplorationEngine
+from repro.checker.engine import explore
 from repro.checker.result import CheckResult
 from repro.tla.spec import Specification
 from repro.tla.state import State
 
 
-class DFSChecker:
-    """Bounded depth-first search for a first violation."""
-
-    def __init__(
-        self,
-        spec: Specification,
-        max_depth: int = 40,
-        max_states: Optional[int] = None,
-        max_time: Optional[float] = None,
-        mask: Optional[Callable[[State], bool]] = None,
-    ):
-        self.spec = spec
-        self.max_depth = max_depth
-        self.max_states = max_states
-        self.max_time = max_time
-        self.mask = mask
-
-    def run(self) -> CheckResult:
-        return ExplorationEngine(
-            self.spec,
-            strategy="dfs",
-            max_states=self.max_states,
-            max_time=self.max_time,
-            max_depth=self.max_depth,
-            mask=self.mask,
-        ).run()
-
-
 class IterativeDeepeningChecker:
-    """TLC's -dfid: DFS with increasing depth bounds, which restores the
-    minimal-depth property of counterexamples."""
+    """DFS with increasing depth bounds."""
 
     def __init__(
         self,
@@ -77,12 +43,13 @@ class IterativeDeepeningChecker:
                 if self.max_time is None
                 else max(0.5, self.max_time - (time.monotonic() - start))
             )
-            result = DFSChecker(
+            result = explore(
                 self.spec,
+                strategy="dfs",
                 max_depth=depth,
                 max_time=remaining,
                 mask=self.mask,
-            ).run()
+            )
             result.elapsed_seconds = time.monotonic() - start
             if result.found_violation or result.budget_exhausted == "max_time":
                 return result

@@ -1,8 +1,7 @@
 """The unified state-space exploration engine.
 
 :class:`ExplorationEngine` is the scheduler every checking strategy plugs
-into; the legacy :class:`~repro.checker.bfs.BFSChecker` and
-:class:`~repro.checker.dfs.DFSChecker` are thin wrappers over it.
+into; :func:`explore` is its one-call form.
 
 Strategies
 ----------
@@ -26,30 +25,38 @@ Strategies
     returns the first violation any of them finds (with ``workers > 1``
     the contenders run in parallel processes).
 
-Hot-path engineering (where the >=2x over the seed checker comes from;
-``incremental=False`` switches the analysis-based parts off for A/B
-soundness checks):
+One successor path
+------------------
 
-- invariants are evaluated once per distinct state (the seed evaluated
-  them at discovery *and* again at expansion), and their verdicts are
-  memoized per projection of the state onto their declared read sets
-  (``Invariant.reads``);
-- guard memoization: each action declares the variables its enabling
-  condition reads (the paper's dependency variables, Appendix B).
-  Instances sharing a read set form a group whose projection is hashed
-  once per state; the memo stores the disabled-instance bitmask per
-  projection value.  On top of that, an instance disabled in the parent
-  whose reads miss the taken action's write set is known-disabled in
-  the child without any lookup (the ``affects`` interference matrix);
-- successor fingerprints are updated incrementally from the parent's
-  per-slot digest tuple (one digest lookup per changed slot), and
-  ``State`` objects are only materialized for successors that survive
-  the fingerprint dedup;
-- action parameter bindings are pre-bound with ``functools.partial``
-  instead of rebuilding a kwargs dict per application;
-- the cyclic garbage collector is suspended during exploration (states
-  are immutable; exploration allocates millions of short-lived tuples
-  that the generational GC would repeatedly scan).
+Every strategy, worker and walker obtains successors through
+:meth:`CompiledSpec.expand_batch`, which has exactly two things behind it:
+
+- the **generated kernel** (:mod:`repro.tla.codegen`) is what runs: guard
+  verdicts memoized per declared read set, whole outcomes (verdict,
+  update bindings, fingerprint delta) memoized per dependency closure,
+  disabled bits inherited from the parent through the ``affects``
+  interference matrix, invariant/mask/constraint verdicts memoized per
+  declared-reads projection, all fused into one emitted function;
+- the **reference expander** (:meth:`CompiledSpec.reference_expand`) is
+  what *defines* the behaviour: ``Specification.successors`` plus a full
+  fingerprint -- no memo, no inherited bits, no deltas.
+
+The kernel is sound exactly when the spec's ``reads`` / ``writes`` /
+``update_sources`` declarations are truthful, so it is emitted only for
+specs the static analyzer proves (:func:`kernel_trusted`); any other spec
+runs on the reference expander, loudly (one warning per spec, and
+``memo_stats()["mode"] == "reference"``).  ``debug=True``
+(``--debug-deps``) emits the kernel regardless and cross-checks every
+batch it expands against the reference expander -- the one proof
+obligation between the two.  ``reference=True`` pins a run to the
+reference expander (the differential arm of the tests and of
+``bench_table5_efficiency.py --ab-reference``).
+
+Also on the hot path: invariants are evaluated once per distinct state,
+``State`` objects are only materialized for memo misses and reported
+traces, and the cyclic garbage collector is suspended during exploration
+(states are immutable; exploration allocates millions of short-lived
+tuples that the generational GC would repeatedly scan).
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from __future__ import annotations
 import gc
 import random
 import time
+import warnings
 from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -71,52 +79,48 @@ from repro.tla.state import State
 #: Strategy names accepted by the engine (and the CLI ``--strategy`` flag).
 STRATEGIES = ("bfs", "dfs", "random", "portfolio")
 
-#: Kernel compilation modes (``--compile``).  ``auto`` compiles specs whose
-#: declarations the static analyzer proves truthful (``repro lint`` rules
-#: D01/D03/D05/D07 and P01-P04) and falls back to the interpreted path
-#: otherwise; ``on`` forces compilation (same trust model as the PR-5
-#: memo: garbage declarations in, garbage out -- pair with ``--debug-deps``
-#: to cross-check); ``off`` forces the interpreted path.
-COMPILE_MODES = ("auto", "on", "off")
-
-#: BFS rounds are swept through the compiled kernel in chunks of this many
+#: BFS rounds are swept through ``expand_batch`` in chunks of this many
 #: frontier entries.  Large enough to amortize batch setup, small enough
-#: that budget checks between chunks keep truncated runs from over-expanding
-#: past ``max_states`` (the sequential interpreted path stops per state).
+#: that budget checks between chunks keep truncated runs from
+#: over-expanding far past ``max_states``.
 _KERNEL_CHUNK = 512
 
-#: Lint rules that block kernel compilation in ``auto`` mode.  The kernel
-#: replays memoized update bindings keyed on the dependency closure, which
-#: is sound exactly when the closure declarations are honest: D01 (reads
-#: outside the closure), D03 (undeclared writes), D05/D07 (unresolvable /
-#: malformed declarations) and the purity rules P01-P04 each break that
-#: contract.  D02/D04 (over-declaration) and D06 (no closure at all) are
-#: harmless: over-declared closures only widen memo keys, and closure-less
-#: actions land in the never-memoized eager sweep.
+#: Lint rules that block kernel emission.  The kernel replays memoized
+#: update bindings keyed on the dependency closure, which is sound exactly
+#: when the closure declarations are honest: D01 (reads outside the
+#: closure), D03 (undeclared writes), D05/D07 (unresolvable / malformed
+#: declarations) and the purity rules P01-P04 each break that contract.
+#: D02/D04 (over-declaration) and D06 (no closure at all) are harmless:
+#: over-declared closures only widen memo keys, and closure-less actions
+#: land in the never-memoized eager sweep.
 _TRUST_BLOCKING = frozenset({"D01", "D03", "D05", "D07", "P01", "P02", "P03", "P04"})
 
-#: Per-action lint verdict cache, keyed on the action's code object and
-#: declarations (identity-free, so recomposing a spec from the same module
-#: actions -- the common case for the ZooKeeper/Raft plugins -- does not
-#: re-run the analyzer).
-_TRUST_CACHE: Dict[tuple, bool] = {}
+#: Per-action lint verdict cache (``""`` = trusted, else the blocking
+#: rule), keyed on the action's code object and declarations
+#: (identity-free, so recomposing a spec from the same module actions --
+#: the common case for the ZooKeeper/Raft plugins -- does not re-run the
+#: analyzer).
+_TRUST_CACHE: Dict[tuple, str] = {}
 _TRUST_CACHE_LIMIT = 4096
 
 
 def kernel_trusted(spec: Specification) -> bool:
-    """Whether ``--compile auto`` may emit kernels for this spec.
+    """Whether the static analyzer proves this spec's declarations.
 
     Runs the PR-8 static analyzer over every action and requires zero
     findings for the trust-critical rules (:data:`_TRUST_BLOCKING`).  The
     verdict is cached on the spec object, and per-action verdicts are
     cached globally by code object + declarations, so repeated spec
-    composition stays cheap.  Any analyzer failure counts as untrusted:
-    the engine then simply stays on the interpreted path.
+    composition stays cheap.  An untrusted verdict is never silent: the
+    first blocking action and rule (or the analyzer's own exception) is
+    kept on the spec for ``memo_stats()`` and raised as one
+    ``RuntimeWarning`` per spec, because such a spec runs on the slower
+    reference expander.
     """
     verdict = getattr(spec, "_kernel_trusted", None)
     if verdict is not None:
         return verdict
-    verdict = True
+    blocker = ""
     schema_names = frozenset(spec.schema.names)
     analyzer = None
     try:
@@ -128,22 +132,35 @@ def kernel_trusted(spec: Specification) -> bool:
                 sorted((k, tuple(sorted(v))) for k, v in action.update_sources.items())
             )
             key = (action.fn.__code__, action.reads, action.writes, sources, schema_names)
-            cached = _TRUST_CACHE.get(key)
-            if cached is None:
+            rule = _TRUST_CACHE.get(key)
+            if rule is None:
                 if analyzer is None:
                     analyzer = SpecAnalyzer()
                 findings = check_action(spec.name, action, set(schema_names), analyzer)
-                cached = not any(f.rule in _TRUST_BLOCKING for f in findings)
+                rule = next(
+                    (f.rule for f in findings if f.rule in _TRUST_BLOCKING), ""
+                )
                 if len(_TRUST_CACHE) >= _TRUST_CACHE_LIMIT:
                     _TRUST_CACHE.clear()
-                _TRUST_CACHE[key] = cached
-            if not cached:
-                verdict = False
+                _TRUST_CACHE[key] = rule
+            if rule:
+                blocker = f"action {action.name} fails lint rule {rule}"
                 break
-    except Exception:
-        verdict = False
+    except Exception as error:
+        blocker = f"the static analyzer raised {error!r}"
+    verdict = not blocker
     spec._kernel_trusted = verdict
+    spec._kernel_blocker = blocker
+    if blocker:
+        warnings.warn(
+            f"spec {spec.name!r} is not kernel-trusted ({blocker}; rule "
+            f"catalog: docs/linting.md): running on the slower reference "
+            f"expander (--debug-deps emits and cross-checks the kernel anyway)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return verdict
+
 
 #: Cross-worker dedupe modes for the parallel strategies (``--dedupe``).
 #: ``rounds`` merges visited-fingerprint sets at round barriers and is
@@ -156,20 +173,36 @@ DEDUPE_MODES = ("rounds", "shared")
 #: written when ``dedupe=False``).
 _UNUSED_SEEN: set = set()
 
-#: Candidate successor record produced by :meth:`CompiledSpec.expand`:
-#: (instance_index, successor_state, fingerprint, child_known_disabled,
-#:  violated_invariant_indices, masked, within_constraint, slot_digests)
-Candidate = Tuple[int, Any, int, int, Tuple[int, ...], bool, bool, Tuple[int, ...]]
+#: Candidate successor record produced by :meth:`CompiledSpec.expand_batch`:
+#: (instance_index, successor_values, fingerprint, child_known_disabled,
+#:  violated_invariant_indices, masked, within_constraint)
+Candidate = Tuple[int, Tuple[Any, ...], int, int, Tuple[int, ...], bool, bool]
+
+
+def out_of_time(start: float, max_time: Optional[float]) -> bool:
+    """The one wall-clock budget test every strategy loop shares."""
+    return max_time is not None and time.monotonic() - start >= max_time
+
+
+def _projection(slots: Tuple[int, ...]) -> Callable[[tuple], Any]:
+    """Memo-key function for a slot projection (bare value for one slot,
+    the same key format the emitted kernels build inline)."""
+    return itemgetter(*slots) if len(slots) > 1 else itemgetter(slots[0])
 
 
 class CompiledSpec:
     """A specification pre-resolved for the exploration hot path.
 
-    Everything the per-state inner loop needs is flattened into parallel
+    :meth:`expand_batch` is the only way successors leave this class.
+    Behind it sits the generated kernel -- or, for ``reference=True`` and
+    for specs :func:`kernel_trusted` rejects, :meth:`reference_expand`.
+    Kernel mode flattens everything the emitted code needs into parallel
     lists indexed by action-instance position: the pre-bound applier
-    callables, trace labels, and the read/write interference matrix
-    ``affects`` (bit *i* of ``affects[j]`` is set when instance *i* reads
-    a variable instance *j* writes).
+    callables, the read/write interference matrix ``affects`` (bit *i* of
+    ``affects[j]`` is set when instance *i* reads a variable instance *j*
+    writes), and the guard / outcome / invariant memo groups.  Reference
+    mode builds none of that: no memo of any kind, so it is an
+    independent oracle for the memoized path.
     """
 
     __slots__ = (
@@ -182,14 +215,11 @@ class CompiledSpec:
         "actions",
         "affects",
         "guard_groups",
-        "guard_group_slots",
         "guard_memos",
         "guard_stats",
         "outcome_groups",
-        "outcome_group_slots",
         "outcome_memos",
         "outcome_stats",
-        "kernel_outcome_memos",
         "direct",
         "eager",
         "ungrouped",
@@ -209,10 +239,10 @@ class CompiledSpec:
         "mask",
         "n_instances",
         "debug",
-        "compile_mode",
         "kernel",
         "kernel_source",
         "expand_calls",
+        "_label_index",
         "_last_adapt",
         "_shadowed_guards",
         "demoted_groups",
@@ -246,14 +276,9 @@ class CompiledSpec:
         spec: Specification,
         fingerprinter: Optional[Fingerprinter] = None,
         mask: Optional[Callable[[State], bool]] = None,
-        incremental: bool = True,
         debug: bool = False,
-        compile_mode: str = "auto",
+        reference: bool = False,
     ):
-        if compile_mode not in COMPILE_MODES:
-            raise ValueError(
-                f"unknown compile mode {compile_mode!r}; options: {list(COMPILE_MODES)}"
-            )
         self.spec = spec
         self.config = spec.config
         self.schema = spec.schema
@@ -263,121 +288,35 @@ class CompiledSpec:
         instances = spec.action_instances()
         self.n_instances = len(instances)
         self.labels = [inst.label for inst in instances]
+        self._label_index = {label: i for i, label in enumerate(self.labels)}
         self.actions = [inst.action for inst in instances]
-        appliers = []
-        for inst in instances:
-            kwargs = dict(inst.binding)
-            appliers.append(partial(inst.action.fn, **kwargs) if kwargs else inst.action.fn)
-        self.appliers = appliers
-        if incremental:
-            reads = [inst.action.reads for inst in instances]
-            writes = [inst.action.writes for inst in instances]
-            # An action with no declared reads has an *unknown* guard
-            # dependency set (the Action API default), not an empty one:
-            # it must be re-evaluated in every state, so every writer
-            # "affects" it.  The guard memo below applies the same rule
-            # (undeclared -> ungrouped).
-            undeclared = 0
-            for i in range(self.n_instances):
-                if not reads[i]:
-                    undeclared |= 1 << i
-            affects = []
-            for j in range(self.n_instances):
-                bits = undeclared
-                write_set = writes[j]
-                for i in range(self.n_instances):
-                    if reads[i] & write_set:
-                        bits |= 1 << i
-                affects.append(bits)
-            # Guard memoization: an action's enabling condition depends
-            # only on its declared read variables (the paper's dependency
-            # variables), so a *disabled* verdict can be memoized per
-            # projection of the state onto those variables.  Only the
-            # disabled case is cached -- an enabled action's update may
-            # read beyond the guard set, so it is always re-applied.
-            # Instances sharing a read set are grouped so the projection
-            # is built and hashed once per state, and the memo stores a
-            # disabled-instance bitmask per projection value.
-            # Outcome memoization, by dependency *closure* (Action.
-            # dependency_closure: reads | writes | update_sources).  The
-            # closure determines the function's entire outcome -- the
-            # enabled/disabled verdict and every update value -- so the
-            # memo stores, per projection of the state onto the closure,
-            # the full per-instance outcome vector: the group's disabled
-            # bitmask plus the raw (slot, new-value) update pairs of the
-            # enabled members.  A state whose closure projection was
-            # seen before (in particular: a child whose projection the
-            # parent's action left untouched) inherits the verdict and
-            # the memoized update bindings without re-evaluating
-            # anything, turning the per-state guard sweep from
-            # O(actions) into O(affected actions).
-            by_closure: Dict[Tuple[int, ...], List[int]] = {}
-            closure_of: Dict[int, Tuple[int, ...]] = {}
-            ungrouped: List[int] = []
-            # Every declared-closure instance starts memoized, however wide
-            # the closure: the adaptive hit-rate monitor (_adapt) demotes
-            # groups whose projections turn out near-unique at runtime,
-            # replacing the old static closure > schema/2 cutoff with
-            # measured evidence.
-            for i, inst in enumerate(instances):
-                closure = inst.action.dependency_closure()
-                if closure is None:
-                    ungrouped.append(i)  # unread guard: never memoized
-                    continue
-                idxs = spec.schema.positions(closure)
-                closure_of[i] = idxs
-                by_closure.setdefault(idxs, []).append(i)
-            outcome_groups: List[Tuple[Callable[[tuple], Any], Tuple[int, ...]]] = []
-            outcome_group_slots: List[Tuple[int, ...]] = []
-            for idxs, members in by_closure.items():
-                key_fn = itemgetter(*idxs) if len(idxs) > 1 else itemgetter(idxs[0])
-                outcome_groups.append((key_fn, tuple(members)))
-                outcome_group_slots.append(idxs)
-            self.outcome_groups = outcome_groups
-            self.outcome_group_slots = outcome_group_slots
-            self.outcome_memos: List[dict] = [{} for _ in outcome_groups]
-            self.direct = ()
-            self.ungrouped = tuple(ungrouped)
-            # Narrow disabled-verdict memos, by guard read set.  A group
-            # whose members all have closure == reads is fully shadowed
-            # by the outcome group keyed on the identical projection, so
-            # it is skipped (same key, strictly less information) -- but
-            # remembered, so demoting that outcome group can re-enable it.
-            by_read_set: Dict[Tuple[int, ...], List[int]] = {}
-            for i, inst in enumerate(instances):
-                idxs = spec.schema.positions(inst.action.reads)
-                if idxs:
-                    by_read_set.setdefault(idxs, []).append(i)
-            groups: List[Tuple[Callable[[tuple], Any], int]] = []
-            guard_group_slots: List[Tuple[int, ...]] = []
-            shadowed: Dict[Tuple[int, ...], int] = {}
-            for idxs, members in by_read_set.items():
-                bits = 0
-                for i in members:
-                    bits |= 1 << i
-                if all(closure_of.get(i) == idxs for i in members):
-                    shadowed[idxs] = bits
-                    continue
-                key_fn = itemgetter(*idxs) if len(idxs) > 1 else itemgetter(idxs[0])
-                groups.append((key_fn, bits))
-                guard_group_slots.append(idxs)
-            self.guard_groups = groups
-            self.guard_group_slots = guard_group_slots
-            self.guard_memos: List[dict] = [{} for _ in groups]
-            self._shadowed_guards = shadowed
-        else:
-            everything = (1 << self.n_instances) - 1
-            affects = [everything] * self.n_instances
-            self.guard_groups = []
-            self.guard_group_slots = []
-            self.guard_memos = []
-            self.outcome_groups = []
-            self.outcome_group_slots = []
-            self.outcome_memos = []
-            self.direct = ()
-            self.ungrouped = tuple(range(self.n_instances))
-            self._shadowed_guards = {}
-        self.affects = affects
+        self.invariants = list(spec.invariants)
+        self.invariant_fns = [inv.predicate for inv in self.invariants]
+        self.constraint = spec.constraint
+        # Reference-mode layout: nothing grouped, nothing memoized.
+        self.appliers: List[Callable] = []
+        self.affects: List[int] = []
+        self.guard_groups: List[Tuple[Tuple[int, ...], int]] = []
+        self.outcome_groups: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+        self._shadowed_guards: Dict[Tuple[int, ...], int] = {}
+        self.direct: Tuple[int, ...] = ()
+        self.ungrouped: Tuple[int, ...] = tuple(range(self.n_instances))
+        self.inv_groups: List[Tuple[Callable[[tuple], Any], Tuple[int, ...]]] = []
+        self.inv_group_slots: List[Tuple[int, ...]] = []
+        self.inv_ungrouped: Tuple[int, ...] = tuple(range(len(self.invariants)))
+        self.mask_key: Optional[Callable[[tuple], Any]] = None
+        self.mask_slots: Tuple[int, ...] = ()
+        self.mask_memo: dict = {}
+        self.constraint_key: Optional[Callable[[tuple], Any]] = None
+        self.constraint_slots: Tuple[int, ...] = ()
+        self.constraint_memo: dict = {}
+        self.kernel: Optional[Callable] = None
+        self.kernel_source: Optional[str] = None
+        # debug=True emits the kernel whatever the analyzer says: the
+        # per-batch cross-check *is* the trust decision then.
+        compiled = not reference and (debug or kernel_trusted(spec))
+        if compiled:
+            self._analyze(instances)
         # Memo telemetry (--stats): per-group [misses, base_calls] cells
         # (outcome cells carry two extra window-snapshot fields for the
         # adaptive monitor).  Lookups are derived -- every expansion looks
@@ -386,80 +325,132 @@ class CompiledSpec:
         # increment.
         self.expand_calls = 0
         self._last_adapt = 0
+        self.guard_memos: List[dict] = [{} for _ in self.guard_groups]
         self.guard_stats: List[List[int]] = [[0, 0] for _ in self.guard_groups]
+        self.outcome_memos: List[dict] = [{} for _ in self.outcome_groups]
         self.outcome_stats: List[List[int]] = [
             [0, 0, 0, 0] for _ in self.outcome_groups
         ]
-        self.kernel_outcome_memos: List[dict] = [{} for _ in self.outcome_groups]
+        self.inv_memos: List[dict] = [{} for _ in self.inv_groups]
         self.demoted_groups: List[dict] = []
-        # Instances evaluated on every state they are not proven
-        # disabled in: wide-closure instances (skippable via inherited
-        # disabled bits) plus undeclared-reads instances (never
-        # skippable).
+        # Instances evaluated on every state they are not proven disabled
+        # in: demoted-group instances (skippable via inherited disabled
+        # bits) plus undeclared-reads instances (never skippable).
         self.eager = self.direct + self.ungrouped
-        self.invariants = list(spec.invariants)
-        self.invariant_fns = [inv.predicate for inv in self.invariants]
-        self.constraint = spec.constraint
-        # Invariant verdict memoization, by declared read set (see
-        # Invariant.reads).  Verdicts are pure state predicates, so both
-        # the holding and the violating outcome are cacheable per
-        # projection.  Invariants without (resolvable) read declarations
+        if compiled:
+            self._emit_kernel()
+
+    def _analyze(self, instances: list) -> None:
+        """Kernel-mode layout: pre-bound appliers, the interference
+        matrix, and the guard / outcome / invariant / mask / constraint
+        memo groups the emitted code is specialized on."""
+        spec = self.spec
+        positions = spec.schema.positions
+        self.appliers = [
+            partial(inst.action.fn, **dict(inst.binding))
+            if inst.binding
+            else inst.action.fn
+            for inst in instances
+        ]
+        reads = [inst.action.reads for inst in instances]
+        writes = [inst.action.writes for inst in instances]
+        # An action with no declared reads has an *unknown* guard
+        # dependency set (the Action API default), not an empty one: it
+        # must be re-evaluated in every state, so every writer "affects"
+        # it.  The guard memo below applies the same rule (undeclared ->
+        # ungrouped).
+        undeclared = 0
+        for i in range(self.n_instances):
+            if not reads[i]:
+                undeclared |= 1 << i
+        for j in range(self.n_instances):
+            bits = undeclared
+            write_set = writes[j]
+            for i in range(self.n_instances):
+                if reads[i] & write_set:
+                    bits |= 1 << i
+            self.affects.append(bits)
+        # Outcome memoization, by dependency *closure* (Action.
+        # dependency_closure: reads | writes | update_sources).  The
+        # closure determines the function's entire outcome -- the
+        # enabled/disabled verdict and every update value -- so the memo
+        # stores, per projection of the state onto the closure, the full
+        # per-instance outcome vector: the group's disabled bitmask plus
+        # the (slot, new-value) changes and fingerprint delta of the
+        # enabled members.  A state whose closure projection was seen
+        # before (in particular: a child whose projection the parent's
+        # action left untouched) inherits the verdict and the memoized
+        # update bindings without re-evaluating anything, turning the
+        # per-state guard sweep from O(actions) into O(affected actions).
+        # Every declared-closure instance starts memoized, however wide
+        # the closure: the adaptive hit-rate monitor (_adapt) demotes
+        # groups whose projections turn out near-unique at runtime.
+        by_closure: Dict[Tuple[int, ...], List[int]] = {}
+        closure_of: Dict[int, Tuple[int, ...]] = {}
+        ungrouped: List[int] = []
+        for i, inst in enumerate(instances):
+            closure = inst.action.dependency_closure()
+            if closure is None:
+                ungrouped.append(i)  # unread guard: never memoized
+                continue
+            closure_of[i] = positions(closure)
+            by_closure.setdefault(closure_of[i], []).append(i)
+        self.outcome_groups = [
+            (slots, tuple(members)) for slots, members in by_closure.items()
+        ]
+        self.ungrouped = tuple(ungrouped)
+        # Guard memoization: an action's enabling condition depends only
+        # on its declared read variables (the paper's dependency
+        # variables), so a *disabled* verdict can be memoized per
+        # projection of the state onto those variables (only the disabled
+        # case -- an enabled action's update may read beyond the guard
+        # set).  Instances sharing a read set form a group whose memo
+        # stores a disabled-instance bitmask per projection value.  A
+        # group whose members all have closure == reads is fully shadowed
+        # by the outcome group keyed on the identical projection, so it
+        # is skipped (same key, strictly less information) -- but
+        # remembered, so demoting that outcome group can re-enable it.
+        by_read_set: Dict[Tuple[int, ...], int] = {}
+        for i, inst in enumerate(instances):
+            slots = positions(inst.action.reads)
+            if slots:
+                by_read_set[slots] = by_read_set.get(slots, 0) | (1 << i)
+        for slots, bits in by_read_set.items():
+            if all(
+                closure_of.get(i) == slots
+                for i in range(self.n_instances)
+                if (bits >> i) & 1
+            ):
+                self._shadowed_guards[slots] = bits
+            else:
+                self.guard_groups.append((slots, bits))
+        # Invariant, mask and constraint verdicts, memoized by declared
+        # read set (``Invariant.reads`` / ``fn.reads``).  All are pure
+        # state predicates, so both outcomes are cacheable per
+        # projection: the ZK-4394 mask reads only ``errors`` and the
+        # epoch constraint only ``accepted_epoch``, so their verdicts
+        # replay from a one-slot projection instead of building a State
+        # per candidate.  Predicates without (resolvable) declarations
         # are evaluated on every state.
-        inv_groups: List[Tuple[Callable[[tuple], Any], Tuple[int, ...]]] = []
-        inv_group_slots: List[Tuple[int, ...]] = []
+        schema_index = spec.schema._index
+        by_inv_reads: Dict[Tuple[int, ...], List[int]] = {}
         inv_ungrouped: List[int] = []
-        if incremental:
-            schema_index = spec.schema._index
-            by_inv_reads: Dict[Tuple[int, ...], List[int]] = {}
-            for i, inv in enumerate(self.invariants):
-                if inv.reads and all(name in schema_index for name in inv.reads):
-                    idxs = tuple(sorted(schema_index[name] for name in inv.reads))
-                    by_inv_reads.setdefault(idxs, []).append(i)
-                else:
-                    inv_ungrouped.append(i)
-            for idxs, group_members in by_inv_reads.items():
-                key_fn = itemgetter(*idxs) if len(idxs) > 1 else itemgetter(idxs[0])
-                inv_groups.append((key_fn, tuple(group_members)))
-                inv_group_slots.append(idxs)
-        else:
-            inv_ungrouped = list(range(len(self.invariants)))
-        self.inv_groups = inv_groups
-        self.inv_group_slots = inv_group_slots
-        self.inv_memos: List[dict] = [{} for _ in inv_groups]
+        for i, inv in enumerate(self.invariants):
+            if inv.reads and all(name in schema_index for name in inv.reads):
+                slots = tuple(sorted(schema_index[name] for name in inv.reads))
+                by_inv_reads.setdefault(slots, []).append(i)
+            else:
+                inv_ungrouped.append(i)
+        for slots, group_members in by_inv_reads.items():
+            self.inv_groups.append((_projection(slots), tuple(group_members)))
+            self.inv_group_slots.append(slots)
         self.inv_ungrouped = tuple(inv_ungrouped)
-        # Mask / constraint verdict memoization, by declared read set
-        # (``fn.reads``, mirroring Invariant.reads).  Both are pure state
-        # predicates; the ZK-4394 mask reads only ``errors`` and the epoch
-        # constraint only ``accepted_epoch``, so their verdicts replay
-        # from a one-slot projection -- without this, classification
-        # builds a State and calls both predicates for *every* candidate.
-        self.mask_key: Optional[Callable[[tuple], Any]] = None
-        self.mask_slots: Tuple[int, ...] = ()
-        self.mask_memo: dict = {}
-        self.constraint_key: Optional[Callable[[tuple], Any]] = None
-        self.constraint_slots: Tuple[int, ...] = ()
-        self.constraint_memo: dict = {}
-        if incremental:
-            schema_index = spec.schema._index
-            for fn, attr in ((mask, "mask"), (self.constraint, "constraint")):
-                declared = getattr(fn, "reads", None)
-                if declared and all(name in schema_index for name in declared):
-                    idxs = tuple(sorted(schema_index[name] for name in declared))
-                    setattr(self, f"{attr}_slots", idxs)
-                    setattr(
-                        self,
-                        f"{attr}_key",
-                        itemgetter(*idxs) if len(idxs) > 1 else itemgetter(idxs[0]),
-                    )
-        # Kernel compilation (the compile-then-batch pipeline).  Only the
-        # incremental path compiles: the kernel *is* the memoized path, so
-        # incremental=False (the A/B soundness arm) stays interpreted.
-        self.compile_mode = compile_mode
-        self.kernel: Optional[Callable] = None
-        self.kernel_source: Optional[str] = None
-        if incremental and compile_mode != "off":
-            if compile_mode == "on" or kernel_trusted(spec):
-                self._emit_kernel()
+        for fn, attr in ((self.mask, "mask"), (self.constraint, "constraint")):
+            declared = getattr(fn, "reads", None)
+            if declared and all(name in schema_index for name in declared):
+                slots = tuple(sorted(schema_index[name] for name in declared))
+                setattr(self, f"{attr}_slots", slots)
+                setattr(self, f"{attr}_key", _projection(slots))
 
     def _emit_kernel(self) -> None:
         """(Re-)emit the batch kernel for the current group layout.
@@ -472,78 +463,18 @@ class CompiledSpec:
 
         self.kernel_source, self.kernel = emit_kernel(self)
 
-    def _masked(self, state: State) -> bool:
-        """Mask verdict for a state, memoized per declared-reads
-        projection when the mask declares one."""
-        mask_key = self.mask_key
-        if mask_key is None:
-            return bool(self.mask(state))
-        memo = self.mask_memo
-        key = mask_key(state.values)
-        hit = memo.get(key)
-        if hit is None:
-            hit = bool(self.mask(state))
-            if len(memo) >= self.GUARD_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = hit
-        return hit
+    def classify_values(
+        self, values: Tuple[Any, ...], state: Optional[State] = None
+    ) -> Tuple[Tuple[int, ...], bool, bool]:
+        """(violated invariant indices, masked, within constraint) of a
+        raw values tuple.
 
-    def _within_constraint(self, state: State) -> bool:
-        """Constraint verdict, memoized like :meth:`_masked`."""
-        ckey = self.constraint_key
-        if ckey is None:
-            return bool(self.constraint(self.config, state))
-        memo = self.constraint_memo
-        key = ckey(state.values)
-        hit = memo.get(key)
-        if hit is None:
-            hit = bool(self.constraint(self.config, state))
-            if len(memo) >= self.GUARD_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = hit
-        return hit
-
-    def classify(self, state: State) -> Tuple[Tuple[int, ...], bool, bool]:
-        """(violated invariant indices, masked, within constraint)."""
-        if self.mask is not None and self._masked(state):
-            return (), True, True
-        config = self.config
-        values = state.values
-        invariant_fns = self.invariant_fns
-        memo_limit = self.GUARD_MEMO_LIMIT
-        viol_bits = 0
-        for group_index, (key_fn, group_members) in enumerate(self.inv_groups):
-            memo = self.inv_memos[group_index]
-            key = key_fn(values)
-            hit = memo.get(key)
-            if hit is None:
-                hit = 0
-                for i in group_members:
-                    if not invariant_fns[i](config, state):
-                        hit |= 1 << i
-                if len(memo) >= memo_limit:
-                    memo.clear()
-                memo[key] = hit
-            viol_bits |= hit
-        for i in self.inv_ungrouped:
-            if not invariant_fns[i](config, state):
-                viol_bits |= 1 << i
-        if viol_bits:
-            viols = tuple(
-                i for i in range(len(invariant_fns)) if (viol_bits >> i) & 1
-            )
-        else:
-            viols = ()
-        ok = self.constraint is None or self._within_constraint(state)
-        return viols, False, ok
-
-    def classify_values(self, values: Tuple[Any, ...]) -> Tuple[Tuple[int, ...], bool, bool]:
-        """:meth:`classify` over a raw values tuple, materializing the
-        ``State`` lazily -- only when a mask, a memo miss, an ungrouped
-        invariant or a constraint actually needs attribute access.  The
-        batch kernels classify through this, so a fully memo-hit candidate
-        never allocates a ``State`` at all."""
-        state: Optional[State] = None
+        The ``State`` is materialized lazily -- only when a mask, a memo
+        miss, an ungrouped invariant or a constraint actually needs
+        attribute access -- unless the caller already holds one.  The
+        kernels classify through this (or its fused inline copy, sharing
+        the same memo dicts), so a fully memo-hit candidate never
+        allocates a ``State`` at all."""
         if self.mask is not None:
             mask_key = self.mask_key
             if mask_key is not None:
@@ -551,7 +482,8 @@ class CompiledSpec:
                 key = mask_key(values)
                 hit = memo.get(key)
                 if hit is None:
-                    state = State(self.schema, values)
+                    if state is None:
+                        state = State(self.schema, values)
                     hit = bool(self.mask(state))
                     if len(memo) >= self.GUARD_MEMO_LIMIT:
                         memo.clear()
@@ -559,7 +491,8 @@ class CompiledSpec:
                 if hit:
                     return (), True, True
             else:
-                state = State(self.schema, values)
+                if state is None:
+                    state = State(self.schema, values)
                 if self.mask(state):
                     return (), True, True
         config = self.config
@@ -617,246 +550,33 @@ class CompiledSpec:
         self,
         state: State,
         state_fp: int,
-        state_digests: Tuple[int, ...],
         known_disabled: int,
         rng: random.Random,
     ):
-        """One random-walk step through the incremental successor path.
+        """One random-walk step.
 
         Expands with dedupe off -- every state-changing successor, in
         instance order, exactly the distribution
         ``Specification.successors`` enumerates (and one ``rng.choice``
         consuming the same entropy) -- and returns
-        ``(instance_index, state, fp, known_disabled, digests)`` for the
-        chosen successor, or ``None`` in a dead end.  Shared by
-        :class:`~repro.checker.random_walk.RandomWalker` and the
-        engine's ``random``/``portfolio`` strategies.
+        ``(instance_index, state, fp, known_disabled)`` for the chosen
+        successor, or ``None`` in a dead end.  Only the *chosen*
+        successor is materialized as a ``State``.  Shared by
+        :class:`~repro.checker.random_walk.RandomWalker` and the engine's
+        ``random``/``portfolio`` strategies.
         """
-        if self.kernel is not None:
-            batch = FrontierBatch.single(
-                state_fp, state.values, known_disabled, state_digests
-            )
-            ((_, _, candidates),) = self.expand_batch(
-                batch, _UNUSED_SEEN, classify_candidates=False, dedupe=False
-            )
-            if not candidates:
-                return None
-            # Same candidate list length and order as the interpreted path,
-            # so the rng.choice consumes identical entropy -- and only the
-            # *chosen* successor is materialized as a State.
-            idx, svt, fp, known, _, _, _, digests = rng.choice(candidates)
-            return idx, State(self.schema, svt), fp, known, digests
-        _, candidates = self.expand(
-            state, known_disabled, _UNUSED_SEEN, state_fp, state_digests,
-            classify_candidates=False, dedupe=False,
+        ((_, _, candidates),) = self.expand_batch(
+            FrontierBatch.single(state_fp, state.values, known_disabled),
+            _UNUSED_SEEN,
+            classify_candidates=False,
+            dedupe=False,
         )
         if not candidates:
             return None
-        idx, nxt, fp, known, _, _, _, digests = rng.choice(candidates)
-        return idx, nxt, fp, known, digests
+        idx, values, fp, known, _, _, _ = rng.choice(candidates)
+        return idx, State(self.schema, values), fp, known
 
-    def _check_outcome(self, idx: int, outcome, state: State) -> None:
-        """Debug mode: re-evaluate one instance and compare against a
-        memoized/inherited outcome (catches untruthful ``reads`` /
-        ``writes`` / ``update_sources`` declarations)."""
-        updates = self.appliers[idx](self.config, state)
-        schema_index = self.schema._index
-        fresh = (
-            None
-            if updates is None
-            else tuple(sorted((schema_index[n], v) for n, v in updates.items()))
-        )
-        stored = None if outcome is None else tuple(sorted(outcome))
-        if fresh != stored:
-            action = self.actions[idx]
-            sources = {k: sorted(v) for k, v in action.update_sources.items()}
-            raise AssertionError(
-                f"action {self.labels[idx]} violated its dependency "
-                f"declaration (reads={sorted(action.reads)}, "
-                f"writes={sorted(action.writes)}, update_sources={sources}): "
-                f"memoized outcome {stored!r} != fresh outcome {fresh!r}"
-            )
-
-    def expand(
-        self,
-        state: State,
-        known_disabled: int,
-        seen: set,
-        state_fp: int,
-        state_digests: Tuple[int, ...],
-        classify_candidates: bool = True,
-        dedupe: bool = True,
-    ) -> Tuple[int, List[Candidate]]:
-        """Expand one frontier state.
-
-        ``known_disabled`` carries the instances proven disabled by the
-        parent's dependency analysis.  ``seen`` is the caller's
-        fingerprint set; candidate fingerprints are added to it so the
-        same successor is emitted at most once per expansion context (the
-        merge step performs the authoritative cross-context dedup).
-        ``dedupe=False`` skips that filter and emits every state-changing
-        successor exactly in instance order -- the random walkers use it
-        to draw from the full successor distribution.
-        ``state_fp``/``state_digests`` are the parent's fingerprint and
-        per-slot digests: each successor fingerprint costs one digest
-        lookup per *changed* slot (``fp ^ old_digest ^ new_digest``), and
-        successor ``State`` objects are only materialized for candidates
-        that survive the fingerprint dedup.
-
-        Returns ``(transitions, candidates)`` where ``transitions``
-        counts every state-changing successor (including already-seen
-        ones, matching the seed checker's transition count).
-        """
-        self.expand_calls += 1
-        if self.expand_calls - self._last_adapt >= self.ADAPT_INTERVAL:
-            self._adapt()
-        config = self.config
-        appliers = self.appliers
-        debug = self.debug
-        memo_limit = self.GUARD_MEMO_LIMIT
-        outcome_limit = self.OUTCOME_MEMO_LIMIT
-        values = state.values
-        schema = self.schema
-        schema_index = schema._index
-        slot_digest = self.fingerprinter.slot_digest
-        transitions = 0
-        disabled = known_disabled
-        raw: List[Tuple[int, List[Tuple[int, Any]]]] = []
-        pending: List[Tuple[dict, Any, int]] = []
-        # Tier 1: disabled-verdict memos keyed on the narrow guard read
-        # set.  Cheap, high hit rate; lets the outcome tier below skip
-        # function calls for members already proven disabled.
-        for group_index, (key_fn, bits) in enumerate(self.guard_groups):
-            memo = self.guard_memos[group_index]
-            key = key_fn(values)
-            hit = memo.get(key)
-            if hit is not None:
-                disabled |= hit
-            else:
-                self.guard_stats[group_index][0] += 1
-                pending.append((memo, key, bits))
-        # Tier 2: full-outcome memos keyed on the dependency closure
-        # (reads | writes | update_sources).  A hit replays the stored
-        # verdicts and update bindings without calling any action
-        # function; a miss evaluates the not-yet-disabled members once
-        # and records the complete per-instance outcome vector (sound
-        # because every disabled bit above is itself a function of the
-        # guard reads, a subset of the closure this entry is keyed on).
-        for group_index, (key_fn, members) in enumerate(self.outcome_groups):
-            memo = self.outcome_memos[group_index]
-            key = key_fn(values)
-            entry = memo.get(key)
-            if entry is not None:
-                group_disabled, enabled = entry
-                disabled |= group_disabled
-                for idx, outcome in enabled:
-                    if debug:
-                        self._check_outcome(idx, outcome, state)
-                    changes = [
-                        (slot, value)
-                        for slot, value in outcome
-                        if values[slot] is not value and values[slot] != value
-                    ]
-                    if changes:
-                        raw.append((idx, changes))
-                if debug:
-                    todo = group_disabled
-                    while todo:
-                        low = todo & -todo
-                        todo ^= low
-                        self._check_outcome(low.bit_length() - 1, None, state)
-                continue
-            self.outcome_stats[group_index][0] += 1
-            group_disabled = 0
-            enabled = []
-            for idx in members:
-                bit = 1 << idx
-                if disabled & bit:
-                    group_disabled |= bit
-                    continue
-                updates = appliers[idx](config, state)
-                if updates is None:
-                    disabled |= bit
-                    group_disabled |= bit
-                    continue
-                if debug:
-                    self.actions[idx].validate_updates(updates)
-                outcome = tuple(
-                    (schema_index[name], value) for name, value in updates.items()
-                )
-                enabled.append((idx, outcome))
-                changes = [
-                    (slot, value)
-                    for slot, value in outcome
-                    if values[slot] is not value and values[slot] != value
-                ]
-                if changes:
-                    raw.append((idx, changes))
-            if len(memo) >= outcome_limit:
-                memo.clear()
-            memo[key] = (group_disabled, tuple(enabled))
-        for idx in self.eager:
-            if (disabled >> idx) & 1:
-                continue
-            updates = appliers[idx](config, state)
-            if updates is None:
-                disabled |= 1 << idx
-                continue
-            if debug:
-                self.actions[idx].validate_updates(updates)
-            changes = [
-                (slot, value)
-                for slot, value in (
-                    (schema_index[name], value) for name, value in updates.items()
-                )
-                if values[slot] is not value and values[slot] != value
-            ]
-            if changes:
-                raw.append((idx, changes))
-        for memo, key, bits in pending:
-            if len(memo) >= memo_limit:
-                memo.clear()
-            memo[key] = disabled & bits
-        raw.sort(key=itemgetter(0))  # successor order = instance order
-        candidates: List[Candidate] = []
-        affects = self.affects
-        for idx, changes in raw:
-            transitions += 1
-            fp = state_fp
-            new_digests = []
-            for slot, value in changes:
-                digest = slot_digest(slot, value)
-                fp ^= state_digests[slot] ^ digest
-                new_digests.append(digest)
-            if dedupe:
-                if fp in seen:
-                    continue
-                seen.add(fp)
-            successor_values = list(values)
-            digests = list(state_digests)
-            for (slot, value), digest in zip(changes, new_digests):
-                successor_values[slot] = value
-                digests[slot] = digest
-            nxt = State(schema, tuple(successor_values))
-            if classify_candidates:
-                viols, masked, ok = self.classify(nxt)
-            else:
-                viols, masked, ok = (), False, True
-            candidates.append(
-                (
-                    idx,
-                    nxt,
-                    fp,
-                    disabled & ~affects[idx],
-                    viols,
-                    masked,
-                    ok,
-                    tuple(digests),
-                )
-            )
-        return transitions, candidates
-
-    # ---------------------------------------------------- batch kernels
+    # ------------------------------------------------- the successor path
 
     def expand_batch(
         self,
@@ -864,98 +584,105 @@ class CompiledSpec:
         seen: set,
         classify_candidates: bool = True,
         dedupe: bool = True,
-    ) -> List[Tuple[int, int, list]]:
-        """Expand a whole frontier batch through the compiled kernel.
+    ) -> List[Tuple[int, int, List[Candidate]]]:
+        """Expand a whole frontier batch: the engine's one successor path.
 
         Returns ``[(entry_fp, transitions, candidates), ...]`` in entry
-        order, with candidates shaped like :meth:`expand`'s except that
-        the successor is a raw values tuple (``State`` materialization is
-        the caller's choice).  Falls back to per-entry interpreted
-        expansion when no kernel is compiled, so callers can stay
-        path-agnostic.
+        order.  ``transitions`` counts every state-changing successor
+        (including already-seen ones).  ``seen`` is the caller's
+        fingerprint set; candidate fingerprints are added to it so the
+        same successor is emitted at most once per expansion context (the
+        merge step performs the authoritative cross-context dedup).
+        ``dedupe=False`` skips that filter and emits every state-changing
+        successor exactly in instance order -- the random walkers use it
+        to draw from the full successor distribution.  Successors are raw
+        values tuples; ``State`` materialization is the caller's choice.
         """
+        self.expand_calls += len(batch)
         kernel = self.kernel
-        if kernel is not None:
-            self.expand_calls += len(batch)
-            if self.expand_calls - self._last_adapt >= self.ADAPT_INTERVAL:
-                self._adapt()
-                kernel = self.kernel  # demotion re-emits
-            if self.debug:
-                self._debug_check_batch(batch)
-            return kernel(
-                batch.fps, batch.values, batch.knowns,
-                seen, dedupe, classify_candidates,
-            )
-        schema = self.schema
-        results: List[Tuple[int, int, list]] = []
-        for fp, values, known, digests in batch.entries():
-            transitions, cands = self.expand(
-                State(schema, values), known, seen, fp, digests,
-                classify_candidates, dedupe,
-            )
-            results.append(
-                (
-                    fp,
-                    transitions,
-                    [(c[0], c[1].values) + c[2:] for c in cands],
-                )
-            )
-        return results
+        if kernel is None:
+            return [
+                (fp,) + self.reference_expand(values, seen, classify_candidates, dedupe)
+                for fp, values in zip(batch.fps, batch.values)
+            ]
+        if self.expand_calls - self._last_adapt >= self.ADAPT_INTERVAL:
+            self._adapt()
+            kernel = self.kernel  # demotion re-emits
+        if self.debug:
+            self._debug_check_batch(kernel, batch)
+        return kernel(
+            batch.fps, batch.values, batch.knowns,
+            seen, dedupe, classify_candidates,
+        )
 
-    def _debug_check_batch(self, batch: FrontierBatch) -> None:
-        """Debug mode: cross-check kernel outcomes against a *fresh*
-        interpreted evaluation of every instance (no memos, no inherited
-        disabled bits), so a lying declaration that poisons a kernel memo
-        entry -- or wrongly inherits a known-disabled bit -- is caught at
-        the first state it mis-expands."""
-        assert self.kernel is not None
-        out = self.kernel(
+    def reference_expand(
+        self,
+        values: Tuple[Any, ...],
+        seen: set,
+        classify_candidates: bool = True,
+        dedupe: bool = True,
+    ) -> Tuple[int, List[Candidate]]:
+        """The reference expander: ``Specification.successors`` plus a
+        fingerprint, and nothing else.
+
+        Deliberately naive -- every instance is applied to every state,
+        every successor is fingerprinted in full, no verdict is inherited
+        or memoized -- because it is the definition the kernel is checked
+        against (``--debug-deps``, the differential tests) and the path a
+        spec with unproven declarations runs on.  Returns
+        ``(transitions, candidates)`` with ``known_disabled`` always 0.
+        """
+        of_values = self.fingerprinter.of_values
+        index_of = self._label_index
+        transitions = 0
+        candidates: List[Candidate] = []
+        for label, nxt in self.spec.successors(State(self.schema, values)):
+            transitions += 1
+            fp = of_values(nxt.values)
+            if dedupe:
+                if fp in seen:
+                    continue
+                seen.add(fp)
+            if classify_candidates:
+                viols, masked, ok = self.classify_values(nxt.values, nxt)
+            else:
+                viols, masked, ok = (), False, True
+            candidates.append(
+                (index_of[label], nxt.values, fp, 0, viols, masked, ok)
+            )
+        return transitions, candidates
+
+    def _debug_check_batch(self, kernel: Callable, batch: FrontierBatch) -> None:
+        """Debug mode: cross-check the kernel against the reference
+        expander on every entry, so a lying declaration that poisons a
+        kernel memo entry -- or wrongly inherits a known-disabled bit --
+        is caught at the first state it mis-expands."""
+        out = kernel(
             batch.fps, batch.values, batch.knowns,
             _UNUSED_SEEN, False, False,
         )
-        schema = self.schema
-        schema_index = schema._index
-        slot_digest = self.fingerprinter.slot_digest
-        config = self.config
-        for i in range(len(batch)):
-            values = batch.values[i]
-            state = State(schema, values)
-            entry_fp = batch.fps[i]
-            fresh: List[Tuple[int, Tuple[Any, ...], int]] = []
-            for idx, applier in enumerate(self.appliers):
-                updates = applier(config, state)
-                if updates is None:
-                    continue
-                self.actions[idx].validate_updates(updates)
-                changes = [
-                    (schema_index[name], value)
-                    for name, value in updates.items()
-                ]
-                changes = [
-                    (slot, value)
-                    for slot, value in changes
-                    if values[slot] is not value and values[slot] != value
-                ]
-                if not changes:
-                    continue
-                fp = entry_fp
-                successor = list(values)
-                for slot, value in changes:
-                    fp ^= slot_digest(slot, values[slot]) ^ slot_digest(slot, value)
-                    successor[slot] = value
-                fresh.append((idx, tuple(successor), fp))
-            fresh.sort(key=itemgetter(0))
-            got = [(c[0], c[1], c[2]) for c in out[i][2]]
-            if got != fresh:
-                raise AssertionError(
-                    f"compiled kernel diverged from fresh evaluation on "
-                    f"state {state!r}: kernel produced "
-                    f"{[(self.labels[idx], fp) for idx, _, fp in got]!r}, "
-                    f"fresh evaluation produced "
-                    f"{[(self.labels[idx], fp) for idx, _, fp in fresh]!r} "
-                    f"(an action's reads/writes/update_sources declaration "
-                    f"is untruthful)"
-                )
+        for values, (_, _, got) in zip(batch.values, out):
+            _, want = self.reference_expand(values, _UNUSED_SEEN, False, False)
+            if [c[:3] for c in got] == [c[:3] for c in want]:
+                continue
+            got_by = {c[0]: c[1:3] for c in got}
+            want_by = {c[0]: c[1:3] for c in want}
+            idx = min(
+                i
+                for i in got_by.keys() | want_by.keys()
+                if got_by.get(i) != want_by.get(i)
+            )
+            action = self.actions[idx]
+            sources = {k: sorted(v) for k, v in action.update_sources.items()}
+            raise AssertionError(
+                f"action {self.labels[idx]} violated its dependency "
+                f"declaration (reads={sorted(action.reads)}, "
+                f"writes={sorted(action.writes)}, update_sources={sources}): "
+                f"on state {State(self.schema, values)!r} the kernel produced "
+                f"{got_by.get(idx)!r} but the reference expander produced "
+                f"{want_by.get(idx)!r} (successor values, fingerprint; None "
+                f"= not enabled)"
+            )
 
     # ------------------------------------------------ adaptive memoing
 
@@ -965,8 +692,6 @@ class CompiledSpec:
         the eager sweep, whose per-state evaluation produces identical
         results -- so adaptation can never change what is explored."""
         self._last_adapt = self.expand_calls
-        if not self.outcome_groups:
-            return
         calls = self.expand_calls
         wide = len(self.schema) // 2
         demote: List[int] = []
@@ -978,7 +703,7 @@ class CompiledSpec:
                 continue
             window_hits = window - (misses - last_misses)
             rate = window_hits / window
-            slots = self.outcome_group_slots[gi]
+            slots = self.outcome_groups[gi][0]
             floor = self.ADAPT_WIDE_RATE if len(slots) > wide else self.ADAPT_NARROW_RATE
             if rate < floor:
                 demote.append(gi)
@@ -994,19 +719,14 @@ class CompiledSpec:
         drop = set(group_indices)
         calls = self.expand_calls
         names = self.schema.names
-        keep_groups, keep_slots = [], []
-        keep_memos, keep_kmemos, keep_stats = [], [], []
+        keep_groups, keep_memos, keep_stats = [], [], []
         demoted_members: List[int] = []
-        for gi in range(len(self.outcome_groups)):
+        for gi, (slots, members) in enumerate(self.outcome_groups):
             if gi not in drop:
                 keep_groups.append(self.outcome_groups[gi])
-                keep_slots.append(self.outcome_group_slots[gi])
                 keep_memos.append(self.outcome_memos[gi])
-                keep_kmemos.append(self.kernel_outcome_memos[gi])
                 keep_stats.append(self.outcome_stats[gi])
                 continue
-            slots = self.outcome_group_slots[gi]
-            members = self.outcome_groups[gi][1]
             misses, base = self.outcome_stats[gi][0], self.outcome_stats[gi][1]
             lookups = calls - base
             self.demoted_groups.append(
@@ -1020,20 +740,15 @@ class CompiledSpec:
             demoted_members.extend(members)
             shadow_bits = self._shadowed_guards.pop(slots, None)
             if shadow_bits is not None:
-                key_fn = itemgetter(*slots) if len(slots) > 1 else itemgetter(slots[0])
-                self.guard_groups.append((key_fn, shadow_bits))
-                self.guard_group_slots.append(slots)
+                self.guard_groups.append((slots, shadow_bits))
                 self.guard_memos.append({})
                 self.guard_stats.append([0, calls])
         self.outcome_groups = keep_groups
-        self.outcome_group_slots = keep_slots
         self.outcome_memos = keep_memos
-        self.kernel_outcome_memos = keep_kmemos
         self.outcome_stats = keep_stats
         self.direct = self.direct + tuple(sorted(demoted_members))
         self.eager = self.direct + self.ungrouped
-        if self.kernel is not None:
-            self._emit_kernel()
+        self._emit_kernel()
 
     def memo_stats(self) -> dict:
         """Per-action-group memo telemetry for ``--stats``."""
@@ -1041,7 +756,7 @@ class CompiledSpec:
         names = self.schema.names
         compiled = self.kernel is not None
 
-        def row(slots, members, cell, entries):
+        def row(slots, members, cell, memo):
             lookups = max(0, calls - cell[1])
             hits = lookups - cell[0]
             return {
@@ -1050,37 +765,21 @@ class CompiledSpec:
                 "lookups": lookups,
                 "hits": hits,
                 "hit_rate": round(hits / lookups, 4) if lookups else None,
-                "entries": entries,
+                "entries": len(memo),
             }
 
-        outcome_rows = [
-            row(
-                self.outcome_group_slots[gi],
-                len(group[1]),
-                self.outcome_stats[gi],
-                len(
-                    self.kernel_outcome_memos[gi]
-                    if compiled
-                    else self.outcome_memos[gi]
-                ),
-            )
-            for gi, group in enumerate(self.outcome_groups)
-        ]
-        guard_rows = [
-            row(
-                self.guard_group_slots[gi],
-                bin(group[1]).count("1"),
-                self.guard_stats[gi],
-                len(self.guard_memos[gi]),
-            )
-            for gi, group in enumerate(self.guard_groups)
-        ]
         stats = {
-            "mode": "compiled" if compiled else "interpreted",
+            "mode": "compiled" if compiled else "reference",
             "expand_calls": calls,
             "eager_instances": len(self.eager),
-            "outcome_groups": outcome_rows,
-            "guard_groups": guard_rows,
+            "outcome_groups": [
+                row(slots, len(members), self.outcome_stats[gi], self.outcome_memos[gi])
+                for gi, (slots, members) in enumerate(self.outcome_groups)
+            ],
+            "guard_groups": [
+                row(slots, bin(bits).count("1"), self.guard_stats[gi], self.guard_memos[gi])
+                for gi, (slots, bits) in enumerate(self.guard_groups)
+            ],
             "demoted_groups": list(self.demoted_groups),
             "mask_memo_entries": (
                 len(self.mask_memo) if self.mask_key is not None else None
@@ -1095,6 +794,10 @@ class CompiledSpec:
             from repro.tla.codegen import CODEGEN_VERSION
 
             stats["codegen_version"] = CODEGEN_VERSION
+        else:
+            # Why there is no kernel: pinned by the caller, or the first
+            # blocking lint finding kernel_trusted() warned about.
+            stats["untrusted"] = getattr(self.spec, "_kernel_blocker", "") or None
         return stats
 
 
@@ -1102,42 +805,28 @@ def compiled_for(
     spec: Specification,
     fingerprinter: Optional[Fingerprinter] = None,
     mask: Optional[Callable[[State], bool]] = None,
-    incremental: bool = True,
     debug: bool = False,
-    compile_mode: str = "auto",
+    reference: bool = False,
 ) -> CompiledSpec:
     """The compiled form of a specification, cached on the spec.
 
-    The default configuration (64-bit fingerprints, no mask, incremental
-    analysis, ``compile auto``) is compiled once per
-    :class:`Specification` instance and shared by every consumer --
-    engine runs, random walkers, the conformance campaign's suffix
-    replays -- so the interference matrix and any generated kernels are
-    built once and the guard/outcome memos stay warm across calls.
-    Campaign workers fork after the parent pre-warms the cache and
-    inherit the compiled core (kernels included) by memory image.
-    Explicit ``compile_mode`` overrides bypass the cache: they are A/B
-    measurement arms that must not leak their layout into shared state.
+    The default configuration (64-bit fingerprints, no mask, no debug, no
+    reference pin) is compiled once per :class:`Specification` instance
+    and shared by every consumer -- engine runs, random walkers, the
+    conformance campaign's suffix replays -- so the interference matrix
+    and the generated kernel are built once and the guard/outcome memos
+    stay warm across calls.  Campaign workers fork after the parent
+    pre-warms the cache and inherit the compiled core (kernel included)
+    by memory image.  Any non-default argument bypasses the cache.
     """
-    if (
-        fingerprinter is None
-        and mask is None
-        and incremental
-        and not debug
-        and compile_mode == "auto"
-    ):
+    if fingerprinter is None and mask is None and not debug and not reference:
         core = getattr(spec, "_compiled_core", None)
         if core is None:
             core = CompiledSpec(spec)
             spec._compiled_core = core
         return core
     return CompiledSpec(
-        spec,
-        fingerprinter=fingerprinter,
-        mask=mask,
-        incremental=incremental,
-        debug=debug,
-        compile_mode=compile_mode,
+        spec, fingerprinter=fingerprinter, mask=mask, debug=debug, reference=reference
     )
 
 
@@ -1156,15 +845,14 @@ class ExplorationEngine:
         ``fork`` start method (engine falls back to 1 otherwise).
     max_states / max_time / max_depth / violation_limit / stop_at_first /
     mask:
-        The familiar budgets, with the seed checker's semantics.
+        The familiar budgets, with the seed checker's semantics.  Every
+        strategy tests ``max_time`` the same way (:func:`out_of_time`,
+        ``elapsed >= max_time``), so ``max_time=0`` expands nothing.
     seed:
         Seed for the random and portfolio strategies.
     fingerprinter:
         Override the 64-bit default (tests use narrow widths to force
         collisions).
-    incremental:
-        Enable the declared-reads guard short-circuiting (on by default;
-        switch off to force full guard re-evaluation on every state).
     dedupe:
         Cross-worker visited-set mode for the parallel strategies.
         ``"rounds"`` (default) merges fingerprint sets at round barriers
@@ -1178,17 +866,15 @@ class ExplorationEngine:
         also unlocks sharded parallel DFS and the portfolio's shared
         visited accounting.
     debug:
-        Cross-check every memoized/inherited action outcome against a
-        fresh evaluation and validate update dicts against the declared
-        write sets (slow; catches untruthful dependency declarations).
-        With a compiled kernel, every batch is additionally cross-checked
-        against a fresh interpreted evaluation of all instances.
-    compile_mode:
-        Kernel compilation (``--compile``): ``"auto"`` (default) compiles
-        specs the static analyzer proves truthful and falls back to the
-        interpreted path otherwise; ``"on"`` forces compilation;
-        ``"off"`` forces interpretation.  Enumeration order is bitwise
-        identical either way.
+        ``--debug-deps``: emit the kernel even for a spec the static
+        analyzer does not trust and cross-check every batch it expands
+        against the reference expander (slow; an untruthful
+        ``reads``/``writes``/``update_sources`` declaration raises
+        ``AssertionError`` naming the action).
+    reference:
+        Run on the reference expander instead of the generated kernel
+        (no memo of any kind; the differential arm of tests and
+        benchmarks).  Enumeration is bitwise identical either way.
     """
 
     def __init__(
@@ -1204,10 +890,9 @@ class ExplorationEngine:
         mask: Optional[Callable[[State], bool]] = None,
         seed: int = 0,
         fingerprinter: Optional[Fingerprinter] = None,
-        incremental: bool = True,
         dedupe: str = "rounds",
         debug: bool = False,
-        compile_mode: str = "auto",
+        reference: bool = False,
     ):
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -1216,10 +901,6 @@ class ExplorationEngine:
         if dedupe not in DEDUPE_MODES:
             raise ValueError(
                 f"unknown dedupe mode {dedupe!r}; options: {list(DEDUPE_MODES)}"
-            )
-        if compile_mode not in COMPILE_MODES:
-            raise ValueError(
-                f"unknown compile mode {compile_mode!r}; options: {list(COMPILE_MODES)}"
             )
         self.spec = spec
         self.strategy = strategy
@@ -1232,10 +913,9 @@ class ExplorationEngine:
         self.mask = mask
         self.seed = seed
         self.fingerprinter = fingerprinter
-        self.incremental = incremental
         self.dedupe = dedupe
         self.debug = debug
-        self.compile_mode = compile_mode
+        self.reference = reference
         #: The compiled core of the last run (memo/kernel telemetry for
         #: ``--stats``); ``None`` until a strategy has run in-process.
         self.core: Optional[CompiledSpec] = None
@@ -1272,9 +952,8 @@ class ExplorationEngine:
             self.spec,
             fingerprinter=self.fingerprinter,
             mask=self.mask,
-            incremental=self.incremental,
             debug=self.debug,
-            compile_mode=self.compile_mode,
+            reference=self.reference,
         )
         self.core = core
         return core
@@ -1322,12 +1001,13 @@ class ExplorationEngine:
         # the walker band steers away from BFS-covered territory).
         publish = getattr(self, "_visited_table", None)
 
-        # Round 0: the initial states.
-        # Frontier entries: (fp, payload, known_disabled, slot_digests).
-        frontier: List[Tuple[int, Any, int, Tuple[int, ...]]] = []
+        # Round 0: the initial states.  Frontier entries are
+        # (fp, values, known_disabled) rows -- raw value tuples, so states
+        # that only transit the frontier never materialize a State.
+        frontier: List[Tuple[int, Tuple[Any, ...], int]] = []
         delta: List[int] = []
         for init in spec.initial_states():
-            fp, digests = core.fingerprinter.of_values_with_digests(init.values)
+            fp = core.fingerprinter.of_values(init.values)
             if fp in parent_link:
                 continue
             parent_link[fp] = None
@@ -1336,7 +1016,7 @@ class ExplorationEngine:
             if publish is not None:
                 publish.add(fp)
             delta.append(fp)
-            viols, masked, ok = core.classify(init)
+            viols, masked, ok = core.classify_values(init.values, init)
             if masked:
                 continue
             if viols and record(fp, viols):
@@ -1344,7 +1024,7 @@ class ExplorationEngine:
                 break
             if viols or not ok:
                 continue
-            frontier.append((fp, init, 0, digests))
+            frontier.append((fp, init.values, 0))
         if (
             not stop
             and self.max_states is not None
@@ -1373,48 +1053,15 @@ class ExplorationEngine:
         depth = 0
         try:
             while frontier and not stop and result.budget_exhausted is None:
-                if (
-                    self.max_time is not None
-                    and time.monotonic() - start >= self.max_time
-                ):
+                if out_of_time(start, self.max_time):
                     result.budget_exhausted = "max_time"
                     break
 
-                if pool is not None:
-                    # Frontier payloads are State objects in round 1
-                    # (the initial states) and raw value tuples after.
-                    payload_frontier = [
-                        (
-                            fp,
-                            payload.values if isinstance(payload, State) else payload,
-                            known,
-                            digests,
-                        )
-                        for fp, payload, known, digests in frontier
-                    ]
-                    if shared_table is not None:
-                        # Real-time dedupe: workers consult the shared
-                        # table instead of replaying the delta, and the
-                        # parent grows it between rounds.
-                        if shared_table.should_grow(len(parent_link)):
-                            shared_table.grow(len(parent_link))
-                        rounds = pool.round(
-                            [], payload_frontier, shared_table.descriptors()
-                        )
-                    else:
-                        rounds = pool.round(delta, payload_frontier)
-                    results_iter = iter(rounds)
-                elif core.kernel is not None:
-                    # Compiled path: sweep the round in fixed-size batches.
-                    # Candidate payloads come back as raw value tuples;
-                    # the merge loop below is payload-agnostic and traces
-                    # replay from labels, so States are never built for
-                    # states that only transit the frontier.  Chunking keeps
-                    # the lazy budget semantics of the sequential path: when
-                    # the merge loop stops mid-round (max_states, max_time,
-                    # violation), unexpanded chunks are never swept, so
-                    # compiled and interpreted runs do the same amount of
-                    # work at truncated budgets.
+                if pool is None:
+                    # Sweep the round in fixed-size batches.  Chunking
+                    # keeps budget semantics lazy: when the merge loop
+                    # stops mid-round (max_states, max_time, violation),
+                    # unexpanded chunks are never swept.
                     def _batched(round_frontier=frontier):
                         for lo in range(0, len(round_frontier), _KERNEL_CHUNK):
                             yield from core.expand_batch(
@@ -1425,18 +1072,20 @@ class ExplorationEngine:
                             )
 
                     results_iter = _batched()
+                elif shared_table is not None:
+                    # Real-time dedupe: workers consult the shared table
+                    # instead of replaying the delta, and the parent
+                    # grows it between rounds.
+                    if shared_table.should_grow(len(parent_link)):
+                        shared_table.grow(len(parent_link))
+                    results_iter = iter(
+                        pool.round([], frontier, shared_table.descriptors())
+                    )
                 else:
-                    def _sequential():
-                        for fp, state, known, digests in frontier:
-                            transitions, cands = core.expand(
-                                state, known, seen, fp, digests
-                            )
-                            yield fp, transitions, cands
-
-                    results_iter = _sequential()
+                    results_iter = iter(pool.round(delta, frontier))
 
                 delta = []
-                next_frontier: List[Tuple[int, Any, int, Tuple[int, ...]]] = []
+                next_frontier: List[Tuple[int, Tuple[Any, ...], int]] = []
                 child_depth = depth + 1
                 expandable_depth = (
                     self.max_depth is None or child_depth < self.max_depth
@@ -1444,14 +1093,11 @@ class ExplorationEngine:
                 for entry_fp, transitions, candidates in results_iter:
                     if stop or result.budget_exhausted is not None:
                         break
-                    if (
-                        self.max_time is not None
-                        and time.monotonic() - start >= self.max_time
-                    ):
+                    if out_of_time(start, self.max_time):
                         result.budget_exhausted = "max_time"
                         break
                     result.transitions += transitions
-                    for idx, payload, fp, known, viols, masked, ok, digests in candidates:
+                    for idx, values, fp, known, viols, masked, ok in candidates:
                         if fp in parent_link:
                             continue
                         parent_link[fp] = (entry_fp, idx)
@@ -1466,7 +1112,7 @@ class ExplorationEngine:
                                     stop = True
                                     break
                             elif ok and expandable_depth:
-                                next_frontier.append((fp, payload, known, digests))
+                                next_frontier.append((fp, values, known))
                         if (
                             self.max_states is not None
                             and len(parent_link) >= self.max_states
@@ -1504,31 +1150,23 @@ class ExplorationEngine:
         visited: set = set()
         throwaway: set = set()
 
-        kernel = core.kernel is not None
-        schema = spec.schema
-
-        # Stack entries:
-        # (values, fp, labels-so-far, initial state, known_disabled, digests)
-        # -- raw value tuples, so pushed-but-pruned candidates never
-        # materialize a State (classification on pop is lazy too).
-        stack: List[
-            Tuple[Tuple[Any, ...], int, Tuple[int, ...], State, int, Tuple[int, ...]]
-        ] = []
+        # Stack entries: (values, fp, labels-so-far, initial state,
+        # known_disabled) -- raw value tuples, so pushed-but-pruned
+        # candidates never materialize a State (classification on pop is
+        # lazy too).
+        stack: List[Tuple[Tuple[Any, ...], int, Tuple[int, ...], State, int]] = []
         for init in spec.initial_states():
-            fp, digests = core.fingerprinter.of_values_with_digests(init.values)
-            stack.append((init.values, fp, (), init, 0, digests))
+            fp = core.fingerprinter.of_values(init.values)
+            stack.append((init.values, fp, (), init, 0))
 
         while stack:
             if self.max_states is not None and len(visited) >= self.max_states:
                 result.budget_exhausted = "max_states"
                 break
-            if (
-                self.max_time is not None
-                and time.monotonic() - start > self.max_time
-            ):
+            if out_of_time(start, self.max_time):
                 result.budget_exhausted = "max_time"
                 break
-            values, fp, chain, init, known, digests = stack.pop()
+            values, fp, chain, init, known = stack.pop()
             if fp in visited:
                 continue
             visited.add(fp)
@@ -1551,29 +1189,15 @@ class ExplorationEngine:
             if depth >= max_depth or not ok:
                 continue
             throwaway.clear()
-            if kernel:
-                ((_, transitions, candidates),) = core.expand_batch(
-                    FrontierBatch.single(fp, values, known, digests),
-                    throwaway,
-                    classify_candidates=False,
-                )
-                result.transitions += transitions
-                for idx, svt, nfp, nknown, _, _, _, ndigests in candidates:
-                    if nfp not in visited:
-                        stack.append(
-                            (svt, nfp, chain + (idx,), init, nknown, ndigests)
-                        )
-            else:
-                transitions, candidates = core.expand(
-                    State(schema, values), known, throwaway, fp, digests,
-                    classify_candidates=False,
-                )
-                result.transitions += transitions
-                for idx, nxt, nfp, nknown, _, _, _, ndigests in candidates:
-                    if nfp not in visited:
-                        stack.append(
-                            (nxt.values, nfp, chain + (idx,), init, nknown, ndigests)
-                        )
+            ((_, transitions, candidates),) = core.expand_batch(
+                FrontierBatch.single(fp, values, known),
+                throwaway,
+                classify_candidates=False,
+            )
+            result.transitions += transitions
+            for idx, svt, nfp, nknown, _, _, _ in candidates:
+                if nfp not in visited:
+                    stack.append((svt, nfp, chain + (idx,), init, nknown))
 
         result.states_explored = len(visited)
         result.elapsed_seconds = time.monotonic() - start
@@ -1591,22 +1215,47 @@ class ExplorationEngine:
     #: shared``).
     WALK_STALE_LIMIT = 8
 
-    def _run_random(self, rng: Optional[random.Random] = None) -> CheckResult:
-        core = self._compile()
-        spec = self.spec
-        result = CheckResult(spec_name=spec.name)
-        start = time.monotonic()
-        rng = rng or random.Random(self.seed)
-        max_steps = self.max_depth if self.max_depth is not None else 60
+    def _run_random(self) -> CheckResult:
         # Without any budget a random search would never terminate; cap
         # the number of walks as a final backstop.
         max_walks = None
         if self.max_states is None and self.max_time is None:
             max_walks = 1_000
-        seen: set = set()
+        return self._walks(
+            self._compile(),
+            random.Random(self.seed),
+            seen=set(),
+            stop_at_first=self.stop_at_first,
+            max_walks=max_walks,
+            max_states=self.max_states,
+            max_time=self.max_time,
+        )
+
+    def _walks(
+        self,
+        core: CompiledSpec,
+        rng: random.Random,
+        seen: set,
+        stop_at_first: bool,
+        max_walks: Optional[int],
+        max_states: Optional[int],
+        max_time: Optional[float],
+    ) -> CheckResult:
+        """Seeded random walks until a budget lapses or a violation stops
+        the run: the one walk loop behind the ``random`` strategy and the
+        portfolio's in-process walk batches.
+
+        ``seen`` accumulates distinct state fingerprints (across batches,
+        when the caller reuses it), so ``states_explored`` always means
+        distinct states, not steps taken.
+        """
+        spec = self.spec
+        result = CheckResult(spec_name=spec.name)
+        start = time.monotonic()
+        max_steps = self.max_depth if self.max_depth is not None else 60
         table = getattr(self, "_visited_table", None)
         stale_limit = self.WALK_STALE_LIMIT
-        seed_fp = core.fingerprinter.of_values_with_digests
+        of_values = core.fingerprinter.of_values
         initials = spec.initial_states()
         walks = 0
         stop = False
@@ -1615,25 +1264,22 @@ class ExplorationEngine:
             if max_walks is not None and walks >= max_walks:
                 result.budget_exhausted = "max_walks"
                 break
-            if self.max_states is not None and len(seen) >= self.max_states:
+            if max_states is not None and len(seen) >= max_states:
                 result.budget_exhausted = "max_states"
                 break
-            if (
-                self.max_time is not None
-                and time.monotonic() - start >= self.max_time
-            ):
+            if out_of_time(start, max_time):
                 result.budget_exhausted = "max_time"
                 break
             walks += 1
             state = rng.choice(initials)
-            fp, digests = seed_fp(state.values)
+            fp = of_values(state.values)
             known = 0
             states = [state]
             labels: List[Any] = []
             seen.add(fp)
             stale = 0 if table is None or table.add(fp) else 1
             for _ in range(max_steps):
-                viols, masked, ok = core.classify(state)
+                viols, masked, ok = core.classify_values(state.values, state)
                 if masked:
                     break
                 if viols:
@@ -1644,7 +1290,7 @@ class ExplorationEngine:
                                 trace=Trace(states=list(states), labels=list(labels)),
                             )
                         )
-                        if self.stop_at_first:
+                        if stop_at_first:
                             stop = True
                             break
                         if len(result.violations) >= self.violation_limit:
@@ -1654,14 +1300,13 @@ class ExplorationEngine:
                     break
                 if not ok:
                     break
-                chosen = core.step(state, fp, digests, known, rng)
+                chosen = core.step(state, fp, known, rng)
                 if chosen is None:
                     break
-                idx, nxt, fp, known, digests = chosen
+                idx, state, fp, known = chosen
                 result.transitions += 1
                 labels.append(core.labels[idx])
-                states.append(nxt)
-                state = nxt
+                states.append(state)
                 seen.add(fp)
                 if len(states) - 1 > result.max_depth:
                     result.max_depth = len(states) - 1
@@ -1692,10 +1337,9 @@ class ExplorationEngine:
             mask=self.mask,
             seed=seed,
             fingerprinter=self.fingerprinter,
-            incremental=self.incremental,
             dedupe=self.dedupe,
             debug=self.debug,
-            compile_mode=self.compile_mode,
+            reference=self.reference,
         )
         kwargs.update(overrides)
         return ExplorationEngine(self.spec, **kwargs)
@@ -1720,6 +1364,12 @@ class ExplorationEngine:
         BFS slice with a geometrically growing state budget (each slice
         restarts BFS, so doubling bounds total re-exploration at 2x)."""
         start = time.monotonic()
+        if out_of_time(start, self.max_time):
+            # max_time=0: same answer as every other strategy, nothing
+            # expanded (the slices below each get a 50 ms floor).
+            result = CheckResult(spec_name=self.spec.name)
+            result.budget_exhausted = "max_time"
+            return result
         core = self._compile()
         rng = random.Random(self.seed + 1)
 
@@ -1731,7 +1381,17 @@ class ExplorationEngine:
         slice_states = 2_000
         walk_seen: set = set()  # distinct walk fingerprints across batches
         while True:
-            walk_result = self._walk_batch(core, rng, 16, time_left(), walk_seen)
+            # A batch of 16 walks on the shared RNG stream; the race is
+            # first-violation-wins whatever stop_at_first says.
+            walk_result = self._walks(
+                core,
+                rng,
+                seen=walk_seen,
+                stop_at_first=True,
+                max_walks=16,
+                max_states=None,
+                max_time=time_left(),
+            )
             if walk_result.found_violation:
                 walk_result.elapsed_seconds = time.monotonic() - start
                 return walk_result
@@ -1757,64 +1417,6 @@ class ExplorationEngine:
             ):
                 return bfs_result
             slice_states *= 2
-
-    def _walk_batch(
-        self,
-        core: CompiledSpec,
-        rng: random.Random,
-        count: int,
-        time_budget: Optional[float],
-        seen: set,
-    ) -> CheckResult:
-        """Run ``count`` random walks, reusing the caller's RNG stream.
-
-        ``seen`` accumulates distinct state fingerprints across batches
-        so ``states_explored`` means the same thing as in the ``random``
-        strategy (distinct states, not steps taken).
-        """
-        spec = self.spec
-        result = CheckResult(spec_name=spec.name)
-        start = time.monotonic()
-        max_steps = self.max_depth if self.max_depth is not None else 60
-        seed_fp = core.fingerprinter.of_values_with_digests
-        initials = spec.initial_states()
-        for _ in range(count):
-            if time_budget is not None and time.monotonic() - start >= time_budget:
-                break
-            state = rng.choice(initials)
-            fp, digests = seed_fp(state.values)
-            known = 0
-            states = [state]
-            labels: List[Any] = []
-            seen.add(fp)
-            for _ in range(max_steps):
-                viols, masked, ok = core.classify(state)
-                if masked:
-                    break
-                if viols:
-                    result.violations.append(
-                        Violation(
-                            invariant=core.invariants[viols[0]],
-                            trace=Trace(states=list(states), labels=list(labels)),
-                        )
-                    )
-                    result.states_explored = len(seen)
-                    return result
-                if not ok:
-                    break
-                chosen = core.step(state, fp, digests, known, rng)
-                if chosen is None:
-                    break
-                idx, nxt, fp, known, digests = chosen
-                result.transitions += 1
-                labels.append(core.labels[idx])
-                states.append(nxt)
-                state = nxt
-                seen.add(fp)
-                if len(states) - 1 > result.max_depth:
-                    result.max_depth = len(states) - 1
-        result.states_explored = len(seen)
-        return result
 
 
 def explore(spec: Specification, **kwargs: Any) -> CheckResult:

@@ -168,23 +168,6 @@ class Fingerprinter:
     def of_state(self, state: State) -> int:
         return self.of_values(state.values)
 
-    def of_values_with_digests(
-        self, values: Tuple[Any, ...]
-    ) -> Tuple[int, Tuple[int, ...]]:
-        """The fingerprint plus the per-slot digest tuple.
-
-        The engine threads the digest tuple along the frontier so that a
-        successor's fingerprint only needs digests for changed slots.
-        """
-        slot_digest = self.slot_digest
-        digests = tuple(
-            slot_digest(index, value) for index, value in enumerate(values)
-        )
-        acc = 0
-        for digest in digests:
-            acc ^= digest
-        return acc, digests
-
     def update(
         self,
         fingerprint: int,
@@ -217,13 +200,12 @@ class Fingerprinter:
 class IncrementalFingerprinter(Fingerprinter):
     """A schema-aware fingerprinter with a name-keyed delta API.
 
-    :class:`Fingerprinter` works on slot indices; the exploration engine
-    (and, through it, the random walkers and campaign suffix replays)
-    threads per-slot digest tuples through its frontier and pays one
-    digest lookup per *changed* slot.  This subclass is the public
-    name-keyed mirror of that arithmetic for external callers driving
-    states by hand via :meth:`State.set_many
-    <repro.tla.state.State.set_many>`:
+    :class:`Fingerprinter` works on slot indices; the generated kernels
+    (and, through them, the random walkers and campaign suffix replays)
+    fold one digest pair per *changed* slot into a memoized fingerprint
+    delta.  This subclass is the public name-keyed mirror of that
+    arithmetic for external callers driving states by hand via
+    :meth:`State.set_many <repro.tla.state.State.set_many>`:
 
         fp' = fp ^ H(var, old) ^ H(var, new)   over written variables only
 
@@ -236,10 +218,6 @@ class IncrementalFingerprinter(Fingerprinter):
     def __init__(self, schema, bits: int = 64):
         super().__init__(bits=bits)
         self.schema = schema
-
-    def seed(self, state: State) -> Tuple[int, Tuple[int, ...]]:
-        """Full fingerprint + per-slot digests of a walk's start state."""
-        return self.of_values_with_digests(state.values)
 
     def delta(self, values: Tuple[Any, ...], updates) -> int:
         """The XOR fingerprint delta of a name-keyed update dict.

@@ -402,7 +402,6 @@ def _bfs_worker_main(conn) -> None:
     real time (``--dedupe shared``; ``delta`` arrives empty).
     """
     core: "CompiledSpec" = _HANDOFF
-    schema = core.schema
     seen: set = set()
     shared = None
     try:
@@ -422,34 +421,12 @@ def _bfs_worker_main(conn) -> None:
             else:
                 seen.update(delta)
                 table = seen
-            if core.kernel is not None:
-                # Compiled path: the shard is already (fp, values, known,
-                # digests) rows, and kernel candidates carry raw value
-                # tuples -- exactly the wire format -- so the batch result
-                # ships without any per-candidate conversion.  Workers
-                # adapt their memo layout independently inside
-                # expand_batch (fork gives each its own core copy).
-                conn.send(
-                    core.expand_batch(FrontierBatch.from_entries(entries), table)
-                )
-                continue
-            out = []
-            for entry_fp, values, known, digests in entries:
-                state = State(schema, values)
-                transitions, candidates = core.expand(
-                    state, known, table, entry_fp, digests
-                )
-                out.append(
-                    (
-                        entry_fp,
-                        transitions,
-                        [
-                            (idx, nxt.values, fp, mask, viols, masked, ok, nd)
-                            for idx, nxt, fp, mask, viols, masked, ok, nd in candidates
-                        ],
-                    )
-                )
-            conn.send(out)
+            # The shard is already (fp, values, known) rows and candidates
+            # carry raw value tuples -- exactly the wire format -- so the
+            # batch result ships without any per-candidate conversion.
+            # Workers adapt their memo layout independently inside
+            # expand_batch (fork gives each its own core copy).
+            conn.send(core.expand_batch(FrontierBatch.from_entries(entries), table))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):  # pragma: no cover
         pass
     finally:
@@ -473,7 +450,7 @@ class WorkerPool(ForkPool):
     def round(
         self,
         delta: List[int],
-        frontier: List[Tuple[int, Tuple, int, Tuple[int, ...]]],
+        frontier: List[Tuple[int, Tuple, int]],
         segments: Optional[Tuple[str, ...]] = None,
     ) -> List[Tuple[int, int, list]]:
         """Expand one frontier layer; results arrive in frontier order."""
@@ -519,6 +496,7 @@ def run_dfs_sharded(engine: "ExplorationEngine") -> CheckResult:
     handful of states two workers claimed simultaneously.
     """
     from repro.checker import visited
+    from repro.checker.engine import out_of_time
 
     spec = engine.spec
     core = engine._compile()
@@ -536,11 +514,14 @@ def run_dfs_sharded(engine: "ExplorationEngine") -> CheckResult:
             ):
                 result.budget_exhausted = "max_states"
                 break
-            fp, digests = core.fingerprinter.of_values_with_digests(init.values)
+            if out_of_time(start, engine.max_time):
+                result.budget_exhausted = "max_time"
+                break
+            fp = core.fingerprinter.of_values(init.values)
             if not table.add(fp):
                 continue
             result.states_explored += 1
-            viols, masked, ok = core.classify(init)
+            viols, masked, ok = core.classify_values(init.values, init)
             if masked:
                 continue
             if viols:
@@ -553,14 +534,14 @@ def run_dfs_sharded(engine: "ExplorationEngine") -> CheckResult:
                 return result
             if not ok or max_depth < 1:
                 continue
-            transitions, candidates = core.expand(
-                init, 0, local_seen, fp, digests, classify_candidates=False
+            ((_, transitions, candidates),) = core.expand_batch(
+                FrontierBatch.single(fp, init.values, 0),
+                local_seen,
+                classify_candidates=False,
             )
             result.transitions += transitions
-            for idx, nxt, nfp, nknown, _, _, _, ndigests in candidates:
-                roots.append(
-                    (nxt.values, nfp, (idx,), init.values, nknown, ndigests)
-                )
+            for idx, svt, nfp, nknown, _, _, _ in candidates:
+                roots.append((svt, nfp, (idx,), init.values, nknown))
 
         workers = max(1, engine.workers)
         shards = [roots[index::workers] for index in range(workers)]
@@ -587,7 +568,6 @@ def run_dfs_sharded(engine: "ExplorationEngine") -> CheckResult:
             state_budget = None
             if share is not None:
                 state_budget = share + (1 if shard_index < rem else 0)
-            schema = core.schema
             throwaway: set = set()
             stack = list(reversed(shard))
             try:
@@ -595,13 +575,10 @@ def run_dfs_sharded(engine: "ExplorationEngine") -> CheckResult:
                     if state_budget is not None and out["states"] >= state_budget:
                         out["budget_exhausted"] = "max_states"
                         break
-                    if (
-                        time_left is not None
-                        and time.monotonic() - shard_start > time_left
-                    ):
+                    if out_of_time(shard_start, time_left):
                         out["budget_exhausted"] = "max_time"
                         break
-                    values, fp, chain, init_values, known, digests = stack.pop()
+                    values, fp, chain, init_values, known = stack.pop()
                     if not shard_table.add(fp):
                         continue
                     out["states"] += 1
@@ -626,42 +603,16 @@ def run_dfs_sharded(engine: "ExplorationEngine") -> CheckResult:
                     if depth >= max_depth or not ok:
                         continue
                     throwaway.clear()
-                    if core.kernel is not None:
-                        ((_, transitions, kcands),) = core.expand_batch(
-                            FrontierBatch.single(fp, values, known, digests),
-                            throwaway,
-                            classify_candidates=False,
-                        )
-                        out["transitions"] += transitions
-                        for idx, svt, nfp, nknown, _, _, _, ndigests in kcands:
-                            if nfp not in shard_table:
-                                stack.append(
-                                    (
-                                        svt,
-                                        nfp,
-                                        chain + (idx,),
-                                        init_values,
-                                        nknown,
-                                        ndigests,
-                                    )
-                                )
-                        continue
-                    transitions, candidates = core.expand(
-                        State(schema, values), known, throwaway, fp, digests,
+                    ((_, transitions, candidates),) = core.expand_batch(
+                        FrontierBatch.single(fp, values, known),
+                        throwaway,
                         classify_candidates=False,
                     )
                     out["transitions"] += transitions
-                    for idx, nxt, nfp, nknown, _, _, _, ndigests in candidates:
+                    for idx, svt, nfp, nknown, _, _, _ in candidates:
                         if nfp not in shard_table:
                             stack.append(
-                                (
-                                    nxt.values,
-                                    nfp,
-                                    chain + (idx,),
-                                    init_values,
-                                    nknown,
-                                    ndigests,
-                                )
+                                (svt, nfp, chain + (idx,), init_values, nknown)
                             )
                 out["exhausted_stack"] = not stack
             finally:

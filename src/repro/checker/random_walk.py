@@ -5,13 +5,13 @@ state space to obtain a set of traces under a predefined time budget"; this
 module is that explorer.  Walks are seeded and therefore reproducible,
 matching the deterministic-replay requirement.
 
-Walks step through the exploration engine's incremental successor path
-(:meth:`CompiledSpec.expand <repro.checker.engine.CompiledSpec.expand>`
-with dedupe off): guards benefit from the compiled spec's memoized
-outcomes and inherited disabled bits, and each successor's fingerprint is
-delta-updated rather than recomputed.  The enumeration order and the
-state-changing filter are identical to ``Specification.successors``, so
-a seeded walk chooses exactly the same label sequence either way -- the
+Walks step through the exploration engine's one successor path
+(:meth:`CompiledSpec.step <repro.checker.engine.CompiledSpec.step>`, i.e.
+``expand_batch`` with dedupe off): on a trusted spec the generated kernel
+replays memoized outcomes and inherited disabled bits, on any other spec
+the reference expander enumerates ``Specification.successors`` directly.
+The enumeration order and the state-changing filter are identical either
+way, so a seeded walk chooses exactly the same label sequence -- the
 conformance campaign's finding fingerprints (and its checked-in
 baselines) are invariant to the engine wiring.
 """
@@ -55,20 +55,19 @@ class RandomWalker:
             initials = self.spec.initial_states()
             state = self.rng.choice(initials)
         core = self._core
-        fp, digests = core.fingerprinter.of_values_with_digests(state.values)
+        fp = core.fingerprinter.of_values(state.values)
         known = 0
         states: List[State] = [state]
         labels = []
         for _ in range(max_steps):
             if not self.spec.within_constraint(state):
                 break
-            chosen = core.step(state, fp, digests, known, self.rng)
+            chosen = core.step(state, fp, known, self.rng)
             if chosen is None:
                 break
-            idx, nxt, fp, known, digests = chosen
+            idx, state, fp, known = chosen
             labels.append(core.labels[idx])
-            states.append(nxt)
-            state = nxt
+            states.append(state)
         return Trace(states=states, labels=labels)
 
     def traces(

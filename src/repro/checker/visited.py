@@ -185,9 +185,9 @@ class SharedVisitedSet:
     """A growable, multi-generation shared fingerprint set.
 
     Implements ``fp in table`` and ``table.add(fp)`` with plain ``set``
-    semantics, so :meth:`CompiledSpec.expand
-    <repro.checker.engine.CompiledSpec.expand>` accepts it directly as
-    its ``seen`` argument.  ``add`` returns True when this process
+    semantics, so :meth:`CompiledSpec.expand_batch
+    <repro.checker.engine.CompiledSpec.expand_batch>` accepts it directly
+    as its ``seen`` argument.  ``add`` returns True when this process
     published the fingerprint first (used for distinct-state accounting
     by the sharded DFS workers).
     """

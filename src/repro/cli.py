@@ -77,25 +77,17 @@ def _add_engine_args(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--debug-deps",
         action="store_true",
-        help="cross-check memoized action outcomes against fresh "
-        "evaluations (slow; validates reads/writes/update_sources "
-        "declarations)",
-    )
-    parser.add_argument(
-        "--compile",
-        dest="compile_mode",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="compiled successor kernels: 'auto' compiles when the "
-        "static analyzer (repro lint) proves the spec's dependency "
-        "declarations, 'on' forces compilation (trust declarations), "
-        "'off' stays on the interpreted path (default: auto)",
+        help="emit the generated kernel even for a spec the static "
+        "analyzer does not trust and cross-check every batch against "
+        "the reference expander (slow; validates reads/writes/"
+        "update_sources declarations)",
     )
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print per-action-group memo hit/miss statistics after "
-        "the run (guard, outcome and kernel counters)",
+        help="print the successor-path mode (compiled | reference, with "
+        "the blocking lint finding) and per-action-group memo hit/miss "
+        "statistics after the run",
     )
 
 
@@ -106,7 +98,6 @@ def _engine(args, spec, **overrides) -> ExplorationEngine:
         seed=getattr(args, "seed", 0),
         dedupe=getattr(args, "dedupe", "rounds"),
         debug=getattr(args, "debug_deps", False),
-        compile_mode=getattr(args, "compile_mode", "auto"),
         max_states=args.max_states,
         max_time=args.max_time,
     )

@@ -78,7 +78,6 @@ import hashlib
 import itertools
 import json
 import time
-import warnings
 import zlib
 from collections.abc import Mapping as ABCMapping
 from dataclasses import asdict, dataclass
@@ -800,8 +799,7 @@ class ConformanceCampaign:
     the report.
 
     Takes one :class:`~repro.remix.request.CampaignRequest` -- already
-    normalized and validated -- as its single argument; the legacy
-    keyword form survives as the :meth:`from_kwargs` deprecation shim.
+    normalized and validated -- as its single argument.
     ``adaptive=True`` on the request schedules the same total job
     budget in rounds that chase novel-fingerprint yield instead of
     enumerating uniformly; ``shrink=True`` appends the post-merge
@@ -811,9 +809,8 @@ class ConformanceCampaign:
     def __init__(self, request: CampaignRequest):
         if not isinstance(request, CampaignRequest):
             raise TypeError(
-                "ConformanceCampaign takes a CampaignRequest; the old "
-                "keyword form lives on as "
-                "ConformanceCampaign.from_kwargs(...)"
+                "ConformanceCampaign takes a CampaignRequest, not "
+                f"{type(request).__name__}"
             )
         self.request = request
         self.system = request.system
@@ -833,59 +830,6 @@ class ConformanceCampaign:
         self.adaptive = request.adaptive
         self.shrink = request.shrink
         self.shrink_rounds = request.shrink_rounds
-
-    @classmethod
-    def from_kwargs(
-        cls,
-        grains: Optional[Sequence[str]] = None,
-        scenarios: Optional[Sequence[str]] = None,
-        faults: Optional[Sequence[str]] = None,
-        seeds: int = 1,
-        traces: int = 2,
-        max_steps: int = 12,
-        seed: int = 0,
-        workers: int = 1,
-        budget: Optional[float] = None,
-        config: Optional[ZkConfig] = None,
-        adaptive: bool = False,
-        shrink: bool = False,
-        shrink_rounds: int = 10,
-        directions: Sequence[str] = DEFAULT_DIRECTIONS,
-        system: str = "zookeeper",
-        backend: str = "fork",
-    ) -> "ConformanceCampaign":
-        """Deprecation shim for the historical 17-kwarg constructor.
-
-        Builds the equivalent :class:`CampaignRequest` (identical
-        normalization, validation, and report), so callers migrate by
-        constructing the request themselves."""
-        warnings.warn(
-            "ConformanceCampaign.from_kwargs() is deprecated; build a "
-            "CampaignRequest and call ConformanceCampaign(request) or "
-            "run_campaign(request)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls(
-            CampaignRequest(
-                system=system,
-                directions=directions,
-                grains=grains,
-                scenarios=scenarios,
-                faults=faults,
-                seeds=seeds,
-                traces=traces,
-                max_steps=max_steps,
-                seed=seed,
-                workers=workers,
-                backend=backend,
-                budget=budget,
-                adaptive=adaptive,
-                shrink=shrink,
-                shrink_rounds=shrink_rounds,
-                config=config,
-            )
-        )
 
     def jobs(self) -> List[CampaignJob]:
         """The full matrix, in deterministic enumeration order (the

@@ -1,18 +1,16 @@
-"""Array-backed frontier batches for the compiled successor kernels.
+"""Array-backed frontier batches for ``CompiledSpec.expand_batch``.
 
-The exploration engine historically expanded one :class:`~repro.tla.state.State`
-at a time.  The compiled kernels instead sweep a whole BFS round (or a DFS /
-walk step of size one) in struct-of-arrays form: parallel columns of
-fingerprints, value tuples, inherited known-disabled bitmasks and per-slot
-digest tuples.  ``State`` objects are *not* part of a batch — kernels
-materialize them lazily, only when an action guard or an invariant actually
-needs attribute access (memo misses), or when a trace/violation has to be
-reported.
+Expansion sweeps a whole BFS round (or a DFS / walk step of size one) in
+struct-of-arrays form: parallel columns of fingerprints, value tuples and
+inherited known-disabled bitmasks.  ``State`` objects are *not* part of a
+batch — they are materialized lazily, only when an action guard or an
+invariant actually needs attribute access (memo misses), or when a
+trace/violation has to be reported.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Iterable, Sequence, Tuple
 
 from repro.tla.state import Schema, State
 
@@ -24,60 +22,40 @@ class FrontierBatch:
 
     - ``fps``: 64-bit state fingerprints,
     - ``values``: raw ``State.values`` tuples,
-    - ``knowns``: inherited known-disabled bitmasks (PR-5 ``affects``
-      propagation),
-    - ``digests``: per-slot fingerprint digest tuples.  Only the
-      *interpreted* fallback consumes this column; emitted kernels fold
-      digests into memoized fingerprint deltas at miss time and carry an
-      empty tuple here (see ``repro.tla.codegen``).
+    - ``knowns``: inherited known-disabled bitmasks (the ``affects``
+      propagation; the reference expander ignores them).
     """
 
-    __slots__ = ("fps", "values", "knowns", "digests")
+    __slots__ = ("fps", "values", "knowns")
 
     def __init__(
         self,
-        fps: List[int],
-        values: List[Tuple[Any, ...]],
-        knowns: List[int],
-        digests: List[Tuple[int, ...]],
+        fps: Sequence[int],
+        values: Sequence[Tuple[Any, ...]],
+        knowns: Sequence[int],
     ):
         self.fps = fps
         self.values = values
         self.knowns = knowns
-        self.digests = digests
 
     @classmethod
-    def from_entries(cls, entries) -> "FrontierBatch":
-        """Build a batch from ``(fp, payload, known, digests)`` frontier
-        entries, where ``payload`` is either a ``State`` or its raw values
-        tuple (round 0 carries initial ``State`` objects; later rounds ship
-        bare value tuples straight out of the kernels)."""
-        fps: List[int] = []
-        values: List[Tuple[Any, ...]] = []
-        knowns: List[int] = []
-        digests: List[Tuple[int, ...]] = []
-        for fp, payload, known, dg in entries:
-            fps.append(fp)
-            values.append(payload.values if isinstance(payload, State) else payload)
-            knowns.append(known)
-            digests.append(dg)
-        return cls(fps, values, knowns, digests)
-
-    @classmethod
-    def single(
-        cls, fp: int, values: Tuple[Any, ...], known: int, digests: Tuple[int, ...]
+    def from_entries(
+        cls, entries: Iterable[Tuple[int, Tuple[Any, ...], int]]
     ) -> "FrontierBatch":
-        """A batch of one — DFS pops and random-walk steps reuse the batch
-        kernels without building intermediate lists at every step."""
-        return cls([fp], [values], [known], [digests])
+        """Build a batch from ``(fp, values, known)`` frontier rows (the
+        BFS frontier and the WorkerPool wire format)."""
+        columns = tuple(zip(*entries))
+        return cls(*columns) if columns else cls((), (), ())
+
+    @classmethod
+    def single(cls, fp: int, values: Tuple[Any, ...], known: int) -> "FrontierBatch":
+        """A batch of one — DFS pops and random-walk steps go through the
+        same ``expand_batch`` as whole BFS rounds."""
+        return cls((fp,), (values,), (known,))
 
     def state(self, i: int, schema: Schema) -> State:
         """Materialize row ``i`` as a full ``State`` (trace reporting)."""
         return State(schema, self.values[i])
-
-    def entries(self) -> Iterator[Tuple[int, Tuple[Any, ...], int, Tuple[int, ...]]]:
-        """Iterate rows back out as ``(fp, values, known, digests)``."""
-        return zip(self.fps, self.values, self.knowns, self.digests)
 
     def __len__(self) -> int:
         return len(self.fps)

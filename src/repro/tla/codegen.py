@@ -1,14 +1,16 @@
 """Compiled successor kernels: per-action-group code generated at compose time.
 
-The interpreted expand path (``repro.checker.engine.CompiledSpec.expand``)
-re-walks the generic spec machinery for every state: per-group memo key
-construction through ``operator.itemgetter``, per-instance guard/update
-closure calls, per-change digest lookups, per-replay change filtering.
-This module lowers the *whole expansion* into one specialized Python
-function emitted at compose time: for every action group, the guard
-projection, update binding, dependency-closure memo key and incremental
-fingerprint delta (``fp ^ H(var, old) ^ H(var, new)``) are fused into
-straight-line code that maps over a frontier batch.
+A generic expansion loop would re-walk the spec machinery for every
+state: per-group memo key construction, per-instance guard/update closure
+calls, per-change digest lookups, per-replay change filtering.  This
+module lowers the *whole expansion* into one specialized Python function
+emitted at compose time: for every action group, the guard projection,
+update binding, dependency-closure memo key and incremental fingerprint
+delta (``fp ^ H(var, old) ^ H(var, new)``) are fused into straight-line
+code that maps over a frontier batch.  The emitted function is the only
+thing that runs behind ``CompiledSpec.expand_batch`` for a trusted spec;
+what it must compute is defined by ``CompiledSpec.reference_expand``
+(``Specification.successors`` plus a full fingerprint).
 
 What makes the compiled memo entry fast is a static observation, not a
 runtime trick: changed slots are a subset of an action's declared
@@ -19,29 +21,28 @@ delta are all constants.  A kernel memo entry therefore stores, per
 enabled change-ful instance, ``(idx, ((slot, new_value), ...), fp_delta)``
 and a hit replays a successor with a single XOR plus a couple of list
 writes — no guard call, no update call, no digest lookups, no change
-filtering.  For the same reason the kernel does not thread per-slot digest
-tuples through frontier entries at all: digests are only touched on a
-memo miss, where the delta is folded once and for all.
+filtering.  For the same reason frontier entries carry no per-slot digest
+tuples: digests are only touched on a memo miss, where the delta is
+folded once and for all.
 
 The emitted function is *entry-major*: one loop over the batch, with every
 group's memo lookup, miss evaluation and replay unrolled inline, followed
 immediately by that entry's candidate finalization.  Compared to a
 group-major sweep this loads the inherited disabled mask and the raw
-successor list into locals exactly once per state, and it preserves the
-sequential path's memo-write timing (guard verdicts are written back at
-the end of each entry, so the next entry can hit them).  Batches also
-exploit frontier locality: BFS frontiers are parent-major, so consecutive
-entries are siblings whose projections agree for every group their
-generating actions did not write.  Each group keeps its last
+successor list into locals exactly once per state, and guard verdicts are
+written back at the end of each entry, so the next entry can hit them.
+Batches also exploit frontier locality: BFS frontiers are parent-major, so
+consecutive entries are siblings whose projections agree for every group
+their generating actions did not write.  Each group keeps its last
 ``(key, entry)`` pair in locals and skips the memo lookup when the key
 repeats — a tuple equality check over identical value objects is several
 times cheaper than hashing the key again.
 
 Trust contract: emitting a kernel assumes the declarations are truthful.
-``repro lint`` (PR 8) is the compile precondition — in ``--compile auto``
-a spec with blocking D/P findings stays on the interpreted path, and
-``--debug-deps`` cross-checks every kernel outcome against a fresh
-interpreted evaluation.
+``repro lint`` (PR 8) is the precondition — a spec with blocking D/P
+findings runs on the reference expander instead (with a warning), and
+``--debug-deps`` emits the kernel regardless and cross-checks every batch
+against the reference expander.
 
 ``CODEGEN_VERSION`` tags every artifact derived from the emitter (most
 importantly the ``remix.spec_cache`` on-disk digest): bump it whenever the
@@ -58,7 +59,7 @@ from repro.tla.state import State
 # Version tag of the kernel emitter.  Mixed into the spec_cache on-disk
 # digest (upgrading the emitter must orphan stale artifacts) and reported
 # by ``CompiledSpec.memo_stats``.
-CODEGEN_VERSION = 5
+CODEGEN_VERSION = 6
 
 
 class _Sentinel:
@@ -80,10 +81,10 @@ def _key_expr(slots: Tuple[int, ...], var: str = "v") -> str:
     """Memo-key expression for a projection: direct tuple subscripts.
 
     Single-slot projections use the bare value (cheaper than a 1-tuple).
-    This is *the same* key format ``operator.itemgetter`` produces for the
-    interpreted path, which is what lets the fused classification below
-    share the engine's mask/invariant/constraint memo dicts instead of
-    keeping kernel-private shadows.
+    This is *the same* key format ``operator.itemgetter`` produces in
+    ``CompiledSpec.classify_values``, which is what lets the fused
+    classification below share the engine's mask/invariant/constraint
+    memo dicts instead of keeping kernel-private shadows.
     """
     if len(slots) == 1:
         return f"{var}[{slots[0]}]"
@@ -96,7 +97,7 @@ def make_outcome_compiler(core: Any) -> Callable:
 
     Returns ``(idx, ((slot, new_value), ...), fp_delta)`` for a change-ful
     outcome, or ``None`` when every update is a no-op (matching the
-    interpreted path's self-loop suppression).  The fingerprint delta folds
+    state-changing filter of ``Specification.successors``).  The fingerprint delta folds
     both the old- and new-value digests in here, at miss time — replays
     never touch the digest cache again.
     """
@@ -139,18 +140,16 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
 
     Returns ``(source, expand_batch)`` where ``expand_batch(fps, vals,
     knowns, seen, dedupe, classify)`` expands a whole frontier batch and
-    returns ``[(entry_fp, transitions, candidates), ...]`` with candidates
-    shaped exactly like the interpreted path's, except that the successor
-    is a raw values tuple instead of a ``State`` (states are materialized
-    lazily by the caller, only for traces and violations) and the digest
-    component is an empty tuple (kernel fingerprints replay from memoized
-    constants; see module docstring).
+    returns ``[(entry_fp, transitions, candidates), ...]`` with
+    ``engine.Candidate`` tuples whose successor is a raw values tuple
+    (states are materialized lazily by the caller, only for traces and
+    violations).
 
-    Enumeration is bitwise-identical to the interpreted path: entries are
-    processed in order, per-entry candidates are rebuilt in sorted
+    Enumeration is bitwise-identical to the reference expander: entries
+    are processed in order, per-entry candidates are rebuilt in sorted
     instance order, and the dedupe set is only touched during per-entry
-    finalization — the same order a sequential interpreted expansion
-    produces.
+    finalization — the same order ``reference_expand`` over the entries
+    one by one produces.
     """
     schema = core.schema
     names = schema.names
@@ -168,7 +167,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     for g, memo in enumerate(core.guard_memos):
         env[f"_gmemo_{g}"] = memo
         env[f"_gstats_{g}"] = core.guard_stats[g]
-    for g, memo in enumerate(core.kernel_outcome_memos):
+    for g, memo in enumerate(core.outcome_memos):
         env[f"_omemo_{g}"] = memo
         env[f"_ostats_{g}"] = core.outcome_stats[g]
 
@@ -176,7 +175,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     # is memoizable by a declared-reads projection: a mask/constraint with
     # ``fn.reads`` (or none at all) and no ungrouped invariants.  The fused
     # sweep shares ``classify_values``'s memo dicts (identical key format),
-    # so verdicts stay coherent across compiled and interpreted call sites.
+    # so verdicts stay coherent across the inline and the called form.
     fused = (
         (core.mask is None or core.mask_key is not None)
         and (core.constraint is None or core.constraint_key is not None)
@@ -207,7 +206,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     # Every applier an outcome group or the eager tier can call, hoisted
     # into locals once per batch (global loads are dict lookups per call).
     used = sorted(
-        {idx for _kf, members in core.outcome_groups for idx in members}
+        {idx for _slots, members in core.outcome_groups for idx in members}
         | set(core.eager)
     )
     for idx in used:
@@ -257,8 +256,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     w("        st = None")
     w("        raw = []")
 
-    for g, (_key_fn, bits) in enumerate(core.guard_groups):
-        slots = core.guard_group_slots[g]
+    for g, (slots, _bits) in enumerate(core.guard_groups):
         w(f"        # guard group {g}: reads ({', '.join(names[s] for s in slots)})")
         w(f"        k = {_key_expr(slots)}")
         w(f"        if k == glk{g}:")
@@ -272,13 +270,12 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
         # The verdict for the whole read-set group is deferred: the
         # outcome/eager blocks below compute the disabled bits, the
         # writeback at the end of this entry stores them masked to this
-        # group's members -- the same timing the sequential path has.
+        # group's members, so the next entry can already hit it.
         w(f"            gp{g} = True")
         w("        else:")
         w("            d |= h")
 
-    for g, (_key_fn, members) in enumerate(core.outcome_groups):
-        slots = core.outcome_group_slots[g]
+    for g, (slots, members) in enumerate(core.outcome_groups):
         w(f"        # outcome group {g}: closure ({', '.join(names[s] for s in slots)})")
         w(f"        k = {_key_expr(slots)}")
         w(f"        if k == olk{g}:")
@@ -337,7 +334,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
             w("                if item is not None:")
             w("                    raw.append(item)")
 
-    for g, (_key_fn, bits) in enumerate(core.guard_groups):
+    for g, (_slots, bits) in enumerate(core.guard_groups):
         w(f"        if gp{g}:")
         w(f"            gp{g} = False")
         w(f"            h = d & {bits}")
@@ -390,7 +387,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
             w("                if mh:")
             w("                    cands_append(")
             w("                        (idx, svt, fp, d & naffects[idx],")
-            w("                         (), True, True, ())")
+            w("                         (), True, True)")
             w("                    )")
             w("                    continue")
         w("                vb = 0")
@@ -448,16 +445,16 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
             ok_expr = "True"
         w("                cands_append(")
         w("                    (idx, svt, fp, d & naffects[idx],")
-        w(f"                     viols, False, {ok_expr}, ())")
+        w(f"                     viols, False, {ok_expr})")
         w("                )")
     else:
         w("                viols, masked, ok = classify_values(svt)")
         w("                cands_append(")
-        w("                    (idx, svt, fp, d & naffects[idx], viols, masked, ok, ())")
+        w("                    (idx, svt, fp, d & naffects[idx], viols, masked, ok)")
         w("                )")
     w("            else:")
     w("                cands_append(")
-    w("                    (idx, svt, fp, d & naffects[idx], (), False, True, ())")
+    w("                    (idx, svt, fp, d & naffects[idx], (), False, True)")
     w("                )")
     w("        res_append((entry_fp, len(raw), cands))")
 

@@ -68,10 +68,11 @@ class Specification:
     """A complete checkable specification."""
 
     # Set lazily by repro.checker.engine: the shared default compiled
-    # core (kernels included) and the cached static-analyzer trust
-    # verdict for ``--compile auto``.
+    # core (kernel included) and the cached static-analyzer trust verdict
+    # (plus, when untrusted, the first blocking finding).
     _compiled_core: Any
     _kernel_trusted: Optional[bool]
+    _kernel_blocker: str
 
     def __init__(
         self,

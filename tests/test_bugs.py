@@ -9,7 +9,7 @@ the reproduction; the benchmarks regenerate the full tables with timing.
 
 import pytest
 
-from repro.checker import BFSChecker
+from repro.checker import explore
 from repro.zookeeper import (
     FINAL_FIX,
     ZkConfig,
@@ -41,13 +41,12 @@ def hunt(
         for inv in spec.invariants
         if inv.ident == family and (instance is None or inv.instance == instance)
     ]
-    checker = BFSChecker(
+    return explore(
         spec,
         max_states=max_states,
         max_time=max_time,
         mask=zk4394_mask if masked else None,
     )
-    return checker.run()
 
 
 class TestBugDetection:
@@ -199,9 +198,9 @@ class TestFixVerification:
 
     def first_family(self, pr, max_states=400_000, max_time=200):
         spec = pr_spec(pr, self.CFG)
-        result = BFSChecker(
+        result = explore(
             spec, max_states=max_states, max_time=max_time, mask=zk4394_mask
-        ).run()
+        )
         assert result.found_violation, f"{pr} unexpectedly verified"
         return result.first_violation.invariant.ident
 
@@ -237,9 +236,9 @@ class TestFinalFix:
 
     def test_no_violation_within_budget(self):
         cfg = ZkConfig(max_txns=1, max_crashes=2, max_partitions=0, max_epoch=3)
-        result = BFSChecker(
+        result = explore(
             final_fix_spec(cfg), max_states=120_000, max_time=180
-        ).run()
+        )
         assert not result.found_violation
 
     def test_final_fix_flags(self):

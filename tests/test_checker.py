@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checker import BFSChecker, RandomWalker, Trace, check
+from repro.checker import RandomWalker, Trace, explore
 from repro.checker.trace import traces_project_equal
 from repro.tla.action import Action, ActionLabel
 from repro.tla.module import Module
@@ -43,83 +43,83 @@ def counter_spec(max_x=4, y_bound=2, constraint=None):
 
 class TestBFS:
     def test_finds_minimal_depth_violation(self):
-        result = BFSChecker(counter_spec()).run()
+        result = explore(counter_spec())
         assert result.found_violation
         # minimal: x must reach 3 before y can (IncX*3 then IncY*3)
         assert result.first_violation.depth == 6
 
     def test_violation_trace_replays(self):
         spec = counter_spec()
-        result = BFSChecker(spec).run()
+        result = explore(spec)
         trace = result.first_violation.trace
         states = spec.replay(trace.labels, trace.initial)
         assert states[-1] == trace.final
 
     def test_completes_when_no_violation(self):
-        result = BFSChecker(counter_spec(max_x=2, y_bound=5)).run()
+        result = explore(counter_spec(max_x=2, y_bound=5))
         assert result.completed
         assert not result.found_violation
         # states: x in 0..2, y in 0..x -> 1+2+3 = 6
         assert result.states_explored == 6
 
     def test_max_states_budget(self):
-        result = BFSChecker(counter_spec(max_x=50, y_bound=99), max_states=10).run()
+        result = explore(counter_spec(max_x=50, y_bound=99), max_states=10)
         assert result.budget_exhausted == "max_states"
         assert not result.completed
 
     def test_max_depth_budget(self):
-        result = BFSChecker(counter_spec(y_bound=99), max_depth=2).run()
+        result = explore(counter_spec(y_bound=99), max_depth=2)
         assert result.max_depth <= 3
         assert not result.found_violation
 
     def test_run_to_completion_collects_violations(self):
-        result = BFSChecker(
+        result = explore(
             counter_spec(max_x=4, y_bound=2),
             stop_at_first=False,
             violation_limit=100,
-        ).run()
+        )
         assert len(result.violations) > 1
         assert result.violated_invariant_ids() == ["I-1"]
 
     def test_violation_limit(self):
-        result = BFSChecker(
+        result = explore(
             counter_spec(max_x=6, y_bound=1),
             stop_at_first=False,
             violation_limit=2,
-        ).run()
+        )
         assert len(result.violations) == 2
         assert result.budget_exhausted == "violation_limit"
 
     def test_error_states_are_terminal(self):
         # The violating state (y == 3) must not be expanded: no state
         # with y == 4 is reachable.
-        result = BFSChecker(
+        result = explore(
             counter_spec(max_x=9, y_bound=2),
             stop_at_first=False,
             violation_limit=10_000,
-        ).run()
+        )
         for violation in result.violations:
             assert violation.trace.final.y == 3
 
     def test_mask_hides_and_prunes(self):
-        masked = BFSChecker(
+        masked = explore(
             counter_spec(), mask=lambda s: s.y >= 3, stop_at_first=False
-        ).run()
+        )
         assert not masked.found_violation
         assert masked.completed
 
     def test_constraint_bounds_exploration(self):
         spec = counter_spec(max_x=50, y_bound=99,
                             constraint=lambda cfg, s: s.x <= 2)
-        result = BFSChecker(spec).run()
+        result = explore(spec)
         assert result.completed
         assert max(s for s in [result.max_depth]) <= 6
 
     def test_check_wrapper(self):
-        assert check(counter_spec()).found_violation
+        assert explore(counter_spec()).found_violation
 
     def test_summary_mentions_invariant(self):
-        result = BFSChecker(counter_spec()).run()
+        result = explore(counter_spec())
         assert "I-1" in result.summary()
 
 

@@ -4,10 +4,9 @@ trace shrinking and pretty-printing."""
 import pytest
 
 from repro.checker import (
-    BFSChecker,
-    DFSChecker,
     IterativeDeepeningChecker,
     RandomWalker,
+    explore,
     format_state,
     format_trace,
     measure_coverage,
@@ -57,29 +56,34 @@ def counter_spec(max_x=4, y_bound=2):
 
 class TestDFS:
     def test_finds_a_violation(self):
-        result = DFSChecker(counter_spec(), max_depth=20).run()
+        result = explore(counter_spec(), strategy="dfs", max_depth=20)
         assert result.found_violation
         assert result.first_violation.trace.final.y == 3
 
     def test_trace_replays(self):
         spec = counter_spec()
-        result = DFSChecker(spec, max_depth=20).run()
+        result = explore(spec, strategy="dfs", max_depth=20)
         trace = result.first_violation.trace
         states = spec.replay(trace.labels, trace.initial)
         assert states[-1] == trace.final
 
     def test_completes_clean_space(self):
-        result = DFSChecker(counter_spec(max_x=2, y_bound=9), max_depth=20).run()
+        result = explore(
+            counter_spec(max_x=2, y_bound=9), strategy="dfs", max_depth=20
+        )
         assert result.completed and not result.found_violation
 
     def test_depth_bound_blocks_deep_violation(self):
-        result = DFSChecker(counter_spec(), max_depth=4).run()
+        result = explore(counter_spec(), strategy="dfs", max_depth=4)
         assert not result.found_violation
 
     def test_budget(self):
-        result = DFSChecker(
-            counter_spec(max_x=100, y_bound=99), max_depth=300, max_states=20
-        ).run()
+        result = explore(
+            counter_spec(max_x=100, y_bound=99),
+            strategy="dfs",
+            max_depth=300,
+            max_states=20,
+        )
         assert result.budget_exhausted == "max_states"
 
 
@@ -172,7 +176,7 @@ class TestPretty:
 
     def test_format_trace_shows_diffs_only(self):
         spec = counter_spec()
-        result = BFSChecker(spec).run()
+        result = explore(spec)
         text = format_trace(
             result.first_violation.trace, hide=(), hide_prefixes=()
         )
@@ -184,7 +188,7 @@ class TestPretty:
 
     def test_format_trace_truncates(self):
         spec = counter_spec()
-        result = BFSChecker(spec).run()
+        result = explore(spec)
         text = format_trace(
             result.first_violation.trace,
             hide=(),
@@ -200,7 +204,7 @@ class TestPretty:
             "mSpec-1",
             ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3),
         )
-        result = BFSChecker(spec, max_states=50_000, max_time=60).run()
+        result = explore(spec, max_states=50_000, max_time=60)
         assert result.found_violation
         text = format_trace(result.first_violation.trace)
         assert "ElectionAndDiscovery" in text

@@ -1,14 +1,15 @@
-"""Tests for the unified exploration engine: fingerprinting, guard and
-invariant memoization soundness, parallel determinism, portfolio racing,
+"""Tests for the unified exploration engine: fingerprinting, the
+kernel-vs-reference-expander differential (guard, outcome and invariant
+memoization soundness), parallel determinism, portfolio racing, budgets,
 and shrink round-trips on engine-produced traces."""
 
 import pickle
 import random
+import warnings
 
 import pytest
 
 from repro.checker import (
-    BFSChecker,
     ExplorationEngine,
     Fingerprinter,
     IncrementalFingerprinter,
@@ -20,6 +21,7 @@ from repro.checker import (
 from repro.checker.engine import STRATEGIES, CompiledSpec, compiled_for
 from repro.checker.fingerprint import FingerprintError, canonical_bytes
 from repro.tla.action import Action
+from repro.tla.batch import FrontierBatch
 from repro.tla.module import Module
 from repro.tla.spec import Invariant, Specification
 from repro.tla.state import Schema, State
@@ -95,12 +97,9 @@ class TestFingerprinter:
     def test_incremental_update_matches_full(self):
         fp = Fingerprinter()
         base = (1, (2, 3), "s")
-        schema = Schema(("a", "b", "c"))
-        full, digests = fp.of_values_with_digests(base)
         successor = (1, (2, 4), "s")
-        incremental = fp.update(full, base, [(1, (2, 4))])
+        incremental = fp.update(fp.of_values(base), base, [(1, (2, 4))])
         assert incremental == fp.of_values(successor)
-        assert len(digests) == len(schema)
 
     def test_unknown_type_raises(self):
         class Odd:
@@ -122,22 +121,17 @@ class TestFingerprinter:
 
 
 class TestEngineBFS:
-    def test_matches_bfs_checker_wrapper(self):
-        direct = explore(counter_spec(), strategy="bfs")
-        wrapped = BFSChecker(counter_spec()).run()
-        assert direct.found_violation and wrapped.found_violation
-        assert direct.first_violation.depth == wrapped.first_violation.depth == 6
-        assert direct.states_explored == wrapped.states_explored
-
     def test_complete_space_counts_exactly(self):
         result = explore(counter_spec(max_x=2, y_bound=5), strategy="bfs")
         assert result.completed
         assert result.states_explored == 6
 
     def test_incremental_guard_analysis_is_sound(self):
-        fast = ExplorationEngine(counter_spec(max_x=6, y_bound=3)).run()
+        kernel_engine = ExplorationEngine(counter_spec(max_x=6, y_bound=3))
+        fast = kernel_engine.run()
+        assert kernel_engine.core.kernel is not None
         slow = ExplorationEngine(
-            counter_spec(max_x=6, y_bound=3), incremental=False
+            counter_spec(max_x=6, y_bound=3), reference=True
         ).run()
         assert fast.states_explored == slow.states_explored
         assert fast.transitions == slow.transitions
@@ -171,8 +165,11 @@ class TestEngineBFS:
             [Invariant("I-1", "y bounded", lambda cfg, s: s.y <= 99)],
             None,
         )
-        fast = ExplorationEngine(spec).run()
-        slow = ExplorationEngine(spec, incremental=False).run()
+        kernel_engine = ExplorationEngine(spec)
+        fast = kernel_engine.run()
+        assert kernel_engine.core.kernel is not None
+        assert kernel_engine.core.ungrouped  # IncY: never memoized
+        slow = ExplorationEngine(spec, reference=True).run()
         assert fast.states_explored == slow.states_explored == 10
         assert fast.transitions == slow.transitions
         assert fast.completed and slow.completed
@@ -268,35 +265,79 @@ class TestParallelDeterminism:
 
 class TestEngineOnZooKeeper:
     def test_engine_matches_legacy_checker(self):
-        from repro.checker.legacy import LegacyBFSChecker
+        # The reference arm is the independent, memo-free enumeration the
+        # engine is held to; both arms share the budget semantics, so the
+        # comparison is exact.
+        budget = dict(max_states=4_000, max_time=120)
+        kernel = check_spec("mSpec-2", SMALL, **budget)
+        reference = check_spec("mSpec-2", SMALL, reference=True, **budget)
+        assert kernel.states_explored == reference.states_explored == 4_000
+        assert kernel.transitions == reference.transitions
+        assert kernel.max_depth == reference.max_depth
+        assert [
+            (v.invariant.full_name, v.trace.labels) for v in kernel.violations
+        ] == [(v.invariant.full_name, v.trace.labels) for v in reference.violations]
+
+    def test_fingerprint_dedup_matches_full_state_dedup(self):
+        # A collision (or a fingerprint/equality mismatch) would make the
+        # engine's fingerprint count drift from the number of distinct
+        # states, which only a full-state visited set can observe.
+        # Enumerate a small complete space by Specification.successors
+        # into a set of full values tuples and require equality.
         from repro.zookeeper.specs import SELECTIONS, build_spec
 
-        budget = dict(max_states=4_000, max_time=120)
-        engine = check_spec("mSpec-2", SMALL, **budget)
-        legacy = LegacyBFSChecker(
-            build_spec("mSpec-2", SELECTIONS["mSpec-2"], SMALL),
-            mask=zk4394_mask,
-            **budget,
-        ).run()
-        # max_states semantics differ by at most the legacy overshoot
-        # (it checks the budget at dequeue time, the engine at accept
-        # time); everything else must agree exactly.
-        assert abs(engine.states_explored - legacy.states_explored) <= 32
-        assert engine.max_depth == legacy.max_depth
-        assert [v.invariant.full_name for v in engine.violations] == [
-            v.invariant.full_name for v in legacy.violations
-        ]
+        tiny = ZkConfig(max_txns=1, max_crashes=0, max_partitions=0, max_epoch=1)
+        spec = build_spec("mSpec-3", SELECTIONS["mSpec-3"], tiny)
+        spec.invariants = []  # violating states are terminal in the engine
+        values = {init.values for init in spec.initial_states()}
+        frontier = list(spec.initial_states())
+        while frontier:
+            state = frontier.pop()
+            if not spec.within_constraint(state):
+                continue
+            for _, nxt in spec.successors(state):
+                if nxt.values not in values:
+                    values.add(nxt.values)
+                    frontier.append(nxt)
+        for reference in (False, True):
+            result = ExplorationEngine(spec, reference=reference).run()
+            assert result.completed
+            assert result.states_explored == len(values) == 1069
 
     def test_invariant_memoization_is_sound_on_zk(self):
         fast = check_spec("mSpec-3", SMALL, max_states=4_000, max_time=120)
         slow = check_spec(
-            "mSpec-3", SMALL, max_states=4_000, max_time=120, incremental=False
+            "mSpec-3", SMALL, max_states=4_000, max_time=120, reference=True
         )
         assert fast.states_explored == slow.states_explored
         assert fast.transitions == slow.transitions
         assert [v.invariant.full_name for v in fast.violations] == [
             v.invariant.full_name for v in slow.violations
         ]
+
+
+class TestBudgets:
+    @pytest.mark.parametrize(
+        "strategy,extra",
+        [
+            ("bfs", {}),
+            ("bfs", {"workers": 2}),
+            ("dfs", {}),
+            ("dfs", {"workers": 2, "dedupe": "shared"}),
+            ("random", {}),
+            ("portfolio", {}),
+            ("portfolio", {"workers": 2}),
+        ],
+    )
+    def test_max_time_zero_expands_nothing(self, strategy, extra):
+        # Every loop tests the wall clock the same way (elapsed >=
+        # max_time), so a zero budget expands nothing in any of them.
+        result = explore(
+            counter_spec(max_x=50, y_bound=99), strategy=strategy, max_time=0, **extra
+        )
+        assert result.budget_exhausted == "max_time"
+        assert result.transitions == 0
+        assert not result.completed and not result.found_violation
 
 
 class TestCompiledSpec:
@@ -323,7 +364,7 @@ class TestCompiledSpec:
         spec = counter_spec(y_bound=0)
         core = CompiledSpec(spec)
         bad = State.make(SCHEMA, x=1, y=1)
-        viols, masked, ok = core.classify(bad)
+        viols, masked, ok = core.classify_values(bad.values)
         assert viols and not masked and ok
 
 
@@ -447,44 +488,67 @@ class TestIncrementalProperties:
                 state = nxt
 
     def test_expand_candidates_match_brute_force_on_random_walks(self):
-        # Walk each random spec through the incremental expand chain
+        # Walk each random spec through the kernel's expand chain
         # (inherited disabled bits, outcome memo warm across steps) and
-        # compare every candidate list against a fresh non-incremental
-        # core: same instances, same successor values, same
-        # fingerprints.
+        # compare every candidate list against the reference expander:
+        # same instances, same successor values, same fingerprints.
         for seed in range(8):
             spec = random_spec(seed)
-            core = CompiledSpec(spec)
-            brute = CompiledSpec(spec, incremental=False)
+            # random_spec's closures-over-defaults defeat the static
+            # analyzer (D05), so debug=True is what emits their kernel.
+            core = CompiledSpec(spec, debug=True)
+            brute = CompiledSpec(spec, reference=True)
+            assert core.kernel is not None and brute.kernel is None
             rng = random.Random(seed * 13 + 5)
-            state = spec.initial_states()[0]
-            fp, digests = core.fingerprinter.of_values_with_digests(state.values)
+            values = spec.initial_states()[0].values
+            fp = core.fingerprinter.of_values(values)
             known = 0
             for _ in range(30):
-                _, fast = core.expand(
-                    state, known, set(), fp, digests,
+                ((_, _, fast),) = core.expand_batch(
+                    FrontierBatch.single(fp, values, known), set(),
                     classify_candidates=False, dedupe=False,
                 )
-                _, slow = brute.expand(
-                    state, 0, set(), fp, digests,
-                    classify_candidates=False, dedupe=False,
-                )
-                assert [
-                    (idx, nxt.values, cfp) for idx, nxt, cfp, *_ in fast
-                ] == [
-                    (idx, nxt.values, cfp) for idx, nxt, cfp, *_ in slow
-                ], f"seed {seed}"
+                _, slow = brute.reference_expand(values, set(), False, False)
+                assert [c[:3] for c in fast] == [c[:3] for c in slow], f"seed {seed}"
                 if not fast:
                     break
-                idx, nxt, fp, known, _, _, _, digests = rng.choice(fast)
-                state = nxt
+                _, values, fp, known, *_ = rng.choice(fast)
+
+    def test_reference_expand_is_specification_successors(self):
+        # The oracle is pinned to the semantic definition: on every state
+        # of seeded walks -- over random honest specs and over one grain
+        # per shipped plugin -- reference_expand yields exactly
+        # list(spec.successors(state)), labels and successor values, in
+        # order, each with its full fingerprint.
+        from repro.remix.registry import system_plugin
+
+        specs = [random_spec(seed) for seed in range(8)]
+        for system, grain in (("zookeeper", "mSpec-3"), ("raft", "raft-fine")):
+            plugin = system_plugin(system)
+            specs.append(plugin.make_spec(grain, plugin.default_config()))
+        for n, spec in enumerate(specs):
+            core = CompiledSpec(spec, reference=True)
+            for state in RandomWalker(spec, seed=n, compiled=core).walk(40).states:
+                transitions, candidates = core.reference_expand(
+                    state.values, set(), classify_candidates=False, dedupe=False
+                )
+                want = list(spec.successors(state))
+                assert transitions == len(want)
+                assert [
+                    (core.labels[c[0]], c[1]) for c in candidates
+                ] == [(label, nxt.values) for label, nxt in want], spec.name
+                assert [c[2] for c in candidates] == [
+                    Fingerprinter().of_values(nxt.values) for _, nxt in want
+                ]
 
     def test_random_specs_explore_identically_with_and_without_memo(self):
         for seed in range(10):
             spec = random_spec(seed)
-            fast = ExplorationEngine(spec, max_states=3_000).run()
+            kernel_engine = ExplorationEngine(spec, max_states=3_000, debug=True)
+            fast = kernel_engine.run()
+            assert kernel_engine.core.memo_stats()["mode"] == "compiled"
             slow = ExplorationEngine(
-                random_spec(seed), max_states=3_000, incremental=False
+                random_spec(seed), max_states=3_000, reference=True
             ).run()
             assert fast.states_explored == slow.states_explored, f"seed {seed}"
             assert fast.transitions == slow.transitions, f"seed {seed}"
@@ -494,17 +558,19 @@ class TestIncrementalProperties:
             ]
 
     def test_random_specs_pass_debug_cross_checks(self):
-        # debug=True re-evaluates every memoized/inherited outcome; an
-        # unsound memo hit raises AssertionError.
+        # debug=True cross-checks every kernel batch against the
+        # reference expander; an unsound memo hit raises AssertionError.
         for seed in range(6):
             ExplorationEngine(random_spec(seed), max_states=1_500, debug=True).run()
 
     def test_zookeeper_specs_pass_debug_cross_checks(self):
-        # The walkers and the campaign now ride the memoized expand
-        # path, so the real specs' reads/writes/update_sources
+        # The walkers and the campaign ride the kernel's memoized
+        # outcomes, so the real specs' reads/writes/update_sources
         # declarations are load-bearing: sweep them under the debug
         # cross-check (this is what caught the NodeCrash and
         # FollowerSyncProcessorLogRequest undeclared update sources).
+        # debug=True emits the kernel even for SysSpec, which the static
+        # analyzer does not trust.
         for name in ("SysSpec", "mSpec-3"):
             check_spec(name, SMALL, max_states=2_500, max_time=60, debug=True)
 
@@ -540,13 +606,16 @@ class TestIncrementalProperties:
             ExplorationEngine(spec, max_states=2_000, debug=True).run()
 
     def test_walker_matches_successors_enumeration(self):
-        # RandomWalker now steps through CompiledSpec.expand; a matching
+        # RandomWalker steps through CompiledSpec.step; a matching
         # seed must choose exactly the label sequence the
         # Specification.successors enumeration implies (the conformance
         # campaign's finding fingerprints depend on this).
         for seed in range(6):
             spec = random_spec(seed)
-            walked = RandomWalker(spec, seed=seed).walk(25)
+            # debug=True: the walker rides the (cross-checked) kernel even
+            # though the analyzer cannot prove random_spec's closures.
+            core = CompiledSpec(spec, debug=True)
+            walked = RandomWalker(spec, seed=seed, compiled=core).walk(25)
             rng = random.Random(seed)
             state = rng.choice(spec.initial_states())
             labels = []
@@ -566,12 +635,12 @@ class TestIncrementalProperties:
         assert compiled_for(spec) is compiled_for(spec)
         assert RandomWalker(spec)._core is compiled_for(spec)
         # Non-default configurations never share the cached core.
-        assert compiled_for(spec, incremental=False) is not compiled_for(spec)
+        assert compiled_for(spec, reference=True) is not compiled_for(spec)
 
 
 class TestCompiledKernelLane:
     """Differential fuzz: the compiled successor kernels must enumerate
-    bitwise-identically to the interpreted path -- same states, same
+    bitwise-identically to the reference expander -- same states, same
     transitions, same violations -- on random honest specs and on the
     real ZooKeeper specs."""
 
@@ -589,49 +658,85 @@ class TestCompiledKernelLane:
     def test_fuzzed_random_specs_identical(self):
         for seed in range(10):
             sigs = {}
-            for mode in ("on", "off"):
+            for reference in (False, True):
                 engine = ExplorationEngine(
-                    random_spec(seed), max_states=2_000, compile_mode=mode
+                    random_spec(seed),
+                    max_states=2_000,
+                    reference=reference,
+                    debug=not reference,  # the analyzer cannot prove these
                 )
-                sigs[mode] = self._sig(engine.run())
-            assert sigs["on"] == sigs["off"], f"seed {seed}"
+                sigs[reference] = self._sig(engine.run())
+                assert (engine.core.kernel is None) == reference
+            assert sigs[False] == sigs[True], f"seed {seed}"
 
     @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
     def test_zookeeper_compiled_identical(self, strategy):
         sigs = {}
-        for mode in ("on", "off"):
+        for reference in (False, True):
             result = check_spec(
                 "mSpec-3",
                 SMALL,
                 strategy=strategy,
                 max_states=2_000,
                 max_time=60,
-                compile_mode=mode,
+                reference=reference,
             )
-            sigs[mode] = self._sig(result)
-        assert sigs["on"] == sigs["off"]
+            sigs[reference] = self._sig(result)
+        assert sigs[False] == sigs[True]
 
     def test_zookeeper_kernel_passes_debug_cross_check(self):
-        # --debug-deps under a live kernel re-evaluates every batch
-        # against a fresh interpreted expansion.
-        check_spec(
-            "mSpec-3",
-            SMALL,
-            max_states=1_500,
-            max_time=60,
-            compile_mode="on",
-            debug=True,
-        )
+        # --debug-deps re-evaluates every kernel batch against the
+        # reference expander.
+        check_spec("mSpec-3", SMALL, max_states=1_500, max_time=60, debug=True)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize(
+        "strategy,extra",
+        [
+            ("bfs", {}),
+            ("bfs", {"workers": 2, "dedupe": "rounds"}),
+            ("dfs", {"max_depth": 20}),
+            # walks revisit states: a small distinct-state budget keeps the
+            # cut deterministic (max_states, never max_time)
+            ("random", {"seed": 3, "max_states": 600}),
+            ("portfolio", {"seed": 3}),
+        ],
+    )
+    def test_kernel_matches_reference_matrix(self, strategy, extra, masked):
+        # mSpec-1 with and without the ZK-4394 mask: unmasked, the budget
+        # reaches I-14, so counterexample label chains are compared too.
+        sigs = {}
+        budget = {"max_states": 3_000, "max_time": 120, **extra}
+        for reference in (False, True):
+            result = check_spec(
+                "mSpec-1",
+                SMALL,
+                strategy=strategy,
+                mask=zk4394_mask if masked else None,
+                reference=reference,
+                **budget,
+            )
+            assert result.budget_exhausted != "max_time"
+            sigs[reference] = self._sig(result) + (
+                [v.trace.labels for v in result.violations],
+            )
+        assert sigs[False] == sigs[True]
+        if strategy == "bfs":
+            assert bool(sigs[True][3]) == (not masked)
 
     def test_untrusted_spec_falls_back_in_auto(self):
-        # SysSpec carries lint findings on trust-critical rules, so auto
-        # stays interpreted while forced compilation still emits.
+        # SysSpec carries lint findings on trust-critical rules, so it
+        # runs on the reference expander (loudly) while --debug-deps still
+        # emits -- and cross-checks -- the kernel.
         from repro.zookeeper.specs import SELECTIONS, build_spec
 
         spec = build_spec("SysSpec", SELECTIONS["SysSpec"], SMALL)
-        assert compiled_for(spec, compile_mode="auto").kernel is None
+        with pytest.warns(RuntimeWarning, match="SysSpec.*D01"):
+            assert compiled_for(spec).kernel is None
         spec2 = build_spec("SysSpec", SELECTIONS["SysSpec"], SMALL)
-        assert compiled_for(spec2, compile_mode="on").kernel is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # debug never consults the analyzer
+            assert compiled_for(spec2, debug=True).kernel is not None
 
 
 class TestValuePickling:

@@ -1,13 +1,14 @@
 """Compiled successor kernels: emission, differential identity against the
-interpreted path, the lint-gated ``--compile auto`` fallback, adaptive
+reference expander, the lint-gated (and loud) fallback to it, adaptive
 demotion under a live kernel, and the codegen-versioned cache digest."""
 
 import random
+import warnings
 
 import pytest
 
 from repro.checker import ExplorationEngine
-from repro.checker.engine import CompiledSpec, compiled_for, kernel_trusted
+from repro.checker.engine import compiled_for, kernel_trusted
 from repro.tla.action import Action
 from repro.tla.batch import FrontierBatch
 from repro.tla.codegen import CODEGEN_VERSION, emit_kernel
@@ -91,28 +92,29 @@ def run_sig(result):
 
 class TestEmission:
     def test_kernel_emitted_for_trusted_spec(self):
-        core = compiled_for(counter_spec(), compile_mode="on")
+        core = compiled_for(counter_spec())
         assert core.kernel is not None
         assert core.kernel_source is not None
         assert f"repro kernel v{CODEGEN_VERSION}" in core.kernel_source
 
-    def test_compile_off_stays_interpreted(self):
-        core = compiled_for(counter_spec(), compile_mode="off")
+    def test_reference_core_emits_no_kernel(self):
+        core = compiled_for(counter_spec(), reference=True)
         assert core.kernel is None
-
-    def test_non_incremental_never_compiles(self):
-        core = compiled_for(counter_spec(), incremental=False, compile_mode="on")
-        assert core.kernel is None
+        assert core.memo_stats()["mode"] == "reference"
+        # Reference mode is memo-free end to end: nothing grouped, every
+        # invariant evaluated on every state.
+        assert not core.outcome_groups and not core.guard_groups
+        assert not core.inv_groups and core.mask_key is None
 
     def test_emit_kernel_is_pure_python_source(self):
-        core = compiled_for(counter_spec(), compile_mode="on")
+        core = compiled_for(counter_spec())
         source, fn = emit_kernel(core)
         assert callable(fn)
         compile(source, "<test>", "exec")  # round-trips as real source
 
     def test_memo_stats_reports_codegen_version(self):
         spec = counter_spec()
-        engine = ExplorationEngine(spec, "bfs", max_states=100, compile_mode="on")
+        engine = ExplorationEngine(spec, "bfs", max_states=100)
         engine.run()
         stats = engine.core.memo_stats()
         assert stats["mode"] == "compiled"
@@ -120,18 +122,16 @@ class TestEmission:
 
 
 class TestFrontierBatch:
-    def test_from_entries_accepts_states_and_values(self):
-        st = State.make(SCHEMA, x=1, y=0)
-        batch = FrontierBatch.from_entries(
-            [(7, st, 0, (1, 2)), (8, (2, 0), 1, (3, 4))]
-        )
+    def test_from_entries_builds_columns(self):
+        batch = FrontierBatch.from_entries([(7, (1, 0), 0), (8, (2, 0), 1)])
         assert len(batch) == 2
-        assert batch.values[0] == st.values
+        assert list(batch.fps) == [7, 8]
         assert batch.values[1] == (2, 0)
-        assert list(batch.entries())[1] == (8, (2, 0), 1, (3, 4))
+        assert list(batch.knowns) == [0, 1]
+        assert len(FrontierBatch.from_entries([])) == 0
 
     def test_single_and_state_materialization(self):
-        batch = FrontierBatch.single(5, (1, 1), 0, ())
+        batch = FrontierBatch.single(5, (1, 1), 0)
         assert len(batch) == 1
         assert batch.state(0, SCHEMA).x == 1
 
@@ -140,15 +140,16 @@ class TestDifferentialIdentity:
     @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
     def test_counter_identical(self, strategy):
         sigs = {}
-        for mode in ("on", "off"):
+        for reference in (False, True):
             engine = ExplorationEngine(
                 counter_spec(max_x=6, y_bound=3),
                 strategy,
                 max_states=10_000,
-                compile_mode=mode,
+                reference=reference,
             )
-            sigs[mode] = run_sig(engine.run())
-        assert sigs["on"] == sigs["off"]
+            sigs[reference] = run_sig(engine.run())
+            assert (engine.core.kernel is None) == reference
+        assert sigs[False] == sigs[True]
 
     def test_random_walk_identical_entropy(self):
         # Same seed, same candidate distributions => same walk, compiled
@@ -156,16 +157,16 @@ class TestDifferentialIdentity:
         # budget so both arms stop on the same deterministic state-count
         # cutoff, never on wall-clock.
         sigs = {}
-        for mode in ("on", "off"):
+        for reference in (False, True):
             engine = ExplorationEngine(
                 counter_spec(max_x=30, y_bound=10 ** 9),
                 "random",
                 max_states=300,
                 seed=11,
-                compile_mode=mode,
+                reference=reference,
             )
-            sigs[mode] = run_sig(engine.run())
-        assert sigs["on"] == sigs["off"]
+            sigs[reference] = run_sig(engine.run())
+        assert sigs[False] == sigs[True]
 
     def test_fuzzed_counter_family_identical(self):
         rng = random.Random(2024)
@@ -173,86 +174,124 @@ class TestDifferentialIdentity:
             max_x = rng.randint(2, 9)
             bound = rng.randint(1, 5)
             sigs = {}
-            for mode in ("on", "off"):
+            for reference in (False, True):
                 engine = ExplorationEngine(
                     counter_spec(max_x=max_x, y_bound=bound),
                     "bfs",
                     max_states=5_000,
-                    compile_mode=mode,
+                    reference=reference,
                 )
-                sigs[mode] = run_sig(engine.run())
-            assert sigs["on"] == sigs["off"], (trial, max_x, bound)
+                sigs[reference] = run_sig(engine.run())
+            assert sigs[False] == sigs[True], (trial, max_x, bound)
 
     def test_expand_batch_matches_interpreted_expand(self):
         spec = counter_spec()
-        on = compiled_for(spec, compile_mode="on")
-        off = compiled_for(counter_spec(), compile_mode="off")
-        assert on.kernel is not None and off.kernel is None
+        kernel = compiled_for(spec)
+        reference = compiled_for(counter_spec(), reference=True)
+        assert kernel.kernel is not None and reference.kernel is None
         init = spec.initial_states()[0]
-        fp, digests = on.fingerprinter.of_values_with_digests(init.values)
-        batch = FrontierBatch.single(fp, init.values, 0, digests)
-        (kres,) = on.expand_batch(batch, set(), dedupe=False)
-        _, icands = off.expand(init, 0, set(), fp, digests, dedupe=False)
-        assert kres[1] == len(icands)
-        assert [(c[0], c[1], c[2]) for c in kres[2]] == [
-            (c[0], c[1].values, c[2]) for c in icands
-        ]
+        fp = kernel.fingerprinter.of_values(init.values)
+        batch = FrontierBatch.single(fp, init.values, 0)
+        (kres,) = kernel.expand_batch(batch, set(), dedupe=False)
+        (rres,) = reference.expand_batch(batch, set(), dedupe=False)
+        assert kres[:2] == rres[:2] == (fp, 1)
+        # Same instances, successor values, fingerprints and verdicts;
+        # only the inherited known-disabled bits are kernel-private.
+        assert [c[:3] + c[4:] for c in kres[2]] == [c[:3] + c[4:] for c in rres[2]]
+        assert all(c[3] == 0 for c in rres[2])
 
 
 class TestLintGatedCompile:
     def test_lying_spec_is_untrusted(self):
-        assert kernel_trusted(lying_spec()) is False
+        with pytest.warns(RuntimeWarning, match="IncY"):
+            assert kernel_trusted(lying_spec()) is False
         assert kernel_trusted(counter_spec()) is True
 
     def test_auto_falls_back_to_interpreted(self):
-        core = compiled_for(lying_spec(), compile_mode="auto")
+        with pytest.warns(RuntimeWarning, match="not kernel-trusted"):
+            core = compiled_for(lying_spec())
         assert core.kernel is None
+        stats = core.memo_stats()
+        assert stats["mode"] == "reference"
+        assert "IncY" in stats["untrusted"] and "D01" in stats["untrusted"]
+
+    def test_fallback_is_loud_exactly_once_per_spec(self):
+        # An untrusted verdict must never be silent: one RuntimeWarning
+        # per spec naming the first blocking action + lint rule, however
+        # many cores, engines and strategies run on that spec afterwards.
+        spec = lying_spec()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for strategy in ("bfs", "dfs", "random", "portfolio"):
+                ExplorationEngine(spec, strategy, max_states=5).run()
+            compiled_for(spec, mask=lambda state: False)
+        loud = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(loud) == 1
+        assert "IncY" in str(loud[0].message) and "D01" in str(loud[0].message)
+
+    def test_analyzer_exception_is_reported_not_swallowed(self, monkeypatch):
+        from repro.analysis import declarations
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("analyzer exploded")
+
+        monkeypatch.setattr(declarations, "check_action", boom)
+
+        def step(config, state):  # fresh code object: misses the verdict cache
+            return {"x": state.x + 1} if state.x < 2 else None
+
+        spec = Specification(
+            "boom",
+            SCHEMA,
+            lambda cfg: [State.make(SCHEMA, x=0, y=0)],
+            [Module("m", [Action("Step", step, reads=["x"], writes=["x"])])],
+            [],
+            None,
+        )
+        with pytest.warns(RuntimeWarning, match="analyzer exploded"):
+            assert kernel_trusted(spec) is False
+        assert ExplorationEngine(spec).run().states_explored == 3
 
     def test_auto_fallback_results_match_interpreted(self):
         sigs = {}
-        for mode in ("auto", "off"):
-            engine = ExplorationEngine(
-                lying_spec(), "bfs", max_states=10_000, compile_mode=mode
-            )
-            sigs[mode] = run_sig(engine.run())
-        assert sigs["auto"] == sigs["off"]
+        for reference in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                engine = ExplorationEngine(
+                    lying_spec(), "bfs", max_states=10_000, reference=reference
+                )
+                sigs[reference] = run_sig(engine.run())
+            assert engine.core.memo_stats()["mode"] == "reference"
+        assert sigs[False] == sigs[True]
+        assert sigs[True][0] == 10  # x in 0..3, y in 0..x: the true space
 
     def test_forced_compile_with_debug_catches_the_lie(self):
+        # debug=True emits the kernel whatever the analyzer says and
+        # cross-checks it against the reference expander.
         engine = ExplorationEngine(
-            lying_spec(),
-            "bfs",
-            max_states=10_000,
-            compile_mode="on",
-            debug=True,
+            lying_spec(), "bfs", max_states=10_000, debug=True
         )
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match=r"action IncY violated"):
             engine.run()
-
-    def test_bad_compile_mode_rejected(self):
-        with pytest.raises(ValueError):
-            compiled_for(counter_spec(), compile_mode="sometimes")
+        assert engine.core.kernel is not None
 
 
 class TestAdaptiveDemotionUnderKernel:
     def test_demotion_reemits_kernel_and_preserves_enumeration(self):
         baseline = ExplorationEngine(
-            counter_spec(max_x=8, y_bound=4),
-            "bfs",
-            max_states=10_000,
-            compile_mode="on",
+            counter_spec(max_x=8, y_bound=4), "bfs", max_states=10_000
         )
         base_sig = run_sig(baseline.run())
 
         spec = counter_spec(max_x=8, y_bound=4)
-        core = compiled_for(spec, compile_mode="on")
+        core = compiled_for(spec)
         assert core.outcome_groups
         old_kernel = core.kernel
         core._demote([0])
         assert core.kernel is not old_kernel  # re-emitted for the new layout
         assert core.demoted_groups
-        engine = ExplorationEngine(
-            spec, "bfs", max_states=10_000, compile_mode="on"
-        )
+        engine = ExplorationEngine(spec, "bfs", max_states=10_000)
+        assert engine._compile() is core
         assert run_sig(engine.run()) == base_sig
 
 
@@ -269,9 +308,7 @@ class TestMaskConstraintMemo:
         sigs = {}
         for label, cap in (("declared", declared), ("plain", plain)):
             spec = counter_spec(max_x=9, constraint=cap)
-            engine = ExplorationEngine(
-                spec, "bfs", max_states=10_000, compile_mode="on"
-            )
+            engine = ExplorationEngine(spec, "bfs", max_states=10_000)
             sigs[label] = run_sig(engine.run())
             if label == "declared":
                 assert engine.core.constraint_key is not None
@@ -296,7 +333,6 @@ class TestMaskConstraintMemo:
                 "bfs",
                 max_states=10_000,
                 mask=m,
-                compile_mode="on",
             )
             sigs[label] = run_sig(engine.run())
             if label == "declared":

@@ -9,7 +9,6 @@ that the shipped plugins lint clean.
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -381,21 +380,3 @@ class TestShippedPlugins:
         assert report.errors == []
         assert report.warnings == []
 
-
-# --- campaign shim (satellite: DeprecationWarning must blame the caller) -------
-
-class TestFromKwargsDeprecation:
-    def test_warning_points_at_caller(self):
-        from repro.remix.campaign import ConformanceCampaign
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ConformanceCampaign.from_kwargs(seeds=1, traces=1, max_steps=2)
-        relevant = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert relevant, "from_kwargs must warn DeprecationWarning"
-        assert relevant[0].filename == __file__, (
-            "stacklevel must make the warning point at the caller, "
-            f"not {relevant[0].filename}"
-        )

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from repro.checker import BFSChecker
+from repro.checker import explore
 from repro.raft.config import FIXED_VARIANT, RaftConfig, RaftVariant
 from repro.raft.impl import NO_VOTE, CommitAheadError, RaftEnsemble
 from repro.raft.mapping import raft_mapping
@@ -78,9 +78,9 @@ class TestSpec:
             max_entries=1, max_crashes=1, max_partitions=0, max_term=2
         )
         for grain in ("raft-coarse", "raft-fine"):
-            result = BFSChecker(
+            result = explore(
                 make_spec(grain, config), max_states=200_000, max_time=120
-            ).run()
+            )
             assert not result.found_violation, grain
 
     def test_up_to_date_restriction(self):

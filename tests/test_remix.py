@@ -3,7 +3,7 @@ conformance checking."""
 
 import pytest
 
-from repro.checker import BFSChecker
+from repro.checker import explore
 from repro.checker.trace import Trace
 from repro.impl import Ensemble
 from repro.remix import (
@@ -110,7 +110,7 @@ def replay_first_violation(spec_name, family=None, **checker_kw):
     spec = make_spec(spec_name, CFG)
     if family:
         spec.invariants = [i for i in spec.invariants if i.ident == family]
-    result = BFSChecker(spec, max_states=100_000, max_time=120).run()
+    result = explore(spec, max_states=100_000, max_time=120)
     assert result.found_violation
     return spec, result.first_violation.trace
 

@@ -1,6 +1,6 @@
 """The serializable campaign request: normalization, single-format axis
-validation, JSON round-trips, the ``from_kwargs`` deprecation shim, and
-the CLI's request surface (``--dry-run`` / ``--request``)."""
+validation, JSON round-trips, the request-only ``ConformanceCampaign``
+constructor, and the CLI's request surface (``--dry-run`` / ``--request``)."""
 
 import json
 
@@ -146,17 +146,11 @@ class TestWireFormat:
 
 
 class TestFromKwargsShim:
-    def test_shim_warns_and_matches_new_api(self):
-        with pytest.warns(DeprecationWarning, match="CampaignRequest"):
-            old = ConformanceCampaign.from_kwargs(**TINY)
-        new = ConformanceCampaign(CampaignRequest(**TINY))
-        assert old.request == new.request
-        old_json = old.run().to_json()
-        old_json["campaign"].pop("elapsed_seconds", None)
-        assert old_json == report_json(new.request)
-
     def test_positional_request_required(self):
-        with pytest.raises(TypeError, match="from_kwargs"):
+        # A CampaignRequest is the only way in (no keyword shim), and
+        # anything else is refused by type.
+        assert not hasattr(ConformanceCampaign, "from_kwargs")
+        with pytest.raises(TypeError, match="CampaignRequest, not dict"):
             ConformanceCampaign({"grains": ("mSpec-1",)})
 
 

@@ -140,7 +140,7 @@ def test_incremental_fingerprinter_successor():
     schema = Schema(("x", "y", "z"))
     state = State.make(schema, x=0, y=0, z=0)
     inc = IncrementalFingerprinter(schema)
-    fp = inc.seed(state)[0]
+    fp = inc.of_state(state)
     nxt, nfp = inc.successor(fp, state, {"y": 7})
     assert nxt.y == 7
     assert nfp == Fingerprinter().of_state(nxt)

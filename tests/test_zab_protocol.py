@@ -7,7 +7,7 @@ the order ZooKeeper implemented (epoch first) violates I-8.
 
 import pytest
 
-from repro.checker import BFSChecker
+from repro.checker import explore
 from repro.zab import ZabConfig, zab_spec
 
 
@@ -52,23 +52,23 @@ class TestVariants:
 
 class TestModelChecking:
     def test_original_protocol_passes(self):
-        result = BFSChecker(
+        result = explore(
             zab_spec(small("original")), max_states=120_000, max_time=120
-        ).run()
+        )
         assert not result.found_violation
 
     def test_improved_protocol_passes(self):
-        result = BFSChecker(
+        result = explore(
             zab_spec(small("improved")), max_states=120_000, max_time=120
-        ).run()
+        )
         assert not result.found_violation
 
     @pytest.mark.slow
     def test_improved_protocol_passes_with_more_faults(self):
         cfg = small("improved", max_crashes=2, max_epoch=3)
-        result = BFSChecker(
+        result = explore(
             zab_spec(cfg), max_states=200_000, max_time=240
-        ).run()
+        )
         assert not result.found_violation
 
     @pytest.mark.slow
@@ -76,9 +76,9 @@ class TestModelChecking:
         # The ablation of §5.4: the non-atomic epoch-before-history order
         # (what ZooKeeper implemented) breaks initial history integrity.
         cfg = small("epoch_first", max_crashes=2, max_epoch=3)
-        result = BFSChecker(
+        result = explore(
             zab_spec(cfg), max_states=400_000, max_time=240
-        ).run()
+        )
         assert result.found_violation
         assert result.first_violation.invariant.ident == "I-8"
         labels = [l.name for l in result.first_violation.trace.labels]
