@@ -7,7 +7,8 @@ A backend's contract is deliberately small:
   the backend's *handler* and returns the results slotted by task
   index.  Tasks not yet dispatched when the ``time.monotonic()``
   ``deadline`` passes are skipped and come back as ``None``; a task
-  that raises surfaces as :class:`RuntimeError`.  ``on_result(index,
+  that raises surfaces as ``RuntimeError("task <i> failed: <repr>")``
+  on every backend, inline included.  ``on_result(index,
   task, result)`` fires in *completion* order as results arrive --
   that's the streaming hook the campaign service turns into
   ``cell_done`` events.  It must never change the returned list.
@@ -98,9 +99,12 @@ class InlineBackend(ExecutionBackend):
         results: List[Optional[Any]] = []
         for index, task in enumerate(tasks):
             if deadline is not None and time.monotonic() >= deadline:
-                results.append(None)  # skipped: mirrors the pools
+                results.append(None)  # skipped: mirrors the dispatcher
                 continue
-            result = self._handler(task)
+            try:
+                result = self._handler(task)
+            except Exception as error:  # one error contract for every backend
+                raise RuntimeError(f"task {index} failed: {error!r}") from error
             results.append(result)
             if on_result is not None:
                 on_result(index, task, result)
@@ -117,13 +121,14 @@ def create_backend(
     requested or the platform lacks the ``fork`` start method (the
     historical campaign behaviour).  ``socket`` always builds the real
     thing -- even one worker exercises the wire, which is the point of
-    asking for it.  ``chaos`` is the socket backend under seeded fault
-    injection (:class:`~repro.checker.backends.testing.ChaosSocketBackend`).
+    asking for it.  ``chaos`` is the socket backend with its band under
+    seeded fault injection
+    (:func:`~repro.checker.backends.testing.chaos_backend`).
 
     ``options`` are forwarded to the backend constructor; a
     ``supervisor`` option (a :class:`~repro.checker.backends
-    .supervision.TaskSupervisor`) attaches failure supervision to the
-    fork and socket backends.  Options a backend cannot use (e.g.
+    .supervision.TaskSupervisor`) sets the failure policy of the
+    fork and socket backends (default: ``DEFAULT_POLICY``).  Options a backend cannot use (e.g.
     ``auth_token`` for fork, any of them for inline) are dropped, so
     one caller can configure every backend uniformly."""
     if name == "fork":
@@ -140,9 +145,10 @@ def create_backend(
 
         return SocketBackend(handler, workers, **options)
     if name == "chaos":
-        from repro.checker.backends.testing import ChaosSocketBackend
+        from repro.checker.backends.sockets import SocketBackend
+        from repro.checker.backends.testing import chaos_backend
 
-        return ChaosSocketBackend(handler, workers, **options)
+        return chaos_backend(SocketBackend, handler, workers, **options)
     raise ValueError(
         f"unknown execution backend {name!r}; options: {list(BACKENDS)}"
     )

@@ -1,17 +1,17 @@
-"""Task supervision shared by the fork and socket backends.
+"""Task supervision: the failure policy the dispatcher consults.
 
 A campaign cell is supposed to be a pure function of its task message,
 but the *process* running it is not pure: workers get OOM-killed, hang
-on a pathological walk, or lose their connection.  Before this module
-the backends had exactly one answer -- requeue forever -- which turns a
-poison task (one that reliably kills its worker) into a campaign that
-never finishes, and leaves a hung worker stalling the whole matrix.
+on a pathological walk, or lose their connection.  Requeueing forever
+would turn a poison task (one that reliably kills its worker) into a
+campaign that never finishes, and leave a hung worker stalling the
+whole matrix.
 
 :class:`SupervisionPolicy` bounds every failure mode:
 
-- ``task_timeout``: a hard per-task wall clock.  The backend watchdog
-  kills the worker running an expired task and retries the task
-  elsewhere (``None`` disables the watchdog, the historical behaviour).
+- ``task_timeout``: a hard per-task wall clock.  The dispatcher's
+  watchdog kills the worker running an expired task and retries the
+  task elsewhere (``None`` disables the watchdog).
 - ``max_retries`` + ``backoff``/``backoff_factor``: transient worker
   failures (death, timeout) retry with exponential backoff; once a
   task's failure count passes ``max_retries`` it is quarantined.
@@ -23,12 +23,11 @@ never finishes, and leaves a hung worker stalling the whole matrix.
 across its ``map`` calls: it decides retry-vs-quarantine, computes
 backoff delays, and accumulates a degradation log the campaign folds
 into the report's ``degraded`` section (every degradation is recorded,
-none is silent).  Backends call it; they never interpret policy
-themselves.
-
-The supervisor is intentionally transport-agnostic: the fork pool and
-the socket backend report the same three verbs (``worker_died``,
-``task_timed_out``, ``task_retried``) and read back the same verdicts.
+none is silent).  Exactly one caller interprets its verdicts --
+:func:`repro.checker.backends.dispatch.dispatch` -- so the policy means
+the same over the fork band and the TCP band; every ``map`` is
+supervised (a backend built without a supervisor gets
+:data:`DEFAULT_POLICY`).
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Handlers for exercising backends in the test-suite, and the chaos
-backend that fault-injects the harness itself.
+band decorator that fault-injects the harness itself.
 
 The handlers live in-package (rather than under ``tests/``) because
 socket workers run in fresh interpreters that import handlers by
@@ -13,9 +13,10 @@ import os
 import random
 import signal
 import time
+from collections import Counter
 from typing import Any, Dict, Optional
 
-from repro.checker.backends.sockets import JsonLineConnection, SocketBackend
+from repro.checker.backends.dispatch import WorkerBand
 from repro.checker.backends.supervision import SupervisionPolicy, TaskSupervisor
 
 
@@ -90,46 +91,36 @@ def hold_ignoring_sigterm(task: Dict[str, Any]) -> Dict[str, Any]:
     """Like :func:`hold`, but the worker first shields itself from
     SIGTERM -- forcing ``close()`` all the way to the SIGKILL rung."""
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    marker = task.get("marker")
-    if marker:
-        with open(marker, "w") as fh:
-            fh.write(str(os.getpid()))
-    time.sleep(task.get("sleep", 60.0))
-    return {"value": task.get("value")}
+    return hold(task)
 
 
-class ChaosSocketBackend(SocketBackend):
-    """The socket backend under seeded fault injection.
+class ChaosBand:
+    """A band decorator: seeded fault injection under the dispatcher.
 
     Every perturbation targets the *harness*, never the task: workers
-    are SIGKILLed after a dispatch, connections are torn down before
-    one, task frames are delayed, duplicated, or (opt-in) swallowed.
-    Task handlers stay pure functions, so a correct backend must
-    produce results -- and a campaign a report -- identical to a clean
-    run; only the ``degraded`` section may differ, and it must tell the
-    truth about what was injected.
+    are SIGKILLed after a dispatch, sends fail before the frame leaves
+    (the dispatcher drops the link; a TCP worker reconnects, a forked
+    one is replaced), task frames are delayed, duplicated, or (opt-in)
+    swallowed.  Task handlers stay pure functions, so a correct
+    dispatcher must produce results -- and a campaign a report --
+    identical to a clean run; only the ``degraded`` section may differ,
+    and it must tell the truth about what was injected.  The decorator
+    only touches band verbs, so the same lane runs over
+    :class:`~repro.checker.backends.fork.ForkBand` and
+    :class:`~repro.checker.backends.sockets.TcpBand` alike.
 
     Faults draw from ``random.Random(chaos_seed)``, so a failing run is
     rerunnable.  (The *sequence* of draws also depends on dispatch
     order, i.e. scheduling; the seed pins the distribution, the report
     identity is what must be invariant.)
 
-    ``hang_rate`` swallows the task frame after recording the dispatch:
-    the task looks in-flight forever.  Rescuing it requires the
-    watchdog, so a positive ``hang_rate`` demands a supervisor with a
-    ``task_timeout``; it defaults to 0 and is rejected otherwise.
-
-    Without an explicit ``supervisor`` a deliberately generous one is
-    attached (effectively unbounded retries/respawns): the chaos lane
-    asserts fault *transparency*, and quarantine would turn injected
-    faults into missing cells."""
-
-    name = "chaos"
+    ``hang_rate`` swallows the task frame: the task looks in-flight
+    forever and only the watchdog rescues it (see :func:`chaos_backend`).
+    """
 
     def __init__(
         self,
-        handler: Any,
-        workers: int = 1,
+        inner: WorkerBand,
         chaos_seed: int = 0,
         kill_rate: float = 0.05,
         drop_rate: float = 0.05,
@@ -137,22 +128,8 @@ class ChaosSocketBackend(SocketBackend):
         delay: float = 0.02,
         dup_rate: float = 0.05,
         hang_rate: float = 0.0,
-        supervisor: Optional[TaskSupervisor] = None,
-        **options: Any,
     ):
-        if supervisor is None:
-            supervisor = TaskSupervisor(
-                SupervisionPolicy(
-                    max_retries=10_000,
-                    quarantine_after=10_000,
-                    max_respawns=10_000,
-                )
-            )
-        if hang_rate > 0 and supervisor.policy.task_timeout is None:
-            raise ValueError(
-                "chaos hang_rate needs a supervisor with a task_timeout: "
-                "a swallowed frame is only ever rescued by the watchdog"
-            )
+        self.inner = inner
         self._rng = random.Random(chaos_seed)
         self.kill_rate = kill_rate
         self.drop_rate = drop_rate
@@ -160,24 +137,20 @@ class ChaosSocketBackend(SocketBackend):
         self.delay = delay
         self.dup_rate = dup_rate
         self.hang_rate = hang_rate
-        #: What was actually injected, for truthful-degradation asserts.
-        self.injected: Dict[str, int] = {
-            "kills": 0,
-            "drops": 0,
-            "delays": 0,
-            "dups": 0,
-            "hangs": 0,
-        }
-        super().__init__(handler, workers, supervisor=supervisor, **options)
+        #: What was actually injected (kills, drops, delays, dups,
+        #: hangs), for truthful-degradation asserts.
+        self.injected: Counter = Counter()
 
-    def _send_task(self, conn: JsonLineConnection, frame: Dict[str, Any]) -> None:
+    def __getattr__(self, verb: str) -> Any:
+        return getattr(self.inner, verb)  # every other verb is untouched
+
+    def send(self, conn: Any, index: int, task: Any) -> None:
         rng = self._rng
         if rng.random() < self.drop_rate:
-            # Tear the connection down *before* the frame leaves: the
-            # task is provably undelivered, the worker sees EOF and
-            # reconnects, the dispatcher requeues without penalty.
+            # Fail *before* the frame leaves: the task is provably
+            # undelivered, so the dispatcher drops the link and
+            # requeues without penalty.
             self.injected["drops"] += 1
-            conn.sock.close()
             raise OSError("chaos: dropped connection")
         if rng.random() < self.delay_rate:
             self.injected["delays"] += 1
@@ -187,16 +160,46 @@ class ChaosSocketBackend(SocketBackend):
             # but no worker ever got it -- a perfect hang.
             self.injected["hangs"] += 1
             return
-        conn.send(frame)
+        self.inner.send(conn, index, task)
         if rng.random() < self.dup_rate:
             # The worker executes twice and answers twice; the second
             # result frame must be ignored by the duplicate guard.
             self.injected["dups"] += 1
-            conn.send(frame)
+            self.inner.send(conn, index, task)
+        if rng.random() < self.kill_rate and self.inner.kill(conn):
+            self.injected["kills"] += 1
 
-    def _on_dispatched(self, conn: JsonLineConnection, index: int) -> None:
-        if self._rng.random() < self.kill_rate:
-            proc = self._process_for(conn)
-            if proc is not None and proc.poll() is None:
-                self.injected["kills"] += 1
-                proc.kill()
+
+def chaos_backend(
+    backend_cls: Any,
+    handler: Any,
+    workers: int,
+    supervisor: Optional[TaskSupervisor] = None,
+    auth_token: Optional[str] = None,
+    **chaos: Any,
+) -> Any:
+    """``backend_cls(handler, workers)`` with its band under
+    ``ChaosBand(band, **chaos)``; ``backend.band.injected`` counts the
+    faults.  ``auth_token`` is forwarded when set (TCP only).
+
+    Without an explicit ``supervisor`` a deliberately generous one is
+    attached (effectively unbounded retries/respawns): the chaos lane
+    asserts fault *transparency*, and quarantine would turn injected
+    faults into missing cells.  A positive ``hang_rate`` demands a
+    supervisor with a ``task_timeout`` -- nothing else ever rescues a
+    swallowed frame."""
+    supervisor = supervisor or TaskSupervisor(
+        SupervisionPolicy(
+            max_retries=10_000, quarantine_after=10_000, max_respawns=10_000
+        )
+    )
+    if chaos.get("hang_rate", 0) > 0 and supervisor.policy.task_timeout is None:
+        raise ValueError(
+            "chaos hang_rate needs a supervisor with a task_timeout: "
+            "a swallowed frame is only ever rescued by the watchdog"
+        )
+    options = {} if auth_token is None else {"auth_token": auth_token}
+    backend = backend_cls(handler, workers, supervisor=supervisor, **options)
+    backend.band = ChaosBand(backend.band, **chaos)
+    backend.name = "chaos"
+    return backend

@@ -1,13 +1,8 @@
-"""Multiprocessing back-ends for the exploration engine.
+"""Multiprocessing strategies for the exploration engine.
 
-Three cooperation patterns live here:
-
-:class:`TaskPool`
-    A generic fork-based task pool: independent tasks are dispatched
-    greedily to a fixed band of workers and results are merged by task
-    index, so the output list is independent of scheduling.  The
-    conformance campaign (:mod:`repro.remix.campaign`) fans its
-    (grain x scenario x fault x seed) matrix through it.
+Three cooperation patterns live here, all clients of one process
+substrate -- :class:`~repro.checker.backends.fork.ForkBand` spawns,
+reaps and terminates every worker this module starts:
 
 :class:`WorkerPool`
     Round-synchronous frontier sharding for the BFS strategy.  Each
@@ -21,6 +16,12 @@ Three cooperation patterns live here:
     merge consumes results in that same order, the outcome is identical
     to the sequential engine on deterministic budgets.
 
+:func:`run_dfs_sharded`
+    Depth-1 subtrees dealt across a
+    :class:`~repro.checker.backends.fork.ForkBackend` whose handler is a
+    closure over the compiled spec (the supervised dispatcher's
+    closure-carrying client).
+
 :func:`run_portfolio`
     First-to-find racing for the portfolio strategy: one forked BFS
     contender plus ``workers - 1`` differently-seeded random walkers.
@@ -32,13 +33,12 @@ memory image).  Call :func:`available` before constructing any.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
-import multiprocessing.connection as mp_connection
-import os
-import queue as pyqueue
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.checker.backends.fork import ForkBackend, ForkBand
 from repro.checker.result import CheckResult, Violation
 from repro.checker.trace import Trace
 from repro.tla.batch import FrontierBatch
@@ -46,10 +46,7 @@ from repro.tla.state import State
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.checker.engine import CompiledSpec, ExplorationEngine
-
-#: Hand-off slot for fork inheritance: set immediately before starting a
-#: child process, cleared right after.  Forked children read it once.
-_HANDOFF: Any = None
+    from repro.tla.spec import Specification
 
 
 def available() -> bool:
@@ -57,340 +54,10 @@ def available() -> bool:
     return "fork" in mp.get_all_start_methods()
 
 
-def default_workers() -> int:
-    """A sensible worker count: the CPU count, capped at 8."""
-    return max(1, min(os.cpu_count() or 1, 8))
-
-
-# ------------------------------------------------------ fork-pool base
-
-
-class ForkPool:
-    """A fixed band of forked worker processes with per-worker pipes.
-
-    Subclasses choose the worker loop (``target``) and the payload the
-    children inherit through the fork hand-off slot; this base owns the
-    process/pipe lifecycle.  The target/payload pair is retained so a
-    supervised pool can fork *replacement* workers after a watchdog
-    kill (:meth:`spawn_worker`).
-    """
-
-    def __init__(self, target: Callable, payload: Any, workers: int):
-        self._target = target
-        self._payload = payload
-        self.connections: list = []
-        self.processes: list = []
-        self._owner: Dict[int, Any] = {}  # connection fileno -> process
-        for _ in range(max(1, workers)):
-            self.spawn_worker()
-
-    def spawn_worker(self) -> Any:
-        """Fork one (more) worker; returns its parent-side pipe end."""
-        global _HANDOFF
-        context = mp.get_context("fork")
-        _HANDOFF = self._payload
-        try:
-            parent_end, child_end = context.Pipe()
-            process = context.Process(
-                target=self._target, args=(child_end,), daemon=True
-            )
-            process.start()
-            child_end.close()
-        finally:
-            _HANDOFF = None
-        self.connections.append(parent_end)
-        self.processes.append(process)
-        self._owner[parent_end.fileno()] = process
-        return parent_end
-
-    def process_of(self, connection) -> Any:
-        """The worker process behind a pipe end (``None`` if reaped)."""
-        try:
-            return self._owner.get(connection.fileno())
-        except OSError:  # pragma: no cover - closed pipe
-            return None
-
-    def reap(self, connection) -> None:
-        """Kill and join one worker (watchdog path): the task it was
-        running has exceeded its deadline, so a graceful shutdown frame
-        would never be read."""
-        process = self.process_of(connection)
-        if process is not None and process.is_alive():
-            process.kill()
-            process.join(timeout=2.0)
-        try:
-            del self._owner[connection.fileno()]
-        except (KeyError, OSError):  # pragma: no cover
-            pass
-        if connection in self.connections:
-            self.connections.remove(connection)
-        try:
-            connection.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    def terminate(self) -> None:
-        """Interrupt path: kill and reap every worker *now*.
-
-        Called on SIGINT/SIGTERM (KeyboardInterrupt/SystemExit inside
-        :meth:`TaskPool.map`) so a cancelled campaign leaves no orphaned
-        worker processes behind; safe to call more than once and
-        followed by the usual ``close()``."""
-        for process in self.processes:
-            if process.is_alive():
-                process.terminate()
-        for process in self.processes:
-            process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover - stuck in a syscall
-                process.kill()
-                process.join(timeout=1.0)
-        for connection in self.connections:
-            try:
-                connection.close()
-            except OSError:  # pragma: no cover
-                pass
-        self.connections = []
-        self.processes = []
-        self._owner = {}
-
-    def close(self) -> None:
-        for connection in self.connections:
-            try:
-                connection.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for process in self.processes:
-            process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover
-                process.terminate()
-                process.join(timeout=1.0)
-        for connection in self.connections:
-            connection.close()
-        self.connections = []
-        self.processes = []
-        self._owner = {}
-
-
-# ------------------------------------------------------ generic task pool
-
-
-def _task_worker_main(conn) -> None:
-    """Worker loop: receive (index, task), apply the inherited function,
-    reply (index, ok, payload)."""
-    worker_fn: Callable[[Any], Any] = _HANDOFF
-    try:
-        while True:
-            message = conn.recv()
-            if message is None:
-                break
-            index, task = message
-            try:
-                conn.send((index, True, worker_fn(task)))
-            except Exception as error:  # surfaced in the parent
-                conn.send((index, False, repr(error)))
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):  # pragma: no cover
-        pass
-    finally:
-        conn.close()
-
-
-class TaskPool(ForkPool):
-    """Map independent tasks over forked workers, deterministically.
-
-    Dispatch is greedy -- each worker receives a new task as soon as it
-    reports the previous one -- but results are slotted by task index,
-    so :meth:`map` returns the same list whatever the scheduling or the
-    worker count.  Tasks must therefore be self-contained (carry their
-    own seeds) and results picklable.
-    """
-
-    def __init__(
-        self,
-        worker_fn: Callable[[Any], Any],
-        workers: int,
-        supervisor: Optional[Any] = None,
-    ):
-        """``supervisor`` is an optional
-        :class:`~repro.checker.backends.supervision.TaskSupervisor`;
-        without one the pool keeps its historical semantics (no
-        timeouts, unbounded immediate retries)."""
-        super().__init__(_task_worker_main, worker_fn, workers)
-        self.supervisor = supervisor
-        self._initial_workers = max(1, workers)
-
-    def map(
-        self,
-        tasks: Sequence[Any],
-        deadline: Optional[float] = None,
-        on_result: Optional[Callable[[int, Any, Any], None]] = None,
-    ) -> List[Optional[Any]]:
-        """Run every task; results arrive in task order.
-
-        ``deadline`` is a ``time.monotonic()`` timestamp: tasks not yet
-        dispatched when it passes are skipped and come back as ``None``
-        (the caller decides how to report them).  A task that raises in
-        a worker re-raises here as :class:`RuntimeError`.  A worker that
-        dies mid-task (OOM kill, segfault) is dropped and its in-flight
-        task requeued onto the survivors; with no survivors the
-        remaining tasks come back as ``None``.
-
-        With a supervisor attached, three more rules apply: a task
-        running past ``policy.task_timeout`` has its worker killed by
-        the watchdog and is retried after exponential backoff; retries
-        are bounded; and a poison task (repeated worker kills) is
-        quarantined as ``None`` instead of draining the pool.  The pool
-        forks replacement workers (bounded by the policy) when failures
-        would otherwise leave it empty.
-
-        ``on_result(index, task, result)`` fires in *completion* order
-        as results arrive (the streaming hook behind campaign events);
-        it never affects the returned list.  On KeyboardInterrupt or
-        SystemExit every worker is terminated and reaped before the
-        exception propagates -- Ctrl-C never orphans workers.
-        """
-        try:
-            return self._map(tasks, deadline, on_result)
-        except (KeyboardInterrupt, SystemExit):
-            self.terminate()
-            raise
-
-    def _map(
-        self,
-        tasks: Sequence[Any],
-        deadline: Optional[float],
-        on_result: Optional[Callable[[int, Any, Any], None]],
-    ) -> List[Optional[Any]]:
-        supervisor = self.supervisor
-        if supervisor is not None:
-            supervisor.begin_map()
-        timeout = (
-            supervisor.policy.task_timeout if supervisor is not None else None
-        )
-        results: List[Optional[Any]] = [None] * len(tasks)
-        active: Dict[Any, int] = {}
-        started: Dict[Any, float] = {}
-        retries: List[Tuple[float, int]] = []  # (ready_at, index)
-        next_task = 0
-
-        def pending_work(now: float) -> bool:
-            return bool(retries) or next_task < len(tasks)
-
-        def dispatch(connection) -> None:
-            nonlocal next_task
-            now = time.monotonic()
-            while True:
-                if retries and retries[0][0] <= now:
-                    index = retries.pop(0)[1]
-                elif next_task < len(tasks):
-                    index = next_task
-                    next_task += 1
-                    if deadline is not None and now >= deadline:
-                        continue  # skipped: stays None
-                else:
-                    return
-                connection.send((index, tasks[index]))
-                active[connection] = index
-                started[connection] = now
-                return
-
-        def ensure_capacity() -> None:
-            """Fork a replacement worker when failures emptied the band
-            but work remains (supervised pools only, bounded)."""
-            if supervisor is None or self.connections:
-                return
-            if not pending_work(time.monotonic()):
-                return
-            if not supervisor.respawn_allowed(self._initial_workers):
-                return
-            supervisor.worker_respawned()
-            self.spawn_worker()
-
-        def handle_failure(connection, verdict_fn) -> None:
-            """Shared death/timeout bookkeeping: retire the connection,
-            then retry (with backoff) or quarantine its task."""
-            index = active.pop(connection)
-            started.pop(connection, None)
-            if supervisor is None:
-                retries.append((0.0, index))
-                return
-            if verdict_fn(index, tasks[index]) == "retry":
-                delay = supervisor.backoff_delay(index)
-                supervisor.task_retried(index, tasks[index], delay)
-                retries.append((time.monotonic() + delay, index))
-                retries.sort()
-            # quarantine: the slot stays None, recorded by the supervisor.
-
-        for connection in list(self.connections):
-            dispatch(connection)
-        while active or retries:
-            if not active:
-                # Only backoff-delayed retries remain: sleep until the
-                # first is ready, then feed an idle (possibly respawned)
-                # worker.
-                ensure_capacity()
-                idle = [c for c in self.connections if c not in active]
-                if not idle:
-                    break  # no workers and no respawn budget: stay None
-                wait = max(0.0, retries[0][0] - time.monotonic())
-                if wait:
-                    time.sleep(min(wait, 0.2))
-                for connection in idle:
-                    dispatch(connection)
-                continue
-            tick = 0.2
-            if timeout is not None:
-                now = time.monotonic()
-                expiries = [
-                    started[c] + timeout - now for c in active
-                ]
-                tick = max(0.01, min(0.2, min(expiries)))
-            ready = mp_connection.wait(list(active), timeout=tick)
-            for connection in ready:
-                try:
-                    index, ok, payload = connection.recv()
-                except (EOFError, OSError):
-                    # The worker died without replying: requeue its task
-                    # for a surviving worker (or quarantine poison).
-                    self.reap(connection)
-                    handle_failure(
-                        connection,
-                        supervisor.worker_died if supervisor else None,
-                    )
-                    ensure_capacity()
-                    continue
-                del active[connection]
-                started.pop(connection, None)
-                if not ok:
-                    raise RuntimeError(f"task {index} failed: {payload}")
-                results[index] = payload
-                if on_result is not None:
-                    on_result(index, tasks[index], payload)
-                dispatch(connection)
-            if timeout is not None:
-                now = time.monotonic()
-                for connection in [
-                    c
-                    for c, t0 in started.items()
-                    if c in active and now - t0 >= timeout
-                ]:
-                    # Watchdog: the task ran past its hard deadline; the
-                    # worker is wedged, kill it and retry the task.
-                    self.reap(connection)
-                    handle_failure(connection, supervisor.task_timed_out)
-                    ensure_capacity()
-            if not active:
-                # Workers may be idle after failures: hand them work.
-                for connection in [
-                    c for c in self.connections if c not in active
-                ]:
-                    dispatch(connection)
-        return results
-
-
 # ----------------------------------------------------------- BFS pool
 
 
-def _bfs_worker_main(conn) -> None:
+def _bfs_worker_main(conn, core: "CompiledSpec") -> None:
     """Worker loop: receive (delta_fps, frontier_shard, segments), expand,
     reply.
 
@@ -401,7 +68,6 @@ def _bfs_worker_main(conn) -> None:
     describe, so candidate fingerprints dedupe against every worker in
     real time (``--dedupe shared``; ``delta`` arrives empty).
     """
-    core: "CompiledSpec" = _HANDOFF
     seen: set = set()
     shared = None
     try:
@@ -435,17 +101,20 @@ def _bfs_worker_main(conn) -> None:
         conn.close()
 
 
-class WorkerPool(ForkPool):
+class WorkerPool:
     """A fixed band of forked BFS workers with per-worker pipes.
 
     Task/worker affinity is explicit (worker *i* always receives shard
     *i*), which is what lets each worker maintain an incrementally
     synchronized visited-fingerprint set instead of receiving the full
-    set every round.
+    set every round.  That private state is also why a lost worker
+    cannot be replaced mid-run: :meth:`round` turns the loss into a
+    truthful error instead.
     """
 
     def __init__(self, core: "CompiledSpec", workers: int):
-        super().__init__(_bfs_worker_main, core, workers)
+        self.band = ForkBand(workers, core, target=_bfs_worker_main)
+        self.rounds = 0
 
     def round(
         self,
@@ -453,21 +122,47 @@ class WorkerPool(ForkPool):
         frontier: List[Tuple[int, Tuple, int]],
         segments: Optional[Tuple[str, ...]] = None,
     ) -> List[Tuple[int, int, list]]:
-        """Expand one frontier layer; results arrive in frontier order."""
-        shard_count = len(self.connections)
-        base, extra = divmod(len(frontier), shard_count)
-        shards = []
-        cursor = 0
-        for index in range(shard_count):
-            size = base + (1 if index < extra else 0)
-            shards.append(frontier[cursor : cursor + size])
-            cursor += size
-        for connection, shard in zip(self.connections, shards):
-            connection.send((delta, shard, segments))
+        """Expand one frontier layer; results arrive in frontier order.
+
+        A worker found dead raises ``RuntimeError`` naming it, after the
+        survivors are reaped."""
+        self.rounds += 1
+        connections = self.band.connections
+        base, extra = divmod(len(frontier), len(connections))
         merged: List[Tuple[int, int, list]] = []
-        for connection in self.connections:
-            merged.extend(connection.recv())
+        index = cursor = 0
+        try:
+            for index, connection in enumerate(connections):
+                size = base + (1 if index < extra else 0)
+                connection.send((delta, frontier[cursor : cursor + size], segments))
+                cursor += size
+            for index, connection in enumerate(connections):
+                merged.extend(connection.recv())
+        except (EOFError, OSError) as error:
+            pid = self.band.pid(connections[index])
+            self.band.terminate()
+            raise RuntimeError(
+                f"BFS worker {index} (pid {pid}) died in round {self.rounds}"
+            ) from error
         return merged
+
+    def close(self) -> None:
+        self.band.close()
+
+
+# ------------------------------------------- violations across a pipe
+
+
+def _rebuild_violation(spec: "Specification", record: Tuple) -> Violation:
+    """Invariant predicates and specs hold closures, so a violation
+    crosses a pipe as ``(ident, instance, labels, initial values)`` and
+    the parent replays it back into a trace."""
+    ident, instance, labels, init_values = record
+    invariant = next(
+        inv for inv in spec.invariants if (inv.ident, inv.instance) == (ident, instance)
+    )
+    states = spec.replay(labels, State(spec.schema, init_values))
+    return Violation(invariant=invariant, trace=Trace(states=states, labels=list(labels)))
 
 
 # ------------------------------------------------------- sharded DFS
@@ -619,15 +314,14 @@ def run_dfs_sharded(engine: "ExplorationEngine") -> CheckResult:
                 shard_table.close()
             return out
 
-        pool = TaskPool(run_shard, workers)
+        backend = ForkBackend(run_shard, workers)
         try:
             deadline = None if time_left is None else time.monotonic() + time_left + 5.0
-            outcomes = pool.map(list(enumerate(shards)), deadline=deadline)
+            outcomes = backend.map(list(enumerate(shards)), deadline=deadline)
         finally:
-            pool.close()
+            backend.close()
 
         exhausted_all = True
-        by_key = {(inv.ident, inv.instance): inv for inv in spec.invariants}
         for outcome in outcomes:
             if outcome is None:
                 # Deadline-skipped or lost to a worker death: the shard's
@@ -649,15 +343,8 @@ def run_dfs_sharded(engine: "ExplorationEngine") -> CheckResult:
                 exhausted_all = False
             if result.violations:
                 continue  # first violation in shard order wins
-            for ident, instance, labels, init_values in outcome["violations"][:1]:
-                initial = State(spec.schema, init_values)
-                states = spec.replay(labels, initial)
-                result.violations.append(
-                    Violation(
-                        invariant=by_key[(ident, instance)],
-                        trace=Trace(states=states, labels=list(labels)),
-                    )
-                )
+            for record in outcome["violations"][:1]:
+                result.violations.append(_rebuild_violation(spec, record))
         result.completed = (
             exhausted_all
             and not result.violations
@@ -672,61 +359,19 @@ def run_dfs_sharded(engine: "ExplorationEngine") -> CheckResult:
 # ------------------------------------------------------ portfolio race
 
 
-def _encode_result(result: CheckResult) -> Dict[str, Any]:
-    """Reduce a CheckResult to picklable primitives (invariant predicates
-    and specs hold closures, so Violation objects cannot cross a pipe)."""
-    violations = []
-    for violation in result.violations:
-        trace = violation.trace
-        violations.append(
-            (
-                violation.invariant.ident,
-                violation.invariant.instance,
-                [label for label in trace.labels],
-                trace.initial.values,
-            )
+def _encode_result(result: CheckResult) -> CheckResult:
+    """A copy of ``result`` that can cross a pipe: each violation is
+    reduced to its :func:`_rebuild_violation` record."""
+    records = [
+        (
+            violation.invariant.ident,
+            violation.invariant.instance,
+            list(violation.trace.labels),
+            violation.trace.initial.values,
         )
-    return {
-        "spec_name": result.spec_name,
-        "states_explored": result.states_explored,
-        "transitions": result.transitions,
-        "max_depth": result.max_depth,
-        "elapsed_seconds": result.elapsed_seconds,
-        "completed": result.completed,
-        "budget_exhausted": result.budget_exhausted,
-        "violations": violations,
-    }
-
-
-def _decode_result(engine: "ExplorationEngine", payload: Dict[str, Any]) -> CheckResult:
-    spec = engine.spec
-    result = CheckResult(spec_name=payload["spec_name"])
-    result.states_explored = payload["states_explored"]
-    result.transitions = payload["transitions"]
-    result.max_depth = payload["max_depth"]
-    result.elapsed_seconds = payload["elapsed_seconds"]
-    result.completed = payload["completed"]
-    result.budget_exhausted = payload["budget_exhausted"]
-    by_key = {(inv.ident, inv.instance): inv for inv in spec.invariants}
-    for ident, instance, labels, init_values in payload["violations"]:
-        initial = State(spec.schema, init_values)
-        states = spec.replay(labels, initial)
-        result.violations.append(
-            Violation(
-                invariant=by_key[(ident, instance)],
-                trace=Trace(states=states, labels=list(labels)),
-            )
-        )
-    return result
-
-
-def _portfolio_contender_main(queue, tag: str) -> None:
-    engine: "ExplorationEngine" = _HANDOFF
-    try:
-        result = engine.run()
-        queue.put((tag, _encode_result(result)))
-    except Exception as error:  # pragma: no cover - surfaced to parent
-        queue.put((tag, {"error": repr(error)}))
+        for violation in result.violations
+    ]
+    return dataclasses.replace(result, violations=records)
 
 
 def run_portfolio(engine: "ExplorationEngine") -> CheckResult:
@@ -742,10 +387,6 @@ def run_portfolio(engine: "ExplorationEngine") -> CheckResult:
     territory the band has already covered cuts its walk short and
     respins somewhere fresh instead of re-walking known states.
     """
-    global _HANDOFF
-    context = mp.get_context("fork")
-    results_queue = context.Queue()
-    contenders = []
     table = None
     if engine.dedupe == "shared":
         from repro.checker import visited
@@ -763,50 +404,41 @@ def run_portfolio(engine: "ExplorationEngine") -> CheckResult:
         for _, contender_engine in specs:
             contender_engine._shared_visited = table.descriptors()
     start = time.monotonic()
-    for tag, contender in specs:
-        _HANDOFF = contender
-        try:
-            process = context.Process(
-                target=_portfolio_contender_main,
-                args=(results_queue, tag),
-                daemon=True,
-            )
-            process.start()
-        finally:
-            _HANDOFF = None
-        contenders.append(process)
-
+    # Worker i runs contender i: the "task" it is sent is its own index.
+    band = ForkBand(
+        len(specs), lambda index: _encode_result(specs[index][1].run())
+    )
     deadline = None if engine.max_time is None else start + engine.max_time + 5.0
     outcomes: Dict[str, CheckResult] = {}
     winner: Optional[CheckResult] = None
     try:
-        while len(outcomes) < len(specs):
+        waiting = {conn: tag for conn, (tag, _) in zip(band.connections, specs)}
+        for index, connection in enumerate(waiting):
+            band.send(connection, index, index)
+        # A contender that dies without reporting (killed, OOM, ...)
+        # just leaves the race; with nobody left, stop waiting.
+        while waiting and winner is None:
             if deadline is not None and time.monotonic() >= deadline:
                 break
-            try:
-                tag, payload = results_queue.get(timeout=1.0)
-            except pyqueue.Empty:
-                # No result yet; if every contender died without
-                # reporting (killed, OOM, ...), stop waiting instead of
-                # hanging on an unbounded get.
-                if not any(process.is_alive() for process in contenders):
+            for connection, frame in band.poll(1.0):
+                tag = waiting.pop(connection, None)
+                if tag is None or frame is None:
+                    continue
+                _, ok, payload = frame
+                if not ok:
+                    raise RuntimeError(
+                        f"portfolio contender {tag} failed: {payload}"
+                    )
+                payload.violations = [
+                    _rebuild_violation(engine.spec, record)
+                    for record in payload.violations
+                ]
+                outcomes[tag] = payload
+                if payload.found_violation:
+                    winner = outcomes[tag]
                     break
-                continue
-            if "error" in payload:
-                raise RuntimeError(
-                    f"portfolio contender {tag} failed: {payload['error']}"
-                )
-            outcomes[tag] = _decode_result(engine, payload)
-            if outcomes[tag].found_violation:
-                winner = outcomes[tag]
-                break
     finally:
-        for process in contenders:
-            if process.is_alive():
-                process.terminate()
-        for process in contenders:
-            process.join(timeout=2.0)
-        results_queue.close()
+        band.terminate()
         if table is not None:
             table.close()
 

@@ -671,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--backend", choices=["fork", "socket", "chaos"], default="fork",
-        help="execution backend: 'fork' (forked TaskPool workers, the "
+        help="execution backend: 'fork' (forked workers over pipes, the "
         "default), 'socket' (TCP worker subprocesses; reports are "
         "bitwise-identical across backends), or 'chaos' (the socket "
         "backend under seeded fault injection -- testing the harness)",

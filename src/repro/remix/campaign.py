@@ -6,7 +6,8 @@ a throughput-oriented engine: it enumerates a matrix of
 
     (direction) x (spec grain) x (scenario prefix) x (fault schedule) x (seed)
 
-cells, fans them across the fork-based :class:`TaskPool`, and merges the
+cells, fans them across an execution backend
+(:mod:`repro.checker.backends`), and merges the
 per-cell findings into one deduplicated, fingerprint-keyed report.
 
 The *direction* axis covers the paper's two conformance methodologies:
@@ -59,7 +60,7 @@ Two optional stages turn the detector into a budget-aware repro factory:
 - ``shrink=True`` adds a post-merge minimization stage: each distinct
   finding's first witnessing trace is rebuilt from the metadata stored
   in the finding (scenario prefix + fault schedule + suffix seed/steps),
-  then delta-debugged across the same :class:`TaskPool` under a
+  then delta-debugged across the same backend under a
   :class:`~repro.remix.minimize.ConformanceOracle` that accepts a
   candidate iff it reproduces the *same* fingerprint.  The result is a
   ``min_trace`` (replayable labels + length) attached to the finding.
@@ -364,7 +365,7 @@ def run_cell(job: CampaignJob, config: ZkConfig) -> Dict[str, Any]:
     """Execute one matrix cell; returns a plain-JSON-able cell record.
 
     This is the campaign's worker function: it runs identically inline
-    and inside a forked :class:`TaskPool` worker.
+    and inside a forked or socket worker.
     """
     plugin = system_plugin(job.system)
     spec = cached_spec(job.grain, config, system=job.system)
@@ -441,7 +442,7 @@ def run_validation_cell(job: CampaignJob, config: ZkConfig) -> Dict[str, Any]:
     reduce the outcomes to the same fingerprinted finding schema.
 
     Like :func:`run_cell` it runs identically inline and inside a forked
-    :class:`TaskPool` worker; the explorer seed is derived from the cell
+    or socket worker; the explorer seed is derived from the cell
     coordinates, so the cell is a pure function of ``(job, config)`` and
     worker count never changes the merged report.
     """

@@ -1,9 +1,10 @@
-"""Execution backends: the inline reference implementation, the fork
-pool wrapper, the socket backend's wire protocol and worker-loss
-reassignment, and the acceptance bar -- socket and fork campaigns are
-bitwise-identical at a fixed seed."""
+"""Execution backends: one contract over the inline reference, the fork
+band and the TCP band (and both bands under chaos), the ``close()``
+escalation ladder, and the acceptance bar -- socket and fork campaigns
+are bitwise-identical at a fixed seed."""
 
 import json
+import os
 import time
 
 import pytest
@@ -15,13 +16,20 @@ from repro.checker.backends import (
     create_backend,
     resolve_handler,
 )
-from repro.checker.backends.sockets import SocketBackend
+from repro.checker.backends.fork import ForkBackend, ForkBand
+from repro.checker.backends.sockets import SocketBackend, TcpBand
+from repro.checker.backends.supervision import SupervisionPolicy, TaskSupervisor
+from repro.checker.backends.testing import chaos_backend
 from repro.remix.campaign import CampaignRequest, run_campaign
 
 ECHO = "repro.checker.backends.testing:echo"
 ADD_ONE = "repro.checker.backends.testing:add_one"
 BOOM = "repro.checker.backends.testing:boom"
 DIE_ONCE = "repro.checker.backends.testing:die_once"
+DIE_ALWAYS = "repro.checker.backends.testing:die_always"
+SLEEPY = "repro.checker.backends.testing:sleepy"
+HOLD = "repro.checker.backends.testing:hold"
+HOLD_IGNORING_SIGTERM = "repro.checker.backends.testing:hold_ignoring_sigterm"
 
 
 class TestResolveHandler:
@@ -91,66 +99,201 @@ class TestCreateBackend:
         assert BACKENDS == ("fork", "socket", "chaos")
 
 
-@pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
-class TestSocketBackend:
-    def test_map_returns_in_task_order(self):
-        backend = SocketBackend(ADD_ONE, workers=2)
-        try:
-            tasks = [{"value": n} for n in range(10)]
-            results = backend.map(tasks)
-            assert results == [{"value": n + 1} for n in range(10)]
-            # a second map on the same connections works too
-            assert backend.map([{"value": 41}]) == [{"value": 42}]
-        finally:
-            backend.close()
+#: Every way to run a task: in the caller, over the pipe band, over the
+#: TCP band -- and both bands again under the chaos decorator.
+KINDS = ("inline", "fork", "socket")
+WORKER_KINDS = ("fork", "socket")
+CHAOS_KINDS = ("chaos-fork", "chaos-tcp")
 
-    def test_on_result_sees_every_index(self):
-        seen = set()
-        backend = SocketBackend(ECHO, workers=2)
-        try:
-            backend.map(
-                [{"value": n} for n in range(8)],
-                on_result=lambda i, task, result: seen.add(i),
+
+@pytest.fixture
+def make_backend():
+    """Build a backend by kind; everything built is closed afterwards."""
+    built = []
+
+    def make(kind, handler, workers=2, supervisor=None, **chaos):
+        if kind == "inline":
+            backend = InlineBackend(handler)
+        elif kind in WORKER_KINDS:
+            cls = ForkBackend if kind == "fork" else SocketBackend
+            backend = cls(handler, workers, supervisor=supervisor)
+        else:
+            cls = ForkBackend if kind == "chaos-fork" else SocketBackend
+            backend = chaos_backend(
+                cls, handler, workers, supervisor=supervisor, **chaos
             )
-            assert seen == set(range(8))
-        finally:
-            backend.close()
+        built.append(backend)
+        return backend
 
-    def test_task_error_surfaces_as_runtime_error(self):
-        backend = SocketBackend(BOOM, workers=1)
-        try:
-            with pytest.raises(RuntimeError, match="boom: 3"):
-                backend.map([{"value": 3, "raise": True}])
-        finally:
-            backend.close()
+    yield make
+    for backend in built:
+        backend.close()
 
+
+@pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
+class TestBackendContract:
+    """One contract, whatever runs the task: the same cases over the
+    inline backend, the fork band and the TCP band (one dispatch loop),
+    and -- where faults apply -- over both bands under chaos."""
+
+    @pytest.mark.parametrize("kind", KINDS + CHAOS_KINDS)
+    def test_results_in_task_order_and_band_is_reusable(self, make_backend, kind):
+        backend = make_backend(kind, ADD_ONE, chaos_seed=5)
+        tasks = [{"value": n} for n in range(10)]
+        assert backend.map(tasks) == [{"value": n + 1} for n in range(10)]
+        # a second map on the same workers works too
+        assert backend.map([{"value": 41}]) == [{"value": 42}]
+
+    def test_fork_handler_may_be_a_closure(self, make_backend):
+        backend = make_backend("fork", lambda task: task * task, workers=3)
+        assert backend.map(list(range(17))) == [i * i for i in range(17)]
+
+    @pytest.mark.parametrize("kind", KINDS + CHAOS_KINDS)
+    def test_on_result_sees_every_index_once(self, make_backend, kind):
+        seen = []
+        backend = make_backend(kind, ECHO, chaos_seed=6)
+        backend.map(
+            [{"value": n} for n in range(8)],
+            on_result=lambda i, task, result: seen.append((i, result)),
+        )
+        assert sorted(seen) == [(n, {"value": n}) for n in range(8)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_past_deadline_skips_every_task(self, make_backend, kind):
+        backend = make_backend(kind, ECHO)
+        results = backend.map(
+            [{"value": n} for n in range(4)], deadline=time.monotonic() - 1
+        )
+        assert results == [None, None, None, None]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_task_error_surfaces_as_runtime_error(self, make_backend, kind):
+        backend = make_backend(kind, BOOM)
+        with pytest.raises(
+            RuntimeError, match=r"task 0 failed: ValueError\('boom: 3'\)"
+        ):
+            backend.map([{"value": 3, "raise": True}])
+
+    @pytest.mark.parametrize("kind", WORKER_KINDS)
+    def test_worker_loss_reassigns_task(self, make_backend, kind, tmp_path):
+        marker = tmp_path / "died"
+        backend = make_backend(kind, DIE_ONCE)
+        tasks = [{"value": n} for n in range(6)]
+        tasks[2] = {"value": 2, "marker": str(marker)}
+        results = backend.map(tasks)
+        assert marker.exists(), "the marked task must kill a worker"
+        assert [r["value"] for r in results] == list(range(6))
+        assert results[2]["retried"] is True
+
+    @pytest.mark.parametrize("kind", WORKER_KINDS)
+    def test_poison_task_quarantined_not_fatal(self, make_backend, kind):
+        sup = TaskSupervisor(SupervisionPolicy(quarantine_after=2, backoff=0.01))
+        backend = make_backend(kind, DIE_ALWAYS, supervisor=sup)
+        tasks = [{"value": n, "poison": n == 1} for n in range(4)]
+        results = backend.map(tasks)
+        assert results[1] is None  # quarantined, not retried forever
+        assert [r["value"] for n, r in enumerate(results) if n != 1] == [0, 2, 3]
+        assert sup.quarantined
+        assert sup.worker_deaths == 2
+
+    @pytest.mark.parametrize("kind", WORKER_KINDS)
+    def test_poison_without_a_supervisor_does_not_hang_map(self, make_backend, kind):
+        """Every map is supervised: the default policy quarantines the
+        task that kills each worker it lands on; completed results
+        survive."""
+        backend = make_backend(kind, DIE_ALWAYS)
+        results = backend.map([{"value": "ok", "poison": False}, {"value": "die"}])
+        assert results[0] == {"value": "ok"}
+        assert results[1] is None
+        assert list(backend.supervisor.quarantined) == ["task-1"]
+
+    @pytest.mark.parametrize("kind", WORKER_KINDS)
+    def test_watchdog_kills_and_retries_hung_task(self, make_backend, kind):
+        sup = TaskSupervisor(
+            SupervisionPolicy(
+                task_timeout=0.3, max_retries=1, quarantine_after=9,
+                backoff=0.01,
+            )
+        )
+        backend = make_backend(kind, SLEEPY, supervisor=sup)
+        results = backend.map([{"value": 0, "sleep": 30.0}, {"value": 1}])
+        assert results[0] is None  # timed out, retried, timed out: quarantined
+        assert results[1] == {"value": 1}
+        assert (sup.timeouts, sup.retries) == (2, 1)
+        assert sup.quarantined
+
+    @pytest.mark.parametrize("kind", CHAOS_KINDS)
+    def test_duplicate_result_frames_written_once(self, make_backend, kind):
+        seen = []
+        backend = make_backend(
+            kind, ADD_ONE, kill_rate=0.0, drop_rate=0.0, delay_rate=0.0,
+            dup_rate=1.0,
+        )
+        tasks = [{"value": n} for n in range(12)]
+        results = backend.map(
+            tasks, on_result=lambda i, task, result: seen.append(i)
+        )
+        assert backend.band.injected["dups"] == 12
+        assert results == [{"value": n + 1} for n in range(12)]
+        assert sorted(seen) == list(range(12))
+        # the late duplicates of this map must not alias the next one
+        again = [{"value": 100 + n} for n in range(12)]
+        assert backend.map(again) == [{"value": 101 + n} for n in range(12)]
+
+
+class TestSocketBackend:
     def test_callable_handler_rejected(self):
         with pytest.raises(ValueError, match="spec"):
             SocketBackend(len, workers=1)
 
-    def test_worker_loss_reassigns_task(self, tmp_path):
-        marker = tmp_path / "died"
-        backend = SocketBackend(DIE_ONCE, workers=2)
-        try:
-            tasks = [{"value": n} for n in range(6)]
-            tasks[2] = {"value": 2, "marker": str(marker)}
-            results = backend.map(tasks)
-            assert marker.exists(), "the marked task must kill a worker"
-            assert [r["value"] for r in results] == list(range(6))
-            assert results[2]["retried"] is True
-        finally:
-            backend.close()
 
-    def test_deadline_skips_undispatched(self):
-        backend = SocketBackend(ECHO, workers=1)
+@pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
+class TestCloseEscalation:
+    """``close()`` on a band whose worker is stuck inside a task: the
+    farewell frame is never read, so the exit -> SIGTERM -> SIGKILL
+    ladder has to finish the job, and nothing may outlive it."""
+
+    @staticmethod
+    def busy_band(kind, handler, marker, shutdown_grace, term_grace):
+        if kind == "fork":
+            band = ForkBand(1, resolve_handler(handler))
+        else:
+            band = TcpBand(handler, 1)
+        band.shutdown_grace = shutdown_grace
+        band.term_grace = term_grace
         try:
-            results = backend.map(
-                [{"value": n} for n in range(4)],
-                deadline=time.monotonic() - 1,
-            )
-            assert results == [None, None, None, None]
-        finally:
-            backend.close()
+            assert band.await_worker()
+            band.send(band.connections[0], 0, {"marker": str(marker)})
+            patience = time.monotonic() + 30.0
+            while not marker.exists() or not marker.read_text():
+                assert time.monotonic() < patience, "worker never started"
+                time.sleep(0.01)
+        except BaseException:
+            band.terminate()
+            raise
+        return band, int(marker.read_text())
+
+    @pytest.mark.parametrize("kind", ("fork", "tcp"))
+    def test_busy_worker_exits_on_sigterm(self, kind, tmp_path):
+        band, pid = self.busy_band(kind, HOLD, tmp_path / "in", 0.2, 20.0)
+        started = time.monotonic()
+        band.close()
+        elapsed = time.monotonic() - started
+        assert 0.2 <= elapsed < 20.0  # waited one grace, never needed SIGKILL
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    @pytest.mark.parametrize("kind", ("fork", "tcp"))
+    def test_sigterm_proof_worker_needs_sigkill(self, kind, tmp_path):
+        band, pid = self.busy_band(
+            kind, HOLD_IGNORING_SIGTERM, tmp_path / "in", 0.2, 0.3
+        )
+        started = time.monotonic()
+        band.close()
+        assert time.monotonic() - started >= 0.5  # both graces were spent
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+        band.close()  # idempotent
 
 
 @pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")

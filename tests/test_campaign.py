@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.checker import parallel
-from repro.checker.parallel import TaskPool
 from repro.remix import spec_cache
 from repro.remix.campaign import (
     CampaignJob,
@@ -587,52 +586,3 @@ class TestScenarioIndex:
         )
         schedule.inject(scenario, 2, 0)
         assert scenario.labels[-1].args == {"pair": (0, 2)}
-
-
-@pytest.mark.skipif(not parallel.available(), reason="needs fork")
-class TestTaskPool:
-    def test_map_preserves_task_order(self):
-        pool = TaskPool(lambda task: task * task, workers=3)
-        try:
-            assert pool.map(list(range(17))) == [i * i for i in range(17)]
-        finally:
-            pool.close()
-
-    def test_deadline_skips_remaining_tasks(self):
-        import time
-
-        pool = TaskPool(lambda task: task, workers=2)
-        try:
-            results = pool.map([1, 2, 3], deadline=time.monotonic() - 1.0)
-        finally:
-            pool.close()
-        assert results == [None, None, None]
-
-    def test_worker_error_surfaces(self):
-        def boom(task):
-            raise ValueError(f"bad task {task}")
-
-        pool = TaskPool(boom, workers=2)
-        try:
-            with pytest.raises(RuntimeError, match="task 0 failed"):
-                pool.map([1])
-        finally:
-            pool.close()
-
-    def test_dead_worker_does_not_hang_map(self):
-        import os
-
-        def sometimes_die(task):
-            if task == "die":
-                os._exit(1)
-            return task
-
-        pool = TaskPool(sometimes_die, workers=2)
-        try:
-            results = pool.map(["ok", "die"])
-        finally:
-            pool.close()
-        # The poisoned task kills every worker it is requeued onto and
-        # comes back None; completed results survive.
-        assert results[0] == "ok"
-        assert results[1] is None

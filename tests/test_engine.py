@@ -3,8 +3,10 @@ kernel-vs-reference-expander differential (guard, outcome and invariant
 memoization soundness), parallel determinism, portfolio racing, budgets,
 and shrink round-trips on engine-produced traces."""
 
+import os
 import pickle
 import random
+import signal
 import warnings
 
 import pytest
@@ -18,6 +20,7 @@ from repro.checker import (
     shrink_trace,
     violation_predicate,
 )
+from repro.checker import parallel
 from repro.checker.engine import STRATEGIES, CompiledSpec, compiled_for
 from repro.checker.fingerprint import FingerprintError, canonical_bytes
 from repro.tla.action import Action
@@ -250,6 +253,30 @@ class TestParallelDeterminism:
         assert [
             (v.invariant.full_name, v.depth) for v in seq.violations
         ] == [(v.invariant.full_name, v.depth) for v in par.violations]
+
+    @pytest.mark.skipif(not parallel.available(), reason="needs fork")
+    def test_dead_bfs_worker_is_a_truthful_error(self, monkeypatch):
+        """SIGKILL one BFS worker before round 3: the run must end in an
+        error naming the worker and the round -- not a bare EOFError from
+        inside multiprocessing -- with every sibling reaped."""
+        pids = []
+        healthy_round = parallel.WorkerPool.round
+
+        def sabotaged_round(pool, *args):
+            if pool.rounds == 2:
+                pids.extend(pool.band.pid(c) for c in pool.band.connections)
+                os.kill(pids[0], signal.SIGKILL)
+            return healthy_round(pool, *args)
+
+        monkeypatch.setattr(parallel.WorkerPool, "round", sabotaged_round)
+        with pytest.raises(
+            RuntimeError, match=r"BFS worker 0 \(pid \d+\) died in round 3"
+        ) as caught:
+            ExplorationEngine(counter_spec(max_x=8, y_bound=99), workers=2).run()
+        assert len(pids) == 2 and f"pid {pids[0]}" in str(caught.value)
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     @pytest.mark.slow
     def test_zookeeper_violation_workers_agree(self):

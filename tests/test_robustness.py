@@ -27,7 +27,7 @@ from repro.checker.backends.supervision import (
     SupervisionPolicy,
     TaskSupervisor,
 )
-from repro.checker.backends.testing import ChaosSocketBackend
+from repro.checker.backends.testing import chaos_backend
 from repro.remix.campaign import CampaignRequest, clean_degraded, run_campaign
 from repro.remix.journal import (
     CampaignJournal,
@@ -37,8 +37,6 @@ from repro.remix.journal import (
 )
 
 ADD_ONE = "repro.checker.backends.testing:add_one"
-DIE_ALWAYS = "repro.checker.backends.testing:die_always"
-SLEEPY = "repro.checker.backends.testing:sleepy"
 
 #: A small but non-trivial campaign: two scenarios, a crash lane, both
 #: directions -- enough cells to interrupt halfway through.
@@ -125,59 +123,11 @@ class TestSupervisionPolicy:
         assert sup.snapshot() == clean_degraded()["supervision"]
 
 
-@pytest.mark.skipif(not parallel.available(), reason="needs fork")
-class TestForkSupervision:
-    def test_poison_task_quarantined_not_fatal(self):
-        sup = TaskSupervisor(
-            SupervisionPolicy(quarantine_after=2, backoff=0.01)
-        )
-        backend = ForkBackend(DIE_ALWAYS, workers=2, supervisor=sup)
-        try:
-            tasks = [{"value": n, "poison": n == 1} for n in range(4)]
-            results = backend.map(tasks)
-            assert results[1] is None  # quarantined, not retried forever
-            assert [r["value"] for n, r in enumerate(results) if n != 1] == [
-                0, 2, 3,
-            ]
-            assert sup.quarantined
-        finally:
-            backend.close()
-
-    def test_watchdog_kills_and_retries_hung_task(self):
-        sup = TaskSupervisor(
-            SupervisionPolicy(
-                task_timeout=0.3, max_retries=0, quarantine_after=1,
-                backoff=0.01,
-            )
-        )
-        backend = ForkBackend(SLEEPY, workers=2, supervisor=sup)
-        try:
-            tasks = [{"value": 0, "sleep": 30.0}, {"value": 1}]
-            results = backend.map(tasks)
-            assert results[0] is None  # timed out, then quarantined
-            assert results[1] == {"value": 1}
-            assert sup.timeouts >= 1
-        finally:
-            backend.close()
-
-
 @pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
 class TestSocketSupervision:
-    def test_poison_task_quarantined_not_fatal(self):
-        sup = TaskSupervisor(
-            SupervisionPolicy(quarantine_after=2, backoff=0.01)
-        )
-        backend = SocketBackend(DIE_ALWAYS, workers=2, supervisor=sup)
-        try:
-            tasks = [{"value": n, "poison": n == 1} for n in range(4)]
-            results = backend.map(tasks)
-            assert results[1] is None
-            assert [r["value"] for n, r in enumerate(results) if n != 1] == [
-                0, 2, 3,
-            ]
-            assert sup.quarantined
-        finally:
-            backend.close()
+    """What only the TCP band has: the hello/auth handshake.  (Poison,
+    watchdog and retry cases are band-independent and live in
+    ``test_backends.py::TestBackendContract``.)"""
 
     def test_auth_token_gates_workers(self):
         backend = SocketBackend(ADD_ONE, workers=2, auth_token="sesame")
@@ -359,46 +309,51 @@ class TestKillAndResume:
 class TestChaosLane:
     """Fault-inject the harness itself; the report must not notice."""
 
+    BANDS = (ForkBackend, SocketBackend)
+
     def test_chaos_backend_results_survive_faults(self):
-        backend = ChaosSocketBackend(
-            ADD_ONE, workers=2, chaos_seed=123,
-            kill_rate=0.2, drop_rate=0.1, delay_rate=0.3, delay=0.005,
-            dup_rate=0.2,
-        )
-        try:
-            tasks = [{"value": n} for n in range(30)]
-            results = backend.map(tasks)
-            assert results == [{"value": n + 1} for n in range(30)]
-            assert sum(backend.injected.values()) > 0, (
-                "seed 123 must actually inject faults"
+        for backend_cls in self.BANDS:
+            backend = chaos_backend(
+                backend_cls, ADD_ONE, workers=2, chaos_seed=123,
+                kill_rate=0.2, drop_rate=0.1, delay_rate=0.3, delay=0.005,
+                dup_rate=0.2,
             )
-        finally:
-            backend.close()
+            try:
+                tasks = [{"value": n} for n in range(30)]
+                results = backend.map(tasks)
+                assert results == [{"value": n + 1} for n in range(30)]
+                assert sum(backend.band.injected.values()) > 0, (
+                    "seed 123 must actually inject faults"
+                )
+            finally:
+                backend.close()
 
     def test_hang_rate_requires_watchdog(self):
         with pytest.raises(ValueError, match="task_timeout"):
-            ChaosSocketBackend(ADD_ONE, workers=1, hang_rate=0.5)
+            chaos_backend(SocketBackend, ADD_ONE, workers=1, hang_rate=0.5)
 
     def test_hung_frames_rescued_by_watchdog(self):
-        sup = TaskSupervisor(
-            SupervisionPolicy(
-                task_timeout=0.3, max_retries=10_000,
-                quarantine_after=10_000, max_respawns=10_000, backoff=0.01,
+        for backend_cls in self.BANDS:
+            sup = TaskSupervisor(
+                SupervisionPolicy(
+                    task_timeout=0.3, max_retries=10_000,
+                    quarantine_after=10_000, max_respawns=10_000,
+                    backoff=0.01,
+                )
             )
-        )
-        backend = ChaosSocketBackend(
-            ADD_ONE, workers=2, chaos_seed=123,
-            kill_rate=0.0, drop_rate=0.0, delay_rate=0.0, dup_rate=0.0,
-            hang_rate=0.5, supervisor=sup,
-        )
-        try:
-            tasks = [{"value": n} for n in range(8)]
-            assert backend.map(tasks) == [
-                {"value": n + 1} for n in range(8)
-            ]
-            assert backend.injected["hangs"] > 0
-        finally:
-            backend.close()
+            backend = chaos_backend(
+                backend_cls, ADD_ONE, workers=2, chaos_seed=123,
+                kill_rate=0.0, drop_rate=0.0, delay_rate=0.0, dup_rate=0.0,
+                hang_rate=0.5, supervisor=sup,
+            )
+            try:
+                tasks = [{"value": n} for n in range(8)]
+                assert backend.map(tasks) == [
+                    {"value": n + 1} for n in range(8)
+                ]
+                assert backend.band.injected["hangs"] > 0
+            finally:
+                backend.close()
 
     def test_campaign_report_identical_under_chaos(self):
         """The differential lane: a chaos campaign's findings and cells
@@ -424,5 +379,44 @@ class TestChaosLane:
             "retries", "timeouts", "worker_deaths", "respawns", "quarantined",
         }
         assert supervision["quarantined"] == []
+        assert degraded["quarantined_cells"] == []
+        assert degraded["skipped_cells"] == []
+
+    def test_campaign_report_identical_under_chaos_over_fork(self, monkeypatch):
+        """The same decorator over the pipe band: composed in Python
+        (``--backend chaos`` keeps meaning TCP), same differential."""
+        from repro.remix import campaign as campaign_module
+
+        built = []
+
+        def chaos_over_fork(name, handler, workers, **options):
+            built.append(
+                # seed 230 with no drops: the kill draws fall on sends 2,
+                # 22, 38 -- never twice on one cell's retries, which the
+                # campaign's quarantine_after=2 would (rightly) report
+                chaos_backend(
+                    ForkBackend, handler, workers, chaos_seed=230,
+                    kill_rate=0.1, drop_rate=0.0, dup_rate=0.2, **options
+                )
+            )
+            return built[-1]
+
+        clean = run_campaign(
+            CampaignRequest(**CAMPAIGN_KW, backend="fork")
+        ).to_json()
+        monkeypatch.setattr(campaign_module, "create_backend", chaos_over_fork)
+        chaos = run_campaign(
+            CampaignRequest(**CAMPAIGN_KW, backend="fork", task_retries=100)
+        ).to_json()
+        degraded = chaos.pop("degraded")
+        assert clean.pop("degraded") == clean_degraded()
+        assert report_identity(chaos) == report_identity(clean)
+        # truthfulness: every kill is a death, a retry and a respawn
+        kills = built[0].band.injected["kills"]
+        assert kills > 0
+        supervision = degraded["supervision"]
+        assert supervision["worker_deaths"] == kills
+        assert supervision["retries"] == kills
+        assert supervision["respawns"] == kills
         assert degraded["quarantined_cells"] == []
         assert degraded["skipped_cells"] == []
