@@ -4,14 +4,16 @@ Statically validates the promises a :class:`repro.system.plugin.
 SystemPlugin` makes to the campaign machinery: grains compose, scenario
 prefixes script real actions, fault schedules resolve, compared
 variables exist in every grain, the spec-cache source digest covers
-every module the specs actually depend on, budgets name real actions
-and configurations round-trip through report metadata.
+every module the specs actually depend on, budgets name real actions,
+configurations round-trip through report metadata and the
+implementation ensemble honours the ``clone()`` contract.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding, make_finding
@@ -25,6 +27,7 @@ from repro.system.plugin import (
     Scenario,
     SystemPlugin,
 )
+from repro.tla.action import ActionLabel
 from repro.tla.spec import Specification
 
 _ROLES = frozenset(
@@ -402,6 +405,155 @@ def check_config_roundtrip(
     return []
 
 
+def _shareable(value: Any) -> bool:
+    """True for a value a clone may share with its original: ``None``
+    and anything hashable *by value* (numbers, strings, tuples and
+    frozensets of such, frozen dataclasses, ``Rec``/``Txn``/``Zxid``).
+    Lists, sets, dicts, deques and plain objects are not."""
+    if value is None:
+        return True
+    if type(value).__hash__ in (None, object.__hash__):
+        return False
+    try:
+        hash(value)
+    except TypeError:  # e.g. a tuple holding a set
+        return False
+    return True
+
+
+def _fields(value: Any) -> Dict[Any, Any]:
+    """The attributes of a plain object (``__dict__`` and ``__slots__``)."""
+    fields = dict(getattr(value, "__dict__", {}))
+    for cls in type(value).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            if hasattr(value, name):
+                fields[name] = getattr(value, name)
+    return fields
+
+
+def clone_defects(original: Any, clone: Any) -> List[Tuple[str, str]]:
+    """``(path, problem)`` wherever ``clone`` is not an independent,
+    equal copy of ``original``: a mutable container or object shared by
+    identity, a missing field, a differing value, or aliasing inside
+    ``original`` (every node pointing at the one network) that the clone
+    does not reproduce among its own objects."""
+    defects: List[Tuple[str, str]] = []
+    twin_of: Dict[int, Any] = {}
+
+    def walk(path: str, a: Any, b: Any) -> None:
+        if _shareable(a):
+            if a != b:
+                defects.append((path, f"is {b!r}, the original has {a!r}"))
+            return
+        if id(a) in twin_of:
+            if twin_of[id(a)] is not b:
+                defects.append(
+                    (path, "does not point at the clone's own copy")
+                )
+            return
+        twin_of[id(a)] = b
+        if a is b:
+            defects.append(
+                (path, f"{type(a).__name__} is shared with the original")
+            )
+            return
+        if type(a) is not type(b):
+            defects.append(
+                (path, f"is a {type(b).__name__}, not a {type(a).__name__}")
+            )
+            return
+        if isinstance(a, set):  # elements are hashable, so shareable
+            if a != b:
+                defects.append((path, f"is {b!r}, the original has {a!r}"))
+            return
+        if isinstance(a, dict):
+            ours, theirs = a, b
+        elif isinstance(a, (list, tuple, deque)):
+            ours, theirs = dict(enumerate(a)), dict(enumerate(b))
+        else:
+            ours, theirs = _fields(a), _fields(b)
+        if ours.keys() != theirs.keys():
+            odd = sorted(map(repr, ours.keys() ^ theirs.keys()))
+            defects.append((path, f"entries {', '.join(odd)} do not pair up"))
+        for key, value in ours.items():
+            if key in theirs:
+                walk(f"{path}.{key}", value, theirs[key])
+
+    walk(type(original).__name__, original, clone)
+    return defects
+
+
+def _step_a_clone(
+    plugin: SystemPlugin, specs: Dict[str, Specification], ensemble: Any
+) -> Optional[ActionLabel]:
+    """Step a clone of ``ensemble`` through the first mapped action that
+    applies to it; the label stepped, or None when none applies."""
+    for grain, spec in specs.items():
+        try:
+            mapping = plugin.make_mapping(grain)
+        except Exception:  # already a C01 finding
+            continue
+        for inst in spec.action_instances():
+            mapped = mapping.lookup(inst.label)
+            if mapped is not None and mapped.step(
+                ensemble.clone(), inst.label
+            ):
+                return inst.label
+    return None
+
+
+def check_clone_contract(
+    system: str,
+    plugin: SystemPlugin,
+    config: Any,
+    specs: Dict[str, Specification],
+) -> List[Finding]:
+    """C08: the ensemble's ``clone()`` is an independent, equal copy."""
+    file, line = _plugin_location(plugin)
+
+    def finding(message: str, variable: str = "") -> Finding:
+        return make_finding(
+            "C08", system, "ensemble", message,
+            variable=variable, file=file, line=line,
+        )
+
+    try:
+        ensemble = plugin.ensemble_factory(config)()
+        before = ensemble.snapshot()
+        clone = ensemble.clone()
+        after = clone.snapshot()
+    except Exception as exc:
+        return [
+            finding(
+                "ensemble_factory(config)().clone() / .snapshot() "
+                f"raised: {exc!r}"
+            )
+        ]
+    findings = [
+        finding(f"clone(): {path} {problem}", variable=path)
+        for path, problem in clone_defects(ensemble, clone)
+    ]
+    if after != before:
+        findings.append(
+            finding("the clone's snapshot() differs from the original's")
+        )
+    # One real step on a clone must leave the original where it was.
+    try:
+        label = _step_a_clone(plugin, specs, ensemble)
+    except Exception as exc:
+        findings.append(finding(f"stepping a clone raised: {exc!r}"))
+    else:
+        if label is not None and ensemble.snapshot() != before:
+            findings.append(
+                finding(
+                    f"stepping a clone through {label} changed the "
+                    "original's snapshot(): probe mutations would leak "
+                    "into committed bottom-up runs"
+                )
+            )
+    return findings
+
+
 def check_plugin(
     system: str,
     plugin: SystemPlugin,
@@ -420,4 +572,5 @@ def check_plugin(
     findings.extend(check_source_coverage(system, plugin, modules))
     findings.extend(check_budgets(system, plugin, config, actions))
     findings.extend(check_config_roundtrip(system, plugin, config))
+    findings.extend(check_clone_contract(system, plugin, config, specs))
     return findings

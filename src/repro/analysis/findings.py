@@ -129,6 +129,12 @@ RULES: Dict[str, Rule] = {
             "C07", "config-roundtrip", WARNING,
             "config_meta / config_from_meta do not round-trip",
         ),
+        Rule(
+            "C08", "clone-contract", ERROR,
+            "the implementation ensemble's clone() is missing, unequal "
+            "to the original or shares mutable state with it, so "
+            "bottom-up probes would leak into committed runs",
+        ),
     )
 }
 

@@ -7,7 +7,9 @@ conformance`) -- and collects the findings into one
 :class:`~repro.analysis.findings.LintReport`.
 
 Everything here is static: grains are *composed* (that much runs
-plugin code), but no action is ever applied and no state is explored.
+plugin code), but no model action is ever applied and no state is
+explored.  The one dynamic check is C08, which builds one fresh
+implementation ensemble and steps a clone of it once.
 """
 
 from __future__ import annotations

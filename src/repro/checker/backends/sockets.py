@@ -302,10 +302,16 @@ class TcpBand(WorkerBand):
         return self.workers - self._live_processes() if self._spawn else 0
 
     def kill(self, conn: JsonLineConnection) -> bool:
-        """Via the hello pid; external workers are out of reach."""
+        """Via the hello pid; external workers are out of reach.
+
+        Reaps before returning: :meth:`shortfall` counts by ``poll()``,
+        and a killed-but-unreaped worker would still look alive there --
+        when a watchdog tick kills every worker, nothing would be
+        respawned and the map would starve."""
         for proc in self._processes:
             if proc.pid == conn.pid and proc.poll() is None:
                 proc.kill()
+                self._gone(proc, 2.0)
                 return True
         return False
 

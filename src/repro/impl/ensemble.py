@@ -39,6 +39,19 @@ class Ensemble:
         # lockstep validation inside the model's state space.
         self.msg_fault_budget = max_msg_faults
 
+    def clone(self) -> "Ensemble":
+        """An independent copy (the bottom-up explorer probes every
+        candidate step on one): the network and nodes are cloned and
+        every cloned node talks to the *cloned* network."""
+        twin = Ensemble.__new__(Ensemble)
+        twin.n = self.n
+        twin.variant = self.variant
+        twin.network = self.network.clone()
+        twin.nodes = [node.clone(twin.network) for node in self.nodes]
+        twin.next_value = self.next_value
+        twin.msg_fault_budget = self.msg_fault_budget
+        return twin
+
     # --- composite election (coarse ElectionAndDiscovery mapping) -----------
 
     def run_election(self, leader: int, quorum: Sequence[int]) -> bool:
@@ -200,16 +213,8 @@ class Ensemble:
     def snapshot(self) -> Dict:
         """The model-shaped global state (per-variable tuples indexed by
         server id) used for conformance comparison."""
-        per = lambda attr: tuple(n.snapshot()[attr] for n in self.nodes)
+        views = [node.snapshot() for node in self.nodes]
         return {
-            "state": per("state"),
-            "zab_state": per("zab_state"),
-            "accepted_epoch": per("accepted_epoch"),
-            "current_epoch": per("current_epoch"),
-            "history": per("history"),
-            "last_committed": per("last_committed"),
-            "my_leader": per("my_leader"),
-            "newleader_recv": per("newleader_recv"),
-            "queued_requests": per("queued_requests"),
-            "committed_requests": per("committed_requests"),
+            variable: tuple(view[variable] for view in views)
+            for variable in views[0]
         }

@@ -23,6 +23,18 @@ class Network:
         self.disconnected: Set[FrozenSet[int]] = set()
         self.down: Set[int] = set()
 
+    def clone(self) -> "Network":
+        """An independent copy: fresh channel deques and fault sets; the
+        messages themselves are immutable and shared."""
+        twin = Network.__new__(Network)
+        twin.n = self.n
+        twin.channels = {
+            pair: deque(channel) for pair, channel in self.channels.items()
+        }
+        twin.disconnected = set(self.disconnected)
+        twin.down = set(self.down)
+        return twin
+
     def connected(self, i: int, j: int) -> bool:
         if frozenset((i, j)) in self.disconnected:
             return False

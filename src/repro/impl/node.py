@@ -86,6 +86,34 @@ class ZkNode:
         self.proposal_acks: List[Tuple[Zxid, Set[int]]] = []
         self.established_initial_len: Optional[int] = None
 
+    def clone(self, network: Network) -> "ZkNode":
+        """An independent copy of this server attached to ``network``
+        (the clone of the network this server talks to).
+
+        Every mutable container gets a fresh copy; scalars and the
+        immutable values inside the containers (``Txn``/``Zxid``/``Rec``,
+        the frozen variant) are shared.  A mutable field added to
+        ``__init__`` must be copied here too -- ``clone_defects`` in the
+        tests and lint rule C08 fail on a field left shared."""
+        twin = ZkNode.__new__(ZkNode)
+        twin.__dict__.update(self.__dict__)
+        twin.network = network
+        twin.history = list(self.history)
+        twin.packets_not_committed = list(self.packets_not_committed)
+        twin.packets_committed = list(self.packets_committed)
+        twin.queued_requests = [
+            QueueEntry(e.txn, e.epoch) for e in self.queued_requests
+        ]
+        twin.committed_requests = list(self.committed_requests)
+        twin.ackepoch_recv = set(self.ackepoch_recv)
+        twin.synced_sent = set(self.synced_sent)
+        twin.newleader_acks = set(self.newleader_acks)
+        twin.uptodate_sent = set(self.uptodate_sent)
+        twin.proposal_acks = [
+            (zxid, set(ackers)) for zxid, ackers in self.proposal_acks
+        ]
+        return twin
+
     # --- helpers -------------------------------------------------------------
 
     def last_zxid(self) -> Zxid:

@@ -18,7 +18,6 @@ contract :class:`repro.remix.mapping.MappedAction` steps follow.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.impl.exceptions import ImplError
@@ -54,6 +53,15 @@ class RaftNode:
         self.log: List[Tuple[int, int]] = []
         self.commit_index = 0
         self.votes: Set[int] = set()
+
+    def clone(self) -> "RaftNode":
+        """An independent copy: fresh log list and vote set (log entries
+        are immutable tuples and shared)."""
+        twin = RaftNode.__new__(RaftNode)
+        twin.__dict__.update(self.__dict__)
+        twin.log = list(self.log)
+        twin.votes = set(self.votes)
+        return twin
 
 
 class RaftEnsemble:
@@ -304,11 +312,11 @@ class RaftEnsemble:
         self.disconnected.remove(pair)
         return True
 
-    def __deepcopy__(self, memo):
-        """Snapshot clone (the explorer forks ensembles per branch)."""
-        clone = RaftEnsemble.__new__(RaftEnsemble)
-        clone.variant = self.variant
-        clone.nodes = copy.deepcopy(self.nodes, memo)
-        clone.disconnected = set(self.disconnected)
-        clone.entries_issued = self.entries_issued
-        return clone
+    def clone(self) -> "RaftEnsemble":
+        """An independent copy (the explorer probes each step on one)."""
+        twin = RaftEnsemble.__new__(RaftEnsemble)
+        twin.variant = self.variant
+        twin.nodes = [node.clone() for node in self.nodes]
+        twin.disconnected = set(self.disconnected)
+        twin.entries_issued = self.entries_issued
+        return twin

@@ -7,7 +7,7 @@ executions and check that every step is allowed by the model.  This
 module implements it over the simulator:
 
 - an :class:`ImplExplorer` drives the ensemble with randomly chosen
-  enabled operations (discovered by trying mapped actions on a copy),
+  enabled operations (discovered by trying mapped actions on a clone),
   optionally from a scripted prefix (a campaign scenario + fault
   schedule) whose fault/txn labels count against the model budgets;
 - a :class:`TraceValidator` runs the model in lockstep, confirming each
@@ -21,7 +21,6 @@ as cells of the same matrix.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
@@ -156,8 +155,8 @@ class ImplExplorer:
     """Random exploration of the implementation's behaviours.
 
     Candidate operations come from the replay mapping's action table;
-    an operation is *enabled* when executing it on a copy of the
-    ensemble reports success.  One step commits one enabled operation.
+    an operation is *enabled* when executing it on ``ensemble.clone()``
+    reports success.  One step commits one enabled operation.
     """
 
     def __init__(
@@ -190,7 +189,7 @@ class ImplExplorer:
         ]
 
     def _try_step(self, ensemble, label):
-        """Attempt one mapped step on a copy; returns ``(committed,
+        """Attempt one mapped step on a clone; returns ``(committed,
         error)``.  ``committed`` is the post-step ensemble on success (or
         the erroring probe when the step raised -- its partial mutations
         are the crash state a caller wants to inspect) and None when the
@@ -202,7 +201,7 @@ class ImplExplorer:
             ensemble, label, mapped.region == "baseline"
         ):
             return None, None
-        probe = copy.deepcopy(ensemble)
+        probe = ensemble.clone()
         try:
             ok = mapped.step(probe, label)
         except ImplError as exc:

@@ -225,8 +225,21 @@ class SystemPlugin:
 
     def ensemble_factory(self, config) -> Callable[[], Any]:
         """A zero-argument factory building a fresh implementation
-        ensemble for ``config``.  The ensemble must be deep-copyable and
-        expose ``snapshot()`` covering :attr:`compared_variables`."""
+        ensemble for ``config``.  The ensemble exposes ``snapshot()``
+        covering :attr:`compared_variables` and ``clone()``.
+
+        ``clone()`` returns an independent ensemble in the same state:
+        the bottom-up explorer runs every candidate step on a clone and
+        keeps the clone only when the step applies, so nothing a step
+        can mutate may be shared.  The aliasing rule: every mutable
+        container or object (list, set, dict, deque, node, network) is
+        a fresh copy, objects that point at each other point at the
+        *cloned* counterparts, and only values hashable by value
+        (numbers, strings, tuples, frozen dataclasses, ``Rec``) may be
+        shared.  ``return copy.deepcopy(self)`` satisfies all of it; a
+        hand-written structural copy is ~20x cheaper and is what makes
+        bottom-up cells cost what top-down cells do.  Lint rule C08
+        checks the contract."""
         raise NotImplementedError
 
     # --- optional hooks ------------------------------------------------------

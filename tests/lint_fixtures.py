@@ -12,6 +12,7 @@ import copy
 import random
 from dataclasses import dataclass
 
+from repro.remix.mapping import ActionMapping, MappedAction
 from repro.system.plugin import (
     FaultSchedule,
     ROLE_LEADER,
@@ -201,6 +202,35 @@ def _count_up(spec, leader, quorum):
     return scenario
 
 
+class FixtureEnsemble:
+    """The smallest implementation that honours the clone() contract
+    (C08): one scalar, one mutable container that clone() copies."""
+
+    def __init__(self):
+        self.x = 0
+        self.log = []
+
+    def inc(self, label):
+        self.x += 1
+        self.log.append(label.args["i"])
+        return True
+
+    def clone(self):
+        twin = type(self)()
+        twin.x = self.x
+        twin.log = list(self.log)
+        return twin
+
+    def snapshot(self):
+        return {"x": self.x, "log": tuple(self.log)}
+
+
+def fixture_mapping():
+    return ActionMapping(
+        {"Inc": MappedAction("Inc", lambda ens, label: ens.inc(label))}
+    )
+
+
 class GoodPlugin(SystemPlugin):
     """Fully declared fixture plugin: must produce zero findings."""
 
@@ -226,7 +256,10 @@ class GoodPlugin(SystemPlugin):
     def make_mapping(self, grain):
         if grain not in self.grains:
             raise KeyError(f"unknown or unmappable grain {grain!r}")
-        return object()
+        return fixture_mapping()
+
+    def ensemble_factory(self, config):
+        return FixtureEnsemble
 
     def budget_limits(self, config):
         return {"Inc": config.steps}

@@ -7,13 +7,22 @@ fixture plugin next door.
 
 from __future__ import annotations
 
+import copy
+
 from repro.system.plugin import FaultSchedule, ROLE_LEADER, Scenario, SystemPlugin
 from repro.tla.action import Action
 from repro.tla.module import Module
 from repro.tla.spec import Invariant, Specification
 from repro.tla.state import State
 
-from lint_fixtures import SCHEMA, FixtureConfig, _inc, _non_negative
+from lint_fixtures import (
+    SCHEMA,
+    FixtureConfig,
+    FixtureEnsemble,
+    _inc,
+    _non_negative,
+    fixture_mapping,
+)
 
 
 def _foreign(config, state, i):
@@ -72,6 +81,14 @@ def _ghost(spec, leader, quorum):
     return scenario
 
 
+class LeakyEnsemble(FixtureEnsemble):
+    """A shallow clone() shares ``log`` with the original (C08 x2: the
+    shared list, and a step on the clone that moves the original)."""
+
+    def clone(self):
+        return copy.copy(self)
+
+
 class BrokenPlugin(SystemPlugin):
     """Every C-rule trips at least once."""
 
@@ -100,7 +117,10 @@ class BrokenPlugin(SystemPlugin):
     def make_mapping(self, grain):
         if grain != "ok":
             raise KeyError(f"no mapping for grain {grain!r}")  # C01
-        return object()
+        return fixture_mapping()
+
+    def ensemble_factory(self, config):
+        return LeakyEnsemble
 
     def budget_limits(self, config):
         return {"Ghost": 1}  # C06

@@ -246,6 +246,25 @@ class TestSocketBackend:
         with pytest.raises(ValueError, match="spec"):
             SocketBackend(len, workers=1)
 
+    @pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
+    def test_killing_every_worker_shows_as_shortfall_at_once(self):
+        """A watchdog tick that kills *every* worker must see them all
+        missing when it asks how many to respawn: an unreaped SIGKILLed
+        child still polls as alive, nothing is spawned, and the map ends
+        in permanent starvation with ``None`` results."""
+        band = TcpBand(ADD_ONE, 2)
+        try:
+            patience = time.monotonic() + 30.0
+            while len(band.connections) < 2:
+                assert time.monotonic() < patience, "workers never joined"
+                band.poll(0.05)
+            for conn in list(band.connections):
+                assert band.kill(conn)
+                band.drop(conn)
+            assert band.shortfall() == 2
+        finally:
+            band.terminate()
+
 
 @pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
 class TestCloseEscalation:

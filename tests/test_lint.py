@@ -185,7 +185,9 @@ class TestConformance:
             by_rule.setdefault(finding.rule, []).append(finding)
         # No D/P noise: the broken plugin's spec functions are declared
         # correctly; only the plugin contract is wrong.
-        assert set(by_rule) == {"C01", "C02", "C03", "C04", "C05", "C06", "C07"}
+        assert set(by_rule) == {
+            "C01", "C02", "C03", "C04", "C05", "C06", "C07", "C08",
+        }
         # C01: grain "missing" fails make_spec, "badmap" fails make_mapping.
         assert len(by_rule["C01"]) == 2
         assert {f.subject for f in by_rule["C01"]} == {
@@ -207,6 +209,12 @@ class TestConformance:
         assert {f.variable for f in by_rule["C06"]} == {"Ghost"}
         assert len(by_rule["C07"]) == 1
         assert by_rule["C07"][0].severity == "warning"
+        # C08: the shallow clone shares its list, and a step on the
+        # clone shows in the original's snapshot.
+        leaks = {f.variable: f.message for f in by_rule["C08"]}
+        assert set(leaks) == {"LeakyEnsemble.log", ""}
+        assert "shared with the original" in leaks["LeakyEnsemble.log"]
+        assert "changed the original's snapshot()" in leaks[""]
 
 
 # --- the PR-5 lying-declaration regressions ------------------------------------

@@ -1,7 +1,5 @@
 """The Raft plugin's model, implementation and planted bugs."""
 
-import copy
-
 import pytest
 
 from repro.checker import explore
@@ -169,12 +167,18 @@ class TestImpl:
         assert ensemble.leader_advance_commit(2)
         assert ensemble.follower_learn_commit(1, 2) is False
 
-    def test_deepcopy_isolates(self):
+    def test_clone_isolates(self):
         ensemble = self.drive()
-        clone = copy.deepcopy(ensemble)
+        before = ensemble.snapshot()
+        clone = ensemble.clone()
+        assert clone.snapshot() == before
         clone.node_crash(0)
+        assert clone.client_request(2)
+        assert clone.partition_start(1, 2)
         assert ensemble.nodes[0].role != DOWN
-        assert clone.snapshot() != ensemble.snapshot()
+        assert ensemble.snapshot() == before
+        assert not ensemble.disconnected
+        assert clone.snapshot() != before
 
     def test_mapping_covers_both_grains(self):
         mapping = raft_mapping()
