@@ -14,9 +14,26 @@ the coordinator, and compares the states after each step.  This example:
 Run:  python examples/conformance_checking.py
 """
 
+from repro.checker import RandomWalker
 from repro.impl import Ensemble
-from repro.remix import ConformanceChecker, system_plugin
+from repro.remix import Coordinator, system_plugin
 from repro.zookeeper import V391, ZkConfig
+
+
+def check(spec, coordinator, traces=40, max_steps=25, seed=42):
+    """The §3.4 loop: random model traces, each replayed at the code
+    level; returns every discrepancy and prints the summary line."""
+    results = [
+        coordinator.replay(trace)
+        for trace in RandomWalker(spec, seed=seed).traces(traces, max_steps)
+    ]
+    discrepancies = [d for result in results for d in result.discrepancies]
+    print(
+        f"   conformance: {len(results)} traces, "
+        f"{sum(result.steps_executed for result in results)} steps replayed, "
+        f"{len(discrepancies)} discrepancies"
+    )
+    return discrepancies
 
 
 def main():
@@ -26,36 +43,23 @@ def main():
     mapping = plugin.make_mapping("mSpec-3")
 
     print("1) Conformance of mSpec-3 against the implementation:")
-    checker = ConformanceChecker(
-        spec,
-        None,
-        plugin.ensemble_factory(config),
-        seed=42,
-        mapping=mapping,
-        compared_variables=plugin.compared_variables,
+    shipped = Coordinator(
+        mapping, plugin.ensemble_factory(config), plugin.compared_variables
     )
-    report = checker.run(traces=40, max_steps=25)
-    print(f"   {report.summary()}")
-    assert report.conforms
+    assert not check(spec, shipped)
 
     print("\n2) Same check against an implementation whose epoch write "
           "is lost (an injected 'wrong variable assignment'):")
-    broken = ConformanceChecker(
-        spec,
-        None,
+    broken = Coordinator(
+        mapping,
         lambda: Ensemble(3, V391, divergence="skip_epoch_update"),
-        seed=42,
-        mapping=mapping,
-        compared_variables=plugin.compared_variables,
+        plugin.compared_variables,
     )
-    report = broken.run(traces=40, max_steps=25)
-    print(f"   {report.summary()}")
-    assert not report.conforms
+    discrepancies = check(spec, broken)
+    assert discrepancies
 
-    first = next(
-        d for d in report.discrepancies if d.kind == "state_mismatch"
-    )
-    print(f"\n3) First discrepancy, as a developer would see it:")
+    first = next(d for d in discrepancies if d.kind == "state_mismatch")
+    print("\n3) First discrepancy, as a developer would see it:")
     print(f"   {first}")
     print("\n   The differing variable (current_epoch) points straight at "
           "the divergent code path -- the specification or the code must "

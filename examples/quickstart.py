@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.checker import explore
-from repro.remix import ConformanceChecker, system_plugin
+from repro.remix import Coordinator, system_plugin
 from repro.zookeeper import ZkConfig
 
 
@@ -45,16 +45,16 @@ def main():
     print(violation.trace.describe())
 
     print("\nConfirming at the code level (deterministic replay) ...")
-    checker = ConformanceChecker(
-        spec,
-        None,
+    coordinator = Coordinator(
+        plugin.make_mapping("mSpec-1"),
         plugin.ensemble_factory(config),
-        mapping=plugin.make_mapping("mSpec-1"),
-        compared_variables=plugin.compared_variables,
+        plugin.compared_variables,
     )
-    report = checker.confirm_violation(violation.trace)
-    assert report is not None
-    print(f"  {report}")
+    result = coordinator.replay(violation.trace, stop_on_discrepancy=False)
+    error = result.impl_error
+    assert error is not None and error.bug_id == "ZK-4394"
+    print(f"  implementation bug [{error.bug_id}] at step "
+          f"{result.impl_error_step}: {type(error).__name__}: {error}")
     print("\nThe model-level violation reproduces in the implementation: "
           "this is ZooKeeper bug ZK-4394.")
 

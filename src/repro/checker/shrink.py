@@ -2,19 +2,21 @@
 
 BFS already yields minimal-*depth* traces, but traces produced by random
 walks (conformance checking) or DFS carry irrelevant steps.  The shrinker
-greedily deletes steps while the trace still replays and an *oracle*
-still accepts it -- the standard delta-debugging loop specialized to
-action traces.
+greedily deletes steps while an *oracle* still accepts the remainder --
+the standard delta-debugging loop specialized to action traces.  There
+is one loop (:func:`shrink_labels_oracle`); the oracle flavours stack on
+top of it:
 
-Two oracle flavours are supported:
-
+- a label-sequence oracle (:data:`LabelsOracle`): the oracle owns
+  execution, so candidates need not replay at the model level (the
+  campaign's bottom-up :class:`~repro.remix.minimize.ValidationOracle`);
+- a trace oracle (:data:`TraceOracle`): candidates must first replay
+  through the specification, then the oracle judges the replayed trace
+  as a whole (the top-down
+  :class:`~repro.remix.minimize.ConformanceOracle` re-runs it through
+  the code-level coordinator);
 - a state predicate (``still_fails``): the shrunk trace must end in a
-  state satisfying it (model-invariant violations);
-- an arbitrary trace oracle (:data:`TraceOracle`): any callable judging
-  a replayed candidate trace as a whole.  The conformance campaign's
-  :class:`~repro.remix.minimize.ConformanceOracle` re-runs candidates
-  through the code-level coordinator and accepts them iff they reproduce
-  the same finding fingerprint.
+  state satisfying it (model-invariant violations).
 """
 
 from __future__ import annotations
@@ -35,66 +37,21 @@ TraceOracle = Callable[[Trace], bool]
 
 def _try_replay(
     spec: Specification, labels: List[ActionLabel], initial: State
-) -> Optional[List[State]]:
-    """Replay labels; None when some step is disabled."""
+) -> Optional[Trace]:
+    """Replay labels from ``initial``; None when some step is disabled."""
     states = [initial]
-    current = initial
     for label in labels:
-        inst = spec.instance_for(label)
-        nxt = inst.apply(spec.config, current)
+        nxt = spec.instance_for(label).apply(spec.config, states[-1])
         if nxt is None:
             return None
         states.append(nxt)
-        current = nxt
-    return states
+    return Trace(states=states, labels=list(labels))
 
 
-def shrink_trace_oracle(
-    spec: Specification,
-    trace: Trace,
-    oracle: TraceOracle,
-    max_rounds: int = 10,
-) -> Trace:
-    """Remove steps from ``trace`` while ``oracle`` still accepts the
-    replayed remainder.
-
-    Greedy loop: try deleting contiguous chunks (halving the chunk size
-    each round), keeping any deletion after which the remaining labels
-    still replay into an oracle-accepted trace.  The result is 1-minimal
-    with respect to single-step deletion when the loop converges.
-    """
-    labels = list(trace.labels)
-    initial = trace.initial
-    states = _try_replay(spec, labels, initial)
-    if states is None or not oracle(Trace(states=states, labels=labels)):
-        raise ValueError("the input trace does not reproduce the failure")
-
-    for _ in range(max_rounds):
-        changed = False
-        chunk = max(1, len(labels) // 2)
-        while chunk >= 1:
-            index = 0
-            while index < len(labels):
-                candidate = labels[:index] + labels[index + chunk :]
-                replayed = _try_replay(spec, candidate, initial)
-                if replayed is not None and oracle(
-                    Trace(states=replayed, labels=candidate)
-                ):
-                    labels = candidate
-                    states = replayed
-                    changed = True
-                else:
-                    index += chunk
-            chunk //= 2
-        if not changed:
-            break
-    return Trace(states=states, labels=labels)
-
-
-#: An oracle judging a candidate *label sequence* (no model replay): the
-#: bottom-up validation shrinker drives the implementation itself, so a
-#: candidate need not be model-replayable -- being model-disabled may be
-#: exactly the failure under minimization.
+#: An oracle judging a candidate *label sequence*.  It owns execution
+#: entirely, so a candidate need not be model-replayable -- for the
+#: campaign's bottom-up direction, being model-disabled may be exactly
+#: the failure under minimization.
 LabelsOracle = Callable[[List[ActionLabel]], bool]
 
 
@@ -103,18 +60,17 @@ def shrink_labels_oracle(
     oracle: LabelsOracle,
     max_rounds: int = 10,
 ) -> List[ActionLabel]:
-    """Remove steps from a plain label sequence while ``oracle`` still
-    accepts the remainder.
+    """Remove steps from a label sequence while ``oracle`` still accepts
+    the remainder (the one delta-debugging loop every shrinker shares).
 
-    The same greedy delta-debugging loop as :func:`shrink_trace_oracle`,
-    but without replaying candidates through a specification: the oracle
-    owns execution entirely.  Used by the campaign's bottom-up direction,
-    where candidates are implementation runs validated in lockstep and
-    the minimized sequence may be *model-disabled* on purpose.
+    Greedy loop: try deleting contiguous chunks (halving the chunk size
+    each round), keeping any deletion the oracle accepts.  The result is
+    1-minimal with respect to single-step deletion when the loop
+    converges.
     """
     labels = list(labels)
     if not oracle(list(labels)):
-        raise ValueError("the input labels do not reproduce the failure")
+        raise ValueError("the input does not reproduce the failure")
     for _ in range(max_rounds):
         changed = False
         chunk = max(1, len(labels) // 2)
@@ -131,6 +87,27 @@ def shrink_labels_oracle(
         if not changed:
             break
     return labels
+
+
+def shrink_trace_oracle(
+    spec: Specification,
+    trace: Trace,
+    oracle: TraceOracle,
+    max_rounds: int = 10,
+) -> Trace:
+    """Remove steps from ``trace`` while ``oracle`` still accepts the
+    replayed remainder: :func:`shrink_labels_oracle` under a
+    replay-then-judge oracle (a candidate whose labels no longer replay
+    from the trace's initial state is rejected without being judged).
+    """
+    initial = trace.initial
+
+    def reproduces(labels: List[ActionLabel]) -> bool:
+        replayed = _try_replay(spec, labels, initial)
+        return replayed is not None and oracle(replayed)
+
+    labels = shrink_labels_oracle(trace.labels, reproduces, max_rounds)
+    return _try_replay(spec, labels, initial)
 
 
 def shrink_trace(

@@ -139,24 +139,40 @@ def cmd_check(args) -> int:
 
 
 def cmd_conformance(args) -> int:
+    from repro.checker.random_walk import RandomWalker
     from repro.impl import Ensemble
-    from repro.remix import ConformanceChecker
+    from repro.remix import Coordinator, mapping_for
     from repro.zookeeper import V391
 
     spec = make_spec(args.spec, _config(args))
-    checker = ConformanceChecker(
-        spec,
-        SELECTIONS[args.spec],
+    coordinator = Coordinator(
+        mapping_for(SELECTIONS[args.spec]),
         lambda: Ensemble(args.servers, V391),
-        seed=args.seed,
     )
-    report = checker.run(traces=args.traces, max_steps=args.steps)
-    print(report.summary())
-    for discrepancy in report.discrepancies[:10]:
+    results = [
+        coordinator.replay(trace)
+        for trace in RandomWalker(spec, seed=args.seed).traces(
+            count=args.traces, max_steps=args.steps
+        )
+    ]
+    discrepancies = [d for result in results for d in result.discrepancies]
+    bugs = [result for result in results if result.impl_error is not None]
+    print(
+        f"conformance: {len(results)} traces, "
+        f"{sum(result.steps_executed for result in results)} steps replayed, "
+        f"{len(discrepancies)} discrepancies, "
+        f"{len(bugs)} implementation bug reports"
+    )
+    for discrepancy in discrepancies[:10]:
         print(f"  {discrepancy}")
-    for bug in report.impl_bugs[:10]:
-        print(f"  {bug}")
-    return 0 if report.conforms else 1
+    for result in bugs[:10]:
+        error = result.impl_error
+        tag = f" [{error.bug_id}]" if error.bug_id else ""
+        print(
+            f"  implementation bug{tag} at step {result.impl_error_step}: "
+            f"{type(error).__name__}: {error}"
+        )
+    return 1 if discrepancies else 0
 
 
 def request_from_args(args):
@@ -208,7 +224,7 @@ def cmd_campaign(args) -> int:
     import json
 
     from repro.remix import spec_cache
-    from repro.remix.campaign import COMPAT_SCHEMAS, new_fingerprints, run_campaign
+    from repro.remix.campaign import CampaignReport, new_fingerprints, run_campaign
     from repro.remix.request import RequestError
 
     if args.spec_cache is not None:
@@ -235,17 +251,9 @@ def cmd_campaign(args) -> int:
         # missing or stale baseline should fail in milliseconds.
         try:
             with open(args.baseline) as fh:
-                baseline = json.load(fh)
+                baseline = CampaignReport.from_json(json.load(fh))
         except (OSError, ValueError) as error:
             print(f"campaign: baseline {args.baseline}: {error}", file=sys.stderr)
-            return 2
-        if baseline.get("schema") not in COMPAT_SCHEMAS:
-            print(
-                f"campaign: baseline {args.baseline} has unsupported schema "
-                f"{baseline.get('schema')!r} (expected one of "
-                f"{list(COMPAT_SCHEMAS)})",
-                file=sys.stderr,
-            )
             return 2
     report = run_campaign(
         request, journal_dir=args.journal, resume=args.resume

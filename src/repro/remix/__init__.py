@@ -7,11 +7,6 @@ from repro.remix.campaign import (
     run_campaign,
     validation_findings,
 )
-from repro.remix.conformance import (
-    ConformanceChecker,
-    ConformanceReport,
-    ImplBugReport,
-)
 from repro.remix.coordinator import (
     COMPARED_VARIABLES,
     Coordinator,
@@ -21,8 +16,8 @@ from repro.remix.coordinator import (
 from repro.remix.mapping import ActionMapping, MappedAction, mapping_for
 from repro.remix.minimize import (
     ConformanceOracle,
+    Direction,
     ValidationOracle,
-    rebuild_validation_witness,
     rebuild_witness,
     replay_min_trace,
     shrink_finding,
@@ -52,14 +47,12 @@ __all__ = [
     "CampaignRequest",
     "CampaignServer",
     "ConformanceCampaign",
-    "ConformanceChecker",
     "EVENT_SCHEMA",
     "RequestError",
     "ConformanceOracle",
-    "ConformanceReport",
     "Coordinator",
+    "Direction",
     "Discrepancy",
-    "ImplBugReport",
     "MappedAction",
     "ReplayResult",
     "ImplExplorer",
@@ -72,7 +65,6 @@ __all__ = [
     "cached_prefix",
     "cached_spec",
     "mapping_for",
-    "rebuild_validation_witness",
     "rebuild_witness",
     "register_system",
     "registered_systems",

@@ -16,39 +16,38 @@ The *direction* axis covers the paper's two conformance methodologies:
   is replayed at the code level through the
   :class:`~repro.remix.coordinator.Coordinator` (§3.5).
 - ``bottomup``: implementation-driven validation (§6's alternative
-  approach).  A fresh :class:`~repro.impl.ensemble.Ensemble` is driven
-  through the scripted scenario + fault prefix and a seeded random
-  suffix by the :class:`~repro.remix.trace_validation.ImplExplorer`,
+  approach).  A fresh ensemble (the plugin's ``ensemble_factory``) is
+  driven through the scripted scenario + fault prefix and a seeded
+  random suffix by the :class:`~repro.remix.trace_validation.ImplExplorer`,
   and every executed label is checked in lockstep against the composed
   model by :class:`~repro.remix.trace_validation.TraceValidator`.
   Bottom-up cells catch the divergences top-down replay structurally
   cannot: implementation steps the model *forbids* (a replayed model
   trace only ever contains model-enabled actions).
 
-Each top-down cell:
+A direction is a :class:`~repro.remix.minimize.Direction` record -- how
+a run is *derived* from witness metadata and how it is *judged* --
+and everything around it exists once.  Each cell (:func:`run_cell`):
 
-1. fetches the grain's composed specification from the spec cache
-   (:mod:`repro.remix.spec_cache` -- campaign startup is O(grains), not
-   O(jobs), because forked workers inherit the warmed cache),
-2. drives it through a canned scenario prefix (election / sync /
-   broadcast / commit, :data:`repro.zookeeper.scenarios.SCENARIO_PREFIXES`)
-   and a scripted fault schedule (crash / partition / shutdown,
-   :data:`repro.zookeeper.faults.FAULT_SCHEDULES`),
-3. random-walks a suffix from the resulting state under a seed derived
-   from the cell coordinates,
-4. replays the full trace at the code level through the
-   :class:`~repro.remix.coordinator.Coordinator`, and
-5. reduces discrepancies and implementation-bug reports to *stable*
-   fingerprints (SHA-1 over a canonical JSON form -- reproducible across
-   processes and across runs, which is what lets a nightly CI job fail
-   on fingerprints it has never seen before).
-
-Bottom-up cells (:func:`run_validation_cell`) share steps 1-2 via the
-same cached prefixes, then explore the *implementation* under the cell
-seed and reduce :class:`~repro.remix.trace_validation.ValidationIssue`
-and :class:`~repro.impl.exceptions.ZkImplError` outcomes to the same
-fingerprint scheme, with ``direction: "bottomup"`` inside the identity
-so the two directions never collide.
+1. fetches the scripted scenario prefix + fault schedule from the spec
+   cache (:mod:`repro.remix.spec_cache` -- campaign startup is
+   O(grains), not O(jobs), because forked workers inherit the warmed
+   cache),
+2. writes each run's *witness* first -- scenario, fault, roles and a
+   seed derived from the cell coordinates -- and derives the run from
+   it through the very function the shrink stage rebuilds with
+   (top-down: a random model walk from the prefix's state; bottom-up:
+   seeded implementation exploration after the prefix's labels),
+3. has the direction's judge run it against the implementation
+   (top-down: :meth:`Coordinator.replay
+   <repro.remix.coordinator.Coordinator.replay>`; bottom-up:
+   :meth:`TraceValidator.validate_labels
+   <repro.remix.trace_validation.TraceValidator.validate_labels>`), and
+4. gets the outcome back as *stable* fingerprints (SHA-1 over a
+   canonical JSON form -- reproducible across processes and across
+   runs, which is what lets a nightly CI job fail on fingerprints it
+   has never seen before), with ``direction: "bottomup"`` inside the
+   bottom-up identity so the two directions never collide.
 
 Determinism: cells carry their own seeds, the pool slots results by cell
 index, and findings dedup in first-seen cell order -- so ``workers=2``
@@ -88,9 +87,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.checker.backends import ExecutionBackend, create_backend
 from repro.checker.backends.supervision import SupervisionPolicy, TaskSupervisor
 from repro.remix.journal import CampaignJournal, JournaledBackend
-from repro.checker.random_walk import RandomWalker
-from repro.checker.trace import Trace
-from repro.remix.coordinator import Coordinator
 from repro.remix.registry import system_plugin
 from repro.remix.request import (  # redundant aliases: re-exports (the historical home)
     DEFAULT_DIRECTIONS as DEFAULT_DIRECTIONS,
@@ -100,11 +96,8 @@ from repro.remix.request import (  # redundant aliases: re-exports (the historic
     parse_budget as parse_budget,
 )
 from repro.remix.spec_cache import cached_mapping, cached_prefix, cached_spec
-from repro.remix.trace_validation import TraceValidator, ValidationReport
+from repro.remix.trace_validation import ValidationReport
 from repro.system.plugin import ScenarioError
-from repro.zookeeper.config import ZkConfig
-from repro.zookeeper.faults import FAULT_SCHEDULES
-from repro.zookeeper.scenarios import SCENARIO_PREFIXES
 
 #: Version tag of the JSON report; bump on breaking schema changes.
 #: /2 adds per-finding ``witness`` metadata (suffix seed/steps, enough to
@@ -116,9 +109,10 @@ from repro.zookeeper.scenarios import SCENARIO_PREFIXES
 SCHEMA = "repro.campaign/4"
 
 #: Report versions :meth:`CampaignReport.from_json` (and ``--baseline``)
-#: accept: /1 reports lack witness/min_trace, /2 reports lack direction,
-#: /3 reports lack the degraded section, but all carry the same
-#: fingerprint-keyed findings, so they remain valid baselines.
+#: accept and upgrade to the current shape: /1 reports lack
+#: witness/min_trace, /2 reports lack direction, /3 reports lack the
+#: degraded section, but all carry the same fingerprint-keyed findings,
+#: so they remain valid baselines.
 COMPAT_SCHEMAS = (
     "repro.campaign/1",
     "repro.campaign/2",
@@ -126,38 +120,17 @@ COMPAT_SCHEMAS = (
     SCHEMA,
 )
 
-#: Grains with a code-level action mapping (SysSpec/mSpec-4 replay the
-#: fine-grained FLE, which the coordinator cannot drive; see mapping_for).
-DEFAULT_GRAINS: Tuple[str, ...] = ("mSpec-1", "mSpec-2", "mSpec-3")
-
-DEFAULT_SCENARIOS: Tuple[str, ...] = tuple(SCENARIO_PREFIXES)
-DEFAULT_FAULTS: Tuple[str, ...] = tuple(s.name for s in FAULT_SCHEDULES)
-
 #: Handler spec every execution backend resolves for campaign tasks;
 #: the socket backend ships it inside each task frame.
 TASK_HANDLER = "repro.remix.campaign:execute_campaign_task"
 
 
-def campaign_config() -> ZkConfig:
-    """The standard campaign configuration: crash budget for the crash
-    schedules plus one partition so the partition schedules are enabled,
-    and one message fault for the delay/duplication schedules."""
-    return ZkConfig(
-        n_servers=3, max_txns=1, max_crashes=2, max_partitions=1,
-        max_epoch=3, max_msg_faults=1,
-    )
-
-
 def config_from_meta(meta: Dict[str, Any]) -> Any:
-    """Reconstruct the campaign configuration from a report's meta
-    block, so min_traces verify against the spec they were produced with.
-
-    Dispatches on the block's ``system`` entry (absent in pre-plugin
-    reports, which are always ZooKeeper); the plugin handles its own
-    legacy quirks (e.g. pre-variant /1-era ZooKeeper blocks fall back to
-    the default variant)."""
-    system = meta.get("system", "zookeeper")
-    return system_plugin(system).config_from_meta(meta)
+    """Reconstruct the campaign configuration from a (loaded) report's
+    meta block, so min_traces verify against the spec they were produced
+    with.  The block's system plugin handles its own legacy quirks (e.g.
+    pre-variant ZooKeeper blocks fall back to the default variant)."""
+    return system_plugin(meta["system"]).config_from_meta(meta)
 
 
 # ------------------------------------------------------------ fingerprints
@@ -214,13 +187,42 @@ def _cell_seed(job: "CampaignJob", trace_index: int) -> int:
     )
 
 
-def trace_findings(result, trace, grain: str) -> List[Dict[str, Any]]:
-    """Reduce one replay result to identity-fingerprinted finding dicts.
+def _finding(
+    identity: Dict[str, Any], detail: str, **attribution: Any
+) -> Dict[str, Any]:
+    """The one finding constructor: the fingerprint is a pure function
+    of ``identity``; ``detail`` and ``attribution`` (step/run indices and
+    the like) stay out of it so re-encounters dedup."""
+    return {
+        "fingerprint": finding_fingerprint(identity),
+        "detail": detail,
+        **attribution,
+        **identity,
+    }
 
-    Shared between :func:`run_cell` and the shrink stage's
-    :class:`~repro.remix.minimize.ConformanceOracle`, which accepts a
-    candidate trace iff the target fingerprint is reproduced by exactly
-    this reduction.
+
+def _impl_bug(error, label, **coordinates: Any) -> Tuple[Dict[str, Any], str]:
+    """Identity and detail stem of an implementation exception."""
+    identity = {
+        "kind": "impl_bug",
+        **coordinates,
+        "bug_id": error.bug_id,
+        "error": type(error).__name__,
+        "label": str(label),
+    }
+    tag = f" [{error.bug_id}]" if error.bug_id else ""
+    return identity, f"{identity['error']}{tag} at {identity['label']}"
+
+
+def trace_findings(result, trace, grain: str) -> List[Dict[str, Any]]:
+    """Reduce one top-down replay result to identity-fingerprinted
+    finding dicts (the reduction behind
+    :meth:`ConformanceOracle.judge
+    <repro.remix.minimize.ConformanceOracle.judge>`, so a cell and the
+    shrink stage cannot disagree on a fingerprint).
+
+    Top-down identities carry no direction (their historical form, which
+    keeps /2-era baselines valid); it rides along as attribution.
     """
     findings: List[Dict[str, Any]] = []
     for discrepancy in result.discrepancies:
@@ -233,34 +235,16 @@ def trace_findings(result, trace, grain: str) -> List[Dict[str, Any]]:
             "impl": canonical_value(discrepancy.impl_value),
         }
         findings.append(
-            {
-                "fingerprint": finding_fingerprint(identity),
-                "detail": str(discrepancy),
-                "direction": "topdown",
-                **identity,
-            }
+            _finding(identity, str(discrepancy), direction="topdown")
         )
     if result.impl_error is not None:
         step = result.impl_error_step or 0
-        identity = {
-            "kind": "impl_bug",
-            "grain": grain,
-            "bug_id": result.impl_error.bug_id,
-            "error": type(result.impl_error).__name__,
-            "label": str(trace.labels[step]) if trace.labels else "",
-        }
-        findings.append(
-            {
-                "fingerprint": finding_fingerprint(identity),
-                "detail": (
-                    f"{identity['error']}"
-                    f"{' [' + identity['bug_id'] + ']' if identity['bug_id'] else ''}"
-                    f" at {identity['label']}"
-                ),
-                "direction": "topdown",
-                **identity,
-            }
+        identity, detail = _impl_bug(
+            result.impl_error,
+            trace.labels[step] if trace.labels else "",
+            grain=grain,
         )
+        findings.append(_finding(identity, detail, direction="topdown"))
     return findings
 
 
@@ -274,7 +258,6 @@ def validation_findings(
     conformance evidence from the same bug reached by model replay, and
     keeping the directions' fingerprint spaces disjoint means existing
     top-down baselines are never silently "satisfied" by bottom-up hits.
-    Step/run indices stay out of the identity so re-encounters dedup.
     """
     findings: List[Dict[str, Any]] = []
     for issue in report.issues:
@@ -287,34 +270,13 @@ def validation_findings(
             "model": canonical_value(issue.model_value),
             "impl": canonical_value(issue.impl_value),
         }
-        findings.append(
-            {
-                "fingerprint": finding_fingerprint(identity),
-                "detail": str(issue),
-                "run": issue.run,
-                **identity,
-            }
-        )
+        findings.append(_finding(identity, str(issue), run=issue.run))
     for run, step, label, error in report.impl_errors:
-        identity = {
-            "kind": "impl_bug",
-            "direction": "bottomup",
-            "grain": grain,
-            "bug_id": error.bug_id,
-            "error": type(error).__name__,
-            "label": str(label),
-        }
+        identity, detail = _impl_bug(
+            error, label, direction="bottomup", grain=grain
+        )
         findings.append(
-            {
-                "fingerprint": finding_fingerprint(identity),
-                "detail": (
-                    f"{identity['error']}"
-                    f"{' [' + identity['bug_id'] + ']' if identity['bug_id'] else ''}"
-                    f" at {identity['label']} (run {run} step {step})"
-                ),
-                "run": run,
-                **identity,
-            }
+            _finding(identity, f"{detail} (run {run} step {step})", run=run)
         )
     return findings
 
@@ -361,15 +323,22 @@ def _skipped_cell(job: CampaignJob) -> Dict[str, Any]:
     }
 
 
-def run_cell(job: CampaignJob, config: ZkConfig) -> Dict[str, Any]:
+def run_cell(job: CampaignJob, config: Any) -> Dict[str, Any]:
     """Execute one matrix cell; returns a plain-JSON-able cell record.
 
     This is the campaign's worker function: it runs identically inline
-    and inside a forked or socket worker.
+    and inside a forked or socket worker, and -- every seed being derived
+    from the cell coordinates -- it is a pure function of ``(job,
+    config)``, so worker count never changes the merged report.
+
+    Each run's witness is written *before* the run exists and the run is
+    derived from it by the direction's ``derive`` -- the function
+    :func:`~repro.remix.minimize.rebuild_witness` calls -- so what the
+    cell judged and what the shrink stage later rebuilds cannot drift.
     """
-    plugin = system_plugin(job.system)
-    spec = cached_spec(job.grain, config, system=job.system)
-    mapping = cached_mapping(job.grain, system=job.system)
+    from repro.remix.minimize import DIRECTION_TABLE
+
+    direction = DIRECTION_TABLE[job.direction]
     leader = config.n_servers - 1
     follower = 0
     cell = _skipped_cell(job)
@@ -388,120 +357,32 @@ def run_cell(job: CampaignJob, config: ZkConfig) -> Dict[str, Any]:
         cell["reason"] = str(error)
         return cell
 
-    coordinator = Coordinator(
-        mapping,
-        plugin.ensemble_factory(config),
-        compared_variables=plugin.compared_variables,
-    )
+    judge = direction.judge(job.grain, None, config, job.system)
     cell["status"] = "ok"
     covered = set()
     findings: List[Dict[str, Any]] = []
     for trace_index in range(job.traces):
-        walker = RandomWalker(spec, seed=_cell_seed(job, trace_index))
-        suffix = walker.walk(job.max_steps, start=prefix.state)
-        trace = Trace(
-            states=prefix.states + suffix.states[1:],
-            labels=prefix.labels + suffix.labels,
-        )
-        result = coordinator.replay(trace)
+        # Enough metadata to re-derive the run without its bytes: the
+        # scenario prefix and fault schedule are scripted, the suffix is
+        # fully determined by its seed and step budget.
+        witness = {
+            "direction": job.direction,
+            "scenario": job.scenario,
+            "fault": job.fault,
+            "seed": job.seed,
+            "leader": leader,
+            "follower": follower,
+            direction.seed_key: _cell_seed(job, trace_index),
+            direction.steps_key: job.max_steps,
+        }
+        run = direction.derive(job.grain, witness, config, job.system, prefix)
+        witness["steps"] = len(run)
+        steps, executed, judged = judge.judge(run, trace_index)
         cell["traces"] += 1
-        cell["steps_replayed"] += result.steps_executed
-        covered.update(
-            label.name for label in trace.labels[: result.steps_executed]
-        )
-        for finding in trace_findings(result, trace, job.grain):
-            # Enough metadata to re-derive the witnessing trace without
-            # the trace itself: the scenario prefix and fault schedule
-            # are scripted, the random suffix is fully determined by its
-            # seed and step budget (what the shrink stage rebuilds).
-            finding["witness"] = {
-                "direction": "topdown",
-                "scenario": job.scenario,
-                "fault": job.fault,
-                "seed": job.seed,
-                "leader": leader,
-                "follower": follower,
-                "suffix_seed": _cell_seed(job, trace_index),
-                "suffix_steps": job.max_steps,
-                "steps": len(trace.labels),
-            }
-            findings.append(finding)
-            if finding["kind"] == "impl_bug":
-                cell["impl_bugs"] += 1
-            else:
-                cell["discrepancies"] += 1
-    cell["actions_covered"] = len(covered)
-    cell["findings"] = findings
-    return cell
-
-
-def run_validation_cell(job: CampaignJob, config: ZkConfig) -> Dict[str, Any]:
-    """Execute one bottom-up matrix cell: drive fresh ensembles through
-    the cell's scripted prefix + seeded random exploration, validate the
-    executed labels in lockstep against the cached composed spec, and
-    reduce the outcomes to the same fingerprinted finding schema.
-
-    Like :func:`run_cell` it runs identically inline and inside a forked
-    or socket worker; the explorer seed is derived from the cell
-    coordinates, so the cell is a pure function of ``(job, config)`` and
-    worker count never changes the merged report.
-    """
-    plugin = system_plugin(job.system)
-    spec = cached_spec(job.grain, config, system=job.system)
-    mapping = cached_mapping(job.grain, system=job.system)
-    leader = config.n_servers - 1
-    follower = 0
-    cell = _skipped_cell(job)
-    try:
-        prefix = cached_prefix(
-            job.grain,
-            config,
-            job.scenario,
-            job.fault,
-            leader,
-            follower,
-            system=job.system,
-        )
-    except ScenarioError as error:
-        cell["status"] = "inapplicable"
-        cell["reason"] = str(error)
-        return cell
-
-    cell["status"] = "ok"
-    covered = set()
-    findings: List[Dict[str, Any]] = []
-    for trace_index in range(job.traces):
-        explorer_seed = _cell_seed(job, trace_index)
-        validator = TraceValidator(
-            spec,
-            mapping,
-            plugin.ensemble_factory(config),
-            seed=explorer_seed,
-            compared_variables=plugin.compared_variables,
-            budgets=plugin.budget_limits(config),
-        )
-        executed, _, _ = validator.explorer.explore(
-            job.max_steps, prefix=prefix.labels
-        )
-        report = validator.validate_labels(executed, run=trace_index)
-        cell["traces"] += 1
-        cell["steps_replayed"] += report.steps_validated
+        cell["steps_replayed"] += steps
         covered.update(label.name for label in executed)
-        for finding in validation_findings(report, job.grain):
-            # The witnessing run is re-derivable without trace bytes:
-            # prefix from (scenario, fault), the explored suffix from
-            # the explorer seed + step budget.
-            finding["witness"] = {
-                "direction": "bottomup",
-                "scenario": job.scenario,
-                "fault": job.fault,
-                "seed": job.seed,
-                "leader": leader,
-                "follower": follower,
-                "explorer_seed": explorer_seed,
-                "explorer_steps": job.max_steps,
-                "steps": len(executed),
-            }
+        for finding in judged:
+            finding["witness"] = dict(witness)
             findings.append(finding)
             if finding["kind"] == "impl_bug":
                 cell["impl_bugs"] += 1
@@ -538,10 +419,7 @@ def execute_campaign_task(message: Dict[str, Any]) -> Any:
     )
     kind = message.get("kind")
     if kind == "cell":
-        job = CampaignJob(**message["job"])
-        if job.direction == "bottomup":
-            return run_validation_cell(job, config)
-        return run_cell(job, config)
+        return run_cell(CampaignJob(**message["job"]), config)
     if kind == "shrink":
         from repro.remix.minimize import shrink_finding
 
@@ -675,17 +553,43 @@ class CampaignReport:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "CampaignReport":
-        if data.get("schema") not in COMPAT_SCHEMAS:
+        """Load a report of any accepted schema version, upgraded to the
+        current shape -- the only code that knows what older versions
+        lack, so every reader after it reads fields plainly.
+
+        Pre-/4 reports had no way to degrade (or to say so), pre-plugin
+        ones were always ZooKeeper, pre-/3 findings were always top-down
+        and the earliest /2 witnesses predate the role ids (the roles
+        every cell used then, and still uses)."""
+        schema = data.get("schema")
+        if schema not in COMPAT_SCHEMAS:
             raise ValueError(
-                f"unsupported campaign schema {data.get('schema')!r} "
+                f"unsupported campaign schema {schema!r} "
                 f"(expected one of {list(COMPAT_SCHEMAS)})"
             )
+        meta = dict(data["campaign"])
+        findings = list(data["findings"])
+        if schema == SCHEMA:
+            degraded = dict(data["degraded"])
+        else:
+            degraded = clean_degraded()
+            meta.setdefault("system", "zookeeper")
+            leader = config_from_meta(meta).n_servers - 1
+            for index, finding in enumerate(findings):
+                finding = {"direction": "topdown", **finding}
+                if "witness" in finding:
+                    finding["witness"] = {
+                        "direction": finding["direction"],
+                        "leader": leader,
+                        "follower": 0,
+                        **finding["witness"],
+                    }
+                findings[index] = finding
         return cls(
-            meta=dict(data["campaign"]),
+            meta=meta,
             cells=list(data["cells"]),
-            findings=list(data["findings"]),
-            # Pre-/4 reports had no way to degrade (or to say so).
-            degraded=dict(data.get("degraded") or clean_degraded()),
+            findings=findings,
+            degraded=degraded,
         )
 
 
@@ -739,7 +643,7 @@ def dedup_min_traces(
             out.append(finding)
             continue
         key = (
-            finding.get("direction", "topdown"),
+            finding["direction"],
             finding.get("grain", ""),
             json.dumps(min_trace["labels"], sort_keys=True),
         )
@@ -1191,21 +1095,16 @@ def run_campaign(
 
 
 def new_fingerprints(
-    report: CampaignReport, baseline: Dict[str, Any], kind: str = "impl_bug"
+    report: CampaignReport, baseline: CampaignReport, kind: str = "impl_bug"
 ) -> List[str]:
     """Fingerprints of ``kind`` present in the report but absent from a
-    baseline report JSON (the nightly CI regression gate).
+    baseline report (the nightly CI regression gate).
 
-    Fingerprints the baseline stores inside a group representative's
+    Both sides go through :meth:`CampaignReport.fingerprints`, so
+    fingerprints the baseline stores inside a group representative's
     ``aliases`` count as known: alias grouping depends on which finding
     is seen first, so a later run may promote an aliased fingerprint to
     its own representative -- that is not a new behaviour.
     """
-    known = set()
-    for finding in baseline.get("findings", ()):
-        if kind is None or finding.get("kind") == kind:
-            known.add(finding["fingerprint"])
-        for alias in finding.get("aliases", ()):
-            if kind is None or alias.get("kind") == kind:
-                known.add(alias["fingerprint"])
+    known = set(baseline.fingerprints(kind))
     return [fp for fp in report.fingerprints(kind) if fp not in known]

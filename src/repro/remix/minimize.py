@@ -1,31 +1,30 @@
-"""Campaign repro minimization: from findings to minimal witnesses.
+"""Conformance directions and campaign repro minimization.
 
-A campaign finding is only *actionable* once its witnessing trace is
-minimal: the paper's workflow ends at a model-level trace a developer
-can replay against the code (e.g. ZK-4394's NullPointerException), and
-the raw campaign witness drags a scripted prefix plus a random suffix
-along.  This module closes that gap:
+A *direction* is how a trace meets the implementation: a small record
+(:class:`Direction`) pairing a **derive** function (witness metadata +
+scripted prefix -> the run) with a **judge** (an oracle class that runs
+it against the implementation and reduces the outcome to fingerprinted
+findings).  ``topdown`` derives a model :class:`Trace` by seeded random
+walk and judges it through :meth:`Coordinator.replay
+<repro.remix.coordinator.Coordinator.replay>`; ``bottomup`` derives the
+labels a seeded :class:`ImplExplorer` executes and judges them through
+:meth:`TraceValidator.validate_labels
+<repro.remix.trace_validation.TraceValidator.validate_labels>`.
+Everything around the pair exists once and looks the direction up:
 
-- :func:`rebuild_witness` re-derives a finding's witnessing trace from
-  the metadata stored in the finding (scenario prefix + fault schedule
-  are scripted; the random suffix is fully determined by its stored seed
-  and step budget) -- no trace bytes ever travel through the report;
-- :class:`ConformanceOracle` is the replay oracle handed to the generic
-  delta-debugging shrinker
-  (:func:`repro.checker.shrink.shrink_trace_oracle`): it re-runs a
-  candidate trace through the :class:`~repro.remix.coordinator.Coordinator`
-  and accepts it iff the *same* finding fingerprint is reproduced (same
-  discrepancy kind/variable/values or the same impl-exception class at
-  the same label);
-- bottom-up findings get the mirrored treatment:
-  :func:`rebuild_validation_witness` re-runs the deterministic
-  :class:`~repro.remix.trace_validation.ImplExplorer` under the stored
-  explorer seed, and :class:`ValidationOracle` accepts a candidate
-  *label sequence* iff lockstep validation reproduces the fingerprint
-  (via :func:`repro.checker.shrink.shrink_labels_oracle`, since a
-  bottom-up witness may be model-disabled by design);
-- :func:`shrink_finding` packages both into the campaign's shrink-stage
-  worker, emitting a JSON-able ``min_trace`` payload;
+- a campaign cell (:func:`repro.remix.campaign.run_cell`) writes a
+  witness, derives the run from it and has the judge reduce it;
+- :func:`rebuild_witness` re-derives a finding's witnessing run from the
+  metadata stored in the finding, through the same ``derive`` -- no
+  trace bytes travel through the report, and cell and shrinker cannot
+  drift;
+- :func:`shrink_finding`, the campaign's shrink-stage worker,
+  delta-debugs the rebuilt run's labels under the judge, which accepts a
+  candidate iff the *same* finding fingerprint is reproduced.  A finding
+  is only actionable once its witness is minimal: the paper's workflow
+  ends at a trace a developer can replay against the code (e.g.
+  ZK-4394's NullPointerException), and the raw witness drags a scripted
+  prefix plus a random suffix along;
 - :func:`replay_min_trace` / :func:`unreplayable_min_traces` verify a
   report's minimized traces end-to-end (the CI assertion that every
   finding carries a *replayable* ``min_trace``).
@@ -33,12 +32,15 @@ along.  This module closes that gap:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.checker.random_walk import RandomWalker
-from repro.checker.shrink import shrink_labels_oracle, shrink_trace_oracle
+from repro.checker.shrink import _try_replay, shrink_labels_oracle
 from repro.checker.trace import Trace
 from repro.remix.campaign import (
+    CampaignReport,
     config_from_meta,
     trace_findings,
     validation_findings,
@@ -48,7 +50,6 @@ from repro.remix.registry import system_plugin
 from repro.remix.spec_cache import cached_mapping, cached_prefix, cached_spec
 from repro.remix.trace_validation import ImplExplorer, TraceValidator
 from repro.system.plugin import ScenarioError
-from repro.zookeeper.config import ZkConfig
 
 
 def _args_to_json(value: Any) -> Any:
@@ -102,84 +103,60 @@ def labels_from_json(spec, entries) -> Optional[List]:
     return instances
 
 
-def rebuild_witness(
-    grain: str,
-    witness: Dict[str, Any],
-    config: ZkConfig,
-    system: str = "zookeeper",
-) -> Trace:
-    """Reconstruct a top-down finding's witnessing trace from its stored
-    metadata (deterministic: scripted prefix + fault + seeded random
-    suffix)."""
+# -------------------------------------------------------------- derive
+
+
+def _walk_suffix(grain, witness, config, system, prefix) -> Trace:
+    """Top-down: the scripted prefix, then a seeded random model walk
+    from its final state."""
     spec = cached_spec(grain, config, system=system)
-    # Role ids are stored in the witness; the fallbacks mirror run_cell's
-    # historical choice for /2-era findings that predate the keys.
-    leader = witness.get("leader", config.n_servers - 1)
-    follower = witness.get("follower", 0)
-    prefix = cached_prefix(
-        grain,
-        config,
-        witness["scenario"],
-        witness["fault"],
-        leader,
-        follower,
-        system=system,
+    suffix = RandomWalker(spec, seed=witness["suffix_seed"]).walk(
+        witness["suffix_steps"], start=prefix.state
     )
-    walker = RandomWalker(spec, seed=witness["suffix_seed"])
-    suffix = walker.walk(witness["suffix_steps"], start=prefix.state)
     return Trace(
         states=prefix.states + suffix.states[1:],
         labels=prefix.labels + suffix.labels,
     )
 
 
-def rebuild_validation_witness(
-    grain: str,
-    witness: Dict[str, Any],
-    config: ZkConfig,
-    system: str = "zookeeper",
-) -> List:
-    """Reconstruct a bottom-up finding's witnessing *label sequence* by
-    re-running the deterministic implementation explorer under the
-    stored explorer seed (scripted prefix first, then the seeded random
-    suffix -- exactly what the validation cell executed)."""
+def _explore_suffix(grain, witness, config, system, prefix) -> List:
+    """Bottom-up: the labels a seeded implementation explorer executes,
+    the prefix's first and then its random suffix."""
     plugin = system_plugin(system)
-    spec = cached_spec(grain, config, system=system)
-    mapping = cached_mapping(grain, system=system)
-    leader = witness.get("leader", config.n_servers - 1)
-    follower = witness.get("follower", 0)
-    prefix = cached_prefix(
-        grain,
-        config,
-        witness["scenario"],
-        witness["fault"],
-        leader,
-        follower,
-        system=system,
-    )
     explorer = ImplExplorer(
-        spec,
-        mapping,
+        cached_spec(grain, config, system=system),
+        cached_mapping(grain, system=system),
         plugin.ensemble_factory(config),
         seed=witness["explorer_seed"],
         budgets=plugin.budget_limits(config),
     )
-    executed, _, _ = explorer.explore(
-        witness["explorer_steps"], prefix=prefix.labels
-    )
-    return executed
+    return explorer.explore(witness["explorer_steps"], prefix=prefix.labels)[0]
+
+
+def _model_replay(spec) -> Callable:
+    """Top-down lift: a candidate is a run only if it replays at the
+    model level, from the initial state."""
+    initial = spec.initial_states()[0]
+    return lambda labels: _try_replay(spec, labels, initial)
+
+
+# --------------------------------------------------------------- judge
+#
+# A judge is built per (grain, target fingerprint, config, system).
+# ``judge(run, index)`` returns ``(steps, labels executed, findings)``
+# and is what a campaign cell calls (with no target: ``fingerprint`` is
+# None); ``__call__(run)`` is the shrink oracle -- "the target
+# fingerprint is among those findings" -- and alone counts ``replays``.
 
 
 class ConformanceOracle:
-    """A replay oracle for the shrinker: accept a candidate model trace
-    iff re-running it through the coordinator reproduces the target
-    finding fingerprint."""
+    """The top-down judge: replay a model trace through the coordinator."""
 
     def __init__(
         self,
         grain: str,
-        fingerprint: str,
-        config: ZkConfig,
+        fingerprint: Optional[str],
+        config: Any,
         system: str = "zookeeper",
     ):
         plugin = system_plugin(system)
@@ -192,30 +169,36 @@ class ConformanceOracle:
         )
         self.replays = 0
 
+    def judge(self, trace: Trace, index: int = 0) -> Tuple[int, List, List]:
+        result = self.coordinator.replay(trace)
+        return (
+            result.steps_executed,
+            trace.labels[: result.steps_executed],
+            trace_findings(result, trace, self.grain),
+        )
+
     def __call__(self, trace: Trace) -> bool:
         self.replays += 1
-        result = self.coordinator.replay(trace)
-        return self.fingerprint in {
-            finding["fingerprint"]
-            for finding in trace_findings(result, trace, self.grain)
-        }
+        return any(
+            finding["fingerprint"] == self.fingerprint
+            for finding in self.judge(trace)[2]
+        )
 
 
 class ValidationOracle:
-    """The bottom-up shrink oracle: accept a candidate *label sequence*
-    iff lockstep validation (fresh ensemble + fresh model run) reproduces
-    the target finding fingerprint.
+    """The bottom-up judge: validate a label sequence in lockstep (fresh
+    ensemble + fresh model run).
 
-    Unlike :class:`ConformanceOracle` the candidate is never replayed
-    through the model alone -- a bottom-up witness may be model-disabled
-    on purpose (that can be the very finding under minimization), so the
-    implementation drives and the model only judges."""
+    The candidate is never replayed through the model alone -- a
+    bottom-up witness may be model-disabled on purpose (that can be the
+    very finding under minimization), so the implementation drives and
+    the model only judges."""
 
     def __init__(
         self,
         grain: str,
-        fingerprint: str,
-        config: ZkConfig,
+        fingerprint: Optional[str],
+        config: Any,
         system: str = "zookeeper",
     ):
         plugin = system_plugin(system)
@@ -226,27 +209,100 @@ class ValidationOracle:
             cached_mapping(grain, system=system),
             plugin.ensemble_factory(config),
             compared_variables=plugin.compared_variables,
-            budgets=plugin.budget_limits(config),
         )
         self.replays = 0
 
-    def __call__(self, labels) -> bool:
+    def judge(self, labels: List, index: int = 0) -> Tuple[int, List, List]:
+        # The implementation executed every label of an explorer's run;
+        # validation merely stops judging at the first issue, so the
+        # labels executed (a cell's coverage) are the whole run.
+        report = self.validator.validate_labels(labels, run=index)
+        return (
+            report.steps_validated,
+            labels,
+            validation_findings(report, self.grain),
+        )
+
+    def __call__(self, labels: List) -> bool:
         self.replays += 1
-        report = self.validator.validate_labels(labels)
-        return self.fingerprint in {
-            finding["fingerprint"]
-            for finding in validation_findings(report, self.grain)
-        }
+        return any(
+            finding["fingerprint"] == self.fingerprint
+            for finding in self.judge(labels)[2]
+        )
+
+
+# ----------------------------------------------------------- directions
+
+
+@dataclass(frozen=True)
+class Direction:
+    """One conformance methodology: how a run is derived and judged."""
+
+    #: Witness keys of the derive seed and step budget (the historical
+    #: per-direction names are part of the report schema).
+    seed_key: str
+    steps_key: str
+    #: ``derive(grain, witness, config, system, prefix) -> run``
+    derive: Callable
+    #: The oracle class (see "judge" above).
+    judge: Callable
+    #: ``labels(run)`` is what the shrinker deletes from, and
+    #: ``lift(spec)(labels)`` turns a candidate back into a run for the
+    #: judge -- or None when it is not a run in this direction.
+    labels: Callable
+    lift: Callable
+
+
+DIRECTION_TABLE: Dict[str, Direction] = {
+    "topdown": Direction(
+        seed_key="suffix_seed",
+        steps_key="suffix_steps",
+        derive=_walk_suffix,
+        judge=ConformanceOracle,
+        labels=attrgetter("labels"),
+        lift=_model_replay,
+    ),
+    "bottomup": Direction(
+        seed_key="explorer_seed",
+        steps_key="explorer_steps",
+        derive=_explore_suffix,
+        judge=ValidationOracle,
+        labels=list,
+        lift=lambda spec: lambda labels: labels,
+    ),
+}
+
+
+def rebuild_witness(
+    grain: str,
+    witness: Dict[str, Any],
+    config: Any,
+    system: str = "zookeeper",
+):
+    """Reconstruct a finding's witnessing run from its stored metadata:
+    the scripted prefix + fault, then the direction's ``derive`` under
+    the stored seed and step budget -- exactly what the cell executed."""
+    prefix = cached_prefix(
+        grain,
+        config,
+        witness["scenario"],
+        witness["fault"],
+        witness["leader"],
+        witness["follower"],
+        system=system,
+    )
+    direction = DIRECTION_TABLE[witness["direction"]]
+    return direction.derive(grain, witness, config, system, prefix)
 
 
 def shrink_finding(
     finding: Dict[str, Any],
-    config: Optional[ZkConfig] = None,
+    config: Any = None,
     max_rounds: int = 10,
     system: str = "zookeeper",
 ) -> Dict[str, Any]:
     """The campaign shrink-stage worker: rebuild one distinct finding's
-    witness and delta-debug it under a :class:`ConformanceOracle`.
+    witness and delta-debug its labels under the direction's judge.
 
     Returns the ``min_trace`` payload.  ``status`` is ``"ok"`` with
     replayable ``labels`` on success; ``"no_witness"`` for findings from
@@ -259,54 +315,44 @@ def shrink_finding(
     if not witness:
         return {"status": "no_witness"}
     grain = finding["grain"]
-    if finding.get("direction") == "bottomup":
-        try:
-            labels = rebuild_validation_witness(grain, witness, config, system)
-        except ScenarioError as error:  # pragma: no cover - defensive
-            return {"status": "unreproducible", "reason": str(error)}
-        oracle = ValidationOracle(grain, finding["fingerprint"], config, system)
-        if not oracle(labels):
-            return {"status": "unreproducible", "witness_steps": len(labels)}
-        shrunk_labels = shrink_labels_oracle(
-            labels, oracle, max_rounds=max_rounds
-        )
-        return {
-            "status": "ok",
-            "steps": len(shrunk_labels),
-            "witness_steps": len(labels),
-            "oracle_replays": oracle.replays,
-            "labels": [label_to_json(label) for label in shrunk_labels],
-        }
-    spec = cached_spec(grain, config, system=system)
+    direction = DIRECTION_TABLE[finding["direction"]]
     try:
-        trace = rebuild_witness(grain, witness, config, system)
+        run = rebuild_witness(grain, witness, config, system)
     except ScenarioError as error:  # pragma: no cover - defensive
         return {"status": "unreproducible", "reason": str(error)}
-    oracle = ConformanceOracle(grain, finding["fingerprint"], config, system)
-    if not oracle(trace):
-        return {"status": "unreproducible", "witness_steps": len(trace)}
-    shrunk = shrink_trace_oracle(spec, trace, oracle, max_rounds=max_rounds)
+    oracle = direction.judge(grain, finding["fingerprint"], config, system)
+    if not oracle(run):
+        return {"status": "unreproducible", "witness_steps": len(run)}
+    lift = direction.lift(cached_spec(grain, config, system=system))
+
+    def reproduces(labels: List) -> bool:
+        candidate = lift(labels)
+        return candidate is not None and oracle(candidate)
+
+    shrunk = shrink_labels_oracle(
+        direction.labels(run), reproduces, max_rounds=max_rounds
+    )
     return {
         "status": "ok",
         "steps": len(shrunk),
-        "witness_steps": len(trace),
+        "witness_steps": len(run),
         "oracle_replays": oracle.replays,
-        "labels": [label_to_json(label) for label in shrunk.labels],
+        "labels": [label_to_json(label) for label in shrunk],
     }
 
 
 def replay_min_trace(
     finding: Dict[str, Any],
-    config: Optional[ZkConfig] = None,
+    config: Any = None,
     system: str = "zookeeper",
 ) -> bool:
     """True iff the finding's ``min_trace`` reproduces the finding
     fingerprint end-to-end -- the check CI runs on shrunk reports.
 
-    Top-down findings must replay from the initial state at the model
-    level AND reproduce the fingerprint at the code level; bottom-up
-    findings re-drive the implementation and reproduce the fingerprint
-    under lockstep validation."""
+    The labels are lifted to a run of the finding's direction (top-down
+    ones must replay from the initial state at the model level;
+    bottom-up ones need not, and often must not) and judged at the code
+    level."""
     config = config or system_plugin(system).campaign_config()
     min_trace = finding.get("min_trace") or {}
     if min_trace.get("status") != "ok":
@@ -316,44 +362,26 @@ def replay_min_trace(
     instances = labels_from_json(spec, min_trace["labels"])
     if instances is None:
         return False
-    if finding.get("direction") == "bottomup":
-        # Bottom-up min_traces need not (and often must not) replay at
-        # the model level; the implementation drives, lockstep validation
-        # judges the fingerprint.
-        labels = [inst.label for inst in instances]
-        return ValidationOracle(grain, finding["fingerprint"], config, system)(
-            labels
-        )
-    state = spec.initial_states()[0]
-    states = [state]
-    labels = []
-    for inst in instances:
-        nxt = inst.apply(spec.config, state)
-        if nxt is None:
-            return False
-        labels.append(inst.label)
-        states.append(nxt)
-        state = nxt
-    trace = Trace(states=states, labels=labels)
-    return ConformanceOracle(grain, finding["fingerprint"], config, system)(
-        trace
-    )
+    direction = DIRECTION_TABLE[finding["direction"]]
+    run = direction.lift(spec)([inst.label for inst in instances])
+    return run is not None and direction.judge(
+        grain, finding["fingerprint"], config, system
+    )(run)
 
 
 def unreplayable_min_traces(
-    report_json: Dict[str, Any], config: Optional[ZkConfig] = None
+    report_json: Dict[str, Any], config: Any = None
 ) -> List[str]:
     """Fingerprints whose ``min_trace`` is missing or fails
     :func:`replay_min_trace`; empty means every finding carries a
     replayable minimal repro.  The config (and system) default to the
     ones recorded in the report's ``campaign`` block, so verification
     runs against the spec the campaign actually used."""
-    meta = report_json.get("campaign", {})
-    system = meta.get("system", "zookeeper")
+    report = CampaignReport.from_json(report_json)
     if config is None:
-        config = config_from_meta(meta)
+        config = config_from_meta(report.meta)
     return [
         finding["fingerprint"]
-        for finding in report_json.get("findings", ())
-        if not replay_min_trace(finding, config, system)
+        for finding in report.findings
+        if not replay_min_trace(finding, config, report.meta["system"])
     ]

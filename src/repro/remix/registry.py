@@ -150,7 +150,7 @@ class SpecRegistry:
         config = config or ZkConfig()
         if variant is not None:
             config = config.with_variant(variant)
-        return build_spec(name, selection, config)
+        return build_spec(name, selection, config, self._entries)
 
     def compose_named(
         self,

@@ -41,9 +41,9 @@ from repro.tla.state import State
 class ValidationIssue:
     """One implementation step the model does not allow.
 
-    ``run`` is the index of the validation run that produced the issue:
-    step indices restart at 0 every run, so without it a multi-run
-    :class:`ValidationReport` could not tell which run to rebuild.
+    ``run`` is the caller's index of the validated run (a campaign cell
+    validates several): step indices restart at 0 every run, so without
+    it a finding could not tell which run to rebuild.
     """
 
     # "model_disabled" | "state_mismatch" | "impl_exception"
@@ -73,16 +73,16 @@ class ValidationIssue:
 
 @dataclass
 class ValidationReport:
-    runs: int = 0
+    """The outcome of validating one implementation run."""
+
     steps_validated: int = 0
     issues: List[ValidationIssue] = field(default_factory=list)
     #: (run, step, label, error) -- the implementation exception that
-    #: ended a run, attributed to the run that raised it.
+    #: ended the run.
     impl_errors: List[Tuple[int, int, ActionLabel, ImplError]] = field(
         default_factory=list
     )
-    #: The implementation labels that executed, across all runs (what a
-    #: campaign cell reports as action coverage).
+    #: The implementation labels that executed before validation stopped.
     executed: List[ActionLabel] = field(default_factory=list)
 
     @property
@@ -91,7 +91,7 @@ class ValidationReport:
 
     def summary(self) -> str:
         return (
-            f"trace validation: {self.runs} runs, "
+            f"trace validation: "
             f"{self.steps_validated} impl steps validated, "
             f"{len(self.issues)} issues, "
             f"{len(self.impl_errors)} impl exceptions"
@@ -165,22 +165,15 @@ class ImplExplorer:
         mapping: ActionMapping,
         ensemble_factory: Callable[[], Ensemble],
         seed: int = 0,
-        budgets: Optional[Mapping[str, int]] = None,
+        *,
+        budgets: Mapping[str, int],
     ):
         """``budgets`` maps budgeted action names to their model bounds
-        (a system plugin's ``budget_limits``); ``None`` derives the
-        ZooKeeper defaults from the spec's configuration."""
+        (the system plugin's ``budget_limits(config)``)."""
         self.spec = spec
         self.mapping = mapping
         self.ensemble_factory = ensemble_factory
         self.rng = random.Random(seed)
-        if budgets is None:
-            config = spec.config
-            budgets = {
-                "NodeCrash": config.max_crashes,
-                "PartitionStart": config.max_partitions,
-                "LeaderProcessRequest": config.max_txns,
-            }
         self.budgets = dict(budgets)
         self._labels = [
             inst.label
@@ -266,21 +259,19 @@ class ImplExplorer:
 
 
 class TraceValidator:
-    """Validate implementation runs against the model, in lockstep."""
+    """Validate implementation runs against the model, in lockstep.
+
+    A validator only judges: the runs come from an :class:`ImplExplorer`
+    (or from a shrinker's candidate label sequences)."""
 
     def __init__(
         self,
         spec: Specification,
         mapping: ActionMapping,
         ensemble_factory: Callable[[], Ensemble],
-        seed: int = 0,
         compared_variables=COMPARED_VARIABLES,
-        budgets: Optional[Mapping[str, int]] = None,
     ):
         self.spec = spec
-        self.explorer = ImplExplorer(
-            spec, mapping, ensemble_factory, seed, budgets=budgets
-        )
         self.mapping = mapping
         self.ensemble_factory = ensemble_factory
         self.compared_variables = tuple(compared_variables)
@@ -291,10 +282,9 @@ class TraceValidator:
         """Replay ``labels`` against BOTH the model and a fresh ensemble,
         comparing the compared variables after each step.
 
-        This is the lockstep core shared by :meth:`validate_run` and the
-        campaign's bottom-up shrink oracle (which feeds it candidate
-        label subsequences)."""
-        report = ValidationReport(runs=1)
+        This is the lockstep core behind the campaign's bottom-up cells
+        (explored runs) and shrink oracle (candidate subsequences)."""
+        report = ValidationReport()
         model_state: State = self.spec.initial_states()[0]
         ensemble = self.ensemble_factory()
         # Validate the comparison tuple against the snapshot up front: a
@@ -355,23 +345,3 @@ class TraceValidator:
                     )
                     return report
         return report
-
-    def validate_run(
-        self,
-        max_steps: int = 20,
-        prefix: Sequence[ActionLabel] = (),
-        run: int = 0,
-    ) -> ValidationReport:
-        executed, _, _ = self.explorer.explore(max_steps, prefix=prefix)
-        return self.validate_labels(executed, run=run)
-
-    def validate(self, runs: int = 10, max_steps: int = 20) -> ValidationReport:
-        total = ValidationReport()
-        for run in range(runs):
-            run_report = self.validate_run(max_steps, run=run)
-            total.runs += 1
-            total.steps_validated += run_report.steps_validated
-            total.issues.extend(run_report.issues)
-            total.impl_errors.extend(run_report.impl_errors)
-            total.executed.extend(run_report.executed)
-        return total

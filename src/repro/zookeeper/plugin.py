@@ -36,10 +36,14 @@ class ZooKeeperPlugin(SystemPlugin):
         return ZkConfig()
 
     def campaign_config(self) -> ZkConfig:
-        """The standard campaign configuration (small fault budgets)."""
-        from repro.remix.campaign import campaign_config
-
-        return campaign_config()
+        """The standard campaign configuration: crash budget for the
+        crash schedules plus one partition so the partition schedules are
+        enabled, and one message fault for the delay/duplication
+        schedules."""
+        return ZkConfig(
+            n_servers=3, max_txns=1, max_crashes=2, max_partitions=1,
+            max_epoch=3, max_msg_faults=1,
+        )
 
     def make_spec(self, grain: str, config=None):
         """Compose one of the multi-grained ZooKeeper specifications.

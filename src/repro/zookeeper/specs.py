@@ -152,10 +152,16 @@ def build_spec(
     name: str,
     selection: Dict[str, str],
     config: ZkConfig,
+    factories: Dict[str, Dict[str, Callable]] = MODULE_FACTORIES,
 ) -> Specification:
     """Compose a mixed-grained specification from a granularity selection
     (the Remix composition step, §3.5.1), with automatically selected
-    invariants."""
+    invariants.
+
+    ``factories`` is the module -> granularity -> factory table the
+    selection is resolved against: the shipped :data:`MODULE_FACTORIES`
+    by default, or a :class:`~repro.remix.registry.SpecRegistry`'s own
+    entries, which may hold granularities registered at runtime."""
     ele = selection["Election"]
     dis = selection["Discovery"]
     if (ele == "coarsened") != (dis == "coarsened"):
@@ -176,12 +182,10 @@ def build_spec(
     if ele == "coarsened":
         modules.append(coarse_election_module(config))
     else:
-        modules.append(election_module(config))
-        modules.append(discovery_module(config))
-    modules.append(
-        MODULE_FACTORIES["Synchronization"][selection["Synchronization"]](config)
-    )
-    modules.append(MODULE_FACTORIES["Broadcast"][selection["Broadcast"]](config))
+        modules.append(factories["Election"][ele](config))
+        modules.append(factories["Discovery"][dis](config))
+    for module in ("Synchronization", "Broadcast"):
+        modules.append(factories[module][selection[module]](config))
     modules.append(faults_module(config))
 
     invariants = protocol_invariants() + code_invariants(selection)

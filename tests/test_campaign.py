@@ -13,22 +13,22 @@ from repro.remix.campaign import (
     CampaignRequest,
     ConformanceCampaign,
     RequestError,
-    DEFAULT_FAULTS,
-    DEFAULT_GRAINS,
-    DEFAULT_SCENARIOS,
-    campaign_config,
     canonical_value,
+    clean_degraded,
     dedup_min_traces,
     finding_fingerprint,
     merge_cells,
     new_fingerprints,
     parse_budget,
     run_cell,
-    run_validation_cell,
 )
-from repro.zookeeper import ZkConfig, make_spec
+from repro.remix.registry import system_plugin
+from repro.zookeeper import make_spec
 from repro.zookeeper.faults import FaultSchedule, fault_schedule, fault_schedules
 from repro.zookeeper.scenarios import SCENARIO_PREFIXES, Scenario, scenario_prefix
+
+PLUGIN = system_plugin("zookeeper")
+campaign_config = PLUGIN.campaign_config
 
 
 @pytest.fixture(autouse=True)
@@ -56,7 +56,10 @@ class TestMatrix:
         campaign = ConformanceCampaign(CampaignRequest(seeds=2))
         jobs = campaign.jobs()
         expected = (
-            len(DEFAULT_GRAINS) * len(DEFAULT_SCENARIOS) * len(DEFAULT_FAULTS) * 2
+            len(PLUGIN.grains)
+            * len(PLUGIN.scenario_prefixes)
+            * len(PLUGIN.fault_schedules)
+            * 2
         )
         assert len(jobs) == expected
         assert [job.index for job in jobs] == list(range(expected))
@@ -138,18 +141,6 @@ class TestCellExecution:
         assert cell["steps_replayed"] > 0
         assert cell["actions_covered"] >= 2
 
-    def test_inapplicable_fault_is_reported_not_raised(self):
-        # No partition budget -> PartitionStart is never enabled.
-        config = ZkConfig(
-            n_servers=3, max_txns=1, max_crashes=1, max_partitions=0,
-            max_epoch=3,
-        )
-        job = CampaignJob(0, "mSpec-1", "election", "partition", 7, 1, 4)
-        cell = run_cell(job, config)
-        assert cell["status"] == "inapplicable"
-        assert "not enabled" in cell["reason"]
-        assert cell["findings"] == []
-
     def test_validation_cell_runs_and_finds(self):
         # Fixed-seed bottom-up cell: the simulator allows partitioning a
         # crashed node, which the model forbids -- a divergence only the
@@ -159,7 +150,7 @@ class TestCellExecution:
             0, "mSpec-1", "election", "crash-follower", 0, 2, 12,
             direction="bottomup",
         )
-        cell = run_validation_cell(job, campaign_config())
+        cell = run_cell(job, campaign_config())
         assert cell["status"] == "ok"
         assert cell["direction"] == "bottomup"
         assert cell["traces"] == 2
@@ -177,22 +168,9 @@ class TestCellExecution:
             0, "mSpec-1", "broadcast", "none", 7, 2, 8,
             direction="bottomup",
         )
-        first = run_validation_cell(job, campaign_config())
-        second = run_validation_cell(job, campaign_config())
+        first = run_cell(job, campaign_config())
+        second = run_cell(job, campaign_config())
         assert first == second
-
-    def test_validation_cell_inapplicable_fault(self):
-        config = ZkConfig(
-            n_servers=3, max_txns=1, max_crashes=1, max_partitions=0,
-            max_epoch=3,
-        )
-        job = CampaignJob(
-            0, "mSpec-1", "election", "partition", 7, 1, 4,
-            direction="bottomup",
-        )
-        cell = run_validation_cell(job, config)
-        assert cell["status"] == "inapplicable"
-        assert cell["findings"] == []
 
     def test_cell_seeds_differ_across_cells(self):
         from repro.remix.campaign import _cell_seed
@@ -328,10 +306,79 @@ class TestReportSchema:
                 {"fingerprint": "bb", "kind": "state_mismatch"},
             ],
         )
-        empty = {"findings": []}
+        empty = CampaignReport(meta={}, cells=[], findings=[])
         assert new_fingerprints(report, empty) == ["aa"]
-        known = {"findings": [{"fingerprint": "aa", "kind": "impl_bug"}]}
+        known = CampaignReport(
+            meta={}, cells=[],
+            findings=[{"fingerprint": "aa", "kind": "impl_bug"}],
+        )
         assert new_fingerprints(report, known) == []
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_schemas_upgrade_and_gate(self, version):
+        # What each older version lacks is filled in on load, so every
+        # reader after from_json reads the /4 shape plainly.
+        finding = {"fingerprint": "aa", "kind": "impl_bug", "grain": "mSpec-1"}
+        if version >= 2:
+            finding["witness"] = {
+                "scenario": "sync", "fault": "none", "seed": 7,
+                "suffix_seed": 1, "suffix_steps": 4, "steps": 9,
+            }
+        if version >= 3:
+            finding["direction"] = "bottomup"
+            finding["witness"]["direction"] = "bottomup"
+        old = {
+            "schema": f"repro.campaign/{version}",
+            "campaign": {"seed": 7},
+            "cells": [],
+            "findings": [finding],
+        }
+        report = CampaignReport.from_json(json.loads(json.dumps(old)))
+        assert report.meta["system"] == "zookeeper"
+        assert report.degraded == clean_degraded()
+        direction = "bottomup" if version >= 3 else "topdown"
+        assert report.findings[0]["direction"] == direction
+        if version >= 2:
+            leader = campaign_config().n_servers - 1
+            witness = report.findings[0]["witness"]
+            assert witness["direction"] == direction
+            assert (witness["leader"], witness["follower"]) == (leader, 0)
+        assert report.to_json()["schema"] == "repro.campaign/4"
+        # ... and the upgraded report gates like any other baseline
+        fresh = CampaignReport(
+            meta={}, cells=[],
+            findings=[
+                {"fingerprint": "aa", "kind": "impl_bug"},
+                {"fingerprint": "zz", "kind": "impl_bug"},
+            ],
+        )
+        assert new_fingerprints(fresh, report) == ["zz"]
+
+    def test_cli_rejects_unsupported_baseline_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.remix import campaign
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the campaign ran before the baseline check")
+
+        monkeypatch.setattr(campaign, "run_campaign", must_not_run)
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"schema": "bogus/9"}))
+        assert main(["campaign", "--baseline", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"campaign: baseline {path}" in err
+        assert "unsupported campaign schema 'bogus/9'" in err
+
+    def test_checked_in_baseline_round_trips_unchanged(self):
+        import pathlib
+
+        path = pathlib.Path(__file__).parent.parent / (
+            ".github/campaign-baseline.json"
+        )
+        data = json.loads(path.read_text())
+        assert CampaignReport.from_json(data).to_json() == data
 
     def test_parse_budget(self):
         assert parse_budget("5s") == 5.0
@@ -495,7 +542,10 @@ class TestMinTraceAliases:
         assert report.totals["distinct_findings"] == 1
         assert report.totals["aliased_findings"] == 1
         # the baseline gate keeps recognizing the aliased fingerprint
-        baseline = {"findings": [{"fingerprint": "bb", "kind": "state_mismatch"}]}
+        baseline = CampaignReport(
+            meta={}, cells=[],
+            findings=[{"fingerprint": "bb", "kind": "state_mismatch"}],
+        )
         assert new_fingerprints(report, baseline, kind="state_mismatch") == ["aa"]
 
     def test_baseline_aliases_count_as_known(self):
@@ -503,15 +553,17 @@ class TestMinTraceAliases:
         # fingerprint the baseline stores only as an alias to its own
         # representative.  The gate must not flag it as new.
         labels = [{"name": "NodeCrash", "args": {"i": 0}}]
-        baseline = {
-            "findings": [
+        baseline = CampaignReport(
+            meta={},
+            cells=[],
+            findings=[
                 dict(
                     self.finding("head", labels),
                     kind="impl_bug",
                     aliases=[{"fingerprint": "ali", "kind": "impl_bug"}],
                 )
-            ]
-        }
+            ],
+        )
         report = CampaignReport(
             meta={},
             cells=[],
@@ -563,7 +615,7 @@ class TestScenarioIndex:
         assert spec.instance_named("NodeCrash", {"i": 99}) is None
 
     def test_scenario_prefixes_cover_all_grains(self):
-        for grain in DEFAULT_GRAINS:
+        for grain in PLUGIN.grains:
             spec = spec_cache.cached_spec(grain, campaign_config())
             for name in SCENARIO_PREFIXES:
                 prefix = scenario_prefix(name, spec, 2, (0, 1, 2))

@@ -13,24 +13,24 @@ from repro.checker.shrink import shrink_trace, shrink_trace_oracle
 from repro.checker.trace import Trace
 from repro.remix import spec_cache
 from repro.remix.campaign import (
+    CampaignJob,
     CampaignReport,
     CampaignRequest,
     ConformanceCampaign,
     allocate_round,
-    campaign_config,
+    run_cell,
     trace_findings,
 )
 from repro.remix.coordinator import Coordinator
 from repro.remix.mapping import mapping_for
 from repro.remix.minimize import (
-    ConformanceOracle,
-    ValidationOracle,
-    rebuild_validation_witness,
+    DIRECTION_TABLE,
     rebuild_witness,
     replay_min_trace,
     shrink_finding,
     unreplayable_min_traces,
 )
+from repro.remix.registry import system_plugin
 from repro.impl import Ensemble
 from repro.tla.action import Action
 from repro.tla.module import Module
@@ -40,7 +40,7 @@ from repro.zookeeper import V391, make_spec
 from repro.zookeeper.scenarios import Scenario
 from repro.zookeeper.specs import SELECTIONS
 
-CONFIG = campaign_config()
+CONFIG = system_plugin("zookeeper").campaign_config()
 
 #: A tiny single-grain campaign that reproduces ZK-4394's NPE through
 #: FollowerProcessCOMMITInSync on the mSpec-1/sync lanes.  (The walk
@@ -195,18 +195,6 @@ class TestCampaignShrink:
         # no config passed: reconstructed from the report's meta block
         assert unreplayable_min_traces(npe_report.to_json()) == []
 
-    def test_witness_rebuild_reproduces_fingerprint(self, npe_report):
-        finding = npe_report.findings[0]
-        trace = rebuild_witness(finding["grain"], finding["witness"], CONFIG)
-        assert len(trace) == finding["witness"]["steps"]
-        oracle = ConformanceOracle(
-            finding["grain"], finding["fingerprint"], CONFIG
-        )
-        assert oracle(trace)
-        # a different fingerprint is not accepted by the same trace
-        other = ConformanceOracle(finding["grain"], "deadbeef", CONFIG)
-        assert not other(trace)
-
     def test_config_round_trips_through_report_meta(self, npe_report):
         import json
 
@@ -226,8 +214,13 @@ class TestCampaignShrink:
             )
         ).run()
         assert config_from_meta(report.to_json()["campaign"]) == custom
-        # /1-era meta without a config block falls back to the default
-        assert config_from_meta({}) == CONFIG
+        # /1-era meta without a config (or system) block is upgraded on
+        # load and falls back to the default
+        legacy = CampaignReport.from_json(
+            {"schema": "repro.campaign/1", "campaign": {}, "cells": [],
+             "findings": []}
+        )
+        assert config_from_meta(legacy.meta) == CONFIG
 
     def test_witness_records_roles(self, npe_report):
         witness = npe_report.findings[0]["witness"]
@@ -303,6 +296,116 @@ class TestCampaignShrink:
         assert report.fingerprints("impl_bug") == ["bb"]
 
 
+# ------------------------------------------- the direction contract
+
+
+#: One seed-7 cell with findings per (direction, system).
+CONTRACT_CELLS = {
+    ("topdown", "zookeeper"): ("mSpec-1", "broadcast", "crash-follower"),
+    ("bottomup", "zookeeper"): ("mSpec-1", "election", "none"),
+    ("topdown", "raft"): ("raft-coarse", "election", "none"),
+    ("bottomup", "raft"): ("raft-coarse", "election", "none"),
+}
+
+
+@pytest.mark.parametrize("system", ["zookeeper", "raft"])
+@pytest.mark.parametrize("direction", ["topdown", "bottomup"])
+class TestDirectionContract:
+    """What every direction owes the campaign, on every system: the
+    cell's witness rebuilds the judged run, the judge reproduces the
+    fingerprint from it, and the shrunk repro replays."""
+
+    def job(self, direction, system, fault=None):
+        grain, scenario, cell_fault = CONTRACT_CELLS[direction, system]
+        return CampaignJob(
+            0, grain, scenario, fault or cell_fault, 7, 2, 12,
+            direction=direction, system=system,
+        )
+
+    def test_cell_to_witness_to_min_trace(self, direction, system):
+        config = system_plugin(system).campaign_config()
+        job = self.job(direction, system)
+        cell = run_cell(job, config)
+        assert cell["status"] == "ok" and cell["direction"] == direction
+        assert cell["traces"] == 2 and cell["steps_replayed"] > 0
+        assert cell == run_cell(job, config)  # a pure function of the job
+        finding = cell["findings"][0]
+        assert finding["direction"] == direction
+        witness = finding["witness"]
+        assert witness["direction"] == direction
+        keys = DIRECTION_TABLE[direction]
+        assert keys.seed_key in witness and keys.steps_key in witness
+
+        run = rebuild_witness(job.grain, witness, config, system)
+        assert len(run) == witness["steps"]
+        judge = keys.judge(job.grain, finding["fingerprint"], config, system)
+        assert judge(run)
+        # a different fingerprint is not accepted by the same run
+        assert not keys.judge(job.grain, "deadbeef", config, system)(run)
+
+        payload = shrink_finding(dict(finding, count=1), config, system=system)
+        assert payload["status"] == "ok"
+        assert payload["steps"] <= payload["witness_steps"] == witness["steps"]
+        # shrink_finding's pre-check plus the shrinker's own initial check
+        assert payload["oracle_replays"] >= 2
+        assert replay_min_trace(
+            dict(finding, min_trace=payload), config, system
+        )
+
+    def test_inapplicable_fault_reported(self, direction, system):
+        # No partition budget -> the partition schedule is never enabled.
+        from dataclasses import replace
+
+        config = replace(
+            system_plugin(system).campaign_config(), max_partitions=0
+        )
+        cell = run_cell(self.job(direction, system, fault="partition"), config)
+        assert cell["status"] == "inapplicable"
+        assert "not enabled" in cell["reason"]
+        assert cell["findings"] == []
+
+
+@pytest.mark.parametrize("system", ["zookeeper", "raft"])
+def test_cell_and_rebuild_derive_the_same_run(system, monkeypatch):
+    """The drift alarm: over the seed-7 matrix, the run a cell judged is
+    the run ``rebuild_witness`` returns for every finding's witness."""
+    from repro.remix.campaign import _cell_seed
+
+    plugin = system_plugin(system)
+    config = plugin.campaign_config()
+    judged = []
+    for direction in DIRECTION_TABLE.values():
+        original = direction.judge.judge
+
+        def recording(self, run, index=0, original=original, labels=direction.labels):
+            judged.append(list(labels(run)))
+            return original(self, run, index)
+
+        monkeypatch.setattr(direction.judge, "judge", recording)
+    campaign = ConformanceCampaign(
+        CampaignRequest(
+            system=system, seed=7, directions=("topdown", "bottomup"),
+            grains=plugin.grains[:1],
+        )
+    )
+    checked = 0
+    for job in campaign.jobs():
+        del judged[:]
+        cell = run_cell(job, config)
+        runs = list(judged)
+        direction = DIRECTION_TABLE[job.direction]
+        for finding in cell["findings"]:
+            witness = finding["witness"]
+            index = next(
+                i for i in range(job.traces)
+                if _cell_seed(job, i) == witness[direction.seed_key]
+            )
+            rebuilt = rebuild_witness(job.grain, witness, config, system)
+            assert list(direction.labels(rebuilt)) == runs[index]
+            checked += 1
+    assert checked > 0
+
+
 # --------------------------------------------- bottom-up minimization
 
 
@@ -313,27 +416,14 @@ class TestValidationShrink:
 
     @pytest.fixture(scope="class")
     def validation_finding(self):
-        from repro.remix.campaign import CampaignJob, run_validation_cell
-
         job = CampaignJob(
             0, "mSpec-1", "election", "crash-follower", 0, 2, 12,
             direction="bottomup",
         )
-        cell = run_validation_cell(job, CONFIG)
+        cell = run_cell(job, CONFIG)
         assert cell["findings"], "fixed-seed cell must reproduce"
         finding = dict(cell["findings"][0], count=1)
         return finding
-
-    def test_witness_rebuild_reproduces_fingerprint(self, validation_finding):
-        labels = rebuild_validation_witness(
-            "mSpec-1", validation_finding["witness"], CONFIG
-        )
-        assert len(labels) == validation_finding["witness"]["steps"]
-        oracle = ValidationOracle(
-            "mSpec-1", validation_finding["fingerprint"], CONFIG
-        )
-        assert oracle(labels)
-        assert not ValidationOracle("mSpec-1", "deadbeef", CONFIG)(labels)
 
     def test_shrinks_and_replays(self, validation_finding):
         payload = shrink_finding(validation_finding, CONFIG)

@@ -3,15 +3,10 @@ conformance checking."""
 
 import pytest
 
-from repro.checker import explore
+from repro.checker import RandomWalker, explore
 from repro.checker.trace import Trace
 from repro.impl import Ensemble
-from repro.remix import (
-    ConformanceChecker,
-    Coordinator,
-    SpecRegistry,
-    mapping_for,
-)
+from repro.remix import Coordinator, SpecRegistry, mapping_for
 from repro.tla.action import ActionLabel
 from repro.tla.composition import CompositionError
 from repro.zookeeper import V391, ZkConfig, make_spec
@@ -50,9 +45,32 @@ class TestRegistry:
             )
 
     def test_register_new_granularity(self):
+        # §3.5.1's extension point: a granularity registered at runtime
+        # composes (through the registry's own entries) exactly like the
+        # shipped granularity it wraps.
+        from repro.zookeeper.sync_baseline import sync_baseline_module
+
         registry = SpecRegistry()
-        registry.register("Synchronization", "custom", lambda cfg: None)
+        registry.register("Synchronization", "custom", sync_baseline_module)
         assert registry.has("Synchronization", "custom")
+        selection = dict(SELECTIONS["mSpec-1"], Synchronization="custom")
+        custom = registry.compose("custom", selection, CFG)
+        shipped = registry.compose_named("mSpec-1", CFG)
+
+        def first_states(spec, count=500):
+            frontier = list(spec.initial_states())
+            seen = list(frontier)
+            known = set(frontier)
+            while frontier and len(seen) < count:
+                state = frontier.pop(0)
+                for _, successor in spec.successors(state):
+                    if successor not in known:
+                        known.add(successor)
+                        seen.append(successor)
+                        frontier.append(successor)
+            return seen[:count]
+
+        assert first_states(custom) == first_states(shipped)
 
     def test_incompatible_composition_rejected(self):
         registry = SpecRegistry()
@@ -159,54 +177,64 @@ class TestCoordinator:
 
 
 class TestConformance:
-    def checker(self, name, divergence="", seed=11):
-        spec = make_spec(name, CFG)
-        return ConformanceChecker(
-            spec,
-            SELECTIONS[name],
+    """§3.4's loop on the primitives: random model traces, each replayed
+    at the code level through a coordinator."""
+
+    def replay_walks(self, name, traces, max_steps, divergence="", seed=11):
+        coordinator = Coordinator(
+            mapping_for(SELECTIONS[name]),
             lambda: Ensemble(3, V391, divergence),
-            seed=seed,
         )
+        walker = RandomWalker(make_spec(name, CFG), seed=seed)
+        results = [
+            coordinator.replay(trace)
+            for trace in walker.traces(count=traces, max_steps=max_steps)
+        ]
+        return results, [d for r in results for d in r.discrepancies]
 
     @pytest.mark.parametrize("name", ["mSpec-1", "mSpec-2", "mSpec-3"])
     def test_clean_conformance(self, name):
-        report = self.checker(name).run(traces=25, max_steps=25)
-        assert report.conforms, [str(d) for d in report.discrepancies[:3]]
-        assert report.steps_replayed > 100
+        results, discrepancies = self.replay_walks(name, 25, 25)
+        assert not discrepancies, [str(d) for d in discrepancies[:3]]
+        assert len(results) == 25
+        assert sum(r.steps_executed for r in results) > 100
 
     def test_detects_missing_epoch_write(self):
         # "wrong variable assignments" (§3.4): currentEpoch never written.
-        report = self.checker("mSpec-3", "skip_epoch_update").run(
-            traces=40, max_steps=20
+        _, discrepancies = self.replay_walks(
+            "mSpec-3", 40, 20, "skip_epoch_update"
         )
-        assert not report.conforms
-        assert any(
-            d.variable == "current_epoch" for d in report.discrepancies
-        )
+        assert any(d.variable == "current_epoch" for d in discrepancies)
 
     def test_detects_unrealistic_state_transition(self):
         # zabState jumps to BROADCAST at NEWLEADER time.
-        report = self.checker("mSpec-3", "eager_broadcast").run(
-            traces=40, max_steps=20
+        _, discrepancies = self.replay_walks(
+            "mSpec-3", 40, 20, "eager_broadcast"
         )
-        assert not report.conforms
-        assert any(d.variable == "zab_state" for d in report.discrepancies)
+        assert any(d.variable == "zab_state" for d in discrepancies)
 
     def test_detects_wrong_ack_content(self):
         # "inconsistent message types" (§3.4): the NEWLEADER ACK carries
         # the wrong zxid, so the leader's ACKLD never fires.
-        report = self.checker("mSpec-2", "wrong_ack_zxid", seed=3).run(
-            traces=120, max_steps=30
+        _, discrepancies = self.replay_walks(
+            "mSpec-2", 120, 30, "wrong_ack_zxid", seed=3
         )
-        assert not report.conforms
+        assert discrepancies
 
     def test_confirm_violation_reports_bug(self):
+        # §3.5.2: a safety-violating model trace, replayed to the end,
+        # surfaces the implementation symptom.
         spec, trace = replay_first_violation("mSpec-1", "I-14")
-        report = self.checker("mSpec-1").confirm_violation(trace)
-        assert report is not None
-        assert report.bug_id == "ZK-4394"
-        assert "NullPointerException" in str(report)
+        coordinator = Coordinator(
+            mapping_for(SELECTIONS["mSpec-1"]), lambda: Ensemble(3, V391)
+        )
+        result = coordinator.replay(trace, stop_on_discrepancy=False)
+        assert result.impl_error is not None
+        assert result.impl_error.bug_id == "ZK-4394"
+        assert type(result.impl_error).__name__ == "NullPointerException"
 
-    def test_report_summary(self):
-        report = self.checker("mSpec-1").run(traces=5, max_steps=10)
-        assert "5 traces" in report.summary()
+    def test_report_summary(self, capsys):
+        from repro.cli import main
+
+        main(["conformance", "mSpec-1", "--traces", "5", "--steps", "10"])
+        assert "conformance: 5 traces" in capsys.readouterr().out

@@ -8,6 +8,7 @@ from repro.remix import (
     ImplExplorer,
     TraceValidator,
     mapping_for,
+    system_plugin,
 )
 from repro.zookeeper import V391, ZkConfig, make_spec
 from repro.zookeeper.scenarios import Scenario
@@ -16,40 +17,58 @@ from repro.zookeeper.specs import SELECTIONS
 CFG = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)
 
 
-def validator(name, divergence="", seed=5, config=CFG, compared=None):
-    spec = make_spec(name, config)
-    return TraceValidator(
-        spec,
+BUDGETS = system_plugin("zookeeper").budget_limits
+
+
+def explorer(name, seed, config=CFG, divergence="", spec=None):
+    return ImplExplorer(
+        spec or make_spec(name, config),
         mapping_for(SELECTIONS[name]),
         lambda: Ensemble(config.n_servers, V391, divergence),
         seed=seed,
-        compared_variables=compared or COMPARED_VARIABLES,
+        budgets=BUDGETS(config),
     )
+
+
+class Validation:
+    """An explorer feeding a validator: ``run`` validates one explored
+    implementation run, ``runs`` a numbered series from one seed
+    stream."""
+
+    def __init__(self, name, divergence="", seed=5, config=CFG, compared=None):
+        spec = make_spec(name, config)
+        self.explorer = explorer(name, seed, config, divergence, spec)
+        self.validator = TraceValidator(
+            spec,
+            mapping_for(SELECTIONS[name]),
+            lambda: Ensemble(config.n_servers, V391, divergence),
+            compared_variables=compared or COMPARED_VARIABLES,
+        )
+
+    def run(self, max_steps, run=0):
+        executed, _, _ = self.explorer.explore(max_steps)
+        return self.validator.validate_labels(executed, run=run)
+
+    def runs(self, runs, max_steps):
+        return [self.run(max_steps, run) for run in range(runs)]
+
+
+def issues_of(reports):
+    return [issue for report in reports for issue in report.issues]
 
 
 class TestImplExplorer:
     def test_explore_progresses(self):
-        spec = make_spec("mSpec-3", CFG)
-        explorer = ImplExplorer(
-            spec,
-            mapping_for(SELECTIONS["mSpec-3"]),
-            lambda: Ensemble(3, V391),
-            seed=1,
+        executed, ensemble, error = explorer("mSpec-3", 1).explore(
+            max_steps=15
         )
-        executed, ensemble, error = explorer.explore(max_steps=15)
         assert len(executed) >= 5
         assert error is None
 
     def test_respects_fault_budgets(self):
-        spec = make_spec("mSpec-3", CFG)
-        explorer = ImplExplorer(
-            spec,
-            mapping_for(SELECTIONS["mSpec-3"]),
-            lambda: Ensemble(3, V391),
-            seed=2,
-        )
+        seeded = explorer("mSpec-3", 2)
         for _ in range(5):
-            executed, _, _ = explorer.explore(max_steps=20)
+            executed, _, _ = seeded.explore(max_steps=20)
             crashes = sum(1 for l in executed if l.name == "NodeCrash")
             partitions = sum(
                 1 for l in executed if l.name == "PartitionStart"
@@ -62,45 +81,42 @@ class TestImplExplorer:
             assert txns <= CFG.max_txns
 
     def test_deterministic_by_seed(self):
-        spec = make_spec("mSpec-1", CFG)
-        mapping = mapping_for(SELECTIONS["mSpec-1"])
-        runs = []
-        for _ in range(2):
-            explorer = ImplExplorer(
-                spec, mapping, lambda: Ensemble(3, V391), seed=9
-            )
-            executed, _, _ = explorer.explore(max_steps=12)
-            runs.append(executed)
+        runs = [
+            explorer("mSpec-1", 9).explore(max_steps=12)[0] for _ in range(2)
+        ]
         assert runs[0] == runs[1]
 
 
 class TestTraceValidator:
     @pytest.mark.parametrize("name", ["mSpec-1", "mSpec-2", "mSpec-3"])
     def test_shipped_impl_validates(self, name):
-        report = validator(name).validate(runs=10, max_steps=18)
-        assert report.valid, [str(i) for i in report.issues[:3]]
-        assert report.steps_validated > 50
+        reports = Validation(name).runs(10, max_steps=18)
+        assert not issues_of(reports), [str(i) for i in issues_of(reports)[:3]]
+        assert sum(report.steps_validated for report in reports) > 50
 
     def test_divergent_impl_rejected(self):
-        report = validator("mSpec-3", divergence="skip_epoch_update").validate(
-            runs=20, max_steps=18
+        reports = Validation("mSpec-3", divergence="skip_epoch_update").runs(
+            20, max_steps=18
         )
-        assert not report.valid
+        assert not all(report.valid for report in reports)
         assert any(
             issue.kind == "state_mismatch"
             and issue.variable == "current_epoch"
-            for issue in report.issues
+            for issue in issues_of(reports)
         )
 
     def test_eager_broadcast_rejected(self):
-        report = validator("mSpec-3", divergence="eager_broadcast").validate(
-            runs=20, max_steps=18
+        reports = Validation("mSpec-3", divergence="eager_broadcast").runs(
+            20, max_steps=18
         )
-        assert not report.valid
+        assert not all(report.valid for report in reports)
 
     def test_summary(self):
-        report = validator("mSpec-1").validate(runs=3, max_steps=10)
-        assert "3 runs" in report.summary()
+        report = Validation("mSpec-1").run(max_steps=10)
+        assert (
+            f"{report.steps_validated} impl steps validated, 0 issues"
+            in report.summary()
+        )
 
 
 class TestUnknownVariable:
@@ -109,9 +125,9 @@ class TestUnknownVariable:
     silently skipped forever."""
 
     def test_typo_reported_not_silently_skipped(self):
-        report = validator(
+        report = Validation(
             "mSpec-1", compared=COMPARED_VARIABLES + ("historyy",)
-        ).validate_run(max_steps=6)
+        ).run(max_steps=6)
         bad = [i for i in report.issues if i.kind == "unknown_variable"]
         assert len(bad) == 1
         assert bad[0].variable == "historyy"
@@ -120,14 +136,14 @@ class TestUnknownVariable:
     def test_known_variables_still_validated(self):
         # The typo is reported once per run, and the remaining (known)
         # variables are still compared -- validation does not abort.
-        report = validator(
+        report = Validation(
             "mSpec-3", compared=("current_epoch", "historyy")
-        ).validate_run(max_steps=8)
+        ).run(max_steps=8)
         assert report.steps_validated > 0
         assert [i.kind for i in report.issues] == ["unknown_variable"]
 
     def test_valid_tuple_reports_nothing(self):
-        report = validator("mSpec-1").validate_run(max_steps=6)
+        report = Validation("mSpec-1").run(max_steps=6)
         assert not any(
             i.kind == "unknown_variable" for i in report.issues
         )
@@ -135,11 +151,11 @@ class TestUnknownVariable:
 
 class TestRunAttribution:
     def test_issues_carry_their_run_index(self):
-        report = validator(
+        reports = Validation(
             "mSpec-3", divergence="skip_epoch_update"
-        ).validate(runs=20, max_steps=18)
+        ).runs(20, max_steps=18)
         mismatches = [
-            i for i in report.issues if i.kind == "state_mismatch"
+            i for i in issues_of(reports) if i.kind == "state_mismatch"
         ]
         assert mismatches
         runs = {i.run for i in mismatches}
@@ -149,24 +165,26 @@ class TestRunAttribution:
         assert len(runs) > 1
 
     def test_unknown_variable_attributed_per_run(self):
-        report = validator(
+        reports = Validation(
             "mSpec-1", compared=("state", "historyy")
-        ).validate(runs=3, max_steps=4)
-        bad = [i for i in report.issues if i.kind == "unknown_variable"]
+        ).runs(3, max_steps=4)
+        bad = [
+            i for i in issues_of(reports) if i.kind == "unknown_variable"
+        ]
         assert [i.run for i in bad] == [0, 1, 2]
 
     def test_run_rebuildable_from_report(self):
         # The (run, seed) pair identifies the exploration stream: a
         # fresh validator replaying runs 0..run reproduces the issue.
-        v = validator("mSpec-3", divergence="skip_epoch_update", seed=11)
-        total = v.validate(runs=20, max_steps=18)
-        assert total.issues
-        target = total.issues[0]
-        replay = validator(
+        v = Validation("mSpec-3", divergence="skip_epoch_update", seed=11)
+        issues = issues_of(v.runs(20, max_steps=18))
+        assert issues
+        target = issues[0]
+        replay = Validation(
             "mSpec-3", divergence="skip_epoch_update", seed=11
         )
         for run in range(target.run + 1):
-            run_report = replay.validate_run(max_steps=18, run=run)
+            run_report = replay.run(max_steps=18, run=run)
         assert any(
             issue.kind == target.kind
             and issue.step == target.step
@@ -186,13 +204,9 @@ class TestScriptedPrefix:
 
     def test_explore_executes_prefix_first(self):
         config, spec, labels = self.prefix_labels()
-        explorer = ImplExplorer(
-            spec,
-            mapping_for(SELECTIONS["mSpec-1"]),
-            lambda: Ensemble(config.n_servers, V391),
-            seed=3,
+        executed, _, error = explorer("mSpec-1", 3, config).explore(
+            max_steps=5, prefix=labels
         )
-        executed, _, error = explorer.explore(max_steps=5, prefix=labels)
         assert error is None
         assert executed[: len(labels)] == list(labels)
         assert len(executed) > len(labels)
@@ -201,13 +215,10 @@ class TestScriptedPrefix:
         # The crash in the prefix counts against max_crashes: across many
         # seeds, prefix + suffix crashes never exceed the model budget.
         config, spec, labels = self.prefix_labels()
-        mapping = mapping_for(SELECTIONS["mSpec-1"])
         for seed in range(8):
-            explorer = ImplExplorer(
-                spec, mapping,
-                lambda: Ensemble(config.n_servers, V391), seed=seed,
+            executed, _, _ = explorer("mSpec-1", seed, config).explore(
+                max_steps=15, prefix=labels
             )
-            executed, _, _ = explorer.explore(max_steps=15, prefix=labels)
             crashes = sum(1 for l in executed if l.name == "NodeCrash")
             partitions = sum(
                 1 for l in executed if l.name == "PartitionStart"
@@ -217,13 +228,8 @@ class TestScriptedPrefix:
 
     def test_validate_labels_matches_validate_run(self):
         config, spec, labels = self.prefix_labels()
-        v = TraceValidator(
-            spec,
-            mapping_for(SELECTIONS["mSpec-1"]),
-            lambda: Ensemble(config.n_servers, V391),
-            seed=4,
-        )
+        v = Validation("mSpec-1", seed=4, config=config)
         executed, _, _ = v.explorer.explore(max_steps=6, prefix=labels)
-        report = v.validate_labels(executed)
+        report = v.validator.validate_labels(executed)
         assert report.steps_validated > 0
         assert report.executed[: len(labels)] == list(labels)
