@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.remix.mapping import mapping_for
 from repro.tla.spec import Specification
@@ -29,15 +29,6 @@ class SpecMetrics:
     variables: int
     actions: int
     pointcuts: Optional[int]  # None when the selection is not mappable
-
-    def as_row(self) -> Dict:
-        return {
-            "spec": self.name,
-            "lines": self.lines,
-            "variables": self.variables,
-            "actions": self.actions,
-            "pointcuts": self.pointcuts,
-        }
 
 
 @dataclass

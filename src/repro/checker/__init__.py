@@ -12,11 +12,7 @@ from repro.checker.engine import (
     compiled_for,
     explore,
 )
-from repro.checker.fingerprint import (
-    Fingerprinter,
-    IncrementalFingerprinter,
-    fingerprint_state,
-)
+from repro.checker.fingerprint import Fingerprinter, IncrementalFingerprinter
 from repro.checker.visited import SharedVisitedSet
 from repro.checker.pretty import format_state, format_trace
 from repro.checker.random_walk import RandomWalker
@@ -46,7 +42,6 @@ __all__ = [
     "TraceOracle",
     "Violation",
     "explore",
-    "fingerprint_state",
     "format_state",
     "format_trace",
     "measure_coverage",

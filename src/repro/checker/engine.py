@@ -31,12 +31,12 @@ One successor path
 Every strategy, worker and walker obtains successors through
 :meth:`CompiledSpec.expand_batch`, which has exactly two things behind it:
 
-- the **generated kernel** (:mod:`repro.tla.codegen`) is what runs: guard
-  verdicts memoized per declared read set, whole outcomes (verdict,
-  update bindings, fingerprint delta) memoized per dependency closure,
-  disabled bits inherited from the parent through the ``affects``
-  interference matrix, invariant/mask/constraint verdicts memoized per
-  declared-reads projection, all fused into one emitted function;
+- the **generated kernel** (:mod:`repro.tla.codegen`) is what runs:
+  whole outcomes (verdict, update bindings, fingerprint delta) memoized
+  per dependency closure, disabled bits inherited from the parent
+  through the ``affects`` interference matrix, invariant/mask/constraint
+  verdicts memoized per declared-reads projection, all fused into one
+  emitted function;
 - the **reference expander** (:meth:`CompiledSpec.reference_expand`) is
   what *defines* the behaviour: ``Specification.successors`` plus a full
   fingerprint -- no memo, no inherited bits, no deltas.
@@ -200,7 +200,7 @@ class CompiledSpec:
     lists indexed by action-instance position: the pre-bound applier
     callables, the read/write interference matrix ``affects`` (bit *i* of
     ``affects[j]`` is set when instance *i* reads a variable instance *j*
-    writes), and the guard / outcome / invariant memo groups.  Reference
+    writes), and the outcome / invariant memo groups.  Reference
     mode builds none of that: no memo of any kind, so it is an
     independent oracle for the memoized path.
     """
@@ -214,9 +214,6 @@ class CompiledSpec:
         "appliers",
         "actions",
         "affects",
-        "guard_groups",
-        "guard_memos",
-        "guard_stats",
         "outcome_groups",
         "outcome_memos",
         "outcome_stats",
@@ -244,16 +241,16 @@ class CompiledSpec:
         "expand_calls",
         "_label_index",
         "_last_adapt",
-        "_shadowed_guards",
         "demoted_groups",
     )
 
-    #: Disabled-guard memo entries kept per instance before reset.
-    GUARD_MEMO_LIMIT = 1 << 18
+    #: Invariant / mask / constraint verdict memo entries kept per
+    #: declared-reads projection before reset.
+    VERDICT_MEMO_LIMIT = 1 << 18
 
     #: Outcome memo entries kept per dependency-closure group before
     #: reset (entries hold update tuples, so the cap is tighter than the
-    #: bitmask-valued guard memo).
+    #: bitmask-valued verdict memos).
     OUTCOME_MEMO_LIMIT = 1 << 17
 
     #: Expansions between adaptive hit-rate sweeps; also the minimum
@@ -296,9 +293,7 @@ class CompiledSpec:
         # Reference-mode layout: nothing grouped, nothing memoized.
         self.appliers: List[Callable] = []
         self.affects: List[int] = []
-        self.guard_groups: List[Tuple[Tuple[int, ...], int]] = []
         self.outcome_groups: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        self._shadowed_guards: Dict[Tuple[int, ...], int] = {}
         self.direct: Tuple[int, ...] = ()
         self.ungrouped: Tuple[int, ...] = tuple(range(self.n_instances))
         self.inv_groups: List[Tuple[Callable[[tuple], Any], Tuple[int, ...]]] = []
@@ -317,19 +312,16 @@ class CompiledSpec:
         compiled = not reference and (debug or kernel_trusted(spec))
         if compiled:
             self._analyze(instances)
-        # Memo telemetry (--stats): per-group [misses, base_calls] cells
-        # (outcome cells carry two extra window-snapshot fields for the
-        # adaptive monitor).  Lookups are derived -- every expansion looks
-        # every live group up exactly once, so lookups(group) ==
-        # expand_calls - base_calls and only the miss branches pay an
-        # increment.
+        # Memo telemetry (--stats): per-group [misses, window_lookups,
+        # window_misses] cells (the last two are the adaptive monitor's
+        # snapshot).  Lookups are derived -- every expansion looks every
+        # live group up exactly once, so lookups(group) == expand_calls
+        # and only the miss branches pay an increment.
         self.expand_calls = 0
         self._last_adapt = 0
-        self.guard_memos: List[dict] = [{} for _ in self.guard_groups]
-        self.guard_stats: List[List[int]] = [[0, 0] for _ in self.guard_groups]
         self.outcome_memos: List[dict] = [{} for _ in self.outcome_groups]
         self.outcome_stats: List[List[int]] = [
-            [0, 0, 0, 0] for _ in self.outcome_groups
+            [0, 0, 0] for _ in self.outcome_groups
         ]
         self.inv_memos: List[dict] = [{} for _ in self.inv_groups]
         self.demoted_groups: List[dict] = []
@@ -342,8 +334,8 @@ class CompiledSpec:
 
     def _analyze(self, instances: list) -> None:
         """Kernel-mode layout: pre-bound appliers, the interference
-        matrix, and the guard / outcome / invariant / mask / constraint
-        memo groups the emitted code is specialized on."""
+        matrix, and the outcome / invariant / mask / constraint memo
+        groups the emitted code is specialized on."""
         spec = self.spec
         positions = spec.schema.positions
         self.appliers = [
@@ -357,8 +349,7 @@ class CompiledSpec:
         # An action with no declared reads has an *unknown* guard
         # dependency set (the Action API default), not an empty one: it
         # must be re-evaluated in every state, so every writer "affects"
-        # it.  The guard memo below applies the same rule (undeclared ->
-        # ungrouped).
+        # it.
         undeclared = 0
         for i in range(self.n_instances):
             if not reads[i]:
@@ -386,44 +377,17 @@ class CompiledSpec:
         # the closure: the adaptive hit-rate monitor (_adapt) demotes
         # groups whose projections turn out near-unique at runtime.
         by_closure: Dict[Tuple[int, ...], List[int]] = {}
-        closure_of: Dict[int, Tuple[int, ...]] = {}
         ungrouped: List[int] = []
         for i, inst in enumerate(instances):
             closure = inst.action.dependency_closure()
             if closure is None:
                 ungrouped.append(i)  # unread guard: never memoized
                 continue
-            closure_of[i] = positions(closure)
-            by_closure.setdefault(closure_of[i], []).append(i)
+            by_closure.setdefault(positions(closure), []).append(i)
         self.outcome_groups = [
             (slots, tuple(members)) for slots, members in by_closure.items()
         ]
         self.ungrouped = tuple(ungrouped)
-        # Guard memoization: an action's enabling condition depends only
-        # on its declared read variables (the paper's dependency
-        # variables), so a *disabled* verdict can be memoized per
-        # projection of the state onto those variables (only the disabled
-        # case -- an enabled action's update may read beyond the guard
-        # set).  Instances sharing a read set form a group whose memo
-        # stores a disabled-instance bitmask per projection value.  A
-        # group whose members all have closure == reads is fully shadowed
-        # by the outcome group keyed on the identical projection, so it
-        # is skipped (same key, strictly less information) -- but
-        # remembered, so demoting that outcome group can re-enable it.
-        by_read_set: Dict[Tuple[int, ...], int] = {}
-        for i, inst in enumerate(instances):
-            slots = positions(inst.action.reads)
-            if slots:
-                by_read_set[slots] = by_read_set.get(slots, 0) | (1 << i)
-        for slots, bits in by_read_set.items():
-            if all(
-                closure_of.get(i) == slots
-                for i in range(self.n_instances)
-                if (bits >> i) & 1
-            ):
-                self._shadowed_guards[slots] = bits
-            else:
-                self.guard_groups.append((slots, bits))
         # Invariant, mask and constraint verdicts, memoized by declared
         # read set (``Invariant.reads`` / ``fn.reads``).  All are pure
         # state predicates, so both outcomes are cacheable per
@@ -485,7 +449,7 @@ class CompiledSpec:
                     if state is None:
                         state = State(self.schema, values)
                     hit = bool(self.mask(state))
-                    if len(memo) >= self.GUARD_MEMO_LIMIT:
+                    if len(memo) >= self.VERDICT_MEMO_LIMIT:
                         memo.clear()
                     memo[key] = hit
                 if hit:
@@ -497,7 +461,7 @@ class CompiledSpec:
                     return (), True, True
         config = self.config
         invariant_fns = self.invariant_fns
-        memo_limit = self.GUARD_MEMO_LIMIT
+        memo_limit = self.VERDICT_MEMO_LIMIT
         viol_bits = 0
         for group_index, (key_fn, group_members) in enumerate(self.inv_groups):
             memo = self.inv_memos[group_index]
@@ -537,7 +501,7 @@ class CompiledSpec:
                     if state is None:
                         state = State(self.schema, values)
                     ok = bool(self.constraint(config, state))
-                    if len(memo) >= self.GUARD_MEMO_LIMIT:
+                    if len(memo) >= self.VERDICT_MEMO_LIMIT:
                         memo.clear()
                     memo[key] = ok
             else:
@@ -696,9 +660,8 @@ class CompiledSpec:
         wide = len(self.schema) // 2
         demote: List[int] = []
         for gi, cell in enumerate(self.outcome_stats):
-            misses, base, last_lookups, last_misses = cell
-            lookups = calls - base
-            window = lookups - last_lookups
+            misses, last_lookups, last_misses = cell
+            window = calls - last_lookups
             if window < self.ADAPT_INTERVAL:
                 continue
             window_hits = window - (misses - last_misses)
@@ -708,14 +671,14 @@ class CompiledSpec:
             if rate < floor:
                 demote.append(gi)
             else:
-                cell[2] = lookups
-                cell[3] = misses
+                cell[1] = calls
+                cell[2] = misses
         if demote:
             self._demote(demote)
 
-    def _demote(self, group_indices: List[int]) -> None:
-        """Move cold outcome groups to the eager sweep, re-enabling any
-        guard group their closure projection was shadowing."""
+    def _demote(self, group_indices: Sequence[int]) -> None:
+        """Move cold outcome groups to the eager sweep, where inherited
+        disabled bits are the members' only skip."""
         drop = set(group_indices)
         calls = self.expand_calls
         names = self.schema.names
@@ -727,22 +690,15 @@ class CompiledSpec:
                 keep_memos.append(self.outcome_memos[gi])
                 keep_stats.append(self.outcome_stats[gi])
                 continue
-            misses, base = self.outcome_stats[gi][0], self.outcome_stats[gi][1]
-            lookups = calls - base
             self.demoted_groups.append(
                 {
                     "vars": [names[s] for s in slots],
                     "members": len(members),
-                    "lookups": lookups,
-                    "hits": lookups - misses,
+                    "lookups": calls,
+                    "hits": calls - self.outcome_stats[gi][0],
                 }
             )
             demoted_members.extend(members)
-            shadow_bits = self._shadowed_guards.pop(slots, None)
-            if shadow_bits is not None:
-                self.guard_groups.append((slots, shadow_bits))
-                self.guard_memos.append({})
-                self.guard_stats.append([0, calls])
         self.outcome_groups = keep_groups
         self.outcome_memos = keep_memos
         self.outcome_stats = keep_stats
@@ -756,30 +712,24 @@ class CompiledSpec:
         names = self.schema.names
         compiled = self.kernel is not None
 
-        def row(slots, members, cell, memo):
-            lookups = max(0, calls - cell[1])
-            hits = lookups - cell[0]
-            return {
-                "vars": [names[s] for s in slots],
-                "members": members,
-                "lookups": lookups,
-                "hits": hits,
-                "hit_rate": round(hits / lookups, 4) if lookups else None,
-                "entries": len(memo),
-            }
-
         stats = {
             "mode": "compiled" if compiled else "reference",
             "expand_calls": calls,
             "eager_instances": len(self.eager),
             "outcome_groups": [
-                row(slots, len(members), self.outcome_stats[gi], self.outcome_memos[gi])
-                for gi, (slots, members) in enumerate(self.outcome_groups)
+                {
+                    "vars": [names[s] for s in slots],
+                    "members": len(members),
+                    "lookups": calls,
+                    "hits": calls - cell[0],
+                    "hit_rate": round((calls - cell[0]) / calls, 4) if calls else None,
+                    "entries": len(memo),
+                }
+                for (slots, members), cell, memo in zip(
+                    self.outcome_groups, self.outcome_stats, self.outcome_memos
+                )
             ],
-            "guard_groups": [
-                row(slots, bin(bits).count("1"), self.guard_stats[gi], self.guard_memos[gi])
-                for gi, (slots, bits) in enumerate(self.guard_groups)
-            ],
+            "guard_groups": [],  # no such tier; bench/passes.py iterates the key
             "demoted_groups": list(self.demoted_groups),
             "mask_memo_entries": (
                 len(self.mask_memo) if self.mask_key is not None else None
@@ -814,7 +764,7 @@ def compiled_for(
     reference pin) is compiled once per :class:`Specification` instance
     and shared by every consumer -- engine runs, random walkers, the
     conformance campaign's suffix replays -- so the interference matrix
-    and the generated kernel are built once and the guard/outcome memos
+    and the generated kernel are built once and the outcome memos
     stay warm across calls.  Campaign workers fork after the parent
     pre-warms the cache and inherit the compiled core (kernel included)
     by memory image.  Any non-default argument bypasses the cache.

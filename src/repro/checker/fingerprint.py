@@ -242,12 +242,3 @@ class IncrementalFingerprinter(Fingerprinter):
         """Apply a name-keyed update: ``(next_state, next_fingerprint)``."""
         nxt, mask = state.set_many(updates, fingerprinter=self)
         return nxt, fingerprint ^ mask
-
-
-def fingerprint_state(state: State) -> int:
-    """Fingerprint one state with a default 64-bit fingerprinter.
-
-    Fingerprints are a pure function of the state's values, so this is
-    interchangeable with any :class:`Fingerprinter` instance at 64 bits.
-    """
-    return Fingerprinter().of_state(state)

@@ -22,7 +22,7 @@ import random
 import time
 from typing import Callable, List, Optional
 
-from repro.checker.engine import CompiledSpec, compiled_for
+from repro.checker.engine import CompiledSpec, compiled_for, out_of_time
 from repro.checker.trace import Trace
 from repro.tla.spec import Specification
 from repro.tla.state import State
@@ -86,7 +86,7 @@ class RandomWalker:
         start = time.monotonic()
         out: List[Trace] = []
         for _ in range(count):
-            if time_budget is not None and time.monotonic() - start > time_budget:
+            if out_of_time(start, time_budget):
                 break
             trace = self.walk(max_steps)
             if stop_when is not None:

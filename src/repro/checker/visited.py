@@ -49,8 +49,8 @@ from __future__ import annotations
 from multiprocessing import shared_memory
 from typing import List, Optional, Tuple
 
-#: Empty-slot sentinel.  Fingerprint 0 is remapped to _ZERO_ALIAS.
-_SENTINEL = 0
+#: Empty-slot marker.  Fingerprint 0 is remapped to _ZERO_ALIAS.
+_EMPTY = 0
 _ZERO_ALIAS = 0x9E3779B97F4A7C15
 
 #: Linear probes attempted before an insert/lookup gives up.  At the
@@ -88,7 +88,7 @@ def suggest_capacity(max_states: Optional[int]) -> int:
 
 def _normalize(fingerprint: int) -> int:
     fingerprint &= 0xFFFFFFFFFFFFFFFF
-    return fingerprint if fingerprint != _SENTINEL else _ZERO_ALIAS
+    return fingerprint if fingerprint != _EMPTY else _ZERO_ALIAS
 
 
 class _untracked_attach:
@@ -147,7 +147,7 @@ class _Segment:
             current = view[slot]
             if current == fingerprint:
                 return True
-            if current == _SENTINEL:
+            if current == _EMPTY:
                 return False
             slot = (slot + 1) & mask
         return False
@@ -161,7 +161,7 @@ class _Segment:
             current = view[slot]
             if current == fingerprint:
                 return 0
-            if current == _SENTINEL:
+            if current == _EMPTY:
                 view[slot] = fingerprint
                 current = view[slot]  # compare-and-publish readback
                 if current == fingerprint:

@@ -86,7 +86,7 @@ def _add_engine_args(parser: argparse.ArgumentParser):
         "--stats",
         action="store_true",
         help="print the successor-path mode (compiled | reference, with "
-        "the blocking lint finding) and per-action-group memo hit/miss "
+        "the blocking lint finding) and per-outcome-group memo hit/miss "
         "statistics after the run",
     )
 

@@ -36,7 +36,6 @@ COMPARED_VARIABLES = (
 #: Synthetic label attached to configuration-level discrepancies (an
 #: unknown compared variable is detected before any action runs).
 CONFIG_LABEL = ActionLabel("<compare-config>")
-_CONFIG_LABEL = CONFIG_LABEL  # backwards-compatible alias
 
 
 def split_compared_variables(snapshot, compared_variables):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import importlib
 import threading
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.system.plugin import SystemPlugin
@@ -85,15 +84,6 @@ def registered_systems() -> List[str]:
 
 
 # ------------------------------------------------- spec registry (§3.5.1)
-
-
-@dataclass
-class RegisteredSpec:
-    """One (module, granularity) entry of the registry."""
-
-    module: str
-    granularity: str
-    factory: Callable
 
 
 class SpecRegistry:

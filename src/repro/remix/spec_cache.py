@@ -166,7 +166,7 @@ def cached_spec(
         spec = plugin.make_spec(name, config)
         spec.action_instances()  # pre-enumerate so workers inherit the index
         # Pre-compile the incremental engine core (interference matrix,
-        # guard/outcome memo groups) in the parent: the campaign's
+        # outcome memo groups) in the parent: the campaign's
         # forked workers and every suffix RandomWalker then share it by
         # memory image instead of recompiling per cell.
         from repro.checker.engine import compiled_for
@@ -275,7 +275,7 @@ def _disk_load(key_json: str, system: str) -> Optional[Any]:
     try:
         with open(_entry_path(directory, key_json, system), "rb") as fh:
             payload = pickle.load(fh)
-    except (OSError, pickle.PickleError, EOFError, AttributeError):
+    except Exception:  # absent, unreadable or damaged (any unpickling error)
         with _LOCK:
             _STATS["disk_misses"] += 1
         return None

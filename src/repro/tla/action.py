@@ -136,8 +136,8 @@ class Action:
         an action with declared ``reads``:
 
         - the *enabling condition* is a pure function of ``reads`` alone
-          (that is what ``reads`` declares, and what both the disabled-
-          verdict memo and the interference matrix key on);
+          (that is what ``reads`` declares, and what the interference
+          matrix behind inherited disabled bits keys on);
         - every *update value* is a pure function of
           ``reads | writes | update_sources`` (written vars may read
           their own old value, e.g. budget decrements and per-server

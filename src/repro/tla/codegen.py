@@ -29,14 +29,10 @@ The emitted function is *entry-major*: one loop over the batch, with every
 group's memo lookup, miss evaluation and replay unrolled inline, followed
 immediately by that entry's candidate finalization.  Compared to a
 group-major sweep this loads the inherited disabled mask and the raw
-successor list into locals exactly once per state, and guard verdicts are
-written back at the end of each entry, so the next entry can hit them.
-Batches also exploit frontier locality: BFS frontiers are parent-major, so
-consecutive entries are siblings whose projections agree for every group
-their generating actions did not write.  Each group keeps its last
-``(key, entry)`` pair in locals and skips the memo lookup when the key
-repeats — a tuple equality check over identical value objects is several
-times cheaper than hashing the key again.
+successor list into locals exactly once per state.  There are two memo
+tiers and no other cache: outcome memos (one dict per dependency closure)
+and verdict memos (invariant / mask / constraint, one dict per declared
+read set); every lookup is a plain ``dict.get``.
 
 Trust contract: emitting a kernel assumes the declarations are truthful.
 ``repro lint`` (PR 8) is the precondition — a spec with blocking D/P
@@ -59,22 +55,7 @@ from repro.tla.state import State
 # Version tag of the kernel emitter.  Mixed into the spec_cache on-disk
 # digest (upgrading the emitter must orphan stale artifacts) and reported
 # by ``CompiledSpec.memo_stats``.
-CODEGEN_VERSION = 6
-
-
-class _Sentinel:
-    """A key that never equals a real projection key (last-key caches)."""
-
-    __slots__ = ()
-
-    def __eq__(self, other: Any) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:  # pragma: no cover - never hashed
-        return 0
-
-
-_SENTINEL = _Sentinel()
+CODEGEN_VERSION = 7
 
 
 def _key_expr(slots: Tuple[int, ...], var: str = "v") -> str:
@@ -160,13 +141,9 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
         "_classify_values": core.classify_values,
         "_naffects": [~bits for bits in core.affects],
         "_mk": make_outcome_compiler(core),
-        "_S": _SENTINEL,
     }
     for i, applier in enumerate(core.appliers):
         env[f"_a_{i}"] = applier
-    for g, memo in enumerate(core.guard_memos):
-        env[f"_gmemo_{g}"] = memo
-        env[f"_gstats_{g}"] = core.guard_stats[g]
     for g, memo in enumerate(core.outcome_memos):
         env[f"_omemo_{g}"] = memo
         env[f"_ostats_{g}"] = core.outcome_stats[g]
@@ -211,20 +188,10 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     )
     for idx in used:
         w(f"    a{idx} = _a_{idx}")
-    n_guards = len(core.guard_groups)
-    for g in range(n_guards):
-        w(f"    gmemo{g} = _gmemo_{g}")
-        w(f"    gget{g} = gmemo{g}.get")
-        w(f"    glk{g} = _S")
-        w(f"    glh{g} = None")
-        w(f"    gp{g} = False")
-        w(f"    gm{g} = 0")
     n_outcomes = len(core.outcome_groups)
     for g in range(n_outcomes):
         w(f"    omemo{g} = _omemo_{g}")
         w(f"    oget{g} = omemo{g}.get")
-        w(f"    olk{g} = _S")
-        w(f"    ole{g} = None")
         w(f"    om{g} = 0")
     if fused:
         w("    vmemo = _vmemo")
@@ -232,8 +199,6 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
         for g in range(len(core.inv_groups)):
             w(f"    imemo{g} = _imemo_{g}")
             w(f"    iget{g} = imemo{g}.get")
-            w(f"    ilk{g} = _S")
-            w(f"    ilh{g} = 0")
         for _kf, group_members in core.inv_groups:
             for i in group_members:
                 w(f"    inv{i} = _inv_{i}")
@@ -241,14 +206,10 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
             w("    maskf = _mask_fn")
             w("    mmemo = _mmemo")
             w("    mget = mmemo.get")
-            w("    mlk = _S")
-            w("    mlh = False")
         if core.constraint is not None:
             w("    consf = _cons_fn")
             w("    cmemo = _cmemo")
             w("    cget = cmemo.get")
-            w("    clk = _S")
-            w("    clh = True")
     w("    results = []")
     w("    res_append = results.append")
     w("    seen_add = seen.add")
@@ -256,35 +217,10 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     w("        st = None")
     w("        raw = []")
 
-    for g, (slots, _bits) in enumerate(core.guard_groups):
-        w(f"        # guard group {g}: reads ({', '.join(names[s] for s in slots)})")
-        w(f"        k = {_key_expr(slots)}")
-        w(f"        if k == glk{g}:")
-        w(f"            h = glh{g}")
-        w("        else:")
-        w(f"            h = gget{g}(k)")
-        w(f"            glk{g} = k")
-        w(f"            glh{g} = h")
-        w("        if h is None:")
-        w(f"            gm{g} += 1")
-        # The verdict for the whole read-set group is deferred: the
-        # outcome/eager blocks below compute the disabled bits, the
-        # writeback at the end of this entry stores them masked to this
-        # group's members, so the next entry can already hit it.
-        w(f"            gp{g} = True")
-        w("        else:")
-        w("            d |= h")
-
     for g, (slots, members) in enumerate(core.outcome_groups):
         w(f"        # outcome group {g}: closure ({', '.join(names[s] for s in slots)})")
         w(f"        k = {_key_expr(slots)}")
-        w(f"        if k == olk{g}:")
-        w(f"            e = ole{g}")
-        w("        else:")
-        w(f"            e = oget{g}(k)")
-        w("            if e is not None:")
-        w(f"                olk{g} = k")
-        w(f"                ole{g} = e")
+        w(f"        e = oget{g}(k)")
         w("        if e is not None:")
         w("            gd = e[0]")
         w("            if gd:")
@@ -314,10 +250,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
             w("                        raw.append(item)")
         w(f"            if len(omemo{g}) >= {core.OUTCOME_MEMO_LIMIT}:")
         w(f"                omemo{g}.clear()")
-        w("            e = (gd, tuple(en))")
-        w(f"            omemo{g}[k] = e")
-        w(f"            olk{g} = k")
-        w(f"            ole{g} = e")
+        w(f"            omemo{g}[k] = (gd, tuple(en))")
 
     if core.eager:
         w("        # never-memoized instances: unknown closures + demoted groups")
@@ -333,18 +266,6 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
             w(f"                item = mk({idx}, u, v)")
             w("                if item is not None:")
             w("                    raw.append(item)")
-
-    for g, (_slots, bits) in enumerate(core.guard_groups):
-        w(f"        if gp{g}:")
-        w(f"            gp{g} = False")
-        w(f"            h = d & {bits}")
-        w(f"            if len(gmemo{g}) >= {core.GUARD_MEMO_LIMIT}:")
-        w(f"                gmemo{g}.clear()")
-        # glk{g} still holds this entry's key: the miss block above was the
-        # last writer.  Refreshing glh{g} lets the next entry reuse the
-        # verdict without a lookup.
-        w(f"            gmemo{g}[glk{g}] = h")
-        w(f"            glh{g} = h")
 
     w("        # finalize this entry: sorted instance order, dedupe, classify")
     w("        if len(raw) > 1:")
@@ -372,49 +293,36 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
         w("                cst = None")
         if core.mask is not None:
             w(f"                mkk = {_key_expr(core.mask_slots, 'svt')}")
-            w("                if mkk == mlk:")
-            w("                    mh = mlh")
-            w("                else:")
-            w("                    mh = mget(mkk)")
-            w("                    if mh is None:")
-            w("                        cst = _State(_schema, svt)")
-            w("                        mh = True if maskf(cst) else False")
-            w(f"                        if len(mmemo) >= {core.GUARD_MEMO_LIMIT}:")
-            w("                            mmemo.clear()")
-            w("                        mmemo[mkk] = mh")
-            w("                    mlk = mkk")
-            w("                    mlh = mh")
+            w("                mh = mget(mkk)")
+            w("                if mh is None:")
+            w("                    cst = _State(_schema, svt)")
+            w("                    mh = True if maskf(cst) else False")
+            w(f"                    if len(mmemo) >= {core.VERDICT_MEMO_LIMIT}:")
+            w("                        mmemo.clear()")
+            w("                    mmemo[mkk] = mh")
             w("                if mh:")
             w("                    cands_append(")
             w("                        (idx, svt, fp, d & naffects[idx],")
             w("                         (), True, True)")
             w("                    )")
             w("                    continue")
-        w("                vb = 0")
+        if not core.inv_groups:
+            w("                vb = 0")
         for g, (_kf, group_members) in enumerate(core.inv_groups):
             slots = core.inv_group_slots[g]
             w(f"                ikk = {_key_expr(slots, 'svt')}")
-            w(f"                if ikk == ilk{g}:")
-            w(f"                    ih = ilh{g}")
-            w("                else:")
-            w(f"                    ih = iget{g}(ikk)")
-            w("                    if ih is None:")
-            w("                        if cst is None:")
-            w("                            cst = _State(_schema, svt)")
-            w("                        ih = 0")
+            w(f"                ih = iget{g}(ikk)")
+            w("                if ih is None:")
+            w("                    if cst is None:")
+            w("                        cst = _State(_schema, svt)")
+            w("                    ih = 0")
             for i in group_members:
-                w(f"                        if not inv{i}(config, cst):")
-                w(f"                            ih |= {1 << i}")
-            w(f"                        if len(imemo{g}) >= {core.GUARD_MEMO_LIMIT}:")
-            w(f"                            imemo{g}.clear()")
-            w(f"                        imemo{g}[ikk] = ih")
-            w(f"                    ilk{g} = ikk")
-            w(f"                    ilh{g} = ih")
-        if len(core.inv_groups) == 1:
-            w("                vb = ih")
-        else:
-            for g in range(len(core.inv_groups)):
-                w(f"                vb |= ilh{g}")
+                w(f"                    if not inv{i}(config, cst):")
+                w(f"                        ih |= {1 << i}")
+            w(f"                    if len(imemo{g}) >= {core.VERDICT_MEMO_LIMIT}:")
+            w(f"                        imemo{g}.clear()")
+            w(f"                    imemo{g}[ikk] = ih")
+            w(f"                vb {'|=' if g else '='} ih")
         n_inv = len(core.invariant_fns)
         w("                if vb:")
         w("                    viols = vget(vb)")
@@ -427,19 +335,14 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
         w("                    viols = ()")
         if core.constraint is not None:
             w(f"                ckk = {_key_expr(core.constraint_slots, 'svt')}")
-            w("                if ckk == clk:")
-            w("                    ok = clh")
-            w("                else:")
-            w("                    ok = cget(ckk)")
-            w("                    if ok is None:")
-            w("                        if cst is None:")
-            w("                            cst = _State(_schema, svt)")
-            w("                        ok = True if consf(config, cst) else False")
-            w(f"                        if len(cmemo) >= {core.GUARD_MEMO_LIMIT}:")
-            w("                            cmemo.clear()")
-            w("                        cmemo[ckk] = ok")
-            w("                    clk = ckk")
-            w("                    clh = ok")
+            w("                ok = cget(ckk)")
+            w("                if ok is None:")
+            w("                    if cst is None:")
+            w("                        cst = _State(_schema, svt)")
+            w("                    ok = True if consf(config, cst) else False")
+            w(f"                    if len(cmemo) >= {core.VERDICT_MEMO_LIMIT}:")
+            w("                        cmemo.clear()")
+            w("                    cmemo[ckk] = ok")
             ok_expr = "ok"
         else:
             ok_expr = "True"
@@ -458,8 +361,6 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     w("                )")
     w("        res_append((entry_fp, len(raw), cands))")
 
-    for g in range(n_guards):
-        w(f"    _gstats_{g}[0] += gm{g}")
     for g in range(n_outcomes):
         w(f"    _ostats_{g}[0] += om{g}")
     w("    return results")

@@ -17,13 +17,8 @@ from repro.zookeeper.specs import (
     check_spec,
     final_fix_spec,
     make_spec,
-    mspec1,
-    mspec2,
-    mspec3,
     mspec3_plus,
-    mspec4,
     pr_spec,
-    sys_spec,
     zk4394_mask,
 )
 
@@ -42,12 +37,7 @@ __all__ = [
     "check_spec",
     "final_fix_spec",
     "make_spec",
-    "mspec1",
-    "mspec2",
-    "mspec3",
     "mspec3_plus",
-    "mspec4",
     "pr_spec",
-    "sys_spec",
     "zk4394_mask",
 ]

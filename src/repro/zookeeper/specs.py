@@ -214,26 +214,6 @@ def make_spec(
     return build_spec(name, SELECTIONS[name], config)
 
 
-def sys_spec(config: Optional[ZkConfig] = None) -> Specification:
-    return make_spec("SysSpec", config)
-
-
-def mspec1(config: Optional[ZkConfig] = None) -> Specification:
-    return make_spec("mSpec-1", config)
-
-
-def mspec2(config: Optional[ZkConfig] = None) -> Specification:
-    return make_spec("mSpec-2", config)
-
-
-def mspec3(config: Optional[ZkConfig] = None) -> Specification:
-    return make_spec("mSpec-3", config)
-
-
-def mspec4(config: Optional[ZkConfig] = None) -> Specification:
-    return make_spec("mSpec-4", config)
-
-
 def mspec3_plus(config: Optional[ZkConfig] = None) -> Specification:
     """mSpec-3+ of Table 6: mSpec-3 with the verified ZK-4712 fix."""
     config = (config or ZkConfig()).with_variant(V391_PLUS_4712)

@@ -467,16 +467,22 @@ class TestDiskCache:
         import glob
 
         config = campaign_config()
-        spec_cache.cached_prefix("mSpec-1", config, "election", "none", 2, 0)
-        for path in glob.glob(str(tmp_path / "disk" / "*" / "*.pkl")):
+        args = ("mSpec-1", config, "election", "none", 2, 0)
+        built = spec_cache.cached_prefix(*args)
+        # UnpicklingError, and a GET opcode whose operand is not an int
+        # (ValueError): whatever the unpickler raises is a miss.
+        for damage in (b"not a pickle", b"garbage\n"):
+            (path,) = glob.glob(str(tmp_path / "disk" / "*" / "*.pkl"))
             with open(path, "wb") as fh:
-                fh.write(b"not a pickle")
-        spec_cache.clear()
-        prefix = spec_cache.cached_prefix(
-            "mSpec-1", config, "election", "none", 2, 0
-        )
-        assert prefix.labels  # recomputed, not crashed
-        assert spec_cache.stats()["disk_hits"] == 0
+                fh.write(damage)
+            spec_cache.clear()
+            prefix = spec_cache.cached_prefix(*args)
+            assert prefix.labels == built.labels  # rebuilt, not crashed
+            stats = spec_cache.stats()
+            assert stats["disk_hits"] == 0 and stats["disk_misses"] == 1
+            spec_cache.clear()  # ... and the entry was rewritten
+            assert spec_cache.cached_prefix(*args).labels == built.labels
+            assert spec_cache.stats()["disk_hits"] == 1
 
     def test_disabled_cache_never_touches_disk(self, tmp_path):
         spec_cache.set_disk_cache_dir("off")

@@ -150,6 +150,11 @@ class TestRandomWalker:
             for state in trace.states[:-1]:
                 assert state.x < 2
 
+    def test_zero_time_budget_yields_no_traces(self):
+        # Same wall-clock test as every engine loop (elapsed >= budget).
+        walker = RandomWalker(counter_spec(y_bound=99), seed=0)
+        assert walker.traces(count=5, time_budget=0) == []
+
     def test_walk_states_consistent_with_labels(self):
         spec = counter_spec(y_bound=99)
         trace = RandomWalker(spec, seed=9).walk(max_steps=10)

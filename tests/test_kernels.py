@@ -103,7 +103,8 @@ class TestEmission:
         assert core.memo_stats()["mode"] == "reference"
         # Reference mode is memo-free end to end: nothing grouped, every
         # invariant evaluated on every state.
-        assert not core.outcome_groups and not core.guard_groups
+        assert not core.outcome_groups
+        assert core.memo_stats()["guard_groups"] == []
         assert not core.inv_groups and core.mask_key is None
 
     def test_emit_kernel_is_pure_python_source(self):
@@ -293,6 +294,41 @@ class TestAdaptiveDemotionUnderKernel:
         engine = ExplorationEngine(spec, "bfs", max_states=10_000)
         assert engine._compile() is core
         assert run_sig(engine.run()) == base_sig
+
+    @pytest.mark.parametrize(
+        "system, grain", [("raft", "raft-coarse"), ("zookeeper", "mSpec-1")]
+    )
+    def test_every_group_demoted_matches_reference(self, system, grain):
+        # With every outcome group demoted all instances are eager and
+        # inherited disabled bits (``affects`` / ``known``) are the only
+        # skip left -- the tier nothing else now backs up.
+        from repro.checker import RandomWalker
+        from repro.remix.registry import system_plugin
+
+        plugin = system_plugin(system)
+
+        def make():
+            return plugin.make_spec(grain, plugin.default_config())
+
+        spec = make()
+        core = compiled_for(spec)
+        assert core.kernel is not None and core.outcome_groups
+        core._demote(range(len(core.outcome_groups)))
+        assert not core.outcome_groups
+        assert sorted(core.eager) == list(range(core.n_instances))
+        assert core.memo_stats()["guard_groups"] == []
+
+        engine = ExplorationEngine(spec, "bfs", max_states=2_000)
+        assert engine._compile() is core
+        reference = ExplorationEngine(make(), "bfs", max_states=2_000, reference=True)
+        assert run_sig(engine.run()) == run_sig(reference.run())
+
+        walked = RandomWalker(spec, seed=5, compiled=core).walk(40)
+        ref_spec = make()
+        ref_walked = RandomWalker(
+            ref_spec, seed=5, compiled=compiled_for(ref_spec, reference=True)
+        ).walk(40)
+        assert walked.labels and walked.labels == ref_walked.labels
 
 
 class TestMaskConstraintMemo:
