@@ -14,6 +14,15 @@ A backend's contract is deliberately small:
   ``cell_done`` events.  It must never change the returned list.
 - ``close()`` releases workers/connections; ``map`` may be called any
   number of times before it.
+- ``supervisor`` is per *run*, not per backend: a backend that owns a
+  worker band consults ``self.supervisor`` (a
+  :class:`~repro.checker.backends.supervision.TaskSupervisor`) on every
+  ``map``, and whoever runs a series of maps may install their own
+  between maps.  That is how one long-lived band serves many campaigns
+  (the campaign server lends it out) while each report's ``degraded``
+  section counts only its own failures -- and why the supervisor cannot
+  be a ``map`` argument: the three-argument signature is the contract
+  every wrapper and decorator forwards.
 
 Handlers are named by an importable ``"module:function"`` spec rather
 than passed as callables, so a backend whose workers live in fresh
@@ -27,6 +36,8 @@ from __future__ import annotations
 import importlib
 import time
 from typing import Any, Callable, List, Optional, Sequence
+
+from repro.checker.backends.supervision import TaskSupervisor
 
 #: The backend names ``create_backend`` accepts (``--backend`` on the
 #: CLI).  ``inline`` is deliberately absent: it is the implicit
@@ -64,6 +75,10 @@ class ExecutionBackend:
 
     #: Human-readable backend name (``"inline"``/``"fork"``/``"socket"``).
     name = "abstract"
+    #: Failure policy and degradation log of the current run (see the
+    #: module docstring); ``None`` where no worker can fail separately
+    #: from the caller (inline).
+    supervisor: Optional[TaskSupervisor] = None
 
     def map(
         self,

@@ -15,7 +15,11 @@ shared filesystem.  That makes this the only band that can leave the
 host: external workers (another host, a container) join the same
 listener with ``python -m repro worker``, mid-map if they like.  The
 price is measured: ~0.67 s to spawn and ~74 us per task round-trip,
-against a ``fork()`` and ~39 us for the pipe band.
+against a ``fork()`` and ~39 us for the pipe band.  Who pays the spawn:
+every ``run_campaign`` that builds its own socket backend (the CLI), but
+under ``repro serve`` only the first request of a ``(workers,
+auth_token)`` shape -- the server keeps the band resident and lends it
+to the requests that follow (:mod:`repro.remix.service`).
 
 A connection becomes eligible for tasks only after its hello frame is
 verified: the protocol tag must match and, when the band was built with
@@ -279,6 +283,9 @@ class TcpBand(WorkerBand):
     # ------------------------------------------------------ processes
 
     def spawn(self) -> None:
+        # Forget the dead first: a band may outlive many maps, and every
+        # replacement would otherwise leave a reaped Popen behind.
+        self._processes = [p for p in self._processes if p.poll() is None]
         self._processes.append(
             subprocess.Popen(
                 [

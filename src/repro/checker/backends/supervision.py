@@ -19,11 +19,14 @@ whole matrix.
   is *poison* -- it is marked degraded instead of being fed to yet
   another worker (and instead of taking the campaign down).
 
-:class:`TaskSupervisor` is the bookkeeper one backend instance shares
-across its ``map`` calls: it decides retry-vs-quarantine, computes
-backoff delays, and accumulates a degradation log the campaign folds
-into the report's ``degraded`` section (every degradation is recorded,
-none is silent).  Exactly one caller interprets its verdicts --
+:class:`TaskSupervisor` is the bookkeeper of one *run* -- the ``map``
+calls of one campaign, on a backend the campaign built or was lent: it
+decides retry-vs-quarantine, computes backoff delays, and accumulates a
+degradation log the campaign folds into the report's ``degraded``
+section (every degradation is recorded, none is silent).  A band that
+outlives the run gets the next run's supervisor installed
+(``backend.supervisor``), so counts never leak between reports.
+Exactly one caller interprets its verdicts --
 :func:`repro.checker.backends.dispatch.dispatch` -- so the policy means
 the same over the fork band and the TCP band; every ``map`` is
 supervised (a backend built without a supervisor gets
@@ -56,7 +59,7 @@ class SupervisionPolicy:
     backoff_factor: float = 2.0
     #: Worker deaths a single task may cause before it is poison.
     quarantine_after: int = 2
-    #: Replacement workers a backend may spawn over its lifetime
+    #: Replacement workers one supervisor may charge to its run
     #: (``None``: twice the initial band).
     max_respawns: Optional[int] = None
 
@@ -65,10 +68,11 @@ DEFAULT_POLICY = SupervisionPolicy()
 
 
 class TaskSupervisor:
-    """Per-backend supervision bookkeeping.
+    """Per-run supervision bookkeeping.
 
-    One supervisor serves every ``map`` call of its backend, so counters
-    and the degradation log accumulate campaign-wide.  Task identity
+    One supervisor serves every ``map`` call of one campaign, so counters
+    and the degradation log accumulate campaign-wide -- and no further:
+    the next campaign on the same band brings its own.  Task identity
     inside one ``map`` call is the task *index*; because indices repeat
     across calls, per-task failure counts reset at :meth:`begin_map`
     while the totals and the event log persist.

@@ -928,6 +928,7 @@ class ConformanceCampaign:
         self,
         progress: Optional[Callable[[Dict[str, Any]], None]] = None,
         journal: Optional[CampaignJournal] = None,
+        backend: Optional[ExecutionBackend] = None,
     ) -> CampaignReport:
         """Run the campaign and return the merged report.
 
@@ -945,7 +946,14 @@ class ConformanceCampaign:
         and results it already holds (a resumed run) are replayed
         instead of re-executed -- same index-ordered merge, so the
         resumed report is bitwise-identical to an uninterrupted one.
-        Replayed cells emit ``cell_done`` with ``"replayed": true``."""
+        Replayed cells emit ``cell_done`` with ``"replayed": true``.
+
+        ``backend`` is a *lent* execution backend: this run installs its
+        own supervisor on it for the duration (so ``degraded`` counts
+        only this run's failures), maps over it and hands it back open
+        -- the lender closes it.  Without one the run builds the
+        request's backend and closes it, so who built it is who closes
+        it."""
         started = time.monotonic()
         deadline = None if self.budget is None else started + self.budget
         # Pre-warm the spec cache in the parent: O(grains) compositions,
@@ -973,13 +981,18 @@ class ConformanceCampaign:
                         pass  # the cell will report itself inapplicable
 
         supervisor = self._supervisor(progress)
-        backend = create_backend(
-            self.backend,
-            TASK_HANDLER,
-            self.workers,
-            supervisor=supervisor,
-            auth_token=self.request.auth_token,
-        )
+        lent = backend
+        if lent is not None:
+            lenders_supervisor = lent.supervisor
+            lent.supervisor = supervisor
+        else:
+            backend = create_backend(
+                self.backend,
+                TASK_HANDLER,
+                self.workers,
+                supervisor=supervisor,
+                auth_token=self.request.auth_token,
+            )
         if journal is not None:
             backend = JournaledBackend(backend, journal)
         emitted: set = set()
@@ -1059,7 +1072,12 @@ class ConformanceCampaign:
             meta["elapsed_seconds"] = round(time.monotonic() - started, 3)
             return report
         finally:
-            backend.close()
+            if lent is None:
+                backend.close()
+            else:
+                lent.supervisor = lenders_supervisor
+                if journal is not None:
+                    journal.close()
 
 
 def run_campaign(
@@ -1068,6 +1086,7 @@ def run_campaign(
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     journal_dir: Optional[str] = None,
     resume: bool = False,
+    backend: Optional[ExecutionBackend] = None,
 ) -> CampaignReport:
     """Run one campaign request end to end: the single programmatic
     entry point behind the CLI, the campaign server, benchmarks, and
@@ -1075,6 +1094,11 @@ def run_campaign(
 
     ``progress`` streams :meth:`ConformanceCampaign.run` events; the
     returned report depends only on the request.
+
+    ``backend`` lends the run an already-built execution backend
+    (the campaign server's resident socket band) in place of the one
+    the request names; it comes back open, under the supervisor it
+    arrived with (see :meth:`ConformanceCampaign.run`).
 
     ``journal_dir`` arms crash-safety: completed results append durably
     to ``journal_dir/journal.jsonl`` as they arrive.  ``resume=True``
@@ -1091,7 +1115,9 @@ def run_campaign(
         if journal_dir is not None
         else None
     )
-    return ConformanceCampaign(request).run(progress=progress, journal=journal)
+    return ConformanceCampaign(request).run(
+        progress=progress, journal=journal, backend=backend
+    )
 
 
 def new_fingerprints(

@@ -222,6 +222,29 @@ class TestBackendContract:
         assert (sup.timeouts, sup.retries) == (2, 1)
         assert sup.quarantined
 
+    @pytest.mark.parametrize("kind", WORKER_KINDS)
+    def test_supervisor_is_per_run_on_a_long_lived_band(
+        self, make_backend, kind, tmp_path
+    ):
+        """Two maps on one band under two supervisors: what the first
+        run went through -- a dead worker, its respawn budget spent --
+        is nowhere in the second run's books."""
+        policy = SupervisionPolicy(max_respawns=1, backoff=0.01)
+        first = TaskSupervisor(policy)
+        backend = make_backend(kind, DIE_ONCE, supervisor=first)
+        tasks = [{"value": n} for n in range(6)]
+        tasks[2] = {"value": 2, "marker": str(tmp_path / "died")}
+        assert [r["value"] for r in backend.map(tasks)] == list(range(6))
+        assert (first.worker_deaths, first.respawns) == (1, 1)
+        assert not first.respawn_allowed(backend.band.workers)
+        second = TaskSupervisor(policy)
+        backend.supervisor = second
+        again = [{"value": n} for n in range(6)]
+        assert [r["value"] for r in backend.map(again)] == list(range(6))
+        assert second.clean
+        assert second.snapshot() == TaskSupervisor().snapshot()
+        assert second.respawn_allowed(backend.band.workers)
+
     @pytest.mark.parametrize("kind", CHAOS_KINDS)
     def test_duplicate_result_frames_written_once(self, make_backend, kind):
         seen = []
@@ -331,6 +354,50 @@ class TestBackendIdentity:
         directions=("topdown", "bottomup"),
         shrink=True,
     )
+
+    @staticmethod
+    def report_bytes(request, **how):
+        data = run_campaign(request, **how).to_json()
+        data["campaign"].pop("elapsed_seconds", None)
+        return json.dumps(data, sort_keys=True)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_lent_backend_gives_the_same_report_and_stays_open(
+        self, make_backend, kind, tmp_path, monkeypatch
+    ):
+        """``run_campaign(request, backend=lent)``: same bytes as the
+        run that builds its own, and the campaign closes nothing it did
+        not open -- with a journal, the journal only."""
+        from repro.remix.campaign import TASK_HANDLER
+        from repro.remix.journal import CampaignJournal
+
+        request = CampaignRequest(
+            **{**self.KW, "workers": 1 if kind == "inline" else 2},
+            backend="socket" if kind == "socket" else "fork",
+        )
+        expected = self.report_bytes(request)
+        lent = make_backend(kind, TASK_HANDLER)
+        lenders_supervisor = lent.supervisor
+        closed = []
+        monkeypatch.setattr(lent, "close", lambda: closed.append("backend"))
+        journal_close = CampaignJournal.close
+
+        def spy(journal):
+            closed.append("journal")
+            journal_close(journal)
+
+        monkeypatch.setattr(CampaignJournal, "close", spy)
+        assert self.report_bytes(request, backend=lent) == expected
+        assert closed == []
+        assert lent.supervisor is lenders_supervisor
+        journaled = self.report_bytes(
+            request, backend=lent, journal_dir=str(tmp_path)
+        )
+        assert journaled == expected
+        assert closed == ["journal"]
+        # still open: the lent backend maps a third campaign
+        assert self.report_bytes(request, backend=lent) == expected
+        monkeypatch.undo()  # let the fixture really close it
 
     def test_socket_matches_fork_bitwise(self):
         fork = run_campaign(
