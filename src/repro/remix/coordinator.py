@@ -10,7 +10,7 @@ step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.checker.trace import Trace
 from repro.impl.ensemble import Ensemble
@@ -103,8 +103,19 @@ class Coordinator:
         self.mapping = mapping
         self.ensemble_factory = ensemble_factory
         self.compared_variables = tuple(compared_variables)
+        # Resolved once against the snapshot of a fresh ensemble: a typo
+        # in compared_variables would otherwise silently disable that
+        # comparison forever, and every replay reports it.
+        self.known, self.missing = split_compared_variables(
+            ensemble_factory().snapshot(), self.compared_variables
+        )
 
-    def replay(self, trace: Trace, stop_on_discrepancy: bool = True) -> ReplayResult:
+    def replay(
+        self,
+        trace: Trace,
+        stop_on_discrepancy: bool = True,
+        resume: Optional[Tuple[int, Ensemble]] = None,
+    ) -> ReplayResult:
         """Drive the implementation through the trace's actions.
 
         After each scheduled action, every compared variable is checked
@@ -113,16 +124,28 @@ class Coordinator:
         discrepancy.  Implementation exceptions (bug symptoms) abort the
         replay and are reported separately -- they are what confirms a
         model-level safety violation in the code (§3.5.2).
+
+        ``resume=(start, ensemble)`` is the resume entry: the caller
+        hands over an ensemble it has already driven through the trace's
+        first ``start`` steps (see :meth:`advance`; the replay mutates
+        it) and the replay enters at step ``start`` instead of step 0 on
+        a fresh ensemble.  Step indices in the result stay those of the
+        trace, ``steps_executed`` counts the steps this call executed,
+        and the configuration-level ``unknown_variable`` discrepancies
+        are reported wherever the replay starts.
         """
-        ensemble: Ensemble = self.ensemble_factory()
-        result = ReplayResult()
-        # Validate the comparison set against the snapshot up front: a
-        # typo in compared_variables would otherwise silently disable
-        # that comparison forever.
-        known = self._validate_variables(ensemble, result)
+        start, ensemble = resume or self.start()
+        result = ReplayResult(
+            discrepancies=[
+                Discrepancy("unknown_variable", 0, CONFIG_LABEL, variable)
+                for variable in self.missing
+            ]
+        )
         if result.discrepancies and stop_on_discrepancy:
             return result
-        for step, (pre, label, post) in enumerate(trace.steps()):
+        states = trace.states
+        for step in range(start, len(trace.labels)):
+            label = trace.labels[step]
             mapped = self.mapping.lookup(label)
             if mapped is None:
                 result.discrepancies.append(
@@ -145,30 +168,29 @@ class Coordinator:
                     return result
                 continue
             result.steps_executed += 1
-            mismatches = self._compare(post, ensemble, step, label, known)
+            mismatches = self._compare(states[step + 1], ensemble, step, label)
             result.discrepancies.extend(mismatches)
             if mismatches and stop_on_discrepancy:
                 return result
         return result
 
-    def _validate_variables(self, ensemble: Ensemble, result: ReplayResult):
-        """Report every compared variable absent from the snapshot as an
-        ``unknown_variable`` discrepancy; return the resolvable ones."""
-        known, missing = split_compared_variables(
-            ensemble.snapshot(), self.compared_variables
-        )
-        for variable in missing:
-            result.discrepancies.append(
-                Discrepancy("unknown_variable", 0, CONFIG_LABEL, variable)
-            )
-        return known
+    def start(self) -> Tuple[int, Ensemble]:
+        """The resume point every replay starts from unless handed
+        another: step 0 on a fresh ensemble."""
+        return 0, self.ensemble_factory()
 
-    def _compare(self, model_state, ensemble: Ensemble, step, label, variables=None):
+    def advance(self, point: Tuple[int, Ensemble], labels) -> Tuple[int, Ensemble]:
+        """Drive a resume point through ``labels`` without comparing: for
+        steps an earlier replay already found clean."""
+        step, ensemble = point
+        for label in labels:
+            self.mapping.lookup(label).step(ensemble, label)
+        return step + len(labels), ensemble
+
+    def _compare(self, model_state, ensemble: Ensemble, step, label):
         impl = ensemble.snapshot()
         out: List[Discrepancy] = []
-        if variables is None:
-            variables = tuple(v for v in self.compared_variables if v in impl)
-        for variable in variables:
+        for variable in self.known:
             model_value = model_state[variable]
             impl_value = impl[variable]
             if model_value != impl_value:

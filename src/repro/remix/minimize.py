@@ -27,7 +27,10 @@ Everything around the pair exists once and looks the direction up:
   prefix plus a random suffix along;
 - :func:`replay_min_trace` / :func:`unreplayable_min_traces` verify a
   report's minimized traces end-to-end (the CI assertion that every
-  finding carries a *replayable* ``min_trace``).
+  finding carries a *replayable* ``min_trace``), and
+  :func:`reducible_min_traces` that none of them can lose a label.
+  They never resume: each judges with a full replay on a fresh
+  ensemble, which makes them an independent check on the shrinker.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.checker.random_walk import RandomWalker
-from repro.checker.shrink import _try_replay, shrink_labels_oracle
+from repro.checker.shrink import ReplayThenJudge, shrink_labels_oracle
 from repro.checker.trace import Trace
 from repro.remix.campaign import (
     CampaignReport,
@@ -133,24 +136,112 @@ def _explore_suffix(grain, witness, config, system, prefix) -> List:
     return explorer.explore(witness["explorer_steps"], prefix=prefix.labels)[0]
 
 
-def _model_replay(spec) -> Callable:
-    """Top-down lift: a candidate is a run only if it replays at the
-    model level, from the initial state."""
-    initial = spec.initial_states()[0]
-    return lambda labels: _try_replay(spec, labels, initial)
-
-
 # --------------------------------------------------------------- judge
 #
 # A judge is built per (grain, target fingerprint, config, system).
 # ``judge(run, index)`` returns ``(steps, labels executed, findings)``
-# and is what a campaign cell calls (with no target: ``fingerprint`` is
-# None); ``__call__(run)`` is the shrink oracle -- "the target
-# fingerprint is among those findings" -- and alone counts ``replays``.
+# from a full lockstep run on a fresh ensemble and is what a campaign
+# cell calls (with no target: ``fingerprint`` is None).
+# ``__call__(run, keep)`` is the shrink oracle -- "the target fingerprint
+# is among those findings" -- and alone counts ``replays``; it resumes
+# rather than restarts (:class:`_Resumable`).
 
 
-class ConformanceOracle:
+class _Resumable:
+    """The shrink-oracle half of a judge, shared by both directions: the
+    verdict a full replay would give, for less than a full replay.
+
+    ``keep`` is the loop's promise (:func:`shrink_labels_oracle
+    <repro.checker.shrink.shrink_labels_oracle>`) that the run's first
+    ``keep`` labels are those of the last run accepted here.  Behind it:
+
+    - a *memo* of rejected label sequences.  Accepted sequences strictly
+      shrink, so only a rejection can recur; a hit is still counted in
+      ``replays`` (the report's ``oracle_replays`` is the number of
+      candidates that logically reached the judge, not of physical
+      replays) and touches neither the accepted run nor the cursor --
+      both describe the last *accepted* run, which a rejection is not;
+    - a *cursor*: one lockstep resume point (see ``start``/``advance`` on
+      the coordinator and the validator) driven along the accepted run,
+      never past the step its finding fired at -- those steps are known
+      clean, so they run uncompared.  A candidate is judged on a
+      ``clone()`` of the cursor, entering the lockstep loop at ``keep``;
+    - *inheritance*: a candidate with ``keep`` beyond the firing step
+      shares every step the accepted replay executed, so the replay
+      would stop before reaching the cut and the verdict is the accepted
+      one.
+
+    A configuration-level finding (``unknown_variable``) fires before
+    any step, on every candidate: it has no firing step, no step is
+    known clean, and each candidate gets the full replay.
+    """
+
+    #: ``labels(run)``: the label sequence of one of this judge's runs.
+    labels: Callable
+
+    def __init__(self, fingerprint: Optional[str], lockstep: Any):
+        self.fingerprint = fingerprint
+        #: The lockstep engine (a coordinator or a validator).  Its
+        #: resume points are ``(step, ensemble, *model side)`` tuples.
+        self.lockstep = lockstep
+        self.replays = 0
+        self._rejected: set = set()
+        #: The last accepted run's labels and the step the finding fired
+        #: at in it (None: nothing accepted yet, or configuration-level).
+        self._accepted: Tuple = ()
+        self._fired: Optional[int] = None
+        #: A resume point along ``_accepted``, at a step <= ``_fired``.
+        self._cursor: Optional[Tuple] = None
+
+    def _findings_from(self, run, resume) -> Tuple[List, Optional[int]]:
+        """Run the lockstep loop from ``resume`` (None: from scratch);
+        the findings and the step the loop stopped at."""
+        raise NotImplementedError
+
+    def _probe(self, keep: int) -> Tuple:
+        """A resume point at step ``keep`` of the accepted run, the
+        caller's to mutate: the cursor is driven there (restarted when it
+        is already past -- a new ddmin pass) and cloned."""
+        point = self._cursor
+        if point is None or point[0] > keep:
+            point = self.lockstep.start()
+        point = self._cursor = self.lockstep.advance(
+            point, self._accepted[point[0] : keep]
+        )
+        return (keep, point[1].clone()) + point[2:]
+
+    def _reproduces(self, run, keep: int) -> bool:
+        self.replays += 1
+        labels = tuple(self.labels(run))
+        if labels in self._rejected:
+            # Nothing else moves: ``_accepted`` and the cursor stay with
+            # the last accepted run.
+            return False
+        if self._fired is not None and keep > self._fired:
+            # The replay would stop before it reached the cut.
+            self._accepted = labels
+            return True
+        # No firing step (nothing accepted yet, or a configuration-level
+        # finding) means no step known clean: the full replay.
+        findings, stopped = self._findings_from(
+            run, None if self._fired is None else self._probe(keep)
+        )
+        hit = next(
+            (f for f in findings if f["fingerprint"] == self.fingerprint),
+            None,
+        )
+        if hit is None:
+            self._rejected.add(labels)
+            return False
+        self._accepted = labels
+        self._fired = None if hit["kind"] == "unknown_variable" else stopped
+        return True
+
+
+class ConformanceOracle(_Resumable):
     """The top-down judge: replay a model trace through the coordinator."""
+
+    labels = staticmethod(attrgetter("labels"))
 
     def __init__(
         self,
@@ -160,39 +251,48 @@ class ConformanceOracle:
         system: str = "zookeeper",
     ):
         plugin = system_plugin(system)
-        self.grain = grain
-        self.fingerprint = fingerprint
-        self.coordinator = Coordinator(
-            cached_mapping(grain, system=system),
-            plugin.ensemble_factory(config),
-            compared_variables=plugin.compared_variables,
+        super().__init__(
+            fingerprint,
+            Coordinator(
+                cached_mapping(grain, system=system),
+                plugin.ensemble_factory(config),
+                compared_variables=plugin.compared_variables,
+            ),
         )
-        self.replays = 0
+        self.grain = grain
 
     def judge(self, trace: Trace, index: int = 0) -> Tuple[int, List, List]:
-        result = self.coordinator.replay(trace)
+        result = self.lockstep.replay(trace)
         return (
             result.steps_executed,
             trace.labels[: result.steps_executed],
             trace_findings(result, trace, self.grain),
         )
 
-    def __call__(self, trace: Trace) -> bool:
-        self.replays += 1
-        return any(
-            finding["fingerprint"] == self.fingerprint
-            for finding in self.judge(trace)[2]
-        )
+    def _findings_from(self, trace: Trace, resume):
+        result = self.lockstep.replay(trace, resume=resume)
+        if result.impl_error is not None:
+            stopped = result.impl_error_step
+        elif result.discrepancies:
+            stopped = result.discrepancies[-1].step
+        else:
+            stopped = None
+        return trace_findings(result, trace, self.grain), stopped
+
+    def __call__(self, trace: Trace, keep: int = 0) -> bool:
+        return self._reproduces(trace, keep)
 
 
-class ValidationOracle:
-    """The bottom-up judge: validate a label sequence in lockstep (fresh
-    ensemble + fresh model run).
+class ValidationOracle(_Resumable):
+    """The bottom-up judge: validate a label sequence in lockstep
+    (ensemble + model run).
 
     The candidate is never replayed through the model alone -- a
     bottom-up witness may be model-disabled on purpose (that can be the
     very finding under minimization), so the implementation drives and
     the model only judges."""
+
+    labels = staticmethod(list)
 
     def __init__(
         self,
@@ -202,33 +302,40 @@ class ValidationOracle:
         system: str = "zookeeper",
     ):
         plugin = system_plugin(system)
-        self.grain = grain
-        self.fingerprint = fingerprint
-        self.validator = TraceValidator(
-            cached_spec(grain, config, system=system),
-            cached_mapping(grain, system=system),
-            plugin.ensemble_factory(config),
-            compared_variables=plugin.compared_variables,
+        super().__init__(
+            fingerprint,
+            TraceValidator(
+                cached_spec(grain, config, system=system),
+                cached_mapping(grain, system=system),
+                plugin.ensemble_factory(config),
+                compared_variables=plugin.compared_variables,
+            ),
         )
-        self.replays = 0
+        self.grain = grain
 
     def judge(self, labels: List, index: int = 0) -> Tuple[int, List, List]:
         # The implementation executed every label of an explorer's run;
         # validation merely stops judging at the first issue, so the
         # labels executed (a cell's coverage) are the whole run.
-        report = self.validator.validate_labels(labels, run=index)
+        report = self.lockstep.validate_labels(labels, run=index)
         return (
             report.steps_validated,
             labels,
             validation_findings(report, self.grain),
         )
 
-    def __call__(self, labels: List) -> bool:
-        self.replays += 1
-        return any(
-            finding["fingerprint"] == self.fingerprint
-            for finding in self.judge(labels)[2]
-        )
+    def _findings_from(self, labels: List, resume):
+        report = self.lockstep.validate_labels(labels, resume=resume)
+        if report.impl_errors:
+            stopped = report.impl_errors[-1][1]
+        elif report.issues:
+            stopped = report.issues[-1].step
+        else:
+            stopped = None
+        return validation_findings(report, self.grain), stopped
+
+    def __call__(self, labels: List, keep: int = 0) -> bool:
+        return self._reproduces(labels, keep)
 
 
 # ----------------------------------------------------------- directions
@@ -247,8 +354,9 @@ class Direction:
     #: The oracle class (see "judge" above).
     judge: Callable
     #: ``labels(run)`` is what the shrinker deletes from, and
-    #: ``lift(spec)(labels)`` turns a candidate back into a run for the
-    #: judge -- or None when it is not a run in this direction.
+    #: ``lift(spec, judge)`` makes a ``judge(run, keep)`` the loop's
+    #: ``oracle(labels, keep)``: it turns a candidate back into a run for
+    #: the judge, or rejects it when it is not a run in this direction.
     labels: Callable
     lift: Callable
 
@@ -259,16 +367,19 @@ DIRECTION_TABLE: Dict[str, Direction] = {
         steps_key="suffix_steps",
         derive=_walk_suffix,
         judge=ConformanceOracle,
-        labels=attrgetter("labels"),
-        lift=_model_replay,
+        labels=ConformanceOracle.labels,
+        # a candidate is a run only if it replays at the model level
+        lift=lambda spec, judge: ReplayThenJudge(
+            spec, spec.initial_states()[0], judge
+        ),
     ),
     "bottomup": Direction(
         seed_key="explorer_seed",
         steps_key="explorer_steps",
         derive=_explore_suffix,
         judge=ValidationOracle,
-        labels=list,
-        lift=lambda spec: lambda labels: labels,
+        labels=ValidationOracle.labels,
+        lift=lambda spec, judge: judge,
     ),
 }
 
@@ -323,14 +434,10 @@ def shrink_finding(
     oracle = direction.judge(grain, finding["fingerprint"], config, system)
     if not oracle(run):
         return {"status": "unreproducible", "witness_steps": len(run)}
-    lift = direction.lift(cached_spec(grain, config, system=system))
-
-    def reproduces(labels: List) -> bool:
-        candidate = lift(labels)
-        return candidate is not None and oracle(candidate)
-
     shrunk = shrink_labels_oracle(
-        direction.labels(run), reproduces, max_rounds=max_rounds
+        direction.labels(run),
+        direction.lift(cached_spec(grain, config, system=system), oracle),
+        max_rounds=max_rounds,
     )
     return {
         "status": "ok",
@@ -363,10 +470,19 @@ def replay_min_trace(
     if instances is None:
         return False
     direction = DIRECTION_TABLE[finding["direction"]]
-    run = direction.lift(spec)([inst.label for inst in instances])
-    return run is not None and direction.judge(
-        grain, finding["fingerprint"], config, system
-    )(run)
+    judge = direction.judge(grain, None, config, system).judge
+
+    def reproduces(run, keep: int) -> bool:
+        # Always the full replay on a fresh ensemble: this is the
+        # independent check on what the resuming shrinker produced.
+        return any(
+            judged["fingerprint"] == finding["fingerprint"]
+            for judged in judge(run)[2]
+        )
+
+    return direction.lift(spec, reproduces)(
+        [inst.label for inst in instances], 0
+    )
 
 
 def unreplayable_min_traces(
@@ -385,3 +501,26 @@ def unreplayable_min_traces(
         for finding in report.findings
         if not replay_min_trace(finding, config, report.meta["system"])
     ]
+
+
+def reducible_min_traces(
+    report_json: Dict[str, Any], config: Any = None
+) -> List[Tuple[str, int]]:
+    """``(fingerprint, index)`` for every single label of a ``min_trace``
+    whose deletion still passes :func:`replay_min_trace`; empty means
+    every minimized trace is 1-minimal, which is what the shrinker
+    promises for a loop that converged."""
+    report = CampaignReport.from_json(report_json)
+    if config is None:
+        config = config_from_meta(report.meta)
+    reducible = []
+    for finding in report.findings:
+        min_trace = finding.get("min_trace") or {}
+        labels = min_trace.get("labels", [])
+        for index in range(len(labels)):
+            shorter = dict(min_trace, labels=labels[:index] + labels[index + 1 :])
+            if replay_min_trace(
+                dict(finding, min_trace=shorter), config, report.meta["system"]
+            ):
+                reducible.append((finding["fingerprint"], index))
+    return reducible

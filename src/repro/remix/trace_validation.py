@@ -47,7 +47,7 @@ class ValidationIssue:
     """
 
     # "model_disabled" | "state_mismatch" | "impl_exception"
-    # | "unknown_variable"
+    # | "unknown_variable" | "unmapped_action"
     kind: str
     step: int
     label: ActionLabel
@@ -275,32 +275,51 @@ class TraceValidator:
         self.mapping = mapping
         self.ensemble_factory = ensemble_factory
         self.compared_variables = tuple(compared_variables)
+        self.initial: State = spec.initial_states()[0]
+        # Resolved once against the snapshot of a fresh ensemble: a
+        # typo'd variable would otherwise silently never be compared
+        # (the bug the Coordinator already fixed; shared helper).
+        self.known, self.missing = split_compared_variables(
+            ensemble_factory().snapshot(), self.compared_variables
+        )
 
     def validate_labels(
-        self, labels: Sequence[ActionLabel], run: int = 0
+        self,
+        labels: Sequence[ActionLabel],
+        run: int = 0,
+        resume: Optional[Tuple[int, Ensemble, State]] = None,
     ) -> ValidationReport:
         """Replay ``labels`` against BOTH the model and a fresh ensemble,
         comparing the compared variables after each step.
 
         This is the lockstep core behind the campaign's bottom-up cells
-        (explored runs) and shrink oracle (candidate subsequences)."""
-        report = ValidationReport()
-        model_state: State = self.spec.initial_states()[0]
-        ensemble = self.ensemble_factory()
-        # Validate the comparison tuple against the snapshot up front: a
-        # typo'd variable would otherwise silently never be compared
-        # (the bug the Coordinator already fixed; shared helper).
-        known, missing = split_compared_variables(
-            ensemble.snapshot(), self.compared_variables
-        )
-        for variable in missing:
-            report.issues.append(
+        (explored runs) and shrink oracle (candidate subsequences).
+
+        ``resume=(start, ensemble, model state)`` is the resume entry:
+        the caller hands over the pair it has already driven through
+        ``labels[:start]`` (see :meth:`advance`; the ensemble is mutated)
+        and validation enters at step ``start`` instead of step 0 on a
+        fresh pair.  Step indices in the report stay those of ``labels``,
+        ``steps_validated`` and ``executed`` cover the steps this call
+        took, and the configuration-level ``unknown_variable`` issues are
+        reported wherever validation starts."""
+        start, ensemble, model_state = resume or self.start()
+        report = ValidationReport(
+            issues=[
                 ValidationIssue(
                     "unknown_variable", 0, CONFIG_LABEL, variable, run=run
                 )
-            )
-        for step, label in enumerate(labels):
+                for variable in self.missing
+            ]
+        )
+        for step in range(start, len(labels)):
+            label = labels[step]
             mapped = self.mapping.lookup(label)
+            if mapped is None:
+                report.issues.append(
+                    ValidationIssue("unmapped_action", step, label, run=run)
+                )
+                return report
             try:
                 ok = mapped.step(ensemble, label)
             except ImplError as exc:
@@ -330,7 +349,7 @@ class TraceValidator:
             model_state = nxt
             report.steps_validated += 1
             impl = ensemble.snapshot()
-            for variable in known:
+            for variable in self.known:
                 if model_state[variable] != impl[variable]:
                     report.issues.append(
                         ValidationIssue(
@@ -345,3 +364,22 @@ class TraceValidator:
                     )
                     return report
         return report
+
+    def start(self) -> Tuple[int, Ensemble, State]:
+        """The resume point every validation starts from unless handed
+        another: step 0 on a fresh ensemble and the initial model state."""
+        return 0, self.ensemble_factory(), self.initial
+
+    def advance(
+        self, point: Tuple[int, Ensemble, State], labels
+    ) -> Tuple[int, Ensemble, State]:
+        """Drive a resume point through ``labels`` without comparing: for
+        steps an earlier validation already found clean."""
+        step, ensemble, model_state = point
+        config = self.spec.config
+        for label in labels:
+            self.mapping.lookup(label).step(ensemble, label)
+            model_state = self.spec.instance_for(label).apply(
+                config, model_state
+            )
+        return step + len(labels), ensemble, model_state

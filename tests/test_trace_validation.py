@@ -10,6 +10,8 @@ from repro.remix import (
     mapping_for,
     system_plugin,
 )
+from repro.remix.campaign import validation_findings
+from repro.remix.mapping import ActionMapping
 from repro.zookeeper import V391, ZkConfig, make_spec
 from repro.zookeeper.scenarios import Scenario
 from repro.zookeeper.specs import SELECTIONS
@@ -110,6 +112,29 @@ class TestTraceValidator:
             20, max_steps=18
         )
         assert not all(report.valid for report in reports)
+
+    def test_unmapped_label_reported_not_crashed_on(self):
+        """A label the mapping does not know (a hand-edited min_trace, a
+        plugin with a partial mapping) used to die with AttributeError on
+        ``None.step``; it is an ``unmapped_action`` issue that ends the
+        run, as it is for the coordinator."""
+        v = Validation("mSpec-1")
+        executed, _, _ = v.explorer.explore(max_steps=10)
+        cut = len(executed) // 2
+        partial = dict(v.validator.mapping.entries)
+        del partial[executed[cut].name]
+        assert all(label.name in partial for label in executed[:cut])
+        v.validator.mapping = ActionMapping(partial)
+        report = v.validator.validate_labels(executed, run=3)
+        assert [(i.kind, i.step, i.label, i.run) for i in report.issues] == [
+            ("unmapped_action", cut, executed[cut], 3)
+        ]
+        assert report.steps_validated == cut
+        assert report.executed == executed[:cut]
+        assert not report.impl_errors
+        finding = validation_findings(report, "mSpec-1")[0]
+        assert finding["kind"] == "unmapped_action"
+        assert str(executed[cut]) in finding["detail"]
 
     def test_summary(self):
         report = Validation("mSpec-1").run(max_steps=10)
