@@ -8,7 +8,7 @@ publication time.
 
 import networkx as nx
 
-from repro.analysis import (
+from repro.analysis.lineage import (
     descendants_of_optimization,
     generations,
     lineage_graph,

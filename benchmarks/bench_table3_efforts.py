@@ -6,7 +6,7 @@ the measurement itself.
 """
 
 from bench_common import print_table, once
-from repro.analysis import table3
+from repro.analysis.efforts import table3
 
 PAPER = {
     "mSpec-1": ("+64, -342", "29 (-8)", "16 (-7)", "31 (+0)"),

@@ -190,13 +190,15 @@ def run_smoke(max_states, max_time, workers, strategy, dedupe="rounds"):
 #: kernel-trusted specs only (an untrusted spec *is* the reference arm).
 #: The rows deliberately span both memoization regimes.  The ZooKeeper
 #: specs have wide dependency closures (the hot ``state`` variable sits in
-#: nearly every closure), so the kernel is applier-bound there -- those
+#: nearly every closure), so the outcome memo misses there and what the
+#: kernel saves is the applier calls its guard prefixes filter -- those
 #: rows feed the regression floor.  The Raft plugin specs have narrow
 #: closures, so memo replay is the dominant cost -- ``raft-fine@150k`` is
 #: the ``--min-ratio`` gate row.  Raft appears at two budgets because memo
 #: hit rates (and so the kernel advantage) grow with frontier depth; the
 #: pair records that trend.
 AB_ROWS = (
+    ("zookeeper", "SysSpec", 30_000),
     ("zookeeper", "mSpec-1", 30_000),
     ("zookeeper", "mSpec-2", 30_000),
     ("zookeeper", "mSpec-3", 30_000),
@@ -209,9 +211,9 @@ AB_ROWS = (
 #: The row the --min-ratio gate applies to.
 AB_GATE_ROW = "raft-fine@150k"
 
-#: Every row must stay above this kernel/reference floor: the kernel must
-#: never lose to the naive expander it refines.
-AB_FLOOR = 1.0
+#: Every row must stay above this kernel/reference floor (the worst
+#: committed row is ``SysSpec@30k`` at 2.40x).
+AB_FLOOR = 1.5
 
 #: Ratios this script can no longer measure, because the arms they
 #: compared against were deleted (PR 12): the seed checker

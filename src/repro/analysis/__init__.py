@@ -1,8 +1,15 @@
-"""Analyses over the specs: the paper's effort table and bug-lineage
-figure, plus the static spec linter (``python -m repro lint``)."""
+"""Analyses over the specs: the static spec linter (``python -m repro
+lint``), plus the paper's effort table and bug-lineage figure.
+
+The linter is what this package exports: the checker imports it to decide
+kernel trust, so importing the package must stay cheap.  The effort table
+(:mod:`repro.analysis.efforts`, which pulls in the campaign stack) and the
+lineage figure (:mod:`repro.analysis.lineage`, which pulls in a graph
+library) are imported from their own modules by the few callers that
+want them.
+"""
 
 from repro.analysis.deps import SpecAnalyzer, Summary
-from repro.analysis.efforts import SpecDiff, SpecMetrics, diff, measure, table3
 from repro.analysis.findings import (
     RULES,
     Finding,
@@ -11,43 +18,18 @@ from repro.analysis.findings import (
     baseline_error,
     new_fingerprints,
 )
-from repro.analysis.lineage import (
-    EDGES,
-    ISSUES,
-    Issue,
-    descendants_of_optimization,
-    generations,
-    lineage_graph,
-    render_ascii,
-    roots,
-    unfixed_at_publication,
-)
 from repro.analysis.lint import lint_plugin, lint_system, lint_systems
 
 __all__ = [
-    "EDGES",
-    "ISSUES",
     "Finding",
-    "Issue",
     "LintReport",
     "RULES",
     "Rule",
     "SpecAnalyzer",
-    "SpecDiff",
-    "SpecMetrics",
     "Summary",
     "baseline_error",
-    "descendants_of_optimization",
-    "diff",
-    "generations",
-    "lineage_graph",
     "lint_plugin",
     "lint_system",
     "lint_systems",
-    "measure",
     "new_fingerprints",
-    "render_ascii",
-    "roots",
-    "table3",
-    "unfixed_at_publication",
 ]

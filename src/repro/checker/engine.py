@@ -32,6 +32,8 @@ Every strategy, worker and walker obtains successors through
 :meth:`CompiledSpec.expand_batch`, which has exactly two things behind it:
 
 - the **generated kernel** (:mod:`repro.tla.codegen`) is what runs:
+  each action's guard prefix (:mod:`repro.tla.guards`) evaluated inline,
+  so a disabled instance costs a comparison instead of an applier call;
   whole outcomes (verdict, update bindings, fingerprint delta) memoized
   per dependency closure, disabled bits inherited from the parent
   through the ``affects`` interference matrix, invariant/mask/constraint
@@ -73,6 +75,7 @@ from repro.checker.fingerprint import Fingerprinter
 from repro.checker.result import CheckResult, Violation
 from repro.checker.trace import Trace
 from repro.tla.batch import FrontierBatch
+from repro.tla.guards import GuardPrefix, guard_prefix, render
 from repro.tla.spec import Specification
 from repro.tla.state import State
 
@@ -198,9 +201,10 @@ class CompiledSpec:
     for specs :func:`kernel_trusted` rejects, :meth:`reference_expand`.
     Kernel mode flattens everything the emitted code needs into parallel
     lists indexed by action-instance position: the pre-bound applier
-    callables, the read/write interference matrix ``affects`` (bit *i* of
-    ``affects[j]`` is set when instance *i* reads a variable instance *j*
-    writes), and the outcome / invariant memo groups.  Reference
+    callables and their guard prefixes, the read/write interference matrix
+    ``affects`` (bit *i* of ``affects[j]`` is set when instance *i* reads
+    a variable instance *j* writes), and the outcome / invariant memo
+    groups.  Reference
     mode builds none of that: no memo of any kind, so it is an
     independent oracle for the memoized path.
     """
@@ -217,6 +221,7 @@ class CompiledSpec:
         "outcome_groups",
         "outcome_memos",
         "outcome_stats",
+        "guard_prefixes",
         "direct",
         "eager",
         "ungrouped",
@@ -294,6 +299,7 @@ class CompiledSpec:
         self.appliers: List[Callable] = []
         self.affects: List[int] = []
         self.outcome_groups: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+        self.guard_prefixes: List[GuardPrefix] = []
         self.direct: Tuple[int, ...] = ()
         self.ungrouped: Tuple[int, ...] = tuple(range(self.n_instances))
         self.inv_groups: List[Tuple[Callable[[tuple], Any], Tuple[int, ...]]] = []
@@ -312,16 +318,18 @@ class CompiledSpec:
         compiled = not reference and (debug or kernel_trusted(spec))
         if compiled:
             self._analyze(instances)
-        # Memo telemetry (--stats): per-group [misses, window_lookups,
-        # window_misses] cells (the last two are the adaptive monitor's
-        # snapshot).  Lookups are derived -- every expansion looks every
-        # live group up exactly once, so lookups(group) == expand_calls
-        # and only the miss branches pay an increment.
+        # Memo telemetry (--stats): per-group [misses, skipped,
+        # window_lookups, window_misses] cells (the last two are the
+        # adaptive monitor's snapshot).  Lookups are derived -- every
+        # expansion either looks a live group up or skips it because all
+        # its members are known disabled, so lookups(group) ==
+        # expand_calls - skipped and only the miss and skip branches pay
+        # an increment.
         self.expand_calls = 0
         self._last_adapt = 0
         self.outcome_memos: List[dict] = [{} for _ in self.outcome_groups]
         self.outcome_stats: List[List[int]] = [
-            [0, 0, 0] for _ in self.outcome_groups
+            [0, 0, 0, 0] for _ in self.outcome_groups
         ]
         self.inv_memos: List[dict] = [{} for _ in self.inv_groups]
         self.demoted_groups: List[dict] = []
@@ -343,6 +351,13 @@ class CompiledSpec:
             if inst.binding
             else inst.action.fn
             for inst in instances
+        ]
+        # Guard prefixes: the comparisons each applier opens with, which
+        # the kernel evaluates inline before it would call the applier.
+        variables = spec.schema._index
+        self.guard_prefixes = [
+            guard_prefix(applier, spec.config, variables, inst.action.reads)
+            for applier, inst in zip(self.appliers, instances)
         ]
         reads = [inst.action.reads for inst in instances]
         writes = [inst.action.writes for inst in instances]
@@ -660,8 +675,9 @@ class CompiledSpec:
         wide = len(self.schema) // 2
         demote: List[int] = []
         for gi, cell in enumerate(self.outcome_stats):
-            misses, last_lookups, last_misses = cell
-            window = calls - last_lookups
+            misses, skipped, last_lookups, last_misses = cell
+            lookups = calls - skipped
+            window = lookups - last_lookups
             if window < self.ADAPT_INTERVAL:
                 continue
             window_hits = window - (misses - last_misses)
@@ -671,8 +687,8 @@ class CompiledSpec:
             if rate < floor:
                 demote.append(gi)
             else:
-                cell[1] = calls
-                cell[2] = misses
+                cell[2] = lookups
+                cell[3] = misses
         if demote:
             self._demote(demote)
 
@@ -680,8 +696,6 @@ class CompiledSpec:
         """Move cold outcome groups to the eager sweep, where inherited
         disabled bits are the members' only skip."""
         drop = set(group_indices)
-        calls = self.expand_calls
-        names = self.schema.names
         keep_groups, keep_memos, keep_stats = [], [], []
         demoted_members: List[int] = []
         for gi, (slots, members) in enumerate(self.outcome_groups):
@@ -691,12 +705,7 @@ class CompiledSpec:
                 keep_stats.append(self.outcome_stats[gi])
                 continue
             self.demoted_groups.append(
-                {
-                    "vars": [names[s] for s in slots],
-                    "members": len(members),
-                    "lookups": calls,
-                    "hits": calls - self.outcome_stats[gi][0],
-                }
+                self._group_row(slots, members, self.outcome_stats[gi])
             )
             demoted_members.extend(members)
         self.outcome_groups = keep_groups
@@ -706,29 +715,56 @@ class CompiledSpec:
         self.eager = self.direct + self.ungrouped
         self._emit_kernel()
 
+    def _group_row(self, slots: Sequence[int], members: Sequence[int], cell: List[int]) -> dict:
+        """One outcome group's counters: the lookups that happened, their
+        hits, and the expansions that skipped the group because every
+        member was already known disabled."""
+        names = self.schema.names
+        misses, skipped = cell[0], cell[1]
+        lookups = self.expand_calls - skipped
+        return {
+            "vars": [names[s] for s in slots],
+            "members": len(members),
+            "lookups": lookups,
+            "hits": lookups - misses,
+            "skipped": skipped,
+        }
+
     def memo_stats(self) -> dict:
         """Per-action-group memo telemetry for ``--stats``."""
-        calls = self.expand_calls
-        names = self.schema.names
         compiled = self.kernel is not None
+        groups = []
+        for (slots, members), cell, memo in zip(
+            self.outcome_groups, self.outcome_stats, self.outcome_memos
+        ):
+            row = self._group_row(slots, members, cell)
+            row["hit_rate"] = (
+                round(row["hits"] / row["lookups"], 4) if row["lookups"] else None
+            )
+            row["entries"] = len(memo)
+            groups.append(row)
+        # Per action name, the first instance's prefix: "why is this
+        # action never filtered" without reading emitted code.
+        rendered: Dict[str, List[str]] = {}
+        for action, prefix in zip(self.actions, self.guard_prefixes):
+            rendered.setdefault(
+                action.name,
+                ["False"] if prefix.dead else [render(atom) for atom in prefix.atoms],
+            )
+        live = [prefix for prefix in self.guard_prefixes if not prefix.dead]
 
         stats = {
             "mode": "compiled" if compiled else "reference",
-            "expand_calls": calls,
+            "expand_calls": self.expand_calls,
             "eager_instances": len(self.eager),
-            "outcome_groups": [
-                {
-                    "vars": [names[s] for s in slots],
-                    "members": len(members),
-                    "lookups": calls,
-                    "hits": calls - cell[0],
-                    "hit_rate": round((calls - cell[0]) / calls, 4) if calls else None,
-                    "entries": len(memo),
-                }
-                for (slots, members), cell, memo in zip(
-                    self.outcome_groups, self.outcome_stats, self.outcome_memos
-                )
-            ],
+            "outcome_groups": groups,
+            "guard_prefixes": {
+                "instances": len(self.guard_prefixes),
+                "with_prefix": sum(1 for prefix in live if prefix.atoms),
+                "atoms": sum(len(prefix.atoms) for prefix in live),
+                "dead": len(self.guard_prefixes) - len(live),
+                "actions": rendered,
+            },
             "guard_groups": [],  # no such tier; bench/passes.py iterates the key
             "demoted_groups": list(self.demoted_groups),
             "mask_memo_entries": (

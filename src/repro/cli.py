@@ -588,7 +588,7 @@ def cmd_lint(args) -> int:
 
 
 def cmd_efforts(args) -> int:
-    from repro.analysis import table3
+    from repro.analysis.efforts import table3
 
     for row in table3():
         print(row)
@@ -596,7 +596,7 @@ def cmd_efforts(args) -> int:
 
 
 def cmd_lineage(args) -> int:
-    from repro.analysis import render_ascii
+    from repro.analysis.lineage import render_ascii
 
     print(render_ascii())
     return 0

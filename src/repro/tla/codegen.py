@@ -25,9 +25,13 @@ filtering.  For the same reason frontier entries carry no per-slot digest
 tuples: digests are only touched on a memo miss, where the delta is
 folded once and for all.
 
-The emitted function is *entry-major*: one loop over the batch, with every
-group's memo lookup, miss evaluation and replay unrolled inline, followed
-immediately by that entry's candidate finalization.  Compared to a
+The emitted function is *entry-major*: one loop over the batch, with the
+guard prefixes of every instance (:mod:`repro.tla.guards`: the comparisons
+an applier opens with, so a disabled instance never costs a call), then
+every group's memo lookup, miss evaluation and replay unrolled inline --
+skipped outright when the prefixes and the inherited mask already disable
+all of the group's members -- followed immediately by that entry's
+candidate finalization.  Compared to a
 group-major sweep this loads the inherited disabled mask and the raw
 successor list into locals exactly once per state.  There are two memo
 tiers and no other cache: outcome memos (one dict per dependency closure)
@@ -48,14 +52,16 @@ orphaned instead of replayed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from itertools import count
+from typing import Any, Callable, Dict, List, Set, Tuple
 
+from repro.tla.guards import Atom, Path, condition, expression, paths
 from repro.tla.state import State
 
 # Version tag of the kernel emitter.  Mixed into the spec_cache on-disk
 # digest (upgrading the emitter must orphan stale artifacts) and reported
 # by ``CompiledSpec.memo_stats``.
-CODEGEN_VERSION = 7
+CODEGEN_VERSION = 8
 
 
 def _key_expr(slots: Tuple[int, ...], var: str = "v") -> str:
@@ -114,6 +120,87 @@ def make_outcome_compiler(core: Any) -> Callable:
         return (idx, tuple(changes), delta)
 
     return compile_outcome
+
+
+def _emit_guard_prefixes(w: Callable[[str], None], core: Any) -> None:
+    """Emit every instance's guard prefix (:mod:`repro.tla.guards`) as the
+    first thing an entry does: an instance whose prefix fails is OR-ed
+    into the known-disabled mask ``d`` for the price of the comparison.
+
+    The chains are merged into a trie, so an atom a dozen handlers share
+    (``msgs[1][0]`` non-empty) is evaluated once and disables the whole
+    subtree when it fails.  A root-to-leaf walk is one function's own
+    evaluation order, so an atom only dereferences what the atoms above
+    it proved present; a path that later atoms extend or compare again
+    is loaded into a local once, right before the first atom that would
+    have dereferenced it anyway.
+    """
+    slot_of = core.schema._index
+    dead = 0
+    trie: Dict[Atom, list] = {}  # atom -> [mask of instances below, children]
+    for idx, prefix in enumerate(core.guard_prefixes):
+        if prefix.dead:
+            dead |= 1 << idx
+            continue
+        children = trie
+        for atom in prefix.atoms:
+            node = children.setdefault(atom, [0, {}])
+            node[0] |= 1 << idx
+            children = node[1]
+    if dead:
+        w(f"        d |= {dead}")
+    fresh = count()
+
+    def prefixes(atom: Atom) -> Set[Path]:
+        return {path[:n] for path in paths(atom) for n in range(1, len(path) + 1)}
+
+    def mentioned(children: Dict[Atom, list]) -> Set[Path]:
+        """Every path prefix some atom of the subtrie dereferences."""
+        found: Set[Path] = set()
+        for atom, (_mask, below) in children.items():
+            found |= prefixes(atom)
+            found |= mentioned(below)
+        return found
+
+    def source(path: Path, bound: Dict[Path, str]) -> str:
+        for n in range(len(path), 0, -1):
+            if path[:n] in bound:
+                return expression(path[n - 1 :], bound[path[:n]])
+        return expression(path, f"v[{slot_of[path[0]]}]")
+
+    def emit(children: Dict[Atom, list], pad: str, bound: Dict[Path, str]) -> None:
+        items = list(children.items())
+        # Per sibling: what its own subtrie and the siblings after it go
+        # on to dereference -- the paths worth a local.
+        reused: List[Set[Path]] = []
+        later: Set[Path] = set()
+        for atom, (_mask, below) in reversed(items):
+            reused.append(later | mentioned(below))
+            later = reused[-1] | prefixes(atom)
+        for (atom, (mask, below)), again in zip(items, reversed(reused)):
+            operands = []
+            for path in paths(atom):
+                shared = next(
+                    (path[:n] for n in range(len(path), 0, -1) if path[:n] in again),
+                    None,
+                )
+                if shared is not None and shared not in bound:
+                    local = f"p{next(fresh)}"
+                    w(f"{pad}{local} = {source(shared, bound)}")
+                    bound[shared] = local
+                operands.append(source(path, bound))
+            if below:
+                w(f"{pad}if {condition(atom, *operands)}:")
+                emit(below, pad + "    ", dict(bound))
+                w(f"{pad}else:")
+                w(f"{pad}    d |= {mask}")
+            else:
+                w(f"{pad}if {condition(atom, *operands, passing=False)}:")
+                w(f"{pad}    d |= {mask}")
+
+    if trie:
+        w("        # guard prefixes")
+        emit(trie, "        ", {})
 
 
 def emit_kernel(core: Any) -> Tuple[str, Callable]:
@@ -193,6 +280,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
         w(f"    omemo{g} = _omemo_{g}")
         w(f"    oget{g} = omemo{g}.get")
         w(f"    om{g} = 0")
+        w(f"    os{g} = 0")
     if fused:
         w("    vmemo = _vmemo")
         w("    vget = vmemo.get")
@@ -217,40 +305,47 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     w("        st = None")
     w("        raw = []")
 
+    _emit_guard_prefixes(w, core)
+    # Bits a group sets along the way are its own members', so one
+    # complement serves every group's "is anyone left to ask" test.
+    w("        nd = ~d")
     for g, (slots, members) in enumerate(core.outcome_groups):
         w(f"        # outcome group {g}: closure ({', '.join(names[s] for s in slots)})")
-        w(f"        k = {_key_expr(slots)}")
-        w(f"        e = oget{g}(k)")
-        w("        if e is not None:")
-        w("            gd = e[0]")
-        w("            if gd:")
-        w("                d |= gd")
-        w("            en = e[1]")
-        w("            if en:")
-        w("                raw.extend(en)")
-        w("        else:")
-        w(f"            om{g} += 1")
-        w("            if st is None:")
-        w("                st = _State(_schema, v)")
-        w("            gd = 0")
-        w("            en = []")
+        w(f"        if nd & {sum(1 << idx for idx in members)}:")
+        w(f"            k = {_key_expr(slots)}")
+        w(f"            e = oget{g}(k)")
+        w("            if e is not None:")
+        w("                gd = e[0]")
+        w("                if gd:")
+        w("                    d |= gd")
+        w("                en = e[1]")
+        w("                if en:")
+        w("                    raw.extend(en)")
+        w("            else:")
+        w(f"                om{g} += 1")
+        w("                if st is None:")
+        w("                    st = _State(_schema, v)")
+        w("                gd = 0")
+        w("                en = []")
         for idx in members:
             bit = 1 << idx
-            w(f"            if d & {bit}:")
-            w(f"                gd |= {bit}")
-            w("            else:")
-            w(f"                u = a{idx}(config, st)")
-            w("                if u is None:")
-            w(f"                    d |= {bit}")
+            w(f"                if d & {bit}:")
             w(f"                    gd |= {bit}")
             w("                else:")
-            w(f"                    item = mk({idx}, u, v)")
-            w("                    if item is not None:")
-            w("                        en.append(item)")
-            w("                        raw.append(item)")
-        w(f"            if len(omemo{g}) >= {core.OUTCOME_MEMO_LIMIT}:")
-        w(f"                omemo{g}.clear()")
-        w(f"            omemo{g}[k] = (gd, tuple(en))")
+            w(f"                    u = a{idx}(config, st)")
+            w("                    if u is None:")
+            w(f"                        d |= {bit}")
+            w(f"                        gd |= {bit}")
+            w("                    else:")
+            w(f"                        item = mk({idx}, u, v)")
+            w("                        if item is not None:")
+            w("                            en.append(item)")
+            w("                            raw.append(item)")
+        w(f"                if len(omemo{g}) >= {core.OUTCOME_MEMO_LIMIT}:")
+        w(f"                    omemo{g}.clear()")
+        w(f"                omemo{g}[k] = (gd, tuple(en))")
+        w("        else:")
+        w(f"            os{g} += 1")
 
     if core.eager:
         w("        # never-memoized instances: unknown closures + demoted groups")
@@ -363,6 +458,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
 
     for g in range(n_outcomes):
         w(f"    _ostats_{g}[0] += om{g}")
+        w(f"    _ostats_{g}[1] += os{g}")
     w("    return results")
     w("")
 

@@ -199,7 +199,7 @@ def election_oracle(config: ZabConfig, state, i: int, quorum):
     # The prospective leader sends NEWLEADER(e', leader history) to the
     # quorum (Phase 2 start; Phase 1's CEPOCH/NEWEPOCH is folded into the
     # oracle, as in the paper's protocol spec).
-    for j in members:
+    for j in sorted(members):
         if j != i:
             msgs = _send(
                 msgs,

@@ -166,7 +166,7 @@ def discovery_module(config: ZkConfig) -> Module:
             "LeaderProcessFOLLOWERINFO",
             pairwise(leader_process_followerinfo),
             params={"pair": _pairs_distinct},
-            reads=["msgs", "state", "zab_state", "cepoch_recv", "accepted_epoch"],
+            reads=["msgs", "state", "zab_state", "cepoch_recv", "accepted_epoch", "disconnected"],
             writes=["msgs", "cepoch_recv", "accepted_epoch"],
             update_sources={"accepted_epoch": ["cepoch_recv", "accepted_epoch"]},
         ),
@@ -181,6 +181,7 @@ def discovery_module(config: ZkConfig) -> Module:
                 "accepted_epoch",
                 "current_epoch",
                 "history",
+                "disconnected",
             ],
             writes=["msgs", "accepted_epoch", "zab_state", "state", "my_leader"],
         ),

@@ -149,7 +149,7 @@ def election_module(config: ZkConfig) -> Module:
             "FLEReplyNotmsg",
             lambda cfg, s, pair: fle_reply_notmsg(cfg, s, pair[0], pair[1]),
             params={"pair": _pairs_distinct},
-            reads=["msgs", "state", "my_leader", "current_epoch", "history"],
+            reads=["msgs", "state", "my_leader", "current_epoch", "history", "disconnected"],
             writes=["msgs"],
         ),
         Action(

@@ -3,16 +3,15 @@
 import networkx as nx
 import pytest
 
-from repro.analysis import (
+from repro.analysis.efforts import measure, table3
+from repro.analysis.lineage import (
     EDGES,
     ISSUES,
     descendants_of_optimization,
     generations,
     lineage_graph,
-    measure,
     render_ascii,
     roots,
-    table3,
     unfixed_at_publication,
 )
 

@@ -595,8 +595,6 @@ class TestIncrementalProperties:
         # declarations are load-bearing: sweep them under the debug
         # cross-check (this is what caught the NodeCrash and
         # FollowerSyncProcessorLogRequest undeclared update sources).
-        # debug=True emits the kernel even for SysSpec, which the static
-        # analyzer does not trust.
         for name in ("SysSpec", "mSpec-3"):
             check_spec(name, SMALL, max_states=2_500, max_time=60, debug=True)
 
@@ -751,18 +749,18 @@ class TestCompiledKernelLane:
             assert bool(sigs[True][3]) == (not masked)
 
     def test_untrusted_spec_falls_back_in_auto(self):
-        # SysSpec carries lint findings on trust-critical rules, so it
-        # runs on the reference expander (loudly) while --debug-deps still
-        # emits -- and cross-checks -- the kernel.
-        from repro.zookeeper.specs import SELECTIONS, build_spec
+        # A spec with a lint finding on a trust-critical rule runs on the
+        # reference expander (loudly) while --debug-deps still emits --
+        # and cross-checks -- the kernel.  Every shipped composition is
+        # trusted (tests/test_guards.py), so the example is a spec built
+        # to lie.
+        from test_kernels import lying_spec
 
-        spec = build_spec("SysSpec", SELECTIONS["SysSpec"], SMALL)
-        with pytest.warns(RuntimeWarning, match="SysSpec.*D01"):
-            assert compiled_for(spec).kernel is None
-        spec2 = build_spec("SysSpec", SELECTIONS["SysSpec"], SMALL)
+        with pytest.warns(RuntimeWarning, match="liar.*D01"):
+            assert compiled_for(lying_spec()).kernel is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # debug never consults the analyzer
-            assert compiled_for(spec2, debug=True).kernel is not None
+            assert compiled_for(lying_spec(), debug=True).kernel is not None
 
 
 class TestValuePickling:

@@ -3,10 +3,17 @@
 The campaign and its shrink stage reach every protocol through
 ``system_plugin(name)``; a direct import of a system package (or of the
 ZooKeeper implementation simulator) would wire one protocol back into
-the platform.  Extend ``PLATFORM_MODULES`` instead of re-arguing it."""
+the platform.  Extend ``PLATFORM_MODULES`` instead of re-arguing it.
+
+And a checker run stays light: deciding kernel trust imports the linter,
+which must not drag in the lineage figure's graph library or the campaign
+stack."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +42,27 @@ def test_platform_module_imports_no_system_package(module):
         if any(name == pkg or name.startswith(pkg + ".") for pkg in FORBIDDEN)
     )
     assert not offending, f"{module} imports {offending}"
+
+
+def test_checker_run_imports_neither_networkx_nor_the_campaign_stack():
+    script = (
+        "import sys\n"
+        "from repro.checker import ExplorationEngine\n"
+        "from repro.zookeeper import ZkConfig\n"
+        "from repro.zookeeper.specs import SELECTIONS, build_spec\n"
+        "spec = build_spec('mSpec-1', SELECTIONS['mSpec-1'], ZkConfig())\n"
+        "engine = ExplorationEngine(spec, max_states=200)\n"
+        "engine.run()\n"
+        "assert engine.core.memo_stats()['mode'] == 'compiled'\n"
+        "print(sorted(m for m in ('networkx', 'repro.remix') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(importlib.util.find_spec("repro").origin))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
