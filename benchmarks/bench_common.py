@@ -54,7 +54,6 @@ def hunt(
     violation_limit=10_000,
     strategy="bfs",
     workers=None,
-    dedupe="rounds",
 ):
     """One model-checking run, optionally restricted to an invariant
     family (how Table 4 reports per-bug rows)."""
@@ -83,7 +82,6 @@ def hunt(
         mask=zk4394_mask if masked else None,
         stop_at_first=stop_at_first,
         violation_limit=violation_limit,
-        dedupe=dedupe,
     )
     return engine.run()
 

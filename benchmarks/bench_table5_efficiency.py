@@ -158,7 +158,7 @@ def _smoke_row(result):
     }
 
 
-def run_smoke(max_states, max_time, workers, strategy, dedupe="rounds"):
+def run_smoke(max_states, max_time, workers, strategy):
     """Run the five Table 5 specs under a small budget; return a report."""
     config = bench_config()
     report = {
@@ -167,7 +167,6 @@ def run_smoke(max_states, max_time, workers, strategy, dedupe="rounds"):
             "max_time": max_time,
             "workers": workers,
             "strategy": strategy,
-            "dedupe": dedupe,
         },
         "specs": {},
     }
@@ -180,7 +179,6 @@ def run_smoke(max_states, max_time, workers, strategy, dedupe="rounds"):
             max_time=max_time,
             workers=workers,
             strategy=strategy,
-            dedupe=dedupe,
         )
         report["specs"][name] = _smoke_row(result)
     return report
@@ -346,10 +344,6 @@ def main(argv=None):
     parser.add_argument(
         "--strategy", choices=("bfs", "portfolio"), default="bfs"
     )
-    parser.add_argument(
-        "--dedupe", choices=("rounds", "shared"), default="rounds",
-        help="cross-worker visited-set mode for the parallel runs",
-    )
     parser.add_argument("--json", dest="json_path", default=None)
     parser.add_argument(
         "--ab-reference",
@@ -371,9 +365,7 @@ def main(argv=None):
     if args.ab_reference:
         report = run_ab_reference(args.max_time)
     else:
-        report = run_smoke(
-            args.max_states, args.max_time, args.workers, args.strategy, args.dedupe
-        )
+        report = run_smoke(args.max_states, args.max_time, args.workers, args.strategy)
     text = json.dumps(report, indent=2)
     print(text)
     if args.json_path:

@@ -5,7 +5,6 @@ portfolio racing, coverage, shrinking and rendering."""
 from repro.checker.coverage import CoverageReport, measure_coverage
 from repro.checker.dfs import IterativeDeepeningChecker
 from repro.checker.engine import (
-    DEDUPE_MODES,
     STRATEGIES,
     CompiledSpec,
     ExplorationEngine,
@@ -13,7 +12,6 @@ from repro.checker.engine import (
     explore,
 )
 from repro.checker.fingerprint import Fingerprinter, IncrementalFingerprinter
-from repro.checker.visited import SharedVisitedSet
 from repro.checker.pretty import format_state, format_trace
 from repro.checker.random_walk import RandomWalker
 from repro.checker.result import CheckResult, Violation
@@ -29,14 +27,12 @@ __all__ = [
     "CheckResult",
     "CompiledSpec",
     "CoverageReport",
-    "DEDUPE_MODES",
     "ExplorationEngine",
     "Fingerprinter",
     "IncrementalFingerprinter",
     "IterativeDeepeningChecker",
     "RandomWalker",
     "STRATEGIES",
-    "SharedVisitedSet",
     "compiled_for",
     "Trace",
     "TraceOracle",

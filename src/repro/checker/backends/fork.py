@@ -1,7 +1,7 @@
 """The fork band and the backend that owns one.
 
 Forked workers inherit the parent's memory image, so the handler may be
-any callable (closures included -- ``run_dfs_sharded`` relies on it) and
+any callable (closures included -- the portfolio race relies on it) and
 anything the campaign pre-warmed (composed specs, scripted prefixes) is
 free in every worker.  Spawn costs a ``fork()`` and a task round-trip
 ~39 us, against ~0.67 s and ~74 us for the TCP band -- which is why

@@ -447,12 +447,20 @@ class TcpBand(WorkerBand):
         return True
 
     def _shutdown(self, grace: float) -> None:
+        greeted = {conn.pid for conn in self.connections}
         for conn in self.connections + self._pending:
             try:
                 conn.send({"type": "shutdown"})
             except OSError:
                 pass
             self.drop(conn)
+        # A spawned worker that never said hello (still importing, say)
+        # cannot be shown to have got the farewell frame, so ``grace``
+        # would be spent waiting for nothing: it starts the ladder at
+        # SIGTERM.
+        for process in self._processes:
+            if process.pid not in greeted and process.poll() is None:
+                process.terminate()
         self._reap(self._processes, grace)
         self._processes = []
         try:

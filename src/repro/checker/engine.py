@@ -17,13 +17,19 @@ Strategies
     fingerprints are merged between rounds; results are bitwise identical
     to the sequential run on deterministic budgets.
 ``dfs``
-    Bounded depth-first search for a quick first violation.
+    Bounded depth-first search for a quick first violation (one
+    in-process loop; ``workers`` does not apply).
 ``random``
     Seeded random walks that check invariants along the way.
 ``portfolio``
     Races BFS against a band of differently-seeded random walks and
     returns the first violation any of them finds (with ``workers > 1``
     the contenders run in parallel processes).
+
+There is one dedupe discipline: a strategy owns its visited-fingerprint
+set, and parallel BFS workers merge theirs at round barriers.  Every
+strategy is deterministic in its arguments; only the multi-process
+portfolio's *winner* depends on scheduling.
 
 One successor path
 ------------------
@@ -74,7 +80,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.checker.fingerprint import Fingerprinter
 from repro.checker.result import CheckResult, Violation
 from repro.checker.trace import Trace
-from repro.tla.batch import FrontierBatch
 from repro.tla.guards import GuardPrefix, guard_prefix, render
 from repro.tla.spec import Specification
 from repro.tla.state import State
@@ -165,16 +170,10 @@ def kernel_trusted(spec: Specification) -> bool:
     return verdict
 
 
-#: Cross-worker dedupe modes for the parallel strategies (``--dedupe``).
-#: ``rounds`` merges visited-fingerprint sets at round barriers and is
-#: bitwise-identical to the sequential run; ``shared`` dedupes in real
-#: time through a shared-memory visited table (same visited-state count
-#: and violation set, order-insensitive).
-DEDUPE_MODES = ("rounds", "shared")
-
-#: Placeholder ``seen`` set for dedupe-off expansions (never read or
-#: written when ``dedupe=False``).
-_UNUSED_SEEN: set = set()
+#: A frontier row, the unit ``expand_batch`` consumes (and the WorkerPool
+#: wire carries): (fingerprint, raw ``State.values``, inherited
+#: known-disabled bitmask -- the reference expander ignores the last).
+Row = Tuple[int, Tuple[Any, ...], int]
 
 #: Candidate successor record produced by :meth:`CompiledSpec.expand_batch`:
 #: (instance_index, successor_values, fingerprint, child_known_disabled,
@@ -534,7 +533,7 @@ class CompiledSpec:
     ):
         """One random-walk step.
 
-        Expands with dedupe off -- every state-changing successor, in
+        Expands with ``seen=None`` -- every state-changing successor, in
         instance order, exactly the distribution
         ``Specification.successors`` enumerates (and one ``rng.choice``
         consuming the same entropy) -- and returns
@@ -545,10 +544,7 @@ class CompiledSpec:
         ``random``/``portfolio`` strategies.
         """
         ((_, _, candidates),) = self.expand_batch(
-            FrontierBatch.single(state_fp, state.values, known_disabled),
-            _UNUSED_SEEN,
-            classify_candidates=False,
-            dedupe=False,
+            [(state_fp, state.values, known_disabled)], classify_candidates=False
         )
         if not candidates:
             return None
@@ -559,47 +555,44 @@ class CompiledSpec:
 
     def expand_batch(
         self,
-        batch: FrontierBatch,
-        seen: set,
+        rows: Sequence[Row],
+        seen: Optional[set] = None,
         classify_candidates: bool = True,
-        dedupe: bool = True,
     ) -> List[Tuple[int, int, List[Candidate]]]:
         """Expand a whole frontier batch: the engine's one successor path.
 
+        ``rows`` are ``(fp, values, known_disabled)`` frontier entries --
+        a BFS chunk, a WorkerPool shard, or a single DFS pop / walk step.
         Returns ``[(entry_fp, transitions, candidates), ...]`` in entry
         order.  ``transitions`` counts every state-changing successor
         (including already-seen ones).  ``seen`` is the caller's
         fingerprint set; candidate fingerprints are added to it so the
         same successor is emitted at most once per expansion context (the
         merge step performs the authoritative cross-context dedup).
-        ``dedupe=False`` skips that filter and emits every state-changing
-        successor exactly in instance order -- the random walkers use it
-        to draw from the full successor distribution.  Successors are raw
-        values tuples; ``State`` materialization is the caller's choice.
+        ``seen=None`` emits every state-changing successor exactly in
+        instance order -- the random walkers use it to draw from the full
+        successor distribution.  Successors are raw values tuples;
+        ``State`` materialization is the caller's choice.
         """
-        self.expand_calls += len(batch)
+        self.expand_calls += len(rows)
         kernel = self.kernel
         if kernel is None:
             return [
-                (fp,) + self.reference_expand(values, seen, classify_candidates, dedupe)
-                for fp, values in zip(batch.fps, batch.values)
+                (fp,) + self.reference_expand(values, seen, classify_candidates)
+                for fp, values, _ in rows
             ]
         if self.expand_calls - self._last_adapt >= self.ADAPT_INTERVAL:
             self._adapt()
             kernel = self.kernel  # demotion re-emits
         if self.debug:
-            self._debug_check_batch(kernel, batch)
-        return kernel(
-            batch.fps, batch.values, batch.knowns,
-            seen, dedupe, classify_candidates,
-        )
+            self._debug_check_batch(kernel, rows)
+        return kernel(rows, seen, classify_candidates)
 
     def reference_expand(
         self,
         values: Tuple[Any, ...],
-        seen: set,
+        seen: Optional[set] = None,
         classify_candidates: bool = True,
-        dedupe: bool = True,
     ) -> Tuple[int, List[Candidate]]:
         """The reference expander: ``Specification.successors`` plus a
         fingerprint, and nothing else.
@@ -618,7 +611,7 @@ class CompiledSpec:
         for label, nxt in self.spec.successors(State(self.schema, values)):
             transitions += 1
             fp = of_values(nxt.values)
-            if dedupe:
+            if seen is not None:
                 if fp in seen:
                     continue
                 seen.add(fp)
@@ -631,17 +624,13 @@ class CompiledSpec:
             )
         return transitions, candidates
 
-    def _debug_check_batch(self, kernel: Callable, batch: FrontierBatch) -> None:
+    def _debug_check_batch(self, kernel: Callable, rows: Sequence[Row]) -> None:
         """Debug mode: cross-check the kernel against the reference
         expander on every entry, so a lying declaration that poisons a
         kernel memo entry -- or wrongly inherits a known-disabled bit --
         is caught at the first state it mis-expands."""
-        out = kernel(
-            batch.fps, batch.values, batch.knowns,
-            _UNUSED_SEEN, False, False,
-        )
-        for values, (_, _, got) in zip(batch.values, out):
-            _, want = self.reference_expand(values, _UNUSED_SEEN, False, False)
+        for (_, values, _), (_, _, got) in zip(rows, kernel(rows, None, False)):
+            _, want = self.reference_expand(values, classify_candidates=False)
             if [c[:3] for c in got] == [c[:3] for c in want]:
                 continue
             got_by = {c[0]: c[1:3] for c in got}
@@ -840,17 +829,10 @@ class ExplorationEngine:
         Override the 64-bit default (tests use narrow widths to force
         collisions).
     dedupe:
-        Cross-worker visited-set mode for the parallel strategies.
-        ``"rounds"`` (default) merges fingerprint sets at round barriers
-        and is bitwise-identical to the sequential run; ``"shared"``
-        dedupes through a shared-memory visited table in real time --
-        the same visited-state count at fixed budgets and the same
-        violation set on any run the budget does not truncate mid-round
-        (at an exact mid-round ``max_states`` cut, which of the round's
-        equal-count candidates fall inside the budget is race-dependent,
-        as is the reported counterexample's parent chain).  ``"shared"``
-        also unlocks sharded parallel DFS and the portfolio's shared
-        visited accounting.
+        Only ``"rounds"`` -- workers merge fingerprint sets at round
+        barriers, bitwise-identical to the sequential run -- which is
+        simply what ``workers > 1`` does; anything else is a
+        ``ValueError``.
     debug:
         ``--debug-deps``: emit the kernel even for a spec the static
         analyzer does not trust and cross-check every batch it expands
@@ -884,9 +866,15 @@ class ExplorationEngine:
             raise ValueError(
                 f"unknown strategy {strategy!r}; options: {list(STRATEGIES)}"
             )
-        if dedupe not in DEDUPE_MODES:
+        # Two leftovers of the deleted shared-memory mode stay only because
+        # bench/ is read-only for ordinary PRs: this keyword (validated,
+        # stored nowhere; bench/probes.py:parallel_probe passes it) and
+        # checker/visited.py (its only caller is visited_probe).  ROADMAP
+        # item 8's benchmark PR drops the keyword and the probe rows.
+        if dedupe != "rounds":
             raise ValueError(
-                f"unknown dedupe mode {dedupe!r}; options: {list(DEDUPE_MODES)}"
+                f"unknown dedupe mode {dedupe!r}: PR 21 removed every mode "
+                f"but 'rounds' (the shared-memory table and --dedupe are gone)"
             )
         self.spec = spec
         self.strategy = strategy
@@ -899,25 +887,16 @@ class ExplorationEngine:
         self.mask = mask
         self.seed = seed
         self.fingerprinter = fingerprinter
-        self.dedupe = dedupe
         self.debug = debug
         self.reference = reference
-        #: The compiled core of the last run (memo/kernel telemetry for
-        #: ``--stats``); ``None`` until a strategy has run in-process.
+        #: The compiled core this engine runs on (memo/kernel telemetry
+        #: for ``--stats``): built by the first in-process run, or preset
+        #: by a portfolio parent so its BFS slices share one compilation.
         self.core: Optional[CompiledSpec] = None
 
     def run(self) -> CheckResult:
         was_collecting = gc.isenabled()
         gc.disable()
-        table = None
-        names = getattr(self, "_shared_visited", None)
-        if names:
-            # A portfolio parent handed this contender a shared visited
-            # table; attach it for the duration of the run.
-            from repro.checker import visited
-
-            table = visited.SharedVisitedSet.attach(names)
-        self._visited_table = table
         try:
             if self.strategy == "bfs":
                 return self._run_bfs()
@@ -927,22 +906,19 @@ class ExplorationEngine:
                 return self._run_random()
             return self._run_portfolio()
         finally:
-            if table is not None:
-                table.close()
-            self._visited_table = None
             if was_collecting:
                 gc.enable()
 
     def _compile(self) -> CompiledSpec:
-        core = compiled_for(
-            self.spec,
-            fingerprinter=self.fingerprinter,
-            mask=self.mask,
-            debug=self.debug,
-            reference=self.reference,
-        )
-        self.core = core
-        return core
+        if self.core is None:
+            self.core = compiled_for(
+                self.spec,
+                fingerprinter=self.fingerprinter,
+                mask=self.mask,
+                debug=self.debug,
+                reference=self.reference,
+            )
+        return self.core
 
     # ------------------------------------------------------------- BFS
 
@@ -983,14 +959,10 @@ class ExplorationEngine:
                     return True
             return False
 
-        # A portfolio parent's shared table (publish accepted states so
-        # the walker band steers away from BFS-covered territory).
-        publish = getattr(self, "_visited_table", None)
-
         # Round 0: the initial states.  Frontier entries are
         # (fp, values, known_disabled) rows -- raw value tuples, so states
         # that only transit the frontier never materialize a State.
-        frontier: List[Tuple[int, Tuple[Any, ...], int]] = []
+        frontier: List[Row] = []
         delta: List[int] = []
         for init in spec.initial_states():
             fp = core.fingerprinter.of_values(init.values)
@@ -999,8 +971,6 @@ class ExplorationEngine:
             parent_link[fp] = None
             init_by_fp[fp] = init
             seen.add(fp)
-            if publish is not None:
-                publish.add(fp)
             delta.append(fp)
             viols, masked, ok = core.classify_values(init.values, init)
             if masked:
@@ -1020,20 +990,10 @@ class ExplorationEngine:
             stop = True
 
         pool = None
-        shared_table = None
         if self.workers > 1 and frontier and not stop:
             from repro.checker import parallel
 
             if parallel.available():
-                if self.dedupe == "shared":
-                    from repro.checker import visited
-
-                    if visited.available():
-                        shared_table = visited.SharedVisitedSet(
-                            visited.suggest_capacity(self.max_states)
-                        )
-                        for known_fp in parent_link:
-                            shared_table.add(known_fp)
                 pool = parallel.WorkerPool(core, self.workers)
 
         depth = 0
@@ -1051,27 +1011,15 @@ class ExplorationEngine:
                     def _batched(round_frontier=frontier):
                         for lo in range(0, len(round_frontier), _KERNEL_CHUNK):
                             yield from core.expand_batch(
-                                FrontierBatch.from_entries(
-                                    round_frontier[lo : lo + _KERNEL_CHUNK]
-                                ),
-                                seen,
+                                round_frontier[lo : lo + _KERNEL_CHUNK], seen
                             )
 
                     results_iter = _batched()
-                elif shared_table is not None:
-                    # Real-time dedupe: workers consult the shared table
-                    # instead of replaying the delta, and the parent
-                    # grows it between rounds.
-                    if shared_table.should_grow(len(parent_link)):
-                        shared_table.grow(len(parent_link))
-                    results_iter = iter(
-                        pool.round([], frontier, shared_table.descriptors())
-                    )
                 else:
                     results_iter = iter(pool.round(delta, frontier))
 
                 delta = []
-                next_frontier: List[Tuple[int, Tuple[Any, ...], int]] = []
+                next_frontier: List[Row] = []
                 child_depth = depth + 1
                 expandable_depth = (
                     self.max_depth is None or child_depth < self.max_depth
@@ -1087,8 +1035,6 @@ class ExplorationEngine:
                         if fp in parent_link:
                             continue
                         parent_link[fp] = (entry_fp, idx)
-                        if publish is not None:
-                            publish.add(fp)
                         if child_depth > result.max_depth:
                             result.max_depth = child_depth
                         delta.append(fp)
@@ -1110,8 +1056,6 @@ class ExplorationEngine:
         finally:
             if pool is not None:
                 pool.close()
-            if shared_table is not None:
-                shared_table.close()
 
         result.states_explored = len(parent_link)
         result.elapsed_seconds = time.monotonic() - start
@@ -1123,11 +1067,6 @@ class ExplorationEngine:
     # ------------------------------------------------------------- DFS
 
     def _run_dfs(self) -> CheckResult:
-        if self.workers > 1 and self.dedupe == "shared":
-            from repro.checker import parallel, visited
-
-            if parallel.available() and visited.available():
-                return parallel.run_dfs_sharded(self)
         core = self._compile()
         spec = self.spec
         result = CheckResult(spec_name=spec.name)
@@ -1176,9 +1115,7 @@ class ExplorationEngine:
                 continue
             throwaway.clear()
             ((_, transitions, candidates),) = core.expand_batch(
-                FrontierBatch.single(fp, values, known),
-                throwaway,
-                classify_candidates=False,
+                [(fp, values, known)], throwaway, classify_candidates=False
             )
             result.transitions += transitions
             for idx, svt, nfp, nknown, _, _, _ in candidates:
@@ -1195,11 +1132,6 @@ class ExplorationEngine:
         return result
 
     # ---------------------------------------------------------- random
-
-    #: Consecutive globally-visited steps before a shared-dedupe walker
-    #: abandons a walk as covered territory (portfolio ``--dedupe
-    #: shared``).
-    WALK_STALE_LIMIT = 8
 
     def _run_random(self) -> CheckResult:
         # Without any budget a random search would never terminate; cap
@@ -1239,8 +1171,6 @@ class ExplorationEngine:
         result = CheckResult(spec_name=spec.name)
         start = time.monotonic()
         max_steps = self.max_depth if self.max_depth is not None else 60
-        table = getattr(self, "_visited_table", None)
-        stale_limit = self.WALK_STALE_LIMIT
         of_values = core.fingerprinter.of_values
         initials = spec.initial_states()
         walks = 0
@@ -1263,7 +1193,6 @@ class ExplorationEngine:
             states = [state]
             labels: List[Any] = []
             seen.add(fp)
-            stale = 0 if table is None or table.add(fp) else 1
             for _ in range(max_steps):
                 viols, masked, ok = core.classify_values(state.values, state)
                 if masked:
@@ -1296,13 +1225,6 @@ class ExplorationEngine:
                 seen.add(fp)
                 if len(states) - 1 > result.max_depth:
                     result.max_depth = len(states) - 1
-                if table is not None:
-                    if table.add(fp):
-                        stale = 0
-                    else:
-                        stale += 1
-                        if stale >= stale_limit:
-                            break  # the band already covered this region
 
         result.states_explored = len(seen)
         result.elapsed_seconds = time.monotonic() - start
@@ -1323,7 +1245,6 @@ class ExplorationEngine:
             mask=self.mask,
             seed=seed,
             fingerprinter=self.fingerprinter,
-            dedupe=self.dedupe,
             debug=self.debug,
             reference=self.reference,
         )
@@ -1389,6 +1310,9 @@ class ExplorationEngine:
             bfs = self._spawn(
                 "bfs", self.seed, max_states=budget, max_time=time_left()
             )
+            # A mask, debug or reference pin bypasses compiled_for's
+            # per-spec cache: without this every slice would recompile.
+            bfs.core = core
             bfs_result = bfs.run()
             bfs_result.elapsed_seconds = time.monotonic() - start
             exhausted = (

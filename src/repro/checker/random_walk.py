@@ -7,7 +7,7 @@ matching the deterministic-replay requirement.
 
 Walks step through the exploration engine's one successor path
 (:meth:`CompiledSpec.step <repro.checker.engine.CompiledSpec.step>`, i.e.
-``expand_batch`` with dedupe off): on a trusted spec the generated kernel
+``expand_batch`` with ``seen=None``): on a trusted spec the generated kernel
 replays memoized outcomes and inherited disabled bits, on any other spec
 the reference expander enumerates ``Specification.successors`` directly.
 The enumeration order and the state-changing filter are identical either

@@ -32,7 +32,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.checker import DEDUPE_MODES, STRATEGIES, ExplorationEngine, format_trace
+from repro.checker import STRATEGIES, ExplorationEngine, format_trace
 from repro.zookeeper import ZkConfig, make_spec, zk4394_mask
 from repro.zookeeper.specs import SELECTIONS
 
@@ -65,16 +65,6 @@ def _add_engine_args(parser: argparse.ArgumentParser):
         help="seed for the random / portfolio strategies",
     )
     parser.add_argument(
-        "--dedupe",
-        choices=list(DEDUPE_MODES),
-        default="rounds",
-        help="cross-worker visited-set mode: 'rounds' merges at round "
-        "barriers (bitwise-identical to sequential), 'shared' dedupes "
-        "through a shared-memory visited table in real time (same "
-        "states and violations, faster; also enables sharded DFS and "
-        "the portfolio's shared walk pruning)",
-    )
-    parser.add_argument(
         "--debug-deps",
         action="store_true",
         help="emit the generated kernel even for a spec the static "
@@ -96,7 +86,6 @@ def _engine(args, spec, **overrides) -> ExplorationEngine:
         strategy=getattr(args, "strategy", "bfs"),
         workers=getattr(args, "workers", 1),
         seed=getattr(args, "seed", 0),
-        dedupe=getattr(args, "dedupe", "rounds"),
         debug=getattr(args, "debug_deps", False),
         max_states=args.max_states,
         max_time=args.max_time,

@@ -61,7 +61,7 @@ from repro.tla.state import State
 # Version tag of the kernel emitter.  Mixed into the spec_cache on-disk
 # digest (upgrading the emitter must orphan stale artifacts) and reported
 # by ``CompiledSpec.memo_stats``.
-CODEGEN_VERSION = 8
+CODEGEN_VERSION = 9
 
 
 def _key_expr(slots: Tuple[int, ...], var: str = "v") -> str:
@@ -206,12 +206,12 @@ def _emit_guard_prefixes(w: Callable[[str], None], core: Any) -> None:
 def emit_kernel(core: Any) -> Tuple[str, Callable]:
     """Emit the batch expansion kernel for a ``CompiledSpec``.
 
-    Returns ``(source, expand_batch)`` where ``expand_batch(fps, vals,
-    knowns, seen, dedupe, classify)`` expands a whole frontier batch and
-    returns ``[(entry_fp, transitions, candidates), ...]`` with
-    ``engine.Candidate`` tuples whose successor is a raw values tuple
-    (states are materialized lazily by the caller, only for traces and
-    violations).
+    Returns ``(source, expand_batch)`` where ``expand_batch(rows, seen,
+    classify)`` expands a whole frontier batch of ``(fp, values,
+    known_disabled)`` rows and returns ``[(entry_fp, transitions,
+    candidates), ...]`` with ``engine.Candidate`` tuples whose successor is
+    a raw values tuple (states are materialized lazily by the caller, only
+    for traces and violations).  ``seen=None`` emits every successor.
 
     Enumeration is bitwise-identical to the reference expander: entries
     are processed in order, per-entry candidates are rebuilt in sorted
@@ -262,7 +262,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     src: List[str] = []
     w = src.append
     w(f"# repro kernel v{CODEGEN_VERSION} for spec {core.spec.name!r}")
-    w("def _expand_batch(fps, vals, knowns, seen, dedupe, classify):")
+    w("def _expand_batch(rows, seen, classify):")
     w("    config = _config")
     w("    mk = _mk")
     w("    classify_values = _classify_values")
@@ -300,8 +300,8 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
             w("    cget = cmemo.get")
     w("    results = []")
     w("    res_append = results.append")
-    w("    seen_add = seen.add")
-    w("    for entry_fp, v, d in zip(fps, vals, knowns):")
+    w("    seen_add = None if seen is None else seen.add")
+    w("    for entry_fp, v, d in rows:")
     w("        st = None")
     w("        raw = []")
 
@@ -371,7 +371,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     w("        cands_append = cands.append")
     w("        for idx, changes, delta in raw:")
     w("            fp = entry_fp ^ delta")
-    w("            if dedupe:")
+    w("            if seen is not None:")
     w("                if fp in seen:")
     w("                    continue")
     w("                seen_add(fp)")

@@ -338,6 +338,19 @@ class TestCloseEscalation:
         band.close()  # idempotent
 
 
+    def test_unconnected_worker_is_not_waited_for(self):
+        """A spawned worker that has not said hello cannot receive the
+        farewell frame: ``close()`` must not spend ``shutdown_grace``
+        (2 s) waiting for it to act on one."""
+        band = TcpBand(ADD_ONE, 1)
+        (process,) = band._processes
+        assert not band.connections
+        started = time.monotonic()
+        band.close()
+        assert time.monotonic() - started < 0.5
+        assert process.poll() is not None  # reaped, not orphaned
+
+
 @pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
 class TestBackendIdentity:
     """The acceptance bar: ``--backend socket --workers 2`` produces a

@@ -32,6 +32,12 @@ class TestParser:
         args = build_parser().parse_args(["protocol", "--strategy", "dfs"])
         assert args.strategy == "dfs"
 
+    @pytest.mark.parametrize("command", (["check", "mSpec-1"], ["bugs"], ["protocol"]))
+    def test_dedupe_flag_is_gone(self, command):
+        build_parser().parse_args(command + ["--workers", "2"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--workers", "2", "--dedupe", "rounds"])
+
     def test_strategy_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check", "mSpec-1", "--strategy", "zen"])

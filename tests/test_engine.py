@@ -24,7 +24,6 @@ from repro.checker import parallel
 from repro.checker.engine import STRATEGIES, CompiledSpec, compiled_for
 from repro.checker.fingerprint import FingerprintError, canonical_bytes
 from repro.tla.action import Action
-from repro.tla.batch import FrontierBatch
 from repro.tla.module import Module
 from repro.tla.spec import Invariant, Specification
 from repro.tla.state import Schema, State
@@ -198,6 +197,23 @@ class TestEngineBFS:
             ExplorationEngine(counter_spec(), strategy="bogus")
         assert set(STRATEGIES) == {"bfs", "dfs", "random", "portfolio"}
 
+    def test_rounds_is_the_only_dedupe_mode(self):
+        # The keyword outlives --dedupe only because bench/probes.py
+        # passes it; the shared-memory mode is gone, not ignored.
+        for mode in ("shared", "bogus"):
+            with pytest.raises(ValueError, match="removed every mode but 'rounds'"):
+                ExplorationEngine(counter_spec(), dedupe=mode)
+        budget = dict(max_states=30, stop_at_first=False)
+        seq = ExplorationEngine(counter_spec(max_x=8), **budget).run()
+        par = ExplorationEngine(
+            counter_spec(max_x=8), workers=2, dedupe="rounds", **budget
+        ).run()
+        assert seq.states_explored == par.states_explored == 30
+        assert seq.transitions == par.transitions
+        assert [v.trace.labels for v in seq.violations] == [
+            v.trace.labels for v in par.violations
+        ]
+
 
 class TestEngineStrategies:
     def test_dfs_finds_violation(self):
@@ -218,6 +234,25 @@ class TestEngineStrategies:
         result = explore(counter_spec(), strategy="portfolio", workers=1)
         assert result.found_violation
         assert result.first_violation.invariant.ident == "I-1"
+
+    def test_interleaved_portfolio_compiles_once(self, monkeypatch):
+        # A mask bypasses compiled_for's per-spec cache, so every BFS
+        # slice used to build its own CompiledSpec; the slices run on
+        # the parent's core now, and the verdict is what it was.
+        compiled = []
+        healthy_init = CompiledSpec.__init__
+
+        def counting_init(core, *args, **kwargs):
+            compiled.append(core)
+            healthy_init(core, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledSpec, "__init__", counting_init)
+        result = check_spec(
+            "mSpec-1", SMALL, strategy="portfolio", seed=3, mask=zk4394_mask,
+            max_states=3_000, max_time=120,
+        )
+        assert len(compiled) == 1
+        assert TestCompiledKernelLane._sig(result) == (3000, 5337, 14, [])
 
     def test_portfolio_race_across_processes(self):
         result = explore(
@@ -350,7 +385,7 @@ class TestBudgets:
             ("bfs", {}),
             ("bfs", {"workers": 2}),
             ("dfs", {}),
-            ("dfs", {"workers": 2, "dedupe": "shared"}),
+            ("dfs", {"workers": 2}),  # one in-process loop: workers is moot
             ("random", {}),
             ("portfolio", {}),
             ("portfolio", {"workers": 2}),
@@ -531,10 +566,9 @@ class TestIncrementalProperties:
             known = 0
             for _ in range(30):
                 ((_, _, fast),) = core.expand_batch(
-                    FrontierBatch.single(fp, values, known), set(),
-                    classify_candidates=False, dedupe=False,
+                    [(fp, values, known)], classify_candidates=False
                 )
-                _, slow = brute.reference_expand(values, set(), False, False)
+                _, slow = brute.reference_expand(values, classify_candidates=False)
                 assert [c[:3] for c in fast] == [c[:3] for c in slow], f"seed {seed}"
                 if not fast:
                     break
@@ -556,7 +590,7 @@ class TestIncrementalProperties:
             core = CompiledSpec(spec, reference=True)
             for state in RandomWalker(spec, seed=n, compiled=core).walk(40).states:
                 transitions, candidates = core.reference_expand(
-                    state.values, set(), classify_candidates=False, dedupe=False
+                    state.values, classify_candidates=False
                 )
                 want = list(spec.successors(state))
                 assert transitions == len(want)
@@ -713,6 +747,20 @@ class TestCompiledKernelLane:
         # reference expander.
         check_spec("mSpec-3", SMALL, max_states=1_500, max_time=60, debug=True)
 
+    I14 = [("I-14/COMMIT_UNMATCHED_IN_SYNC", 13)]
+    #: (states, transitions, max_depth, violations) per (strategy, masked);
+    #: both bfs rows (workers 1 and 2) share one entry.
+    PINNED = {
+        ("bfs", True): (3000, 5337, 14, []),
+        ("dfs", True): (3000, 5011, 20, []),
+        ("random", True): (603, 3310, 22, []),
+        ("portfolio", True): (3000, 5337, 14, []),
+        ("bfs", False): (2681, 4782, 13, I14),
+        ("dfs", False): (29, 54, 17, [("I-14/COMMIT_UNMATCHED_IN_SYNC", 16)]),
+        ("random", False): (603, 3310, 22, []),
+        ("portfolio", False): (2681, 4782, 13, I14),
+    }
+
     @pytest.mark.parametrize("masked", [True, False])
     @pytest.mark.parametrize(
         "strategy,extra",
@@ -729,6 +777,8 @@ class TestCompiledKernelLane:
     def test_kernel_matches_reference_matrix(self, strategy, extra, masked):
         # mSpec-1 with and without the ZK-4394 mask: unmasked, the budget
         # reaches I-14, so counterexample label chains are compared too.
+        # PINNED is the oracle PR 21's deletions (shared dedupe,
+        # FrontierBatch) were held to: the parent commit's answers.
         sigs = {}
         budget = {"max_states": 3_000, "max_time": 120, **extra}
         for reference in (False, True):
@@ -745,8 +795,7 @@ class TestCompiledKernelLane:
                 [v.trace.labels for v in result.violations],
             )
         assert sigs[False] == sigs[True]
-        if strategy == "bfs":
-            assert bool(sigs[True][3]) == (not masked)
+        assert sigs[True][:4] == self.PINNED[strategy, masked]
 
     def test_untrusted_spec_falls_back_in_auto(self):
         # A spec with a lint finding on a trust-critical rule runs on the

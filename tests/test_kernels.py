@@ -10,7 +10,6 @@ import pytest
 from repro.checker import ExplorationEngine
 from repro.checker.engine import compiled_for, kernel_trusted
 from repro.tla.action import Action
-from repro.tla.batch import FrontierBatch
 from repro.tla.codegen import CODEGEN_VERSION, emit_kernel
 from repro.tla.module import Module
 from repro.tla.spec import Invariant, Specification
@@ -122,21 +121,6 @@ class TestEmission:
         assert stats["codegen_version"] == CODEGEN_VERSION
 
 
-class TestFrontierBatch:
-    def test_from_entries_builds_columns(self):
-        batch = FrontierBatch.from_entries([(7, (1, 0), 0), (8, (2, 0), 1)])
-        assert len(batch) == 2
-        assert list(batch.fps) == [7, 8]
-        assert batch.values[1] == (2, 0)
-        assert list(batch.knowns) == [0, 1]
-        assert len(FrontierBatch.from_entries([])) == 0
-
-    def test_single_and_state_materialization(self):
-        batch = FrontierBatch.single(5, (1, 1), 0)
-        assert len(batch) == 1
-        assert batch.state(0, SCHEMA).x == 1
-
-
 class TestDifferentialIdentity:
     @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
     def test_counter_identical(self, strategy):
@@ -192,9 +176,9 @@ class TestDifferentialIdentity:
         assert kernel.kernel is not None and reference.kernel is None
         init = spec.initial_states()[0]
         fp = kernel.fingerprinter.of_values(init.values)
-        batch = FrontierBatch.single(fp, init.values, 0)
-        (kres,) = kernel.expand_batch(batch, set(), dedupe=False)
-        (rres,) = reference.expand_batch(batch, set(), dedupe=False)
+        rows = [(fp, init.values, 0)]
+        (kres,) = kernel.expand_batch(rows)
+        (rres,) = reference.expand_batch(rows)
         assert kres[:2] == rres[:2] == (fp, 1)
         # Same instances, successor values, fingerprints and verdicts;
         # only the inherited known-disabled bits are kernel-private.

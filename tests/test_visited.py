@@ -1,23 +1,17 @@
-"""Tests for the shared-memory visited table and the ``--dedupe shared``
-engine modes: single-process semantics, cross-process visibility,
-generation growth, overflow fallback, and BFS/DFS result equivalence."""
+"""Tests for the shared-memory visited table (a library since PR 21: no
+engine mode attaches it): single-process semantics, cross-process
+visibility, generation growth and overflow fallback."""
 
 import multiprocessing as mp
 
 import pytest
 
-from repro.checker import ExplorationEngine, SharedVisitedSet
 from repro.checker import visited as visited_mod
-from repro.checker.visited import suggest_capacity
-from repro.zookeeper import ZkConfig, check_spec
-
-from test_engine import counter_spec
+from repro.checker.visited import SharedVisitedSet, suggest_capacity
 
 pytestmark = pytest.mark.skipif(
     not visited_mod.available(), reason="POSIX shared memory unavailable"
 )
-
-SMALL = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)
 
 
 class TestSharedVisitedSet:
@@ -154,95 +148,3 @@ class TestSharedVisitedSet:
         cap = suggest_capacity(123_456)
         assert cap & (cap - 1) == 0  # power of two
         assert cap >= 4 * 123_456
-
-
-class TestSharedDedupeEngine:
-    def test_bfs_shared_matches_rounds_and_sequential(self):
-        seq = ExplorationEngine(counter_spec(max_x=8, y_bound=99), workers=1).run()
-        rounds = ExplorationEngine(
-            counter_spec(max_x=8, y_bound=99), workers=2, dedupe="rounds"
-        ).run()
-        shared = ExplorationEngine(
-            counter_spec(max_x=8, y_bound=99), workers=2, dedupe="shared"
-        ).run()
-        assert seq.states_explored == rounds.states_explored == shared.states_explored
-        assert seq.transitions == rounds.transitions == shared.transitions
-        assert seq.completed and shared.completed
-
-    def test_bfs_shared_same_violations_on_zookeeper(self):
-        budget = dict(max_states=6_000, max_time=120)
-        seq = check_spec("mSpec-3", SMALL, workers=1, **budget)
-        shared = check_spec(
-            "mSpec-3", SMALL, workers=2, dedupe="shared", **budget
-        )
-        # The shared-table guarantee at fixed budgets: identical
-        # visited-state count and violation set.  (Transitions may
-        # differ when the budget cuts a run mid-round: real-time dedupe
-        # races decide which worker's expansion gets charged, which
-        # shifts the truncated frontier.)
-        assert seq.states_explored == shared.states_explored
-        assert sorted(
-            (v.invariant.full_name, v.depth) for v in seq.violations
-        ) == sorted((v.invariant.full_name, v.depth) for v in shared.violations)
-
-    def test_bfs_shared_counts_match_at_fixed_budget(self):
-        # A budget that cuts the run mid-round: the accepted-state count
-        # still matches the sequential run exactly.
-        budget = dict(max_states=2_500, max_time=120)
-        seq = check_spec("mSpec-2", SMALL, workers=1, **budget)
-        shared = check_spec(
-            "mSpec-2", SMALL, workers=2, dedupe="shared", **budget
-        )
-        assert seq.states_explored == shared.states_explored == 2_500
-
-    def test_invalid_dedupe_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ExplorationEngine(counter_spec(), dedupe="bogus")
-
-    def test_dfs_sharded_finds_violation(self):
-        result = ExplorationEngine(
-            counter_spec(),
-            strategy="dfs",
-            workers=2,
-            dedupe="shared",
-            max_depth=20,
-        ).run()
-        assert result.found_violation
-        assert result.first_violation.invariant.ident == "I-1"
-        trace = result.first_violation.trace
-        spec = counter_spec()
-        assert spec.replay(trace.labels, trace.initial)[-1] == trace.final
-
-    def test_dfs_sharded_explores_full_space_when_unbudgeted(self):
-        result = ExplorationEngine(
-            counter_spec(max_x=6, y_bound=99),
-            strategy="dfs",
-            workers=2,
-            dedupe="shared",
-            max_depth=30,
-        ).run()
-        assert result.completed
-        assert result.states_explored == 28  # x in 0..6, y in 0..x
-
-    def test_dfs_sharded_respects_state_budget(self):
-        result = ExplorationEngine(
-            counter_spec(max_x=9, y_bound=99),
-            strategy="dfs",
-            workers=2,
-            dedupe="shared",
-            max_depth=40,
-            max_states=10,
-        ).run()
-        assert result.budget_exhausted == "max_states"
-        assert result.states_explored <= 14  # budget + per-worker slack
-
-    def test_portfolio_shared_finds_violation(self):
-        result = ExplorationEngine(
-            counter_spec(),
-            strategy="portfolio",
-            workers=3,
-            dedupe="shared",
-            max_time=60,
-        ).run()
-        assert result.found_violation
-        assert result.first_violation.invariant.ident == "I-1"
