@@ -1,7 +1,7 @@
 """Ablations of the reproduction's design choices (DESIGN.md §5-6).
 
-1. Search strategy: BFS (TLC's default, minimal traces) vs DFS vs
-   iterative deepening to the first ZK-4394 violation.
+1. Search strategy: BFS (TLC's default, minimal traces) vs DFS to the
+   first ZK-4394 violation.
 2. Masking: the effect of masking the known ZK-4394 on the state space
    mSpec-1 explores (the paper's §4.1 adjustment).
 3. Invariant filtering: checking a single family (the per-bug rows of
@@ -11,7 +11,7 @@
 import pytest
 
 from bench_common import once, print_table
-from repro.checker import IterativeDeepeningChecker, explore
+from repro.checker import explore
 from repro.zookeeper import ZkConfig, make_spec, zk4394_mask
 
 CFG = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)
@@ -25,19 +25,15 @@ def _zk4394_spec():
     return spec
 
 
-@pytest.mark.parametrize("strategy", ["BFS", "DFS", "IDDFS"])
+@pytest.mark.parametrize("strategy", ["BFS", "DFS"])
 def test_search_strategy(benchmark, strategy):
     def run():
         spec = _zk4394_spec()
         if strategy == "BFS":
             return explore(spec, max_states=200_000, max_time=120)
-        if strategy == "DFS":
-            return explore(
-                spec, strategy="dfs", max_depth=30, max_states=200_000, max_time=120
-            )
-        return IterativeDeepeningChecker(
-            spec, max_depth=20, step=2, max_time=180
-        ).run()
+        return explore(
+            spec, strategy="dfs", max_depth=30, max_states=200_000, max_time=120
+        )
 
     result = once(benchmark, run)
     _ROWS[f"strategy/{strategy}"] = result

@@ -41,49 +41,35 @@ def bench_config(**kw):
     return ZkConfig(**defaults)
 
 
-def hunt(
-    spec_name,
-    config,
-    family=None,
-    instance=None,
-    masked=True,
-    max_states=2_000_000,
-    max_time=240,
-    variant=None,
-    stop_at_first=True,
-    violation_limit=10_000,
-    strategy="bfs",
-    workers=None,
-):
-    """One model-checking run, optionally restricted to an invariant
-    family (how Table 4 reports per-bug rows)."""
+def hunt(spec_name, config, family=None, variant=None, **engine_kw):
+    """One model-checking run of a Table 1 grain with ZK-4394 masked,
+    optionally restricted to an invariant family (Tables 5 and 6; the
+    Table 4 rows are ``repro.zookeeper.specs.hunt_spec``)."""
     if variant is not None:
         config = config.with_variant(variant)
     spec = build_spec(spec_name, SELECTIONS[spec_name], config)
     if family is not None:
-        spec.invariants = [
-            inv
-            for inv in spec.invariants
-            if inv.ident == family
-            and (instance is None or inv.instance == instance)
-        ]
+        spec.invariants = [inv for inv in spec.invariants if inv.ident == family]
+    return check(spec, zk4394_mask, **engine_kw)
+
+
+def check(spec, mask, max_states=2_000_000, max_time=240, workers=None, **engine_kw):
+    """Run the engine on a composed spec under the harness's scale and
+    worker knobs."""
     if SCALE == "small":
         # Calibrated to the engine's ~8-9k states/sec: big enough that
         # mSpec-2 still reaches its I-8 violation (~300k states), small
         # enough to keep each bench under ~1 min.
         max_states = min(max_states, 320_000)
         max_time = min(max_time, 60)
-    engine = ExplorationEngine(
+    return ExplorationEngine(
         spec,
-        strategy=strategy,
         workers=WORKERS if workers is None else workers,
         max_states=max_states,
         max_time=max_time,
-        mask=zk4394_mask if masked else None,
-        stop_at_first=stop_at_first,
-        violation_limit=violation_limit,
-    )
-    return engine.run()
+        mask=mask,
+        **engine_kw,
+    ).run()
 
 
 REPORT_FILE = os.environ.get(

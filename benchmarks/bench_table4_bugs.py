@@ -8,87 +8,36 @@ values.
 
 import pytest
 
-from bench_common import bench_config, hunt, once, print_table
-from repro.zookeeper import PR_1930
+from bench_common import check, once, print_table
+from repro.zookeeper.specs import HUNTS, hunt_spec
 
-#: bug -> (spec, config kwargs, invariant family, instance, variant,
-#:         masked, paper row (spec, time, depth, states, invariant))
-BUGS = {
-    "ZK-3023": dict(
-        spec="mSpec-3",
-        config=dict(max_txns=1, max_crashes=1),
-        family="I-11",
-        instance="ACK_UPTODATE_OUT_OF_SYNC",
-        paper=("mSpec-3", "11 sec", 13, 78_892, "I-11"),
-    ),
-    "ZK-4394": dict(
-        spec="mSpec-1",
-        config=dict(max_txns=1, max_crashes=1),
-        family="I-14",
-        instance="COMMIT_UNMATCHED_IN_SYNC",
-        masked=False,  # mSpec-1*: the bug unmasked
-        paper=("mSpec-1*", "9 sec", 20, 14_264, "I-14"),
-    ),
-    "ZK-4643": dict(
-        spec="mSpec-2",
-        config=dict(max_txns=1, max_crashes=2),
-        family="I-8",
-        paper=("mSpec-2", "17 sec", 21, 208_018, "I-8"),
-    ),
-    "ZK-4646": dict(
-        spec="mSpec-3",
-        config=dict(max_txns=1, max_crashes=2),
-        family="I-8",
-        # the ordering fix isolates ZK-4646 from the ZK-4643 window
-        variant=PR_1930,
-        paper=("mSpec-3", "109 sec", 21, 2_880_498, "I-8"),
-    ),
-    "ZK-4685": dict(
-        spec="mSpec-3",
-        config=dict(max_txns=2, max_crashes=1),
-        family="I-12",
-        instance="ACK_BEFORE_NEWLEADER_ACK",
-        paper=("mSpec-3", "10 sec", 12, 67_418, "I-12"),
-    ),
-    "ZK-4712": dict(
-        spec="mSpec-3",
-        config=dict(max_txns=2, max_crashes=1),
-        family="I-10",
-        paper=("mSpec-3", "11 sec", 13, 73_293, "I-10"),
-    ),
+#: bug -> the paper's row (spec, time, depth, states, invariant); what is
+#: hunted, and how, is ``repro.zookeeper.specs.HUNTS``.
+PAPER = {
+    "ZK-3023": ("mSpec-3", "11 sec", 13, 78_892, "I-11"),
+    "ZK-4394": ("mSpec-1*", "9 sec", 20, 14_264, "I-14"),
+    "ZK-4643": ("mSpec-2", "17 sec", 21, 208_018, "I-8"),
+    "ZK-4646": ("mSpec-3", "109 sec", 21, 2_880_498, "I-8"),
+    "ZK-4685": ("mSpec-3", "10 sec", 12, 67_418, "I-12"),
+    "ZK-4712": ("mSpec-3", "11 sec", 13, 73_293, "I-10"),
 }
 
 _RESULTS = {}
 
 
-@pytest.mark.parametrize("bug", list(BUGS))
+@pytest.mark.parametrize("bug", list(HUNTS))
 def test_find_bug(benchmark, bug):
-    entry = BUGS[bug]
-
-    def run():
-        return hunt(
-            entry["spec"],
-            bench_config(**entry["config"]),
-            family=entry["family"],
-            instance=entry.get("instance"),
-            masked=entry.get("masked", True),
-            variant=entry.get("variant"),
-            max_time=400,
-        )
-
-    result = once(benchmark, run)
+    result = once(benchmark, lambda: check(*hunt_spec(bug), max_time=400))
     _RESULTS[bug] = result
     assert result.found_violation, f"{bug} not found"
-    violated = result.first_violation.invariant.ident
-    assert violated == entry["family"]
+    assert result.first_violation.invariant.ident == HUNTS[bug][2]
 
 
 def test_zz_report(benchmark):
     """Print the regenerated Table 4 (runs after the per-bug rows)."""
     benchmark(lambda: None)  # keep the report under --benchmark-only
     rows = []
-    for bug, entry in BUGS.items():
-        paper = entry["paper"]
+    for bug, paper in PAPER.items():
         result = _RESULTS.get(bug)
         if result is None or not result.found_violation:
             continue
@@ -108,4 +57,4 @@ def test_zz_report(benchmark):
         ("Bug", "Spec", "Time", "Depth", "#States", "Inv."),
         rows,
     )
-    assert len(rows) == len(BUGS)
+    assert len(rows) == len(HUNTS)

@@ -60,7 +60,7 @@ def test_stop_at_first_violation(benchmark, name):
     config = bench_config()
 
     def run():
-        return hunt(name, config, masked=True, **BUDGETS[name])
+        return hunt(name, config, **BUDGETS[name])
 
     result = once(benchmark, run)
     _FIRST[name] = result
@@ -78,7 +78,6 @@ def test_run_to_completion(benchmark, name):
         return hunt(
             name,
             config,
-            masked=True,
             stop_at_first=False,
             violation_limit=500,
             max_states=450_000,
@@ -158,7 +157,7 @@ def _smoke_row(result):
     }
 
 
-def run_smoke(max_states, max_time, workers, strategy):
+def run_smoke(max_states, max_time, workers):
     """Run the five Table 5 specs under a small budget; return a report."""
     config = bench_config()
     report = {
@@ -166,7 +165,6 @@ def run_smoke(max_states, max_time, workers, strategy):
             "max_states": max_states,
             "max_time": max_time,
             "workers": workers,
-            "strategy": strategy,
         },
         "specs": {},
     }
@@ -174,11 +172,9 @@ def run_smoke(max_states, max_time, workers, strategy):
         result = hunt(
             name,
             config,
-            masked=True,
             max_states=max_states,
             max_time=max_time,
             workers=workers,
-            strategy=strategy,
         )
         report["specs"][name] = _smoke_row(result)
     return report
@@ -341,9 +337,6 @@ def main(argv=None):
     parser.add_argument("--max-states", type=int, default=2_000)
     parser.add_argument("--max-time", type=float, default=15.0)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument(
-        "--strategy", choices=("bfs", "portfolio"), default="bfs"
-    )
     parser.add_argument("--json", dest="json_path", default=None)
     parser.add_argument(
         "--ab-reference",
@@ -365,7 +358,7 @@ def main(argv=None):
     if args.ab_reference:
         report = run_ab_reference(args.max_time)
     else:
-        report = run_smoke(args.max_states, args.max_time, args.workers, args.strategy)
+        report = run_smoke(args.max_states, args.max_time, args.workers)
     text = json.dumps(report, indent=2)
     print(text)
     if args.json_path:

@@ -17,9 +17,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 #: Report / baseline schema identifier.
 SCHEMA = "repro.lint/1"
 
-#: Baseline schemas this version can diff against.
-COMPAT_SCHEMAS = (SCHEMA,)
-
 ERROR = "error"
 WARNING = "warning"
 
@@ -300,9 +297,9 @@ def baseline_error(baseline: Dict[str, Any]) -> Optional[str]:
     """Validate a loaded baseline document; an error message or None."""
     if not isinstance(baseline, dict):
         return "baseline is not a JSON object"
-    if baseline.get("schema") not in COMPAT_SCHEMAS:
+    if baseline.get("schema") != SCHEMA:
         return (
             f"unsupported baseline schema {baseline.get('schema')!r} "
-            f"(expected one of {list(COMPAT_SCHEMAS)})"
+            f"(expected {SCHEMA!r})"
         )
     return None

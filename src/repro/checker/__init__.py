@@ -1,9 +1,8 @@
 """Explicit-state model checkers built on the unified exploration engine:
-BFS (the TLC substitute), DFS and iterative deepening, random walk,
-portfolio racing, coverage, shrinking and rendering."""
+BFS (the TLC substitute), DFS, random walk, coverage, shrinking and
+rendering."""
 
 from repro.checker.coverage import CoverageReport, measure_coverage
-from repro.checker.dfs import IterativeDeepeningChecker
 from repro.checker.engine import (
     STRATEGIES,
     CompiledSpec,
@@ -30,7 +29,6 @@ __all__ = [
     "ExplorationEngine",
     "Fingerprinter",
     "IncrementalFingerprinter",
-    "IterativeDeepeningChecker",
     "RandomWalker",
     "STRATEGIES",
     "compiled_for",

@@ -1,17 +1,15 @@
 """The fork band and the backend that owns one.
 
 Forked workers inherit the parent's memory image, so the handler may be
-any callable (closures included -- the portfolio race relies on it) and
-anything the campaign pre-warmed (composed specs, scripted prefixes) is
-free in every worker.  Spawn costs a ``fork()`` and a task round-trip
+any callable (closures included) and anything the campaign pre-warmed
+(composed specs, scripted prefixes) is free in every worker.  Spawn costs a ``fork()`` and a task round-trip
 ~39 us, against ~0.67 s and ~74 us for the TCP band -- which is why
 this is the default backend; it is also the throughput baseline the
 socket backend must match bit-for-bit.
 
 :class:`ForkBand` is also the process/pipe lifecycle behind the BFS
-:class:`~repro.checker.parallel.WorkerPool` and the portfolio race,
-which speak their own frames over its pipes but spawn, reap and
-terminate through it.
+:class:`~repro.checker.parallel.WorkerPool`, which speaks its own frames
+over its pipes but spawns, reaps and terminates through it.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
+from repro.checker.engine import compiled_for, out_of_time
 from repro.tla.spec import Specification
 from repro.tla.state import State
 
@@ -63,26 +64,32 @@ def measure_coverage(
         spec_name=spec.name,
         declared=[action.name for action in spec.actions],
     )
+    core = compiled_for(spec)
+    names = [label.name for label in core.labels]
     start = time.monotonic()
-    seen: Set[State] = set()
-    frontier: deque = deque()
+    seen: Set[int] = set()
+    frontier: deque = deque()  # (fp, values, known_disabled) rows
     for init in spec.initial_states():
-        if init not in seen:
-            seen.add(init)
-            frontier.append(init)
+        fp = core.fingerprinter.of_values(init.values)
+        if fp not in seen:
+            seen.add(fp)
+            frontier.append((fp, init.values, 0))
     while frontier:
         if max_states is not None and len(seen) >= max_states:
             break
-        if max_time is not None and time.monotonic() - start > max_time:
+        if out_of_time(start, max_time):
             break
-        state = frontier.popleft()
-        if not spec.within_constraint(state):
+        row = frontier.popleft()
+        if not spec.within_constraint(State(core.schema, row[1])):
             continue
-        for label, nxt in spec.successors(state):
-            report.fired[label.name] += 1
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+        # seen=None: every state-changing successor counts as a firing,
+        # revisits included.
+        ((_, _, candidates),) = core.expand_batch([row], classify_candidates=False)
+        for idx, values, fp, known, _, _, _ in candidates:
+            report.fired[names[idx]] += 1
+            if fp not in seen:
+                seen.add(fp)
+                frontier.append((fp, values, known))
     report.states_explored = len(seen)
     report.elapsed_seconds = time.monotonic() - start
     report.complete = not frontier

@@ -21,15 +21,11 @@ Strategies
     in-process loop; ``workers`` does not apply).
 ``random``
     Seeded random walks that check invariants along the way.
-``portfolio``
-    Races BFS against a band of differently-seeded random walks and
-    returns the first violation any of them finds (with ``workers > 1``
-    the contenders run in parallel processes).
 
 There is one dedupe discipline: a strategy owns its visited-fingerprint
 set, and parallel BFS workers merge theirs at round barriers.  Every
-strategy is deterministic in its arguments; only the multi-process
-portfolio's *winner* depends on scheduling.
+strategy is deterministic in its arguments: no verdict depends on
+scheduling.
 
 One successor path
 ------------------
@@ -85,7 +81,7 @@ from repro.tla.spec import Specification
 from repro.tla.state import State
 
 #: Strategy names accepted by the engine (and the CLI ``--strategy`` flag).
-STRATEGIES = ("bfs", "dfs", "random", "portfolio")
+STRATEGIES = ("bfs", "dfs", "random")
 
 #: BFS rounds are swept through ``expand_batch`` in chunks of this many
 #: frontier entries.  Large enough to amortize batch setup, small enough
@@ -541,7 +537,7 @@ class CompiledSpec:
         successor, or ``None`` in a dead end.  Only the *chosen*
         successor is materialized as a ``State``.  Shared by
         :class:`~repro.checker.random_walk.RandomWalker` and the engine's
-        ``random``/``portfolio`` strategies.
+        ``random`` strategy.
         """
         ((_, _, candidates),) = self.expand_batch(
             [(state_fp, state.values, known_disabled)], classify_candidates=False
@@ -813,18 +809,18 @@ class ExplorationEngine:
     spec:
         The specification to check.
     strategy:
-        One of ``"bfs"``, ``"dfs"``, ``"random"``, ``"portfolio"``.
+        One of ``"bfs"``, ``"dfs"``, ``"random"``.
     workers:
-        Number of worker processes for the parallel BFS / portfolio
-        modes.  ``1`` runs in-process; higher values require the
-        ``fork`` start method (engine falls back to 1 otherwise).
+        Number of worker processes for parallel BFS.  ``1`` runs
+        in-process; higher values require the ``fork`` start method
+        (engine falls back to 1 otherwise).
     max_states / max_time / max_depth / violation_limit / stop_at_first /
     mask:
         The familiar budgets, with the seed checker's semantics.  Every
         strategy tests ``max_time`` the same way (:func:`out_of_time`,
         ``elapsed >= max_time``), so ``max_time=0`` expands nothing.
     seed:
-        Seed for the random and portfolio strategies.
+        Seed for the random strategy.
     fingerprinter:
         Override the 64-bit default (tests use narrow widths to force
         collisions).
@@ -889,9 +885,8 @@ class ExplorationEngine:
         self.fingerprinter = fingerprinter
         self.debug = debug
         self.reference = reference
-        #: The compiled core this engine runs on (memo/kernel telemetry
-        #: for ``--stats``): built by the first in-process run, or preset
-        #: by a portfolio parent so its BFS slices share one compilation.
+        #: The compiled core of the last run (memo/kernel telemetry for
+        #: ``--stats``).
         self.core: Optional[CompiledSpec] = None
 
     def run(self) -> CheckResult:
@@ -902,23 +897,43 @@ class ExplorationEngine:
                 return self._run_bfs()
             if self.strategy == "dfs":
                 return self._run_dfs()
-            if self.strategy == "random":
-                return self._run_random()
-            return self._run_portfolio()
+            return self._run_random()
         finally:
             if was_collecting:
                 gc.enable()
 
     def _compile(self) -> CompiledSpec:
-        if self.core is None:
-            self.core = compiled_for(
-                self.spec,
-                fingerprinter=self.fingerprinter,
-                mask=self.mask,
-                debug=self.debug,
-                reference=self.reference,
-            )
+        self.core = compiled_for(
+            self.spec,
+            fingerprinter=self.fingerprinter,
+            mask=self.mask,
+            debug=self.debug,
+            reference=self.reference,
+        )
         return self.core
+
+    def _record(
+        self,
+        result: CheckResult,
+        core: CompiledSpec,
+        viols: Sequence[int],
+        trace_of: Callable[[], Trace],
+    ) -> bool:
+        """Report a state's violated invariants, one ``Violation`` each;
+        True when the run must stop (``stop_at_first``, or the
+        ``violation_limit`` reached -- which is recorded as the exhausted
+        budget).  Every strategy records through here, so they agree on
+        both, and none expands a violating state."""
+        for i in viols:
+            result.violations.append(
+                Violation(invariant=core.invariants[i], trace=trace_of())
+            )
+            if self.stop_at_first:
+                return True
+            if len(result.violations) >= self.violation_limit:
+                result.budget_exhausted = "violation_limit"
+                return True
+        return False
 
     # ------------------------------------------------------------- BFS
 
@@ -948,16 +963,7 @@ class ExplorationEngine:
             return Trace(states=states, labels=labels)
 
         def record(fp: int, viols: Sequence[int]) -> bool:
-            for i in viols:
-                result.violations.append(
-                    Violation(invariant=core.invariants[i], trace=trace_to(fp))
-                )
-                if self.stop_at_first:
-                    return True
-                if len(result.violations) >= self.violation_limit:
-                    result.budget_exhausted = "violation_limit"
-                    return True
-            return False
+            return self._record(result, core, viols, lambda: trace_to(fp))
 
         # Round 0: the initial states.  Frontier entries are
         # (fp, values, known_disabled) rows -- raw value tuples, so states
@@ -1084,7 +1090,8 @@ class ExplorationEngine:
             fp = core.fingerprinter.of_values(init.values)
             stack.append((init.values, fp, (), init, 0))
 
-        while stack:
+        stop = False
+        while stack and not stop:
             if self.max_states is not None and len(visited) >= self.max_states:
                 result.budget_exhausted = "max_states"
                 break
@@ -1103,14 +1110,9 @@ class ExplorationEngine:
                 continue
             if viols:
                 labels = [core.labels[i] for i in chain]
-                states = spec.replay(labels, init)
-                result.violations.append(
-                    Violation(
-                        invariant=core.invariants[viols[0]],
-                        trace=Trace(states=states, labels=labels),
-                    )
-                )
-                break
+                trace = Trace(states=spec.replay(labels, init), labels=labels)
+                stop = self._record(result, core, viols, lambda: trace)
+                continue
             if depth >= max_depth or not ok:
                 continue
             throwaway.clear()
@@ -1125,54 +1127,29 @@ class ExplorationEngine:
         result.states_explored = len(visited)
         result.elapsed_seconds = time.monotonic() - start
         result.completed = (
-            not stack
-            and not result.violations
-            and result.budget_exhausted is None
+            not stack and not stop and result.budget_exhausted is None
         )
         return result
 
     # ---------------------------------------------------------- random
 
     def _run_random(self) -> CheckResult:
+        """Seeded random walks until a budget lapses or a violation stops
+        the run.  ``states_explored`` is distinct states, not steps."""
+        core = self._compile()
+        spec = self.spec
+        result = CheckResult(spec_name=spec.name)
+        start = time.monotonic()
+        rng = random.Random(self.seed)
         # Without any budget a random search would never terminate; cap
         # the number of walks as a final backstop.
         max_walks = None
         if self.max_states is None and self.max_time is None:
             max_walks = 1_000
-        return self._walks(
-            self._compile(),
-            random.Random(self.seed),
-            seen=set(),
-            stop_at_first=self.stop_at_first,
-            max_walks=max_walks,
-            max_states=self.max_states,
-            max_time=self.max_time,
-        )
-
-    def _walks(
-        self,
-        core: CompiledSpec,
-        rng: random.Random,
-        seen: set,
-        stop_at_first: bool,
-        max_walks: Optional[int],
-        max_states: Optional[int],
-        max_time: Optional[float],
-    ) -> CheckResult:
-        """Seeded random walks until a budget lapses or a violation stops
-        the run: the one walk loop behind the ``random`` strategy and the
-        portfolio's in-process walk batches.
-
-        ``seen`` accumulates distinct state fingerprints (across batches,
-        when the caller reuses it), so ``states_explored`` always means
-        distinct states, not steps taken.
-        """
-        spec = self.spec
-        result = CheckResult(spec_name=spec.name)
-        start = time.monotonic()
         max_steps = self.max_depth if self.max_depth is not None else 60
         of_values = core.fingerprinter.of_values
         initials = spec.initial_states()
+        seen: set = set()
         walks = 0
         stop = False
 
@@ -1180,10 +1157,10 @@ class ExplorationEngine:
             if max_walks is not None and walks >= max_walks:
                 result.budget_exhausted = "max_walks"
                 break
-            if max_states is not None and len(seen) >= max_states:
+            if self.max_states is not None and len(seen) >= self.max_states:
                 result.budget_exhausted = "max_states"
                 break
-            if out_of_time(start, max_time):
+            if out_of_time(start, self.max_time):
                 result.budget_exhausted = "max_time"
                 break
             walks += 1
@@ -1198,20 +1175,12 @@ class ExplorationEngine:
                 if masked:
                     break
                 if viols:
-                    for i in viols:
-                        result.violations.append(
-                            Violation(
-                                invariant=core.invariants[i],
-                                trace=Trace(states=list(states), labels=list(labels)),
-                            )
-                        )
-                        if stop_at_first:
-                            stop = True
-                            break
-                        if len(result.violations) >= self.violation_limit:
-                            result.budget_exhausted = "violation_limit"
-                            stop = True
-                            break
+                    stop = self._record(
+                        result,
+                        core,
+                        viols,
+                        lambda: Trace(states=list(states), labels=list(labels)),
+                    )
                     break
                 if not ok:
                     break
@@ -1229,104 +1198,6 @@ class ExplorationEngine:
         result.states_explored = len(seen)
         result.elapsed_seconds = time.monotonic() - start
         return result
-
-    # ------------------------------------------------------- portfolio
-
-    def _spawn(self, strategy: str, seed: int, **overrides: Any) -> "ExplorationEngine":
-        """A contender engine sharing this engine's spec and budgets."""
-        kwargs = dict(
-            strategy=strategy,
-            workers=1,
-            max_states=self.max_states,
-            max_time=self.max_time,
-            max_depth=self.max_depth,
-            violation_limit=self.violation_limit,
-            stop_at_first=self.stop_at_first,
-            mask=self.mask,
-            seed=seed,
-            fingerprinter=self.fingerprinter,
-            debug=self.debug,
-            reference=self.reference,
-        )
-        kwargs.update(overrides)
-        return ExplorationEngine(self.spec, **kwargs)
-
-    def _run_portfolio(self) -> CheckResult:
-        """Race BFS against seeded random walks; first violation wins.
-
-        With ``workers >= 2`` the contenders run as forked processes and
-        the parent returns as soon as any of them reports a violation.
-        With one worker the contenders are time-sliced in-process:
-        alternate one BFS round with a batch of random walks.
-        """
-        if self.workers > 1:
-            from repro.checker import parallel
-
-            if parallel.available():
-                return parallel.run_portfolio(self)
-        return self._run_portfolio_interleaved()
-
-    def _run_portfolio_interleaved(self) -> CheckResult:
-        """Time-sliced in-process race: a batch of random walks, then a
-        BFS slice with a geometrically growing state budget (each slice
-        restarts BFS, so doubling bounds total re-exploration at 2x)."""
-        start = time.monotonic()
-        if out_of_time(start, self.max_time):
-            # max_time=0: same answer as every other strategy, nothing
-            # expanded (the slices below each get a 50 ms floor).
-            result = CheckResult(spec_name=self.spec.name)
-            result.budget_exhausted = "max_time"
-            return result
-        core = self._compile()
-        rng = random.Random(self.seed + 1)
-
-        def time_left() -> Optional[float]:
-            if self.max_time is None:
-                return None
-            return max(0.05, self.max_time - (time.monotonic() - start))
-
-        slice_states = 2_000
-        walk_seen: set = set()  # distinct walk fingerprints across batches
-        while True:
-            # A batch of 16 walks on the shared RNG stream; the race is
-            # first-violation-wins whatever stop_at_first says.
-            walk_result = self._walks(
-                core,
-                rng,
-                seen=walk_seen,
-                stop_at_first=True,
-                max_walks=16,
-                max_states=None,
-                max_time=time_left(),
-            )
-            if walk_result.found_violation:
-                walk_result.elapsed_seconds = time.monotonic() - start
-                return walk_result
-            budget = (
-                slice_states
-                if self.max_states is None
-                else min(slice_states, self.max_states)
-            )
-            bfs = self._spawn(
-                "bfs", self.seed, max_states=budget, max_time=time_left()
-            )
-            # A mask, debug or reference pin bypasses compiled_for's
-            # per-spec cache: without this every slice would recompile.
-            bfs.core = core
-            bfs_result = bfs.run()
-            bfs_result.elapsed_seconds = time.monotonic() - start
-            exhausted = (
-                self.max_states is not None
-                and bfs_result.states_explored >= self.max_states
-            )
-            if (
-                bfs_result.found_violation
-                or bfs_result.completed
-                or bfs_result.budget_exhausted in ("max_time", "violation_limit")
-                or exhausted
-            ):
-                return bfs_result
-            slice_states *= 2
 
 
 def explore(spec: Specification, **kwargs: Any) -> CheckResult:

@@ -1,45 +1,32 @@
-"""Multiprocessing strategies for the exploration engine.
+"""Multi-process BFS for the exploration engine.
 
-Two cooperation patterns live here, both clients of one process
-substrate -- :class:`~repro.checker.backends.fork.ForkBand` spawns,
-reaps and terminates every worker this module starts:
+:class:`WorkerPool` is round-synchronous frontier sharding, on the one
+process substrate -- :class:`~repro.checker.backends.fork.ForkBand`
+spawns, reaps and terminates every worker this module starts.  Each
+forked worker keeps a private copy of the visited-fingerprint set; every
+round the parent sends (a) the fingerprints accepted since the previous
+round and (b) a contiguous shard of the frontier.  Workers expand their
+shard, pre-filter successors against their fingerprint set, and classify
+the survivors (invariants, mask, constraint), so the parent's serial
+merge only performs the authoritative dedup and bookkeeping.  Because
+shards partition the frontier in order and the merge consumes results in
+that same order, the outcome is identical to the sequential engine on
+deterministic budgets.
 
-:class:`WorkerPool`
-    Round-synchronous frontier sharding for the BFS strategy.  Each
-    forked worker keeps a private copy of the visited-fingerprint set;
-    every round the parent sends (a) the fingerprints accepted since the
-    previous round and (b) a contiguous shard of the frontier.  Workers
-    expand their shard, pre-filter successors against their fingerprint
-    set, and classify the survivors (invariants, mask, constraint), so
-    the parent's serial merge only performs the authoritative dedup and
-    bookkeeping.  Because shards partition the frontier in order and the
-    merge consumes results in that same order, the outcome is identical
-    to the sequential engine on deterministic budgets.
-
-:func:`run_portfolio`
-    First-to-find racing for the portfolio strategy: one forked BFS
-    contender plus ``workers - 1`` differently-seeded random walkers.
-
-Both require the ``fork`` start method (specifications hold lambdas that
+It requires the ``fork`` start method (specifications hold lambdas that
 cannot be pickled; forked children inherit them by memory image).  Call
-:func:`available` before constructing either.
+:func:`available` before constructing one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing as mp
-import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.checker.backends.fork import ForkBand
-from repro.checker.result import CheckResult, Violation
-from repro.checker.trace import Trace
-from repro.tla.state import State
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.checker.engine import CompiledSpec, ExplorationEngine, Row
-    from repro.tla.spec import Specification
+    from repro.checker.engine import CompiledSpec, Row
 
 
 def available() -> bool:
@@ -118,96 +105,3 @@ class WorkerPool:
 
     def close(self) -> None:
         self.band.close()
-
-
-# ------------------------------------------- violations across a pipe
-
-
-def _rebuild_violation(spec: "Specification", record: Tuple) -> Violation:
-    """Invariant predicates and specs hold closures, so a violation
-    crosses a pipe as ``(ident, instance, labels, initial values)`` and
-    the parent replays it back into a trace."""
-    ident, instance, labels, init_values = record
-    invariant = next(
-        inv for inv in spec.invariants if (inv.ident, inv.instance) == (ident, instance)
-    )
-    states = spec.replay(labels, State(spec.schema, init_values))
-    return Violation(invariant=invariant, trace=Trace(states=states, labels=list(labels)))
-
-
-# ------------------------------------------------------ portfolio race
-
-
-def _encode_result(result: CheckResult) -> CheckResult:
-    """A copy of ``result`` that can cross a pipe: each violation is
-    reduced to its :func:`_rebuild_violation` record."""
-    records = [
-        (
-            violation.invariant.ident,
-            violation.invariant.instance,
-            list(violation.trace.labels),
-            violation.trace.initial.values,
-        )
-        for violation in result.violations
-    ]
-    return dataclasses.replace(result, violations=records)
-
-
-def run_portfolio(engine: "ExplorationEngine") -> CheckResult:
-    """Race one BFS contender against seeded random walkers.
-
-    Returns the first result that carries a violation, else the BFS
-    result (the only contender able to prove completion) once every
-    contender has reported or the time budget lapses.
-    """
-    specs = [("bfs", engine._spawn("bfs", engine.seed))]
-    for index in range(1, engine.workers):
-        specs.append(
-            (f"walk-{index}", engine._spawn("random", engine.seed + index))
-        )
-    start = time.monotonic()
-    # Worker i runs contender i: the "task" it is sent is its own index.
-    band = ForkBand(
-        len(specs), lambda index: _encode_result(specs[index][1].run())
-    )
-    deadline = None if engine.max_time is None else start + engine.max_time + 5.0
-    outcomes: Dict[str, CheckResult] = {}
-    winner: Optional[CheckResult] = None
-    try:
-        waiting = {conn: tag for conn, (tag, _) in zip(band.connections, specs)}
-        for index, connection in enumerate(waiting):
-            band.send(connection, index, index)
-        # A contender that dies without reporting (killed, OOM, ...)
-        # just leaves the race; with nobody left, stop waiting.
-        while waiting and winner is None:
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            for connection, frame in band.poll(1.0):
-                tag = waiting.pop(connection, None)
-                if tag is None or frame is None:
-                    continue
-                _, ok, payload = frame
-                if not ok:
-                    raise RuntimeError(
-                        f"portfolio contender {tag} failed: {payload}"
-                    )
-                payload.violations = [
-                    _rebuild_violation(engine.spec, record)
-                    for record in payload.violations
-                ]
-                outcomes[tag] = payload
-                if payload.found_violation:
-                    winner = outcomes[tag]
-                    break
-    finally:
-        band.terminate()
-
-    if winner is None:
-        winner = outcomes.get("bfs")
-    if winner is None and outcomes:
-        winner = next(iter(outcomes.values()))
-    if winner is None:
-        winner = CheckResult(spec_name=engine.spec.name)
-        winner.budget_exhausted = "max_time"
-    winner.elapsed_seconds = time.monotonic() - start
-    return winner

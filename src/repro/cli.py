@@ -58,11 +58,11 @@ def _add_engine_args(parser: argparse.ArgumentParser):
         "--workers",
         type=int,
         default=1,
-        help="worker processes for the parallel BFS / portfolio modes",
+        help="worker processes for parallel BFS (the other strategies run in-process)",
     )
     parser.add_argument(
         "--seed", type=int, default=0,
-        help="seed for the random / portfolio strategies",
+        help="seed for the random strategy",
     )
     parser.add_argument(
         "--debug-deps",
@@ -186,7 +186,6 @@ def request_from_args(args):
         workers=args.workers,
         backend=args.backend,
         budget=args.budget,
-        adaptive=args.adaptive,
         shrink=args.shrink,
         task_timeout=args.task_timeout,
         task_retries=args.task_retries,
@@ -216,8 +215,6 @@ def cmd_campaign(args) -> int:
     from repro.remix.campaign import CampaignReport, new_fingerprints, run_campaign
     from repro.remix.request import RequestError
 
-    if args.spec_cache is not None:
-        spec_cache.set_disk_cache_dir(args.spec_cache)
     try:
         request = (
             _load_request(args.request)
@@ -336,27 +333,8 @@ def _write_repros(directory: str, report, stream=sys.stdout) -> None:
 def cmd_serve(args) -> int:
     import json
 
-    from repro.remix import spec_cache
-    from repro.remix.request import RequestError
-    from repro.remix.service import CampaignServer, serve_request
+    from repro.remix.service import CampaignServer
 
-    if args.spec_cache is not None:
-        spec_cache.set_disk_cache_dir(args.spec_cache)
-    if args.request:
-        # One-shot offline mode: run the request in-process and stream
-        # its repro.campaign.event/1 lines to stdout (no TCP involved).
-        try:
-            request = _load_request(args.request)
-        except (RequestError, ValueError, OSError) as error:
-            message = error.args[0] if error.args else str(error)
-            print(f"serve: {message}", file=sys.stderr)
-            return 2
-        report = serve_request(
-            request,
-            lambda event: print(json.dumps(event), flush=True),
-            heartbeat=args.heartbeat,
-        )
-        return 0 if report is not None else 1
     server = CampaignServer(
         host=args.host,
         port=args.port,
@@ -438,47 +416,17 @@ def cmd_worker(args) -> int:
     return 0
 
 
-def _hunt_bug(args, spec_name, config, family, instance, masked, variant):
-    from repro.zookeeper.specs import build_spec
-
-    if variant is not None:
-        config = config.with_variant(variant)
-    spec = build_spec(spec_name, SELECTIONS[spec_name], config)
-    spec.invariants = [
-        inv
-        for inv in spec.invariants
-        if inv.ident == family and (instance is None or inv.instance == instance)
-    ]
-    return _engine(args, spec, mask=zk4394_mask if masked else None).run()
-
-
 def cmd_hunt(args) -> int:
-    from repro.zookeeper import PR_1930
+    from repro.zookeeper.specs import HUNTS, hunt_spec
 
-    hunts = [
-        ("ZK-3023", "mSpec-3", dict(max_txns=1, max_crashes=1), "I-11",
-         "ACK_UPTODATE_OUT_OF_SYNC", True, None),
-        ("ZK-4394", "mSpec-1", dict(max_txns=1, max_crashes=1), "I-14",
-         "COMMIT_UNMATCHED_IN_SYNC", False, None),
-        ("ZK-4643", "mSpec-2", dict(max_txns=1, max_crashes=2), "I-8",
-         None, True, None),
-        ("ZK-4646", "mSpec-3", dict(max_txns=1, max_crashes=2), "I-8",
-         None, True, PR_1930),
-        ("ZK-4685", "mSpec-3", dict(max_txns=2, max_crashes=1), "I-12",
-         "ACK_BEFORE_NEWLEADER_ACK", True, None),
-        ("ZK-4712", "mSpec-3", dict(max_txns=2, max_crashes=1), "I-10",
-         None, True, None),
-    ]
     failures = 0
-    for name, spec_name, cfg_kw, family, instance, masked, variant in hunts:
-        config = ZkConfig(max_partitions=0, max_epoch=3, **cfg_kw)
-        result = _hunt_bug(
-            args, spec_name, config, family, instance, masked, variant
-        )
+    for name, (grain, *_) in HUNTS.items():
+        spec, mask = hunt_spec(name)
+        result = _engine(args, spec, mask=mask).run()
         if result.found_violation:
             violation = result.first_violation
             print(
-                f"{name}: FOUND by {spec_name} "
+                f"{name}: FOUND by {grain} "
                 f"({violation.invariant.ident}, depth {violation.depth}, "
                 f"{result.states_explored} states, "
                 f"{result.elapsed_seconds:.1f}s)"
@@ -708,11 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         "disable with --no-shrink)",
     )
     p_camp.add_argument(
-        "--adaptive", action="store_true",
-        help="reallocate the seed budget in rounds toward cells with the "
-        "highest novel-fingerprint yield (default: uniform matrix)",
-    )
-    p_camp.add_argument(
         "--repros", default=None, metavar="DIR",
         help="write one replayable repro JSON per finding into DIR",
     )
@@ -724,11 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline", default=None,
         help="campaign report JSON to diff impl-bug fingerprints against; "
         "exits 2 on new ones (the nightly CI gate)",
-    )
-    p_camp.add_argument(
-        "--spec-cache", default=None, metavar="DIR",
-        help="on-disk spec cache directory ('off' disables persistence; "
-        "default: $REPRO_SPEC_CACHE_DIR or ~/.cache/repro-spec-cache)",
     )
     p_camp.add_argument(
         "--request", default=None, metavar="FILE",
@@ -746,6 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="long-lived campaign server streaming repro.campaign.event/1 "
         "JSON-lines per request",
+        # the removed `serve --request FILE` must not read as an
+        # abbreviation of --request-timeout
+        allow_abbrev=False,
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
@@ -766,15 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds a fresh connection gets to send its request line "
         "before it is answered with an error event and closed "
         "(default: 30)",
-    )
-    p_serve.add_argument(
-        "--request", default=None, metavar="FILE",
-        help="one-shot offline mode: run this request JSON ('-' = stdin) "
-        "in-process, stream its events to stdout, and exit",
-    )
-    p_serve.add_argument(
-        "--spec-cache", default=None, metavar="DIR",
-        help="on-disk spec cache directory (shared across requests)",
     )
     p_serve.set_defaults(fn=cmd_serve)
 

@@ -54,22 +54,14 @@ index, and findings dedup in first-seen cell order -- so ``workers=2``
 produces a report identical in findings to ``workers=1``, validation
 cells included.
 
-Two optional stages turn the detector into a budget-aware repro factory:
-
-- ``shrink=True`` adds a post-merge minimization stage: each distinct
-  finding's first witnessing trace is rebuilt from the metadata stored
-  in the finding (scenario prefix + fault schedule + suffix seed/steps),
-  then delta-debugged across the same backend under a
-  :class:`~repro.remix.minimize.ConformanceOracle` that accepts a
-  candidate iff it reproduces the *same* fingerprint.  The result is a
-  ``min_trace`` (replayable labels + length) attached to the finding.
-- ``adaptive=True`` replaces the uniform matrix with a round-based
-  scheduler: every round re-allocates a third of its cells toward the
-  (grain, scenario, fault) coordinates with the highest
-  novel-fingerprint yield so far (largest-remainder on yields) and
-  spends the rest on the least-sampled cells, under the same total job
-  budget.  Rounds are barriers, so worker count still never changes the
-  report.
+One optional stage turns the detector into a repro factory:
+``shrink=True`` adds a post-merge minimization stage: each distinct
+finding's first witnessing trace is rebuilt from the metadata stored
+in the finding (scenario prefix + fault schedule + suffix seed/steps),
+then delta-debugged across the same backend under a
+:class:`~repro.remix.minimize.ConformanceOracle` that accepts a
+candidate iff it reproduces the *same* fingerprint.  The result is a
+``min_trace`` (replayable labels + length) attached to the finding.
 """
 
 from __future__ import annotations
@@ -106,19 +98,9 @@ from repro.system.plugin import ScenarioError
 #: per-finding ``direction`` field and min_trace ``aliases`` groups.
 #: /4 adds the ``degraded`` section (supervision counters, quarantined
 #: and skipped cells) and the ``degraded`` cell status.
+#: :meth:`CampaignReport.from_json` (and ``--baseline``) accept this
+#: version only.
 SCHEMA = "repro.campaign/4"
-
-#: Report versions :meth:`CampaignReport.from_json` (and ``--baseline``)
-#: accept and upgrade to the current shape: /1 reports lack
-#: witness/min_trace, /2 reports lack direction, /3 reports lack the
-#: degraded section, but all carry the same fingerprint-keyed findings,
-#: so they remain valid baselines.
-COMPAT_SCHEMAS = (
-    "repro.campaign/1",
-    "repro.campaign/2",
-    "repro.campaign/3",
-    SCHEMA,
-)
 
 #: Handler spec every execution backend resolves for campaign tasks;
 #: the socket backend ships it inside each task frame.
@@ -553,43 +535,17 @@ class CampaignReport:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "CampaignReport":
-        """Load a report of any accepted schema version, upgraded to the
-        current shape -- the only code that knows what older versions
-        lack, so every reader after it reads fields plainly.
-
-        Pre-/4 reports had no way to degrade (or to say so), pre-plugin
-        ones were always ZooKeeper, pre-/3 findings were always top-down
-        and the earliest /2 witnesses predate the role ids (the roles
-        every cell used then, and still uses)."""
+        """Load a :data:`SCHEMA` report; any other version is refused."""
         schema = data.get("schema")
-        if schema not in COMPAT_SCHEMAS:
+        if schema != SCHEMA:
             raise ValueError(
-                f"unsupported campaign schema {schema!r} "
-                f"(expected one of {list(COMPAT_SCHEMAS)})"
+                f"unsupported campaign schema {schema!r} (expected {SCHEMA!r})"
             )
-        meta = dict(data["campaign"])
-        findings = list(data["findings"])
-        if schema == SCHEMA:
-            degraded = dict(data["degraded"])
-        else:
-            degraded = clean_degraded()
-            meta.setdefault("system", "zookeeper")
-            leader = config_from_meta(meta).n_servers - 1
-            for index, finding in enumerate(findings):
-                finding = {"direction": "topdown", **finding}
-                if "witness" in finding:
-                    finding["witness"] = {
-                        "direction": finding["direction"],
-                        "leader": leader,
-                        "follower": 0,
-                        **finding["witness"],
-                    }
-                findings[index] = finding
         return cls(
-            meta=meta,
+            meta=dict(data["campaign"]),
             cells=list(data["cells"]),
-            findings=findings,
-            degraded=degraded,
+            findings=list(data["findings"]),
+            degraded=dict(data["degraded"]),
         )
 
 
@@ -667,48 +623,14 @@ def dedup_min_traces(
 # ------------------------------------------------------------ the runner
 
 
-def allocate_round(
-    round_size: int, novel: Sequence[int], sampled: Sequence[int]
-) -> List[int]:
-    """Deterministic adaptive allocation of one round's jobs to base
-    (grain, scenario, fault) cells.
-
-    A third of the slots *exploit*: they go to cells proportionally to
-    their novel-fingerprint yield so far (largest-remainder rounding,
-    ties broken by matrix index).  The rest *explore*: least-sampled
-    cells first, ties again by index.  Before any yield exists the whole
-    round explores, which reproduces the uniform enumeration order.
-    (A half/half split measurably loses fingerprints that uniform seeds
-    of cold cells would have found; one third keeps coverage while still
-    concentrating seeds where discrepancy density is highest.)
-    """
-    n = len(novel)
-    counts = [0] * n
-    total = sum(novel)
-    exploit = round_size // 3 if total else 0
-    if exploit:
-        quotas = [exploit * weight / total for weight in novel]
-        counts = [int(quota) for quota in quotas]
-        leftover = exploit - sum(counts)
-        order = sorted(range(n), key=lambda i: (counts[i] - quotas[i], i))
-        for i in order[:leftover]:
-            counts[i] += 1
-    for _ in range(round_size - sum(counts)):
-        i = min(range(n), key=lambda j: (sampled[j] + counts[j], j))
-        counts[i] += 1
-    return [i for i in range(n) for _ in range(counts[i])]
-
-
 class ConformanceCampaign:
     """Enumerate the matrix, fan it across an execution backend, merge
     the report.
 
     Takes one :class:`~repro.remix.request.CampaignRequest` -- already
     normalized and validated -- as its single argument.
-    ``adaptive=True`` on the request schedules the same total job
-    budget in rounds that chase novel-fingerprint yield instead of
-    enumerating uniformly; ``shrink=True`` appends the post-merge
-    minimization stage (see the module docstring).
+    ``shrink=True`` appends the post-merge minimization stage (see the
+    module docstring).
     """
 
     def __init__(self, request: CampaignRequest):
@@ -732,7 +654,6 @@ class ConformanceCampaign:
         self.backend = request.backend
         self.budget = request.budget
         self.config = request.config_object()
-        self.adaptive = request.adaptive
         self.shrink = request.shrink
         self.shrink_rounds = request.shrink_rounds
 
@@ -783,80 +704,6 @@ class ConformanceCampaign:
             "finding": dict(finding),
             "shrink_rounds": self.shrink_rounds,
         }
-
-    def _run_adaptive(
-        self,
-        backend: ExecutionBackend,
-        deadline: Optional[float],
-        on_cell: Optional[Callable[[int, Any, Any], None]],
-    ) -> Tuple[List[CampaignJob], List[Optional[Dict[str, Any]]]]:
-        """Round-based scheduling under the uniform matrix's job budget.
-
-        Each round is a barrier: its results feed the per-cell novelty
-        scores that :func:`allocate_round` uses for the next round, so
-        the schedule depends only on (deterministic) prior results and
-        worker count never changes the report.
-
-        With both directions scheduled, novelty accounting *pools* the
-        seen-fingerprint set across directions (the directions' identity
-        spaces are disjoint, so pooling never masks a cell's yield) while
-        each (direction, grain, scenario, fault) coordinate earns its own
-        exploit share -- a direction that keeps producing novel evidence
-        attracts seeds without starving the other.
-        """
-        base = [
-            (direction, grain, scenario, fault)
-            for direction in self.directions
-            for grain in self.grains
-            for scenario in self.scenarios
-            for fault in self.faults
-        ]
-        cell_index = {cell: i for i, cell in enumerate(base)}
-        remaining = len(base) * self.seeds
-        sampled = [0] * len(base)
-        novel = [0] * len(base)
-        seen: set = set()
-        jobs: List[CampaignJob] = []
-        results: List[Optional[Dict[str, Any]]] = []
-        while remaining > 0:
-            if deadline is not None and time.monotonic() >= deadline:
-                break  # unspent budget: adaptive cells are never named
-            round_jobs: List[CampaignJob] = []
-            for index in allocate_round(
-                min(len(base), remaining), novel, sampled
-            ):
-                direction, grain, scenario, fault = base[index]
-                round_jobs.append(
-                    CampaignJob(
-                        index=len(jobs) + len(round_jobs),
-                        grain=grain,
-                        scenario=scenario,
-                        fault=fault,
-                        seed=self.seed + sampled[index],
-                        traces=self.traces,
-                        max_steps=self.max_steps,
-                        direction=direction,
-                        system=self.system,
-                    )
-                )
-                sampled[index] += 1
-            round_results = backend.map(
-                [self._cell_task(job) for job in round_jobs],
-                deadline=deadline,
-                on_result=on_cell,
-            )
-            for job, result in zip(round_jobs, round_results):
-                index = cell_index[
-                    (job.direction, job.grain, job.scenario, job.fault)
-                ]
-                for finding in (result or {}).get("findings", ()):
-                    if finding["fingerprint"] not in seen:
-                        seen.add(finding["fingerprint"])
-                        novel[index] += 1
-            jobs.extend(round_jobs)
-            results.extend(round_results)
-            remaining -= len(round_jobs)
-        return jobs, results
 
     def _attach_min_traces(
         self,
@@ -1022,15 +869,12 @@ class ConformanceCampaign:
                     progress({"event": "finding", "finding": finding})
 
         try:
-            if self.adaptive:
-                jobs, results = self._run_adaptive(backend, deadline, on_cell)
-            else:
-                jobs = self.jobs()
-                results = backend.map(
-                    [self._cell_task(job) for job in jobs],
-                    deadline=deadline,
-                    on_result=on_cell,
-                )
+            jobs = self.jobs()
+            results = backend.map(
+                [self._cell_task(job) for job in jobs],
+                deadline=deadline,
+                on_result=on_cell,
+            )
             meta = {
                 "system": self.system,
                 "directions": list(self.directions),
@@ -1043,7 +887,10 @@ class ConformanceCampaign:
                 "seed": self.seed,
                 "workers": self.workers,
                 "budget_seconds": self.budget,
-                "adaptive": self.adaptive,
+                # No such scheduler; the key stays because bench/ is
+                # read-only here and bench/expected.json pins the seed-7
+                # report digests byte for byte.
+                "adaptive": False,
                 "shrink": self.shrink,
                 "config": self.plugin.config_meta(self.config),
             }

@@ -89,7 +89,6 @@ class CampaignRequest:
     workers: int = 1
     backend: str = "fork"
     budget: Optional[float] = None
-    adaptive: bool = False
     shrink: bool = False
     shrink_rounds: int = 10
     #: Hard per-task wall clock in seconds (``None`` = no watchdog): a
@@ -187,8 +186,7 @@ class CampaignRequest:
         set_field(self, "workers", max(1, int(self.workers)))
         for name in ("traces", "max_steps", "seed", "shrink_rounds"):
             set_field(self, name, int(getattr(self, name)))
-        for name in ("adaptive", "shrink"):
-            set_field(self, name, bool(getattr(self, name)))
+        set_field(self, "shrink", bool(self.shrink))
 
         config = self.config
         if config is None:
@@ -236,7 +234,6 @@ class CampaignRequest:
             "workers": self.workers,
             "backend": self.backend,
             "budget": self.budget,
-            "adaptive": self.adaptive,
             "shrink": self.shrink,
             "shrink_rounds": self.shrink_rounds,
             "task_timeout": self.task_timeout,
@@ -249,9 +246,10 @@ class CampaignRequest:
     def from_json(cls, data: Mapping[str, Any]) -> "CampaignRequest":
         """Rebuild a request from :meth:`to_json` output.
 
-        Tolerates a missing ``schema`` tag and ignores unknown keys, so
+        Every field (and the ``schema`` tag) is optional, so
         hand-written request files only need the fields they care
-        about."""
+        about; a key that is not a field is an error, never silently a
+        different campaign than the one asked for."""
         if not isinstance(data, Mapping):
             raise RequestError(
                 f"invalid campaign request: expected a JSON object, "
@@ -263,6 +261,10 @@ class CampaignRequest:
                 f"invalid campaign request: schema: unsupported "
                 f"{schema!r} (expected {REQUEST_SCHEMA!r})"
             )
-        known = {f.name for f in fields(cls)}
-        kwargs = {key: value for key, value in data.items() if key in known}
+        kwargs = {key: value for key, value in data.items() if key != "schema"}
+        unknown = sorted(kwargs.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise RequestError(
+                f"invalid campaign request: unknown field(s) {unknown}"
+            )
         return cls(**kwargs)

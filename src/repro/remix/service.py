@@ -127,8 +127,7 @@ def serve_request(
 ) -> Optional[Any]:
     """Run one campaign request, emitting the full event stream.
 
-    The transport-free core of the server (also behind ``python -m
-    repro serve --request FILE``): ``emit`` receives every
+    The transport-free core of the server: ``emit`` receives every
     ``repro.campaign.event/1`` dict in order -- ``accepted`` first,
     then streaming ``cell_done``/``finding``/``shrunk`` (and
     ``heartbeat`` from a timer thread when ``heartbeat`` is set),

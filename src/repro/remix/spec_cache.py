@@ -33,9 +33,9 @@ format version), so editing any spec source invalidates that system's
 whole cache -- and nobody else's -- rather than ever serving stale
 traces.  The location is
 ``~/.cache/repro-spec-cache`` unless ``REPRO_SPEC_CACHE_DIR`` overrides
-it (set it to ``off`` -- or pass ``--spec-cache off`` on the CLI -- to
-disable persistence).  Writes are atomic (temp file + rename), so
-concurrent CLI invocations never observe torn entries.
+it (set it to ``off`` to disable persistence).  Writes are atomic
+(temp file + rename), so concurrent CLI invocations never observe torn
+entries.
 
 Cached specifications are shared: callers must not mutate them (no
 ``spec.invariants`` surgery -- build a private spec for that).
@@ -76,7 +76,7 @@ _STATS = {
 #: the gate; waiters block on it, then re-check the cache.
 _INFLIGHT: Dict[Any, threading.Lock] = {}
 
-#: Explicit disk-cache override (CLI ``--spec-cache``): None = resolve
+#: Explicit disk-cache override (:func:`set_disk_cache_dir`): None = resolve
 #: from the environment, "" = disabled, otherwise a directory path.
 _DISK_OVERRIDE: Optional[str] = None
 
@@ -195,8 +195,7 @@ def set_disk_cache_dir(path: Optional[str]) -> None:
     """Override the on-disk cache location for this process.
 
     ``None`` restores environment-based resolution; ``""`` (or ``"off"``
-    / ``"0"``) disables persistence entirely (the CLI's
-    ``--spec-cache off``)."""
+    / ``"0"``) disables persistence entirely."""
     global _DISK_OVERRIDE
     if path is not None and path.strip().lower() in ("", "off", "0", "none"):
         path = ""

@@ -18,7 +18,7 @@ the four PR specifications, and the §5.4 final-fix specification.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.tla.composition import CompositionError, compose
 from repro.tla.module import Module
@@ -134,9 +134,8 @@ def check_spec(
     """Model-check a specification (or a Table 1 spec name) on the
     unified exploration engine.
 
-    This is the one entry point the CLI and the benchmarks share:
-    ``check_spec("mSpec-3", cfg, strategy="portfolio", workers=4)``.
-    ``masked=True`` applies the ZK-4394 mask (the paper's default).
+    ``check_spec("mSpec-3", cfg, workers=2)``; ``masked=True`` applies
+    the ZK-4394 mask (the paper's default).
     """
     from repro.checker.engine import ExplorationEngine
 
@@ -212,6 +211,46 @@ def make_spec(
     if variant is not None:
         config = config.with_variant(variant)
     return build_spec(name, SELECTIONS[name], config)
+
+
+#: Table 4, one row per bug: the paper's most-efficient grain, the config
+#: bounds, the invariant family (and instance) restricting the check,
+#: whether the known ZK-4394 stays masked (mSpec-1* unmasks it), and the
+#: code variant (PR-1930's ordering fix isolates ZK-4646 from the ZK-4643
+#: window).  ``repro bugs`` and ``benchmarks/`` hunt from these rows.
+HUNTS: Dict[
+    str, Tuple[str, Dict[str, int], str, Optional[str], bool, Optional[SpecVariant]]
+] = {
+    "ZK-3023": ("mSpec-3", {"max_txns": 1, "max_crashes": 1}, "I-11",
+                "ACK_UPTODATE_OUT_OF_SYNC", True, None),
+    "ZK-4394": ("mSpec-1", {"max_txns": 1, "max_crashes": 1}, "I-14",
+                "COMMIT_UNMATCHED_IN_SYNC", False, None),
+    "ZK-4643": ("mSpec-2", {"max_txns": 1, "max_crashes": 2}, "I-8",
+                None, True, None),
+    "ZK-4646": ("mSpec-3", {"max_txns": 1, "max_crashes": 2}, "I-8",
+                None, True, PR_1930),
+    "ZK-4685": ("mSpec-3", {"max_txns": 2, "max_crashes": 1}, "I-12",
+                "ACK_BEFORE_NEWLEADER_ACK", True, None),
+    "ZK-4712": ("mSpec-3", {"max_txns": 2, "max_crashes": 1}, "I-10",
+                None, True, None),
+}
+
+
+def hunt_spec(bug: str) -> Tuple[Specification, Optional[Callable[[State], bool]]]:
+    """The specification and mask of one :data:`HUNTS` row: the grain
+    composed at the row's bounds, checked against the row's invariant
+    family only."""
+    grain, bounds, family, instance, masked, variant = HUNTS[bug]
+    config = ZkConfig(max_partitions=0, max_epoch=3, **bounds)
+    if variant is not None:
+        config = config.with_variant(variant)
+    spec = build_spec(grain, SELECTIONS[grain], config)
+    spec.invariants = [
+        inv
+        for inv in spec.invariants
+        if inv.ident == family and (instance is None or inv.instance == instance)
+    ]
+    return spec, zk4394_mask if masked else None
 
 
 def mspec3_plus(config: Optional[ZkConfig] = None) -> Specification:

@@ -287,3 +287,41 @@ class TestExtensionZK4785:
             max_time=200,
         )
         assert not result.found_violation
+
+
+class TestHuntTable:
+    """``repro.zookeeper.specs.HUNTS`` is the one copy of the Table 4
+    rows; the read-only benchmark keeps its own (it imports no repro)."""
+
+    def test_benchmark_rows_match_the_table(self):
+        import sys
+        from pathlib import Path
+
+        from repro.zookeeper.specs import HUNTS
+
+        root = str(Path(__file__).resolve().parent.parent)
+        if root not in sys.path:
+            sys.path.insert(0, root)
+        from bench.workloads import HUNTS as BENCH_HUNTS
+
+        assert BENCH_HUNTS
+        for bug, row in BENCH_HUNTS.items():
+            assert HUNTS[bug] == (*row, None), bug
+
+    def test_hunt_spec_composes_the_row(self):
+        from repro.zookeeper import PR_1930
+        from repro.zookeeper.specs import HUNTS, hunt_spec
+
+        assert list(HUNTS) == [
+            "ZK-3023", "ZK-4394", "ZK-4643", "ZK-4646", "ZK-4685", "ZK-4712",
+        ]
+        spec, mask = hunt_spec("ZK-4394")
+        assert spec.name == "mSpec-1" and mask is None  # mSpec-1*: unmasked
+        assert [inv.full_name for inv in spec.invariants] == [
+            "I-14/COMMIT_UNMATCHED_IN_SYNC"
+        ]
+        spec, mask = hunt_spec("ZK-4646")
+        assert mask is zk4394_mask
+        assert spec.config.variant == PR_1930
+        assert {inv.ident for inv in spec.invariants} == {"I-8"}
+        assert (spec.config.max_txns, spec.config.max_crashes) == (1, 2)

@@ -1,10 +1,9 @@
-"""Tests for the checker extensions: DFS, iterative deepening, coverage,
-trace shrinking and pretty-printing."""
+"""Tests for the checker extensions: DFS, coverage, trace shrinking and
+pretty-printing."""
 
 import pytest
 
 from repro.checker import (
-    IterativeDeepeningChecker,
     RandomWalker,
     explore,
     format_state,
@@ -87,21 +86,6 @@ class TestDFS:
         assert result.budget_exhausted == "max_states"
 
 
-class TestIterativeDeepening:
-    def test_finds_minimal_depth(self):
-        result = IterativeDeepeningChecker(
-            counter_spec(), max_depth=20, step=1
-        ).run()
-        assert result.found_violation
-        assert len(result.first_violation.trace) == 6  # same as BFS
-
-    def test_clean_space(self):
-        result = IterativeDeepeningChecker(
-            counter_spec(max_x=2, y_bound=9), max_depth=10
-        ).run()
-        assert not result.found_violation
-
-
 class TestCoverage:
     def test_counts_and_unfired(self):
         report = measure_coverage(counter_spec(y_bound=99))
@@ -130,6 +114,11 @@ class TestCoverage:
         report = measure_coverage(spec, max_states=120_000, max_time=90)
         # every action of the composition is reachable
         assert report.coverage_fraction() == 1.0, report.unfired()
+        # the numbers the pre-expand_batch BFS over Specification.successors
+        # produced at this budget (a max_states cut, never max_time)
+        assert (
+            report.states_explored, sum(report.fired.values()), report.complete
+        ) == (120_001, 319_861, False)
 
 
 class TestShrinking:

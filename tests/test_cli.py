@@ -22,9 +22,9 @@ class TestParser:
 
     def test_engine_args(self):
         args = build_parser().parse_args(
-            ["check", "mSpec-3", "--workers", "4", "--strategy", "portfolio"]
+            ["check", "mSpec-3", "--workers", "4", "--strategy", "random"]
         )
-        assert args.workers == 4 and args.strategy == "portfolio"
+        assert args.workers == 4 and args.strategy == "random"
 
     def test_engine_args_on_bugs_and_protocol(self):
         args = build_parser().parse_args(["bugs", "--workers", "2"])
@@ -37,6 +37,26 @@ class TestParser:
         build_parser().parse_args(command + ["--workers", "2"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + ["--workers", "2", "--dedupe", "rounds"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "mSpec-1", "--strategy", "portfolio"],
+            ["bugs", "--strategy", "portfolio"],
+            ["protocol", "--strategy", "portfolio"],
+            ["campaign", "--adaptive"],
+            ["campaign", "--spec-cache", "off"],  # REPRO_SPEC_CACHE_DIR says it
+            ["serve", "--spec-cache", "off"],
+            # campaign --request is the one-shot; "5" must not parse as an
+            # abbreviated --request-timeout
+            ["serve", "--request", "5"],
+        ],
+        ids=" ".join,
+    )
+    def test_removed_surface_is_rejected(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
 
     def test_strategy_choices(self):
         with pytest.raises(SystemExit):
@@ -101,23 +121,6 @@ class TestCommands:
         # identical states/transitions/violation counts, timing aside
         strip = lambda s: s.split(" states")[0].split("] ")[1]  # noqa: E731
         assert strip(out_seq) == strip(out_par)
-
-    def test_check_portfolio_strategy(self, capsys):
-        code = main(
-            [
-                "check",
-                "mSpec-3",
-                "--strategy",
-                "portfolio",
-                "--max-states",
-                "50000",
-                "--max-time",
-                "90",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "violation" in out
 
     def test_conformance(self, capsys):
         code = main(

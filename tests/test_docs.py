@@ -83,3 +83,32 @@ def test_walkthrough_commands_run_as_written(command):
     assert result.returncode == 0, (
         f"{command!r} failed:\n{result.stdout}\n{result.stderr}"
     )
+
+
+FLAG_TABLE_RE = re.compile(
+    r"^\| `(\w+)` [\w ]*flag \|[^\n]*\n\|[ |-]+\n((?:\|[^\n]*\n)+)", re.MULTILINE
+)
+
+
+def readme_flag_tables():
+    """(subcommand, flags) per README table headed ``| `<subcommand>` ...
+    flag |``: every ``--flag`` named in a row's first cell."""
+    tables = []
+    for command, rows in FLAG_TABLE_RE.findall((ROOT / "README.md").read_text()):
+        cells = [row.split("|")[1] for row in rows.splitlines()]
+        flags = [flag for cell in cells for flag in re.findall(r"--[a-z][a-z-]*", cell)]
+        tables.append((command, flags))
+    return tables
+
+
+def test_readme_flag_tables_name_real_flags():
+    from repro.cli import build_parser
+
+    (subcommands,) = build_parser()._subparsers._group_actions
+    tables = readme_flag_tables()
+    assert {command for command, _ in tables} == {"check", "campaign"}
+    for command, flags in tables:
+        accepted = subcommands.choices[command]._option_string_actions
+        assert flags, f"README `{command}` flag table is empty"
+        unknown = [flag for flag in flags if flag not in accepted]
+        assert not unknown, f"README documents `{command}` flags it rejects: {unknown}"

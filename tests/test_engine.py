@@ -1,6 +1,6 @@
 """Tests for the unified exploration engine: fingerprinting, the
 kernel-vs-reference-expander differential (guard, outcome and invariant
-memoization soundness), parallel determinism, portfolio racing, budgets,
+memoization soundness), parallel determinism, budgets,
 and shrink round-trips on engine-produced traces."""
 
 import os
@@ -193,9 +193,10 @@ class TestEngineBFS:
         assert exact.states_explored == 28  # x in 0..6, y in 0..x
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            ExplorationEngine(counter_spec(), strategy="bogus")
-        assert set(STRATEGIES) == {"bfs", "dfs", "random", "portfolio"}
+        for strategy in ("bogus", "portfolio"):  # the latter removed in PR 22
+            with pytest.raises(ValueError, match="unknown strategy"):
+                ExplorationEngine(counter_spec(), strategy=strategy)
+        assert set(STRATEGIES) == {"bfs", "dfs", "random"}
 
     def test_rounds_is_the_only_dedupe_mode(self):
         # The keyword outlives --dedupe only because bench/probes.py
@@ -230,42 +231,18 @@ class TestEngineStrategies:
             v.invariant.ident for v in b.violations
         ]
 
-    def test_portfolio_finds_violation_in_process(self):
-        result = explore(counter_spec(), strategy="portfolio", workers=1)
-        assert result.found_violation
-        assert result.first_violation.invariant.ident == "I-1"
-
-    def test_interleaved_portfolio_compiles_once(self, monkeypatch):
-        # A mask bypasses compiled_for's per-spec cache, so every BFS
-        # slice used to build its own CompiledSpec; the slices run on
-        # the parent's core now, and the verdict is what it was.
-        compiled = []
-        healthy_init = CompiledSpec.__init__
-
-        def counting_init(core, *args, **kwargs):
-            compiled.append(core)
-            healthy_init(core, *args, **kwargs)
-
-        monkeypatch.setattr(CompiledSpec, "__init__", counting_init)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_violation_limit_is_honoured_by_every_strategy(self, strategy):
+        # One recording rule for all three loops: every violated
+        # invariant reported, the run carried on past the first and
+        # stopped at the limit, which is named as the exhausted budget.
         result = check_spec(
-            "mSpec-1", SMALL, strategy="portfolio", seed=3, mask=zk4394_mask,
-            max_states=3_000, max_time=120,
+            "mSpec-1", SMALL, strategy=strategy, masked=False,
+            stop_at_first=False, violation_limit=5, max_time=120,
         )
-        assert len(compiled) == 1
-        assert TestCompiledKernelLane._sig(result) == (3000, 5337, 14, [])
-
-    def test_portfolio_race_across_processes(self):
-        result = explore(
-            counter_spec(), strategy="portfolio", workers=3, max_time=60
-        )
-        assert result.found_violation
-        assert result.first_violation.invariant.ident == "I-1"
-
-    def test_portfolio_trace_replays(self):
-        spec = counter_spec()
-        result = explore(spec, strategy="portfolio", workers=2, max_time=60)
-        trace = result.first_violation.trace
-        assert spec.replay(trace.labels, trace.initial)[-1] == trace.final
+        assert len(result.violations) == 5
+        assert result.budget_exhausted == "violation_limit"
+        assert not result.completed
 
 
 class TestParallelDeterminism:
@@ -387,8 +364,6 @@ class TestBudgets:
             ("dfs", {}),
             ("dfs", {"workers": 2}),  # one in-process loop: workers is moot
             ("random", {}),
-            ("portfolio", {}),
-            ("portfolio", {"workers": 2}),
         ],
     )
     def test_max_time_zero_expands_nothing(self, strategy, extra):
@@ -754,11 +729,9 @@ class TestCompiledKernelLane:
         ("bfs", True): (3000, 5337, 14, []),
         ("dfs", True): (3000, 5011, 20, []),
         ("random", True): (603, 3310, 22, []),
-        ("portfolio", True): (3000, 5337, 14, []),
         ("bfs", False): (2681, 4782, 13, I14),
         ("dfs", False): (29, 54, 17, [("I-14/COMMIT_UNMATCHED_IN_SYNC", 16)]),
         ("random", False): (603, 3310, 22, []),
-        ("portfolio", False): (2681, 4782, 13, I14),
     }
 
     @pytest.mark.parametrize("masked", [True, False])
@@ -771,14 +744,14 @@ class TestCompiledKernelLane:
             # walks revisit states: a small distinct-state budget keeps the
             # cut deterministic (max_states, never max_time)
             ("random", {"seed": 3, "max_states": 600}),
-            ("portfolio", {"seed": 3}),
         ],
     )
     def test_kernel_matches_reference_matrix(self, strategy, extra, masked):
         # mSpec-1 with and without the ZK-4394 mask: unmasked, the budget
         # reaches I-14, so counterexample label chains are compared too.
-        # PINNED is the oracle PR 21's deletions (shared dedupe,
-        # FrontierBatch) were held to: the parent commit's answers.
+        # PINNED is the oracle the PR 21 and PR 22 deletions (shared
+        # dedupe, FrontierBatch; the portfolio) were held to: the answers
+        # of the commit before them.
         sigs = {}
         budget = {"max_states": 3_000, "max_time": 120, **extra}
         for reference in (False, True):

@@ -207,7 +207,7 @@ class TestLintGatedCompile:
         spec = lying_spec()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for strategy in ("bfs", "dfs", "random", "portfolio"):
+            for strategy in ("bfs", "dfs", "random"):
                 ExplorationEngine(spec, strategy, max_states=5).run()
             compiled_for(spec, mask=lambda state: False)
         loud = [w for w in caught if issubclass(w.category, RuntimeWarning)]

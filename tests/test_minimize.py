@@ -1,7 +1,7 @@
-"""Tests for campaign repro minimization and adaptive scheduling: the
-oracle-generalized shrinker, witness rebuild/replay round-trips, the
-adaptive round allocator, the coordinator's compared-variable validation
-and the spec cache's single-flight composition."""
+"""Tests for campaign repro minimization: the oracle-generalized
+shrinker, witness rebuild/replay round-trips, the coordinator's
+compared-variable validation and the spec cache's single-flight
+composition."""
 
 import threading
 import time
@@ -14,10 +14,8 @@ from repro.checker.trace import Trace
 from repro.remix import spec_cache
 from repro.remix.campaign import (
     CampaignJob,
-    CampaignReport,
     CampaignRequest,
     ConformanceCampaign,
-    allocate_round,
     run_cell,
     trace_findings,
 )
@@ -214,13 +212,8 @@ class TestCampaignShrink:
             )
         ).run()
         assert config_from_meta(report.to_json()["campaign"]) == custom
-        # /1-era meta without a config (or system) block is upgraded on
-        # load and falls back to the default
-        legacy = CampaignReport.from_json(
-            {"schema": "repro.campaign/1", "campaign": {}, "cells": [],
-             "findings": []}
-        )
-        assert config_from_meta(legacy.meta) == CONFIG
+        # a meta block without a config falls back to the default
+        assert config_from_meta({"system": "zookeeper"}) == CONFIG
 
     def test_witness_records_roles(self, npe_report):
         witness = npe_report.findings[0]["witness"]
@@ -272,28 +265,6 @@ class TestCampaignShrink:
         totals = npe_report.totals
         assert totals["min_traces"] == totals["distinct_findings"] > 0
         assert "minimized" in npe_report.summary()
-
-    def test_schema_v1_reports_still_load(self):
-        report = CampaignReport.from_json(
-            {
-                "schema": "repro.campaign/1",
-                "campaign": {},
-                "cells": [],
-                "findings": [{"fingerprint": "aa", "kind": "impl_bug"}],
-            }
-        )
-        assert report.fingerprints("impl_bug") == ["aa"]
-
-    def test_schema_v2_reports_still_load(self):
-        report = CampaignReport.from_json(
-            {
-                "schema": "repro.campaign/2",
-                "campaign": {},
-                "cells": [],
-                "findings": [{"fingerprint": "bb", "kind": "impl_bug"}],
-            }
-        )
-        assert report.fingerprints("impl_bug") == ["bb"]
 
 
 # ------------------------------------------- the direction contract
@@ -456,85 +427,6 @@ class TestValidationShrink:
             assert finding["min_trace"]["status"] == "ok"
             assert replay_min_trace(finding, CONFIG)
         assert unreplayable_min_traces(report.to_json()) == []
-
-
-# ------------------------------------------------------ adaptive matrix
-
-
-class TestAllocateRound:
-    def test_no_yield_is_uniform(self):
-        assert allocate_round(4, [0, 0, 0, 0], [0, 0, 0, 0]) == [0, 1, 2, 3]
-
-    def test_partial_round_prefers_least_sampled(self):
-        assert allocate_round(2, [0, 0, 0, 0], [2, 1, 1, 2]) == [1, 2]
-
-    def test_yield_attracts_exploit_slots(self):
-        # 2 exploit slots (6 // 3) both go to the only yielding cell;
-        # the 4 explore slots spread least-sampled-first.
-        assert allocate_round(6, [0, 4, 0], [1, 1, 1]) == [0, 0, 1, 1, 2, 2]
-
-    def test_total_always_matches_round_size(self):
-        for size in (1, 3, 5, 8):
-            assert len(allocate_round(size, [3, 0, 1], [5, 0, 2])) == size
-
-
-class TestAdaptiveCampaign:
-    KW = dict(
-        grains=("mSpec-1", "mSpec-2"),
-        scenarios=("sync", "commit"),
-        faults=("none", "crash-follower", "partition"),
-        seeds=3,
-        traces=2,
-        max_steps=14,
-        seed=7,
-    )
-
-    def test_no_fewer_fingerprints_than_uniform_same_budget(self):
-        uniform = ConformanceCampaign(CampaignRequest(**self.KW)).run().totals
-        adaptive = (
-            ConformanceCampaign(CampaignRequest(**self.KW, adaptive=True))
-            .run()
-            .totals
-        )
-        assert adaptive["cells"] == uniform["cells"]
-        assert (
-            adaptive["distinct_findings"] >= uniform["distinct_findings"]
-        )
-
-    @pytest.mark.skipif(not parallel.available(), reason="needs fork")
-    def test_adaptive_deterministic_across_workers(self):
-        seq = (
-            ConformanceCampaign(CampaignRequest(**self.KW, adaptive=True))
-            .run()
-            .to_json()
-        )
-        par = (
-            ConformanceCampaign(
-                CampaignRequest(**self.KW, adaptive=True, workers=2)
-            )
-            .run()
-            .to_json()
-        )
-        for key in ("cells", "findings", "totals"):
-            assert seq[key] == par[key], key
-
-    def test_adaptive_seeds_one_equals_uniform(self):
-        kw = dict(self.KW, seeds=1)
-        uniform = ConformanceCampaign(CampaignRequest(**kw)).run().to_json()
-        adaptive = (
-            ConformanceCampaign(CampaignRequest(**kw, adaptive=True))
-            .run()
-            .to_json()
-        )
-        assert uniform["cells"] == adaptive["cells"]
-        assert uniform["findings"] == adaptive["findings"]
-
-    def test_adaptive_budget_exhaustion_stops_rounds(self):
-        report = ConformanceCampaign(
-            CampaignRequest(**self.KW, adaptive=True, budget=1e-9)
-        ).run()
-        assert report.totals["cells"] == 0
-        assert report.findings == []
 
 
 # ------------------------------------- coordinator variable validation

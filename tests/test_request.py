@@ -133,10 +133,19 @@ class TestWireFormat:
         assert report_json(request) == report_json(clone)
 
     def test_from_json_tolerates_sparse_input(self):
-        request = CampaignRequest.from_json(
-            {"grains": ["mSpec-1"], "unknown_key": 42}
-        )
+        request = CampaignRequest.from_json({"grains": ["mSpec-1"]})
         assert request.grains == ("mSpec-1",)
+        assert request == CampaignRequest(grains=("mSpec-1",))
+
+    def test_from_json_rejects_unknown_keys(self):
+        # A typo, or a field of a removed option, must not silently run
+        # a different campaign than the one asked for.
+        with pytest.raises(RequestError, match=r"unknown field\(s\) \['seedz'\]"):
+            CampaignRequest.from_json({"grains": ["mSpec-1"], "seedz": 5})
+        with pytest.raises(RequestError, match="'adaptive'"):
+            CampaignRequest.from_json({"adaptive": True})
+        with pytest.raises(TypeError, match="adaptive"):
+            CampaignRequest(adaptive=True)
 
     def test_from_json_rejects_wrong_schema(self):
         with pytest.raises(RequestError, match="schema"):
@@ -184,6 +193,14 @@ class TestCliRequestSurface:
         ) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["schema"].startswith("repro.campaign/")
+
+    def test_request_file_with_unknown_key_exits_2(self, tmp_path, capsys):
+        request_file = tmp_path / "request.json"
+        request_file.write_text(json.dumps({**CampaignRequest(**TINY).to_json(), "seedz": 5}))
+        assert main(["campaign", "--request", str(request_file)]) == 2
+        assert "campaign: invalid campaign request: unknown field(s) ['seedz']" in (
+            capsys.readouterr().err
+        )
 
     def test_bad_axis_exits_2_with_single_format(self, capsys):
         code = main(["campaign", "--grains", "bogus"])

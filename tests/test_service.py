@@ -1,8 +1,7 @@
 """The campaign server: event-stream shape, concurrent streamed
 requests, resident spec-cache economics, the resident socket band and
 its lease (reuse, per-request ``degraded``, failure containment,
-shutdown), heartbeats, deadlines, and the offline ``serve --request``
-mode."""
+shutdown), heartbeats and deadlines."""
 
 import functools
 import json
@@ -14,7 +13,6 @@ import time
 
 import pytest
 
-from repro.cli import main
 from repro.remix import registry, spec_cache
 from repro.remix.campaign import clean_degraded, run_campaign
 from repro.remix.request import CampaignRequest
@@ -218,6 +216,13 @@ class TestCampaignServer:
         terminal = check_stream(events)
         assert terminal["event"] == "error"
         assert "grains: unknown value 'bogus'" in terminal["message"]
+        # ... and so is a key that is not a request field
+        events = stream_request(
+            server.address, {**CampaignRequest(**TINY).to_json(), "adaptive": True}
+        )
+        terminal = check_stream(events)
+        assert terminal["event"] == "error"
+        assert "unknown field(s) ['adaptive']" in terminal["message"]
 
     def test_deadline_folds_into_budget(self, server):
         events = stream_request(
@@ -465,25 +470,3 @@ class TestCampaignServer:
                 )
         finally:
             server.stop()
-
-
-class TestServeCli:
-    def test_offline_request_mode_streams_to_stdout(self, tmp_path, capsys):
-        request_file = tmp_path / "request.json"
-        request_file.write_text(json.dumps(CampaignRequest(**TINY).to_json()))
-        assert main(["serve", "--request", str(request_file)]) == 0
-        events = [
-            json.loads(line)
-            for line in capsys.readouterr().out.splitlines()
-            if line.strip()
-        ]
-        terminal = check_stream(events)
-        assert terminal["event"] == "report"
-
-    def test_offline_bad_request_exits_2(self, tmp_path, capsys):
-        request_file = tmp_path / "request.json"
-        request_file.write_text(json.dumps({"grains": ["bogus"]}))
-        assert main(["serve", "--request", str(request_file)]) == 2
-        err = capsys.readouterr().err
-        assert "serve:" in err
-        assert "grains: unknown value 'bogus'" in err
