@@ -5,8 +5,9 @@ SystemPlugin` makes to the campaign machinery: grains compose, scenario
 prefixes script real actions, fault schedules resolve, compared
 variables exist in every grain, the spec-cache source digest covers
 every module the specs actually depend on, budgets name real actions,
-configurations round-trip through report metadata and the
-implementation ensemble honours the ``clone()`` contract.
+configurations round-trip through report metadata, the implementation
+ensemble honours the ``clone()`` contract and a mapped step that
+refuses has changed nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +15,17 @@ from __future__ import annotations
 import ast
 import inspect
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.analysis.findings import Finding, make_finding
 from repro.analysis.sources import function_node
@@ -547,11 +558,144 @@ def check_clone_contract(
             findings.append(
                 finding(
                     f"stepping a clone through {label} changed the "
-                    "original's snapshot(): probe mutations would leak "
-                    "into committed bottom-up runs"
+                    "original's snapshot(): a shrink candidate would "
+                    "move the cursor it resumed from"
                 )
             )
     return findings
+
+
+def _scripted_prefixes(
+    plugin: SystemPlugin, spec: Specification, config: Any
+) -> List[Tuple[ActionLabel, ...]]:
+    """The labels of every scenario x fault prefix a campaign scripts on
+    ``spec`` (the campaign's leader/follower choice); combinations that
+    cannot be scripted are skipped, as the campaign skips their cells."""
+    leader, follower = config.n_servers - 1, 0
+    prefixes: List[Tuple[ActionLabel, ...]] = []
+    for name in plugin.scenario_names():
+        try:
+            base = plugin.scenario_prefix(
+                name, spec, leader, range(config.n_servers)
+            )
+        except Exception:  # ScenarioError, or already a C02 finding
+            continue
+        for schedule in plugin.fault_schedules:
+            faulted = Scenario(spec, base.state)
+            try:
+                schedule.inject(faulted, leader, follower)
+            except Exception:  # ScenarioError, or already a C03 finding
+                continue
+            prefixes.append(tuple(base.labels + faulted.labels))
+    return prefixes
+
+
+def refusal_defects(
+    ensemble: Any, mapped_labels: Iterable[Tuple[ActionLabel, Any]]
+) -> List[Tuple[ActionLabel, str, str]]:
+    """``(label, path, problem)`` for every mapped step that answers
+    False on a clone of ``ensemble`` and leaves that clone changed.
+
+    The first pass costs one :func:`clone_defects` walk, not one per
+    label: every refusing step runs on a copy of what the refusals
+    before it left behind, so a single comparison at the end vouches for
+    all of them (short of one refusal exactly undoing another's write).
+    Only when it finds a difference is each label judged on its own."""
+    mapped_labels = list(mapped_labels)
+
+    def refused(probe: Any, label: ActionLabel, mapped: Any) -> bool:
+        try:
+            return not mapped.step(probe, label)
+        except Exception:  # a crash may leave anything behind
+            return False
+
+    chain = ensemble.clone()
+    for label, mapped in mapped_labels:
+        trial = chain.clone()
+        if refused(trial, label, mapped):
+            chain = trial
+    if not clone_defects(ensemble, chain):
+        return []
+    defects = []
+    for label, mapped in mapped_labels:
+        probe = ensemble.clone()
+        if refused(probe, label, mapped):
+            defects.extend(
+                (label, path, problem)
+                for path, problem in clone_defects(ensemble, probe)
+            )
+    return defects
+
+
+def states_along(
+    factory: Any, mapping: Any, runs: Iterable[Sequence[ActionLabel]]
+) -> Iterator[Any]:
+    """The ensemble at every distinct state along ``runs`` (label
+    sequences driven on a fresh ensemble each; a shared beginning is
+    visited once).  A run ends where a step refuses or crashes.  The
+    ensemble yielded is the one being driven: look, or clone it."""
+    seen: Set[Tuple[ActionLabel, ...]] = set()
+    for run in runs:
+        labels = tuple(run)
+        ensemble = factory()
+        for taken in range(len(labels) + 1):
+            if labels[:taken] not in seen:
+                seen.add(labels[:taken])
+                yield ensemble
+            if taken == len(labels):
+                break
+            mapped = mapping.lookup(labels[taken])
+            try:
+                if mapped is None or not mapped.step(ensemble, labels[taken]):
+                    break
+            except Exception:  # the implementation crashed: run over
+                break
+
+
+def check_refusal_contract(
+    system: str,
+    plugin: SystemPlugin,
+    config: Any,
+    specs: Dict[str, Specification],
+) -> List[Finding]:
+    """C09: a mapped step that answers False has changed nothing.
+
+    Per grain, a fresh ensemble is driven along every scripted scenario
+    x fault prefix and :func:`refusal_defects` judges every mapped label
+    at each state on the way."""
+    file, line = _plugin_location(plugin)
+    findings: Dict[Tuple[str, str], Finding] = {}
+    for grain, spec in specs.items():
+        try:
+            mapping = plugin.make_mapping(grain)
+            factory = plugin.ensemble_factory(config)
+        except Exception:  # already a C01 / C08 finding
+            continue
+        mapped_labels = [
+            (inst.label, mapped)
+            for inst in spec.action_instances()
+            for mapped in [mapping.lookup(inst.label)]
+            if mapped is not None
+        ]
+        prefixes = _scripted_prefixes(plugin, spec, config)
+        for ensemble in states_along(factory, mapping, prefixes):
+            for label, path, problem in refusal_defects(
+                ensemble, mapped_labels
+            ):
+                findings.setdefault(
+                    (label.name, path),
+                    make_finding(
+                        "C09",
+                        system,
+                        f"step:{label.name}",
+                        f"{label} answered False on a state of grain "
+                        f"{grain} after changing it: {path} {problem}",
+                        variable=path,
+                        file=file,
+                        line=line,
+                    ),
+                )
+    return list(findings.values())
 
 
 def check_plugin(
@@ -573,4 +717,5 @@ def check_plugin(
     findings.extend(check_budgets(system, plugin, config, actions))
     findings.extend(check_config_roundtrip(system, plugin, config))
     findings.extend(check_clone_contract(system, plugin, config, specs))
+    findings.extend(check_refusal_contract(system, plugin, config, specs))
     return findings

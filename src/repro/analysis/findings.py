@@ -129,8 +129,14 @@ RULES: Dict[str, Rule] = {
         Rule(
             "C08", "clone-contract", ERROR,
             "the implementation ensemble's clone() is missing, unequal "
-            "to the original or shares mutable state with it, so "
-            "bottom-up probes would leak into committed runs",
+            "to the original or shares mutable state with it, so a "
+            "shrink candidate would move the cursor it resumed from",
+        ),
+        Rule(
+            "C09", "refused-step-mutates", ERROR,
+            "a mapped implementation step answered False after changing "
+            "the ensemble; the bottom-up explorer steps the live ensemble "
+            "and relies on a refusal having changed nothing",
         ),
     )
 }

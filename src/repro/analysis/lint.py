@@ -6,10 +6,11 @@ same analysis) and plugin conformance (:mod:`repro.analysis.
 conformance`) -- and collects the findings into one
 :class:`~repro.analysis.findings.LintReport`.
 
-Everything here is static: grains are *composed* (that much runs
-plugin code), but no model action is ever applied and no state is
-explored.  The one dynamic check is C08, which builds one fresh
-implementation ensemble and steps a clone of it once.
+Almost everything here is static: grains are *composed* (that much
+runs plugin code) and no state space is explored.  The two dynamic
+checks are C08, which builds one fresh implementation ensemble and
+steps a clone of it once, and C09, which scripts the plugin's scenario x
+fault prefixes and steps clones through every mapped label along them.
 """
 
 from __future__ import annotations

@@ -40,9 +40,9 @@ class Ensemble:
         self.msg_fault_budget = max_msg_faults
 
     def clone(self) -> "Ensemble":
-        """An independent copy (the bottom-up explorer probes every
-        candidate step on one): the network and nodes are cloned and
-        every cloned node talks to the *cloned* network."""
+        """An independent copy (the shrinker judges every candidate on
+        one): the network and nodes are cloned and every cloned node
+        talks to the *cloned* network."""
         twin = Ensemble.__new__(Ensemble)
         twin.n = self.n
         twin.variant = self.variant

@@ -12,7 +12,9 @@ action of the fine-grained specification; the Remix coordinator maps
 action labels onto these methods for deterministic replay (§3.5.3).
 Methods return True when the step executed and False when it is not
 enabled -- the coordinator uses that to detect "an action whose code-level
-counterpart never takes place" (§3.5.2).
+counterpart never takes place" (§3.5.2).  A method that returns False has
+changed nothing: guards first, composite regions included (the bottom-up
+explorer steps the live ensemble and relies on it; lint rule C09).
 """
 
 from __future__ import annotations
@@ -230,13 +232,35 @@ class ZkNode:
                 return zxid
         return None
 
+    def is_newleader_ack(self, j: int, msg: Rec) -> bool:
+        """True when ``msg``, an ACK from ``j``, acknowledges the
+        NEWLEADER this leader sent it (and not a later proposal)."""
+        expected = self._newleader_zxid_for(j)
+        return (
+            expected is not None
+            and msg.zxid == expected
+            and j not in self.newleader_acks
+        )
+
+    def visible_head(self, j: int) -> Optional[Rec]:
+        """The head of channel ``j`` -> self as the baseline
+        specification sees it: past the ACKs of UPTODATE it does not
+        model (§2.2.3)."""
+        for msg in self.network.channels[(j, self.sid)]:
+            if msg.mtype != C.ACK_UPTODATE:
+                return msg
+        return None
+
+    def _takes_acks_from(self, j: int) -> bool:
+        return self.state == C.LEADING and any(
+            e[0] == j for e in self.ackepoch_recv
+        )
+
     def leader_process_ack(self, j: int) -> bool:
         """Leader.processAck: dispatches NEWLEADER ACKs, UPTODATE ACKs and
         txn ACKs; raises the ZK-4685 / ZK-3023 symptoms."""
         msg = self.network.peek(j, self.sid)
-        if msg is None or self.state != C.LEADING:
-            return False
-        if not any(e[0] == j for e in self.ackepoch_recv):
+        if msg is None or not self._takes_acks_from(j):
             return False
         if msg.mtype == C.ACK_UPTODATE:
             self.network.recv(j, self.sid)
@@ -250,10 +274,7 @@ class ZkNode:
             return True
         if msg.mtype != C.ACK:
             return False
-        expected_nl = self._newleader_zxid_for(j)
-        if expected_nl is not None and msg.zxid == expected_nl and (
-            j not in self.newleader_acks
-        ):
+        if self.is_newleader_ack(j, msg):
             return self._process_ackld(j, msg)
         self.network.recv(j, self.sid)
         if j not in self.newleader_acks:
@@ -391,12 +412,14 @@ class ZkNode:
             return False
         if not self._epoch_first() and not self._log_done():
             return False
-        if self.divergence != "skip_epoch_update":
-            self.current_epoch = self.accepted_epoch
-        else:
-            # injected discrepancy: the epoch write is lost
-            pass
+        self.current_epoch = self._epoch_after_update()
         return True
+
+    def _epoch_after_update(self) -> int:
+        """What UpdateEpoch leaves in ``current_epoch``."""
+        if self.divergence == "skip_epoch_update":
+            return self.current_epoch  # injected discrepancy: write lost
+        return self.accepted_epoch
 
     def step_log(self, j: int) -> bool:
         """FollowerProcessNEWLEADER_Log / _LogAsync."""
@@ -445,20 +468,26 @@ class ZkNode:
             self.history.append(entry.txn)
 
     def follower_process_newleader_atomic(self, j: int) -> bool:
-        """The baseline-granularity mapping: the three steps in one go."""
-        if self._pending_newleader(j) is None:
+        """The baseline-granularity mapping: the three steps in one go.
+
+        The region decides before it writes: once the guards below hold,
+        each step's own guards hold when its turn comes, so the region
+        never logs or drains and then refuses."""
+        if self._pending_newleader(j) is None or self.my_leader != j:
             return False
-        if self._epoch_first():
-            if not self.step_update_epoch(j):
-                return False
-            while self.packets_not_committed:
-                self.step_log(j)
-            self._drain_queue_silently()
-        else:
-            while self.packets_not_committed:
-                self.step_log(j)
-            self._drain_queue_silently()
+        stale_epoch = self.current_epoch != self.accepted_epoch
+        epoch_first = self._epoch_first()
+        if epoch_first and not stale_epoch:
+            return False  # UpdateEpoch opens the region and is not enabled
+        if self._epoch_after_update() != self.accepted_epoch:
+            return False  # the epoch stays stale: ReplyAck never fires
+        if epoch_first:
             self.step_update_epoch(j)
+        if self.packets_not_committed:
+            self.step_log(j)
+        self._drain_queue_silently()
+        if not epoch_first:
+            self.step_update_epoch(j)  # refuses, harmlessly, when current
         return self.step_reply_ack(j)
 
     def follower_process_proposal_in_sync(self, j: int) -> bool:
@@ -491,13 +520,13 @@ class ZkNode:
         """The baseline-granularity mapping for the leader's ACK
         processing: the baseline specification does not model the
         follower's ACK of UPTODATE (§2.2.3), so the region silently
-        consumes those before handling the visible ACK."""
-        while True:
-            msg = self.network.peek(j, self.sid)
-            if msg is not None and msg.mtype == C.ACK_UPTODATE:
-                self.network.recv(j, self.sid)
-                continue
-            break
+        consumes those before handling the visible ACK -- and leaves
+        them where they are when it has no visible ACK to handle."""
+        msg = self.visible_head(j)
+        if msg is None or msg.mtype != C.ACK or not self._takes_acks_from(j):
+            return False
+        while self.network.peek(j, self.sid).mtype == C.ACK_UPTODATE:
+            self.network.recv(j, self.sid)
         return self.leader_process_ack(j)
 
     def follower_process_commit_in_sync(self, j: int) -> bool:

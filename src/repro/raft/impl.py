@@ -13,7 +13,9 @@ three planted bugs controlled by :class:`repro.raft.config.RaftVariant`:
    own log, while the model clamps.
 
 Every step method returns ``True``/``False`` for executed/stuck, the
-contract :class:`repro.remix.mapping.MappedAction` steps follow.
+contract :class:`repro.remix.mapping.MappedAction` steps follow -- and
+checks every guard before its first write, so a stuck step has changed
+nothing.
 """
 
 from __future__ import annotations
@@ -313,7 +315,8 @@ class RaftEnsemble:
         return True
 
     def clone(self) -> "RaftEnsemble":
-        """An independent copy (the explorer probes each step on one)."""
+        """An independent copy (the shrinker judges each candidate on
+        one)."""
         twin = RaftEnsemble.__new__(RaftEnsemble)
         twin.variant = self.variant
         twin.nodes = [node.clone() for node in self.nodes]

@@ -31,7 +31,6 @@ def raft_mapping() -> ActionMapping:
                     label.args["i"], label.args["Q"]
                 ),
                 pointcuts=3,
-                region="coarse",
             ),
             "BecomeCandidate": MappedAction(
                 "BecomeCandidate", _server("become_candidate")

@@ -19,8 +19,13 @@ from typing import Callable, Dict, Optional
 
 from repro.impl.ensemble import Ensemble
 from repro.tla.action import ActionLabel
+from repro.zookeeper import constants as C
 
 StepFn = Callable[[Ensemble, ActionLabel], bool]
+
+
+def _always(ens: Ensemble, label: ActionLabel) -> bool:
+    return True
 
 
 @dataclass(frozen=True)
@@ -28,18 +33,44 @@ class MappedAction:
     """One mapping entry: how to drive the implementation for a model
     action, and how many instrumentation pointcuts it needs.
 
-    ``region`` distinguishes baseline composite regions (which may
-    silently consume messages the baseline spec does not model, like the
-    ACK of UPTODATE) from fine-grained single steps."""
+    ``step`` answers True (executed), False (not enabled -- and then it
+    has changed nothing) or raises an ``ImplError``.
+
+    ``applies`` is for code-level methods the model splits into several
+    actions: it says, without touching the ensemble, whether ``step``
+    would run *as this label*.  Only the bottom-up explorer asks -- it
+    picks the labels; a replayed model trace already names the right one."""
 
     name: str
     step: StepFn
     pointcuts: int = 1
-    region: str = "fine"
+    applies: StepFn = _always
 
 
 def _pair(label: ActionLabel):
     return label.args["pair"]
+
+
+def _ack_is(kind: str, baseline: bool = False) -> StepFn:
+    """``applies`` for the leader's one ``processAck``, which the model
+    splits in three: the ACK of NEWLEADER (``"newleader"``), of a
+    proposal (``"txn"``) and of UPTODATE (``"uptodate"``).  A baseline
+    region looks past the UPTODATE ACKs its specification does not
+    model, exactly as ``leader_process_ack_baseline`` will."""
+
+    def applies(ens: Ensemble, label: ActionLabel) -> bool:
+        i, j = _pair(label)
+        node = ens.nodes[i]
+        msg = node.visible_head(j) if baseline else ens.network.peek(j, i)
+        if msg is None:
+            return False
+        if kind == "uptodate":
+            return msg.mtype == C.ACK_UPTODATE
+        if msg.mtype != C.ACK:
+            return False
+        return node.is_newleader_ack(j, msg) == (kind == "newleader")
+
+    return applies
 
 
 def _coarse_election(ens: Ensemble, label: ActionLabel) -> bool:
@@ -100,10 +131,16 @@ _SHARED: Dict[str, MappedAction] = {
         "LeaderSyncFollower", _leader_side("leader_sync_follower"), pointcuts=2
     ),
     "LeaderProcessACKLD": MappedAction(
-        "LeaderProcessACKLD", _leader_side("leader_process_ack"), pointcuts=2
+        "LeaderProcessACKLD",
+        _leader_side("leader_process_ack"),
+        pointcuts=2,
+        applies=_ack_is("newleader"),
     ),
     "LeaderProcessACK": MappedAction(
-        "LeaderProcessACK", _leader_side("leader_process_ack"), pointcuts=1
+        "LeaderProcessACK",
+        _leader_side("leader_process_ack"),
+        pointcuts=1,
+        applies=_ack_is("txn"),
     ),
     "LeaderProcessRequest": MappedAction(
         "LeaderProcessRequest", _client_request, pointcuts=1
@@ -190,13 +227,13 @@ _BASELINE_SYNC: Dict[str, MappedAction] = {
         "LeaderProcessACKLD",
         _leader_side("leader_process_ack_baseline"),
         pointcuts=2,
-        region="baseline",
+        applies=_ack_is("newleader", baseline=True),
     ),
     "LeaderProcessACK": MappedAction(
         "LeaderProcessACK",
         _leader_side("leader_process_ack_baseline"),
         pointcuts=1,
-        region="baseline",
+        applies=_ack_is("txn", baseline=True),
     ),
 }
 
@@ -237,6 +274,7 @@ _FINE_CONCURRENT: Dict[str, MappedAction] = {
         "LeaderProcessACKUPTODATE",
         _leader_side("leader_process_ack"),
         pointcuts=1,
+        applies=_ack_is("uptodate"),
     ),
 }
 

@@ -7,9 +7,10 @@ executions and check that every step is allowed by the model.  This
 module implements it over the simulator:
 
 - an :class:`ImplExplorer` drives the ensemble with randomly chosen
-  enabled operations (discovered by trying mapped actions on a clone),
-  optionally from a scripted prefix (a campaign scenario + fault
-  schedule) whose fault/txn labels count against the model budgets;
+  enabled operations (discovered by trying mapped actions on it: a
+  refused step changes nothing), optionally from a scripted prefix (a
+  campaign scenario + fault schedule) whose fault/txn labels count
+  against the model budgets;
 - a :class:`TraceValidator` runs the model in lockstep, confirming each
   implementation step corresponds to an enabled model action whose
   post-state matches.
@@ -98,65 +99,16 @@ class ValidationReport:
         )
 
 
-def _label_matches_head(
-    ensemble: Ensemble, label: ActionLabel, baseline_region: bool = False
-) -> bool:
-    """Label-faithful dispatch for the leader's generic processAck.
-
-    The implementation's ``leader_process_ack`` handles NEWLEADER ACKs,
-    UPTODATE ACKs and txn ACKs in one method; the model splits them into
-    three actions.  Driving the implementation under a specific label
-    must only count when the channel head actually is that kind of ACK,
-    otherwise the lockstep model run desynchronizes.
-    """
-    name = label.name
-    if name not in (
-        "LeaderProcessACK",
-        "LeaderProcessACKLD",
-        "LeaderProcessACKUPTODATE",
-    ):
-        return True
-    i, j = label.args["pair"]
-    node = ensemble.nodes[i]
-    msg = ensemble.network.peek(j, i)
-    if msg is None:
-        return False
-    if name == "LeaderProcessACKUPTODATE":
-        return msg.mtype == "ACK_UPTODATE"
-    if msg.mtype == "ACK_UPTODATE":
-        if not baseline_region:
-            # fine granularity: LeaderProcessACKUPTODATE handles these
-            return False
-        # baseline granularity: the wrapper skips these silently, but
-        # only when a real ACK follows; treat a lone UPTODATE-ACK head
-        # as not matching the txn-ACK label.
-        channel = ensemble.network.channels[(j, i)]
-        following = next(
-            (m for m in list(channel)[1:] if m.mtype != "ACK_UPTODATE"),
-            None,
-        )
-        if following is None or following.mtype != "ACK":
-            return False
-        msg = following
-    elif msg.mtype != "ACK":
-        return False
-    expected = node._newleader_zxid_for(j)
-    is_newleader_ack = (
-        expected is not None
-        and msg.zxid == expected
-        and j not in node.newleader_acks
-    )
-    if name == "LeaderProcessACKLD":
-        return is_newleader_ack
-    return not is_newleader_ack
-
-
 class ImplExplorer:
     """Random exploration of the implementation's behaviours.
 
-    Candidate operations come from the replay mapping's action table;
-    an operation is *enabled* when executing it on ``ensemble.clone()``
-    reports success.  One step commits one enabled operation.
+    Candidate operations come from the replay mapping's action table; an
+    operation is *enabled* when stepping the ensemble through it answers
+    True.  The explorer steps the one live ensemble and never copies it:
+    the adapter contract (:meth:`repro.system.plugin.SystemPlugin.
+    ensemble_factory`) is that a step answering False has changed
+    nothing, so a refused candidate needs no undoing and the labels alone
+    re-derive the run on a fresh ensemble.
     """
 
     def __init__(
@@ -181,25 +133,19 @@ class ImplExplorer:
             if mapping.lookup(inst.label) is not None
         ]
 
-    def _try_step(self, ensemble, label):
-        """Attempt one mapped step on a clone; returns ``(committed,
-        error)``.  ``committed`` is the post-step ensemble on success (or
-        the erroring probe when the step raised -- its partial mutations
-        are the crash state a caller wants to inspect) and None when the
-        step is stuck; probing keeps stuck steps' partial mutations off
-        the committed ensemble, so a validator can re-derive the exact
-        same run from the labels alone."""
+    def _try_step(self, ensemble, label) -> bool:
+        """Attempt one mapped step on the live ensemble.  True: the step
+        executed and ``ensemble`` is the committed state.  False: the
+        label is unmapped, names another case of its code-level method
+        (``mapped.applies``) or was refused, and ``ensemble`` is
+        untouched.  An ``ImplError`` propagates; the partial mutations it
+        leaves are the crash state a caller wants to inspect."""
         mapped = self.mapping.lookup(label)
-        if mapped is None or not _label_matches_head(
-            ensemble, label, mapped.region == "baseline"
-        ):
-            return None, None
-        probe = ensemble.clone()
-        try:
-            ok = mapped.step(probe, label)
-        except ImplError as exc:
-            return probe, exc
-        return (probe if ok else None), None
+        return (
+            mapped is not None
+            and mapped.applies(ensemble, label)
+            and mapped.step(ensemble, label)
+        )
 
     def explore(
         self, max_steps: int = 20, prefix: Sequence[ActionLabel] = ()
@@ -221,40 +167,33 @@ class ImplExplorer:
         executed: List[ActionLabel] = []
         budgets = self.budgets
         budget_used = {name: 0 for name in budgets}
-        for label in prefix:
-            committed, error = self._try_step(ensemble, label)
-            if error is not None:
-                executed.append(label)
-                return executed, committed, error
-            if committed is None:
-                break
-            ensemble = committed
-            executed.append(label)
-            if label.name in budget_used:
-                budget_used[label.name] += 1
-        for _ in range(max_steps):
-            candidates = list(self._labels)
-            self.rng.shuffle(candidates)
-            progressed = False
-            for label in candidates:
-                if (
-                    label.name in budgets
-                    and budget_used[label.name] >= budgets[label.name]
-                ):
-                    continue
-                committed, error = self._try_step(ensemble, label)
-                if error is not None:
-                    executed.append(label)
-                    return executed, committed, error
-                if committed is not None:
-                    ensemble = committed
-                    executed.append(label)
-                    if label.name in budget_used:
-                        budget_used[label.name] += 1
-                    progressed = True
+        label = None
+        try:
+            for label in prefix:
+                if not self._try_step(ensemble, label):
                     break
-            if not progressed:
-                break
+                executed.append(label)
+                if label.name in budget_used:
+                    budget_used[label.name] += 1
+            for _ in range(max_steps):
+                candidates = list(self._labels)
+                self.rng.shuffle(candidates)
+                for label in candidates:
+                    if (
+                        label.name in budgets
+                        and budget_used[label.name] >= budgets[label.name]
+                    ):
+                        continue
+                    if self._try_step(ensemble, label):
+                        executed.append(label)
+                        if label.name in budget_used:
+                            budget_used[label.name] += 1
+                        break
+                else:
+                    break  # nothing is enabled
+        except ImplError as error:
+            executed.append(label)
+            return executed, ensemble, error
         return executed, ensemble, None
 
 

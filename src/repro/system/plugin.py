@@ -226,20 +226,30 @@ class SystemPlugin:
     def ensemble_factory(self, config) -> Callable[[], Any]:
         """A zero-argument factory building a fresh implementation
         ensemble for ``config``.  The ensemble exposes ``snapshot()``
-        covering :attr:`compared_variables` and ``clone()``.
+        covering :attr:`compared_variables`, ``clone()`` and the step
+        methods the mapping drives.
 
-        ``clone()`` returns an independent ensemble in the same state:
-        the bottom-up explorer runs every candidate step on a clone and
-        keeps the clone only when the step applies, so nothing a step
-        can mutate may be shared.  The aliasing rule: every mutable
-        container or object (list, set, dict, deque, node, network) is
-        a fresh copy, objects that point at each other point at the
-        *cloned* counterparts, and only values hashable by value
-        (numbers, strings, tuples, frozen dataclasses, ``Rec``) may be
-        shared.  ``return copy.deepcopy(self)`` satisfies all of it; a
-        hand-written structural copy is ~20x cheaper and is what makes
-        bottom-up cells cost what top-down cells do.  Lint rule C08
-        checks the contract."""
+        **Refusal is atomic.**  A step answers True (it executed), False
+        (it is not enabled) or raises an ``ImplError`` (a bug symptom;
+        the partial writes are the crash state) -- and a step that
+        answers False has changed nothing: all guards, then the first
+        write, composite regions included.  The bottom-up explorer finds
+        the enabled steps by running every mapped action on the one live
+        ensemble and a replay continues past a stuck step, so a refusal
+        that wrote first would leak into the run.  Lint rule C09 checks
+        the contract.
+
+        ``clone()`` returns an independent ensemble in the same state;
+        the shrinker judges each candidate on a clone of the cursor it
+        resumes from, so nothing a step can mutate may be shared.  The
+        aliasing rule: every mutable container or object (list, set,
+        dict, deque, node, network) is a fresh copy, objects that point
+        at each other point at the *cloned* counterparts, and only
+        values hashable by value (numbers, strings, tuples, frozen
+        dataclasses, ``Rec``) may be shared.  ``return
+        copy.deepcopy(self)`` satisfies all of it; a hand-written
+        structural copy is ~20x cheaper.  Lint rule C08 checks the
+        contract."""
         raise NotImplementedError
 
     # --- optional hooks ------------------------------------------------------

@@ -1,4 +1,6 @@
-"""A deliberately non-conformant plugin: one trigger per C-rule.
+"""A deliberately non-conformant plugin: one trigger per C-rule up to
+C08, and a second plugin whose only fault is C09 (a refused step is
+judged on a clone, so that plugin's ``clone()`` has to be sound).
 
 Kept in its own module so its Scenario subclass (scanned through the
 prefix builders' globals) cannot leak C02 findings into the conformant
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import copy
 
+from repro.remix.mapping import ActionMapping, MappedAction
 from repro.system.plugin import FaultSchedule, ROLE_LEADER, Scenario, SystemPlugin
 from repro.tla.action import Action
 from repro.tla.module import Module
@@ -19,6 +22,7 @@ from lint_fixtures import (
     SCHEMA,
     FixtureConfig,
     FixtureEnsemble,
+    GoodPlugin,
     _inc,
     _non_negative,
     fixture_mapping,
@@ -126,3 +130,38 @@ class BrokenPlugin(SystemPlugin):
         return {"Ghost": 1}  # C06
 
     # config_from_meta deliberately not implemented -> C07.
+
+
+class HastyEnsemble(FixtureEnsemble):
+    """``observe`` takes the message off the inbox and only then finds
+    it has no use for it (C09): the refusal leaves the inbox shorter."""
+
+    def __init__(self):
+        super().__init__()
+        self.inbox = ["hello"]
+
+    def observe(self, label):
+        self.inbox.pop()
+        return False
+
+    def clone(self):
+        twin = super().clone()
+        twin.inbox = list(self.inbox)
+        return twin
+
+
+class RefusingPlugin(GoodPlugin):
+    """Conformant but for one mapped step that mutates, then refuses."""
+
+    name = "refusefix"
+    title = "lint fixture (refused step mutates)"
+
+    def make_mapping(self, grain):
+        entries = dict(super().make_mapping(grain).entries)
+        entries["Observe"] = MappedAction(
+            "Observe", lambda ens, label: ens.observe(label)
+        )
+        return ActionMapping(entries)
+
+    def ensemble_factory(self, config):
+        return HastyEnsemble

@@ -1,7 +1,8 @@
-"""The implementation adapter's ``clone()`` contract: the bottom-up
-explorer probes every candidate step on ``ensemble.clone()``, so a clone
-that shares one mutable container with its original leaks probe
-mutations into committed runs."""
+"""The implementation adapter's ``clone()`` contract: the shrinker
+judges every candidate on a ``clone()`` of the cursor it resumes from,
+so a clone that shares one mutable container with its original lets a
+rejected candidate move that cursor.  (The explorer no longer clones:
+``tests/test_refusal.py``.)"""
 
 import copy
 import json
@@ -22,7 +23,7 @@ SYSTEMS = ("zookeeper", "raft")
 
 def explored_ensembles(system):
     """Every scenario x fault prefix of the finest grain, continued by
-    seeded explorations: the ensembles a bottom-up campaign clones."""
+    seeded explorations: the ensembles a bottom-up campaign reaches."""
     plugin = system_plugin(system)
     config = plugin.campaign_config()
     grain = plugin.grains[-1]

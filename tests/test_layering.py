@@ -66,3 +66,24 @@ def test_checker_run_imports_neither_networkx_nor_the_campaign_stack():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_trace_validation_names_no_zookeeper_action():
+    """The explorer and validator serve every plugin: which ACK a label
+    means is the mapping entry's ``applies``, next to the ZooKeeper
+    steps it describes -- and the explorer has no ``clone()`` to call."""
+    from repro.remix.mapping import mapping_for
+    from repro.zookeeper.specs import SELECTIONS
+
+    path = importlib.util.find_spec("repro.remix.trace_validation").origin
+    with open(path) as fh:
+        source = fh.read()
+    names = {
+        name
+        for grain in ("mSpec-1", "mSpec-2", "mSpec-3")
+        for name in mapping_for(SELECTIONS[grain]).entries
+    }
+    assert len(names) > 20
+    assert sorted(name for name in names if name in source) == []
+    for word in ("ACK", "_newleader_zxid_for", "clone"):
+        assert word not in source, word

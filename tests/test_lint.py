@@ -33,7 +33,7 @@ from lint_fixtures import (
     wrapped_pair,
     writes_x_and_z,
 )
-from lint_fixtures_broken import BrokenPlugin
+from lint_fixtures_broken import BrokenPlugin, RefusingPlugin
 
 from repro.analysis import SpecAnalyzer, lint_plugin, lint_systems
 from repro.analysis.declarations import check_action
@@ -215,6 +215,14 @@ class TestConformance:
         assert set(leaks) == {"LeakyEnsemble.log", ""}
         assert "shared with the original" in leaks["LeakyEnsemble.log"]
         assert "changed the original's snapshot()" in leaks[""]
+
+    def test_a_step_that_pops_then_refuses_is_c09(self):
+        findings = lint_plugin("refusefix", RefusingPlugin())
+        assert [(f.rule, f.subject, f.variable) for f in findings] == [
+            ("C09", "step:Observe", "HastyEnsemble.inbox")
+        ]
+        assert findings[0].severity == "error"
+        assert "Observe(i=0) answered False" in findings[0].message
 
 
 # --- the PR-5 lying-declaration regressions ------------------------------------
