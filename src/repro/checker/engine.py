@@ -73,6 +73,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.checker.bundle import Bundle, function_identity
 from repro.checker.fingerprint import Fingerprinter
 from repro.checker.result import CheckResult, Violation
 from repro.checker.trace import Trace
@@ -100,31 +101,27 @@ _KERNEL_CHUNK = 512
 _TRUST_BLOCKING = frozenset({"D01", "D03", "D05", "D07", "P01", "P02", "P03", "P04"})
 
 #: Per-action lint verdict cache (``""`` = trusted, else the blocking
-#: rule), keyed on the action's code object and declarations
-#: (identity-free, so recomposing a spec from the same module actions --
-#: the common case for the ZooKeeper/Raft plugins -- does not re-run the
-#: analyzer).
+#: rule), keyed on what the action's function *is* -- its code and,
+#: recursively, the functions in its closure cells
+#: (:func:`repro.checker.bundle.function_identity`: the analyzer resolves
+#: names through those cells, so two copies of one wrapper lambda around
+#: different functions are different actions) -- plus its declarations.
+#: Identity-free, so recomposing a spec from the same module actions (the
+#: common case for the ZooKeeper/Raft plugins) does not re-run the
+#: analyzer.
 _TRUST_CACHE: Dict[tuple, str] = {}
 _TRUST_CACHE_LIMIT = 4096
 
 
-def kernel_trusted(spec: Specification) -> bool:
-    """Whether the static analyzer proves this spec's declarations.
+def trust_blocker(spec: Specification) -> str:
+    """Why the static analyzer does not prove this spec's declarations
+    (``""``: it does).
 
-    Runs the PR-8 static analyzer over every action and requires zero
-    findings for the trust-critical rules (:data:`_TRUST_BLOCKING`).  The
-    verdict is cached on the spec object, and per-action verdicts are
-    cached globally by code object + declarations, so repeated spec
-    composition stays cheap.  An untrusted verdict is never silent: the
-    first blocking action and rule (or the analyzer's own exception) is
-    kept on the spec for ``memo_stats()`` and raised as one
-    ``RuntimeWarning`` per spec, because such a spec runs on the slower
-    reference expander.
+    Runs the PR-8 static analyzer over every action and reports the first
+    finding of a trust-critical rule (:data:`_TRUST_BLOCKING`), or the
+    analyzer's own exception.  Per-action verdicts are cached globally
+    (:data:`_TRUST_CACHE`), so repeated spec composition stays cheap.
     """
-    verdict = getattr(spec, "_kernel_trusted", None)
-    if verdict is not None:
-        return verdict
-    blocker = ""
     schema_names = frozenset(spec.schema.names)
     analyzer = None
     try:
@@ -135,8 +132,9 @@ def kernel_trusted(spec: Specification) -> bool:
             sources = tuple(
                 sorted((k, tuple(sorted(v))) for k, v in action.update_sources.items())
             )
-            key = (action.fn.__code__, action.reads, action.writes, sources, schema_names)
-            rule = _TRUST_CACHE.get(key)
+            identity = function_identity(action.fn)
+            key = (identity, action.reads, action.writes, sources, schema_names)
+            rule = _TRUST_CACHE.get(key) if identity is not None else None
             if rule is None:
                 if analyzer is None:
                     analyzer = SpecAnalyzer()
@@ -144,14 +142,33 @@ def kernel_trusted(spec: Specification) -> bool:
                 rule = next(
                     (f.rule for f in findings if f.rule in _TRUST_BLOCKING), ""
                 )
-                if len(_TRUST_CACHE) >= _TRUST_CACHE_LIMIT:
-                    _TRUST_CACHE.clear()
-                _TRUST_CACHE[key] = rule
+                if identity is not None:
+                    if len(_TRUST_CACHE) >= _TRUST_CACHE_LIMIT:
+                        _TRUST_CACHE.clear()
+                    _TRUST_CACHE[key] = rule
             if rule:
-                blocker = f"action {action.name} fails lint rule {rule}"
-                break
+                return f"action {action.name} fails lint rule {rule}"
     except Exception as error:
-        blocker = f"the static analyzer raised {error!r}"
+        return f"the static analyzer raised {error!r}"
+    return ""
+
+
+def kernel_trusted(spec: Specification, bundle: Optional[Bundle] = None) -> bool:
+    """Whether this spec's declarations are proven, so its kernel may run.
+
+    A loaded compile ``bundle`` *is* the proof (only trusted bundles are
+    written, under a key that covers everything the analyzer read);
+    without one the analyzer runs (:func:`trust_blocker`).  The verdict is
+    cached on the spec object.  An untrusted verdict is never silent: the
+    first blocking action and rule (or the analyzer's own exception) is
+    kept on the spec for ``memo_stats()`` and raised as one
+    ``RuntimeWarning`` per spec, because such a spec runs on the slower
+    reference expander.
+    """
+    verdict = getattr(spec, "_kernel_trusted", None)
+    if verdict is not None:
+        return verdict
+    blocker = "" if bundle is not None and bundle.loaded else trust_blocker(spec)
     verdict = not blocker
     spec._kernel_trusted = verdict
     spec._kernel_blocker = blocker
@@ -236,6 +253,8 @@ class CompiledSpec:
         "mask",
         "n_instances",
         "debug",
+        "bundle",
+        "compile",
         "kernel",
         "kernel_source",
         "expand_calls",
@@ -308,9 +327,15 @@ class CompiledSpec:
         self.constraint_memo: dict = {}
         self.kernel: Optional[Callable] = None
         self.kernel_source: Optional[str] = None
+        # What an earlier process derived for exactly this compile, from
+        # the on-disk cache (None: persistence off, or a compile no key
+        # can name).  The reference expander derives nothing.
+        self.bundle = None if reference else Bundle.open(self)
+        #: ``"loaded"`` when the kernel's code object came from the bundle.
+        self.compile = "fresh"
         # debug=True emits the kernel whatever the analyzer says: the
         # per-batch cross-check *is* the trust decision then.
-        compiled = not reference and (debug or kernel_trusted(spec))
+        compiled = not reference and (debug or kernel_trusted(spec, self.bundle))
         if compiled:
             self._analyze(instances)
         # Memo telemetry (--stats): per-group [misses, skipped,
@@ -334,6 +359,20 @@ class CompiledSpec:
         self.eager = self.direct + self.ungrouped
         if compiled:
             self._emit_kernel()
+            self._persist()
+
+    def _persist(self) -> None:
+        """Write back what this compile had to derive, and let go of the
+        bundle: a demotion re-emit is an in-process layout nobody stores.
+        Only a trusted spec is ever written -- the debug lane, which did
+        not need the verdict to run, asks for it here."""
+        bundle, self.bundle = self.bundle, None
+        if bundle is None:
+            return
+        if not bundle.dirty:
+            self.compile = "loaded"
+        elif bundle.loaded or not self.debug or not trust_blocker(self.spec):
+            bundle.save()
 
     def _analyze(self, instances: list) -> None:
         """Kernel-mode layout: pre-bound appliers, the interference
@@ -349,11 +388,19 @@ class CompiledSpec:
         ]
         # Guard prefixes: the comparisons each applier opens with, which
         # the kernel evaluates inline before it would call the applier.
-        variables = spec.schema._index
-        self.guard_prefixes = [
-            guard_prefix(applier, spec.config, variables, inst.action.reads)
-            for applier, inst in zip(self.appliers, instances)
-        ]
+        # They are a pure function of source and config, so a loaded
+        # bundle already holds them.
+        bundle = self.bundle
+        if bundle is not None and bundle.guard_prefixes is not None:
+            self.guard_prefixes = bundle.guard_prefixes
+        else:
+            variables = spec.schema._index
+            self.guard_prefixes = [
+                guard_prefix(applier, spec.config, variables, inst.action.reads)
+                for applier, inst in zip(self.appliers, instances)
+            ]
+            if bundle is not None:
+                bundle.guard_prefixes = self.guard_prefixes
         reads = [inst.action.reads for inst in instances]
         writes = [inst.action.writes for inst in instances]
         # An action with no declared reads has an *unknown* guard
@@ -361,15 +408,16 @@ class CompiledSpec:
         # must be re-evaluated in every state, so every writer "affects"
         # it.
         undeclared = 0
-        for i in range(self.n_instances):
-            if not reads[i]:
+        readers: Dict[str, int] = {}  # variable -> the instances reading it
+        for i, read_set in enumerate(reads):
+            if not read_set:
                 undeclared |= 1 << i
-        for j in range(self.n_instances):
+            for name in read_set:
+                readers[name] = readers.get(name, 0) | 1 << i
+        for write_set in writes:
             bits = undeclared
-            write_set = writes[j]
-            for i in range(self.n_instances):
-                if reads[i] & write_set:
-                    bits |= 1 << i
+            for name in write_set:
+                bits |= readers.get(name, 0)
             self.affects.append(bits)
         # Outcome memoization, by dependency *closure* (Action.
         # dependency_closure: reads | writes | update_sources).  The
@@ -765,6 +813,7 @@ class CompiledSpec:
             from repro.tla.codegen import CODEGEN_VERSION
 
             stats["codegen_version"] = CODEGEN_VERSION
+            stats["compile"] = self.compile
         else:
             # Why there is no kernel: pinned by the caller, or the first
             # blocking lint finding kernel_trusted() warned about.

@@ -247,12 +247,16 @@ def cmd_campaign(args) -> int:
     payload = report.to_json()
     # Warm-start accounting goes to stderr so `--json -` stdout stays
     # pure JSON; disk hits > 0 means this invocation reused prefixes a
-    # previous invocation persisted (the on-disk spec cache).
+    # previous invocation persisted (the on-disk spec cache), bundle hits
+    # > 0 that it loaded kernels instead of compiling them.
     cache_stats = spec_cache.stats()
     print(
         f"spec cache: {cache_stats['disk_hits']} disk hits, "
         f"{cache_stats['disk_misses']} disk misses, "
-        f"{cache_stats['prefix_hits']} warm prefix reuses",
+        f"{cache_stats['prefix_hits']} warm prefix reuses; "
+        f"{cache_stats['bundle_hits']} bundle hits, "
+        f"{cache_stats['bundle_misses']} bundle misses, "
+        f"{cache_stats['bundle_stale']} bundle stale",
         file=sys.stderr,
     )
     if args.json_path == "-":

@@ -22,20 +22,34 @@ O(grains), not O(jobs).
 On-disk persistence
 -------------------
 
-Specifications themselves hold closures and cannot be pickled, so what
-persists across CLI invocations is their derived, picklable products:
-scripted **scenario-prefix traces** (scenario + injected fault schedule,
-:func:`cached_prefix`), which every campaign cell -- top-down replay,
-bottom-up validation and the shrink stage's witness rebuilds -- starts
-from.  Entries live under one directory per *system and spec-source
-digest* (a SHA-1 over the plugin's declared source packages plus a
-format version), so editing any spec source invalidates that system's
-whole cache -- and nobody else's -- rather than ever serving stale
-traces.  The location is
-``~/.cache/repro-spec-cache`` unless ``REPRO_SPEC_CACHE_DIR`` overrides
-it (set it to ``off`` to disable persistence).  Writes are atomic
-(temp file + rename), so concurrent CLI invocations never observe torn
-entries.
+Specifications themselves hold closures and cannot be pickled, but two
+kinds of things derived from them are plain data, and both persist
+across CLI invocations through one disk layer
+(:mod:`repro.checker.disk_cache`: directory resolution, atomic temp file
++ rename writes, a damaged entry is a miss):
+
+- scripted **scenario-prefix traces** (scenario + injected fault
+  schedule, :func:`cached_prefix`), which every campaign cell -- top-down
+  replay, bottom-up validation and the shrink stage's witness rebuilds --
+  starts from.  A coordinate whose scenario or fault cannot be scripted
+  persists too, as the :class:`~repro.system.plugin.ScenarioError`
+  message it raises, so a warm request re-scripts nothing.  Entries live
+  under one directory per *system and spec-source digest* (a SHA-1 over
+  the plugin's declared source packages plus a format version), so
+  editing any spec source invalidates that system's whole cache -- and
+  nobody else's -- rather than ever serving stale traces.
+- **compile bundles** (:mod:`repro.checker.bundle`): the trust verdict,
+  the guard prefixes and the generated kernel's code object, which
+  ``CompiledSpec.__init__`` consults by itself -- :func:`cached_spec`,
+  ``check`` / ``bugs`` hunts, ``serve`` and every ``repro worker`` get
+  them with no call here.  Their key is derived from the spec's own
+  functions, not from the plugin; :func:`stats` reports their traffic as
+  ``bundle_hits`` / ``bundle_misses`` / ``bundle_stale`` beside the
+  prefix layer's ``disk_hits`` / ``disk_misses``.
+
+The location is ``~/.cache/repro-spec-cache`` unless
+``REPRO_SPEC_CACHE_DIR`` overrides it (set it to ``off`` to disable
+persistence).
 
 Cached specifications are shared: callers must not mutate them (no
 ``spec.invariants`` surgery -- build a private spec for that).
@@ -48,12 +62,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
-import tempfile
 import threading
 from dataclasses import asdict
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
+from repro.checker import bundle, disk_cache
+from repro.checker.disk_cache import set_disk_cache_dir  # noqa: F401  (public here)
 from repro.tla.spec import Specification
 from repro.zookeeper.config import SpecVariant, ZkConfig
 
@@ -63,7 +77,9 @@ _DISK_FORMAT = 1
 _LOCK = threading.Lock()
 _SPECS: Dict[Tuple, Specification] = {}
 _MAPPINGS: Dict[str, object] = {}
-_PREFIXES: Dict[Tuple, Tuple[tuple, tuple]] = {}
+#: (labels, state values) per cell coordinate -- or, for a coordinate
+#: that cannot be scripted, the ``ScenarioError`` message.
+_PREFIXES: Dict[Tuple, Union[Tuple[tuple, tuple], str]] = {}
 _STATS = {
     "hits": 0,
     "misses": 0,
@@ -75,10 +91,6 @@ _STATS = {
 #: Per-key gates for in-flight compositions.  The composing thread holds
 #: the gate; waiters block on it, then re-check the cache.
 _INFLIGHT: Dict[Any, threading.Lock] = {}
-
-#: Explicit disk-cache override (:func:`set_disk_cache_dir`): None = resolve
-#: from the environment, "" = disabled, otherwise a directory path.
-_DISK_OVERRIDE: Optional[str] = None
 
 #: Memoized source digest of the default (zookeeper) system.  Kept as
 #: its own module attribute -- rather than an entry of
@@ -191,31 +203,6 @@ def cached_mapping(name: str, *, system: str = "zookeeper"):
 # -------------------------------------------------------- on-disk layer
 
 
-def set_disk_cache_dir(path: Optional[str]) -> None:
-    """Override the on-disk cache location for this process.
-
-    ``None`` restores environment-based resolution; ``""`` (or ``"off"``
-    / ``"0"``) disables persistence entirely."""
-    global _DISK_OVERRIDE
-    if path is not None and path.strip().lower() in ("", "off", "0", "none"):
-        path = ""
-    _DISK_OVERRIDE = path
-
-
-def _disk_dir() -> Optional[str]:
-    """The active on-disk cache directory, or None when disabled."""
-    if _DISK_OVERRIDE is not None:
-        return _DISK_OVERRIDE or None
-    env = os.environ.get("REPRO_SPEC_CACHE_DIR")
-    if env is not None:
-        if env.strip().lower() in ("", "off", "0", "none"):
-            return None
-        return env
-    return os.path.join(
-        os.path.expanduser("~"), ".cache", "repro-spec-cache"
-    )
-
-
 def _compute_digest(system: str) -> str:
     import importlib
 
@@ -229,14 +216,8 @@ def _compute_digest(system: str) -> str:
         f"format/{_DISK_FORMAT}/codegen/{CODEGEN_VERSION}".encode()
     )
     for package in _plugin(system).spec_source_packages:
-        pkg = importlib.import_module(package)
-        root = os.path.dirname(pkg.__file__)
-        for entry in sorted(os.listdir(root)):
-            if not entry.endswith(".py"):
-                continue
-            digest.update(entry.encode())
-            with open(os.path.join(root, entry), "rb") as fh:
-                digest.update(fh.read())
+        root = os.path.dirname(importlib.import_module(package).__file__)
+        digest.update(str(disk_cache.source_digest(root)).encode())
     return digest.hexdigest()[:20]
 
 
@@ -260,51 +241,24 @@ def source_digest(system: str = "zookeeper") -> str:
     return digest
 
 
-def _entry_path(directory: str, key_json: str, system: str) -> str:
-    entry = hashlib.sha1(key_json.encode("utf-8")).hexdigest()[:24]
-    return os.path.join(
-        directory, f"{system}-{source_digest(system)}", f"{entry}.pkl"
-    )
+def _prefix_path(key_json: str, system: str) -> Optional[str]:
+    return disk_cache.entry_path(f"{system}-{source_digest(system)}", key_json)
 
 
 def _disk_load(key_json: str, system: str) -> Optional[Any]:
-    directory = _disk_dir()
-    if directory is None:
+    path = _prefix_path(key_json, system)
+    if path is None:
         return None
-    try:
-        with open(_entry_path(directory, key_json, system), "rb") as fh:
-            payload = pickle.load(fh)
-    except Exception:  # absent, unreadable or damaged (any unpickling error)
-        with _LOCK:
-            _STATS["disk_misses"] += 1
-        return None
+    payload = disk_cache.load(path)
     with _LOCK:
-        _STATS["disk_hits"] += 1
+        _STATS["disk_misses" if payload is None else "disk_hits"] += 1
     return payload
 
 
 def _disk_store(key_json: str, payload: Any, system: str) -> None:
-    directory = _disk_dir()
-    if directory is None:
-        return
-    path = _entry_path(directory, key_json, system)
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)  # atomic: readers never see torn entries
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        pass  # a read-only or full cache dir degrades to compute-only
+    path = _prefix_path(key_json, system)
+    if path is not None:
+        disk_cache.store(path, payload)
 
 
 def _prefix_key_json(
@@ -354,9 +308,11 @@ def cached_prefix(
     scripting it from scratch (and persisting the labels + state values,
     which unlike specifications are plain picklable data).
     :class:`~repro.system.plugin.ScenarioError` (an inapplicable
-    scenario or fault for this grain/config) propagates uncached.
+    scenario or fault for this grain/config) is an answer like any
+    other: its message is cached at both levels and raised again
+    verbatim, so no later call re-scripts the coordinate to find out.
     """
-    from repro.system.plugin import Scenario
+    from repro.system.plugin import Scenario, ScenarioError
     from repro.tla.state import State
 
     plugin = _plugin(system)
@@ -372,23 +328,31 @@ def cached_prefix(
             grain, config, scenario, fault, leader, follower, quorum, system
         )
         payload = _disk_load(key_json, system)
-        if (
+        if isinstance(payload, str):
+            entry = payload
+        elif (
             isinstance(payload, tuple)
             and len(payload) == 2
             and len(payload[0]) == len(payload[1]) - 1
         ):
             entry = (tuple(payload[0]), tuple(payload[1]))
         else:
-            built = plugin.scenario_prefix(scenario, spec, leader, quorum)
-            plugin.fault_schedule(fault).inject(built, leader, follower)
-            entry = (
-                tuple(built.labels),
-                tuple(state.values for state in built.states),
-            )
+            try:
+                built = plugin.scenario_prefix(scenario, spec, leader, quorum)
+                plugin.fault_schedule(fault).inject(built, leader, follower)
+            except ScenarioError as error:
+                entry = str(error)
+            else:
+                entry = (
+                    tuple(built.labels),
+                    tuple(state.values for state in built.states),
+                )
             _disk_store(key_json, entry, system)
         with _LOCK:
             _PREFIXES.setdefault(key, entry)
             _STATS["prefix_misses"] += 1
+    if isinstance(entry, str):
+        raise ScenarioError(entry)
     labels, values = entry
     states = [State(spec.schema, v) for v in values]
     scenario_obj = Scenario(spec, state=states[-1])
@@ -398,9 +362,11 @@ def cached_prefix(
 
 
 def stats() -> Dict[str, int]:
-    """Cache hit/miss counters (for tests and campaign reports)."""
+    """Cache hit/miss counters (for tests and campaign reports).
+    ``disk_hits`` / ``disk_misses`` are prefix entries; compile bundles
+    (:mod:`repro.checker.bundle`) count under their own ``bundle_*`` keys."""
     with _LOCK:
-        return dict(_STATS, size=len(_SPECS))
+        return dict(_STATS, size=len(_SPECS), **bundle.stats())
 
 
 def clear() -> None:
@@ -414,3 +380,4 @@ def clear() -> None:
         _PREFIXES.clear()
         for counter in _STATS:
             _STATS[counter] = 0
+    bundle.reset_stats()

@@ -44,8 +44,9 @@ findings runs on the reference expander instead (with a warning), and
 ``--debug-deps`` emits the kernel regardless and cross-checks every batch
 against the reference expander.
 
-``CODEGEN_VERSION`` tags every artifact derived from the emitter (most
-importantly the ``remix.spec_cache`` on-disk digest): bump it whenever the
+``CODEGEN_VERSION`` tags every artifact derived from the emitter (the
+``remix.spec_cache`` on-disk digest and the ``checker.bundle`` namespace
+that persists emitted kernels' code objects): bump it whenever the
 emitted code's shape or semantics change, so stale cached artifacts are
 orphaned instead of replayed.
 """
@@ -462,7 +463,17 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     w("    return results")
     w("")
 
+    # The source text is always re-emitted (it is cheap, and it is what
+    # --stats, the tests and the trace count); what a compile bundle saves
+    # is compile(): its marshalled code object is taken only when it was
+    # compiled from byte-identical text, so a stale bundle -- or the new
+    # layout of a demotion re-emit -- costs a compile, never a wrong kernel.
     source = "\n".join(src)
-    code = compile(source, f"<repro-kernel:{core.spec.name}>", "exec")
+    filename = f"<repro-kernel:{core.spec.name}>"
+    bundle = core.bundle
+    if bundle is not None:
+        code = bundle.kernel(source, filename)
+    else:
+        code = compile(source, filename, "exec")
     exec(code, env)
     return source, env["_expand_batch"]

@@ -50,6 +50,13 @@ MAX_ATOMS = 16
 _LITERALS = (int, str, bool, type(None))
 
 
+# A prefix is plain data -- NamedTuples of variable names, subscripts,
+# attribute names and literals, no reference to the applier it came from
+# -- and a pure function of the function's source and the config.  That
+# is the contract :mod:`repro.checker.bundle` pickles it under: keep it
+# so (no callables, no State-derived objects in an Atom).
+
+
 class Const(NamedTuple):
     """A literal operand (what tells it from a :data:`Path` operand)."""
 

@@ -418,7 +418,8 @@ class TestDiskCache:
         # UnpicklingError, and a GET opcode whose operand is not an int
         # (ValueError): whatever the unpickler raises is a miss.
         for damage in (b"not a pickle", b"garbage\n"):
-            (path,) = glob.glob(str(tmp_path / "disk" / "*" / "*.pkl"))
+            # (compile bundles live beside the prefixes, under kernels-*)
+            (path,) = glob.glob(str(tmp_path / "disk" / "zookeeper-*" / "*.pkl"))
             with open(path, "wb") as fh:
                 fh.write(damage)
             spec_cache.clear()

@@ -273,6 +273,10 @@ class TestMutatedAtomIsCaught:
             return prefix._replace(atoms=(wrong,) + prefix.atoms[1:])
 
         monkeypatch.setattr(engine_module, "guard_prefix", flipped)
+        # No compile bundle: its key covers guards.py's source, not a
+        # function patched in this process (tests/test_compile_bundle.py
+        # plants the same wrong atom *in* a bundle instead).
+        monkeypatch.setenv("REPRO_SPEC_CACHE_DIR", "off")
         spec = build_spec("mSpec-1", SELECTIONS["mSpec-1"], SMALL)
         engine = ExplorationEngine(spec, max_states=500, debug=True)
         with pytest.raises(AssertionError, match="action ElectionAndDiscovery"):

@@ -192,6 +192,45 @@ class TestLintGatedCompile:
             assert kernel_trusted(lying_spec()) is False
         assert kernel_trusted(counter_spec()) is True
 
+    def test_one_wrapper_lambda_around_two_functions_is_two_actions(self):
+        # Every pair action of zookeeper/faults.py is the same `unpack`
+        # lambda around a different function, and the analyzer resolves
+        # `fn` through the closure cell.  A verdict keyed on the lambda's
+        # code object let the second action inherit the first's.
+        def unpack(fn):
+            return lambda cfg, state, pair: fn(cfg, state, pair[0], pair[1])
+
+        def delay(config, state, i, j):
+            if state.y >= 3:
+                return None
+            return {"y": state.y + 1}
+
+        def duplicate(config, state, i, j):
+            if state.y >= state.x:  # reads x, undeclared
+                return None
+            return {"y": state.y + 1}
+
+        pairs = {"pair": lambda cfg: [(0, 1)]}
+        module = Module(
+            "faults",
+            [
+                Action("Delay", unpack(delay), params=pairs, reads=["y"], writes=["y"]),
+                Action(
+                    "Duplicate", unpack(duplicate), params=pairs, reads=["y"], writes=["y"]
+                ),
+            ],
+        )
+        spec = Specification(
+            "wrapped",
+            SCHEMA,
+            lambda cfg: [State.make(SCHEMA, x=2, y=0)],
+            [module],
+            [],
+            None,
+        )
+        with pytest.warns(RuntimeWarning, match="Duplicate fails lint rule D01"):
+            assert kernel_trusted(spec) is False
+
     def test_auto_falls_back_to_interpreted(self):
         with pytest.warns(RuntimeWarning, match="not kernel-trusted"):
             core = compiled_for(lying_spec())
@@ -221,8 +260,14 @@ class TestLintGatedCompile:
             raise RuntimeError("analyzer exploded")
 
         monkeypatch.setattr(declarations, "check_action", boom)
+        # The verdict cache identifies a function by what it is, not by
+        # its code object: an equal `step` analyzed anywhere earlier in the
+        # session would answer for this one and the analyzer never run.
+        from repro.checker import engine as engine_module
 
-        def step(config, state):  # fresh code object: misses the verdict cache
+        monkeypatch.setattr(engine_module, "_TRUST_CACHE", {})
+
+        def step(config, state):
             return {"x": state.x + 1} if state.x < 2 else None
 
         spec = Specification(

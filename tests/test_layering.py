@@ -68,6 +68,50 @@ def test_checker_run_imports_neither_networkx_nor_the_campaign_stack():
     assert done.stdout.strip() == "[]"
 
 
+ANALYZER = ("repro.analysis.declarations", "repro.analysis.deps", "repro.analysis.purity")
+
+BUDGET_SCRIPT = (
+    "import sys\n"
+    "from repro.checker import ExplorationEngine\n"
+    "from repro.zookeeper import ZkConfig\n"
+    "from repro.zookeeper.specs import SELECTIONS, build_spec\n"
+    "spec = build_spec('mSpec-1', SELECTIONS['mSpec-1'], ZkConfig())\n"
+    "engine = ExplorationEngine(spec, max_states=200)\n"
+    "engine.run()\n"
+    "stats = engine.core.memo_stats()\n"
+    "assert stats['mode'] == 'compiled'\n"
+    "check = sorted(m for m in WATCHED if m in sys.modules)\n"
+    "assert 'repro.remix' not in sys.modules and 'networkx' not in sys.modules\n"
+    # one inline campaign cell: the campaign stack may load, the analyzer may not
+    "from repro.remix.campaign import CampaignRequest, run_campaign\n"
+    "report = run_campaign(CampaignRequest(seed=7, grains=('mSpec-1',),\n"
+    "    scenarios=('election',), faults=('none',), traces=1, max_steps=4))\n"
+    "assert [c['status'] for c in report.to_json()['cells']] == ['ok']\n"
+    "cell = sorted(m for m in WATCHED if m in sys.modules)\n"
+    "assert 'networkx' not in sys.modules\n"
+    "print(stats['compile'], check, cell)\n"
+)
+
+
+def test_import_budget_on_a_warm_disk_leaves_the_analyzer_out(tmp_path):
+    """Cold disk: deciding kernel trust imports the analyzer.  Warm disk:
+    the compile bundle *is* the verdict, so a ``check`` run and a campaign
+    cell import none of it (10 MB and ~0.05 s per process)."""
+    src = os.path.dirname(os.path.dirname(importlib.util.find_spec("repro").origin))
+    script = f"WATCHED = {ANALYZER!r}\n" + BUDGET_SCRIPT
+    env = {**os.environ, "PYTHONPATH": src, "REPRO_SPEC_CACHE_DIR": str(tmp_path / "disk")}
+    outputs = []
+    for _ in range(2):
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.strip())
+    cold, warm = outputs
+    assert cold.startswith("fresh ") and all(name in cold for name in ANALYZER)
+    assert warm == "loaded [] []"
+
+
 def test_trace_validation_names_no_zookeeper_action():
     """The explorer and validator serve every plugin: which ACK a label
     means is the mapping entry's ``applies``, next to the ZooKeeper
