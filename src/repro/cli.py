@@ -248,7 +248,9 @@ def cmd_campaign(args) -> int:
     # Warm-start accounting goes to stderr so `--json -` stdout stays
     # pure JSON; disk hits > 0 means this invocation reused prefixes a
     # previous invocation persisted (the on-disk spec cache), bundle hits
-    # > 0 that it loaded kernels instead of compiling them.
+    # > 0 that it loaded kernels instead of compiling them, resume hits
+    # runs that entered past a prefix this process judged once (counted
+    # where the cells ran: forked workers keep their own).
     cache_stats = spec_cache.stats()
     print(
         f"spec cache: {cache_stats['disk_hits']} disk hits, "
@@ -256,7 +258,10 @@ def cmd_campaign(args) -> int:
         f"{cache_stats['prefix_hits']} warm prefix reuses; "
         f"{cache_stats['bundle_hits']} bundle hits, "
         f"{cache_stats['bundle_misses']} bundle misses, "
-        f"{cache_stats['bundle_stale']} bundle stale",
+        f"{cache_stats['bundle_stale']} bundle stale; "
+        f"{cache_stats['resume_hits']} resume hits, "
+        f"{cache_stats['resume_misses']} resume misses, "
+        f"{cache_stats['resume_negative']} resume negative",
         file=sys.stderr,
     )
     if args.json_path == "-":

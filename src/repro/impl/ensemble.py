@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.impl.network import Network
-from repro.impl.node import ZkNode
+from repro.impl.node import SNAPSHOT_VARIABLES, ZkNode
 from repro.zookeeper import constants as C
 from repro.zookeeper.config import SpecVariant
 
@@ -213,8 +213,5 @@ class Ensemble:
     def snapshot(self) -> Dict:
         """The model-shaped global state (per-variable tuples indexed by
         server id) used for conformance comparison."""
-        views = [node.snapshot() for node in self.nodes]
-        return {
-            variable: tuple(view[variable] for view in views)
-            for variable in views[0]
-        }
+        rows = [node.snapshot() for node in self.nodes]
+        return dict(zip(SNAPSHOT_VARIABLES, zip(*rows)))

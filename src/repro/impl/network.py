@@ -3,19 +3,24 @@ teardown, matching the model's message semantics."""
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.tla.values import Rec
 
 
 class Network:
-    """Pairwise FIFO channels between servers."""
+    """Pairwise FIFO channels between servers.
+
+    A channel is a plain list, head first.  Channels hold a handful of
+    messages, so a deque's fixed 64-slot block (760 bytes against an
+    empty list's 56) would be most of a network's footprint -- and
+    ensembles are kept per prefix resume point and cloned per judged
+    run."""
 
     def __init__(self, n_servers: int):
         self.n = n_servers
-        self.channels: Dict[Tuple[int, int], Deque[Rec]] = {
-            (src, dst): deque()
+        self.channels: Dict[Tuple[int, int], List[Rec]] = {
+            (src, dst): []
             for src in range(n_servers)
             for dst in range(n_servers)
             if src != dst
@@ -24,12 +29,12 @@ class Network:
         self.down: Set[int] = set()
 
     def clone(self) -> "Network":
-        """An independent copy: fresh channel deques and fault sets; the
+        """An independent copy: fresh channel lists and fault sets; the
         messages themselves are immutable and shared."""
         twin = Network.__new__(Network)
         twin.n = self.n
         twin.channels = {
-            pair: deque(channel) for pair, channel in self.channels.items()
+            pair: list(channel) for pair, channel in self.channels.items()
         }
         twin.disconnected = set(self.disconnected)
         twin.down = set(self.down)
@@ -52,7 +57,7 @@ class Network:
         return channel[0] if channel else None
 
     def recv(self, src: int, dst: int) -> Rec:
-        return self.channels[(src, dst)].popleft()
+        return self.channels[(src, dst)].pop(0)
 
     def delay(self, src: int, dst: int) -> bool:
         """Rotate the head of channel src -> dst to its tail (a delayed
@@ -61,7 +66,7 @@ class Network:
         channel = self.channels[(src, dst)]
         if len(channel) < 2:
             return False
-        channel.rotate(-1)
+        channel.append(channel.pop(0))
         return True
 
     def duplicate(self, src: int, dst: int) -> bool:

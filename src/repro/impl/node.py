@@ -32,6 +32,21 @@ from repro.tla.values import Rec, Txn, Zxid, ZXID_ZERO
 from repro.zookeeper import constants as C
 from repro.zookeeper.config import SpecVariant
 
+#: The per-server variables of the model-shaped state, in the order
+#: :meth:`ZkNode.snapshot` lists their values.
+SNAPSHOT_VARIABLES = (
+    "state",
+    "zab_state",
+    "accepted_epoch",
+    "current_epoch",
+    "history",
+    "last_committed",
+    "my_leader",
+    "newleader_recv",
+    "queued_requests",
+    "committed_requests",
+)
+
 
 class QueueEntry:
     """queuedRequests entry: request plus the connection session that
@@ -712,20 +727,20 @@ class ZkNode:
 
     # --- state extraction for conformance checking -------------------------------------
 
-    def snapshot(self) -> dict:
-        """Model-shaped view of this node's state (the variable mapping
-        the conformance checker compares, §3.5.2)."""
-        return {
-            "state": self.state,
-            "zab_state": self.zab_state,
-            "accepted_epoch": self.accepted_epoch,
-            "current_epoch": self.current_epoch,
-            "history": tuple(self.history),
-            "last_committed": self.last_committed,
-            "my_leader": self.my_leader,
-            "newleader_recv": self.newleader_recv,
-            "queued_requests": tuple(
-                (e.txn, e.epoch) for e in self.queued_requests
-            ),
-            "committed_requests": tuple(self.committed_requests),
-        }
+    def snapshot(self) -> tuple:
+        """This node's values of the model-shaped state (the variable
+        mapping the conformance checker compares, §3.5.2), in
+        :data:`SNAPSHOT_VARIABLES` order: the ensemble transposes its
+        nodes' rows into per-variable tuples."""
+        return (
+            self.state,
+            self.zab_state,
+            self.accepted_epoch,
+            self.current_epoch,
+            tuple(self.history),
+            self.last_committed,
+            self.my_leader,
+            self.newleader_recv,
+            tuple([(e.txn, e.epoch) for e in self.queued_requests]),
+            tuple(self.committed_requests),
+        )

@@ -30,6 +30,8 @@ CANDIDATE = "candidate"
 LEADER = "leader"
 DOWN = "down"
 NO_VOTE = -1
+#: The variables of :meth:`RaftEnsemble.snapshot`, in its order.
+SNAPSHOT_VARIABLES = ("role", "current_term", "voted_for", "log", "commit_index")
 
 
 class RaftImplError(ImplError):
@@ -107,13 +109,17 @@ class RaftEnsemble:
     def snapshot(self) -> Dict[str, Tuple]:
         """Per-variable tuples in the model's encodings, for comparison
         against the spec state after each mapped step."""
-        return {
-            "role": tuple(node.role for node in self.nodes),
-            "current_term": tuple(node.current_term for node in self.nodes),
-            "voted_for": tuple(node.voted_for for node in self.nodes),
-            "log": tuple(tuple(node.log) for node in self.nodes),
-            "commit_index": tuple(node.commit_index for node in self.nodes),
-        }
+        rows = [
+            (
+                node.role,
+                node.current_term,
+                node.voted_for,
+                tuple(node.log),
+                node.commit_index,
+            )
+            for node in self.nodes
+        ]
+        return dict(zip(SNAPSHOT_VARIABLES, zip(*rows)))
 
     # --- election ------------------------------------------------------------
 

@@ -10,13 +10,15 @@ step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.checker.trace import Trace
 from repro.impl.ensemble import Ensemble
 from repro.impl.exceptions import ImplError
 from repro.remix.mapping import ActionMapping
 from repro.tla.action import ActionLabel
+from repro.tla.state import Schema, State
 
 #: Variables compared between model and implementation after each step.
 COMPARED_VARIABLES = (
@@ -38,17 +40,81 @@ COMPARED_VARIABLES = (
 CONFIG_LABEL = ActionLabel("<compare-config>")
 
 
-def split_compared_variables(snapshot, compared_variables):
-    """Partition a ``compared_variables`` tuple against an implementation
-    snapshot: ``(known, missing)``.
+class Comparison(NamedTuple):
+    """A ``compared_variables`` tuple resolved against both sides."""
+
+    #: The compared variables both sides have, in compared order ...
+    known: Tuple[str, ...]
+    #: ... and the model state slot of each.
+    slots: Tuple[int, ...]
+    #: ``(variable, the side or sides that lack it)`` for the rest.
+    missing: Tuple[Tuple[str, str], ...]
+    #: The known variables' values out of a model state's values tuple
+    #: and out of a snapshot, in one comparable form (built once).
+    model: Callable[[tuple], Any]
+    impl: Callable[[dict], Any]
+
+
+def _projection(keys: tuple) -> Callable[[Any], Any]:
+    """``itemgetter(*keys)``, which needs at least one key."""
+    return itemgetter(*keys) if keys else (lambda source: ())
+
+
+def split_compared_variables(
+    snapshot, schema: Schema, compared_variables
+) -> Comparison:
+    """Resolve a ``compared_variables`` tuple against an implementation
+    snapshot and the model's schema.
 
     Shared between the top-down :class:`Coordinator` and the bottom-up
     :class:`~repro.remix.trace_validation.TraceValidator`: both must
-    report a typo'd variable instead of silently never comparing it.
+    report a typo'd variable instead of silently never comparing it, and
+    one the model lacks instead of failing to read it mid-run.
     """
-    known = tuple(v for v in compared_variables if v in snapshot)
-    missing = tuple(v for v in compared_variables if v not in snapshot)
-    return known, missing
+    known: List[str] = []
+    slots: List[int] = []
+    missing: List[Tuple[str, str]] = []
+    for variable in compared_variables:
+        absent = [
+            side
+            for side, names in (
+                ("the implementation snapshot", snapshot),
+                ("the model schema", schema),
+            )
+            if variable not in names
+        ]
+        if absent:
+            missing.append((variable, " and ".join(absent)))
+        else:
+            known.append(variable)
+            slots.append(schema.index(variable))
+    return Comparison(
+        tuple(known),
+        tuple(slots),
+        tuple(missing),
+        _projection(tuple(slots)),
+        _projection(tuple(known)),
+    )
+
+
+def mismatches(
+    model_state: State, ensemble: Any, comparison: Comparison
+) -> List[Tuple[str, Any, Any]]:
+    """``(variable, model value, impl value)`` for every known compared
+    variable whose two values differ after a step, in compared order --
+    the one comparison both lockstep loops make.
+
+    One snapshot and one tuple comparison per step; the variables are
+    walked one by one only when the projections differ."""
+    impl = ensemble.snapshot()
+    values = model_state.values
+    if comparison.model(values) == comparison.impl(impl):
+        return []
+    return [
+        (variable, values[slot], impl[variable])
+        for variable, slot in zip(comparison.known, comparison.slots)
+        if values[slot] != impl[variable]
+    ]
 
 
 @dataclass
@@ -62,6 +128,8 @@ class Discrepancy:
     variable: str = ""
     model_value: object = None
     impl_value: object = None
+    #: ``unknown_variable`` only: the side(s) the variable is missing from.
+    absent_from: str = ""
 
     def __str__(self) -> str:
         if self.kind == "state_mismatch":
@@ -71,8 +139,8 @@ class Discrepancy:
             )
         if self.kind == "unknown_variable":
             return (
-                f"compared variable {self.variable!r} is absent from the "
-                f"implementation snapshot -- its comparison never runs"
+                f"compared variable {self.variable!r} is absent from "
+                f"{self.absent_from} -- its comparison never runs"
             )
         return f"step {self.step} ({self.label}): {self.kind}"
 
@@ -103,12 +171,23 @@ class Coordinator:
         self.mapping = mapping
         self.ensemble_factory = ensemble_factory
         self.compared_variables = tuple(compared_variables)
-        # Resolved once against the snapshot of a fresh ensemble: a typo
-        # in compared_variables would otherwise silently disable that
-        # comparison forever, and every replay reports it.
-        self.known, self.missing = split_compared_variables(
-            ensemble_factory().snapshot(), self.compared_variables
-        )
+        # The implementation side is read once, off a fresh ensemble; the
+        # model side per schema of the traces replayed (one, in practice).
+        # A variable either side lacks would otherwise be silently never
+        # compared -- or fail to read mid-replay -- so every replay
+        # reports it instead.
+        self._snapshot = frozenset(ensemble_factory().snapshot())
+        self._comparisons: Dict[Schema, Comparison] = {}
+
+    def comparison(self, schema: Schema) -> Comparison:
+        """The compared variables resolved against ``schema`` and the
+        implementation snapshot."""
+        resolved = self._comparisons.get(schema)
+        if resolved is None:
+            resolved = self._comparisons[schema] = split_compared_variables(
+                self._snapshot, schema, self.compared_variables
+            )
+        return resolved
 
     def replay(
         self,
@@ -135,17 +214,20 @@ class Coordinator:
         are reported wherever the replay starts.
         """
         start, ensemble = resume or self.start()
+        states, labels = trace.states, trace.labels
+        comparison = self.comparison(states[0].schema)
         result = ReplayResult(
             discrepancies=[
-                Discrepancy("unknown_variable", 0, CONFIG_LABEL, variable)
-                for variable in self.missing
+                Discrepancy(
+                    "unknown_variable", 0, CONFIG_LABEL, variable, absent_from=side
+                )
+                for variable, side in comparison.missing
             ]
         )
         if result.discrepancies and stop_on_discrepancy:
             return result
-        states = trace.states
-        for step in range(start, len(trace.labels)):
-            label = trace.labels[step]
+        for step in range(start, len(labels)):
+            label = labels[step]
             mapped = self.mapping.lookup(label)
             if mapped is None:
                 result.discrepancies.append(
@@ -168,9 +250,19 @@ class Coordinator:
                     return result
                 continue
             result.steps_executed += 1
-            mismatches = self._compare(states[step + 1], ensemble, step, label)
-            result.discrepancies.extend(mismatches)
-            if mismatches and stop_on_discrepancy:
+            differ = mismatches(states[step + 1], ensemble, comparison)
+            for variable, model_value, impl_value in differ:
+                result.discrepancies.append(
+                    Discrepancy(
+                        "state_mismatch",
+                        step,
+                        label,
+                        variable,
+                        model_value,
+                        impl_value,
+                    )
+                )
+            if differ and stop_on_discrepancy:
                 return result
         return result
 
@@ -186,22 +278,3 @@ class Coordinator:
         for label in labels:
             self.mapping.lookup(label).step(ensemble, label)
         return step + len(labels), ensemble
-
-    def _compare(self, model_state, ensemble: Ensemble, step, label):
-        impl = ensemble.snapshot()
-        out: List[Discrepancy] = []
-        for variable in self.known:
-            model_value = model_state[variable]
-            impl_value = impl[variable]
-            if model_value != impl_value:
-                out.append(
-                    Discrepancy(
-                        "state_mismatch",
-                        step,
-                        label,
-                        variable,
-                        model_value,
-                        impl_value,
-                    )
-                )
-        return out

@@ -50,9 +50,15 @@ from repro.remix.campaign import (
 )
 from repro.remix.coordinator import Coordinator
 from repro.remix.registry import system_plugin
-from repro.remix.spec_cache import cached_mapping, cached_prefix, cached_spec
+from repro.remix.spec_cache import (
+    cached_lockstep,
+    cached_mapping,
+    cached_prefix,
+    cached_resume_point,
+    cached_spec,
+)
 from repro.remix.trace_validation import ImplExplorer, TraceValidator
-from repro.system.plugin import ScenarioError
+from repro.system.plugin import Scenario, ScenarioError
 
 
 def _args_to_json(value: Any) -> Any:
@@ -138,9 +144,10 @@ def _explore_suffix(grain, witness, config, system, prefix) -> List:
 
 # --------------------------------------------------------------- judge
 #
-# A judge is built per (grain, target fingerprint, config, system).
-# ``judge(run, index)`` returns ``(steps, labels executed, findings)``
-# from a full lockstep run on a fresh ensemble and is what a campaign
+# A judge is built per (grain, target fingerprint, config, system) and,
+# for runs of a campaign cell, the cell's coordinate.  ``judge(run,
+# index)`` returns ``(steps, labels executed, findings)`` -- what a full
+# lockstep run on a fresh ensemble reports -- and is what a campaign
 # cell calls (with no target: ``fingerprint`` is None).
 # ``__call__(run, keep)`` is the shrink oracle -- "the target fingerprint
 # is among those findings" -- and alone counts ``replays``; it resumes
@@ -148,8 +155,19 @@ def _explore_suffix(grain, witness, config, system, prefix) -> List:
 
 
 class _Resumable:
-    """The shrink-oracle half of a judge, shared by both directions: the
-    verdict a full replay would give, for less than a full replay.
+    """What both directions' judges share: one lockstep engine per key,
+    the prefix resume point, and the shrink-oracle half -- the verdict a
+    full replay would give, for less than a full replay.
+
+    ``coordinate`` -- ``(scenario, fault, leader, follower)`` of the cell
+    the judged runs come from -- names the scripted prefix they start
+    with.  The prefix is judged once per process, on a fresh ensemble;
+    when that is clean, the spec cache keeps the lockstep resume point at
+    its end (:func:`~repro.remix.spec_cache.cached_resume_point`), and a
+    run whose first labels are the prefix's enters the lockstep loop
+    there, on a ``clone()`` of the point: the steps it skips are the
+    ones found clean.  A judge without a coordinate replays every run
+    from step 0.
 
     ``keep`` is the loop's promise (:func:`shrink_labels_oracle
     <repro.checker.shrink.shrink_labels_oracle>`) that the run's first
@@ -165,7 +183,9 @@ class _Resumable:
       the coordinator and the validator) driven along the accepted run,
       never past the step its finding fired at -- those steps are known
       clean, so they run uncompared.  A candidate is judged on a
-      ``clone()`` of the cursor, entering the lockstep loop at ``keep``;
+      ``clone()`` of the cursor, entering the lockstep loop at ``keep``.
+      A cursor restarts at the end of the prefix when the accepted run
+      and the candidate both start with it, else at step 0;
     - *inheritance*: a candidate with ``keep`` beyond the firing step
       shares every step the accepted replay executed, so the replay
       would stop before reaching the cut and the verdict is the accepted
@@ -173,17 +193,39 @@ class _Resumable:
 
     A configuration-level finding (``unknown_variable``) fires before
     any step, on every candidate: it has no firing step, no step is
-    known clean, and each candidate gets the full replay.
+    known clean (the prefix's judgment is not clean either), and each
+    candidate gets the full replay.
     """
 
     #: ``labels(run)``: the label sequence of one of this judge's runs.
     labels: Callable
 
-    def __init__(self, fingerprint: Optional[str], lockstep: Any):
+    def __init__(
+        self,
+        grain: str,
+        fingerprint: Optional[str],
+        config: Any,
+        system: str = "zookeeper",
+        coordinate: Optional[Tuple[str, str, int, int]] = None,
+    ):
+        self.grain = grain
         self.fingerprint = fingerprint
-        #: The lockstep engine (a coordinator or a validator).  Its
-        #: resume points are ``(step, ensemble, *model side)`` tuples.
-        self.lockstep = lockstep
+        self.config = config
+        self.system = system
+        compared = tuple(system_plugin(system).compared_variables)
+        key = (type(self).__name__, system, grain, config, compared)
+        #: The lockstep engine (a coordinator or a validator), shared by
+        #: every judge of its key.  Its resume points are ``(step,
+        #: ensemble, *model side)`` tuples.
+        self.lockstep = cached_lockstep(key, lambda: self._engine(compared))
+        self._coordinate = coordinate
+        #: Everything the prefix's judgment reads (the default quorum
+        #: included); None: no coordinate.
+        self._prefix_key = (
+            None
+            if coordinate is None
+            else key + tuple(coordinate) + (tuple(config.servers),)
+        )
         self.replays = 0
         self._rejected: set = set()
         #: The last accepted run's labels and the step the finding fired
@@ -193,22 +235,48 @@ class _Resumable:
         #: A resume point along ``_accepted``, at a step <= ``_fired``.
         self._cursor: Optional[Tuple] = None
 
+    def _engine(self, compared: Tuple[str, ...]) -> Any:
+        """Build this direction's lockstep engine."""
+        raise NotImplementedError
+
+    def _clean_point(self, prefix: Scenario) -> Optional[Tuple]:
+        """Judge the scripted prefix on a fresh ensemble: the resume
+        point at its end when the judgment is clean, else None."""
+        raise NotImplementedError
+
     def _findings_from(self, run, resume) -> Tuple[List, Optional[int]]:
         """Run the lockstep loop from ``resume`` (None: from scratch);
         the findings and the step the loop stopped at."""
         raise NotImplementedError
 
-    def _probe(self, keep: int) -> Tuple:
-        """A resume point at step ``keep`` of the accepted run, the
-        caller's to mutate: the cursor is driven there (restarted when it
-        is already past -- a new ddmin pass) and cloned."""
+    def _judge_prefix(self) -> Optional[Tuple]:
+        """The judgment the spec cache keeps: ``(prefix labels, resume
+        point)``, or None when the prefix is not clean."""
+        prefix = cached_prefix(
+            self.grain, self.config, *self._coordinate, system=self.system
+        )
+        point = self._clean_point(prefix)
+        return None if point is None else (tuple(prefix.labels), point)
+
+    def _prefix_point(self, *runs) -> Optional[Tuple]:
+        """A clone of the prefix resume point when every label sequence
+        in ``runs`` starts with the prefix; None otherwise."""
+        if self._prefix_key is None:
+            return None
+        return cached_resume_point(self._prefix_key, self._judge_prefix, *runs)
+
+    def _probe(self, keep: int, labels: Tuple) -> Tuple:
+        """A resume point for the candidate ``labels``, the caller's to
+        mutate: the cursor is driven to step ``keep`` of the accepted run
+        (restarted when it is already past -- a new ddmin pass) and
+        cloned."""
         point = self._cursor
         if point is None or point[0] > keep:
-            point = self.lockstep.start()
+            point = self._prefix_point(self._accepted, labels) or self.lockstep.start()
         point = self._cursor = self.lockstep.advance(
             point, self._accepted[point[0] : keep]
         )
-        return (keep, point[1].clone()) + point[2:]
+        return (point[0], point[1].clone()) + point[2:]
 
     def _reproduces(self, run, keep: int) -> bool:
         self.replays += 1
@@ -222,9 +290,13 @@ class _Resumable:
             self._accepted = labels
             return True
         # No firing step (nothing accepted yet, or a configuration-level
-        # finding) means no step known clean: the full replay.
+        # finding) means no step of the accepted run known clean: the
+        # full replay, past the prefix when the run starts with it.
         findings, stopped = self._findings_from(
-            run, None if self._fired is None else self._probe(keep)
+            run,
+            self._prefix_point(labels)
+            if self._fired is None
+            else self._probe(keep, labels),
         )
         hit = next(
             (f for f in findings if f["fingerprint"] == self.fingerprint),
@@ -243,29 +315,28 @@ class ConformanceOracle(_Resumable):
 
     labels = staticmethod(attrgetter("labels"))
 
-    def __init__(
-        self,
-        grain: str,
-        fingerprint: Optional[str],
-        config: Any,
-        system: str = "zookeeper",
-    ):
-        plugin = system_plugin(system)
-        super().__init__(
-            fingerprint,
-            Coordinator(
-                cached_mapping(grain, system=system),
-                plugin.ensemble_factory(config),
-                compared_variables=plugin.compared_variables,
-            ),
+    def _engine(self, compared):
+        return Coordinator(
+            cached_mapping(self.grain, system=self.system),
+            system_plugin(self.system).ensemble_factory(self.config),
+            compared_variables=compared,
         )
-        self.grain = grain
+
+    def _clean_point(self, prefix):
+        point = self.lockstep.start()
+        if not self.lockstep.replay(prefix.trace(), resume=point).clean:
+            return None
+        return (len(prefix.labels), point[1])
 
     def judge(self, trace: Trace, index: int = 0) -> Tuple[int, List, List]:
-        result = self.lockstep.replay(trace)
+        resume = self._prefix_point(trace.labels)
+        result = self.lockstep.replay(trace, resume=resume)
+        # A resumed replay counts the steps it executed; the prefix's
+        # executed too.
+        steps = result.steps_executed + (resume[0] if resume else 0)
         return (
-            result.steps_executed,
-            trace.labels[: result.steps_executed],
+            steps,
+            trace.labels[:steps],
             trace_findings(result, trace, self.grain),
         )
 
@@ -294,32 +365,31 @@ class ValidationOracle(_Resumable):
 
     labels = staticmethod(list)
 
-    def __init__(
-        self,
-        grain: str,
-        fingerprint: Optional[str],
-        config: Any,
-        system: str = "zookeeper",
-    ):
-        plugin = system_plugin(system)
-        super().__init__(
-            fingerprint,
-            TraceValidator(
-                cached_spec(grain, config, system=system),
-                cached_mapping(grain, system=system),
-                plugin.ensemble_factory(config),
-                compared_variables=plugin.compared_variables,
-            ),
+    def _engine(self, compared):
+        return TraceValidator(
+            cached_spec(self.grain, self.config, system=self.system),
+            cached_mapping(self.grain, system=self.system),
+            system_plugin(self.system).ensemble_factory(self.config),
+            compared_variables=compared,
         )
-        self.grain = grain
+
+    def _clean_point(self, prefix):
+        point = self.lockstep.start()
+        report = self.lockstep.validate_labels(prefix.labels, resume=point)
+        if not report.valid or report.steps_validated < len(prefix.labels):
+            return None
+        # A clean validation stepped the model through the prefix's own
+        # states: the scenario scripted them with the same instances.
+        return (len(prefix.labels), point[1], prefix.states[-1])
 
     def judge(self, labels: List, index: int = 0) -> Tuple[int, List, List]:
+        resume = self._prefix_point(labels)
+        report = self.lockstep.validate_labels(labels, run=index, resume=resume)
         # The implementation executed every label of an explorer's run;
         # validation merely stops judging at the first issue, so the
         # labels executed (a cell's coverage) are the whole run.
-        report = self.lockstep.validate_labels(labels, run=index)
         return (
-            report.steps_validated,
+            report.steps_validated + (resume[0] if resume else 0),
             labels,
             validation_findings(report, self.grain),
         )
@@ -384,6 +454,17 @@ DIRECTION_TABLE: Dict[str, Direction] = {
 }
 
 
+def witness_coordinate(witness: Dict[str, Any]) -> Tuple[str, str, int, int]:
+    """The cell coordinate a witness was derived at: ``(scenario, fault,
+    leader, follower)``, the arguments of its scripted prefix."""
+    return (
+        witness["scenario"],
+        witness["fault"],
+        witness["leader"],
+        witness["follower"],
+    )
+
+
 def rebuild_witness(
     grain: str,
     witness: Dict[str, Any],
@@ -393,15 +474,7 @@ def rebuild_witness(
     """Reconstruct a finding's witnessing run from its stored metadata:
     the scripted prefix + fault, then the direction's ``derive`` under
     the stored seed and step budget -- exactly what the cell executed."""
-    prefix = cached_prefix(
-        grain,
-        config,
-        witness["scenario"],
-        witness["fault"],
-        witness["leader"],
-        witness["follower"],
-        system=system,
-    )
+    prefix = cached_prefix(grain, config, *witness_coordinate(witness), system=system)
     direction = DIRECTION_TABLE[witness["direction"]]
     return direction.derive(grain, witness, config, system, prefix)
 
@@ -431,7 +504,9 @@ def shrink_finding(
         run = rebuild_witness(grain, witness, config, system)
     except ScenarioError as error:  # pragma: no cover - defensive
         return {"status": "unreproducible", "reason": str(error)}
-    oracle = direction.judge(grain, finding["fingerprint"], config, system)
+    oracle = direction.judge(
+        grain, finding["fingerprint"], config, system, witness_coordinate(witness)
+    )
     if not oracle(run):
         return {"status": "unreproducible", "witness_steps": len(run)}
     shrunk = shrink_labels_oracle(

@@ -19,6 +19,17 @@ Forked campaign workers inherit the parent's populated cache by memory
 image, so pre-warming once in the parent makes campaign startup
 O(grains), not O(jobs).
 
+Two memory-only caches serve the campaign's judges
+(:mod:`repro.remix.minimize`): one lockstep engine per (judge, system,
+grain, config, compared variables) -- :func:`cached_lockstep`, so the
+compared variables are resolved once per key -- and one *prefix resume
+point* per engine key and cell coordinate (:func:`cached_resume_point`):
+where the lockstep loop stands after the coordinate's scripted prefix,
+judged clean once per process on a fresh ensemble.  The points hold live
+ensembles, so they never touch the disk and are only handed out as
+clones; each process (a forked or resident worker included)
+judges the prefixes it meets once and keeps them until :func:`clear`.
+
 On-disk persistence
 -------------------
 
@@ -80,6 +91,12 @@ _MAPPINGS: Dict[str, object] = {}
 #: (labels, state values) per cell coordinate -- or, for a coordinate
 #: that cannot be scripted, the ``ScenarioError`` message.
 _PREFIXES: Dict[Tuple, Union[Tuple[tuple, tuple], str]] = {}
+#: Lockstep engines (a judge's coordinator or validator) per engine key.
+_LOCKSTEPS: Dict[Tuple, Any] = {}
+#: (prefix labels, resume point) per engine key + cell coordinate -- or
+#: ``()`` when the prefix's judgment was not clean.  Memory only: the
+#: points hold live ensembles.
+_RESUME_POINTS: Dict[Tuple, Tuple] = {}
 _STATS = {
     "hits": 0,
     "misses": 0,
@@ -87,6 +104,9 @@ _STATS = {
     "prefix_misses": 0,
     "disk_hits": 0,
     "disk_misses": 0,
+    "resume_hits": 0,
+    "resume_misses": 0,
+    "resume_negative": 0,
 }
 #: Per-key gates for in-flight compositions.  The composing thread holds
 #: the gate; waiters block on it, then re-check the cache.
@@ -198,6 +218,63 @@ def cached_mapping(name: str, *, system: str = "zookeeper"):
         lambda: _plugin(system).make_mapping(name),
         count=False,
     )
+
+
+def cached_lockstep(key: Tuple, build: Callable[[], Any]) -> Any:
+    """The shared lockstep engine (a judge's
+    :class:`~repro.remix.coordinator.Coordinator` or
+    :class:`~repro.remix.trace_validation.TraceValidator`) under ``key``,
+    built by ``build()`` once.  ``key`` names everything the engine is
+    built from -- judge, system, grain, config, compared variables -- so
+    its compared variables are resolved once per key, not per judge.
+    Engines keep no per-run state; callers must not mutate them."""
+    return _single_flight(_LOCKSTEPS, key, build, count=False)
+
+
+def cached_resume_point(
+    key: Tuple, judge_prefix: Callable[[], Optional[Tuple]], *runs
+) -> Optional[Tuple]:
+    """A clone of the *prefix resume point* under ``key``, for runs that
+    all start with the prefix's labels.
+
+    A prefix resume point is a lockstep engine's resume point ``(n,
+    ensemble, *model side)`` at the end of one cell coordinate's scripted
+    prefix, once the prefix has been judged on a fresh ensemble and found
+    clean: every step executed, nothing differed.  ``judge_prefix()``
+    runs that judgment -- once per key and process, single-flighted --
+    and returns ``(prefix labels, point)``, or None when the judgment was
+    not clean, which is kept as a negative entry.  ``key`` names
+    everything the judgment read: the engine's key plus the coordinate.
+
+    Returns a ``clone()`` of the point, never the point itself, when
+    every label sequence in ``runs`` starts with the prefix's labels;
+    None for a negative entry or a run that leaves the prefix.  Counted
+    in :func:`stats`: ``resume_misses`` (this call judged the prefix),
+    ``resume_hits`` (a clone of an existing point handed out),
+    ``resume_negative`` (answered by a negative entry)."""
+    judged = []
+
+    def build() -> Tuple:
+        judged.append(True)
+        return judge_prefix() or ()
+
+    entry = _single_flight(_RESUME_POINTS, key, build, count=False)
+    point = None
+    if entry:
+        labels, cached = entry
+        if all(tuple(run[: len(labels)]) == labels for run in runs):
+            point = (cached[0], cached[1].clone()) + cached[2:]
+    if judged:
+        outcome = "resume_misses"
+    elif not entry:
+        outcome = "resume_negative"
+    elif point is not None:
+        outcome = "resume_hits"
+    else:
+        return None  # a run that leaves the prefix: nothing to count
+    with _LOCK:
+        _STATS[outcome] += 1
+    return point
 
 
 # -------------------------------------------------------- on-disk layer
@@ -364,20 +441,23 @@ def cached_prefix(
 def stats() -> Dict[str, int]:
     """Cache hit/miss counters (for tests and campaign reports).
     ``disk_hits`` / ``disk_misses`` are prefix entries; compile bundles
-    (:mod:`repro.checker.bundle`) count under their own ``bundle_*`` keys."""
+    (:mod:`repro.checker.bundle`) count under their own ``bundle_*`` keys;
+    ``resume_*`` are prefix resume points (:func:`cached_resume_point`)."""
     with _LOCK:
         return dict(_STATS, size=len(_SPECS), **bundle.stats())
 
 
 def clear() -> None:
-    """Drop every in-memory cached spec/mapping/prefix and reset the
-    counters (in-flight compositions, if any, finish into the fresh
-    cache).  On-disk entries are untouched -- they are invalidated by
-    the source digest, not by process lifecycle."""
+    """Drop every in-memory cached spec/mapping/prefix/engine/resume
+    point and reset the counters (in-flight compositions, if any, finish
+    into the fresh cache).  On-disk entries are untouched -- they are
+    invalidated by the source digest, not by process lifecycle."""
     with _LOCK:
         _SPECS.clear()
         _MAPPINGS.clear()
         _PREFIXES.clear()
+        _LOCKSTEPS.clear()
+        _RESUME_POINTS.clear()
         for counter in _STATS:
             _STATS[counter] = 0
     bundle.reset_stats()

@@ -31,6 +31,7 @@ from repro.impl.exceptions import ImplError
 from repro.remix.coordinator import (
     COMPARED_VARIABLES,
     CONFIG_LABEL,
+    mismatches,
     split_compared_variables,
 )
 from repro.remix.mapping import ActionMapping
@@ -56,6 +57,8 @@ class ValidationIssue:
     model_value: object = None
     impl_value: object = None
     run: int = 0
+    #: ``unknown_variable`` only: the side(s) the variable is missing from.
+    absent_from: str = ""
 
     def __str__(self) -> str:
         if self.kind == "state_mismatch":
@@ -66,8 +69,8 @@ class ValidationIssue:
             )
         if self.kind == "unknown_variable":
             return (
-                f"compared variable {self.variable!r} is absent from the "
-                f"implementation snapshot -- its comparison never runs"
+                f"compared variable {self.variable!r} is absent from "
+                f"{self.absent_from} -- its comparison never runs"
             )
         return f"run {self.run} step {self.step} ({self.label}): {self.kind}"
 
@@ -215,11 +218,12 @@ class TraceValidator:
         self.ensemble_factory = ensemble_factory
         self.compared_variables = tuple(compared_variables)
         self.initial: State = spec.initial_states()[0]
-        # Resolved once against the snapshot of a fresh ensemble: a
-        # typo'd variable would otherwise silently never be compared
-        # (the bug the Coordinator already fixed; shared helper).
-        self.known, self.missing = split_compared_variables(
-            ensemble_factory().snapshot(), self.compared_variables
+        # Resolved once against the snapshot of a fresh ensemble and the
+        # spec's schema: a variable either side lacks would otherwise be
+        # silently never compared, or fail to read mid-run (the helper
+        # the Coordinator shares).
+        self.comparison = split_compared_variables(
+            ensemble_factory().snapshot(), spec.schema, self.compared_variables
         )
 
     def validate_labels(
@@ -243,12 +247,18 @@ class TraceValidator:
         took, and the configuration-level ``unknown_variable`` issues are
         reported wherever validation starts."""
         start, ensemble, model_state = resume or self.start()
+        comparison = self.comparison
         report = ValidationReport(
             issues=[
                 ValidationIssue(
-                    "unknown_variable", 0, CONFIG_LABEL, variable, run=run
+                    "unknown_variable",
+                    0,
+                    CONFIG_LABEL,
+                    variable,
+                    run=run,
+                    absent_from=side,
                 )
-                for variable in self.missing
+                for variable, side in comparison.missing
             ]
         )
         for step in range(start, len(labels)):
@@ -287,21 +297,21 @@ class TraceValidator:
                 return report
             model_state = nxt
             report.steps_validated += 1
-            impl = ensemble.snapshot()
-            for variable in self.known:
-                if model_state[variable] != impl[variable]:
-                    report.issues.append(
-                        ValidationIssue(
-                            "state_mismatch",
-                            step,
-                            label,
-                            variable,
-                            model_state[variable],
-                            impl[variable],
-                            run=run,
-                        )
+            differ = mismatches(model_state, ensemble, comparison)
+            if differ:
+                variable, model_value, impl_value = differ[0]
+                report.issues.append(
+                    ValidationIssue(
+                        "state_mismatch",
+                        step,
+                        label,
+                        variable,
+                        model_value,
+                        impl_value,
+                        run=run,
                     )
-                    return report
+                )
+                return report
         return report
 
     def start(self) -> Tuple[int, Ensemble, State]:

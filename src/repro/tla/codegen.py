@@ -62,7 +62,7 @@ from repro.tla.state import State
 # Version tag of the kernel emitter.  Mixed into the spec_cache on-disk
 # digest (upgrading the emitter must orphan stale artifacts) and reported
 # by ``CompiledSpec.memo_stats``.
-CODEGEN_VERSION = 9
+CODEGEN_VERSION = 10
 
 
 def _key_expr(slots: Tuple[int, ...], var: str = "v") -> str:
@@ -222,19 +222,28 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     """
     schema = core.schema
     names = schema.names
-    env: Dict[str, Any] = {
-        "_State": State,
-        "_schema": schema,
-        "_config": core.config,
-        "_classify_values": core.classify_values,
-        "_naffects": [~bits for bits in core.affects],
-        "_mk": make_outcome_compiler(core),
+    # Everything the kernel reads that is fixed for its lifetime is bound
+    # once per emission, as parameter defaults: a call copies them into
+    # its frame, where every use is a local load.  Assigning them to
+    # locals in the body instead would cost a statement per name on every
+    # call -- most calls are one-row walk steps.
+    binds: Dict[str, Any] = {
+        "config": core.config,
+        "mk": make_outcome_compiler(core),
+        "classify_values": core.classify_values,
+        "naffects": [~bits for bits in core.affects],
     }
-    for i, applier in enumerate(core.appliers):
-        env[f"_a_{i}"] = applier
+    # Every applier an outcome group or the eager tier can call.
+    used = sorted(
+        {idx for _slots, members in core.outcome_groups for idx in members}
+        | set(core.eager)
+    )
+    for idx in used:
+        binds[f"a{idx}"] = core.appliers[idx]
+    n_outcomes = len(core.outcome_groups)
     for g, memo in enumerate(core.outcome_memos):
-        env[f"_omemo_{g}"] = memo
-        env[f"_ostats_{g}"] = core.outcome_stats[g]
+        binds[f"omemo{g}"] = memo
+        binds[f"oget{g}"] = memo.get
 
     # Classification fuses into the candidate loop only when every verdict
     # is memoizable by a declared-reads projection: a mask/constraint with
@@ -247,58 +256,45 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
         and not core.inv_ungrouped
     )
     if fused:
-        env["_vmemo"] = {}
+        vmemo: Dict[int, Tuple[int, ...]] = {}
+        binds["vmemo"] = vmemo
+        binds["vget"] = vmemo.get
         for g, memo in enumerate(core.inv_memos):
-            env[f"_imemo_{g}"] = memo
+            binds[f"imemo{g}"] = memo
+            binds[f"iget{g}"] = memo.get
         for _kf, group_members in core.inv_groups:
             for i in group_members:
-                env[f"_inv_{i}"] = core.invariant_fns[i]
+                binds[f"inv{i}"] = core.invariant_fns[i]
         if core.mask is not None:
-            env["_mask_fn"] = core.mask
-            env["_mmemo"] = core.mask_memo
+            binds["maskf"] = core.mask
+            binds["mmemo"] = core.mask_memo
+            binds["mget"] = core.mask_memo.get
         if core.constraint is not None:
-            env["_cons_fn"] = core.constraint
-            env["_cmemo"] = core.constraint_memo
+            binds["consf"] = core.constraint
+            binds["cmemo"] = core.constraint_memo
+            binds["cget"] = core.constraint_memo.get
+    env: Dict[str, Any] = {"_State": State, "_schema": schema}
+    env.update((f"_{name}", value) for name, value in binds.items())
+    # The stats cells are read once per call, after the loop: globals.  As
+    # parameters they would push the loop's own locals, numbered after the
+    # parameters, past slot 255, where every use costs an EXTENDED_ARG.
+    for g, cell in enumerate(core.outcome_stats):
+        env[f"_ostats_{g}"] = cell
 
     src: List[str] = []
     w = src.append
     w(f"# repro kernel v{CODEGEN_VERSION} for spec {core.spec.name!r}")
-    w("def _expand_batch(rows, seen, classify):")
-    w("    config = _config")
-    w("    mk = _mk")
-    w("    classify_values = _classify_values")
-    w("    naffects = _naffects")
-    # Every applier an outcome group or the eager tier can call, hoisted
-    # into locals once per batch (global loads are dict lookups per call).
-    used = sorted(
-        {idx for _slots, members in core.outcome_groups for idx in members}
-        | set(core.eager)
-    )
-    for idx in used:
-        w(f"    a{idx} = _a_{idx}")
-    n_outcomes = len(core.outcome_groups)
-    for g in range(n_outcomes):
-        w(f"    omemo{g} = _omemo_{g}")
-        w(f"    oget{g} = omemo{g}.get")
-        w(f"    om{g} = 0")
-        w(f"    os{g} = 0")
-    if fused:
-        w("    vmemo = _vmemo")
-        w("    vget = vmemo.get")
-        for g in range(len(core.inv_groups)):
-            w(f"    imemo{g} = _imemo_{g}")
-            w(f"    iget{g} = imemo{g}.get")
-        for _kf, group_members in core.inv_groups:
-            for i in group_members:
-                w(f"    inv{i} = _inv_{i}")
-        if core.mask is not None:
-            w("    maskf = _mask_fn")
-            w("    mmemo = _mmemo")
-            w("    mget = mmemo.get")
-        if core.constraint is not None:
-            w("    consf = _cons_fn")
-            w("    cmemo = _cmemo")
-            w("    cget = cmemo.get")
+    w("def _expand_batch(")
+    w("    rows,")
+    w("    seen,")
+    w("    classify,")
+    for name in binds:
+        w(f"    {name}=_{name},")
+    w("):")
+    if n_outcomes:
+        # Per outcome group: misses and skips of this call, flushed below.
+        counters = [f"{kind}{g}" for g in range(n_outcomes) for kind in ("om", "os")]
+        w(f"    {' = '.join(counters)} = 0")
     w("    results = []")
     w("    res_append = results.append")
     w("    seen_add = None if seen is None else seen.add")
@@ -458,8 +454,8 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     w("        res_append((entry_fp, len(raw), cands))")
 
     for g in range(n_outcomes):
-        w(f"    _ostats_{g}[0] += om{g}")
-        w(f"    _ostats_{g}[1] += os{g}")
+        w(f"    if om{g}: _ostats_{g}[0] += om{g}")
+        w(f"    if os{g}: _ostats_{g}[1] += os{g}")
     w("    return results")
     w("")
 

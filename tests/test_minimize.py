@@ -476,6 +476,53 @@ class TestCompareValidation:
         assert findings and findings[0]["kind"] == "unknown_variable"
         assert findings[0]["variable"] == "historyy"
 
+    def test_variable_the_model_lacks_is_reported_not_crashed_on(self):
+        """A compared variable only the implementation snapshot has used
+        to pass the snapshot-only check and raise ``KeyError`` from the
+        first comparison; it is an ``unknown_variable`` naming the model
+        side, and the known variables are still compared."""
+
+        class WiderSnapshot(Ensemble):
+            def snapshot(self):
+                return dict(super().snapshot(), impl_only=(0, 0, 0))
+
+        plugin = system_plugin("zookeeper")
+        coordinator = Coordinator(
+            spec_cache.cached_mapping("mSpec-1"),
+            lambda: WiderSnapshot(3, V391),
+            compared_variables=plugin.compared_variables + ("impl_only",),
+        )
+        result = coordinator.replay(
+            self.electing_trace(), stop_on_discrepancy=False
+        )
+        assert result.steps_executed == 1
+        (bad,) = result.discrepancies
+        assert (bad.kind, bad.variable) == ("unknown_variable", "impl_only")
+        assert "absent from the model schema --" in str(bad)
+        # the typo is absent from both sides, and says so
+        typo = self.coordinator(("historyy",)).replay(self.electing_trace())
+        assert "the implementation snapshot and the model schema" in str(
+            typo.discrepancies[0]
+        )
+
+    def test_every_mismatching_variable_of_a_step_in_compared_order(self):
+        """The one-tuple comparison walks the variables only on a
+        mismatch, and then reports each that differs, in compared order."""
+
+        class Lying(Ensemble):
+            def snapshot(self):
+                lie = ("lie",) * 3
+                return dict(super().snapshot(), history=lie, state=lie)
+
+        coordinator = Coordinator(
+            mapping_for(SELECTIONS["mSpec-1"]), lambda: Lying(3, V391)
+        )
+        result = coordinator.replay(self.electing_trace())
+        assert [(d.kind, d.step, d.variable) for d in result.discrepancies] == [
+            ("state_mismatch", 0, "state"),
+            ("state_mismatch", 0, "history"),
+        ]
+
 
 # --------------------------------------------- spec cache single-flight
 

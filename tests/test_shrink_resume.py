@@ -364,7 +364,7 @@ def test_unknown_variable_finding_takes_the_full_replay(
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("direction", DIRECTIONS)
 def test_a_memo_hit_moves_neither_the_accepted_run_nor_the_cursor(
-    direction, system
+    direction, system, monkeypatch
 ):
     """Trap 3: a rejected candidate seen again is answered from the memo
     -- counted, not replayed -- and the next candidate still resumes
@@ -393,14 +393,18 @@ def test_a_memo_hit_moves_neither_the_accepted_run_nor_the_cursor(
     for index in range(rejected + 1, len(witness)):
         judge, oracle, _ = oracle_for(finding, config, system)
         physical = []
-        lockstep_run = getattr(judge.lockstep, method)
-        setattr(
-            judge.lockstep,
-            method,
-            lambda *args, **kw: physical.append(1) or lockstep_run(*args, **kw),
-        )
-        assert not oracle(without(rejected), rejected)
-        assert not oracle(without(rejected), rejected)
+        # The engine is shared by every judge of its key: count on it
+        # for this judge only, and put it back.
+        with monkeypatch.context() as patch:
+            lockstep_run = getattr(type(judge.lockstep), method)
+            patch.setattr(
+                judge.lockstep,
+                method,
+                lambda *args, **kw: physical.append(1)
+                or lockstep_run(judge.lockstep, *args, **kw),
+            )
+            assert not oracle(without(rejected), rejected)
+            assert not oracle(without(rejected), rejected)
         assert (judge.replays, len(physical)) == (3, 1)  # + the witness check
         # keep > rejected: a prefix only the witness has
         assert oracle(without(index), index) == reference(without(index))
@@ -416,7 +420,8 @@ def test_a_judged_probe_never_mutates_the_cursor(system, monkeypatch):
         original = oracle_cls._findings_from
 
         def guarded(self, run, resume, original=original):
-            if resume is None:
+            if resume is None or self._fired is None:
+                # a full replay: from scratch, or past the clean prefix
                 return original(self, run, resume)
             cursor = self._cursor[1]
             assert clone_defects(cursor, resume[1]) == []

@@ -173,6 +173,45 @@ class TestUnknownVariable:
             i.kind == "unknown_variable" for i in report.issues
         )
 
+    def validator(self, ensemble_cls, compared=COMPARED_VARIABLES):
+        return TraceValidator(
+            make_spec("mSpec-1", CFG),
+            mapping_for(SELECTIONS["mSpec-1"]),
+            lambda: ensemble_cls(CFG.n_servers, V391),
+            compared_variables=compared,
+        )
+
+    def test_variable_the_model_lacks_is_reported_not_crashed_on(self):
+        """Resolved against the snapshot alone, a variable only the
+        implementation has raised ``KeyError`` at the first step's
+        comparison; it is an ``unknown_variable`` naming the model side."""
+
+        class WiderSnapshot(Ensemble):
+            def snapshot(self):
+                return dict(super().snapshot(), impl_only=(0, 0, 0))
+
+        executed, _, _ = explorer("mSpec-1", 5).explore(max_steps=6)
+        report = self.validator(
+            WiderSnapshot, COMPARED_VARIABLES + ("impl_only",)
+        ).validate_labels(executed, run=2)
+        assert [(i.kind, i.variable, i.run) for i in report.issues] == [
+            ("unknown_variable", "impl_only", 2)
+        ]
+        assert "absent from the model schema --" in str(report.issues[0])
+        assert report.steps_validated == len(executed)
+
+    def test_a_mismatch_ends_validation_at_its_first_variable(self):
+        class Lying(Ensemble):
+            def snapshot(self):
+                lie = ("lie",) * 3
+                return dict(super().snapshot(), history=lie, state=lie)
+
+        executed, _, _ = explorer("mSpec-1", 5).explore(max_steps=6)
+        report = self.validator(Lying).validate_labels(executed)
+        assert [(i.kind, i.step, i.variable) for i in report.issues] == [
+            ("state_mismatch", 0, "state")
+        ]
+
 
 class TestRunAttribution:
     def test_issues_carry_their_run_index(self):
