@@ -3,11 +3,11 @@
 Statically validates the promises a :class:`repro.system.plugin.
 SystemPlugin` makes to the campaign machinery: grains compose, scenario
 prefixes script real actions, fault schedules resolve, compared
-variables exist in every grain, the spec-cache source digest covers
-every module the specs actually depend on, budgets name real actions,
+variables exist in every grain, budgets name real actions,
 configurations round-trip through report metadata, the implementation
 ensemble honours the ``clone()`` contract and a mapped step that
-refuses has changed nothing.
+refuses has changed nothing.  (The on-disk cache needs no rule: its keys
+are derived from the functions, not declared by the plugin.)
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ from repro.tla.spec import Specification
 _ROLES = frozenset(
     {ROLE_LEADER, ROLE_FOLLOWER, ROLE_PAIR, ROLE_LINK, ROLE_ORDERED_PAIR}
 )
-
-#: Packages the engine itself owns: edits to them are handled by the
-#: engine-version component of the cache key, not the source digest.
-ENGINE_PACKAGES = ("repro.tla", "repro.system")
 
 
 def _plugin_location(plugin: SystemPlugin) -> Tuple[str, int]:
@@ -300,39 +296,6 @@ def check_compared_variables(
                     f"compared variable {variable!r} is missing from "
                     f"grain schema(s): {missing}",
                     variable=variable,
-                    file=file,
-                    line=line,
-                )
-            )
-    return findings
-
-
-def check_source_coverage(
-    system: str, plugin: SystemPlugin, modules: Iterable[str]
-) -> List[Finding]:
-    """C05: every repro module the specs depend on must be covered by
-    ``spec_source_packages`` (else edits would not invalidate the
-    on-disk spec cache)."""
-    file, line = _plugin_location(plugin)
-    covered = tuple(plugin.spec_source_packages) + ENGINE_PACKAGES
-
-    def is_covered(module: str) -> bool:
-        return any(
-            module == pkg or module.startswith(pkg + ".") for pkg in covered
-        )
-
-    findings: List[Finding] = []
-    for module in sorted(set(modules)):
-        if module.startswith("repro.") and not is_covered(module):
-            findings.append(
-                make_finding(
-                    "C05",
-                    system,
-                    "spec_source_packages",
-                    f"spec functions depend on module {module!r}, which "
-                    "no spec_source_packages entry covers; editing it "
-                    "would not invalidate the cached prefixes",
-                    variable=module,
                     file=file,
                     line=line,
                 )
@@ -703,7 +666,6 @@ def check_plugin(
     plugin: SystemPlugin,
     config: Any,
     specs: Dict[str, Specification],
-    modules: Iterable[str],
 ) -> List[Finding]:
     """All C-series findings for one plugin and its composed grains."""
     actions = {
@@ -713,7 +675,6 @@ def check_plugin(
     findings.extend(check_scenarios(system, plugin, actions))
     findings.extend(check_faults(system, plugin, specs))
     findings.extend(check_compared_variables(system, plugin, specs))
-    findings.extend(check_source_coverage(system, plugin, modules))
     findings.extend(check_budgets(system, plugin, config, actions))
     findings.extend(check_config_roundtrip(system, plugin, config))
     findings.extend(check_clone_contract(system, plugin, config, specs))

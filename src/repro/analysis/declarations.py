@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.deps import Access, SpecAnalyzer, Summary
+from repro.analysis.deps import Access, SpecAnalyzer
 from repro.analysis.findings import Finding, make_finding
 from repro.tla.action import Action
 from repro.tla.spec import Invariant, Specification
@@ -311,20 +311,14 @@ def check_invariant(
 
 def check_spec(
     system: str, spec: Specification, analyzer: SpecAnalyzer
-) -> Tuple[List[Finding], Set[str]]:
-    """Declaration findings for a composed spec, plus the repro modules
-    its functions were traced into (for the C05 coverage check)."""
+) -> List[Finding]:
+    """Declaration findings for a composed spec."""
     schema = set(spec.schema.names)
     findings: List[Finding] = []
-    modules: Set[str] = set()
     for action in spec.actions:
         findings.extend(check_action(system, action, schema, analyzer))
-        modules |= analyzer.analyze(action.fn, state_positions=(1,)).modules
     for invariant in spec.invariants:
         findings.extend(
             check_invariant(system, invariant, schema, analyzer)
         )
-        modules |= analyzer.analyze(
-            invariant.predicate, state_positions=(1,)
-        ).modules
-    return findings, modules
+    return findings

@@ -75,7 +75,6 @@ class Summary:
     returns_other: bool = False
     purity: List[Issue] = field(default_factory=list)
     unresolved: List[Access] = field(default_factory=list)
-    modules: Set[str] = field(default_factory=set)
 
     @property
     def reads_resolved(self) -> bool:
@@ -138,9 +137,6 @@ class SpecAnalyzer:
         code = getattr(fn, "__code__", None)
         if code is None:
             return summary
-        module = getattr(fn, "__module__", "") or ""
-        if module:
-            summary.modules.add(module)
         if key in self._active or depth > _MAX_DEPTH:
             # Recursion (or a pathological helper chain): approximate the
             # repeated frame with the empty summary; the first frame
@@ -232,7 +228,6 @@ class _FunctionVisitor(ast.NodeVisitor):
         self.summary.whole_reads.extend(callee.whole_reads)
         self.summary.purity.extend(callee.purity)
         self.summary.unresolved.extend(callee.unresolved)
-        self.summary.modules |= callee.modules
 
     # --- small predicates ----------------------------------------------------
 

@@ -113,11 +113,8 @@ RULES: Dict[str, Rule] = {
             "C04", "compared-variable-missing", ERROR,
             "a compared_variables entry is not in every grain's schema",
         ),
-        Rule(
-            "C05", "uncovered-source-module", ERROR,
-            "the specs depend on a module outside spec_source_packages, "
-            "so editing it would not invalidate the on-disk spec cache",
-        ),
+        # C05 (uncovered-source-module) is retired, not reused: baselines
+        # fingerprint by rule id.
         Rule(
             "C06", "unknown-budget-action", ERROR,
             "a budget_limits key is not an action of any grain",

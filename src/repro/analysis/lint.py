@@ -15,7 +15,7 @@ fault prefixes and steps clones through every mapped label along them.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence
 
 from repro.analysis.deps import SpecAnalyzer
 from repro.analysis.findings import Finding, LintReport
@@ -36,7 +36,6 @@ def lint_plugin(
         config = plugin.default_config()
     specs, findings = conformance.build_specs(system, plugin, config)
 
-    modules: Set[str] = set()
     seen = {
         (f.fingerprint, f.line, f.message) for f in findings
     }
@@ -55,13 +54,9 @@ def lint_plugin(
         spec = specs.get(grain)
         if spec is None:
             continue
-        spec_findings, spec_modules = declarations.check_spec(
-            system, spec, analyzer
-        )
-        add(spec_findings)
-        modules |= spec_modules
+        add(declarations.check_spec(system, spec, analyzer))
 
-    add(conformance.check_plugin(system, plugin, config, specs, modules))
+    add(conformance.check_plugin(system, plugin, config, specs))
     findings.sort(key=lambda f: (f.file, f.line, f.rule, f.variable, f.subject))
     return findings
 

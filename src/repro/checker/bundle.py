@@ -13,17 +13,22 @@ process loads them -- 1 ms -- instead of importing the analyzer, tracing
 The key covers everything the derivation read
 ---------------------------------------------
 
-The namespace directory names the interpreter (``cache_tag``), the
-kernel emitter's ``CODEGEN_VERSION`` and a digest of the deriving code
-(``repro/tla``, ``repro/analysis``, ``repro/checker/engine.py`` and this
-file).  The entry names the *shape signature* of the compile -- spec
-name, the configuration *by value* (:meth:`_Signature.config`; not
-``repr``, which for a class without ``__repr__`` is an address), schema,
-per instance its label, binding,
-declarations and function, the invariants in order, constraint and mask
--- plus a digest of the source files beside every module a spec function
-lives in or reaches through its globals (:meth:`_Signature.reach`), which
-is where the helpers the analyzer and the tracer followed live.
+This is the on-disk cache's one key discipline; the scenario-prefix
+traces of :mod:`repro.remix.spec_cache` follow it too.  The namespace
+directory (:func:`namespace`) names the interpreter (``cache_tag``), the
+payload format, the kernel emitter's ``CODEGEN_VERSION`` and a digest of
+the deriving code (``repro/tla``, ``repro/analysis``,
+``repro/checker/engine.py``, this file) plus ``repro/system``, which
+scripts the prefixes.  The entry names a :class:`Signature` of what was
+read.  For a compile that is its *shape* -- spec name, the configuration
+*by value* (:meth:`Signature.config`; not ``repr``, which for a class
+without ``__repr__`` is an address), schema, per instance its label,
+binding, declarations and function, the invariants in order, constraint
+and mask -- plus a digest of the source files beside every module a spec
+function lives in or reaches through its globals (:meth:`Signature.reach`)
+or through the bases of a class it names, which is where the helpers the
+analyzer and the tracer followed live.  :func:`signature` keeps that key
+on the compile, so a prefix key can build on it.
 
 A function is identified by what it *is*, never by its name: its code
 bytes, names and constants, and -- recursively -- the functions in its
@@ -31,7 +36,7 @@ closure cells and defaults.  Two ``lambda``\\ s with one ``__qualname__``
 and different bodies get different keys; so do two copies of one wrapper
 lambda around different functions.  A function with no source file, or a
 closure cell holding anything but a function, module, class or primitive
-constant, makes the compile :class:`Unpersistable`: derive-only, never a
+constant, makes the entry :class:`Unpersistable`: derive-only, never a
 guess.
 
 Only trusted bundles are written, so loading one *is* the trust verdict;
@@ -54,15 +59,22 @@ from typing import Any, Dict, Iterator, List, Optional, Set
 from repro.checker import disk_cache
 from repro.tla.guards import GuardPrefix
 
+#: Bump when the payload format of either entry kind changes.
+_DISK_FORMAT = 1
+
 _LOCK = threading.Lock()
 _STATS = {"bundle_hits": 0, "bundle_misses": 0, "bundle_stale": 0}
 
 _PRIMITIVES = (int, str, bool, float, bytes, type(None))
 _STDLIB = getattr(sys, "stdlib_module_names", frozenset())
 
+#: Module name -> the source path that stands for it ("" for the
+#: standard library), memoized: a loaded module does not move.
+_MODULE_SOURCES: Dict[str, str] = {}
+
 
 class Unpersistable(Exception):
-    """The compile depends on something no key can name."""
+    """The entry depends on something no key can name."""
 
 
 def stats() -> Dict[str, int]:
@@ -96,6 +108,16 @@ def _constant(value: Any) -> str:
     raise Unpersistable(f"constant of type {type(value).__name__}")
 
 
+def _module_source(name: str) -> str:
+    if name.split(".", 1)[0] in _STDLIB:
+        return ""  # the namespace names the interpreter
+    module = sys.modules.get(name)
+    file = getattr(module, "__file__", None)
+    if not file:
+        raise Unpersistable(f"module {name!r} has no source file")
+    return os.path.dirname(file) if getattr(module, "__package__", "") else file
+
+
 def _codes(code: CodeType) -> Iterator[CodeType]:
     """``code`` and every code object nested in its constants."""
     yield code
@@ -104,8 +126,8 @@ def _codes(code: CodeType) -> Iterator[CodeType]:
             yield from _codes(const)
 
 
-class _Signature:
-    """A running SHA-1 over what a compile depends on, and the source
+class Signature:
+    """A running SHA-1 over what a cache entry depends on, and the source
     files that dependence reaches."""
 
     def __init__(self) -> None:
@@ -172,7 +194,7 @@ class _Signature:
             self.module(value.__name__)
         elif isinstance(value, type):
             self.text("class", value.__module__, value.__qualname__)
-            self.module(value.__module__)
+            self.cls(value)
         else:
             self.text(_constant(value))
 
@@ -199,7 +221,7 @@ class _Signature:
             raise Unpersistable(f"configuration value of type {type(value).__name__}")
         cls = type(value)
         self.text("object", cls.__module__, cls.__qualname__)
-        self.module(cls.__module__)
+        self.cls(cls)
         for name, item in sorted(fields.items()):
             self.text(name)
             self.config(item)
@@ -207,15 +229,17 @@ class _Signature:
     def module(self, name: str) -> None:
         """Put the source beside module ``name`` under the key: its
         package's directory, or its own file for a top-level module."""
-        if name.split(".", 1)[0] in _STDLIB:
-            return  # the namespace names the interpreter
-        module = sys.modules.get(name)
-        file = getattr(module, "__file__", None)
-        if not file:
-            raise Unpersistable(f"module {name!r} has no source file")
-        self.sources.add(
-            os.path.dirname(file) if getattr(module, "__package__", "") else file
-        )
+        source = _MODULE_SOURCES.get(name)
+        if source is None:
+            source = _MODULE_SOURCES[name] = _module_source(name)
+        if source:
+            self.sources.add(source)
+
+    def cls(self, value: type) -> None:
+        """Put a class's source under the key with every base's: a
+        subclass's behaviour lives anywhere up its MRO."""
+        for base in value.__mro__:
+            self.module(base.__module__)
 
     def reach(self, fn: FunctionType) -> None:
         """Follow ``fn``'s global names to the modules its helpers live in
@@ -239,13 +263,23 @@ class _Signature:
                     elif isinstance(value, ModuleType):
                         self.module(value.__name__)
                     elif isinstance(value, type):
-                        self.module(value.__module__)
+                        self.cls(value)
+
+    def hexdigest(self) -> str:
+        """The key: everything fed in, plus what the reached sources say
+        (not where this checkout keeps them).  Raises
+        :class:`Unpersistable` for an unreadable source."""
+        digests = [disk_cache.source_digest(path) for path in self.sources]
+        if None in digests:
+            raise Unpersistable("unreadable source")
+        self.text(*sorted(digests))
+        return self.sha1.hexdigest()
 
 
 def function_identity(fn: Any) -> Optional[bytes]:
     """A digest of what ``fn`` is (code and closure, never its name), or
     None when that cannot be named."""
-    signature = _Signature()
+    signature = Signature()
     try:
         signature.function(fn)
     except Unpersistable:
@@ -253,34 +287,36 @@ def function_identity(fn: Any) -> Optional[bytes]:
     return signature.sha1.digest()
 
 
-def _deriving_sources() -> List[str]:
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return [
-        os.path.join(root, "tla"),
-        os.path.join(root, "analysis"),
-        os.path.join(root, "checker", "engine.py"),
-        os.path.abspath(__file__),
-    ]
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_DERIVING_SOURCES = (
+    os.path.join(_ROOT, "tla"),
+    os.path.join(_ROOT, "analysis"),
+    os.path.join(_ROOT, "checker", "engine.py"),
+    os.path.abspath(__file__),
+    os.path.join(_ROOT, "system"),
+)
 
 
-def _namespace() -> str:
-    """The directory bundles of this interpreter, emitter and deriving
-    code live in."""
+def namespace(kind: str) -> str:
+    """The directory entries of ``kind`` (``kernels``, ``prefixes``)
+    live in under this interpreter, payload format, emitter and deriving
+    code."""
     from repro.tla.codegen import CODEGEN_VERSION
 
     digest = hashlib.sha1(
-        f"{sys.implementation.cache_tag}/{sys.version}/codegen/{CODEGEN_VERSION}".encode()
+        f"{sys.implementation.cache_tag}/{sys.version}/format/{_DISK_FORMAT}"
+        f"/codegen/{CODEGEN_VERSION}".encode()
     )
-    for path in _deriving_sources():
+    for path in _DERIVING_SOURCES:
         digest.update(str(disk_cache.source_digest(path)).encode())
-    return f"kernels-{digest.hexdigest()[:20]}"
+    return f"{kind}-{digest.hexdigest()[:20]}"
 
 
 def _entry_key(core: Any) -> str:
     """The shape signature of one compile plus the digests of the source
     it reaches.  Raises :class:`Unpersistable`."""
     spec = core.spec
-    signature = _Signature()
+    signature = Signature()
     signature.text(spec.name, *spec.schema.names)
     signature.config(spec.config)
     actions: Dict[int, int] = {}
@@ -306,12 +342,18 @@ def _entry_key(core: Any) -> str:
         if predicate is not None:
             signature.names(getattr(predicate, "reads", None))
             signature.function(predicate)
-    # What the sources say, not where this checkout keeps them.
-    digests = [disk_cache.source_digest(path) for path in signature.sources]
-    if None in digests:
-        raise Unpersistable("unreadable source")
-    signature.text(*sorted(digests))
-    return signature.sha1.hexdigest()
+    return signature.hexdigest()
+
+
+def signature(core: Any) -> Optional[str]:
+    """``core``'s compile key (:func:`_entry_key`), computed once per
+    compile and kept on it; None for a compile no key can name."""
+    if core.signature is None:
+        try:
+            core.signature = _entry_key(core)
+        except Unpersistable:
+            core.signature = ""
+    return core.signature or None
 
 
 class Bundle:
@@ -340,10 +382,10 @@ class Bundle:
         it; None with persistence off or a compile no key can name."""
         if disk_cache.disk_dir() is None:
             return None
-        try:
-            path = disk_cache.entry_path(_namespace(), _entry_key(core))
-        except Unpersistable:
+        key = signature(core)
+        if key is None:
             return None
+        path = disk_cache.entry_path(namespace("kernels"), key)
         assert path is not None
         bundle = cls(path)
         payload = disk_cache.load(path)

@@ -3,18 +3,17 @@ read and written, and how source files are digested into invalidation
 keys.
 
 Two kinds of entries persist here, each pickled under
-``<cache dir>/<namespace>/<entry>.pkl``:
-
-- scenario-prefix traces (:mod:`repro.remix.spec_cache`), one namespace
-  per system and spec-source digest;
-- compile bundles (:mod:`repro.checker.bundle`), one namespace per
-  interpreter + kernel-emitter + deriving-code digest.
+``<cache dir>/<namespace>/<entry>.pkl``: compile bundles
+(:mod:`repro.checker.bundle`, ``kernels-*``) and scenario-prefix traces
+(:mod:`repro.remix.spec_cache`, ``prefixes-*``).
 
 Both follow the same rules.  The directory is
 ``~/.cache/repro-spec-cache`` unless ``REPRO_SPEC_CACHE_DIR`` (or
 :func:`set_disk_cache_dir`) overrides it; ``off`` disables persistence.
-A namespace names a digest of everything its entries were derived from,
-so an edit orphans old entries instead of ever serving a stale one.
+The namespace and the entry key together name a digest of everything
+the entry was derived from (:func:`repro.checker.bundle.namespace`,
+:class:`repro.checker.bundle.Signature`), so an edit orphans old entries
+instead of ever serving a stale one.
 Writes are atomic (temp file + rename), so concurrent processes never
 observe a torn entry; an absent, unreadable or damaged entry is a miss,
 and a read-only or full directory degrades to derive-only.

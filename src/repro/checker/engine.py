@@ -254,6 +254,7 @@ class CompiledSpec:
         "n_instances",
         "debug",
         "bundle",
+        "signature",
         "compile",
         "kernel",
         "kernel_source",
@@ -329,7 +330,9 @@ class CompiledSpec:
         self.kernel_source: Optional[str] = None
         # What an earlier process derived for exactly this compile, from
         # the on-disk cache (None: persistence off, or a compile no key
-        # can name).  The reference expander derives nothing.
+        # can name).  The reference expander derives nothing.  The key it
+        # is found under stays in ``signature`` (repro.checker.bundle.signature).
+        self.signature: Optional[str] = None
         self.bundle = None if reference else Bundle.open(self)
         #: ``"loaded"`` when the kernel's code object came from the bundle.
         self.compile = "fresh"

@@ -35,7 +35,6 @@ class RaftPlugin(SystemPlugin):
         "log",
         "commit_index",
     )
-    spec_source_packages = ("repro.tla", "repro.raft")
 
     def default_config(self) -> RaftConfig:
         """The stock three-server configuration."""

@@ -37,24 +37,27 @@ Specifications themselves hold closures and cannot be pickled, but two
 kinds of things derived from them are plain data, and both persist
 across CLI invocations through one disk layer
 (:mod:`repro.checker.disk_cache`: directory resolution, atomic temp file
-+ rename writes, a damaged entry is a miss):
++ rename writes, a damaged entry is a miss) under one key discipline
+(:mod:`repro.checker.bundle`): an entry is keyed by a signature of what
+deriving it read, so an edit to any of that misses -- and an edit to
+anything else, another system's sources included, does not:
 
 - scripted **scenario-prefix traces** (scenario + injected fault
   schedule, :func:`cached_prefix`), which every campaign cell -- top-down
   replay, bottom-up validation and the shrink stage's witness rebuilds --
-  starts from.  A coordinate whose scenario or fault cannot be scripted
-  persists too, as the :class:`~repro.system.plugin.ScenarioError`
-  message it raises, so a warm request re-scripts nothing.  Entries live
-  under one directory per *system and spec-source digest* (a SHA-1 over
-  the plugin's declared source packages plus a format version), so
-  editing any spec source invalidates that system's whole cache -- and
-  nobody else's -- rather than ever serving stale traces.
+  starts from.  Scripting reads the composed spec, the plugin's scenario
+  builder, the fault schedule and the roles, and the key is made of
+  exactly those: the spec's compile key and initial-state function, the
+  builder function, the schedule by value, leader, follower and quorum.
+  A coordinate whose scenario or fault cannot be scripted persists too,
+  under the same key, as the :class:`~repro.system.plugin.ScenarioError`
+  message it raises, so a warm request re-scripts nothing.  A coordinate
+  no key can name is derive-only.
 - **compile bundles** (:mod:`repro.checker.bundle`): the trust verdict,
   the guard prefixes and the generated kernel's code object, which
   ``CompiledSpec.__init__`` consults by itself -- :func:`cached_spec`,
   ``check`` / ``bugs`` hunts, ``serve`` and every ``repro worker`` get
-  them with no call here.  Their key is derived from the spec's own
-  functions, not from the plugin; :func:`stats` reports their traffic as
+  them with no call here.  :func:`stats` reports their traffic as
   ``bundle_hits`` / ``bundle_misses`` / ``bundle_stale`` beside the
   prefix layer's ``disk_hits`` / ``disk_misses``.
 
@@ -70,20 +73,13 @@ to extend.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
-from dataclasses import asdict
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.checker import bundle, disk_cache
 from repro.checker.disk_cache import set_disk_cache_dir  # noqa: F401  (public here)
 from repro.tla.spec import Specification
 from repro.zookeeper.config import SpecVariant, ZkConfig
-
-#: Bump when the on-disk payload format changes.
-_DISK_FORMAT = 1
 
 _LOCK = threading.Lock()
 _SPECS: Dict[Tuple, Specification] = {}
@@ -111,15 +107,6 @@ _STATS = {
 #: Per-key gates for in-flight compositions.  The composing thread holds
 #: the gate; waiters block on it, then re-check the cache.
 _INFLIGHT: Dict[Any, threading.Lock] = {}
-
-#: Memoized source digest of the default (zookeeper) system.  Kept as
-#: its own module attribute -- rather than an entry of
-#: ``_SOURCE_DIGESTS`` -- so tests can monkeypatch it to simulate a
-#: spec-source edit.
-_SOURCE_DIGEST: Optional[str] = None
-
-#: Memoized source digests of non-default systems, keyed by plugin name.
-_SOURCE_DIGESTS: Dict[str, str] = {}
 
 
 def _single_flight(
@@ -280,89 +267,33 @@ def cached_resume_point(
 # -------------------------------------------------------- on-disk layer
 
 
-def _compute_digest(system: str) -> str:
-    import importlib
+def _prefix_path(
+    plugin, spec: Specification, scenario: str, fault: str, leader: int,
+    follower: int, quorum: Tuple[int, ...],
+) -> Optional[str]:
+    """Where one coordinate's prefix entry lives: keyed by what scripting
+    it reads -- the composed spec (its compile key and initial-state
+    function), the scenario builder, the fault schedule by value and the
+    roles.  None with persistence off or for a coordinate no key can name
+    (derive-only).  Raises ``KeyError`` for an unknown fault, as
+    scripting would."""
+    from repro.checker.engine import compiled_for
 
-    from repro.tla.codegen import CODEGEN_VERSION
-
-    # The kernel emitter's version participates in the invalidation rule:
-    # cached artifacts derived under one emitter (memo layouts, traces
-    # reproduced through compiled runs) are orphaned when the emitted
-    # code's shape or semantics change.
-    digest = hashlib.sha1(
-        f"format/{_DISK_FORMAT}/codegen/{CODEGEN_VERSION}".encode()
-    )
-    for package in _plugin(system).spec_source_packages:
-        root = os.path.dirname(importlib.import_module(package).__file__)
-        digest.update(str(disk_cache.source_digest(root)).encode())
-    return digest.hexdigest()[:20]
-
-
-def source_digest(system: str = "zookeeper") -> str:
-    """A SHA-1 over one system's spec-defining sources (the packages its
-    plugin declares in ``spec_source_packages``) plus the payload format
-    version.
-
-    This is the cache's *invalidation rule*: entries live under one
-    directory per (system, digest), so any edit to any spec source
-    orphans every previous entry of that system -- and only that system
-    -- instead of ever serving a stale trace."""
-    global _SOURCE_DIGEST
-    if system == "zookeeper":
-        if _SOURCE_DIGEST is None:
-            _SOURCE_DIGEST = _compute_digest(system)
-        return _SOURCE_DIGEST
-    digest = _SOURCE_DIGESTS.get(system)
-    if digest is None:
-        digest = _SOURCE_DIGESTS[system] = _compute_digest(system)
-    return digest
-
-
-def _prefix_path(key_json: str, system: str) -> Optional[str]:
-    return disk_cache.entry_path(f"{system}-{source_digest(system)}", key_json)
-
-
-def _disk_load(key_json: str, system: str) -> Optional[Any]:
-    path = _prefix_path(key_json, system)
-    if path is None:
+    if disk_cache.disk_dir() is None:
         return None
-    payload = disk_cache.load(path)
-    with _LOCK:
-        _STATS["disk_misses" if payload is None else "disk_hits"] += 1
-    return payload
-
-
-def _disk_store(key_json: str, payload: Any, system: str) -> None:
-    path = _prefix_path(key_json, system)
-    if path is not None:
-        disk_cache.store(path, payload)
-
-
-def _prefix_key_json(
-    grain: str,
-    config: ZkConfig,
-    scenario: str,
-    fault: str,
-    leader: int,
-    follower: int,
-    quorum: Tuple[int, ...],
-    system: str,
-) -> str:
-    return json.dumps(
-        {
-            "kind": "prefix",
-            "system": system,
-            "grain": grain,
-            "config": asdict(config),
-            "scenario": scenario,
-            "fault": fault,
-            "leader": leader,
-            "follower": follower,
-            "quorum": list(quorum),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    compile_key = bundle.signature(compiled_for(spec))
+    builder = plugin.scenario_prefixes.get(scenario)
+    if compile_key is None or builder is None:
+        return None
+    key = bundle.Signature()
+    key.text("prefix", compile_key, leader, follower, quorum)
+    try:
+        key.function(spec.init)
+        key.function(builder)
+        key.config(plugin.fault_schedule(fault))
+        return disk_cache.entry_path(bundle.namespace("prefixes"), key.hexdigest())
+    except bundle.Unpersistable:
+        return None
 
 
 def cached_prefix(
@@ -401,10 +332,12 @@ def cached_prefix(
         if entry is not None:
             _STATS["prefix_hits"] += 1
     if entry is None:
-        key_json = _prefix_key_json(
-            grain, config, scenario, fault, leader, follower, quorum, system
-        )
-        payload = _disk_load(key_json, system)
+        path = _prefix_path(plugin, spec, scenario, fault, leader, follower, quorum)
+        payload = None
+        if path is not None:
+            payload = disk_cache.load(path)
+            with _LOCK:
+                _STATS["disk_misses" if payload is None else "disk_hits"] += 1
         if isinstance(payload, str):
             entry = payload
         elif (
@@ -424,7 +357,8 @@ def cached_prefix(
                     tuple(built.labels),
                     tuple(state.values for state in built.states),
                 )
-            _disk_store(key_json, entry, system)
+            if path is not None:
+                disk_cache.store(path, entry)
         with _LOCK:
             _PREFIXES.setdefault(key, entry)
             _STATS["prefix_misses"] += 1
@@ -451,7 +385,7 @@ def clear() -> None:
     """Drop every in-memory cached spec/mapping/prefix/engine/resume
     point and reset the counters (in-flight compositions, if any, finish
     into the fresh cache).  On-disk entries are untouched -- they are
-    invalidated by the source digest, not by process lifecycle."""
+    invalidated by their keys, not by process lifecycle."""
     with _LOCK:
         _SPECS.clear()
         _MAPPINGS.clear()

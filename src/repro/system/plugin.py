@@ -190,10 +190,11 @@ class SystemPlugin:
         Spec variables compared against the implementation snapshot
         after every mapped step.  Each must appear in the dict returned
         by the ensemble's ``snapshot()``.
-    ``spec_source_packages``
-        Python packages whose source files feed the on-disk cache's
-        source digest; editing any file under them invalidates this
-        system's cached prefixes (and nobody else's).
+
+    Nothing here is declared for the on-disk cache: its keys are derived
+    from the functions themselves (:mod:`repro.checker.bundle`), so a
+    spec function, scenario builder or fault schedule -- or a helper
+    they reach, a base class included -- that changes is a miss.
     """
 
     name: str = ""
@@ -202,7 +203,6 @@ class SystemPlugin:
     scenario_prefixes: Mapping[str, PrefixBuilder] = {}
     fault_schedules: Tuple[FaultSchedule, ...] = ()
     compared_variables: Tuple[str, ...] = ()
-    spec_source_packages: Tuple[str, ...] = ()
 
     # --- required hooks ------------------------------------------------------
 

@@ -27,9 +27,6 @@ class ZooKeeperPlugin(SystemPlugin):
     scenario_prefixes = SCENARIO_PREFIXES
     fault_schedules = FAULT_SCHEDULES
     compared_variables = COMPARED_VARIABLES
-    # repro.zab supplies the shared invariants; editing it must
-    # invalidate this system's cached prefixes too.
-    spec_source_packages = ("repro.tla", "repro.zookeeper", "repro.zab")
 
     def default_config(self) -> ZkConfig:
         """The stock three-server configuration."""

@@ -243,7 +243,6 @@ class GoodPlugin(SystemPlugin):
         FaultSchedule("poke-leader", (("Inc", (("i", ROLE_LEADER),)),)),
     )
     compared_variables = ("x",)
-    spec_source_packages = ("repro.tla",)
 
     def default_config(self):
         return FixtureConfig()

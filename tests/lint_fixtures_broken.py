@@ -1,6 +1,7 @@
-"""A deliberately non-conformant plugin: one trigger per C-rule up to
-C08, and a second plugin whose only fault is C09 (a refused step is
-judged on a clone, so that plugin's ``clone()`` has to be sound).
+"""A deliberately non-conformant plugin: one trigger per live C-rule up
+to C08 (C05 is retired), and a second plugin whose only fault is C09 (a
+refused step is judged on a clone, so that plugin's ``clone()`` has to
+be sound).
 
 Kept in its own module so its Scenario subclass (scanned through the
 prefix builders' globals) cannot leak C02 findings into the conformant
@@ -29,15 +30,6 @@ from lint_fixtures import (
 )
 
 
-def _foreign(config, state, i):
-    return {"z": state["z"]}
-
-
-# Masquerade as a repro package module that spec_source_packages does
-# not cover: the C05 check keys on ``fn.__module__``.
-_foreign.__module__ = "repro.lintfixture.ghost"
-
-
 def make_broken_spec(config):
     inc = Action(
         "Inc",
@@ -46,18 +38,11 @@ def make_broken_spec(config):
         reads=["x"],
         writes=["x"],
     )
-    foreign = Action(
-        "Foreign",
-        _foreign,
-        params={"i": lambda cfg: range(cfg.n_servers)},
-        reads=["z"],
-        writes=["z"],
-    )
     return Specification(
         "broken-fixture",
         SCHEMA,
         lambda cfg: [State.make(SCHEMA, x=0, y=0, z=())],
-        [Module("Counter", [inc, foreign])],
+        [Module("Counter", [inc])],
         [
             Invariant(
                 "F-1", "NonNegative", _non_negative, reads=frozenset({"x"})
@@ -108,7 +93,6 @@ class BrokenPlugin(SystemPlugin):
         FaultSchedule("bad-role", (("Inc", (("i", "bystander"),)),)),
     )
     compared_variables = ("x", "phantom")  # C04
-    spec_source_packages = ()  # C05 via _foreign's module
 
     def default_config(self):
         return FixtureConfig()

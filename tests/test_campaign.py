@@ -355,20 +355,32 @@ class TestDiskCache:
         yield
         spec_cache.set_disk_cache_dir(None)
 
-    def run_once(self):
-        return small_campaign(directions=("topdown", "bottomup")).run()
+    def test_second_invocation_warm_starts(self, tmp_path):
+        # Cache on == cache off: every grain of both plugins, both
+        # directions, shrink on -- reports byte-equal off, cold and warm.
+        def report(system):
+            payload = small_campaign(
+                system=system, grains=None, scenarios=None, faults=None,
+                max_steps=4, directions=("topdown", "bottomup"), shrink=True,
+            ).run().to_json()
+            payload["campaign"].pop("elapsed_seconds", None)
+            return json.dumps(payload, sort_keys=True)
 
-    def test_second_invocation_warm_starts(self):
-        first = self.run_once().to_json()
-        cold = spec_cache.stats()
-        assert cold["disk_hits"] == 0 and cold["disk_misses"] > 0
-        spec_cache.clear()  # a fresh process, same disk
-        second = self.run_once().to_json()
-        warm = spec_cache.stats()
-        assert warm["disk_hits"] > 0 and warm["disk_misses"] == 0
-        # warm-started results are identical to cold ones
-        assert first["cells"] == second["cells"]
-        assert first["findings"] == second["findings"]
+        for system in ("zookeeper", "raft"):
+            spec_cache.set_disk_cache_dir("off")
+            spec_cache.clear()
+            off = report(system)
+            spec_cache.set_disk_cache_dir(str(tmp_path / system))
+            spec_cache.clear()
+            cold = report(system)
+            stats = spec_cache.stats()
+            assert stats["disk_hits"] == 0 and stats["disk_misses"] > 0, stats
+            spec_cache.clear()  # a fresh process, same disk
+            warm = report(system)
+            stats = spec_cache.stats()
+            assert stats["disk_hits"] > 0 and stats["disk_misses"] == 0, stats
+            assert stats["bundle_misses"] == 0, stats
+            assert cold == off and warm == off
 
     def test_cached_prefix_round_trip(self):
         config = campaign_config()
@@ -397,17 +409,7 @@ class TestDiskCache:
         )
         assert "mutation" not in second.labels
 
-    def test_source_digest_keys_invalidation(self, monkeypatch):
-        config = campaign_config()
-        spec_cache.cached_prefix("mSpec-1", config, "election", "none", 2, 0)
-        spec_cache.clear()
-        # Simulate an edited spec source: a different digest must miss.
-        monkeypatch.setattr(
-            spec_cache, "_SOURCE_DIGEST", "deadbeefdeadbeefdead"
-        )
-        spec_cache.cached_prefix("mSpec-1", config, "election", "none", 2, 0)
-        stats = spec_cache.stats()
-        assert stats["disk_hits"] == 0 and stats["disk_misses"] == 1
+    # An edited input is a row of tests/test_stale_inputs.py.
 
     def test_corrupt_entry_recomputes(self, tmp_path):
         import glob
@@ -419,7 +421,7 @@ class TestDiskCache:
         # (ValueError): whatever the unpickler raises is a miss.
         for damage in (b"not a pickle", b"garbage\n"):
             # (compile bundles live beside the prefixes, under kernels-*)
-            (path,) = glob.glob(str(tmp_path / "disk" / "zookeeper-*" / "*.pkl"))
+            (path,) = glob.glob(str(tmp_path / "disk" / "prefixes-*" / "*.pkl"))
             with open(path, "wb") as fh:
                 fh.write(damage)
             spec_cache.clear()

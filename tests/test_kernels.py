@@ -406,19 +406,3 @@ class TestMaskConstraintMemo:
             else:
                 assert engine.core.mask_key is None
         assert sigs["declared"] == sigs["plain"]
-
-
-class TestCodegenVersionedDigest:
-    def test_spec_cache_digest_tracks_codegen_version(self, monkeypatch):
-        from repro.remix import spec_cache
-        from repro.tla import codegen
-
-        def fresh_digest():
-            monkeypatch.setattr(spec_cache, "_SOURCE_DIGEST", None)
-            spec_cache._SOURCE_DIGESTS.clear()
-            return spec_cache.source_digest("zookeeper")
-
-        before = fresh_digest()
-        monkeypatch.setattr(codegen, "CODEGEN_VERSION", codegen.CODEGEN_VERSION + 1)
-        after = fresh_digest()
-        assert before != after

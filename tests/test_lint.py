@@ -186,7 +186,7 @@ class TestConformance:
         # No D/P noise: the broken plugin's spec functions are declared
         # correctly; only the plugin contract is wrong.
         assert set(by_rule) == {
-            "C01", "C02", "C03", "C04", "C05", "C06", "C07", "C08",
+            "C01", "C02", "C03", "C04", "C06", "C07", "C08",
         }
         # C01: grain "missing" fails make_spec, "badmap" fails make_mapping.
         assert len(by_rule["C01"]) == 2
@@ -205,7 +205,6 @@ class TestConformance:
         assert "who" in messages
         assert "bystander" in messages
         assert {f.variable for f in by_rule["C04"]} == {"phantom"}
-        assert {f.variable for f in by_rule["C05"]} == {"repro.lintfixture.ghost"}
         assert {f.variable for f in by_rule["C06"]} == {"Ghost"}
         assert len(by_rule["C07"]) == 1
         assert by_rule["C07"][0].severity == "warning"
