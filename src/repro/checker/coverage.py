@@ -68,28 +68,28 @@ def measure_coverage(
     names = [label.name for label in core.labels]
     start = time.monotonic()
     seen: Set[int] = set()
-    frontier: deque = deque()  # (fp, values, known_disabled) rows
+    frontier: deque = deque()  # (fp, codes, known_disabled) rows
     for init in spec.initial_states():
         fp = core.fingerprinter.of_values(init.values)
         if fp not in seen:
             seen.add(fp)
-            frontier.append((fp, init.values, 0))
+            frontier.append((fp, core.encode(init.values), 0))
     while frontier:
         if max_states is not None and len(seen) >= max_states:
             break
         if out_of_time(start, max_time):
             break
         row = frontier.popleft()
-        if not spec.within_constraint(State(core.schema, row[1])):
+        if not spec.within_constraint(State(core.schema, core.decode(row[1]))):
             continue
         # seen=None: every state-changing successor counts as a firing,
         # revisits included.
         ((_, _, candidates),) = core.expand_batch([row], classify_candidates=False)
-        for idx, values, fp, known, _, _, _ in candidates:
+        for idx, codes, fp, known, _, _, _ in candidates:
             report.fired[names[idx]] += 1
             if fp not in seen:
                 seen.add(fp)
-                frontier.append((fp, values, known))
+                frontier.append((fp, codes, known))
     report.states_explored = len(seen)
     report.elapsed_seconds = time.monotonic() - start
     report.complete = not frontier

@@ -56,6 +56,27 @@ obligation between the two.  ``reference=True`` pins a run to the
 reference expander (the differential arm of the tests and of
 ``bench_table5_efficiency.py --ab-reference``).
 
+A state is a row of small ints
+------------------------------
+
+Each :class:`CompiledSpec` numbers the distinct values of every schema
+slot once (its *value table*: ``codes[slot]`` maps a value to its code,
+``values[slot]`` and ``digests[slot]`` map a code back to the value and
+to its :meth:`Fingerprinter.slot_digest
+<repro.checker.fingerprint.Fingerprinter.slot_digest>`), and the whole
+successor path runs on codes: a row is ``(fp, codes, known)``, memo keys
+are projections of codes, a fingerprint delta is two list indexings per
+changed slot.  Values are decoded only where a function needs them -- an
+applier or predicate on a memo miss, a guard-prefix atom, a chosen walk
+step, a counterexample.  Codes are local to one process and one compile:
+they never cross a pipe and never reach a report.
+
+The contract is the one the outcome memo already relied on: **equal
+values are one value.**  The first representative of an equality class
+that a slot sees is the one every later state of that slot decodes to
+(``True`` and ``1``, or two equal records, share a code), exactly as a
+memo hit has always replayed the value objects the first miss stored.
+
 Also on the hot path: invariants are evaluated once per distinct state,
 ``State`` objects are only materialized for memo misses and reported
 traces, and the cyclic garbage collector is suspended during exploration
@@ -67,6 +88,7 @@ from __future__ import annotations
 
 import gc
 import random
+import threading
 import time
 import warnings
 from functools import partial
@@ -183,15 +205,15 @@ def kernel_trusted(spec: Specification, bundle: Optional[Bundle] = None) -> bool
     return verdict
 
 
-#: A frontier row, the unit ``expand_batch`` consumes (and the WorkerPool
-#: wire carries): (fingerprint, raw ``State.values``, inherited
+#: A frontier row, the unit ``expand_batch`` consumes: (fingerprint, the
+#: state's value codes in the compile's value table, inherited
 #: known-disabled bitmask -- the reference expander ignores the last).
-Row = Tuple[int, Tuple[Any, ...], int]
+Row = Tuple[int, Tuple[int, ...], int]
 
 #: Candidate successor record produced by :meth:`CompiledSpec.expand_batch`:
-#: (instance_index, successor_values, fingerprint, child_known_disabled,
+#: (instance_index, successor_codes, fingerprint, child_known_disabled,
 #:  violated_invariant_indices, masked, within_constraint)
-Candidate = Tuple[int, Tuple[Any, ...], int, int, Tuple[int, ...], bool, bool]
+Candidate = Tuple[int, Tuple[int, ...], int, int, Tuple[int, ...], bool, bool]
 
 
 def out_of_time(start: float, max_time: Optional[float]) -> bool:
@@ -218,7 +240,8 @@ class CompiledSpec:
     a variable instance *j* writes), and the outcome / invariant memo
     groups.  Reference
     mode builds none of that: no memo of any kind, so it is an
-    independent oracle for the memoized path.
+    independent oracle for the memoized path.  Both modes own a value
+    table (:meth:`encode` / :meth:`decode`) and speak codes.
     """
 
     __slots__ = (
@@ -226,6 +249,10 @@ class CompiledSpec:
         "config",
         "schema",
         "fingerprinter",
+        "codes",
+        "values",
+        "digests",
+        "_mint_lock",
         "labels",
         "appliers",
         "actions",
@@ -300,6 +327,14 @@ class CompiledSpec:
         self.config = spec.config
         self.schema = spec.schema
         self.fingerprinter = fingerprinter or Fingerprinter()
+        # The value table, one column per slot.  It only grows, and the
+        # emitted kernel binds these lists, so they are never replaced.
+        slots = range(len(self.schema))
+        self.codes: List[Dict[Any, int]] = [{} for _ in slots]
+        self.values: List[List[Any]] = [[] for _ in slots]
+        self.digests: List[List[int]] = [[] for _ in slots]
+        # `serve` expands one resident compile on several request threads.
+        self._mint_lock = threading.Lock()
         self.mask = mask
         self.debug = debug
         instances = spec.action_instances()
@@ -488,27 +523,65 @@ class CompiledSpec:
 
         self.kernel_source, self.kernel = emit_kernel(self)
 
+    # ------------------------------------------------------ value table
+
+    def mint(self, slot: int, value: Any) -> int:
+        """The code of ``value`` in ``slot``, numbering it if it is new.
+
+        Callers try ``codes[slot].get(value)`` first; this is the miss
+        path.  Minting is check-then-act on shared lists, so it runs under
+        one lock and re-checks inside it: two threads expanding the same
+        resident compile must never hand out one code for two values.
+        The digest and the value are appended before the code is
+        published, so a lock-free reader that finds a code can index
+        both."""
+        with self._mint_lock:
+            codes = self.codes[slot]
+            code = codes.get(value)
+            if code is None:
+                values = self.values[slot]
+                code = len(values)
+                self.digests[slot].append(self.fingerprinter.slot_digest(slot, value))
+                values.append(value)
+                codes[value] = code
+            return code
+
+    def encode(self, values: Sequence[Any]) -> Tuple[int, ...]:
+        """A values tuple as a row of codes (minting what is new)."""
+        out = []
+        for slot, (codes, value) in enumerate(zip(self.codes, values)):
+            code = codes.get(value)
+            if code is None:
+                code = self.mint(slot, value)
+            out.append(code)
+        return tuple(out)
+
+    def decode(self, codes: Sequence[int]) -> Tuple[Any, ...]:
+        """The values tuple a row of codes stands for."""
+        return tuple([column[code] for column, code in zip(self.values, codes)])
+
     def classify_values(
-        self, values: Tuple[Any, ...], state: Optional[State] = None
+        self, codes: Tuple[int, ...], state: Optional[State] = None
     ) -> Tuple[Tuple[int, ...], bool, bool]:
         """(violated invariant indices, masked, within constraint) of a
-        raw values tuple.
+        row of codes.
 
-        The ``State`` is materialized lazily -- only when a mask, a memo
-        miss, an ungrouped invariant or a constraint actually needs
-        attribute access -- unless the caller already holds one.  The
-        kernels classify through this (or its fused inline copy, sharing
-        the same memo dicts), so a fully memo-hit candidate never
-        allocates a ``State`` at all."""
+        The memos are keyed on code projections.  The ``State`` is
+        decoded lazily -- only when a mask, a memo miss, an ungrouped
+        invariant or a constraint actually needs attribute access --
+        unless the caller already holds one.  The kernels classify
+        through this (or its fused inline copy, sharing the same memo
+        dicts), so a fully memo-hit candidate never allocates a ``State``
+        at all."""
         if self.mask is not None:
             mask_key = self.mask_key
             if mask_key is not None:
                 memo = self.mask_memo
-                key = mask_key(values)
+                key = mask_key(codes)
                 hit = memo.get(key)
                 if hit is None:
                     if state is None:
-                        state = State(self.schema, values)
+                        state = State(self.schema, self.decode(codes))
                     hit = bool(self.mask(state))
                     if len(memo) >= self.VERDICT_MEMO_LIMIT:
                         memo.clear()
@@ -517,7 +590,7 @@ class CompiledSpec:
                     return (), True, True
             else:
                 if state is None:
-                    state = State(self.schema, values)
+                    state = State(self.schema, self.decode(codes))
                 if self.mask(state):
                     return (), True, True
         config = self.config
@@ -526,11 +599,11 @@ class CompiledSpec:
         viol_bits = 0
         for group_index, (key_fn, group_members) in enumerate(self.inv_groups):
             memo = self.inv_memos[group_index]
-            key = key_fn(values)
+            key = key_fn(codes)
             hit = memo.get(key)
             if hit is None:
                 if state is None:
-                    state = State(self.schema, values)
+                    state = State(self.schema, self.decode(codes))
                 hit = 0
                 for i in group_members:
                     if not invariant_fns[i](config, state):
@@ -540,7 +613,7 @@ class CompiledSpec:
                 memo[key] = hit
             viol_bits |= hit
         if self.inv_ungrouped and state is None:
-            state = State(self.schema, values)
+            state = State(self.schema, self.decode(codes))
         for i in self.inv_ungrouped:
             if not invariant_fns[i](config, state):
                 viol_bits |= 1 << i
@@ -556,24 +629,24 @@ class CompiledSpec:
             ckey = self.constraint_key
             if ckey is not None:
                 memo = self.constraint_memo
-                key = ckey(values)
+                key = ckey(codes)
                 ok = memo.get(key)
                 if ok is None:
                     if state is None:
-                        state = State(self.schema, values)
+                        state = State(self.schema, self.decode(codes))
                     ok = bool(self.constraint(config, state))
                     if len(memo) >= self.VERDICT_MEMO_LIMIT:
                         memo.clear()
                     memo[key] = ok
             else:
                 if state is None:
-                    state = State(self.schema, values)
+                    state = State(self.schema, self.decode(codes))
                 ok = bool(self.constraint(config, state))
         return viols, False, ok
 
     def step(
         self,
-        state: State,
+        codes: Tuple[int, ...],
         state_fp: int,
         known_disabled: int,
         rng: random.Random,
@@ -584,19 +657,18 @@ class CompiledSpec:
         instance order, exactly the distribution
         ``Specification.successors`` enumerates (and one ``rng.choice``
         consuming the same entropy) -- and returns
-        ``(instance_index, state, fp, known_disabled)`` for the chosen
-        successor, or ``None`` in a dead end.  Only the *chosen*
-        successor is materialized as a ``State``.  Shared by
+        ``(instance_index, codes, fp, known_disabled)`` for the chosen
+        successor, or ``None`` in a dead end.  The caller decodes the
+        chosen successor if it needs a ``State``.  Shared by
         :class:`~repro.checker.random_walk.RandomWalker` and the engine's
         ``random`` strategy.
         """
         ((_, _, candidates),) = self.expand_batch(
-            [(state_fp, state.values, known_disabled)], classify_candidates=False
+            [(state_fp, codes, known_disabled)], classify_candidates=False
         )
         if not candidates:
             return None
-        idx, values, fp, known, _, _, _ = rng.choice(candidates)
-        return idx, State(self.schema, values), fp, known
+        return rng.choice(candidates)[:4]
 
     # ------------------------------------------------- the successor path
 
@@ -608,7 +680,7 @@ class CompiledSpec:
     ) -> List[Tuple[int, int, List[Candidate]]]:
         """Expand a whole frontier batch: the engine's one successor path.
 
-        ``rows`` are ``(fp, values, known_disabled)`` frontier entries --
+        ``rows`` are ``(fp, codes, known_disabled)`` frontier entries --
         a BFS chunk, a WorkerPool shard, or a single DFS pop / walk step.
         Returns ``[(entry_fp, transitions, candidates), ...]`` in entry
         order.  ``transitions`` counts every state-changing successor
@@ -618,15 +690,15 @@ class CompiledSpec:
         merge step performs the authoritative cross-context dedup).
         ``seen=None`` emits every state-changing successor exactly in
         instance order -- the random walkers use it to draw from the full
-        successor distribution.  Successors are raw values tuples;
-        ``State`` materialization is the caller's choice.
+        successor distribution.  Successors are rows of codes; decoding
+        one is the caller's choice.
         """
         self.expand_calls += len(rows)
         kernel = self.kernel
         if kernel is None:
             return [
-                (fp,) + self.reference_expand(values, seen, classify_candidates)
-                for fp, values, _ in rows
+                (fp,) + self.reference_expand(codes, seen, classify_candidates)
+                for fp, codes, _ in rows
             ]
         if self.expand_calls - self._last_adapt >= self.ADAPT_INTERVAL:
             self._adapt()
@@ -637,7 +709,7 @@ class CompiledSpec:
 
     def reference_expand(
         self,
-        values: Tuple[Any, ...],
+        codes: Tuple[int, ...],
         seen: Optional[set] = None,
         classify_candidates: bool = True,
     ) -> Tuple[int, List[Candidate]]:
@@ -648,26 +720,29 @@ class CompiledSpec:
         every successor is fingerprinted in full, no verdict is inherited
         or memoized -- because it is the definition the kernel is checked
         against (``--debug-deps``, the differential tests) and the path a
-        spec with unproven declarations runs on.  Returns
+        spec with unproven declarations runs on.  The row is decoded on
+        the way in and each successor encoded on the way out.  Returns
         ``(transitions, candidates)`` with ``known_disabled`` always 0.
         """
         of_values = self.fingerprinter.of_values
         index_of = self._label_index
         transitions = 0
         candidates: List[Candidate] = []
-        for label, nxt in self.spec.successors(State(self.schema, values)):
+        state = State(self.schema, self.decode(codes))
+        for label, nxt in self.spec.successors(state):
             transitions += 1
             fp = of_values(nxt.values)
             if seen is not None:
                 if fp in seen:
                     continue
                 seen.add(fp)
+            successor = self.encode(nxt.values)
             if classify_candidates:
-                viols, masked, ok = self.classify_values(nxt.values, nxt)
+                viols, masked, ok = self.classify_values(successor, nxt)
             else:
                 viols, masked, ok = (), False, True
             candidates.append(
-                (index_of[label], nxt.values, fp, 0, viols, masked, ok)
+                (index_of[label], successor, fp, 0, viols, masked, ok)
             )
         return transitions, candidates
 
@@ -675,13 +750,14 @@ class CompiledSpec:
         """Debug mode: cross-check the kernel against the reference
         expander on every entry, so a lying declaration that poisons a
         kernel memo entry -- or wrongly inherits a known-disabled bit --
-        is caught at the first state it mis-expands."""
-        for (_, values, _), (_, _, got) in zip(rows, kernel(rows, None, False)):
-            _, want = self.reference_expand(values, classify_candidates=False)
+        is caught at the first state it mis-expands.  Both sides speak
+        this compile's codes, so equal successors are equal rows."""
+        for (_, codes, _), (_, _, got) in zip(rows, kernel(rows, None, False)):
+            _, want = self.reference_expand(codes, classify_candidates=False)
             if [c[:3] for c in got] == [c[:3] for c in want]:
                 continue
-            got_by = {c[0]: c[1:3] for c in got}
-            want_by = {c[0]: c[1:3] for c in want}
+            got_by = {c[0]: (self.decode(c[1]), c[2]) for c in got}
+            want_by = {c[0]: (self.decode(c[1]), c[2]) for c in want}
             idx = min(
                 i
                 for i in got_by.keys() | want_by.keys()
@@ -693,7 +769,7 @@ class CompiledSpec:
                 f"action {self.labels[idx]} violated its dependency "
                 f"declaration (reads={sorted(action.reads)}, "
                 f"writes={sorted(action.writes)}, update_sources={sources}): "
-                f"on state {State(self.schema, values)!r} the kernel produced "
+                f"on state {State(self.schema, self.decode(codes))!r} the kernel produced "
                 f"{got_by.get(idx)!r} but the reference expander produced "
                 f"{want_by.get(idx)!r} (successor values, fingerprint; None "
                 f"= not enabled)"
@@ -788,6 +864,11 @@ class CompiledSpec:
                 ["False"] if prefix.dead else [render(atom) for atom in prefix.atoms],
             )
         live = [prefix for prefix in self.guard_prefixes if not prefix.dead]
+        # How many distinct values each variable has taken so far.
+        sizes = sorted(
+            ((len(column), name) for name, column in zip(self.schema.names, self.values)),
+            key=lambda size: (-size[0], size[1]),
+        )
 
         stats = {
             "mode": "compiled" if compiled else "reference",
@@ -811,6 +892,10 @@ class CompiledSpec:
                 if self.constraint_key is not None
                 else None
             ),
+            "values": {
+                "codes": sum(size for size, _ in sizes),
+                "largest": [[name, size] for size, name in sizes[:3]],
+            },
         }
         if compiled:
             from repro.tla.codegen import CODEGEN_VERSION
@@ -1017,9 +1102,9 @@ class ExplorationEngine:
         def record(fp: int, viols: Sequence[int]) -> bool:
             return self._record(result, core, viols, lambda: trace_to(fp))
 
-        # Round 0: the initial states.  Frontier entries are
-        # (fp, values, known_disabled) rows -- raw value tuples, so states
-        # that only transit the frontier never materialize a State.
+        # Round 0: the initial states, each encoded once.  Frontier
+        # entries are (fp, codes, known_disabled) rows, so states that only
+        # transit the frontier never materialize a State.
         frontier: List[Row] = []
         delta: List[int] = []
         for init in spec.initial_states():
@@ -1030,7 +1115,8 @@ class ExplorationEngine:
             init_by_fp[fp] = init
             seen.add(fp)
             delta.append(fp)
-            viols, masked, ok = core.classify_values(init.values, init)
+            codes = core.encode(init.values)
+            viols, masked, ok = core.classify_values(codes, init)
             if masked:
                 continue
             if viols and record(fp, viols):
@@ -1038,7 +1124,7 @@ class ExplorationEngine:
                 break
             if viols or not ok:
                 continue
-            frontier.append((fp, init.values, 0))
+            frontier.append((fp, codes, 0))
         if (
             not stop
             and self.max_states is not None
@@ -1089,7 +1175,7 @@ class ExplorationEngine:
                         result.budget_exhausted = "max_time"
                         break
                     result.transitions += transitions
-                    for idx, values, fp, known, viols, masked, ok in candidates:
+                    for idx, codes, fp, known, viols, masked, ok in candidates:
                         if fp in parent_link:
                             continue
                         parent_link[fp] = (entry_fp, idx)
@@ -1102,7 +1188,7 @@ class ExplorationEngine:
                                     stop = True
                                     break
                             elif ok and expandable_depth:
-                                next_frontier.append((fp, values, known))
+                                next_frontier.append((fp, codes, known))
                         if (
                             self.max_states is not None
                             and len(parent_link) >= self.max_states
@@ -1133,14 +1219,13 @@ class ExplorationEngine:
         visited: set = set()
         throwaway: set = set()
 
-        # Stack entries: (values, fp, labels-so-far, initial state,
-        # known_disabled) -- raw value tuples, so pushed-but-pruned
-        # candidates never materialize a State (classification on pop is
-        # lazy too).
-        stack: List[Tuple[Tuple[Any, ...], int, Tuple[int, ...], State, int]] = []
+        # Stack entries: (codes, fp, labels-so-far, initial state,
+        # known_disabled), so pushed-but-pruned candidates never
+        # materialize a State (classification on pop is lazy too).
+        stack: List[Tuple[Tuple[int, ...], int, Tuple[int, ...], State, int]] = []
         for init in spec.initial_states():
             fp = core.fingerprinter.of_values(init.values)
-            stack.append((init.values, fp, (), init, 0))
+            stack.append((core.encode(init.values), fp, (), init, 0))
 
         stop = False
         while stack and not stop:
@@ -1150,14 +1235,14 @@ class ExplorationEngine:
             if out_of_time(start, self.max_time):
                 result.budget_exhausted = "max_time"
                 break
-            values, fp, chain, init, known = stack.pop()
+            codes, fp, chain, init, known = stack.pop()
             if fp in visited:
                 continue
             visited.add(fp)
             depth = len(chain)
             if depth > result.max_depth:
                 result.max_depth = depth
-            viols, masked, ok = core.classify_values(values)
+            viols, masked, ok = core.classify_values(codes)
             if masked:
                 continue
             if viols:
@@ -1169,12 +1254,12 @@ class ExplorationEngine:
                 continue
             throwaway.clear()
             ((_, transitions, candidates),) = core.expand_batch(
-                [(fp, values, known)], throwaway, classify_candidates=False
+                [(fp, codes, known)], throwaway, classify_candidates=False
             )
             result.transitions += transitions
-            for idx, svt, nfp, nknown, _, _, _ in candidates:
+            for idx, successor, nfp, nknown, _, _, _ in candidates:
                 if nfp not in visited:
-                    stack.append((svt, nfp, chain + (idx,), init, nknown))
+                    stack.append((successor, nfp, chain + (idx,), init, nknown))
 
         result.states_explored = len(visited)
         result.elapsed_seconds = time.monotonic() - start
@@ -1200,7 +1285,12 @@ class ExplorationEngine:
             max_walks = 1_000
         max_steps = self.max_depth if self.max_depth is not None else 60
         of_values = core.fingerprinter.of_values
-        initials = spec.initial_states()
+        # Each initial state encoded once; one rng.choice per walk over a
+        # list as long as the initial states draws what it always drew.
+        starts = [
+            (init, core.encode(init.values), of_values(init.values))
+            for init in spec.initial_states()
+        ]
         seen: set = set()
         walks = 0
         stop = False
@@ -1216,36 +1306,37 @@ class ExplorationEngine:
                 result.budget_exhausted = "max_time"
                 break
             walks += 1
-            state = rng.choice(initials)
-            fp = of_values(state.values)
+            init, codes, fp = rng.choice(starts)
+            state: Optional[State] = init
             known = 0
-            states = [state]
+            path = [codes]
             labels: List[Any] = []
             seen.add(fp)
+
+            def trace_of() -> Trace:
+                decoded = [State(core.schema, core.decode(row)) for row in path[1:]]
+                return Trace(states=[init] + decoded, labels=list(labels))
+
             for _ in range(max_steps):
-                viols, masked, ok = core.classify_values(state.values, state)
+                viols, masked, ok = core.classify_values(codes, state)
                 if masked:
                     break
                 if viols:
-                    stop = self._record(
-                        result,
-                        core,
-                        viols,
-                        lambda: Trace(states=list(states), labels=list(labels)),
-                    )
+                    stop = self._record(result, core, viols, trace_of)
                     break
                 if not ok:
                     break
-                chosen = core.step(state, fp, known, rng)
+                chosen = core.step(codes, fp, known, rng)
                 if chosen is None:
                     break
-                idx, state, fp, known = chosen
+                idx, codes, fp, known = chosen
+                state = None
                 result.transitions += 1
                 labels.append(core.labels[idx])
-                states.append(state)
+                path.append(codes)
                 seen.add(fp)
-                if len(states) - 1 > result.max_depth:
-                    result.max_depth = len(states) - 1
+                if len(path) - 1 > result.max_depth:
+                    result.max_depth = len(path) - 1
 
         result.states_explored = len(seen)
         result.elapsed_seconds = time.monotonic() - start

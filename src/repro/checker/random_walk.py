@@ -10,6 +10,9 @@ Walks step through the exploration engine's one successor path
 ``expand_batch`` with ``seen=None``): on a trusted spec the generated kernel
 replays memoized outcomes and inherited disabled bits, on any other spec
 the reference expander enumerates ``Specification.successors`` directly.
+A walk encodes its start state once and carries the compile's value codes
+from step to step, decoding only the successor it chose (a ``Trace`` holds
+``State``s).
 The enumeration order and the state-changing filter are identical either
 way, so a seeded walk chooses exactly the same label sequence -- the
 conformance campaign's finding fingerprints (and its checked-in
@@ -55,6 +58,7 @@ class RandomWalker:
             initials = self.spec.initial_states()
             state = self.rng.choice(initials)
         core = self._core
+        codes = core.encode(state.values)
         fp = core.fingerprinter.of_values(state.values)
         known = 0
         states: List[State] = [state]
@@ -62,10 +66,11 @@ class RandomWalker:
         for _ in range(max_steps):
             if not self.spec.within_constraint(state):
                 break
-            chosen = core.step(state, fp, known, self.rng)
+            chosen = core.step(codes, fp, known, self.rng)
             if chosen is None:
                 break
-            idx, state, fp, known = chosen
+            idx, codes, fp, known = chosen
+            state = State(core.schema, core.decode(codes))
             labels.append(core.labels[idx])
             states.append(state)
         return Trace(states=states, labels=labels)

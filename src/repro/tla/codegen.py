@@ -18,12 +18,18 @@ runtime trick: changed slots are a subset of an action's declared
 closure projection *is* the memo key.  So, per memo entry, the changed
 slots, their old values, their new values and the complete fingerprint
 delta are all constants.  A kernel memo entry therefore stores, per
-enabled change-ful instance, ``(idx, ((slot, new_value), ...), fp_delta)``
+enabled change-ful instance, ``(idx, ((slot, new_code), ...), fp_delta)``
 and a hit replays a successor with a single XOR plus a couple of list
 writes — no guard call, no update call, no digest lookups, no change
 filtering.  For the same reason frontier entries carry no per-slot digest
 tuples: digests are only touched on a memo miss, where the delta is
 folded once and for all.
+
+The kernel runs on the compile's value codes (``CompiledSpec.encode``):
+a row is ``(fp, codes, known)``, memo keys are projections of small ints,
+and values are decoded from the bound value table ``vt`` only where a
+function needs them -- a guard-prefix root reads ``vt[slot][c[slot]]``,
+and a memo miss builds its ``State`` from the decoded row.
 
 The emitted function is *entry-major*: one loop over the batch, with the
 guard prefixes of every instance (:mod:`repro.tla.guards`: the comparisons
@@ -62,10 +68,10 @@ from repro.tla.state import State
 # Version tag of the kernel emitter.  Mixed into the spec_cache on-disk
 # digest (upgrading the emitter must orphan stale artifacts) and reported
 # by ``CompiledSpec.memo_stats``.
-CODEGEN_VERSION = 10
+CODEGEN_VERSION = 11
 
 
-def _key_expr(slots: Tuple[int, ...], var: str = "v") -> str:
+def _key_expr(slots: Tuple[int, ...], var: str = "c") -> str:
     """Memo-key expression for a projection: direct tuple subscripts.
 
     Single-slot projections use the bare value (cheaper than a 1-tuple).
@@ -83,39 +89,34 @@ def make_outcome_compiler(core: Any) -> Callable:
     """Build the shared miss-path helper that compiles one applier outcome
     into a kernel memo entry.
 
-    Returns ``(idx, ((slot, new_value), ...), fp_delta)`` for a change-ful
+    Returns ``(idx, ((slot, new_code), ...), fp_delta)`` for a change-ful
     outcome, or ``None`` when every update is a no-op (matching the
-    state-changing filter of ``Specification.successors``).  The fingerprint delta folds
-    both the old- and new-value digests in here, at miss time — replays
-    never touch the digest cache again.
+    state-changing filter of ``Specification.successors``).  Each changed
+    value is interned in the compile's value table, so the entry holds
+    codes, not a private copy of an equal value, and the fingerprint
+    delta folds both digests by list index, at miss time -- replays never
+    touch a digest again.
     """
     schema_index = core.schema._index
-    fingerprinter = core.fingerprinter
-    slot_digest = fingerprinter.slot_digest
-    # Pre-touch every per-slot digest cache so ``caches`` is a stable list
-    # and the hot path can index it directly instead of going through the
-    # guarded ``slot_digest`` method for what is almost always a cache hit.
-    for i in range(len(core.schema.names)):
-        fingerprinter._cache_for(i)
-    caches = fingerprinter._caches
+    codes, values, digests = core.codes, core.values, core.digests
+    mint = core.mint
 
-    def compile_outcome(idx: int, updates: Dict[str, Any], parent_values: Tuple):
+    def compile_outcome(idx: int, updates: Dict[str, Any], parent: Tuple[int, ...]):
         changes = []
         delta = 0
         for name, value in updates.items():
             slot = schema_index[name]
-            old = parent_values[slot]
-            if old is value or old == value:
+            old = parent[slot]
+            if values[slot][old] is value:
                 continue
-            cache = caches[slot]
-            od = cache.get(old)
-            if od is None:
-                od = slot_digest(slot, old)
-            nd = cache.get(value)
-            if nd is None:
-                nd = slot_digest(slot, value)
-            delta ^= od ^ nd
-            changes.append((slot, value))
+            code = codes[slot].get(value)
+            if code is None:
+                code = mint(slot, value)
+            if code == old:
+                continue
+            digest = digests[slot]
+            delta ^= digest[old] ^ digest[code]
+            changes.append((slot, code))
         if not changes:
             return None
         return (idx, tuple(changes), delta)
@@ -167,7 +168,8 @@ def _emit_guard_prefixes(w: Callable[[str], None], core: Any) -> None:
         for n in range(len(path), 0, -1):
             if path[:n] in bound:
                 return expression(path[n - 1 :], bound[path[:n]])
-        return expression(path, f"v[{slot_of[path[0]]}]")
+        slot = slot_of[path[0]]
+        return expression(path, f"vt[{slot}][c[{slot}]]")
 
     def emit(children: Dict[Atom, list], pad: str, bound: Dict[Path, str]) -> None:
         items = list(children.items())
@@ -208,11 +210,12 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     """Emit the batch expansion kernel for a ``CompiledSpec``.
 
     Returns ``(source, expand_batch)`` where ``expand_batch(rows, seen,
-    classify)`` expands a whole frontier batch of ``(fp, values,
+    classify)`` expands a whole frontier batch of ``(fp, codes,
     known_disabled)`` rows and returns ``[(entry_fp, transitions,
     candidates), ...]`` with ``engine.Candidate`` tuples whose successor is
-    a raw values tuple (states are materialized lazily by the caller, only
-    for traces and violations).  ``seen=None`` emits every successor.
+    a row of codes in the compile's value table (states are decoded
+    lazily: on a memo miss, and by the caller only for traces and
+    violations).  ``seen=None`` emits every successor.
 
     Enumeration is bitwise-identical to the reference expander: entries
     are processed in order, per-entry candidates are rebuilt in sorted
@@ -230,7 +233,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     binds: Dict[str, Any] = {
         "config": core.config,
         "mk": make_outcome_compiler(core),
-        "classify_values": core.classify_values,
+        "vt": core.values,
         "naffects": [~bits for bits in core.affects],
     }
     # Every applier an outcome group or the eager tier can call.
@@ -273,6 +276,8 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
             binds["consf"] = core.constraint
             binds["cmemo"] = core.constraint_memo
             binds["cget"] = core.constraint_memo.get
+    else:
+        binds["classify_values"] = core.classify_values
     env: Dict[str, Any] = {"_State": State, "_schema": schema}
     env.update((f"_{name}", value) for name, value in binds.items())
     # The stats cells are read once per call, after the loop: globals.  As
@@ -284,6 +289,14 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     src: List[str] = []
     w = src.append
     w(f"# repro kernel v{CODEGEN_VERSION} for spec {core.spec.name!r}")
+    # A State is decoded from codes only where a function needs one: on a
+    # miss, which is about to call appliers or predicates anyway, so one
+    # shared function costs less than the code an inline copy per call
+    # site would add to every kernel.
+    w("def _state(c, vt=_vt):")
+    decoded = "".join(f"vt[{s}][c[{s}]], " for s in range(len(names)))
+    w(f"    return _State(_schema, ({decoded}))")
+    w("")
     w("def _expand_batch(")
     w("    rows,")
     w("    seen,")
@@ -298,7 +311,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     w("    results = []")
     w("    res_append = results.append")
     w("    seen_add = None if seen is None else seen.add")
-    w("    for entry_fp, v, d in rows:")
+    w("    for entry_fp, c, d in rows:")
     w("        st = None")
     w("        raw = []")
 
@@ -321,7 +334,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
         w("            else:")
         w(f"                om{g} += 1")
         w("                if st is None:")
-        w("                    st = _State(_schema, v)")
+        w("                    st = _state(c)")
         w("                gd = 0")
         w("                en = []")
         for idx in members:
@@ -334,7 +347,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
             w(f"                        d |= {bit}")
             w(f"                        gd |= {bit}")
             w("                    else:")
-            w(f"                        item = mk({idx}, u, v)")
+            w(f"                        item = mk({idx}, u, c)")
             w("                        if item is not None:")
             w("                            en.append(item)")
             w("                            raw.append(item)")
@@ -350,12 +363,12 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
             bit = 1 << idx
             w(f"        if not d & {bit}:")
             w("            if st is None:")
-            w("                st = _State(_schema, v)")
+            w("                st = _state(c)")
             w(f"            u = a{idx}(config, st)")
             w("            if u is None:")
             w(f"                d |= {bit}")
             w("            else:")
-            w(f"                item = mk({idx}, u, v)")
+            w(f"                item = mk({idx}, u, c)")
             w("                if item is not None:")
             w("                    raw.append(item)")
 
@@ -372,10 +385,10 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     w("                if fp in seen:")
     w("                    continue")
     w("                seen_add(fp)")
-    w("            sv = list(v)")
-    w("            for slot, value in changes:")
-    w("                sv[slot] = value")
-    w("            svt = tuple(sv)")
+    w("            sv = list(c)")
+    w("            for slot, code in changes:")
+    w("                sv[slot] = code")
+    w("            sc = tuple(sv)")
     w("            if classify:")
     if fused:
         # Inline classification: mask, invariant groups and constraint
@@ -384,17 +397,17 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
         # memo state and results are bitwise-identical.
         w("                cst = None")
         if core.mask is not None:
-            w(f"                mkk = {_key_expr(core.mask_slots, 'svt')}")
+            w(f"                mkk = {_key_expr(core.mask_slots, 'sc')}")
             w("                mh = mget(mkk)")
             w("                if mh is None:")
-            w("                    cst = _State(_schema, svt)")
+            w("                    cst = _state(sc)")
             w("                    mh = True if maskf(cst) else False")
             w(f"                    if len(mmemo) >= {core.VERDICT_MEMO_LIMIT}:")
             w("                        mmemo.clear()")
             w("                    mmemo[mkk] = mh")
             w("                if mh:")
             w("                    cands_append(")
-            w("                        (idx, svt, fp, d & naffects[idx],")
+            w("                        (idx, sc, fp, d & naffects[idx],")
             w("                         (), True, True)")
             w("                    )")
             w("                    continue")
@@ -402,11 +415,11 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
             w("                vb = 0")
         for g, (_kf, group_members) in enumerate(core.inv_groups):
             slots = core.inv_group_slots[g]
-            w(f"                ikk = {_key_expr(slots, 'svt')}")
+            w(f"                ikk = {_key_expr(slots, 'sc')}")
             w(f"                ih = iget{g}(ikk)")
             w("                if ih is None:")
             w("                    if cst is None:")
-            w("                        cst = _State(_schema, svt)")
+            w("                        cst = _state(sc)")
             w("                    ih = 0")
             for i in group_members:
                 w(f"                    if not inv{i}(config, cst):")
@@ -426,11 +439,11 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
         w("                else:")
         w("                    viols = ()")
         if core.constraint is not None:
-            w(f"                ckk = {_key_expr(core.constraint_slots, 'svt')}")
+            w(f"                ckk = {_key_expr(core.constraint_slots, 'sc')}")
             w("                ok = cget(ckk)")
             w("                if ok is None:")
             w("                    if cst is None:")
-            w("                        cst = _State(_schema, svt)")
+            w("                        cst = _state(sc)")
             w("                    ok = True if consf(config, cst) else False")
             w(f"                    if len(cmemo) >= {core.VERDICT_MEMO_LIMIT}:")
             w("                        cmemo.clear()")
@@ -439,17 +452,17 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
         else:
             ok_expr = "True"
         w("                cands_append(")
-        w("                    (idx, svt, fp, d & naffects[idx],")
+        w("                    (idx, sc, fp, d & naffects[idx],")
         w(f"                     viols, False, {ok_expr})")
         w("                )")
     else:
-        w("                viols, masked, ok = classify_values(svt)")
+        w("                viols, masked, ok = classify_values(sc)")
         w("                cands_append(")
-        w("                    (idx, svt, fp, d & naffects[idx], viols, masked, ok)")
+        w("                    (idx, sc, fp, d & naffects[idx], viols, masked, ok)")
         w("                )")
     w("            else:")
     w("                cands_append(")
-    w("                    (idx, svt, fp, d & naffects[idx], (), False, True)")
+    w("                    (idx, sc, fp, d & naffects[idx], (), False, True)")
     w("                )")
     w("        res_append((entry_fp, len(raw), cands))")
 

@@ -400,7 +400,7 @@ class TestCompiledSpec:
         spec = counter_spec(y_bound=0)
         core = CompiledSpec(spec)
         bad = State.make(SCHEMA, x=1, y=1)
-        viols, masked, ok = core.classify_values(bad.values)
+        viols, masked, ok = core.classify_values(core.encode(bad.values))
         assert viols and not masked and ok
 
 
@@ -527,7 +527,8 @@ class TestIncrementalProperties:
         # Walk each random spec through the kernel's expand chain
         # (inherited disabled bits, outcome memo warm across steps) and
         # compare every candidate list against the reference expander:
-        # same instances, same successor values, same fingerprints.
+        # same instances, same successor values, same fingerprints.  The
+        # two cores number values independently, so rows compare decoded.
         for seed in range(8):
             spec = random_spec(seed)
             # random_spec's closures-over-defaults defeat the static
@@ -541,13 +542,18 @@ class TestIncrementalProperties:
             known = 0
             for _ in range(30):
                 ((_, _, fast),) = core.expand_batch(
-                    [(fp, values, known)], classify_candidates=False
+                    [(fp, core.encode(values), known)], classify_candidates=False
                 )
-                _, slow = brute.reference_expand(values, classify_candidates=False)
-                assert [c[:3] for c in fast] == [c[:3] for c in slow], f"seed {seed}"
+                _, slow = brute.reference_expand(
+                    brute.encode(values), classify_candidates=False
+                )
+                assert [(i, core.decode(c), f) for i, c, f, *_ in fast] == [
+                    (i, brute.decode(c), f) for i, c, f, *_ in slow
+                ], f"seed {seed}"
                 if not fast:
                     break
-                _, values, fp, known, *_ = rng.choice(fast)
+                _, codes, fp, known, *_ = rng.choice(fast)
+                values = core.decode(codes)
 
     def test_reference_expand_is_specification_successors(self):
         # The oracle is pinned to the semantic definition: on every state
@@ -565,12 +571,12 @@ class TestIncrementalProperties:
             core = CompiledSpec(spec, reference=True)
             for state in RandomWalker(spec, seed=n, compiled=core).walk(40).states:
                 transitions, candidates = core.reference_expand(
-                    state.values, classify_candidates=False
+                    core.encode(state.values), classify_candidates=False
                 )
                 want = list(spec.successors(state))
                 assert transitions == len(want)
                 assert [
-                    (core.labels[c[0]], c[1]) for c in candidates
+                    (core.labels[c[0]], core.decode(c[1])) for c in candidates
                 ] == [(label, nxt.values) for label, nxt in want], spec.name
                 assert [c[2] for c in candidates] == [
                     Fingerprinter().of_values(nxt.values) for _, nxt in want

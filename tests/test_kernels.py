@@ -176,13 +176,15 @@ class TestDifferentialIdentity:
         assert kernel.kernel is not None and reference.kernel is None
         init = spec.initial_states()[0]
         fp = kernel.fingerprinter.of_values(init.values)
-        rows = [(fp, init.values, 0)]
-        (kres,) = kernel.expand_batch(rows)
-        (rres,) = reference.expand_batch(rows)
+        (kres,) = kernel.expand_batch([(fp, kernel.encode(init.values), 0)])
+        (rres,) = reference.expand_batch([(fp, reference.encode(init.values), 0)])
         assert kres[:2] == rres[:2] == (fp, 1)
         # Same instances, successor values, fingerprints and verdicts;
-        # only the inherited known-disabled bits are kernel-private.
-        assert [c[:3] + c[4:] for c in kres[2]] == [c[:3] + c[4:] for c in rres[2]]
+        # only the inherited known-disabled bits are kernel-private (and
+        # each core numbers its values itself).
+        assert [
+            (c[0], kernel.decode(c[1])) + c[2:3] + c[4:] for c in kres[2]
+        ] == [(c[0], reference.decode(c[1])) + c[2:3] + c[4:] for c in rres[2]]
         assert all(c[3] == 0 for c in rres[2])
 
 
