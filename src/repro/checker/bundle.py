@@ -276,17 +276,6 @@ class Signature:
         return self.sha1.hexdigest()
 
 
-def function_identity(fn: Any) -> Optional[bytes]:
-    """A digest of what ``fn`` is (code and closure, never its name), or
-    None when that cannot be named."""
-    signature = Signature()
-    try:
-        signature.function(fn)
-    except Unpersistable:
-        return None
-    return signature.sha1.digest()
-
-
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _DERIVING_SOURCES = (
     os.path.join(_ROOT, "tla"),

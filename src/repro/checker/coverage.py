@@ -70,10 +70,10 @@ def measure_coverage(
     seen: Set[int] = set()
     frontier: deque = deque()  # (fp, codes, known_disabled) rows
     for init in spec.initial_states():
-        fp = core.fingerprinter.of_values(init.values)
+        fp, codes = core.row(init.values)
         if fp not in seen:
             seen.add(fp)
-            frontier.append((fp, core.encode(init.values), 0))
+            frontier.append((fp, codes, 0))
     while frontier:
         if max_states is not None and len(seen) >= max_states:
             break

@@ -95,7 +95,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.checker.bundle import Bundle, function_identity
+from repro.checker.bundle import Bundle
 from repro.checker.fingerprint import Fingerprinter
 from repro.checker.result import CheckResult, Violation
 from repro.checker.trace import Trace
@@ -122,52 +122,26 @@ _KERNEL_CHUNK = 512
 #: land in the never-memoized eager sweep.
 _TRUST_BLOCKING = frozenset({"D01", "D03", "D05", "D07", "P01", "P02", "P03", "P04"})
 
-#: Per-action lint verdict cache (``""`` = trusted, else the blocking
-#: rule), keyed on what the action's function *is* -- its code and,
-#: recursively, the functions in its closure cells
-#: (:func:`repro.checker.bundle.function_identity`: the analyzer resolves
-#: names through those cells, so two copies of one wrapper lambda around
-#: different functions are different actions) -- plus its declarations.
-#: Identity-free, so recomposing a spec from the same module actions (the
-#: common case for the ZooKeeper/Raft plugins) does not re-run the
-#: analyzer.
-_TRUST_CACHE: Dict[tuple, str] = {}
-_TRUST_CACHE_LIMIT = 4096
-
-
 def trust_blocker(spec: Specification) -> str:
     """Why the static analyzer does not prove this spec's declarations
     (``""``: it does).
 
     Runs the PR-8 static analyzer over every action and reports the first
     finding of a trust-critical rule (:data:`_TRUST_BLOCKING`), or the
-    analyzer's own exception.  Per-action verdicts are cached globally
-    (:data:`_TRUST_CACHE`), so repeated spec composition stays cheap.
+    analyzer's own exception.  Nothing is cached here: a compile keeps its
+    verdict (``CompiledSpec.blocker``), :func:`compiled_for` shares one
+    compile per spec, and across processes a loaded compile bundle is the
+    verdict.
     """
-    schema_names = frozenset(spec.schema.names)
-    analyzer = None
+    schema_names = set(spec.schema.names)
     try:
         from repro.analysis.declarations import check_action
         from repro.analysis.deps import SpecAnalyzer
 
+        analyzer = SpecAnalyzer()
         for action in spec.actions:
-            sources = tuple(
-                sorted((k, tuple(sorted(v))) for k, v in action.update_sources.items())
-            )
-            identity = function_identity(action.fn)
-            key = (identity, action.reads, action.writes, sources, schema_names)
-            rule = _TRUST_CACHE.get(key) if identity is not None else None
-            if rule is None:
-                if analyzer is None:
-                    analyzer = SpecAnalyzer()
-                findings = check_action(spec.name, action, set(schema_names), analyzer)
-                rule = next(
-                    (f.rule for f in findings if f.rule in _TRUST_BLOCKING), ""
-                )
-                if identity is not None:
-                    if len(_TRUST_CACHE) >= _TRUST_CACHE_LIMIT:
-                        _TRUST_CACHE.clear()
-                    _TRUST_CACHE[key] = rule
+            findings = check_action(spec.name, action, schema_names, analyzer)
+            rule = next((f.rule for f in findings if f.rule in _TRUST_BLOCKING), "")
             if rule:
                 return f"action {action.name} fails lint rule {rule}"
     except Exception as error:
@@ -180,20 +154,14 @@ def kernel_trusted(spec: Specification, bundle: Optional[Bundle] = None) -> bool
 
     A loaded compile ``bundle`` *is* the proof (only trusted bundles are
     written, under a key that covers everything the analyzer read);
-    without one the analyzer runs (:func:`trust_blocker`).  The verdict is
-    cached on the spec object.  An untrusted verdict is never silent: the
-    first blocking action and rule (or the analyzer's own exception) is
-    kept on the spec for ``memo_stats()`` and raised as one
-    ``RuntimeWarning`` per spec, because such a spec runs on the slower
-    reference expander.
+    without one the analyzer runs (:func:`trust_blocker`).  An untrusted
+    verdict is never silent: the first blocking action and rule (or the
+    analyzer's own exception) is raised as a ``RuntimeWarning``, once per
+    compile, because such a spec runs on the slower reference expander.
     """
-    verdict = getattr(spec, "_kernel_trusted", None)
-    if verdict is not None:
-        return verdict
-    blocker = "" if bundle is not None and bundle.loaded else trust_blocker(spec)
-    verdict = not blocker
-    spec._kernel_trusted = verdict
-    spec._kernel_blocker = blocker
+    if bundle is not None and bundle.loaded:
+        return True
+    blocker = trust_blocker(spec)
     if blocker:
         warnings.warn(
             f"spec {spec.name!r} is not kernel-trusted ({blocker}; rule "
@@ -202,7 +170,7 @@ def kernel_trusted(spec: Specification, bundle: Optional[Bundle] = None) -> bool
             RuntimeWarning,
             stacklevel=2,
         )
-    return verdict
+    return not blocker
 
 
 #: A frontier row, the unit ``expand_batch`` consumes: (fingerprint, the
@@ -282,6 +250,7 @@ class CompiledSpec:
         "debug",
         "bundle",
         "signature",
+        "blocker",
         "compile",
         "kernel",
         "kernel_source",
@@ -371,9 +340,18 @@ class CompiledSpec:
         self.bundle = None if reference else Bundle.open(self)
         #: ``"loaded"`` when the kernel's code object came from the bundle.
         self.compile = "fresh"
-        # debug=True emits the kernel whatever the analyzer says: the
-        # per-batch cross-check *is* the trust decision then.
-        compiled = not reference and (debug or kernel_trusted(spec, self.bundle))
+        #: This compile's trust verdict: why the analyzer does not prove
+        #: the spec's declarations, ``""`` when it does -- or when nobody
+        #: asked (``reference=True``; ``debug=True``, whose per-batch
+        #: cross-check *is* the trust decision and which emits the kernel
+        #: whatever the analyzer says).
+        self.blocker = ""
+        compiled = not reference
+        if compiled and not debug and not kernel_trusted(spec, self.bundle):
+            # The rare path (no shipped composition takes it): ask once
+            # more for the reason kernel_trusted() warned about.
+            self.blocker = trust_blocker(spec)
+            compiled = False
         if compiled:
             self._analyze(instances)
         # Memo telemetry (--stats): per-group [misses, skipped,
@@ -556,6 +534,17 @@ class CompiledSpec:
             out.append(code)
         return tuple(out)
 
+    def row(self, values: Sequence[Any]) -> Tuple[int, Tuple[int, ...]]:
+        """``(fp, codes)`` of a values tuple: the one way a state enters
+        the successor path.  The fingerprint is the XOR of the table's
+        digests, so a value is hashed once per compile, when it is
+        minted."""
+        codes = self.encode(values)
+        fp = 0
+        for column, code in zip(self.digests, codes):
+            fp ^= column[code]
+        return fp, codes
+
     def decode(self, codes: Sequence[int]) -> Tuple[Any, ...]:
         """The values tuple a row of codes stands for."""
         return tuple([column[code] for column, code in zip(self.values, codes)])
@@ -717,26 +706,25 @@ class CompiledSpec:
         fingerprint, and nothing else.
 
         Deliberately naive -- every instance is applied to every state,
-        every successor is fingerprinted in full, no verdict is inherited
+        every successor is fingerprinted in full (:meth:`row`: the XOR
+        of every slot's digest), no verdict is inherited
         or memoized -- because it is the definition the kernel is checked
         against (``--debug-deps``, the differential tests) and the path a
         spec with unproven declarations runs on.  The row is decoded on
         the way in and each successor encoded on the way out.  Returns
         ``(transitions, candidates)`` with ``known_disabled`` always 0.
         """
-        of_values = self.fingerprinter.of_values
         index_of = self._label_index
         transitions = 0
         candidates: List[Candidate] = []
         state = State(self.schema, self.decode(codes))
         for label, nxt in self.spec.successors(state):
             transitions += 1
-            fp = of_values(nxt.values)
+            fp, successor = self.row(nxt.values)
             if seen is not None:
                 if fp in seen:
                     continue
                 seen.add(fp)
-            successor = self.encode(nxt.values)
             if classify_candidates:
                 viols, masked, ok = self.classify_values(successor, nxt)
             else:
@@ -905,7 +893,7 @@ class CompiledSpec:
         else:
             # Why there is no kernel: pinned by the caller, or the first
             # blocking lint finding kernel_trusted() warned about.
-            stats["untrusted"] = getattr(self.spec, "_kernel_blocker", "") or None
+            stats["untrusted"] = self.blocker or None
         return stats
 
 
@@ -1072,6 +1060,17 @@ class ExplorationEngine:
                 return True
         return False
 
+    @staticmethod
+    def _finish(result: CheckResult, exhausted: bool, pruned: bool) -> None:
+        """Set ``completed``: the search ran out of states with no budget
+        stopping it.  A run that left states unexpanded at ``max_depth``
+        has not seen the whole space, so it is not ``completed`` either,
+        and ``max_depth`` is the budget it reports -- unless another
+        budget stopped it first."""
+        if exhausted and pruned and result.budget_exhausted is None:
+            result.budget_exhausted = "max_depth"
+        result.completed = exhausted and result.budget_exhausted is None
+
     # ------------------------------------------------------------- BFS
 
     def _run_bfs(self) -> CheckResult:
@@ -1108,14 +1107,13 @@ class ExplorationEngine:
         frontier: List[Row] = []
         delta: List[int] = []
         for init in spec.initial_states():
-            fp = core.fingerprinter.of_values(init.values)
+            fp, codes = core.row(init.values)
             if fp in parent_link:
                 continue
             parent_link[fp] = None
             init_by_fp[fp] = init
             seen.add(fp)
             delta.append(fp)
-            codes = core.encode(init.values)
             viols, masked, ok = core.classify_values(codes, init)
             if masked:
                 continue
@@ -1141,6 +1139,7 @@ class ExplorationEngine:
                 pool = parallel.WorkerPool(core, self.workers)
 
         depth = 0
+        pruned = False  # a state left unexpanded because of max_depth
         try:
             while frontier and not stop and result.budget_exhausted is None:
                 if out_of_time(start, self.max_time):
@@ -1187,8 +1186,11 @@ class ExplorationEngine:
                                 if record(fp, viols):
                                     stop = True
                                     break
-                            elif ok and expandable_depth:
-                                next_frontier.append((fp, codes, known))
+                            elif ok:
+                                if expandable_depth:
+                                    next_frontier.append((fp, codes, known))
+                                else:
+                                    pruned = True
                         if (
                             self.max_states is not None
                             and len(parent_link) >= self.max_states
@@ -1203,9 +1205,7 @@ class ExplorationEngine:
 
         result.states_explored = len(parent_link)
         result.elapsed_seconds = time.monotonic() - start
-        result.completed = (
-            not frontier and not stop and result.budget_exhausted is None
-        )
+        self._finish(result, exhausted=not frontier and not stop, pruned=pruned)
         return result
 
     # ------------------------------------------------------------- DFS
@@ -1224,10 +1224,11 @@ class ExplorationEngine:
         # materialize a State (classification on pop is lazy too).
         stack: List[Tuple[Tuple[int, ...], int, Tuple[int, ...], State, int]] = []
         for init in spec.initial_states():
-            fp = core.fingerprinter.of_values(init.values)
-            stack.append((core.encode(init.values), fp, (), init, 0))
+            fp, codes = core.row(init.values)
+            stack.append((codes, fp, (), init, 0))
 
         stop = False
+        pruned = False  # a state left unexpanded because of max_depth
         while stack and not stop:
             if self.max_states is not None and len(visited) >= self.max_states:
                 result.budget_exhausted = "max_states"
@@ -1250,7 +1251,10 @@ class ExplorationEngine:
                 trace = Trace(states=spec.replay(labels, init), labels=labels)
                 stop = self._record(result, core, viols, lambda: trace)
                 continue
-            if depth >= max_depth or not ok:
+            if not ok:
+                continue
+            if depth >= max_depth:
+                pruned = True
                 continue
             throwaway.clear()
             ((_, transitions, candidates),) = core.expand_batch(
@@ -1263,9 +1267,7 @@ class ExplorationEngine:
 
         result.states_explored = len(visited)
         result.elapsed_seconds = time.monotonic() - start
-        result.completed = (
-            not stack and not stop and result.budget_exhausted is None
-        )
+        self._finish(result, exhausted=not stack and not stop, pruned=pruned)
         return result
 
     # ---------------------------------------------------------- random
@@ -1284,13 +1286,9 @@ class ExplorationEngine:
         if self.max_states is None and self.max_time is None:
             max_walks = 1_000
         max_steps = self.max_depth if self.max_depth is not None else 60
-        of_values = core.fingerprinter.of_values
         # Each initial state encoded once; one rng.choice per walk over a
         # list as long as the initial states draws what it always drew.
-        starts = [
-            (init, core.encode(init.values), of_values(init.values))
-            for init in spec.initial_states()
-        ]
+        starts = [(init, *core.row(init.values)) for init in spec.initial_states()]
         seen: set = set()
         walks = 0
         stop = False
@@ -1306,7 +1304,7 @@ class ExplorationEngine:
                 result.budget_exhausted = "max_time"
                 break
             walks += 1
-            init, codes, fp = rng.choice(starts)
+            init, fp, codes = rng.choice(starts)
             state: Optional[State] = init
             known = 0
             path = [codes]

@@ -12,16 +12,19 @@ visited sets.  The canonical encoding below is stable across processes,
 runs and platforms.
 
 Fingerprints are Zobrist-style: the state fingerprint is the XOR of one
-digest per (slot index, slot value) pair, each digest memoized per slot.
-XOR composition makes the fingerprint *incrementally updatable*: a
-successor state that changes k slots costs O(k) digest lookups
-(``fp' = fp ^ H(i, old) ^ H(i, new)`` per changed slot) instead of
-re-encoding the whole state -- see :meth:`Fingerprinter.update`.  This
-is what makes fingerprinting cheaper than the full ``State`` hashing +
-equality the seed dict paid for.
+digest per (slot index, slot value) pair.  XOR composition makes the
+fingerprint *incrementally updatable*: a successor state that changes k
+slots costs O(k) digests (``fp' = fp ^ H(i, old) ^ H(i, new)`` per
+changed slot) instead of re-encoding the whole state.  A
+:class:`Fingerprinter` holds no per-value state: digesting a value is a
+blake2b over its encoding,
+and the exploration engine pays it once per distinct value -- its value
+table (``CompiledSpec.digests``) keeps the digest beside the value's
+code, and a delta is two list indexings there.
 
-The encoding mirrors :class:`State` equality semantics, because the cache
-is keyed by value equality and equal values must fingerprint equally:
+The encoding mirrors :class:`State` equality semantics, because the value
+table is keyed by value equality and equal values must fingerprint
+equally:
 
 - ``bool`` and ``int`` encode identically (``True == 1`` in a values
   tuple, and the seed dict deduplicated them as equal); integral floats
@@ -45,11 +48,6 @@ from typing import Any, Tuple
 
 from repro.tla.state import State
 from repro.tla.values import Rec
-
-#: Entries kept in each per-slot digest cache before it is reset.  The
-#: cache is a pure memo, so clearing it only costs re-encoding.
-_CACHE_LIMIT = 1 << 19
-
 
 class FingerprintError(TypeError):
     """A state contained a value the canonical encoder does not know."""
@@ -128,35 +126,20 @@ class Fingerprinter:
     collision behaviour (a colliding state is treated as visited).
     """
 
-    __slots__ = ("bits", "_mask", "_caches")
+    __slots__ = ("bits", "_mask")
 
     def __init__(self, bits: int = 64):
         if not 1 <= bits <= 64:
             raise ValueError(f"fingerprint width must be 1..64 bits, got {bits}")
         self.bits = bits
         self._mask = (1 << bits) - 1
-        self._caches: list = []  # per slot index: {value: digest}
-
-    def _cache_for(self, index: int) -> dict:
-        caches = self._caches
-        while len(caches) <= index:
-            caches.append({})
-        return caches[index]
 
     def slot_digest(self, index: int, value: Any) -> int:
-        """The digest of one (slot index, value) pair, memoized."""
-        caches = self._caches
-        cache = caches[index] if index < len(caches) else self._cache_for(index)
-        digest = cache.get(value)
-        if digest is None:
-            buf = bytearray(b"%d|" % index)
-            _encode(value, buf)
-            raw = blake2b(bytes(buf), digest_size=8).digest()
-            digest = int.from_bytes(raw, "big") & self._mask
-            if len(cache) >= _CACHE_LIMIT:
-                cache.clear()
-            cache[value] = digest
-        return digest
+        """The digest of one (slot index, value) pair."""
+        buf = bytearray(b"%d|" % index)
+        _encode(value, buf)
+        raw = blake2b(bytes(buf), digest_size=8).digest()
+        return int.from_bytes(raw, "big") & self._mask
 
     def of_values(self, values: Tuple[Any, ...]) -> int:
         acc = 0
@@ -164,34 +147,6 @@ class Fingerprinter:
         for index, value in enumerate(values):
             acc ^= slot_digest(index, value)
         return acc
-
-    def of_state(self, state: State) -> int:
-        return self.of_values(state.values)
-
-    def update(
-        self,
-        fingerprint: int,
-        values: Tuple[Any, ...],
-        changes,
-    ) -> int:
-        """Incrementally fingerprint a successor.
-
-        ``fingerprint``/``values`` describe the parent state; ``changes``
-        iterates (slot index, new value) pairs.  A pair whose new value
-        equals the old one cancels out (H ^ H == 0), so callers need not
-        pre-filter no-op writes.  When most slots change, prefer
-        :meth:`of_values` on the successor (two lookups per change vs one
-        per slot).
-        """
-        slot_digest = self.slot_digest
-        for index, new_value in changes:
-            old_value = values[index]
-            if old_value is new_value:
-                continue
-            fingerprint ^= slot_digest(index, old_value) ^ slot_digest(
-                index, new_value
-            )
-        return fingerprint
 
     def __repr__(self) -> str:
         return f"Fingerprinter(bits={self.bits})"
@@ -204,8 +159,8 @@ class IncrementalFingerprinter(Fingerprinter):
     (and, through them, the random walkers and campaign suffix replays)
     fold one digest pair per *changed* slot into a memoized fingerprint
     delta.  This subclass is the public name-keyed mirror of that
-    arithmetic for external callers driving states by hand via
-    :meth:`State.set_many <repro.tla.state.State.set_many>`:
+    arithmetic for callers driving states by hand (an update dict as
+    :meth:`State.set_many <repro.tla.state.State.set_many>` takes it):
 
         fp' = fp ^ H(var, old) ^ H(var, new)   over written variables only
 
@@ -235,10 +190,3 @@ class IncrementalFingerprinter(Fingerprinter):
                 continue
             mask ^= slot_digest(slot, old_value) ^ slot_digest(slot, new_value)
         return mask
-
-    def successor(
-        self, fingerprint: int, state: State, updates
-    ) -> Tuple[State, int]:
-        """Apply a name-keyed update: ``(next_state, next_fingerprint)``."""
-        nxt, mask = state.set_many(updates, fingerprinter=self)
-        return nxt, fingerprint ^ mask

@@ -58,8 +58,7 @@ class RandomWalker:
             initials = self.spec.initial_states()
             state = self.rng.choice(initials)
         core = self._core
-        codes = core.encode(state.values)
-        fp = core.fingerprinter.of_values(state.values)
+        fp, codes = core.row(state.values)
         known = 0
         states: List[State] = [state]
         labels = []

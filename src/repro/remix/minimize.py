@@ -51,7 +51,6 @@ from repro.remix.campaign import (
 from repro.remix.coordinator import Coordinator
 from repro.remix.registry import system_plugin
 from repro.remix.spec_cache import (
-    cached_lockstep,
     cached_mapping,
     cached_prefix,
     cached_resume_point,
@@ -155,8 +154,8 @@ def _explore_suffix(grain, witness, config, system, prefix) -> List:
 
 
 class _Resumable:
-    """What both directions' judges share: one lockstep engine per key,
-    the prefix resume point, and the shrink-oracle half -- the verdict a
+    """What both directions' judges share: a lockstep engine, the prefix
+    resume point, and the shrink-oracle half -- the verdict a
     full replay would give, for less than a full replay.
 
     ``coordinate`` -- ``(scenario, fault, leader, follower)`` of the cell
@@ -214,10 +213,10 @@ class _Resumable:
         self.system = system
         compared = tuple(system_plugin(system).compared_variables)
         key = (type(self).__name__, system, grain, config, compared)
-        #: The lockstep engine (a coordinator or a validator), shared by
-        #: every judge of its key.  Its resume points are ``(step,
-        #: ensemble, *model side)`` tuples.
-        self.lockstep = cached_lockstep(key, lambda: self._engine(compared))
+        #: The lockstep engine (a coordinator or a validator).  Its resume
+        #: points are ``(step, ensemble, *model side)`` tuples, and any
+        #: engine built from ``key`` may resume from another's.
+        self.lockstep = self._engine(compared)
         self._coordinate = coordinate
         #: Everything the prefix's judgment reads (the default quorum
         #: included); None: no coordinate.

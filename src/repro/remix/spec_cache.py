@@ -10,20 +10,17 @@ specifications, so the cache keys composed specs on ``(name, config)``
 dataclass that embeds the :class:`SpecVariant`).
 
 Concurrent first calls for the same key are *single-flighted*: one
-caller composes while the others wait on a per-key gate and then reuse
-the finished object, so exactly one composition (and one ``misses``
-increment) happens per key -- previously both paid the full composition
-and one object was discarded.
+caller composes (or scripts a prefix) while the others wait on a
+per-key gate and then reuse the finished object, so exactly one build
+(and one miss) happens per key.
 
 Forked campaign workers inherit the parent's populated cache by memory
 image, so pre-warming once in the parent makes campaign startup
 O(grains), not O(jobs).
 
-Two memory-only caches serve the campaign's judges
-(:mod:`repro.remix.minimize`): one lockstep engine per (judge, system,
-grain, config, compared variables) -- :func:`cached_lockstep`, so the
-compared variables are resolved once per key -- and one *prefix resume
-point* per engine key and cell coordinate (:func:`cached_resume_point`):
+One memory-only cache serves the campaign's judges
+(:mod:`repro.remix.minimize`): one *prefix resume point* per lockstep
+engine key and cell coordinate (:func:`cached_resume_point`):
 where the lockstep loop stands after the coordinate's scripted prefix,
 judged clean once per process on a fresh ensemble.  The points hold live
 ensembles, so they never touch the disk and are only handed out as
@@ -87,8 +84,6 @@ _MAPPINGS: Dict[str, object] = {}
 #: (labels, state values) per cell coordinate -- or, for a coordinate
 #: that cannot be scripted, the ``ScenarioError`` message.
 _PREFIXES: Dict[Tuple, Union[Tuple[tuple, tuple], str]] = {}
-#: Lockstep engines (a judge's coordinator or validator) per engine key.
-_LOCKSTEPS: Dict[Tuple, Any] = {}
 #: (prefix labels, resume point) per engine key + cell coordinate -- or
 #: ``()`` when the prefix's judgment was not clean.  Memory only: the
 #: points hold live ensembles.
@@ -110,17 +105,20 @@ _INFLIGHT: Dict[Any, threading.Lock] = {}
 
 
 def _single_flight(
-    cache: Dict, key: Any, build: Callable[[], Any], count: bool
+    cache: Dict,
+    key: Any,
+    build: Callable[[], Any],
+    counters: Optional[Tuple[str, str]] = None,
 ) -> Any:
     """Return ``cache[key]``, composing via ``build`` at most once per key
-    across concurrent callers.  ``count`` updates the hit/miss stats
-    (specs are counted, mappings are not)."""
+    across concurrent callers.  ``counters`` names the (hit, miss) stats
+    this cache counts into, if any."""
     while True:
         with _LOCK:
             value = cache.get(key)
             if value is not None:
-                if count:
-                    _STATS["hits"] += 1
+                if counters:
+                    _STATS[counters[0]] += 1
                 return value
             gate = _INFLIGHT.get(key)
             if gate is None:
@@ -145,8 +143,8 @@ def _single_flight(
             raise
         with _LOCK:
             cache[key] = value
-            if count:
-                _STATS["misses"] += 1
+            if counters:
+                _STATS[counters[1]] += 1
             _INFLIGHT.pop(key, None)
         gate.release()
         return value
@@ -193,7 +191,7 @@ def cached_spec(
         compiled_for(spec)
         return spec
 
-    return _single_flight(_SPECS, key, build, count=True)
+    return _single_flight(_SPECS, key, build, ("hits", "misses"))
 
 
 def cached_mapping(name: str, *, system: str = "zookeeper"):
@@ -203,19 +201,7 @@ def cached_mapping(name: str, *, system: str = "zookeeper"):
         _MAPPINGS,
         ("mapping", system, name),
         lambda: _plugin(system).make_mapping(name),
-        count=False,
     )
-
-
-def cached_lockstep(key: Tuple, build: Callable[[], Any]) -> Any:
-    """The shared lockstep engine (a judge's
-    :class:`~repro.remix.coordinator.Coordinator` or
-    :class:`~repro.remix.trace_validation.TraceValidator`) under ``key``,
-    built by ``build()`` once.  ``key`` names everything the engine is
-    built from -- judge, system, grain, config, compared variables -- so
-    its compared variables are resolved once per key, not per judge.
-    Engines keep no per-run state; callers must not mutate them."""
-    return _single_flight(_LOCKSTEPS, key, build, count=False)
 
 
 def cached_resume_point(
@@ -245,7 +231,7 @@ def cached_resume_point(
         judged.append(True)
         return judge_prefix() or ()
 
-    entry = _single_flight(_RESUME_POINTS, key, build, count=False)
+    entry = _single_flight(_RESUME_POINTS, key, build)
     point = None
     if entry:
         labels, cached = entry
@@ -314,7 +300,9 @@ def cached_prefix(
     Resolution order: per-process memory (forked workers inherit it),
     then the on-disk layer (repeated CLI invocations start warm), then
     scripting it from scratch (and persisting the labels + state values,
-    which unlike specifications are plain picklable data).
+    which unlike specifications are plain picklable data).  The last two
+    run once per key, single-flighted: concurrent first callers wait for
+    one script.
     :class:`~repro.system.plugin.ScenarioError` (an inapplicable
     scenario or fault for this grain/config) is an answer like any
     other: its message is cached at both levels and raised again
@@ -327,11 +315,8 @@ def cached_prefix(
     quorum = tuple(quorum) if quorum is not None else config.servers
     spec = cached_spec(grain, config, system=system)
     key = (system, grain, config, scenario, fault, leader, follower, quorum)
-    with _LOCK:
-        entry = _PREFIXES.get(key)
-        if entry is not None:
-            _STATS["prefix_hits"] += 1
-    if entry is None:
+
+    def build() -> Union[Tuple[tuple, tuple], str]:
         path = _prefix_path(plugin, spec, scenario, fault, leader, follower, quorum)
         payload = None
         if path is not None:
@@ -339,29 +324,28 @@ def cached_prefix(
             with _LOCK:
                 _STATS["disk_misses" if payload is None else "disk_hits"] += 1
         if isinstance(payload, str):
-            entry = payload
-        elif (
+            return payload
+        if (
             isinstance(payload, tuple)
             and len(payload) == 2
             and len(payload[0]) == len(payload[1]) - 1
         ):
-            entry = (tuple(payload[0]), tuple(payload[1]))
+            return tuple(payload[0]), tuple(payload[1])
+        try:
+            built = plugin.scenario_prefix(scenario, spec, leader, quorum)
+            plugin.fault_schedule(fault).inject(built, leader, follower)
+        except ScenarioError as error:
+            entry: Union[Tuple[tuple, tuple], str] = str(error)
         else:
-            try:
-                built = plugin.scenario_prefix(scenario, spec, leader, quorum)
-                plugin.fault_schedule(fault).inject(built, leader, follower)
-            except ScenarioError as error:
-                entry = str(error)
-            else:
-                entry = (
-                    tuple(built.labels),
-                    tuple(state.values for state in built.states),
-                )
-            if path is not None:
-                disk_cache.store(path, entry)
-        with _LOCK:
-            _PREFIXES.setdefault(key, entry)
-            _STATS["prefix_misses"] += 1
+            entry = (
+                tuple(built.labels),
+                tuple(state.values for state in built.states),
+            )
+        if path is not None:
+            disk_cache.store(path, entry)
+        return entry
+
+    entry = _single_flight(_PREFIXES, key, build, ("prefix_hits", "prefix_misses"))
     if isinstance(entry, str):
         raise ScenarioError(entry)
     labels, values = entry
@@ -382,7 +366,7 @@ def stats() -> Dict[str, int]:
 
 
 def clear() -> None:
-    """Drop every in-memory cached spec/mapping/prefix/engine/resume
+    """Drop every in-memory cached spec/mapping/prefix/resume
     point and reset the counters (in-flight compositions, if any, finish
     into the fresh cache).  On-disk entries are untouched -- they are
     invalidated by their keys, not by process lifecycle."""
@@ -390,7 +374,6 @@ def clear() -> None:
         _SPECS.clear()
         _MAPPINGS.clear()
         _PREFIXES.clear()
-        _LOCKSTEPS.clear()
         _RESUME_POINTS.clear()
         for counter in _STATS:
             _STATS[counter] = 0

@@ -67,12 +67,9 @@ class Invariant:
 class Specification:
     """A complete checkable specification."""
 
-    # Set lazily by repro.checker.engine: the shared default compiled
-    # core (kernel included) and the cached static-analyzer trust verdict
-    # (plus, when untrusted, the first blocking finding).
+    # Set lazily by repro.checker.engine.compiled_for: the shared default
+    # compiled core (kernel and trust verdict included).
     _compiled_core: Any
-    _kernel_trusted: Optional[bool]
-    _kernel_blocker: str
 
     def __init__(
         self,

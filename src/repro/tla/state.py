@@ -10,7 +10,7 @@ tuple; structural sharing of the (immutable) values keeps that cheap.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, Iterator, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, NamedTuple, Tuple
 
 
 class Slot(NamedTuple):
@@ -171,28 +171,14 @@ class State(Mapping):
             values[index[name]] = value
         return State(self.schema, tuple(values))
 
-    def set_many(
-        self, updates: Mapping[str, Any], fingerprinter: Optional[Any] = None
-    ):
-        """Functional update from a mapping, optionally with a
-        fingerprint delta.
-
-        Without ``fingerprinter`` this is ``self.set(**updates)`` minus
-        the kwargs repacking.  With a schema-bound
-        :class:`~repro.checker.fingerprint.IncrementalFingerprinter` it
-        returns ``(state, fp_delta)`` where ``fp_delta`` is the XOR mask
-        over the *changed* variables: the successor's fingerprint is
-        ``parent_fp ^ fp_delta``, so callers never re-fingerprint the
-        whole state.
-        """
+    def set_many(self, updates: Mapping[str, Any]) -> "State":
+        """Functional update from a mapping: ``self.set(**updates)`` minus
+        the kwargs repacking."""
         values = list(self.values)
         index = self.schema._index
         for name, value in updates.items():
             values[index[name]] = value
-        nxt = State(self.schema, tuple(values))
-        if fingerprinter is None:
-            return nxt
-        return nxt, fingerprinter.delta(self.values, updates)
+        return State(self.schema, tuple(values))
 
     def project(self, variables) -> Tuple[Any, ...]:
         """Project the state onto a set of variables (Appendix B: s|M).

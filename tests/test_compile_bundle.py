@@ -65,6 +65,17 @@ def entries(directory):
     return sorted(glob.glob(str(directory / "kernels-*" / "*.pkl")))
 
 
+def identity(fn):
+    """What a key says about ``fn`` (``bundle.Signature.function``: code
+    and closure, never its name), or None when it cannot be named."""
+    signature = bundle.Signature()
+    try:
+        signature.function(fn)
+    except bundle.Unpersistable:
+        return None
+    return signature.sha1.digest()
+
+
 def shapes():
     """Every compile shape that ships: each plugin grain of both systems,
     each ZooKeeper selection, each Zab variant, and the two hunt shapes
@@ -177,6 +188,41 @@ class TestFreshVersusLoaded:
         assert entries(disk) == [] and sum(bundle.stats().values()) == 0
 
 
+def check_run(name):
+    """The ``check`` runs the benchmark times: a bug hunt of
+    ``repro.zookeeper.specs.HUNTS`` (BFS to the first violation) or
+    raft-fine to 40 000 states.  Everything the answer is made of."""
+    if name.startswith("ZK-"):
+        (spec, mask), budget = hunt_spec(name), None
+    else:
+        raft = system_plugin("raft")
+        spec, mask, budget = raft.make_spec(name, raft.default_config()), None, 40_000
+    engine = ExplorationEngine(spec, mask=mask, max_states=budget)
+    result = engine.run()
+    violation = result.first_violation
+    answer = (
+        result.states_explored,
+        result.transitions,
+        result.max_depth,
+        violation
+        and (violation.invariant.full_name, [str(label) for label in violation.trace.labels]),
+    )
+    return answer, engine.core.memo_stats()["compile"]
+
+
+class TestCheckCacheDifferential:
+    @pytest.mark.parametrize("name", ["ZK-4394", "ZK-4685", "raft-fine"])
+    def test_off_cold_and_warm_give_one_answer(self, name, disk):
+        answers = {}
+        for way in ("off", "cold", "warm"):
+            disk_cache.set_disk_cache_dir("off" if way == "off" else str(disk))
+            answers[way], how = check_run(name)
+            assert how == ("loaded" if way == "warm" else "fresh"), way
+        assert answers["off"] == answers["cold"] == answers["warm"]
+        assert answers["off"][0] > 0
+        assert (answers["off"][3] is not None) == name.startswith("ZK-")
+
+
 class TestMissMatrix:
     """Every unusable entry recomputes, overwrites and is counted."""
 
@@ -277,7 +323,7 @@ class TestTheKey:
         two, three = make(2), make(3)
         assert two.__qualname__ == three.__qualname__
         assert self.key(self.spec_with(two)) != self.key(self.spec_with(three))
-        assert bundle.function_identity(two) != bundle.function_identity(three)
+        assert identity(two) != identity(three)
 
     def test_one_wrapper_around_two_functions(self):
         def unpack(fn):
@@ -291,21 +337,21 @@ class TestTheKey:
 
         a, b = unpack(up), unpack(down)
         assert a.__code__ is b.__code__
-        assert bundle.function_identity(a) != bundle.function_identity(b)
-        assert bundle.function_identity(a) == bundle.function_identity(unpack(up))
+        assert identity(a) != identity(b)
+        assert identity(a) == identity(unpack(up))
         assert self.key(self.spec_with(a)) != self.key(self.spec_with(b))
 
     def test_closure_constant_and_default_are_part_of_the_function(self):
         def bounded(bound):
             return lambda config, state: {"x": state.x + 1} if state.x < bound else None
 
-        assert bundle.function_identity(bounded(2)) != bundle.function_identity(bounded(3))
-        assert bundle.function_identity(bounded(2)) == bundle.function_identity(bounded(2))
+        assert identity(bounded(2)) != identity(bounded(3))
+        assert identity(bounded(2)) == identity(bounded(2))
 
         def defaulted(bound):
             return lambda config, state, b=bound: {"x": state.x + 1} if state.x < b else None
 
-        assert bundle.function_identity(defaulted(2)) != bundle.function_identity(defaulted(3))
+        assert identity(defaulted(2)) != identity(defaulted(3))
 
     def test_declarations_mask_and_invariants_are_in_the_key(self):
         base = self.key(counter_spec())
@@ -367,7 +413,7 @@ class TestTheKey:
         def step(config, state):
             return {"x": state.x + 1} if state.x < 2 and cell is not None else None
 
-        assert bundle.function_identity(step) is None
+        assert identity(step) is None
         spec = self.spec_with(step)
         with pytest.raises(bundle.Unpersistable):
             self.key(spec)
@@ -383,7 +429,7 @@ class TestTheKey:
             {"__name__": "made_up_module"},
             scope,
         )
-        assert bundle.function_identity(scope["step"]) is None
+        assert identity(scope["step"]) is None
         CompiledSpec(self.spec_with(scope["step"]), debug=True)
         assert entries(disk) == []
 

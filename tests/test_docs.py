@@ -1,5 +1,6 @@
 """The docs stay honest: links resolve and walkthrough commands run."""
 
+import ast
 import os
 import re
 import subprocess
@@ -83,6 +84,98 @@ def test_walkthrough_commands_run_as_written(command):
     assert result.returncode == 0, (
         f"{command!r} failed:\n{result.stdout}\n{result.stderr}"
     )
+
+
+def cache_ledger_rows():
+    """(first cell, verdict, measurement) of every row of the
+    architecture doc's cache ledger."""
+    text = (ROOT / "docs" / "architecture.md").read_text()
+    start = text.index("### Cache ledger")
+    section = text[start : text.index("\n## ", start)]
+    rows = [line for line in section.splitlines() if line.startswith("| ")][2:]
+    return [tuple(cell.strip() for cell in row.split("|")[1:4]) for row in rows]
+
+
+EMPTY_CONTAINER_CALLS = {"dict", "list", "set", "WeakValueDictionary"}
+
+
+def is_empty_container(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    if isinstance(node, ast.Call) and not node.args and not node.keywords:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in EMPTY_CONTAINER_CALLS
+    return False
+
+
+def import_time_containers():
+    """Every module-level (or class-level) name in ``src/repro`` bound to
+    an empty mutable container at import: what a cache looks like."""
+    found = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [("", tree.body)] + [
+            (f"{node.name}.", node.body) for node in tree.body if isinstance(node, ast.ClassDef)
+        ]
+        for prefix, body in scopes:
+            for node in body:
+                if isinstance(node, ast.Assign):
+                    targets, value = node.targets, node.value
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets, value = [node.target], node.value
+                else:
+                    continue
+                if is_empty_container(value):
+                    found += [prefix + t.id for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def spec_attributes_the_checker_sets():
+    """Attributes ``repro.checker`` assigns on a ``Specification``."""
+    names = set()
+    for path in (ROOT / "src" / "repro" / "checker").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                names.update(
+                    t.attr
+                    for t in node.targets
+                    if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "spec"
+                )
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "setattr"
+                and getattr(node.args[0], "id", None) == "spec"
+            ):
+                names.add(ast.literal_eval(node.args[1]))
+    return names
+
+
+def test_every_cache_has_a_ledger_row():
+    # The standing rule: a cache enters or stays only with a row that
+    # gives its verdict and the number behind it.
+    rows = cache_ledger_rows()
+    named = {
+        name
+        for cell, _, _ in rows
+        for span in CODE_SPAN_RE.findall(cell)
+        for name in re.findall(r"[\w.]+", span)
+    }
+
+    def has_row(name):
+        return any(token == name or token.endswith("." + name) for token in named)
+
+    caches = import_time_containers() + sorted(spec_attributes_the_checker_sets())
+    assert {"_SPECS", "Schema._interned", "_compiled_core"} <= set(caches)
+    missing = [name for name in caches if not has_row(name)]
+    assert not missing, f"caches without a #cache-ledger row: {missing}"
+    for cell, verdict, measured in rows:
+        assert verdict, f"ledger row {cell} has no verdict"
+        assert "not a cache" in verdict or re.search(r"\d", measured), (
+            f"ledger row {cell} has no number behind its verdict"
+        )
 
 
 FLAG_TABLE_RE = re.compile(

@@ -67,12 +67,12 @@ def counter_spec(max_x=4, y_bound=2, constraint=None):
 class TestFingerprinter:
     def test_deterministic_across_instances(self):
         state = State.make(SCHEMA, x=3, y=1)
-        assert Fingerprinter().of_state(state) == Fingerprinter().of_state(state)
+        assert Fingerprinter().of_values(state.values) == Fingerprinter().of_values(state.values)
 
     def test_distinct_states_differ(self):
         a = Fingerprinter()
         fps = {
-            a.of_state(State.make(SCHEMA, x=x, y=y))
+            a.of_values(State.make(SCHEMA, x=x, y=y).values)
             for x in range(10)
             for y in range(10)
         }
@@ -85,7 +85,7 @@ class TestFingerprinter:
         b = State(SCHEMA, (1, 0))
         assert a == b
         fp = Fingerprinter()
-        assert fp.of_state(a) == fp.of_state(b)
+        assert fp.of_values(a.values) == fp.of_values(b.values)
 
     def test_namedtuple_encodes_as_tuple(self):
         # Txn == plain tuple of its fields, mirrored by the encoding.
@@ -96,12 +96,12 @@ class TestFingerprinter:
         rec = Rec(a=1)
         assert canonical_bytes((rec,)) != canonical_bytes(((("a", 1),),))
 
-    def test_incremental_update_matches_full(self):
-        fp = Fingerprinter()
+    def test_incremental_delta_matches_full(self):
+        inc = IncrementalFingerprinter(Schema(("a", "b", "c")))
         base = (1, (2, 3), "s")
         successor = (1, (2, 4), "s")
-        incremental = fp.update(fp.of_values(base), base, [(1, (2, 4))])
-        assert incremental == fp.of_values(successor)
+        incremental = inc.of_values(base) ^ inc.delta(base, {"b": (2, 4)})
+        assert incremental == Fingerprinter().of_values(successor)
 
     def test_unknown_type_raises(self):
         class Odd:
@@ -221,6 +221,25 @@ class TestEngineStrategies:
         result = explore(counter_spec(), strategy="dfs", max_depth=20)
         assert result.found_violation
         assert result.first_violation.trace.final.y == 3
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+    def test_a_depth_bounded_run_is_not_completed(self, strategy):
+        # counter_spec(max_x=6) has 28 states, the deepest at depth 12
+        # (x then y up to 6), and no violation under y_bound=99.  A bound
+        # that leaves states unexpanded must say so, not claim the space
+        # was exhausted.
+        def run(**budgets):
+            return explore(counter_spec(max_x=6, y_bound=99), strategy=strategy, **budgets)
+
+        bounded = run(max_depth=4)
+        assert not bounded.completed and not bounded.found_violation
+        assert bounded.budget_exhausted == "max_depth"
+        assert bounded.states_explored < 28
+        deep_enough = run(max_depth=13)
+        assert deep_enough.completed and deep_enough.budget_exhausted is None
+        assert deep_enough.states_explored == 28
+        # A budget that stopped the run first is the one reported.
+        assert run(max_depth=4, max_states=5).budget_exhausted == "max_states"
 
     def test_random_is_seed_deterministic(self):
         spec = counter_spec(y_bound=1)
@@ -507,8 +526,8 @@ class TestIncrementalProperties:
             full = Fingerprinter()
             rng = random.Random(seed * 7 + 1)
             state = spec.initial_states()[0]
-            fp = inc.of_state(state)
-            assert fp == full.of_state(state)
+            fp = inc.of_values(state.values)
+            assert fp == full.of_values(state.values)
             for _ in range(40):
                 options = list(spec.successors(state))
                 if not options:
@@ -517,10 +536,9 @@ class TestIncrementalProperties:
                 updates = {
                     name: new for name, (_, new) in state.diff(nxt).items()
                 }
-                stepped, delta = state.set_many(updates, fingerprinter=inc)
-                assert stepped == nxt
-                fp ^= delta
-                assert fp == full.of_state(nxt), f"seed {seed}"
+                assert state.set_many(updates) == nxt
+                fp ^= inc.delta(state.values, updates)
+                assert fp == full.of_values(nxt.values), f"seed {seed}"
                 state = nxt
 
     def test_expand_candidates_match_brute_force_on_random_walks(self):

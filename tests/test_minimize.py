@@ -581,6 +581,47 @@ class TestSingleFlight:
         assert spec is spec_cache.cached_spec("mSpec-1", CONFIG)
         spec_cache.clear()
 
+    def test_prefix_scripting_is_single_flight(self, monkeypatch):
+        # Two threads ask for one coordinate at once: one scripts it, the
+        # other waits for it -- one miss, one hit, equal Scenarios.
+        plugin = system_plugin("zookeeper")
+        spec_cache.clear()
+        spec_cache.cached_spec("mSpec-3", CONFIG)  # composed outside the race
+        real = plugin.scenario_prefix
+        scripted = []
+
+        def slow_scenario_prefix(*args):
+            scripted.append(args[0])
+            time.sleep(0.2)  # widen the race window
+            return real(*args)
+
+        monkeypatch.setattr(plugin, "scenario_prefix", slow_scenario_prefix)
+        barrier = threading.Barrier(2)
+        results = []
+
+        def ask():
+            barrier.wait()
+            results.append(
+                spec_cache.cached_prefix("mSpec-3", CONFIG, "sync", "none", 2, 0)
+            )
+
+        spec_cache.set_disk_cache_dir("off")
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            spec_cache.set_disk_cache_dir(None)
+        assert scripted == ["sync"]
+        stats = spec_cache.stats()
+        assert (stats["prefix_misses"], stats["prefix_hits"]) == (1, 1)
+        first, second = results
+        assert first is not second
+        assert (first.labels, first.states) == (second.labels, second.states)
+        spec_cache.clear()
+
     def test_mapping_single_flight_returns_same_object(self):
         spec_cache.clear()
         first = spec_cache.cached_mapping("mSpec-2")

@@ -126,24 +126,13 @@ def test_set_many_fingerprint_delta_matches_full_recompute(updates):
     state = State.make(schema, x=0, y=1, z="s")
     inc = IncrementalFingerprinter(schema)
     full = Fingerprinter()
-    nxt, delta = state.set_many(updates, fingerprinter=inc)
-    assert inc.of_state(state) ^ delta == full.of_state(nxt)
+    nxt = state.set_many(updates)
+    delta = inc.delta(state.values, updates)
+    assert inc.of_values(state.values) ^ delta == full.of_values(nxt.values)
     # A delta is an XOR mask: applying it twice round-trips.
-    back, delta_back = nxt.set_many(dict(state), fingerprinter=inc)
-    assert back == state
-    assert delta ^ delta_back == 0
-
-
-def test_incremental_fingerprinter_successor():
-    from repro.checker.fingerprint import Fingerprinter, IncrementalFingerprinter
-
-    schema = Schema(("x", "y", "z"))
-    state = State.make(schema, x=0, y=0, z=0)
-    inc = IncrementalFingerprinter(schema)
-    fp = inc.of_state(state)
-    nxt, nfp = inc.successor(fp, state, {"y": 7})
-    assert nxt.y == 7
-    assert nfp == Fingerprinter().of_state(nxt)
+    back = dict(state)
+    assert nxt.set_many(back) == state
+    assert delta ^ inc.delta(nxt.values, back) == 0
 
 
 class TestSchemaInterning:

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.checker import ExplorationEngine, RandomWalker
+from repro.checker import ExplorationEngine, Fingerprinter, RandomWalker
 from repro.checker.engine import CompiledSpec, compiled_for
 from repro.remix import spec_cache
 from repro.remix.campaign import CampaignRequest, run_campaign
@@ -113,6 +113,35 @@ class TestSameAnswers:
             ("dfs", False): (29, 54, 17, [("I-14/COMMIT_UNMATCHED_IN_SYNC", 16)]),
             ("random", False): (603, 3310, 22, []),
         }
+
+    @pytest.mark.parametrize("system", registered_systems())
+    def test_every_bfs_row_carries_its_values_fingerprint(self, system, monkeypatch):
+        # The table's digests are the engine's only value -> digest map;
+        # an uncached Fingerprinter over the decoded row is an oracle that
+        # does not go through it.
+        rows = []
+        expand_batch = CompiledSpec.expand_batch
+
+        def recording(core, batch, *args, **kwargs):
+            answers = expand_batch(core, batch, *args, **kwargs)
+            rows.extend((core, fp, codes) for fp, codes, _ in batch)
+            for _, _, candidates in answers:
+                rows.extend((core, candidate[2], candidate[1]) for candidate in candidates)
+            return answers
+
+        monkeypatch.setattr(CompiledSpec, "expand_batch", recording)
+        plugin = system_plugin(system)
+        for grain in plugin.grains:
+            spec = plugin.make_spec(grain, plugin.default_config())
+            ExplorationEngine(spec, max_states=1_500, stop_at_first=False).run()
+        oracle = Fingerprinter()
+        assert len(rows) > 1_500 * len(plugin.grains)
+        wrong = [
+            (core.spec.name, fp)
+            for core, fp, codes in rows
+            if fp != oracle.of_values(core.decode(codes))
+        ]
+        assert wrong == []
 
     @pytest.mark.parametrize("system", registered_systems())
     @pytest.mark.parametrize("seed", SEEDS)
