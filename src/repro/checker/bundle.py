@@ -58,6 +58,7 @@ from typing import Any, Dict, Iterator, List, Optional, Set
 
 from repro.checker import disk_cache
 from repro.tla.guards import GuardPrefix
+from repro.tla.spec import memoized_declarations
 
 #: Bump when the payload format of either entry kind changes.
 _DISK_FORMAT = 1
@@ -322,15 +323,11 @@ def _entry_key(core: Any) -> str:
                 signature.names(sources)
             signature.function(action.fn)
         signature.text(index, repr(instance.binding))
-    for invariant in core.invariants:
-        signature.text(invariant.ident, invariant.instance)
-        signature.names(invariant.reads)
-        signature.function(invariant.predicate)
-    for predicate in (core.constraint, core.mask):
-        signature.text("predicate")
-        if predicate is not None:
-            signature.names(getattr(predicate, "reads", None))
-            signature.function(predicate)
+    for decl in memoized_declarations(spec, core.mask):
+        if decl.kind != "action":
+            signature.text(decl.kind, decl.name)
+            signature.names(decl.reads)
+            signature.function(decl.fn)
     return signature.hexdigest()
 
 

@@ -45,15 +45,18 @@ Every strategy, worker and walker obtains successors through
   what *defines* the behaviour: ``Specification.successors`` plus a full
   fingerprint -- no memo, no inherited bits, no deltas.
 
-The kernel is sound exactly when the spec's ``reads`` / ``writes`` /
-``update_sources`` declarations are truthful, so it is emitted only for
-specs the static analyzer proves (:func:`kernel_trusted`); any other spec
-runs on the reference expander, loudly (one warning per spec, and
-``memo_stats()["mode"] == "reference"``).  ``debug=True``
-(``--debug-deps``) emits the kernel regardless and cross-checks every
-batch it expands against the reference expander -- the one proof
-obligation between the two.  ``reference=True`` pins a run to the
-reference expander (the differential arm of the tests and of
+The kernel is sound exactly when the declarations it memoizes on are
+truthful -- each action's ``reads`` / ``writes`` / ``update_sources``,
+each invariant's ``reads``, the ``.reads`` of the state constraint and
+of the mask, one list (:func:`~repro.tla.spec.memoized_declarations`) --
+so it is emitted only for specs the static analyzer proves
+(:func:`kernel_trusted`); any other spec runs on the reference expander,
+loudly (one warning per spec, and ``memo_stats()["mode"] ==
+"reference"``).  ``debug=True`` (``--debug-deps``) emits the kernel
+regardless and cross-checks every batch it expands against the reference
+expander, successors and verdicts both -- the one proof obligation
+between the two.  ``reference=True`` pins a run to the reference
+expander (the differential arm of the tests and of
 ``bench_table5_efficiency.py --ab-reference``).
 
 A state is a row of small ints
@@ -100,7 +103,7 @@ from repro.checker.fingerprint import Fingerprinter
 from repro.checker.result import CheckResult, Violation
 from repro.checker.trace import Trace
 from repro.tla.guards import GuardPrefix, guard_prefix, render
-from repro.tla.spec import Specification
+from repro.tla.spec import Specification, memoized_declarations
 from repro.tla.state import State
 
 #: Strategy names accepted by the engine (and the CLI ``--strategy`` flag).
@@ -113,20 +116,23 @@ STRATEGIES = ("bfs", "dfs", "random")
 _KERNEL_CHUNK = 512
 
 #: Lint rules that block kernel emission.  The kernel replays memoized
-#: update bindings keyed on the dependency closure, which is sound exactly
-#: when the closure declarations are honest: D01 (reads outside the
-#: closure), D03 (undeclared writes), D05/D07 (unresolvable / malformed
+#: update bindings and verdicts keyed on declared reads, which is sound
+#: exactly when those declarations are honest: D01 (reads outside the
+#: key), D03 (undeclared writes), D05/D07 (unresolvable / malformed
 #: declarations) and the purity rules P01-P04 each break that contract.
-#: D02/D04 (over-declaration) and D06 (no closure at all) are harmless:
-#: over-declared closures only widen memo keys, and closure-less actions
-#: land in the never-memoized eager sweep.
+#: D02/D04 (over-declaration) and D06 (no declaration at all) are
+#: harmless: over-declared keys only widen memo keys, and undeclared
+#: functions are evaluated on every state.
 _TRUST_BLOCKING = frozenset({"D01", "D03", "D05", "D07", "P01", "P02", "P03", "P04"})
 
-def trust_blocker(spec: Specification) -> str:
-    """Why the static analyzer does not prove this spec's declarations
-    (``""``: it does).
+def trust_blocker(spec: Specification, mask: Optional[Callable[[State], bool]] = None) -> str:
+    """Why the static analyzer does not prove the declarations a kernel
+    for this spec and ``mask`` relies on (``""``: it does).
 
-    Runs the PR-8 static analyzer over every action and reports the first
+    Runs the static analyzer over every action and every memoized
+    predicate of :func:`~repro.tla.spec.memoized_declarations` (an
+    action's reads and writes build the interference matrix even without
+    a closure) and reports the first
     finding of a trust-critical rule (:data:`_TRUST_BLOCKING`), or the
     analyzer's own exception.  Nothing is cached here: a compile keeps its
     verdict (``CompiledSpec.blocker``), :func:`compiled_for` shares one
@@ -135,33 +141,40 @@ def trust_blocker(spec: Specification) -> str:
     """
     schema_names = set(spec.schema.names)
     try:
-        from repro.analysis.declarations import check_action
+        from repro.analysis.declarations import check_declaration
         from repro.analysis.deps import SpecAnalyzer
 
         analyzer = SpecAnalyzer()
-        for action in spec.actions:
-            findings = check_action(spec.name, action, schema_names, analyzer)
+        for decl in memoized_declarations(spec, mask):
+            if decl.kind != "action" and decl.key is None:
+                continue  # evaluated on every state: nothing rests on it
+            findings = check_declaration(spec.name, decl, schema_names, analyzer)
             rule = next((f.rule for f in findings if f.rule in _TRUST_BLOCKING), "")
             if rule:
-                return f"action {action.name} fails lint rule {rule}"
+                return f"{decl.kind} {decl.name} fails lint rule {rule}"
     except Exception as error:
         return f"the static analyzer raised {error!r}"
     return ""
 
 
-def kernel_trusted(spec: Specification, bundle: Optional[Bundle] = None) -> bool:
-    """Whether this spec's declarations are proven, so its kernel may run.
+def kernel_trusted(
+    spec: Specification,
+    bundle: Optional[Bundle] = None,
+    mask: Optional[Callable[[State], bool]] = None,
+) -> bool:
+    """Whether the declarations a kernel for this spec and ``mask``
+    relies on are proven, so it may run.
 
     A loaded compile ``bundle`` *is* the proof (only trusted bundles are
     written, under a key that covers everything the analyzer read);
     without one the analyzer runs (:func:`trust_blocker`).  An untrusted
-    verdict is never silent: the first blocking action and rule (or the
+    verdict is never silent: the first blocking function and rule (or the
     analyzer's own exception) is raised as a ``RuntimeWarning``, once per
     compile, because such a spec runs on the slower reference expander.
     """
     if bundle is not None and bundle.loaded:
         return True
-    blocker = trust_blocker(spec)
+    blocker = trust_blocker(spec, mask)
     if blocker:
         warnings.warn(
             f"spec {spec.name!r} is not kernel-trusted ({blocker}; rule "
@@ -347,10 +360,10 @@ class CompiledSpec:
         #: whatever the analyzer says).
         self.blocker = ""
         compiled = not reference
-        if compiled and not debug and not kernel_trusted(spec, self.bundle):
+        if compiled and not debug and not kernel_trusted(spec, self.bundle, mask):
             # The rare path (no shipped composition takes it): ask once
             # more for the reason kernel_trusted() warned about.
-            self.blocker = trust_blocker(spec)
+            self.blocker = trust_blocker(spec, mask)
             compiled = False
         if compiled:
             self._analyze(instances)
@@ -387,7 +400,7 @@ class CompiledSpec:
             return
         if not bundle.dirty:
             self.compile = "loaded"
-        elif bundle.loaded or not self.debug or not trust_blocker(self.spec):
+        elif bundle.loaded or not self.debug or not trust_blocker(self.spec, self.mask):
             bundle.save()
 
     def _analyze(self, instances: list) -> None:
@@ -450,10 +463,22 @@ class CompiledSpec:
         # Every declared-closure instance starts memoized, however wide
         # the closure: the adaptive hit-rate monitor (_adapt) demotes
         # groups whose projections turn out near-unique at runtime.
+        #
+        # Invariant, mask and constraint verdicts are memoized by their
+        # declared reads (``Invariant.reads`` / ``fn.reads``).  All are
+        # pure state predicates, so both outcomes are cacheable per
+        # projection: the ZK-4394 mask reads only ``errors`` and the
+        # epoch constraint only ``accepted_epoch``, so their verdicts
+        # replay from a one-slot projection instead of building a State
+        # per candidate.  Predicates without (resolvable) declarations
+        # are evaluated on every state.  Which function is keyed on what
+        # is memoized_declarations()'s answer, the one trust proves.
+        decls = memoized_declarations(spec, self.mask)
+        closures = {id(d.source): d.key for d in decls if d.kind == "action"}
         by_closure: Dict[Tuple[int, ...], List[int]] = {}
         ungrouped: List[int] = []
         for i, inst in enumerate(instances):
-            closure = inst.action.dependency_closure()
+            closure = closures[id(inst.action)]
             if closure is None:
                 ungrouped.append(i)  # unread guard: never memoized
                 continue
@@ -462,33 +487,22 @@ class CompiledSpec:
             (slots, tuple(members)) for slots, members in by_closure.items()
         ]
         self.ungrouped = tuple(ungrouped)
-        # Invariant, mask and constraint verdicts, memoized by declared
-        # read set (``Invariant.reads`` / ``fn.reads``).  All are pure
-        # state predicates, so both outcomes are cacheable per
-        # projection: the ZK-4394 mask reads only ``errors`` and the
-        # epoch constraint only ``accepted_epoch``, so their verdicts
-        # replay from a one-slot projection instead of building a State
-        # per candidate.  Predicates without (resolvable) declarations
-        # are evaluated on every state.
-        schema_index = spec.schema._index
         by_inv_reads: Dict[Tuple[int, ...], List[int]] = {}
         inv_ungrouped: List[int] = []
-        for i, inv in enumerate(self.invariants):
-            if inv.reads and all(name in schema_index for name in inv.reads):
-                slots = tuple(sorted(schema_index[name] for name in inv.reads))
-                by_inv_reads.setdefault(slots, []).append(i)
-            else:
+        for i, decl in enumerate(d for d in decls if d.kind == "invariant"):
+            if decl.key is None:
                 inv_ungrouped.append(i)
+            else:
+                by_inv_reads.setdefault(positions(decl.key), []).append(i)
         for slots, group_members in by_inv_reads.items():
             self.inv_groups.append((_projection(slots), tuple(group_members)))
             self.inv_group_slots.append(slots)
         self.inv_ungrouped = tuple(inv_ungrouped)
-        for fn, attr in ((self.mask, "mask"), (self.constraint, "constraint")):
-            declared = getattr(fn, "reads", None)
-            if declared and all(name in schema_index for name in declared):
-                slots = tuple(sorted(schema_index[name] for name in declared))
-                setattr(self, f"{attr}_slots", slots)
-                setattr(self, f"{attr}_key", _projection(slots))
+        for decl in decls:
+            if decl.kind in ("mask", "constraint") and decl.key is not None:
+                slots = positions(decl.key)
+                setattr(self, f"{decl.kind}_slots", slots)
+                setattr(self, f"{decl.kind}_key", _projection(slots))
 
     def _emit_kernel(self) -> None:
         """(Re-)emit the batch kernel for the current group layout.
@@ -726,7 +740,7 @@ class CompiledSpec:
                     continue
                 seen.add(fp)
             if classify_candidates:
-                viols, masked, ok = self.classify_values(successor, nxt)
+                viols, masked, ok = self.verdicts(nxt)
             else:
                 viols, masked, ok = (), False, True
             candidates.append(
@@ -734,15 +748,31 @@ class CompiledSpec:
             )
         return transitions, candidates
 
+    def verdicts(self, state: State) -> Tuple[Tuple[int, ...], bool, bool]:
+        """(violated invariant indices, masked, within constraint) of a
+        state, by evaluating the mask, every invariant and the constraint
+        on it: the definition :meth:`classify_values` and the kernel's
+        verdict memos must reproduce."""
+        if self.mask is not None and self.mask(state):
+            return (), True, True
+        config = self.config
+        viols = tuple(i for i, fn in enumerate(self.invariant_fns) if not fn(config, state))
+        return viols, False, self.constraint is None or bool(self.constraint(config, state))
+
     def _debug_check_batch(self, kernel: Callable, rows: Sequence[Row]) -> None:
         """Debug mode: cross-check the kernel against the reference
         expander on every entry, so a lying declaration that poisons a
         kernel memo entry -- or wrongly inherits a known-disabled bit --
-        is caught at the first state it mis-expands.  Both sides speak
-        this compile's codes, so equal successors are equal rows."""
-        for (_, codes, _), (_, _, got) in zip(rows, kernel(rows, None, False)):
-            _, want = self.reference_expand(codes, classify_candidates=False)
+        is caught at the first state it mis-expands or misjudges.  Both
+        sides speak this compile's codes, so equal successors are equal
+        rows; the reference side's verdicts are :meth:`verdicts`, never
+        the memos under test."""
+        for (_, codes, _), (_, _, got) in zip(rows, kernel(rows, None, True)):
+            _, want = self.reference_expand(codes)
             if [c[:3] for c in got] == [c[:3] for c in want]:
+                for mine, truth in zip(got, want):
+                    if mine[4:] != truth[4:]:
+                        raise self._verdict_error(mine[1], mine[4:], truth[4:])
                 continue
             got_by = {c[0]: (self.decode(c[1]), c[2]) for c in got}
             want_by = {c[0]: (self.decode(c[1]), c[2]) for c in want}
@@ -762,6 +792,21 @@ class CompiledSpec:
                 f"{want_by.get(idx)!r} (successor values, fingerprint; None "
                 f"= not enabled)"
             )
+
+    def _verdict_error(self, codes: Tuple[int, ...], got: tuple, want: tuple) -> AssertionError:
+        """Name the predicate whose memoized verdict (``got``) differs
+        from evaluating it (``want``): only a memo keyed on a lying
+        ``reads`` can make them differ."""
+        kind = "mask" if got[1] != want[1] else "invariant" if got[0] != want[0] else "constraint"
+        decls = [d for d in memoized_declarations(self.spec, self.mask) if d.kind == kind]
+        decl = decls[min(set(got[0]) ^ set(want[0]))] if kind == "invariant" else decls[0]
+        return AssertionError(
+            f"{decl.kind} {decl.name} violated its reads declaration "
+            f"(reads={sorted(decl.reads)}): on state "
+            f"{State(self.schema, self.decode(codes))!r} the kernel judged "
+            f"{got!r} but evaluating it gives {want!r} (violated invariant "
+            f"indices, masked, within constraint)"
+        )
 
     # ------------------------------------------------ adaptive memoing
 
@@ -957,9 +1002,11 @@ class ExplorationEngine:
     debug:
         ``--debug-deps``: emit the kernel even for a spec the static
         analyzer does not trust and cross-check every batch it expands
-        against the reference expander (slow; an untruthful
-        ``reads``/``writes``/``update_sources`` declaration raises
-        ``AssertionError`` naming the action).
+        against the reference expander and direct predicate evaluation
+        (slow; an untruthful declaration -- an action's
+        ``reads``/``writes``/``update_sources``, the ``reads`` of an
+        invariant, the constraint or the mask -- raises
+        ``AssertionError`` naming the function).
     reference:
         Run on the reference expander instead of the generated kernel
         (no memo of any kind; the differential arm of tests and

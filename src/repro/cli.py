@@ -95,12 +95,7 @@ def _engine(args, spec, **overrides) -> ExplorationEngine:
 
 
 def _print_stats(engine: ExplorationEngine) -> None:
-    core = getattr(engine, "core", None)
-    if core is None:
-        print("(no memo statistics: engine ran without a compiled core)")
-        return
-    stats = core.memo_stats()
-    print(json.dumps(stats, indent=2, sort_keys=True))
+    print(json.dumps(engine.core.memo_stats(), indent=2, sort_keys=True))
 
 
 def _config(args) -> ZkConfig:
@@ -119,7 +114,7 @@ def cmd_check(args) -> int:
     engine = _engine(args, spec, mask=mask)
     result = engine.run()
     print(result.summary())
-    if getattr(args, "stats", False):
+    if args.stats:
         _print_stats(engine)
     if result.found_violation and args.trace:
         print()
@@ -431,7 +426,8 @@ def cmd_hunt(args) -> int:
     failures = 0
     for name, (grain, *_) in HUNTS.items():
         spec, mask = hunt_spec(name)
-        result = _engine(args, spec, mask=mask).run()
+        engine = _engine(args, spec, mask=mask)
+        result = engine.run()
         if result.found_violation:
             violation = result.first_violation
             print(
@@ -443,6 +439,8 @@ def cmd_hunt(args) -> int:
         else:
             failures += 1
             print(f"{name}: not found within budget")
+        if args.stats:
+            _print_stats(engine)
     return failures
 
 
@@ -454,7 +452,8 @@ def cmd_protocol(args) -> int:
         config = ZabConfig(
             max_txns=1, max_crashes=2, max_epoch=3, variant=variant
         )
-        result = _engine(args, zab_spec(config)).run()
+        engine = _engine(args, zab_spec(config))
+        result = engine.run()
         expected_violation = variant == "epoch_first"
         ok = result.found_violation == expected_violation
         failures += 0 if ok else 1
@@ -466,6 +465,8 @@ def cmd_protocol(args) -> int:
         print(f"{variant:12s}: {outcome} "
               f"({result.states_explored} states, "
               f"{result.elapsed_seconds:.1f}s)")
+        if args.stats:
+            _print_stats(engine)
     return failures
 
 

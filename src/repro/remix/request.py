@@ -14,6 +14,7 @@ identity and two equal requests produce bitwise-identical reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -43,6 +44,32 @@ def _unknown(field_name: str, value: Any, options: Sequence[str]) -> None:
     _fail(field_name, f"unknown value {value!r}; options: {list(options)}")
 
 
+def _seconds(field_name: str, value: Any) -> float:
+    """A wall-clock field (``"5s"`` or a number): finite and positive.  A
+    NaN deadline never passes, and neither NaN nor infinity is JSON."""
+    try:
+        seconds = parse_budget(value) if isinstance(value, str) else float(value)
+    except (TypeError, ValueError) as error:
+        _fail(field_name, str(error))
+    if not math.isfinite(seconds) or seconds <= 0:
+        _fail(field_name, f"{field_name} must be finite and positive, got {seconds}")
+    return seconds
+
+
+def _count(field_name: str, value: Any, minimum: Optional[int] = 0) -> int:
+    """An integer field, at least ``minimum`` (``"3"`` and ``3.0`` are 3;
+    ``1.7`` is an error, never silently 1)."""
+    if isinstance(value, float) and not value.is_integer():
+        _fail(field_name, f"expected an integer, got {value!r}")
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        _fail(field_name, f"expected an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        _fail(field_name, f"{field_name} must be at least {minimum}, got {number}")
+    return number
+
+
 def parse_budget(text: str) -> float:
     """Parse a wall-clock budget like ``"5s"``, ``"2m"`` or ``"90"``."""
     text = text.strip().lower()
@@ -59,8 +86,8 @@ def parse_budget(text: str) -> float:
         value = float(text) * scale
     except ValueError:
         raise ValueError(f"unparseable budget {text!r}") from None
-    if value <= 0:
-        raise ValueError(f"budget must be positive, got {value}")
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"budget must be finite and positive, got {value}")
     return value
 
 
@@ -157,35 +184,18 @@ class CampaignRequest:
         if self.backend not in BACKENDS:
             _unknown("backend", self.backend, BACKENDS)
 
-        budget = self.budget
-        if isinstance(budget, str):
-            try:
-                budget = parse_budget(budget)
-            except ValueError as error:
-                _fail("budget", str(error))
-        elif budget is not None:
-            budget = float(budget)
-            if budget <= 0:
-                _fail("budget", f"budget must be positive, got {budget}")
-        set_field(self, "budget", budget)
-
-        task_timeout = self.task_timeout
-        if task_timeout is not None:
-            task_timeout = float(task_timeout)
-            if task_timeout <= 0:
-                _fail(
-                    "task_timeout",
-                    f"task_timeout must be positive, got {task_timeout}",
-                )
-        set_field(self, "task_timeout", task_timeout)
-        set_field(self, "task_retries", max(0, int(self.task_retries)))
+        for name in ("budget", "task_timeout"):
+            if getattr(self, name) is not None:
+                set_field(self, name, _seconds(name, getattr(self, name)))
         if self.auth_token is not None:
             set_field(self, "auth_token", str(self.auth_token))
 
-        set_field(self, "seeds", max(1, int(self.seeds)))
-        set_field(self, "workers", max(1, int(self.workers)))
-        for name in ("traces", "max_steps", "seed", "shrink_rounds"):
-            set_field(self, name, int(getattr(self, name)))
+        # Counts are non-negative; zero seeds or workers still means one.
+        for name in ("seeds", "workers", "traces", "max_steps", "shrink_rounds", "task_retries"):
+            set_field(self, name, _count(name, getattr(self, name)))
+        set_field(self, "seeds", max(1, self.seeds))
+        set_field(self, "workers", max(1, self.workers))
+        set_field(self, "seed", _count("seed", self.seed, minimum=None))
         set_field(self, "shrink", bool(self.shrink))
 
         config = self.config

@@ -119,15 +119,6 @@ class Action:
     def __repr__(self) -> str:
         return f"Action({self.name})"
 
-    def source_location(self) -> Optional[Tuple[str, int]]:
-        """``(filename, line)`` of the action function, or ``None``.
-
-        Analysis-friendly metadata: the static spec analyzer
-        (``python -m repro lint``) anchors its findings here when a more
-        precise access site is not available.
-        """
-        return function_location(self.fn)
-
     def dependency_closure(self) -> Optional[frozenset]:
         """All variables the action *function* is a function of, or
         ``None`` when unknown.

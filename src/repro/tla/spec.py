@@ -15,9 +15,11 @@ may fire (Figure 7 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from repro.tla.action import Action, ActionInstance, ActionLabel, function_location
+from repro.tla.action import Action, ActionInstance, ActionLabel
 from repro.tla.module import Module
 from repro.tla.state import Schema, State
 
@@ -47,15 +49,6 @@ class Invariant:
 
     def holds(self, config: Any, state: State) -> bool:
         return bool(self.predicate(config, state))
-
-    def source_location(self) -> Optional[Tuple[str, int]]:
-        """``(filename, line)`` of the predicate, or ``None``.
-
-        Analysis-friendly metadata for the static spec analyzer
-        (``python -m repro lint``), mirroring
-        :meth:`repro.tla.action.Action.source_location`.
-        """
-        return function_location(self.predicate)
 
     @property
     def full_name(self) -> str:
@@ -176,3 +169,62 @@ class Specification:
             states.append(nxt)
             current = nxt
         return states
+
+
+class Declaration(NamedTuple):
+    """One function of a run and what it declares it reads.
+
+    ``kind`` is ``"action"``, ``"invariant"``, ``"constraint"`` or
+    ``"mask"``; ``reads`` is the declaration as written (empty: none);
+    ``key`` is what the kernel files the function's results under -- an
+    action's dependency closure, a predicate's ``reads`` when they all
+    lie in the schema -- or None (evaluated on every state).  ``source``
+    is the :class:`~repro.tla.action.Action`, :class:`Invariant` or
+    predicate itself.
+    """
+
+    kind: str
+    name: str
+    fn: Callable[..., Any]
+    reads: FrozenSet[str]
+    key: Optional[FrozenSet[str]]
+    source: Any
+
+    @classmethod
+    def of_action(cls, action: Action) -> "Declaration":
+        return cls(
+            "action", action.name, action.fn, action.reads,
+            action.dependency_closure(), action,
+        )
+
+
+def memoized_declarations(
+    spec: Specification, mask: Optional[Callable[[State], bool]] = None
+) -> List[Declaration]:
+    """Every declaration the generated kernel memoizes on: each action,
+    each invariant, the state constraint and the run's ``mask``
+    (``fn.reads`` on the last two).  The one list: ``CompiledSpec.
+    _analyze`` groups memos by its keys, the compile bundle keys on it,
+    kernel trust proves what a kernel relies on, lint checks all of
+    them (a lint run has no mask) and ``--debug-deps`` names the entry
+    whose memoized verdict disagreed with direct evaluation."""
+    schema = spec.schema
+
+    def keyed(reads: FrozenSet[str]) -> Optional[FrozenSet[str]]:
+        return reads if reads and all(name in schema for name in reads) else None
+
+    out = [Declaration.of_action(action) for action in spec.actions]
+    for invariant in spec.invariants:
+        reads = frozenset(invariant.reads)
+        out.append(
+            Declaration(
+                "invariant", invariant.full_name, invariant.predicate,
+                reads, keyed(reads), invariant,
+            )
+        )
+    for kind, fn in (("constraint", spec.constraint), ("mask", mask)):
+        if fn is not None:
+            reads = frozenset(getattr(fn, "reads", None) or ())
+            name = getattr(fn, "__name__", kind)
+            out.append(Declaration(kind, name, fn, reads, keyed(reads), fn))
+    return out

@@ -122,6 +122,13 @@ class TestCommands:
         strip = lambda s: s.split(" states")[0].split("] ")[1]  # noqa: E731
         assert strip(out_seq) == strip(out_par)
 
+    @pytest.mark.parametrize("command, runs", ((["bugs"], 6), (["protocol"], 3)))
+    def test_stats_prints_one_memo_report_per_run(self, command, runs, capsys):
+        main(command + ["--stats", "--max-states", "300", "--max-time", "30"])
+        out = capsys.readouterr().out
+        assert out.count('"mode": "compiled"') == runs
+        assert out.count('"expand_calls"') == runs
+
     def test_conformance(self, capsys):
         code = main(
             ["conformance", "mSpec-3", "--traces", "10", "--steps", "15"]

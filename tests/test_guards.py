@@ -15,7 +15,7 @@ from repro.tla import guards
 from repro.tla.guards import NO_PREFIX, Atom, Const, guard_prefix, render, variables
 from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec
 from repro.zookeeper import zk4394_mask
-from repro.zookeeper.specs import SELECTIONS, build_spec
+from repro.zookeeper.specs import HUNTS, SELECTIONS, build_spec, hunt_spec
 
 from test_engine import SMALL, random_spec
 from test_kernels import counter_spec, lying_spec, run_sig
@@ -205,6 +205,13 @@ class TestShippedCompositions:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert kernel_trusted(make())
+
+    @pytest.mark.parametrize("bug", sorted(HUNTS))
+    def test_hunt_trusted_with_its_mask_without_a_warning(self, bug):
+        spec, mask = hunt_spec(bug)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_trusted(spec, mask=mask)
 
     @pytest.mark.parametrize("make", compositions())
     def test_prefixes_mention_declared_reads_only(self, make):

@@ -78,6 +78,75 @@ def lying_spec():
     )
 
 
+def inc_x(config, state):
+    if state.x >= 3:
+        return None
+    return {"x": state.x + 1}
+
+
+def inc_y(config, state):
+    if state.y >= 3:
+        return None
+    return {"y": state.y + 1}
+
+
+def inc_y_up_to_x(config, state):
+    if state.y >= 3 or state.y > state.x:
+        return None
+    return {"y": state.y + 1}
+
+
+def sum_below_4(config, state):
+    return state.x + state.y < 4
+
+
+def sum_below_3(config, state):
+    return state.x + state.y < 3
+
+
+def sum_at_least_4(state):
+    return state.x + state.y >= 4
+
+
+# The lies: each predicate reads y and declares only x.
+sum_below_3.reads = frozenset({"x"})
+sum_at_least_4.reads = frozenset({"x"})
+
+#: One spec per kind of memoized declaration, each omitting a variable
+#: its function reads: (kind, name, honest reference counts or None).
+LIES = [
+    ("action", "IncY", None),
+    ("invariant", "I-1", (13, 18, 3)),
+    ("constraint", "sum_below_3", (10, 12, 0)),
+    ("mask", "sum_at_least_4", None),
+]
+
+
+def lying_toy(kind):
+    """``x`` and ``y`` count to 3; ``kind`` picks which declaration lies.
+    Returns ``(spec, mask)``."""
+    step_y = (
+        Action("IncY", inc_y_up_to_x, reads=["y"], writes=["y"])
+        if kind == "action"
+        else Action("IncY", inc_y, reads=["y"], writes=["y"])
+    )
+    invariants = (
+        [Invariant("I-1", "x + y < 4", sum_below_4, reads=frozenset({"x"}))]
+        if kind == "invariant"
+        else []
+    )
+    spec = Specification(
+        f"lying-{kind}",
+        SCHEMA,
+        lambda cfg: [State.make(SCHEMA, x=0, y=0)],
+        [Module("toy", [Action("IncX", inc_x, reads=["x"], writes=["x"]), step_y])],
+        invariants,
+        None,
+        constraint=sum_below_3 if kind == "constraint" else None,
+    )
+    return spec, sum_at_least_4 if kind == "mask" else None
+
+
 def run_sig(result):
     return (
         result.states_explored,
@@ -264,7 +333,7 @@ class TestLintGatedCompile:
         def boom(*args, **kwargs):
             raise RuntimeError("analyzer exploded")
 
-        monkeypatch.setattr(declarations, "check_action", boom)
+        monkeypatch.setattr(declarations, "check_declaration", boom)
 
         def step(config, state):
             return {"x": state.x + 1} if state.x < 2 else None
@@ -301,6 +370,46 @@ class TestLintGatedCompile:
             lying_spec(), "bfs", max_states=10_000, debug=True
         )
         with pytest.raises(AssertionError, match=r"action IncY violated"):
+            engine.run()
+        assert engine.core.kernel is not None
+
+
+@pytest.mark.parametrize("kind, name, counts", LIES, ids=[lie[0] for lie in LIES])
+class TestLyingDeclarationTable:
+    """Every declaration the kernel memoizes on is proven before it runs
+    and cross-checked under ``debug=True``: an action's closure, an
+    invariant's ``reads``, the constraint's and the mask's ``.reads``."""
+
+    def test_runs_on_the_reference_expander_loudly(self, kind, name, counts):
+        spec, mask = lying_toy(kind)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            engine = ExplorationEngine(spec, stop_at_first=False, mask=mask)
+            engine.run()
+        loud = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(loud) == 1 and name in str(loud[0].message)
+        stats = engine.core.memo_stats()
+        assert stats["mode"] == "reference"
+        assert stats["untrusted"] == f"{kind} {name} fails lint rule D01"
+
+    def test_counts_equal_the_reference_expander(self, kind, name, counts):
+        sigs = []
+        for reference in (False, True):
+            spec, mask = lying_toy(kind)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                result = ExplorationEngine(
+                    spec, stop_at_first=False, mask=mask, reference=reference
+                ).run()
+            sigs.append((result.states_explored, result.transitions, len(result.violations)))
+        assert sigs[0] == sigs[1]
+        if counts is not None:
+            assert sigs[0] == counts
+
+    def test_debug_names_the_lying_function(self, kind, name, counts):
+        spec, mask = lying_toy(kind)
+        engine = ExplorationEngine(spec, stop_at_first=False, mask=mask, debug=True)
+        with pytest.raises(AssertionError, match=rf"^{kind} {name} violated its"):
             engine.run()
         assert engine.core.kernel is not None
 

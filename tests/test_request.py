@@ -107,6 +107,34 @@ class TestValidation:
         with pytest.raises(RequestError, match="positive"):
             CampaignRequest(budget=-1)
 
+    @pytest.mark.parametrize(
+        "wire, field",
+        [
+            ('{"budget": NaN}', "budget"),  # no deadline at all, and invalid JSON out
+            ('{"budget": Infinity}', "budget"),
+            ('{"budget": "nan"}', "budget"),
+            ('{"task_timeout": NaN}', "task_timeout"),
+            ('{"task_timeout": 0}', "task_timeout"),
+            ('{"traces": -3}', "traces"),  # an empty run
+            ('{"max_steps": -1}', "max_steps"),
+            ('{"shrink_rounds": -1}', "shrink_rounds"),
+            ('{"task_retries": -1}', "task_retries"),
+            ('{"seeds": 1.7}', "seeds"),  # not silently 1
+            ('{"workers": "two"}', "workers"),
+        ],
+    )
+    def test_numbers_it_cannot_honour_are_refused(self, wire, field):
+        with pytest.raises(RequestError, match=f"^invalid campaign request: {field}: "):
+            CampaignRequest.from_json(json.loads(wire))
+
+    def test_a_client_deadline_obeys_the_budget_rule(self):
+        # serve folds a client's "deadline" into the budget through
+        # with_options, so the same rule refuses it.
+        request = CampaignRequest(**TINY)
+        with pytest.raises(RequestError, match="budget: budget must be finite"):
+            request.with_options(budget=float("nan"))
+        assert CampaignRequest.from_json({"seeds": 2.0, "traces": "3"}).seeds == 2
+
     def test_with_options_revalidates(self):
         request = CampaignRequest(**TINY)
         with pytest.raises(RequestError, match="backend"):
