@@ -9,9 +9,10 @@ Strategies
 ``bfs``
     Layered (round-synchronous) breadth-first search.  The visited set
     stores 64-bit fingerprints (:mod:`repro.checker.fingerprint`) instead
-    of full states; parent links are kept per fingerprint as compact
-    ``fp -> (parent_fp, instance_index)`` integers and counterexamples are
-    rebuilt by replaying the label chain from the initial state.  With
+    of full states; each visited state is one link in two flat columns
+    indexed in discovery order (:class:`Links`: parent index, instance
+    index) and counterexamples are rebuilt by replaying the label chain
+    from the initial state.  With
     ``workers > 1`` each round's frontier is sharded across forked worker
     processes (:mod:`repro.checker.parallel`) and the newly discovered
     fingerprints are merged between rounds; results are bitwise identical
@@ -66,7 +67,8 @@ Each :class:`CompiledSpec` numbers the distinct values of every schema
 slot once (its *value table*: ``codes[slot]`` maps a value to its code,
 ``values[slot]`` and ``digests[slot]`` map a code back to the value and
 to its :meth:`Fingerprinter.slot_digest
-<repro.checker.fingerprint.Fingerprinter.slot_digest>`), and the whole
+<repro.checker.fingerprint.Fingerprinter.slot_digest>`, ``pairs[slot]``
+to the one ``(slot, code)`` tuple every memo entry shares), and the whole
 successor path runs on codes: a row is ``(fp, codes, known)``, memo keys
 are projections of codes, a fingerprint delta is two list indexings per
 changed slot.  Values are decoded only where a function needs them -- an
@@ -94,6 +96,7 @@ import random
 import threading
 import time
 import warnings
+from array import array
 from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -197,6 +200,49 @@ Row = Tuple[int, Tuple[int, ...], int]
 Candidate = Tuple[int, Tuple[int, ...], int, int, Tuple[int, ...], bool, bool]
 
 
+class Links:
+    """The states a search reached, one link each, in discovery order.
+
+    State *i* was first reached from state ``parents[i]`` by action
+    instance ``actions[i]``: two flat ``array`` columns, a few bytes per
+    state instead of a dict entry and a tuple.  The initial states are
+    :meth:`root`-ed first, so they own the indices below ``len(inits)``
+    and every walk back from a link ends at one of them."""
+
+    __slots__ = ("core", "inits", "parents", "actions")
+
+    def __init__(self, core: "CompiledSpec"):
+        self.core = core
+        self.inits: List[State] = []
+        self.parents = array("I")
+        n = core.n_instances
+        self.actions = array("B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "I")
+
+    def __len__(self) -> int:
+        return len(self.parents)
+
+    def root(self, init: State) -> int:
+        """Link an initial state (before any successor); its index."""
+        index = len(self.parents)
+        assert index == len(self.inits), "initial states are linked first"
+        self.inits.append(init)
+        self.parents.append(index)
+        self.actions.append(0)
+        return index
+
+    def trace(self, index: int) -> Trace:
+        """The counterexample ending at link ``index``: the label chain
+        walked back to its initial state, replayed forward."""
+        chain: List[int] = []
+        while index >= len(self.inits):
+            chain.append(self.actions[index])
+            index = self.parents[index]
+        chain.reverse()
+        core = self.core
+        labels = [core.labels[i] for i in chain]
+        return Trace(states=core.spec.replay(labels, self.inits[index]), labels=labels)
+
+
 def out_of_time(start: float, max_time: Optional[float]) -> bool:
     """The one wall-clock budget test every strategy loop shares."""
     return max_time is not None and time.monotonic() - start >= max_time
@@ -233,6 +279,7 @@ class CompiledSpec:
         "codes",
         "values",
         "digests",
+        "pairs",
         "_mint_lock",
         "labels",
         "appliers",
@@ -241,6 +288,7 @@ class CompiledSpec:
         "outcome_groups",
         "outcome_memos",
         "outcome_stats",
+        "idle_outcomes",
         "guard_prefixes",
         "direct",
         "eager",
@@ -315,6 +363,9 @@ class CompiledSpec:
         self.codes: List[Dict[Any, int]] = [{} for _ in slots]
         self.values: List[List[Any]] = [[] for _ in slots]
         self.digests: List[List[int]] = [[] for _ in slots]
+        # ``pairs[slot][code] == (slot, code)``: the one copy of a change
+        # pair every outcome memo item holds.
+        self.pairs: List[List[Tuple[int, int]]] = [[] for _ in slots]
         # `serve` expands one resident compile on several request threads.
         self._mint_lock = threading.Lock()
         self.mask = mask
@@ -381,6 +432,10 @@ class CompiledSpec:
             [0, 0, 0, 0] for _ in self.outcome_groups
         ]
         self.inv_memos: List[dict] = [{} for _ in self.inv_groups]
+        # Outcome memo values with no enabled change, ``gd -> (gd, ())``:
+        # equal masks share one tuple across every group and every demotion
+        # re-emit.
+        self.idle_outcomes: Dict[int, Tuple[int, tuple]] = {}
         self.demoted_groups: List[dict] = []
         # Instances evaluated on every state they are not proven disabled
         # in: demoted-group instances (skippable via inherited disabled
@@ -524,9 +579,9 @@ class CompiledSpec:
         path.  Minting is check-then-act on shared lists, so it runs under
         one lock and re-checks inside it: two threads expanding the same
         resident compile must never hand out one code for two values.
-        The digest and the value are appended before the code is
-        published, so a lock-free reader that finds a code can index
-        both."""
+        The digest, the change pair and the value are appended before the
+        code is published, so a lock-free reader that finds a code can
+        index all three."""
         with self._mint_lock:
             codes = self.codes[slot]
             code = codes.get(value)
@@ -534,9 +589,16 @@ class CompiledSpec:
                 values = self.values[slot]
                 code = len(values)
                 self.digests[slot].append(self.fingerprinter.slot_digest(slot, value))
+                self.pairs[slot].append((slot, code))
                 values.append(value)
                 codes[value] = code
             return code
+
+    def idle_outcome(self, gd: int) -> Tuple[int, tuple]:
+        """The outcome-memo value of a miss with no enabled change: one
+        shared ``(gd, ())`` per disabled mask.  ``setdefault`` keeps it
+        one even when two request threads miss on one mask at once."""
+        return self.idle_outcomes.setdefault(gd, (gd, ()))
 
     def encode(self, values: Sequence[Any]) -> Tuple[int, ...]:
         """A values tuple as a row of codes (minting what is new)."""
@@ -1126,54 +1188,44 @@ class ExplorationEngine:
         result = CheckResult(spec_name=spec.name)
         start = time.monotonic()
 
-        parent_link: Dict[int, Optional[Tuple[int, int]]] = {}
-        init_by_fp: Dict[int, State] = {}
-        seen: set = set()  # expansion-side fingerprint set (sequential)
+        links = Links(core)
+        parents_append = links.parents.append
+        actions_append = links.actions.append
+        # Every fingerprint visited so far.  Sequentially the kernel adds a
+        # successor's as it emits it, so every candidate it returns is new;
+        # with a pool the merge below is the authoritative dedupe.
+        seen: set = set()
         stop = False
 
-        def trace_to(fp: int) -> Trace:
-            chain: List[int] = []
-            cursor = fp
-            while True:
-                link = parent_link[cursor]
-                if link is None:
-                    break
-                cursor, idx = link
-                chain.append(idx)
-            chain.reverse()
-            labels = [core.labels[i] for i in chain]
-            states = spec.replay(labels, init_by_fp[cursor])
-            return Trace(states=states, labels=labels)
-
-        def record(fp: int, viols: Sequence[int]) -> bool:
-            return self._record(result, core, viols, lambda: trace_to(fp))
+        def record(index: int, viols: Sequence[int]) -> bool:
+            return self._record(result, core, viols, lambda: links.trace(index))
 
         # Round 0: the initial states, each encoded once.  Frontier
         # entries are (fp, codes, known_disabled) rows, so states that only
-        # transit the frontier never materialize a State.
+        # transit the frontier never materialize a State; each row's own
+        # link index rides beside it in ``frontier_ix``.
         frontier: List[Row] = []
-        delta: List[int] = []
+        frontier_ix = array("I")
         for init in spec.initial_states():
             fp, codes = core.row(init.values)
-            if fp in parent_link:
+            if fp in seen:
                 continue
-            parent_link[fp] = None
-            init_by_fp[fp] = init
             seen.add(fp)
-            delta.append(fp)
+            index = links.root(init)
             viols, masked, ok = core.classify_values(codes, init)
             if masked:
                 continue
-            if viols and record(fp, viols):
+            if viols and record(index, viols):
                 stop = True
                 break
             if viols or not ok:
                 continue
             frontier.append((fp, codes, 0))
+            frontier_ix.append(index)
         if (
             not stop
             and self.max_states is not None
-            and len(parent_link) >= self.max_states
+            and len(links) >= self.max_states
         ):
             result.budget_exhausted = "max_states"
             stop = True
@@ -1184,6 +1236,9 @@ class ExplorationEngine:
 
             if parallel.available():
                 pool = parallel.WorkerPool(core, self.workers)
+        # The fingerprints accepted since the pool's last round: only the
+        # workers' private visited sets read them.
+        delta: List[int] = list(seen) if pool is not None else []
 
         depth = 0
         pruned = False  # a state left unexpanded because of max_depth
@@ -1207,50 +1262,58 @@ class ExplorationEngine:
                     results_iter = _batched()
                 else:
                     results_iter = iter(pool.round(delta, frontier))
+                    delta = []
 
-                delta = []
                 next_frontier: List[Row] = []
+                next_ix = array("I")
                 child_depth = depth + 1
                 expandable_depth = (
                     self.max_depth is None or child_depth < self.max_depth
                 )
-                for entry_fp, transitions, candidates in results_iter:
+                for pos, (_, transitions, candidates) in enumerate(results_iter):
                     if stop or result.budget_exhausted is not None:
                         break
                     if out_of_time(start, self.max_time):
                         result.budget_exhausted = "max_time"
                         break
                     result.transitions += transitions
+                    parent = frontier_ix[pos]
                     for idx, codes, fp, known, viols, masked, ok in candidates:
-                        if fp in parent_link:
-                            continue
-                        parent_link[fp] = (entry_fp, idx)
+                        if pool is not None:
+                            if fp in seen:
+                                continue
+                            seen.add(fp)
+                            delta.append(fp)
+                        index = len(links.parents)
+                        parents_append(parent)
+                        actions_append(idx)
                         if child_depth > result.max_depth:
                             result.max_depth = child_depth
-                        delta.append(fp)
                         if not masked:
                             if viols:
-                                if record(fp, viols):
+                                if record(index, viols):
                                     stop = True
                                     break
                             elif ok:
                                 if expandable_depth:
                                     next_frontier.append((fp, codes, known))
+                                    next_ix.append(index)
                                 else:
                                     pruned = True
                         if (
                             self.max_states is not None
-                            and len(parent_link) >= self.max_states
+                            and index + 1 >= self.max_states
                         ):
                             result.budget_exhausted = "max_states"
                             break
                 frontier = next_frontier
+                frontier_ix = next_ix
                 depth += 1
         finally:
             if pool is not None:
                 pool.close()
 
-        result.states_explored = len(parent_link)
+        result.states_explored = len(links)
         result.elapsed_seconds = time.monotonic() - start
         self._finish(result, exhausted=not frontier and not stop, pruned=pruned)
         return result
@@ -1266,13 +1329,17 @@ class ExplorationEngine:
         visited: set = set()
         throwaway: set = set()
 
-        # Stack entries: (codes, fp, labels-so-far, initial state,
-        # known_disabled), so pushed-but-pruned candidates never
-        # materialize a State (classification on pop is lazy too).
-        stack: List[Tuple[Tuple[int, ...], int, Tuple[int, ...], State, int]] = []
+        # Stack entries: (codes, fp, link index, depth, known_disabled).
+        # Every push appends one link, so a pushed-but-pruned candidate
+        # costs a few bytes and never materializes a State or a label
+        # chain: labels are rebuilt only for a recorded violation.
+        links = Links(core)
+        stack: List[Tuple[Tuple[int, ...], int, int, int, int]] = []
         for init in spec.initial_states():
             fp, codes = core.row(init.values)
-            stack.append((codes, fp, (), init, 0))
+            stack.append((codes, fp, links.root(init), 0, 0))
+        parents_append = links.parents.append
+        actions_append = links.actions.append
 
         stop = False
         pruned = False  # a state left unexpanded because of max_depth
@@ -1283,19 +1350,17 @@ class ExplorationEngine:
             if out_of_time(start, self.max_time):
                 result.budget_exhausted = "max_time"
                 break
-            codes, fp, chain, init, known = stack.pop()
+            codes, fp, index, depth, known = stack.pop()
             if fp in visited:
                 continue
             visited.add(fp)
-            depth = len(chain)
             if depth > result.max_depth:
                 result.max_depth = depth
             viols, masked, ok = core.classify_values(codes)
             if masked:
                 continue
             if viols:
-                labels = [core.labels[i] for i in chain]
-                trace = Trace(states=spec.replay(labels, init), labels=labels)
+                trace = links.trace(index)
                 stop = self._record(result, core, viols, lambda: trace)
                 continue
             if not ok:
@@ -1308,9 +1373,12 @@ class ExplorationEngine:
                 [(fp, codes, known)], throwaway, classify_candidates=False
             )
             result.transitions += transitions
+            child_depth = depth + 1
             for idx, successor, nfp, nknown, _, _, _ in candidates:
                 if nfp not in visited:
-                    stack.append((successor, nfp, chain + (idx,), init, nknown))
+                    stack.append((successor, nfp, len(links.parents), child_depth, nknown))
+                    parents_append(index)
+                    actions_append(idx)
 
         result.states_explored = len(visited)
         result.elapsed_seconds = time.monotonic() - start

@@ -17,13 +17,21 @@ runtime trick: changed slots are a subset of an action's declared
 ``writes``, ``writes`` are a subset of its dependency closure, and the
 closure projection *is* the memo key.  So, per memo entry, the changed
 slots, their old values, their new values and the complete fingerprint
-delta are all constants.  A kernel memo entry therefore stores, per
-enabled change-ful instance, ``(idx, ((slot, new_code), ...), fp_delta)``
-and a hit replays a successor with a single XOR plus a couple of list
+delta are all constants.  A kernel memo entry therefore stores
+``(gd, items)``: the group's disabled bitmask and, per enabled
+change-ful instance, an item ``(idx, ((slot, new_code), ...), fp_delta)``;
+a hit replays a successor with a single XOR plus a couple of list
 writes — no guard call, no update call, no digest lookups, no change
 filtering.  For the same reason frontier entries carry no per-slot digest
 tuples: digests are only touched on a memo miss, where the delta is
 folded once and for all.
+
+An entry stores only what varies.  Each ``(slot, new_code)`` pair is the
+value table's own (``CompiledSpec.pairs[slot][code]``, minted with the
+code), so equal changes in a million entries are one tuple; and an
+outcome with no enabled change, ``(gd, ())``, is taken from one
+per-compile dict keyed by ``gd``, so equal masks share one tuple (member
+bits are disjoint across groups, so one dict serves them all).
 
 The kernel runs on the compile's value codes (``CompiledSpec.encode``):
 a row is ``(fp, codes, known)``, memo keys are projections of small ints,
@@ -68,7 +76,7 @@ from repro.tla.state import State
 # Version tag of the kernel emitter.  Mixed into the spec_cache on-disk
 # digest (upgrading the emitter must orphan stale artifacts) and reported
 # by ``CompiledSpec.memo_stats``.
-CODEGEN_VERSION = 11
+CODEGEN_VERSION = 12
 
 
 def _key_expr(slots: Tuple[int, ...], var: str = "c") -> str:
@@ -89,16 +97,17 @@ def make_outcome_compiler(core: Any) -> Callable:
     """Build the shared miss-path helper that compiles one applier outcome
     into a kernel memo entry.
 
-    Returns ``(idx, ((slot, new_code), ...), fp_delta)`` for a change-ful
-    outcome, or ``None`` when every update is a no-op (matching the
-    state-changing filter of ``Specification.successors``).  Each changed
-    value is interned in the compile's value table, so the entry holds
-    codes, not a private copy of an equal value, and the fingerprint
-    delta folds both digests by list index, at miss time -- replays never
-    touch a digest again.
+    Returns the item ``(idx, ((slot, new_code), ...), fp_delta)`` for a
+    change-ful outcome, or ``None`` when every update is a no-op (matching
+    the state-changing filter of ``Specification.successors``).  Each
+    changed value is interned in the compile's value table and its
+    ``(slot, new_code)`` pair is the table's own (``pairs[slot][code]``),
+    so the item holds no private copy of an equal value or pair, and the
+    fingerprint delta folds both digests by list index, at miss time --
+    replays never touch a digest again.
     """
     schema_index = core.schema._index
-    codes, values, digests = core.codes, core.values, core.digests
+    codes, values, digests, pairs = core.codes, core.values, core.digests, core.pairs
     mint = core.mint
 
     def compile_outcome(idx: int, updates: Dict[str, Any], parent: Tuple[int, ...]):
@@ -116,7 +125,7 @@ def make_outcome_compiler(core: Any) -> Callable:
                 continue
             digest = digests[slot]
             delta ^= digest[old] ^ digest[code]
-            changes.append((slot, code))
+            changes.append(pairs[slot][code])
         if not changes:
             return None
         return (idx, tuple(changes), delta)
@@ -285,6 +294,9 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     # parameters, past slot 255, where every use costs an EXTENDED_ARG.
     for g, cell in enumerate(core.outcome_stats):
         env[f"_ostats_{g}"] = cell
+    # Only a miss with no enabled change calls this (it files its mask's
+    # shared outcome): a global too, for the same reason.
+    env["_idle"] = core.idle_outcome
 
     src: List[str] = []
     w = src.append
@@ -353,7 +365,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
             w("                            raw.append(item)")
         w(f"                if len(omemo{g}) >= {core.OUTCOME_MEMO_LIMIT}:")
         w(f"                    omemo{g}.clear()")
-        w(f"                omemo{g}[k] = (gd, tuple(en))")
+        w(f"                omemo{g}[k] = (gd, tuple(en)) if en else _idle(gd)")
         w("        else:")
         w(f"            os{g} += 1")
 

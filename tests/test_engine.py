@@ -374,6 +374,42 @@ class TestEngineOnZooKeeper:
         ]
 
 
+#: DFS on every ``HUNTS`` row (default depth bound 40), as the engine read
+#: when a stack entry still carried its whole label chain: (states,
+#: transitions, depth, counterexample length, sha256 prefix of its labels
+#: joined by newlines).
+DFS_HUNTS = {
+    "ZK-3023": (4880, 10527, 36, 27, "853dd9c746309742"),
+    "ZK-4394": (29, 54, 17, 16, "1080f18c059a31f7"),
+    "ZK-4643": (58450, 108948, 40, 30, "08fcb763dce4bce1"),
+    "ZK-4646": (108218, 232761, 40, 30, "f6b940b39743cdfe"),
+    "ZK-4685": (29, 69, 28, 28, "d313b6b88e857734"),
+    "ZK-4712": (80879, 225761, 40, 35, "df2f6e0c7dad0cd9"),
+}
+
+
+class TestLinks:
+    @pytest.mark.parametrize("bug", sorted(DFS_HUNTS))
+    def test_dfs_links_rebuild_the_label_chain(self, bug):
+        # A stack entry is one link into parent/action columns; the labels
+        # exist only once a violation is recorded, and must be the chain a
+        # pushed tuple of labels gave.
+        import hashlib
+
+        from repro.zookeeper.specs import hunt_spec
+
+        spec, mask = hunt_spec(bug)
+        result = explore(spec, strategy="dfs", mask=mask)
+        (violation,) = result.violations
+        labels = [str(label) for label in violation.trace.labels]
+        digest = hashlib.sha256("\n".join(labels).encode()).hexdigest()[:16]
+        got = (result.states_explored, result.transitions, result.max_depth)
+        assert got + (len(labels), digest) == DFS_HUNTS[bug]
+        assert violation.trace.states == spec.replay(
+            violation.trace.labels, violation.trace.states[0]
+        )
+
+
 class TestBudgets:
     @pytest.mark.parametrize(
         "strategy,extra",

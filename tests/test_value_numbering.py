@@ -7,12 +7,15 @@ fingerprint, enumeration and walk is the one the values gave; equal
 values are one value (the contract the outcome memo always relied on);
 codes stay inside one process (``WorkerPool`` translates at the pipe);
 two threads minting into one resident compile never hand out one code
-for two values; and a repeated campaign request mints nothing."""
+for two values; a repeated campaign request mints nothing; and an
+outcome memo stores only what varies -- its change pairs are the value
+table's own, and outcomes with no enabled change are shared per mask."""
 
 import json
 import random
 import sys
 import threading
+from functools import partial
 
 import pytest
 
@@ -23,26 +26,50 @@ from repro.remix.campaign import CampaignRequest, run_campaign
 from repro.remix.registry import registered_systems, system_plugin
 from repro.tla.values import Rec
 
+from repro.zookeeper.specs import HUNTS, SELECTIONS, build_spec, hunt_spec
+
 from test_engine import SMALL, TestCompiledKernelLane, check_spec
 from test_guards import compositions
 from test_kernels import counter_spec, run_sig
 
 SEEDS = (7, 1007, 3, 42, 99)
 
+#: Hunts whose BFS needs 50k-110k states: deselected by default (``-m slow``).
+BIG_HUNTS = {"ZK-4643", "ZK-4646", "ZK-4712"}
+
 
 def table_defects(core):
     """Every way the value table breaks its contract, as readable rows."""
     defects = []
-    for slot, (codes, values, digests) in enumerate(
-        zip(core.codes, core.values, core.digests)
+    for slot, (codes, values, digests, pairs) in enumerate(
+        zip(core.codes, core.values, core.digests, core.pairs)
     ):
-        if not len(codes) == len(values) == len(digests):
-            defects.append((slot, "sizes", len(codes), len(values), len(digests)))
+        if not len(codes) == len(values) == len(digests) == len(pairs):
+            defects.append((slot, "sizes", len(codes), len(values), len(digests), len(pairs)))
         for value, code in codes.items():
+            if pairs[code] != (slot, code):
+                defects.append((slot, "pair", code, pairs[code]))
             if values[code] != value:
                 defects.append((slot, "decodes elsewhere", code, value))
             if digests[code] != core.fingerprinter.slot_digest(slot, value):
                 defects.append((slot, "digest", code, value))
+    return defects
+
+
+def sharing_defects(core):
+    """Every outcome-memo value holding a private copy of what the compile
+    shares: a change pair that is not ``pairs[slot][code]``, or an outcome
+    with no enabled change that is not the one for its mask."""
+    defects = []
+    for group, memo in enumerate(core.outcome_memos):
+        for entry in memo.values():
+            gd, items = entry
+            if not items and entry is not core.idle_outcomes.get(gd):
+                defects.append((group, "unshared idle outcome", gd))
+            for idx, changes, _ in items:
+                for pair in changes:
+                    if pair is not core.pairs[pair[0]][pair[1]]:
+                        defects.append((group, "private pair", idx, pair))
     return defects
 
 
@@ -99,6 +126,7 @@ class TestSameAnswers:
         reference = ExplorationEngine(make(), "dfs", reference=True, max_states=600, max_depth=30)
         assert run_sig(checked.run()) == run_sig(reference.run())
         assert table_defects(checked.core) == []
+        assert sharing_defects(checked.core) == []
         assert total_codes(checked.core) > 0
 
     def test_pinned_answers_are_the_parents(self):
@@ -166,6 +194,27 @@ class TestSameAnswers:
             assert walked.labels == labels, (grain, seed)
             assert walked.final == state
 
+    @pytest.mark.parametrize(
+        "bug",
+        [
+            pytest.param(bug, marks=pytest.mark.slow) if bug in BIG_HUNTS else bug
+            for bug in sorted(HUNTS)
+        ],
+    )
+    def test_two_workers_find_the_hunts_counterexamples(self, bug):
+        # The pool's merge dedupes on the parent's own ``seen`` and links
+        # each accepted state by index; the counterexample it walks back
+        # must be the sequential one, label for label and state for state.
+        spec, mask = hunt_spec(bug)
+        sequential, parallel = (
+            ExplorationEngine(spec, mask=mask, workers=workers).run() for workers in (1, 2)
+        )
+        assert run_sig(parallel) == run_sig(sequential)
+        assert sequential.violations
+        for mine, theirs in zip(parallel.violations, sequential.violations):
+            assert mine.trace.labels == theirs.trace.labels
+            assert mine.trace.states == theirs.trace.states
+
     def test_two_workers_equal_one_bitwise(self):
         # Codes never cross the pipe: the parent decodes its shard, each
         # worker encodes into its own table, and the answer -- counts and
@@ -182,6 +231,42 @@ class TestSameAnswers:
         assert [v.trace.states for v in parallel.violations] == [
             v.trace.states for v in sequential.violations
         ]
+
+
+def bfs_specs():
+    raft = system_plugin("raft")
+    yield pytest.param(partial(raft.make_spec, "raft-fine", raft.default_config()), id="raft-fine")
+    yield pytest.param(partial(build_spec, "mSpec-3", SELECTIONS["mSpec-3"], SMALL), id="mSpec-3")
+
+
+class TestSharedOutcomes:
+    @pytest.mark.parametrize("make", bfs_specs())
+    def test_memo_entries_hold_shared_pairs_and_idle_outcomes(self, make):
+        engine = ExplorationEngine(make(), max_states=12_000, stop_at_first=False)
+        engine.run()
+        core = engine.core
+        assert sharing_defects(core) == []
+        assert table_defects(core) == []
+        entries = [entry for memo in core.outcome_memos for entry in memo.values()]
+        pairs = [
+            pair for _, items in entries for _, changes, _ in items for pair in changes
+        ]
+        idle = [entry for entry in entries if not entry[1]]
+        # Sharing happens, not just holds: many entries, few objects.
+        assert len({id(pair) for pair in pairs}) < len(pairs) // 4
+        assert 0 < len(core.idle_outcomes) < len(idle)
+        assert all(core.idle_outcomes[gd] == (gd, ()) for gd in core.idle_outcomes)
+
+    def test_sharing_survives_demotion(self):
+        # A demotion re-emits the kernel; the surviving groups' entries and
+        # the re-emitted miss path keep drawing from the same shared dict.
+        raft = system_plugin("raft")
+        engine = ExplorationEngine(
+            raft.make_spec("raft-coarse", raft.default_config()), max_states=40_000
+        )
+        engine.run()
+        assert engine.core.demoted_groups
+        assert sharing_defects(engine.core) == []
 
 
 def one_grain_request(seed):
@@ -241,3 +326,4 @@ class TestOneResidentTable:
         assert [reports.get(3), reports.get(42)] == sequential
         cores = resident_cores()
         assert cores and all(table_defects(core) == [] for core in cores)
+        assert all(sharing_defects(core) == [] for core in cores)
