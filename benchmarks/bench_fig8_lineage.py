@@ -6,8 +6,6 @@ fix opened three new bug paths; the paper's six bugs were unfixed at
 publication time.
 """
 
-import networkx as nx
-
 from repro.analysis.lineage import (
     descendants_of_optimization,
     generations,
@@ -22,7 +20,7 @@ PAPER_SIX = {"ZK-3023", "ZK-4394", "ZK-4643", "ZK-4646", "ZK-4685", "ZK-4712"}
 
 def test_graph_construction(benchmark):
     graph = benchmark(lineage_graph)
-    assert nx.is_directed_acyclic_graph(graph)
+    assert len(generations(graph)) == 4  # a cycle would raise CycleError
 
 
 def test_structure_matches_figure8():
@@ -30,7 +28,7 @@ def test_structure_matches_figure8():
     assert roots(graph) == ["ZK-2678"]
     assert set(descendants_of_optimization(graph)) >= PAPER_SIX
     assert set(unfixed_at_publication(graph)) == PAPER_SIX
-    assert set(graph.successors("ZK-3911")) == {
+    assert set(graph["ZK-3911"]) == {
         "ZK-3023",
         "ZK-4685",
         "ZK-4712",
@@ -38,9 +36,9 @@ def test_structure_matches_figure8():
 
 
 def test_every_paper_bug_reachable_from_root():
-    graph = lineage_graph()
+    reachable = set(descendants_of_optimization(lineage_graph()))
     for bug in PAPER_SIX:
-        assert nx.has_path(graph, "ZK-2678", bug)
+        assert bug in reachable
 
 
 def test_zz_report(benchmark):

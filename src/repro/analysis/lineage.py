@@ -2,17 +2,19 @@
 
 ZooKeeper's log-replication optimizations (starting from ZK-2678 in 2017)
 introduced a family of data-loss/inconsistency bugs; several fixes opened
-new triggering paths.  Figure 8 draws this as a graph; we encode it with
-networkx and regenerate the figure's structure (roots, fixed markers,
-introduced-by edges) programmatically.
+new triggering paths.  Figure 8 draws this as a graph; we encode it as an
+adjacency map and regenerate the figure's structure (roots, fixed
+markers, introduced-by edges) programmatically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from graphlib import TopologicalSorter
+from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
+#: A lineage graph: every issue mapped to the sorted issues it introduced.
+Graph = Dict[str, Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -60,40 +62,62 @@ EDGES: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def lineage_graph() -> nx.DiGraph:
-    """Figure 8 as a directed acyclic graph."""
-    graph = nx.DiGraph()
-    for issue in ISSUES.values():
-        graph.add_node(
-            issue.ident, title=issue.title, fixed=issue.fixed, year=issue.year
-        )
-    graph.add_edges_from(EDGES)
-    return graph
+def lineage_graph() -> Graph:
+    """Figure 8 as a directed acyclic graph (an adjacency map)."""
+    return {
+        ident: tuple(sorted(effect for cause, effect in EDGES if cause == ident))
+        for ident in ISSUES
+    }
 
 
-def roots(graph: nx.DiGraph = None) -> List[str]:
+def roots(graph: Optional[Graph] = None) -> List[str]:
     graph = graph or lineage_graph()
-    return sorted(n for n in graph.nodes if graph.in_degree(n) == 0)
+    introduced = {effect for effects in graph.values() for effect in effects}
+    return sorted(n for n in graph if n not in introduced)
 
 
-def descendants_of_optimization(graph: nx.DiGraph = None) -> List[str]:
+def descendants(graph: Graph, ident: str) -> List[str]:
+    """Every issue reachable from ``ident`` (itself excluded), sorted."""
+    found: set = set()
+    stack = list(graph[ident])
+    while stack:
+        node = stack.pop()
+        if node not in found:
+            found.add(node)
+            stack.extend(graph[node])
+    return sorted(found)
+
+
+def descendants_of_optimization(graph: Optional[Graph] = None) -> List[str]:
     """Every bug transitively introduced by the ZK-2678 optimizations."""
+    return descendants(graph or lineage_graph(), "ZK-2678")
+
+
+def unfixed_at_publication(graph: Optional[Graph] = None) -> List[str]:
     graph = graph or lineage_graph()
-    return sorted(nx.descendants(graph, "ZK-2678"))
+    return sorted(n for n in graph if not ISSUES[n].fixed)
 
 
-def unfixed_at_publication(graph: nx.DiGraph = None) -> List[str]:
+def generations(graph: Optional[Graph] = None) -> List[List[str]]:
+    """Topological generations: the left-to-right layers of Figure 8.
+
+    Raises :class:`graphlib.CycleError` on a graph with a cycle."""
     graph = graph or lineage_graph()
-    return sorted(n for n, d in graph.nodes(data=True) if not d["fixed"])
+    order: TopologicalSorter = TopologicalSorter()
+    for cause, effects in graph.items():
+        order.add(cause)
+        for effect in effects:
+            order.add(effect, cause)
+    order.prepare()
+    layers: List[List[str]] = []
+    while order.is_active():
+        layer = order.get_ready()
+        order.done(*layer)
+        layers.append(sorted(layer))
+    return layers
 
 
-def generations(graph: nx.DiGraph = None) -> List[List[str]]:
-    """Topological generations: the left-to-right layers of Figure 8."""
-    graph = graph or lineage_graph()
-    return [sorted(layer) for layer in nx.topological_generations(graph)]
-
-
-def render_ascii(graph: nx.DiGraph = None) -> str:
+def render_ascii(graph: Optional[Graph] = None) -> str:
     """A textual rendering of Figure 8."""
     graph = graph or lineage_graph()
     lines = ["Figure 8: bugs introduced in ZooKeeper's log replication", ""]
@@ -101,7 +125,7 @@ def render_ascii(graph: nx.DiGraph = None) -> str:
         for ident in layer:
             issue = ISSUES[ident]
             marker = "*" if issue.fixed else " "
-            succ = ", ".join(sorted(graph.successors(ident)))
+            succ = ", ".join(graph[ident])
             arrow = f" -> {succ}" if succ else ""
             lines.append(f"  [{layer_index}] {ident}{marker} ({issue.year}){arrow}")
     lines.append("")

@@ -31,8 +31,8 @@ equally:
   encode as their integer (``1.0 == 1``);
 - tuple *subclasses* (``Zxid``, ``Txn`` -- NamedTuples) encode as plain
   tuples, matching tuple equality semantics;
-- :class:`Rec` encodes with its own tag: a record is never equal to the
-  tuple of its items.
+- :class:`Rec` -- itself a tuple subclass, checked first -- encodes with
+  its own tag: a record is never equal to the tuple of its items.
 
 Fingerprints are 64-bit, so a run of n states has collision probability
 about n^2 / 2^65 (a 10M-state run: ~3e-6).  A colliding state is silently
@@ -78,15 +78,16 @@ def _encode(value: Any, buf: bytearray) -> None:
         buf += b"f%d;" % len(parts)
         for part in parts:
             buf += part
+    elif isinstance(value, Rec):  # a tuple subclass: before the next branch
+        payload = tuple.__iter__(value)
+        names = next(payload)
+        buf += b"r%d;" % len(names)
+        for key, item in zip(names, payload):
+            _encode(key, buf)
+            _encode(item, buf)
     elif isinstance(value, tuple):  # NamedTuple subclasses: Zxid, Txn, ...
         buf += b"t%d;" % len(value)
         for item in value:
-            _encode(item, buf)
-    elif kind is Rec or isinstance(value, Rec):
-        items = value._items
-        buf += b"r%d;" % len(items)
-        for key, item in items:
-            _encode(key, buf)
             _encode(item, buf)
     elif kind is float:
         # Equal values must encode equally: 1.0 == 1 in a values tuple.

@@ -10,7 +10,7 @@ tuple; structural sharing of the (immutable) values keeps that cheap.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, Iterator, Mapping, NamedTuple, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Tuple
 
 
 class Slot(NamedTuple):
@@ -92,12 +92,19 @@ class Schema:
         return f"Schema({', '.join(self.names)})"
 
 
-class State(Mapping):
+class State(dict):
     """An immutable assignment of values to the variables of a schema.
 
     Values must be hashable (tuples, ints, strings, :class:`Rec`, ...).
     States hash and compare by value, so they can be used directly as
     fingerprints in the checker's visited set.
+
+    A state is a frozen ``dict`` keyed by variable name, so ``state["x"]``
+    is a C-level dict lookup; it also keeps the values tuple in schema
+    order (``values``) and its ``schema``.  Equality and hashing go by
+    ``values`` and schema identity, never by dict contents: a state is
+    not equal to a plain dict with the same items.  Every dict mutator
+    raises ``TypeError``.
     """
 
     __slots__ = ("schema", "values", "_hash")
@@ -107,12 +114,13 @@ class State(Mapping):
             raise ValueError(
                 f"schema has {len(schema)} variables but got {len(values)} values"
             )
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "values", values)
+        dict.update(self, zip(schema.names, values))
+        _set_schema(self, schema)
+        _set_values(self, values)
         # The hash is computed lazily: the engine fingerprints states
         # instead of dict-keying them, so most successor states are
         # never hashed at all.
-        object.__setattr__(self, "_hash", None)
+        _set_hash(self, None)
 
     @classmethod
     def make(cls, schema: Schema, **assignments: Any) -> "State":
@@ -125,51 +133,50 @@ class State(Mapping):
             raise ValueError(f"unknown variables: {extra}")
         return cls(schema, tuple(assignments[name] for name in schema.names))
 
-    def __getitem__(self, name: str) -> Any:
-        # Inlined self.schema.index(name): this accessor dominates the
-        # checker's hot path (millions of guard evaluations per run).
-        return self.values[self.schema._index[name]]
-
     def __getattr__(self, name: str) -> Any:
         try:
-            return self.values[self.schema._index[name]]
+            return dict.__getitem__(self, name)
         except KeyError:
             raise AttributeError(name)
 
     def __setattr__(self, name: str, value: Any):
         raise TypeError("State is immutable; use .set()")
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.schema.names)
+    def __delattr__(self, name: str):
+        raise TypeError("State is immutable; use .set()")
 
-    def __len__(self) -> int:
-        return len(self.schema)
+    def _refuse(self, *args: Any, **kwargs: Any):
+        raise TypeError("State is immutable; use .set()")
 
-    def __hash__(self) -> int:
+    __setitem__ = __delitem__ = __ior__ = _refuse  # type: ignore
+    clear = pop = popitem = setdefault = update = _refuse  # type: ignore
+
+    def __hash__(self) -> int:  # type: ignore
         digest = self._hash
         if digest is None:
             digest = hash(self.values)
-            object.__setattr__(self, "_hash", digest)
+            _set_hash(self, digest)
         return digest
 
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, State):
             return self.values == other.values and self.schema is other.schema
-        return NotImplemented
+        # A plain dict with the same items is still not a state.
+        return False if isinstance(other, dict) else NotImplemented
+
+    def __ne__(self, other: Any) -> bool:
+        if isinstance(other, State):
+            return self.values != other.values or self.schema is not other.schema
+        return True if isinstance(other, dict) else NotImplemented
 
     def __reduce__(self):
-        # Default pickling would setattr through the immutability guard;
-        # rebuild through the constructor (schemas are interned, so the
+        # Rebuild through the constructor (schemas are interned, so the
         # restored state compares equal to the original).
         return (State, (self.schema, self.values))
 
     def set(self, **updates: Any) -> "State":
         """Functional update: a new state with some variables replaced."""
-        values = list(self.values)
-        index = self.schema._index
-        for name, value in updates.items():
-            values[index[name]] = value
-        return State(self.schema, tuple(values))
+        return self.set_many(updates)
 
     def set_many(self, updates: Mapping[str, Any]) -> "State":
         """Functional update from a mapping: ``self.set(**updates)`` minus
@@ -178,7 +185,15 @@ class State(Mapping):
         index = self.schema._index
         for name, value in updates.items():
             values[index[name]] = value
-        return State(self.schema, tuple(values))
+        # Copying this state's dict clones its key table in one go; only
+        # the updated entries are then written one by one.
+        state = dict.__new__(State)
+        dict.update(state, self)
+        dict.update(state, updates)
+        _set_schema(state, self.schema)
+        _set_values(state, tuple(values))
+        _set_hash(state, None)
+        return state
 
     def project(self, variables) -> Tuple[Any, ...]:
         """Project the state onto a set of variables (Appendix B: s|M).
@@ -206,3 +221,9 @@ class State(Mapping):
             f"{name}={value!r}" for name, value in zip(self.schema.names, self.values)
         )
         return f"State({inner})"
+
+
+# Slot writers that go round the immutability guard of ``__setattr__``.
+_set_schema = State.schema.__set__  # type: ignore
+_set_values = State.values.__set__  # type: ignore
+_set_hash = State._hash.__set__  # type: ignore

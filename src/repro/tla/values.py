@@ -16,10 +16,25 @@ specifications use:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, NamedTuple, Tuple
+from collections.abc import ItemsView, KeysView, Mapping, ValuesView
+from typing import Any, Dict, Iterable, NamedTuple, Tuple
 
 
-class Rec(Mapping):
+#: Names a record field may not take, besides ``_...`` ones: :class:`Rec`'s
+#: own methods, which a field of that name would shadow
+#: (``canonical_value`` calls ``rec.items()``).  ``count`` and ``index``
+#: stay legal: a field simply hides the tuple method of that name.
+_RESERVED = frozenset({"fields", "get", "items", "keys", "replace", "values"})
+
+#: Shape table: keyword-name tuple, in any order seen at a call site ->
+#: (sorted names, the record class of that shape).  Import-time and
+#: process-wide; it holds one entry per distinct field-name order.
+_SHAPES: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], Any]] = {}
+
+_object_setattr = object.__setattr__
+
+
+class Rec(tuple):
     """An immutable, hashable record with attribute access.
 
     >>> m = Rec(mtype="ACK", zxid=(1, 2))
@@ -27,24 +42,29 @@ class Rec(Mapping):
     'ACK'
     >>> m.replace(mtype="COMMIT").mtype
     'COMMIT'
+
+    A record is a ``tuple`` whose payload is ``(shape, v1, ...)``: the
+    shape is the sorted tuple of field names and the values follow in
+    that order, so hashing and equality are tuple operations in C.  Each
+    shape has its own subclass, and every record also keeps its fields in
+    its instance dict, so ``m.mtype`` is a plain attribute read.  To the
+    rest of the program a record is a read-only :class:`Mapping` of its
+    fields: ``m["mtype"]``, ``len``, ``in`` and iteration go by field
+    name, and a record never equals the plain tuple of its values.
     """
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ()
 
-    def __init__(self, **fields: Any):
-        object.__setattr__(self, "_items", tuple(sorted(fields.items())))
-        object.__setattr__(self, "_hash", hash(self._items))
-
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("_"):
-            # never resolve dunder/private probes through the fields
-            # (deepcopy and pickle probe for __deepcopy__, __getstate__
-            # and friends before __init__ has run on reconstruction)
-            raise AttributeError(name)
-        for key, value in object.__getattribute__(self, "_items"):
-            if key == name:
-                return value
-        raise AttributeError(name)
+    def __new__(cls, **fields: Any) -> "Rec":
+        key = tuple(fields)
+        entry = _SHAPES.get(key)
+        if entry is None:
+            entry = _shape(key)
+        shape, klass = entry
+        rec = tuple.__new__(klass, (shape, *map(fields.__getitem__, shape)))
+        # ``**fields`` is a fresh dict: it becomes the instance dict.
+        _object_setattr(rec, "__dict__", fields)
+        return rec
 
     def __copy__(self) -> "Rec":
         return self  # immutable
@@ -52,56 +72,90 @@ class Rec(Mapping):
     def __deepcopy__(self, memo) -> "Rec":
         return self  # immutable: fields are themselves immutable values
 
-    def __getitem__(self, name: str) -> Any:
-        try:
-            return self.__getattr__(name)
-        except AttributeError:
-            raise KeyError(name)
+    def __getitem__(self, name: Any) -> Any:  # type: ignore
+        return self.__dict__[name]
 
     def __setattr__(self, name: str, value: Any):
         raise TypeError("Rec is immutable")
 
+    def __delattr__(self, name: str):
+        raise TypeError("Rec is immutable")
+
     def __iter__(self):
-        return iter(key for key, _ in self._items)
+        return iter(tuple.__getitem__(self, 0))
 
     def __len__(self) -> int:
-        return len(self._items)
+        return tuple.__len__(self) - 1
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __contains__(self, name: Any) -> bool:
+        return name in tuple.__getitem__(self, 0)
 
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, Rec):
-            return self._items == other._items
-        return NotImplemented
+    def keys(self) -> KeysView:
+        return KeysView(self)
+
+    def items(self) -> ItemsView:
+        return ItemsView(self)
+
+    def values(self) -> ValuesView:
+        return ValuesView(self)
+
+    def get(self, name: Any, default: Any = None) -> Any:
+        return self.__dict__.get(name, default)
+
+    @property
+    def _items(self) -> Tuple[Tuple[str, Any], ...]:
+        """The ``(name, value)`` pairs in name order."""
+        payload = tuple.__iter__(self)
+        return tuple(zip(next(payload), payload))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{key}={value!r}" for key, value in self._items)
         return f"Rec({inner})"
 
     def __reduce__(self):
-        # Default pickling would setattr on the reconstructed instance,
-        # which the immutability guard rejects; rebuild from the item
-        # tuple instead (the parallel checker ships Rec-bearing value
-        # tuples between worker processes).
+        # Rebuild from the item tuple: the pickle form stays independent
+        # of the per-shape classes (the parallel checker ships Rec-bearing
+        # value tuples between worker processes).
         return (_rec_from_items, (self._items,))
 
     def replace(self, **updates: Any) -> "Rec":
         """Return a copy of this record with some fields replaced."""
-        fields = dict(self._items)
+        fields = dict(self.__dict__)
         fields.update(updates)
-        return Rec(**fields)
+        if len(fields) != len(self):  # new fields: a new shape
+            return Rec(**fields)
+        shape = tuple.__getitem__(self, 0)
+        rec = tuple.__new__(type(self), (shape, *map(fields.__getitem__, shape)))
+        _object_setattr(rec, "__dict__", fields)
+        return rec
 
     def fields(self) -> Tuple[str, ...]:
-        return tuple(key for key, _ in self._items)
+        return tuple.__getitem__(self, 0)
+
+
+Mapping.register(Rec)
+
+
+def _shape(key: Tuple[str, ...]) -> Tuple[Tuple[str, ...], Any]:
+    """File the record class of the field names ``key`` (any order) in
+    the shape table, refusing names a field may not take."""
+    for name in key:
+        if name.startswith("_") or name in _RESERVED:
+            raise ValueError(
+                f"Rec field {name!r} would shadow part of the record's API"
+            )
+    shape = tuple(sorted(key))
+    entry = _SHAPES.get(shape)
+    if entry is None:
+        klass = type("Rec", (Rec,), {"__module__": __name__, "__qualname__": "Rec"})
+        entry = _SHAPES[shape] = (shape, klass)
+    _SHAPES[key] = entry
+    return entry
 
 
 def _rec_from_items(items: Tuple[Tuple[str, Any], ...]) -> "Rec":
     """Rebuild a Rec from its sorted item tuple (pickle support)."""
-    rec = object.__new__(Rec)
-    object.__setattr__(rec, "_items", items)
-    object.__setattr__(rec, "_hash", hash(items))
-    return rec
+    return Rec(**dict(items))
 
 
 class Zxid(NamedTuple):
