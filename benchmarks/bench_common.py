@@ -14,7 +14,6 @@ top-level module name ``conftest`` unambiguously resolves to
 Environment knobs:
 
 - ``REPRO_BENCH_SCALE=small`` keeps every bench under ~1 min;
-- ``REPRO_BENCH_WORKERS=N`` runs the engine's sharded-frontier mode;
 - ``REPRO_BENCH_REPORT`` redirects the rendered tables.
 """
 
@@ -26,10 +25,6 @@ from repro.zookeeper.specs import SELECTIONS, build_spec
 
 #: Scale knob: REPRO_BENCH_SCALE=small keeps every bench under ~1 min.
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "normal")
-
-#: Worker processes for the exploration engine (1 = in-process).
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-
 
 def bench_config(**kw):
     """The Table 5 configuration shape (3 servers, 2 txns, 2 crashes,
@@ -53,9 +48,8 @@ def hunt(spec_name, config, family=None, variant=None, **engine_kw):
     return check(spec, zk4394_mask, **engine_kw)
 
 
-def check(spec, mask, max_states=2_000_000, max_time=240, workers=None, **engine_kw):
-    """Run the engine on a composed spec under the harness's scale and
-    worker knobs."""
+def check(spec, mask, max_states=2_000_000, max_time=240, **engine_kw):
+    """Run the engine on a composed spec under the harness's scale knob."""
     if SCALE == "small":
         # Calibrated to the engine's ~8-9k states/sec: big enough that
         # mSpec-2 still reaches its I-8 violation (~300k states), small
@@ -64,7 +58,6 @@ def check(spec, mask, max_states=2_000_000, max_time=240, workers=None, **engine
         max_time = min(max_time, 60)
     return ExplorationEngine(
         spec,
-        workers=WORKERS if workers is None else workers,
         max_states=max_states,
         max_time=max_time,
         mask=mask,

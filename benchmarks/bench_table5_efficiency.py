@@ -157,14 +157,13 @@ def _smoke_row(result):
     }
 
 
-def run_smoke(max_states, max_time, workers):
+def run_smoke(max_states, max_time):
     """Run the five Table 5 specs under a small budget; return a report."""
     config = bench_config()
     report = {
         "workload": {
             "max_states": max_states,
             "max_time": max_time,
-            "workers": workers,
         },
         "specs": {},
     }
@@ -174,7 +173,6 @@ def run_smoke(max_states, max_time, workers):
             config,
             max_states=max_states,
             max_time=max_time,
-            workers=workers,
         )
         report["specs"][name] = _smoke_row(result)
     return report
@@ -336,7 +334,6 @@ def main(argv=None):
     )
     parser.add_argument("--max-states", type=int, default=2_000)
     parser.add_argument("--max-time", type=float, default=15.0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--json", dest="json_path", default=None)
     parser.add_argument(
         "--ab-reference",
@@ -358,7 +355,7 @@ def main(argv=None):
     if args.ab_reference:
         report = run_ab_reference(args.max_time)
     else:
-        report = run_smoke(args.max_states, args.max_time, args.workers)
+        report = run_smoke(args.max_states, args.max_time)
     text = json.dumps(report, indent=2)
     print(text)
     if args.json_path:

@@ -147,10 +147,9 @@ def create_backend(
     ``auth_token`` for fork, any of them for inline) are dropped, so
     one caller can configure every backend uniformly."""
     if name == "fork":
-        from repro.checker import parallel
-        from repro.checker.backends.fork import ForkBackend
+        from repro.checker.backends.fork import ForkBackend, available
 
-        if workers > 1 and parallel.available():
+        if workers > 1 and available():
             return ForkBackend(
                 handler, workers, supervisor=options.get("supervisor")
             )

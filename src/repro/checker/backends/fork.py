@@ -5,11 +5,9 @@ any callable (closures included) and anything the campaign pre-warmed
 (composed specs, scripted prefixes) is free in every worker.  Spawn costs a ``fork()`` and a task round-trip
 ~39 us, against ~0.67 s and ~74 us for the TCP band -- which is why
 this is the default backend; it is also the throughput baseline the
-socket backend must match bit-for-bit.
-
-:class:`ForkBand` is also the process/pipe lifecycle behind the BFS
-:class:`~repro.checker.parallel.WorkerPool`, which speaks its own frames
-over its pipes but spawns, reaps and terminates through it.
+socket backend must match bit-for-bit.  It needs the ``fork`` start
+method (:func:`available`); :func:`~repro.checker.backends.create_backend`
+runs inline where the platform lacks it.
 """
 
 from __future__ import annotations
@@ -21,6 +19,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.checker.backends.base import ExecutionBackend, ResultHook, resolve_handler
 from repro.checker.backends.dispatch import Event, WorkerBand, dispatch
 from repro.checker.backends.supervision import TaskSupervisor
+
+
+def available() -> bool:
+    """True when this platform can fork worker processes."""
+    return "fork" in mp.get_all_start_methods()
 
 
 def task_worker_main(conn, handler: Callable[[Any], Any]) -> None:
@@ -45,18 +48,13 @@ def task_worker_main(conn, handler: Callable[[Any], Any]) -> None:
 class ForkBand(WorkerBand):
     """Forked worker processes, one pipe each.
 
-    Every worker runs ``target(child_pipe_end, payload)``; with the fork
-    start method neither is pickled, so ``payload`` may hold lambdas."""
+    Every worker runs :func:`task_worker_main` over the inherited
+    ``handler``; with the fork start method it is never pickled, so it
+    may be a closure."""
 
-    def __init__(
-        self,
-        workers: int,
-        payload: Any,
-        target: Callable[[Any, Any], None] = task_worker_main,
-    ):
+    def __init__(self, workers: int, handler: Callable[[Any], Any]):
         super().__init__(workers)
-        self._target = target
-        self._payload = payload
+        self._handler = handler
         self._process: Dict[Any, Any] = {}  # parent pipe end -> process
         for _ in range(self.workers):
             self.spawn()
@@ -65,7 +63,7 @@ class ForkBand(WorkerBand):
         context = mp.get_context("fork")
         parent_end, child_end = context.Pipe()
         process = context.Process(
-            target=self._target, args=(child_end, self._payload), daemon=True
+            target=task_worker_main, args=(child_end, self._handler), daemon=True
         )
         process.start()
         child_end.close()

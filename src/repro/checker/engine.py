@@ -12,26 +12,21 @@ Strategies
     of full states; each visited state is one link in two flat columns
     indexed in discovery order (:class:`Links`: parent index, instance
     index) and counterexamples are rebuilt by replaying the label chain
-    from the initial state.  With
-    ``workers > 1`` each round's frontier is sharded across forked worker
-    processes (:mod:`repro.checker.parallel`) and the newly discovered
-    fingerprints are merged between rounds; results are bitwise identical
-    to the sequential run on deterministic budgets.
+    from the initial state.
 ``dfs``
-    Bounded depth-first search for a quick first violation (one
-    in-process loop; ``workers`` does not apply).
+    Bounded depth-first search for a quick first violation.
 ``random``
     Seeded random walks that check invariants along the way.
 
-There is one dedupe discipline: a strategy owns its visited-fingerprint
-set, and parallel BFS workers merge theirs at round barriers.  Every
-strategy is deterministic in its arguments: no verdict depends on
-scheduling.
+Every strategy is one in-process loop that owns its visited-fingerprint
+set, and every strategy is deterministic in its arguments: no verdict
+depends on scheduling.  Parallelism lives one level up, in the
+conformance campaign, whose cells are independent.
 
 One successor path
 ------------------
 
-Every strategy, worker and walker obtains successors through
+Every strategy and walker obtains successors through
 :meth:`CompiledSpec.expand_batch`, which has exactly two things behind it:
 
 - the **generated kernel** (:mod:`repro.tla.codegen`) is what runs:
@@ -73,8 +68,8 @@ successor path runs on codes: a row is ``(fp, codes, known)``, memo keys
 are projections of codes, a fingerprint delta is two list indexings per
 changed slot.  Values are decoded only where a function needs them -- an
 applier or predicate on a memo miss, a guard-prefix atom, a chosen walk
-step, a counterexample.  Codes are local to one process and one compile:
-they never cross a pipe and never reach a report.
+step, a counterexample.  Codes are local to one compile: they never
+reach a report.
 
 The contract is the one the outcome memo already relied on: **equal
 values are one value.**  The first representative of an equality class
@@ -746,13 +741,12 @@ class CompiledSpec:
         """Expand a whole frontier batch: the engine's one successor path.
 
         ``rows`` are ``(fp, codes, known_disabled)`` frontier entries --
-        a BFS chunk, a WorkerPool shard, or a single DFS pop / walk step.
+        a BFS chunk or a single DFS pop / walk step.
         Returns ``[(entry_fp, transitions, candidates), ...]`` in entry
         order.  ``transitions`` counts every state-changing successor
         (including already-seen ones).  ``seen`` is the caller's
-        fingerprint set; candidate fingerprints are added to it so the
-        same successor is emitted at most once per expansion context (the
-        merge step performs the authoritative cross-context dedup).
+        fingerprint set; candidate fingerprints are added to it, so every
+        candidate returned is new to it.
         ``seen=None`` emits every state-changing successor exactly in
         instance order -- the random walkers use it to draw from the full
         successor distribution.  Successors are rows of codes; decoding
@@ -1042,10 +1036,6 @@ class ExplorationEngine:
         The specification to check.
     strategy:
         One of ``"bfs"``, ``"dfs"``, ``"random"``.
-    workers:
-        Number of worker processes for parallel BFS.  ``1`` runs
-        in-process; higher values require the ``fork`` start method
-        (engine falls back to 1 otherwise).
     max_states / max_time / max_depth / violation_limit / stop_at_first /
     mask:
         The familiar budgets, with the seed checker's semantics.  Every
@@ -1056,11 +1046,12 @@ class ExplorationEngine:
     fingerprinter:
         Override the 64-bit default (tests use narrow widths to force
         collisions).
-    dedupe:
-        Only ``"rounds"`` -- workers merge fingerprint sets at round
-        barriers, bitwise-identical to the sequential run -- which is
-        simply what ``workers > 1`` does; anything else is a
-        ``ValueError``.
+    workers, dedupe:
+        Accepted for the benchmark harness only and stored nowhere: every
+        run is one in-process loop whatever ``workers`` says, and
+        ``dedupe`` may only be ``"rounds"`` (anything else is a
+        ``ValueError``).  The benchmark change of ROADMAP item 8 drops
+        both.
     debug:
         ``--debug-deps``: emit the kernel even for a spec the static
         analyzer does not trust and cross-check every batch it expands
@@ -1096,11 +1087,11 @@ class ExplorationEngine:
             raise ValueError(
                 f"unknown strategy {strategy!r}; options: {list(STRATEGIES)}"
             )
-        # Two leftovers of the deleted shared-memory mode stay only because
-        # bench/ is read-only for ordinary PRs: this keyword (validated,
-        # stored nowhere; bench/probes.py:parallel_probe passes it) and
-        # checker/visited.py (its only caller is visited_probe).  ROADMAP
-        # item 8's benchmark PR drops the keyword and the probe rows.
+        # Leftovers of the deleted parallel BFS stay only because bench/ is
+        # read-only outside a benchmark change: ``workers`` and ``dedupe``
+        # (accepted, stored nowhere; bench/probes.py:parallel_probe passes
+        # both) and checker/visited.py (its only caller is visited_probe).
+        # The benchmark change of ROADMAP item 8 drops them and the rows.
         if dedupe != "rounds":
             raise ValueError(
                 f"unknown dedupe mode {dedupe!r}: PR 21 removed every mode "
@@ -1108,7 +1099,6 @@ class ExplorationEngine:
             )
         self.spec = spec
         self.strategy = strategy
-        self.workers = max(1, int(workers))
         self.max_states = max_states
         self.max_time = max_time
         self.max_depth = max_depth
@@ -1191,9 +1181,8 @@ class ExplorationEngine:
         links = Links(core)
         parents_append = links.parents.append
         actions_append = links.actions.append
-        # Every fingerprint visited so far.  Sequentially the kernel adds a
-        # successor's as it emits it, so every candidate it returns is new;
-        # with a pool the merge below is the authoritative dedupe.
+        # Every fingerprint visited so far.  The kernel adds a successor's
+        # as it emits it, so every candidate it returns is new.
         seen: set = set()
         stop = False
 
@@ -1230,88 +1219,58 @@ class ExplorationEngine:
             result.budget_exhausted = "max_states"
             stop = True
 
-        pool = None
-        if self.workers > 1 and frontier and not stop:
-            from repro.checker import parallel
-
-            if parallel.available():
-                pool = parallel.WorkerPool(core, self.workers)
-        # The fingerprints accepted since the pool's last round: only the
-        # workers' private visited sets read them.
-        delta: List[int] = list(seen) if pool is not None else []
-
         depth = 0
         pruned = False  # a state left unexpanded because of max_depth
-        try:
-            while frontier and not stop and result.budget_exhausted is None:
+        while frontier and not stop and result.budget_exhausted is None:
+            if out_of_time(start, self.max_time):
+                result.budget_exhausted = "max_time"
+                break
+
+            # Sweep the round in fixed-size batches.  Chunking keeps
+            # budget semantics lazy: when the merge loop stops mid-round
+            # (max_states, max_time, violation), unexpanded chunks are
+            # never swept.
+            def _batched(round_frontier=frontier):
+                for lo in range(0, len(round_frontier), _KERNEL_CHUNK):
+                    yield from core.expand_batch(
+                        round_frontier[lo : lo + _KERNEL_CHUNK], seen
+                    )
+
+            next_frontier: List[Row] = []
+            next_ix = array("I")
+            child_depth = depth + 1
+            expandable_depth = self.max_depth is None or child_depth < self.max_depth
+            for pos, (_, transitions, candidates) in enumerate(_batched()):
+                if stop or result.budget_exhausted is not None:
+                    break
                 if out_of_time(start, self.max_time):
                     result.budget_exhausted = "max_time"
                     break
-
-                if pool is None:
-                    # Sweep the round in fixed-size batches.  Chunking
-                    # keeps budget semantics lazy: when the merge loop
-                    # stops mid-round (max_states, max_time, violation),
-                    # unexpanded chunks are never swept.
-                    def _batched(round_frontier=frontier):
-                        for lo in range(0, len(round_frontier), _KERNEL_CHUNK):
-                            yield from core.expand_batch(
-                                round_frontier[lo : lo + _KERNEL_CHUNK], seen
-                            )
-
-                    results_iter = _batched()
-                else:
-                    results_iter = iter(pool.round(delta, frontier))
-                    delta = []
-
-                next_frontier: List[Row] = []
-                next_ix = array("I")
-                child_depth = depth + 1
-                expandable_depth = (
-                    self.max_depth is None or child_depth < self.max_depth
-                )
-                for pos, (_, transitions, candidates) in enumerate(results_iter):
-                    if stop or result.budget_exhausted is not None:
+                result.transitions += transitions
+                parent = frontier_ix[pos]
+                for idx, codes, fp, known, viols, masked, ok in candidates:
+                    index = len(links.parents)
+                    parents_append(parent)
+                    actions_append(idx)
+                    if child_depth > result.max_depth:
+                        result.max_depth = child_depth
+                    if not masked:
+                        if viols:
+                            if record(index, viols):
+                                stop = True
+                                break
+                        elif ok:
+                            if expandable_depth:
+                                next_frontier.append((fp, codes, known))
+                                next_ix.append(index)
+                            else:
+                                pruned = True
+                    if self.max_states is not None and index + 1 >= self.max_states:
+                        result.budget_exhausted = "max_states"
                         break
-                    if out_of_time(start, self.max_time):
-                        result.budget_exhausted = "max_time"
-                        break
-                    result.transitions += transitions
-                    parent = frontier_ix[pos]
-                    for idx, codes, fp, known, viols, masked, ok in candidates:
-                        if pool is not None:
-                            if fp in seen:
-                                continue
-                            seen.add(fp)
-                            delta.append(fp)
-                        index = len(links.parents)
-                        parents_append(parent)
-                        actions_append(idx)
-                        if child_depth > result.max_depth:
-                            result.max_depth = child_depth
-                        if not masked:
-                            if viols:
-                                if record(index, viols):
-                                    stop = True
-                                    break
-                            elif ok:
-                                if expandable_depth:
-                                    next_frontier.append((fp, codes, known))
-                                    next_ix.append(index)
-                                else:
-                                    pruned = True
-                        if (
-                            self.max_states is not None
-                            and index + 1 >= self.max_states
-                        ):
-                            result.budget_exhausted = "max_states"
-                            break
-                frontier = next_frontier
-                frontier_ix = next_ix
-                depth += 1
-        finally:
-            if pool is not None:
-                pool.close()
+            frontier = next_frontier
+            frontier_ix = next_ix
+            depth += 1
 
         result.states_explored = len(links)
         result.elapsed_seconds = time.monotonic() - start
@@ -1457,5 +1416,5 @@ class ExplorationEngine:
 
 
 def explore(spec: Specification, **kwargs: Any) -> CheckResult:
-    """Convenience wrapper: ``explore(spec, strategy=..., workers=...)``."""
+    """Convenience wrapper: ``explore(spec, strategy=..., max_states=...)``."""
     return ExplorationEngine(spec, **kwargs).run()

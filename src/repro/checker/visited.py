@@ -1,6 +1,10 @@
 """Shared-memory visited-fingerprint table for real-time cross-worker
 dedupe (``--dedupe shared``).
 
+The checker no longer uses it: every strategy is one in-process loop.
+Its one caller is the benchmark's ``visited_probe``; the benchmark change
+of ROADMAP item 8 drops both.
+
 The round-synchronous BFS pool (``--dedupe rounds``) only lets workers
 learn about each other's visited states at round barriers: within a
 round, two workers can both discover (and both classify) the same

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -37,14 +38,36 @@ from repro.zookeeper import ZkConfig, make_spec, zk4394_mask
 from repro.zookeeper.specs import SELECTIONS
 
 
+def _max_states(text: str) -> int:
+    """``--max-states``: a positive integer (a budget of no states is no
+    run)."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _max_time(text: str) -> float:
+    """``--max-time``: finite seconds, at least zero (NaN would turn the
+    clock off)."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {value}")
+    return value
+
+
+def _add_budget_args(parser: argparse.ArgumentParser, max_states: int, max_time: float):
+    parser.add_argument("--max-states", type=_max_states, default=max_states)
+    parser.add_argument("--max-time", type=_max_time, default=max_time)
+
+
 def _add_config_args(parser: argparse.ArgumentParser):
     parser.add_argument("--servers", type=int, default=3)
     parser.add_argument("--txns", type=int, default=1)
     parser.add_argument("--crashes", type=int, default=1)
     parser.add_argument("--partitions", type=int, default=0)
     parser.add_argument("--max-epoch", type=int, default=3)
-    parser.add_argument("--max-states", type=int, default=500_000)
-    parser.add_argument("--max-time", type=float, default=120.0)
+    _add_budget_args(parser, 500_000, 120.0)
 
 
 def _add_engine_args(parser: argparse.ArgumentParser):
@@ -53,12 +76,6 @@ def _add_engine_args(parser: argparse.ArgumentParser):
         choices=list(STRATEGIES),
         default="bfs",
         help="exploration strategy (default: bfs)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for parallel BFS (the other strategies run in-process)",
     )
     parser.add_argument(
         "--seed", type=int, default=0,
@@ -84,7 +101,6 @@ def _add_engine_args(parser: argparse.ArgumentParser):
 def _engine(args, spec, **overrides) -> ExplorationEngine:
     kwargs = dict(
         strategy=getattr(args, "strategy", "bfs"),
-        workers=getattr(args, "workers", 1),
         seed=getattr(args, "seed", 0),
         debug=getattr(args, "debug_deps", False),
         max_states=args.max_states,
@@ -99,13 +115,19 @@ def _print_stats(engine: ExplorationEngine) -> None:
 
 
 def _config(args) -> ZkConfig:
-    return ZkConfig(
-        n_servers=args.servers,
-        max_txns=args.txns,
-        max_crashes=args.crashes,
-        max_partitions=args.partitions,
-        max_epoch=args.max_epoch,
-    )
+    """The ``ZkConfig`` the flags ask for; an impossible one (no servers,
+    a negative bound) ends the run with exit 2."""
+    try:
+        return ZkConfig(
+            n_servers=args.servers,
+            max_txns=args.txns,
+            max_crashes=args.crashes,
+            max_partitions=args.partitions,
+            max_epoch=args.max_epoch,
+        )
+    except ValueError as error:
+        print(f"{args.command}: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def cmd_check(args) -> int:
@@ -196,7 +218,11 @@ def _load_request(source: str):
 
     from repro.remix.request import CampaignRequest
 
-    text = sys.stdin.read() if source == "-" else open(source).read()
+    if source == "-":
+        text = sys.stdin.read()
+    else:
+        with open(source) as fh:
+            text = fh.read()
     data = json.loads(text)
     if isinstance(data, dict) and "request" in data:
         data = data["request"]
@@ -758,14 +784,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.set_defaults(fn=cmd_worker)
 
     p_hunt = sub.add_parser("bugs", help="hunt the six paper bugs")
-    p_hunt.add_argument("--max-states", type=int, default=1_000_000)
-    p_hunt.add_argument("--max-time", type=float, default=240.0)
+    _add_budget_args(p_hunt, 1_000_000, 240.0)
     _add_engine_args(p_hunt)
     p_hunt.set_defaults(fn=cmd_hunt)
 
     p_proto = sub.add_parser("protocol", help="verify the Zab variants (§5.4)")
-    p_proto.add_argument("--max-states", type=int, default=300_000)
-    p_proto.add_argument("--max-time", type=float, default=180.0)
+    _add_budget_args(p_proto, 300_000, 180.0)
     _add_engine_args(p_proto)
     p_proto.set_defaults(fn=cmd_protocol)
 

@@ -32,7 +32,7 @@ class Schema:
     Schemas are interned by name tuple: ``Schema(names)`` returns the
     same object for the same names, so the identity comparison in
     :meth:`State.__eq__` keeps working for states rebuilt in another
-    process (the parallel checker) or restored from a pickle.
+    process (a campaign worker) or restored from a pickle.
 
     The intern table holds its entries *weakly*: a schema stays interned
     for exactly as long as something (a state, a spec) still references

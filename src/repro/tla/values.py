@@ -114,8 +114,8 @@ class Rec(tuple):
 
     def __reduce__(self):
         # Rebuild from the item tuple: the pickle form stays independent
-        # of the per-shape classes (the parallel checker ships Rec-bearing
-        # value tuples between worker processes).
+        # of the per-shape classes (the on-disk spec cache pickles
+        # Rec-bearing prefix traces for other processes to load).
         return (_rec_from_items, (self._items,))
 
     def replace(self, **updates: Any) -> "Rec":

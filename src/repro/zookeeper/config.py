@@ -114,6 +114,16 @@ class ZkConfig:
     max_msg_faults: int = 0
     variant: SpecVariant = field(default_factory=SpecVariant)
 
+    def __post_init__(self):
+        # Neither a cluster without servers nor a negative bound is a
+        # model: reject them rather than check something else and report
+        # its verdict.
+        if self.n_servers < 1:
+            raise ValueError(f"n_servers must be at least 1, got {self.n_servers}")
+        for name in ("max_txns", "max_crashes", "max_partitions", "max_epoch", "max_msg_faults"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+
     @property
     def servers(self) -> Tuple[int, ...]:
         return tuple(range(self.n_servers))

@@ -127,24 +127,21 @@ def check_spec(
     config: Optional[ZkConfig] = None,
     *,
     strategy: str = "bfs",
-    workers: int = 1,
     masked: bool = True,
     **engine_kwargs,
 ):
     """Model-check a specification (or a Table 1 spec name) on the
     unified exploration engine.
 
-    ``check_spec("mSpec-3", cfg, workers=2)``; ``masked=True`` applies
-    the ZK-4394 mask (the paper's default).
+    ``check_spec("mSpec-3", cfg, max_states=8000)``; ``masked=True``
+    applies the ZK-4394 mask (the paper's default).
     """
     from repro.checker.engine import ExplorationEngine
 
     if isinstance(spec, str):
         spec = make_spec(spec, config)
     engine_kwargs.setdefault("mask", zk4394_mask if masked else None)
-    return ExplorationEngine(
-        spec, strategy=strategy, workers=workers, **engine_kwargs
-    ).run()
+    return ExplorationEngine(spec, strategy=strategy, **engine_kwargs).run()
 
 
 def build_spec(

@@ -9,14 +9,13 @@ import time
 
 import pytest
 
-from repro.checker import parallel
 from repro.checker.backends import (
     BACKENDS,
     InlineBackend,
     create_backend,
     resolve_handler,
 )
-from repro.checker.backends.fork import ForkBackend, ForkBand
+from repro.checker.backends.fork import ForkBackend, ForkBand, available
 from repro.checker.backends.sockets import SocketBackend, TcpBand
 from repro.checker.backends.supervision import SupervisionPolicy, TaskSupervisor
 from repro.checker.backends.testing import chaos_backend
@@ -85,7 +84,7 @@ class TestCreateBackend:
         assert backend.name == "inline"
         backend.close()
 
-    @pytest.mark.skipif(not parallel.available(), reason="needs fork")
+    @pytest.mark.skipif(not available(), reason="needs fork")
     def test_fork_multi_worker_is_fork(self):
         backend = create_backend("fork", ECHO, 2)
         try:
@@ -130,7 +129,7 @@ def make_backend():
         backend.close()
 
 
-@pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
+@pytest.mark.skipif(not available(), reason="needs subprocesses")
 class TestBackendContract:
     """One contract, whatever runs the task: the same cases over the
     inline backend, the fork band and the TCP band (one dispatch loop),
@@ -269,7 +268,7 @@ class TestSocketBackend:
         with pytest.raises(ValueError, match="spec"):
             SocketBackend(len, workers=1)
 
-    @pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
+    @pytest.mark.skipif(not available(), reason="needs subprocesses")
     def test_killing_every_worker_shows_as_shortfall_at_once(self):
         """A watchdog tick that kills *every* worker must see them all
         missing when it asks how many to respawn: an unreaped SIGKILLed
@@ -289,7 +288,7 @@ class TestSocketBackend:
             band.terminate()
 
 
-@pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
+@pytest.mark.skipif(not available(), reason="needs subprocesses")
 class TestCloseEscalation:
     """``close()`` on a band whose worker is stuck inside a task: the
     farewell frame is never read, so the exit -> SIGTERM -> SIGKILL
@@ -351,7 +350,7 @@ class TestCloseEscalation:
         assert process.poll() is not None  # reaped, not orphaned
 
 
-@pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
+@pytest.mark.skipif(not available(), reason="needs subprocesses")
 class TestBackendIdentity:
     """The acceptance bar: ``--backend socket --workers 2`` produces a
     report bitwise-identical to the fork pool at the same seed."""

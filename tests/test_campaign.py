@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.checker import parallel
+from repro.checker.backends.fork import available
 from repro.remix import spec_cache
 from repro.remix.campaign import (
     CampaignJob,
@@ -193,7 +193,7 @@ class TestDeterminismAndDedup:
         assert first["findings"] == second["findings"]
         assert first["totals"] == second["totals"]
 
-    @pytest.mark.skipif(not parallel.available(), reason="needs fork")
+    @pytest.mark.skipif(not available(), reason="needs fork")
     def test_workers_do_not_change_findings(self):
         seq = small_campaign(workers=1).run().to_json()
         par = small_campaign(workers=2).run().to_json()
@@ -201,7 +201,7 @@ class TestDeterminismAndDedup:
         assert seq["findings"] == par["findings"]
         assert seq["totals"] == par["totals"]
 
-    @pytest.mark.skipif(not parallel.available(), reason="needs fork")
+    @pytest.mark.skipif(not available(), reason="needs fork")
     def test_mixed_direction_campaign_deterministic_across_workers(self):
         kw = dict(directions=("topdown", "bottomup"))
         seq = small_campaign(workers=1, **kw).run().to_json()

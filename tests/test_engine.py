@@ -1,12 +1,10 @@
 """Tests for the unified exploration engine: fingerprinting, the
 kernel-vs-reference-expander differential (guard, outcome and invariant
-memoization soundness), parallel determinism, budgets,
-and shrink round-trips on engine-produced traces."""
+memoization soundness), budgets, and shrink round-trips on
+engine-produced traces."""
 
-import os
 import pickle
 import random
-import signal
 import warnings
 
 import pytest
@@ -20,7 +18,6 @@ from repro.checker import (
     shrink_trace,
     violation_predicate,
 )
-from repro.checker import parallel
 from repro.checker.engine import STRATEGIES, CompiledSpec, compiled_for
 from repro.checker.fingerprint import FingerprintError, canonical_bytes
 from repro.tla.action import Action
@@ -204,16 +201,21 @@ class TestEngineBFS:
         for mode in ("shared", "bogus"):
             with pytest.raises(ValueError, match="removed every mode but 'rounds'"):
                 ExplorationEngine(counter_spec(), dedupe=mode)
+
+    def test_workers_is_accepted_and_runs_sequentially(self):
+        # Like dedupe, the keyword outlives parallel BFS only because
+        # bench/probes.py passes it (with dedupe="rounds", as here):
+        # workers=2 is the sequential run.
         budget = dict(max_states=30, stop_at_first=False)
         seq = ExplorationEngine(counter_spec(max_x=8), **budget).run()
-        par = ExplorationEngine(
-            counter_spec(max_x=8), workers=2, dedupe="rounds", **budget
-        ).run()
-        assert seq.states_explored == par.states_explored == 30
-        assert seq.transitions == par.transitions
-        assert [v.trace.labels for v in seq.violations] == [
-            v.trace.labels for v in par.violations
+        two = ExplorationEngine(counter_spec(max_x=8), workers=2, dedupe="rounds", **budget).run()
+        assert seq.states_explored == 30
+        assert seq.violations
+        assert (seq.states_explored, seq.transitions) == (two.states_explored, two.transitions)
+        assert [(v.invariant.full_name, v.trace.labels) for v in seq.violations] == [
+            (v.invariant.full_name, v.trace.labels) for v in two.violations
         ]
+        assert not hasattr(ExplorationEngine(counter_spec(), workers=2), "workers")
 
 
 class TestEngineStrategies:
@@ -262,63 +264,6 @@ class TestEngineStrategies:
         assert len(result.violations) == 5
         assert result.budget_exhausted == "violation_limit"
         assert not result.completed
-
-
-class TestParallelDeterminism:
-    def test_counter_spec_workers_agree(self):
-        seq = ExplorationEngine(counter_spec(max_x=8, y_bound=99), workers=1).run()
-        par = ExplorationEngine(counter_spec(max_x=8, y_bound=99), workers=2).run()
-        assert seq.states_explored == par.states_explored
-        assert seq.transitions == par.transitions
-        assert seq.max_depth == par.max_depth
-        assert seq.completed and par.completed
-
-    def test_zookeeper_small_config_workers_agree(self):
-        # V391 small config: the parallel engine must report exactly the
-        # sequential violation set and state count.
-        budget = dict(max_states=6_000, max_time=120)
-        seq = check_spec("mSpec-3", SMALL, workers=1, **budget)
-        par = check_spec("mSpec-3", SMALL, workers=2, **budget)
-        assert seq.states_explored == par.states_explored
-        assert seq.transitions == par.transitions
-        assert [
-            (v.invariant.full_name, v.depth) for v in seq.violations
-        ] == [(v.invariant.full_name, v.depth) for v in par.violations]
-
-    @pytest.mark.skipif(not parallel.available(), reason="needs fork")
-    def test_dead_bfs_worker_is_a_truthful_error(self, monkeypatch):
-        """SIGKILL one BFS worker before round 3: the run must end in an
-        error naming the worker and the round -- not a bare EOFError from
-        inside multiprocessing -- with every sibling reaped."""
-        pids = []
-        healthy_round = parallel.WorkerPool.round
-
-        def sabotaged_round(pool, *args):
-            if pool.rounds == 2:
-                pids.extend(pool.band.pid(c) for c in pool.band.connections)
-                os.kill(pids[0], signal.SIGKILL)
-            return healthy_round(pool, *args)
-
-        monkeypatch.setattr(parallel.WorkerPool, "round", sabotaged_round)
-        with pytest.raises(
-            RuntimeError, match=r"BFS worker 0 \(pid \d+\) died in round 3"
-        ) as caught:
-            ExplorationEngine(counter_spec(max_x=8, y_bound=99), workers=2).run()
-        assert len(pids) == 2 and f"pid {pids[0]}" in str(caught.value)
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
-
-    @pytest.mark.slow
-    def test_zookeeper_violation_workers_agree(self):
-        budget = dict(max_states=30_000, max_time=300)
-        seq = check_spec("mSpec-3", SMALL, workers=1, **budget)
-        par = check_spec("mSpec-3", SMALL, workers=4, **budget)
-        assert seq.found_violation and par.found_violation
-        assert seq.states_explored == par.states_explored
-        assert [
-            (v.invariant.full_name, v.depth) for v in seq.violations
-        ] == [(v.invariant.full_name, v.depth) for v in par.violations]
 
 
 class TestEngineOnZooKeeper:
@@ -415,9 +360,7 @@ class TestBudgets:
         "strategy,extra",
         [
             ("bfs", {}),
-            ("bfs", {"workers": 2}),
             ("dfs", {}),
-            ("dfs", {"workers": 2}),  # one in-process loop: workers is moot
             ("random", {}),
         ],
     )
@@ -783,8 +726,7 @@ class TestCompiledKernelLane:
         check_spec("mSpec-3", SMALL, max_states=1_500, max_time=60, debug=True)
 
     I14 = [("I-14/COMMIT_UNMATCHED_IN_SYNC", 13)]
-    #: (states, transitions, max_depth, violations) per (strategy, masked);
-    #: both bfs rows (workers 1 and 2) share one entry.
+    #: (states, transitions, max_depth, violations) per (strategy, masked).
     PINNED = {
         ("bfs", True): (3000, 5337, 14, []),
         ("dfs", True): (3000, 5011, 20, []),
@@ -799,7 +741,6 @@ class TestCompiledKernelLane:
         "strategy,extra",
         [
             ("bfs", {}),
-            ("bfs", {"workers": 2, "dedupe": "rounds"}),
             ("dfs", {"max_depth": 20}),
             # walks revisit states: a small distinct-state budget keeps the
             # cut deterministic (max_states, never max_time)

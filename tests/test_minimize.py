@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.checker import parallel
+from repro.checker.backends.fork import available
 from repro.checker.shrink import shrink_trace, shrink_trace_oracle
 from repro.checker.trace import Trace
 from repro.remix import spec_cache
@@ -252,7 +252,7 @@ class TestCampaignShrink:
         )
         assert payload == {"status": "no_witness"}
 
-    @pytest.mark.skipif(not parallel.available(), reason="needs fork")
+    @pytest.mark.skipif(not available(), reason="needs fork")
     def test_shrink_deterministic_across_workers(self, npe_report):
         parallel_report = ConformanceCampaign(
             CampaignRequest(**NPE_CAMPAIGN, shrink=True, workers=2)

@@ -3,8 +3,13 @@ validation, JSON round-trips, the request-only ``ConformanceCampaign``
 constructor, and the CLI's request surface (``--dry-run`` / ``--request``)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.cli import main
 from repro.remix.campaign import ConformanceCampaign, run_campaign
@@ -221,6 +226,22 @@ class TestCliRequestSurface:
         ) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["schema"].startswith("repro.campaign/")
+
+    def test_request_file_is_closed(self, tmp_path):
+        # -X dev turns on ResourceWarning: reading the file must not leak
+        # its handle.
+        request_file = tmp_path / "request.json"
+        request_file.write_text(json.dumps(CampaignRequest(**TINY).to_json()))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "repro", "campaign",
+             "--request", str(request_file), "--dry-run"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["grains"] == ["mSpec-1"]
+        assert "unclosed file" not in done.stderr
 
     def test_request_file_with_unknown_key_exits_2(self, tmp_path, capsys):
         request_file = tmp_path / "request.json"

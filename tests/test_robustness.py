@@ -17,9 +17,8 @@ import os
 
 import pytest
 
-from repro.checker import parallel
 from repro.checker.backends import create_backend
-from repro.checker.backends.fork import ForkBackend
+from repro.checker.backends.fork import ForkBackend, available
 from repro.checker.backends.sockets import SocketBackend
 from repro.checker.backends.supervision import (
     QUARANTINE,
@@ -123,7 +122,7 @@ class TestSupervisionPolicy:
         assert sup.snapshot() == clean_degraded()["supervision"]
 
 
-@pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
+@pytest.mark.skipif(not available(), reason="needs subprocesses")
 class TestSocketSupervision:
     """What only the TCP band has: the hello/auth handshake.  (Poison,
     watchdog and retry cases are band-independent and live in
@@ -257,7 +256,7 @@ class _KillAfter:
                 raise KeyboardInterrupt
 
 
-@pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
+@pytest.mark.skipif(not available(), reason="needs subprocesses")
 class TestKillAndResume:
     """The tentpole acceptance bar: kill a journaled campaign at ~50%,
     resume, and get the uninterrupted report bit for bit."""
@@ -305,7 +304,7 @@ class TestKillAndResume:
             )
 
 
-@pytest.mark.skipif(not parallel.available(), reason="needs subprocesses")
+@pytest.mark.skipif(not available(), reason="needs subprocesses")
 class TestChaosLane:
     """Fault-inject the harness itself; the report must not notice."""
 

@@ -5,7 +5,6 @@ What must hold: a code stands for exactly one value (``values[slot]
 [codes[slot][v]] == v``) and its digest is the fingerprinter's, so every
 fingerprint, enumeration and walk is the one the values gave; equal
 values are one value (the contract the outcome memo always relied on);
-codes stay inside one process (``WorkerPool`` translates at the pipe);
 two threads minting into one resident compile never hand out one code
 for two values; a repeated campaign request mints nothing; and an
 outcome memo stores only what varies -- its change pairs are the value
@@ -26,16 +25,13 @@ from repro.remix.campaign import CampaignRequest, run_campaign
 from repro.remix.registry import registered_systems, system_plugin
 from repro.tla.values import Rec
 
-from repro.zookeeper.specs import HUNTS, SELECTIONS, build_spec, hunt_spec
+from repro.zookeeper.specs import SELECTIONS, build_spec
 
-from test_engine import SMALL, TestCompiledKernelLane, check_spec
+from test_engine import SMALL, TestCompiledKernelLane
 from test_guards import compositions
 from test_kernels import counter_spec, run_sig
 
 SEEDS = (7, 1007, 3, 42, 99)
-
-#: Hunts whose BFS needs 50k-110k states: deselected by default (``-m slow``).
-BIG_HUNTS = {"ZK-4643", "ZK-4646", "ZK-4712"}
 
 
 def table_defects(core):
@@ -193,44 +189,6 @@ class TestSameAnswers:
                 labels.append(label)
             assert walked.labels == labels, (grain, seed)
             assert walked.final == state
-
-    @pytest.mark.parametrize(
-        "bug",
-        [
-            pytest.param(bug, marks=pytest.mark.slow) if bug in BIG_HUNTS else bug
-            for bug in sorted(HUNTS)
-        ],
-    )
-    def test_two_workers_find_the_hunts_counterexamples(self, bug):
-        # The pool's merge dedupes on the parent's own ``seen`` and links
-        # each accepted state by index; the counterexample it walks back
-        # must be the sequential one, label for label and state for state.
-        spec, mask = hunt_spec(bug)
-        sequential, parallel = (
-            ExplorationEngine(spec, mask=mask, workers=workers).run() for workers in (1, 2)
-        )
-        assert run_sig(parallel) == run_sig(sequential)
-        assert sequential.violations
-        for mine, theirs in zip(parallel.violations, sequential.violations):
-            assert mine.trace.labels == theirs.trace.labels
-            assert mine.trace.states == theirs.trace.states
-
-    def test_two_workers_equal_one_bitwise(self):
-        # Codes never cross the pipe: the parent decodes its shard, each
-        # worker encodes into its own table, and the answer -- counts and
-        # counterexample states -- is the sequential one.
-        results = [
-            check_spec(
-                "mSpec-1", SMALL, workers=workers, masked=False, max_states=3_000, max_time=120
-            )
-            for workers in (1, 2)
-        ]
-        sequential, parallel = results
-        assert run_sig(parallel) == run_sig(sequential)
-        assert sequential.violations
-        assert [v.trace.states for v in parallel.violations] == [
-            v.trace.states for v in sequential.violations
-        ]
 
 
 def bfs_specs():
