@@ -70,13 +70,13 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Callable, Dict, List, Set, Tuple
 
-from repro.tla.guards import Atom, Path, condition, expression, paths
+from repro.tla.guards import CONTAINERS, Atom, Const, Path, condition, expression, paths
 from repro.tla.state import State
 
 # Version tag of the kernel emitter.  Mixed into the spec_cache on-disk
 # digest (upgrading the emitter must orphan stale artifacts) and reported
 # by ``CompiledSpec.memo_stats``.
-CODEGEN_VERSION = 12
+CODEGEN_VERSION = 13
 
 
 def _key_expr(slots: Tuple[int, ...], var: str = "c") -> str:
@@ -133,10 +133,31 @@ def make_outcome_compiler(core: Any) -> Callable:
     return compile_outcome
 
 
-def _emit_guard_prefixes(w: Callable[[str], None], core: Any) -> None:
+def _container_constants(core: Any) -> Dict[Any, str]:
+    """A kernel parameter name per distinct tuple or frozenset constant
+    the live guard prefixes mention, in order of first mention.
+
+    Bound once per emission, these are neither rebuilt per row nor
+    spelled into the kernel text: a frozenset's ``repr`` follows hash
+    order, so text that held one would change with ``PYTHONHASHSEED`` and
+    miss the compile bundle it was stored under."""
+    names: Dict[Any, str] = {}
+    for prefix in core.guard_prefixes:
+        for atom in () if prefix.dead else prefix.atoms:
+            right = atom.test.right
+            if isinstance(right, Const) and type(right.value) in CONTAINERS:
+                names.setdefault(right.value, f"k{len(names)}")
+    return names
+
+
+def _emit_guard_prefixes(
+    w: Callable[[str], None], core: Any, constants: Dict[Any, str]
+) -> None:
     """Emit every instance's guard prefix (:mod:`repro.tla.guards`) as the
     first thing an entry does: an instance whose prefix fails is OR-ed
     into the known-disabled mask ``d`` for the price of the comparison.
+    A literal operand is spelled in place, a container one is read from
+    its parameter (``constants``).
 
     The chains are merged into a trie, so an atom a dozen handlers share
     (``msgs[1][0]`` non-empty) is evaluated once and disables the whole
@@ -192,8 +213,14 @@ def _emit_guard_prefixes(w: Callable[[str], None], core: Any) -> None:
         for (atom, (mask, below)), again in zip(items, reversed(reused)):
             operands = []
             for path in paths(atom):
+                # the longest prefix worth a local, unless a longer one
+                # already has one
                 shared = next(
-                    (path[:n] for n in range(len(path), 0, -1) if path[:n] in again),
+                    (
+                        path[:n]
+                        for n in range(len(path), 0, -1)
+                        if path[:n] in again or path[:n] in bound
+                    ),
                     None,
                 )
                 if shared is not None and shared not in bound:
@@ -201,6 +228,10 @@ def _emit_guard_prefixes(w: Callable[[str], None], core: Any) -> None:
                     w(f"{pad}{local} = {source(shared, bound)}")
                     bound[shared] = local
                 operands.append(source(path, bound))
+            right = atom.test.right
+            if isinstance(right, Const):
+                value = right.value
+                operands.append(constants[value] if type(value) in CONTAINERS else repr(value))
             if below:
                 w(f"{pad}if {condition(atom, *operands)}:")
                 emit(below, pad + "    ", dict(bound))
@@ -256,6 +287,8 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     for g, memo in enumerate(core.outcome_memos):
         binds[f"omemo{g}"] = memo
         binds[f"oget{g}"] = memo.get
+    constants = _container_constants(core)
+    binds.update((name, value) for value, name in constants.items())
 
     # Classification fuses into the candidate loop only when every verdict
     # is memoizable by a declared-reads projection: a mask/constraint with
@@ -327,7 +360,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     w("        st = None")
     w("        raw = []")
 
-    _emit_guard_prefixes(w, core)
+    _emit_guard_prefixes(w, core, constants)
     # Bits a group sets along the way are its own members', so one
     # complement serves every group's "is anyone left to ask" test.
     w("        nd = ~d")

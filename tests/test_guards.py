@@ -2,6 +2,10 @@
 ties a prefix to the declared reads, the differential sweep over every
 shipped composition, and a mutated atom caught by ``--debug-deps``."""
 
+import json
+import os
+import subprocess
+import sys
 import warnings
 from functools import partial
 
@@ -11,8 +15,10 @@ from repro.checker import ExplorationEngine
 from repro.checker import engine as engine_module
 from repro.checker.engine import CompiledSpec, compiled_for, kernel_trusted
 from repro.remix.registry import registered_systems, system_plugin
-from repro.tla import guards
+import repro
+from repro.tla import codegen, guards
 from repro.tla.guards import NO_PREFIX, Atom, Const, guard_prefix, render, variables
+from repro.tla.values import Rec
 from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec
 from repro.zookeeper import zk4394_mask
 from repro.zookeeper.specs import HUNTS, SELECTIONS, build_spec, hunt_spec
@@ -21,6 +27,7 @@ from test_engine import SMALL, random_spec
 from test_kernels import counter_spec, lying_spec, run_sig
 
 NAMES = ("x", "y", "z", "box")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def prefix_of(fn, reads=frozenset(NAMES)):
@@ -60,11 +67,17 @@ class TestTracer:
         [
             lambda value: len(value) > 1,
             lambda value: any(True for _ in value),
-            lambda value: 1 in value,
-            lambda value: value in {1, 2},
+            lambda value: value in {1, 2},  # a path is hashed
+            lambda value: value in {1: "a"},
+            lambda value: value[0] in value,  # a path in a path
             lambda value: value + 1 > 2,
             lambda value: value[1:],
-            lambda value: value == (1, 2),  # a non-literal operand
+            lambda value: value == Rec(kind="A"),  # a non-constant operand
+            lambda value: Rec(kind="A") in value,
+            lambda value: value == [1, 2],
+            lambda value: [1] in value,
+            lambda value: value == {1, 2},
+            lambda value: (1, [2]) in value,
             lambda value: value.count(1),  # a call
             lambda value: f"{value}" == "1",
         ],
@@ -80,6 +93,78 @@ class TestTracer:
             return {}
 
         assert rendered(fn) == ["x == 1"]
+
+    @pytest.mark.parametrize(
+        "modelled, atoms",
+        [
+            (lambda value: 1 in value, ["1 in y"]),
+            (lambda value: "a" not in value, ["'a' not in y"]),
+            (lambda value: frozenset((2, 1)) not in value, ["frozenset({1, 2}) not in y"]),
+            # spelled in sorted order, not in hash order
+            (lambda value: frozenset("ba") in value, ["frozenset({'a', 'b'}) in y"]),
+            (lambda value: value == (1, ("a",)), ["y == (1, ('a',))"]),
+            (lambda value: value != frozenset(), ["y != frozenset()"]),
+            (lambda value: value in (1, "a", None), ["y in (1, 'a', None)"]),
+            (lambda value: value not in (1, 2), ["y != 1", "y != 2"]),
+        ],
+    )
+    def test_modelled_idioms_are_atoms(self, modelled, atoms):
+        def fn(config, state):
+            if state.x != 1:
+                return None
+            if not modelled(state.y):
+                return None
+            if state.z != 2:
+                return None
+            return {}
+
+        assert rendered(fn) == ["x == 1"] + atoms + ["z == 2"]
+
+    def test_a_disjunction_folds_only_where_its_members_go_on_alike(self):
+        def alike(config, state):
+            if state.x == 1:
+                pass
+            elif state.x != 2:
+                return None
+            if state.y != 3:
+                return None
+            return {}
+
+        def apart(config, state):
+            if state.x == 1:
+                if state.y != 3:
+                    return None
+            elif state.x != 2:
+                return None
+            return {}
+
+        def elsewhere(config, state):
+            if state.x != 1 and state.y != 2:
+                return None
+            return {}
+
+        assert rendered(alike) == ["x in (1, 2)", "y == 3"]
+        assert prefix_of(apart) == NO_PREFIX
+        assert prefix_of(elsewhere) == NO_PREFIX
+
+    def test_later_atoms_hold_on_every_way_through_a_disjunction(self):
+        # ``z == 4`` is only asked when ``x == 1``: not an atom.
+        def fn(config, state):
+            if state.x == 1:
+                if state.y != 3:
+                    return None
+                if state.z != 4:
+                    return None
+            elif state.x == 2:
+                if state.y != 3:
+                    return None
+                if not state.box:
+                    return None
+            else:
+                return None
+            return {}
+
+        assert rendered(fn) == ["x in (1, 2)", "y == 3"]
 
     def test_signals_are_not_exceptions(self):
         # A spec helper's ``except Exception`` must not turn an
@@ -149,15 +234,6 @@ class TestTracer:
         assert prefix_of(never).dead
         assert prefix_of(partial(not_even_asked, i=0, j=0)).dead
         assert rendered(partial(not_even_asked, i=0, j=1)) == ["x"]
-
-    def test_a_disjunction_ends_the_prefix(self):
-        # ``x in (1, 2)``: neither answer of ``x == 1`` returns at once.
-        def fn(config, state):
-            if state.x not in (1, 2):
-                return None
-            return {}
-
-        assert prefix_of(fn) == NO_PREFIX
 
     def test_a_raising_function_keeps_the_applier_call(self):
         def broken(config, state):
@@ -266,6 +342,13 @@ class TestStructuralRule:
 
         assert prefix_of(step, reads=()) == NO_PREFIX
 
+    def test_a_membership_outside_the_declared_reads_is_dropped(self):
+        def step(config, state):
+            return {"x": 1} if 1 in state.box else None
+
+        assert rendered(step, reads={"x", "box"}) == ["1 in box"]
+        assert prefix_of(step, reads={"x"}) == NO_PREFIX
+
 
 class TestMutatedAtomIsCaught:
     def test_debug_deps_names_the_action(self, monkeypatch):
@@ -288,6 +371,149 @@ class TestMutatedAtomIsCaught:
         engine = ExplorationEngine(spec, max_states=500, debug=True)
         with pytest.raises(AssertionError, match="action ElectionAndDiscovery"):
             engine.run()
+
+    @pytest.mark.parametrize(
+        "op, variable, action",
+        # raft-fine: ``j not in votes[i]`` is GrantVote's alone, and
+        # ``role[i] in (FOLLOWER, CANDIDATE)`` BecomeCandidate's
+        [("contains", "votes", "GrantVote"), ("in", "role", "BecomeCandidate")],
+    )
+    def test_debug_deps_names_a_flipped_idiom(self, monkeypatch, op, variable, action):
+        def flipped(applier, config, names, reads):
+            prefix = guard_prefix(applier, config, names, reads)
+            return prefix._replace(
+                atoms=tuple(
+                    atom._replace(passing=not atom.passing)
+                    if atom.test.op == op and variables(atom) == {variable}
+                    else atom
+                    for atom in prefix.atoms
+                )
+            )
+
+        monkeypatch.setattr(engine_module, "guard_prefix", flipped)
+        monkeypatch.setenv("REPRO_SPEC_CACHE_DIR", "off")
+        plugin = system_plugin("raft")
+        spec = plugin.make_spec("raft-fine", plugin.default_config())
+        engine = ExplorationEngine(spec, max_states=500, debug=True)
+        with pytest.raises(AssertionError, match=f"action {action}"):
+            engine.run()
+
+
+class TestKernelText:
+    def test_kernel_text_does_not_depend_on_the_hash_seed(self):
+        # A frozenset constant spelled into the text would list its items
+        # in hash order, and a kernel stored by one process would be stale
+        # in the next.
+        script = (
+            "import json\n"
+            "from repro.checker.engine import compiled_for\n"
+            "from repro.remix.registry import registered_systems, system_plugin\n"
+            "from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec\n"
+            "from repro.zookeeper import ZkConfig\n"
+            "from repro.zookeeper.specs import SELECTIONS, build_spec\n"
+            "plugins = [system_plugin(system) for system in registered_systems()]\n"
+            "specs = [plugin.make_spec(grain, plugin.default_config())\n"
+            "         for plugin in plugins for grain in plugin.grains]\n"
+            "specs += [build_spec(name, SELECTIONS[name], ZkConfig()) for name in SELECTIONS]\n"
+            "specs += [zab_spec(ZabConfig(variant=variant)) for variant in VARIANTS]\n"
+            "print(json.dumps([compiled_for(spec).kernel_source for spec in specs]))\n"
+        )
+        sources = []
+        for seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={
+                    **os.environ,
+                    "PYTHONPATH": SRC,
+                    "PYTHONHASHSEED": seed,
+                    "REPRO_SPEC_CACHE_DIR": "off",
+                },
+            )
+            assert done.returncode == 0, done.stderr
+            sources.append(json.loads(done.stdout))
+        assert len(sources[0]) == 13
+        # the constants are bound, not spelled
+        assert any("k0=_k0" in text for text in sources[0])
+        assert not any("frozenset" in text for text in sources[0])
+        assert sources[0] == sources[1]
+
+
+def count_applier_calls(monkeypatch):
+    """Wrap every applier a kernel binds in a counter, as the mechanism
+    ledger's probe does; the cell holds the calls so far."""
+    calls = [0]
+    emit = codegen.emit_kernel
+
+    def counted(fn):
+        def call(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        call.counted = True
+        return call
+
+    def emit_counting(core):
+        if not all(getattr(fn, "counted", False) for fn in core.appliers):
+            core.appliers = [counted(fn) for fn in core.appliers]
+        return emit(core)
+
+    monkeypatch.setattr(codegen, "emit_kernel", emit_counting)
+    monkeypatch.setenv("REPRO_SPEC_CACHE_DIR", "off")
+    return calls
+
+
+class TestPinnedCounts:
+    """Losing an atom fails here, not only as a slower run."""
+
+    #: ``memo_stats()["guard_prefixes"]``: (with_prefix, atoms, dead).
+    PREFIXES = {
+        "raft-raft-coarse": (39, 114, 3),  # (36, 64, 3) before membership
+        "raft-raft-fine": (42, 123, 0),  # (36, 66, 0)
+        "zookeeper-mSpec-1": (108, 276, 3),  # (102, 234, 3)
+        "zookeeper-mSpec-2": (120, 300, 3),  # (114, 258, 3)
+        "zookeeper-mSpec-3": (132, 330, 3),  # (126, 288, 3)
+        "SysSpec": (141, 369, 0),  # (135, 330, 0)
+        "mSpec-1": (108, 276, 3),
+        "mSpec-2": (120, 300, 3),
+        "mSpec-3": (132, 330, 3),
+        "mSpec-4": (165, 423, 0),  # (159, 384, 0)
+        "zab-original": (66, 216, 27),
+        "zab-improved": (72, 258, 21),
+        "zab-epoch_first": (72, 252, 21),
+    }
+
+    #: (applier calls, expansions); before membership, constant
+    #: containers and disjunctions: (12 606, 1 331), (7 872, 1 379) and
+    #: (10 638, 2 227).
+    CALLS = {
+        "raft-coarse@4000": (8_881, 1_331),
+        "raft-fine@4000": (3_841, 1_379),
+        "ZK-4394": (9_061, 2_227),
+    }
+
+    @pytest.mark.parametrize("make", compositions())
+    def test_prefix_counts(self, make, request, monkeypatch):
+        monkeypatch.setenv("REPRO_SPEC_CACHE_DIR", "off")
+        stats = CompiledSpec(make()).memo_stats()["guard_prefixes"]
+        name = request.node.callspec.id
+        assert (stats["with_prefix"], stats["atoms"], stats["dead"]) == self.PREFIXES[name]
+
+    @pytest.mark.parametrize("run", sorted(CALLS))
+    def test_applier_calls_per_expansion(self, run, monkeypatch):
+        calls = count_applier_calls(monkeypatch)
+        if run.startswith("ZK-"):
+            spec, mask = hunt_spec(run)
+            engine = ExplorationEngine(spec, mask=mask)
+        else:
+            grain, budget = run.split("@")
+            plugin = system_plugin("raft")
+            spec = plugin.make_spec(grain, plugin.default_config())
+            engine = ExplorationEngine(spec, max_states=int(budget))
+        engine.run()
+        assert (calls[0], engine.core.expand_calls) == self.CALLS[run]
 
 
 class TestHonestCounters:
