@@ -13,7 +13,7 @@ level -- the full Remix workflow of the paper in a few lines.
 Run:  python examples/quickstart.py
 """
 
-from repro.checker import explore
+from repro.checker import explore, format_trace
 from repro.remix import Coordinator, system_plugin
 from repro.zookeeper import ZkConfig
 
@@ -42,7 +42,7 @@ def main():
     violation = result.first_violation
     assert violation is not None, "expected to find ZK-4394"
     print(f"\nFound: {violation}")
-    print(violation.trace.describe())
+    print(format_trace(violation.trace))
 
     print("\nConfirming at the code level (deterministic replay) ...")
     coordinator = Coordinator(

@@ -7,8 +7,8 @@ The package provides:
   TLA+: immutable states, guarded actions, modules, and composition with
   interaction-preservation checking.
 - :mod:`repro.checker` -- the explicit-state exploration engine playing
-  the role of TLC: fingerprinted BFS/DFS/random-walk strategies,
-  optional multiprocess frontier sharding.
+  the role of TLC: fingerprinted BFS/DFS/random-walk strategies on one
+  sequential successor path.
 - :mod:`repro.zab` -- the Zab protocol specification and the improved
   protocol of the paper's Section 5.4.
 - :mod:`repro.zookeeper` -- the multi-grained ZooKeeper system
@@ -17,7 +17,8 @@ The package provides:
 - :mod:`repro.impl` -- a deterministic ZooKeeper implementation simulator
   with the six paper bugs, used for conformance checking.
 - :mod:`repro.remix` -- the Remix framework: spec registry, composer,
-  deterministic-replay coordinator and conformance checker.
+  deterministic-replay coordinator and the conformance campaign
+  (one way in: ``run_campaign(CampaignRequest)``).
 - :mod:`repro.analysis` -- effort metrics (Table 3) and the bug lineage
   graph (Figure 8).
 """

@@ -1,6 +1,7 @@
 """Explicit-state model checkers built on the unified exploration engine:
-BFS (the TLC substitute), DFS, random walk, coverage, shrinking and
-rendering."""
+BFS (the TLC substitute), DFS, random walk, coverage and rendering.  The
+delta-debugging loop behind the campaign's shrink stage lives in
+:mod:`repro.checker.shrink`."""
 
 from repro.checker.coverage import CoverageReport, measure_coverage
 from repro.checker.engine import (
@@ -14,13 +15,7 @@ from repro.checker.fingerprint import Fingerprinter, IncrementalFingerprinter
 from repro.checker.pretty import format_state, format_trace
 from repro.checker.random_walk import RandomWalker
 from repro.checker.result import CheckResult, Violation
-from repro.checker.shrink import (
-    TraceOracle,
-    shrink_trace,
-    shrink_trace_oracle,
-    violation_predicate,
-)
-from repro.checker.trace import Trace, traces_project_equal
+from repro.checker.trace import Trace
 
 __all__ = [
     "CheckResult",
@@ -33,14 +28,9 @@ __all__ = [
     "STRATEGIES",
     "compiled_for",
     "Trace",
-    "TraceOracle",
     "Violation",
     "explore",
     "format_state",
     "format_trace",
     "measure_coverage",
-    "shrink_trace",
-    "shrink_trace_oracle",
-    "traces_project_equal",
-    "violation_predicate",
 ]

@@ -2,8 +2,9 @@
 
 The conformance checker (Section 3.5.2) "randomly explores the model-level
 state space to obtain a set of traces under a predefined time budget"; this
-module is that explorer.  Walks are seeded and therefore reproducible,
-matching the deterministic-replay requirement.
+module is that explorer (a campaign's ``--budget`` is the time budget).
+Walks are seeded and therefore reproducible, matching the
+deterministic-replay requirement.
 
 Walks step through the exploration engine's one successor path
 (:meth:`CompiledSpec.step <repro.checker.engine.CompiledSpec.step>`, i.e.
@@ -22,10 +23,9 @@ baselines) are invariant to the engine wiring.
 from __future__ import annotations
 
 import random
-import time
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from repro.checker.engine import CompiledSpec, compiled_for, out_of_time
+from repro.checker.engine import CompiledSpec, compiled_for
 from repro.checker.trace import Trace
 from repro.tla.spec import Specification
 from repro.tla.state import State
@@ -74,26 +74,6 @@ class RandomWalker:
             states.append(state)
         return Trace(states=states, labels=labels)
 
-    def traces(
-        self,
-        count: int = 20,
-        max_steps: int = 30,
-        time_budget: Optional[float] = None,
-        stop_when: Optional[Callable[[State], bool]] = None,
-    ) -> List[Trace]:
-        """A batch of random traces within an optional wall-clock budget.
-
-        ``stop_when`` truncates a walk as soon as the predicate holds
-        (used to stop at states that violate safety, which Remix then
-        replays at the code level for confirmation).
-        """
-        start = time.monotonic()
-        out: List[Trace] = []
-        for _ in range(count):
-            if out_of_time(start, time_budget):
-                break
-            trace = self.walk(max_steps)
-            if stop_when is not None:
-                trace = trace.truncated_at(stop_when)
-            out.append(trace)
-        return out
+    def traces(self, count: int = 20, max_steps: int = 30) -> List[Trace]:
+        """A batch of ``count`` random walks of up to ``max_steps`` steps."""
+        return [self.walk(max_steps) for _ in range(count)]

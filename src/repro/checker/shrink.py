@@ -1,7 +1,7 @@
 """Counterexample shrinking.
 
-BFS already yields minimal-*depth* traces, but traces produced by random
-walks (conformance checking) or DFS carry irrelevant steps.  The shrinker
+BFS already yields minimal-*depth* traces, but the random walks behind a
+conformance campaign's findings carry irrelevant steps.  The shrinker
 greedily deletes steps while an *oracle* still accepts the remainder --
 the standard delta-debugging loop specialized to action traces.  There
 is one loop (:func:`shrink_labels_oracle`), and it resumes rather than
@@ -21,9 +21,7 @@ flavours stack on top of the loop:
   state at ``keep``, a free checkpoint since states are immutable -- then
   the oracle judges the replayed trace as a whole (the top-down
   :class:`~repro.remix.minimize.ConformanceOracle` re-runs it through
-  the code-level coordinator, again from ``keep``);
-- a state predicate (``still_fails``): the shrunk trace must end in a
-  state satisfying it (model-invariant violations).
+  the code-level coordinator, again from ``keep``).
 """
 
 from __future__ import annotations
@@ -34,12 +32,6 @@ from repro.checker.trace import Trace
 from repro.tla.action import ActionLabel
 from repro.tla.spec import Specification
 from repro.tla.state import State
-
-Predicate = Callable[[State], bool]
-
-#: An oracle judging a *replayed* candidate trace: return True when the
-#: candidate still reproduces the failure being minimized.
-TraceOracle = Callable[[Trace], bool]
 
 #: What the loop calls: ``oracle(candidate, keep)`` judges a candidate
 #: *label sequence* whose first ``keep`` labels are the first ``keep`` of
@@ -150,56 +142,3 @@ class ReplayThenJudge:
             return False
         self.accepted = candidate
         return True
-
-
-def shrink_trace_oracle(
-    spec: Specification,
-    trace: Trace,
-    oracle: TraceOracle,
-    max_rounds: int = 10,
-) -> Trace:
-    """Remove steps from ``trace`` while ``oracle`` still accepts the
-    replayed remainder: :func:`shrink_labels_oracle` under a
-    :class:`ReplayThenJudge` oracle (a candidate whose labels no longer
-    replay from the trace's initial state is rejected without being
-    judged).
-    """
-    reproduces = ReplayThenJudge(
-        spec, trace.initial, lambda candidate, keep: oracle(candidate)
-    )
-    shrink_labels_oracle(trace.labels, reproduces, max_rounds)
-    return reproduces.accepted
-
-
-def shrink_trace(
-    spec: Specification,
-    trace: Trace,
-    still_fails: Predicate,
-    max_rounds: int = 10,
-) -> Trace:
-    """Remove steps from ``trace`` while its final state still satisfies
-    ``still_fails`` (e.g. "violates I-8").
-
-    The input is first truncated at the *first* state satisfying the
-    predicate: engine/DFS traces are not always ``stop_when``-truncated
-    the way random-walk ones are, and the violating state can sit
-    mid-trace rather than at the end.
-    """
-    truncated = trace.truncated_at(still_fails)
-    return shrink_trace_oracle(
-        spec, truncated, lambda candidate: still_fails(candidate.final),
-        max_rounds=max_rounds,
-    )
-
-
-def violation_predicate(spec: Specification, ident: str) -> Predicate:
-    """A ``still_fails`` predicate: some instance of the invariant family
-    ``ident`` is violated in the state."""
-    invariants = [inv for inv in spec.invariants if inv.ident == ident]
-    if not invariants:
-        raise KeyError(f"specification has no invariant {ident!r}")
-
-    def predicate(state: State) -> bool:
-        return any(not inv.holds(spec.config, state) for inv in invariants)
-
-    return predicate

@@ -9,7 +9,7 @@ reported as (the TLC counterexample).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import List
 
 from repro.tla.action import ActionLabel
 from repro.tla.state import State
@@ -45,48 +45,3 @@ class Trace:
         """Iterate (pre-state, label, post-state) triples."""
         for i, label in enumerate(self.labels):
             yield self.states[i], label, self.states[i + 1]
-
-    def project(self, variables: FrozenSet[str]) -> Tuple[Tuple, ...]:
-        """Project onto a variable set with stutter condensation
-        (Appendix B.3): consecutive equal projections merge."""
-        out: List[Tuple] = []
-        for state in self.states:
-            projected = state.project(variables)
-            if not out or out[-1] != projected:
-                out.append(projected)
-        return tuple(out)
-
-    def truncated_at(self, predicate) -> "Trace":
-        """The prefix ending at the *first* state satisfying ``predicate``
-        (the whole trace when no state does).
-
-        Random walks truncate at violating states before replay, and the
-        shrinker truncates before delta debugging: engine/DFS traces may
-        pass through the target state mid-trace rather than end on it.
-        """
-        for index, state in enumerate(self.states):
-            if predicate(state):
-                return Trace(
-                    states=self.states[: index + 1],
-                    labels=self.labels[:index],
-                )
-        return self
-
-    def describe(self, max_steps: int = 50) -> str:
-        """Human-readable rendering (for violation reports)."""
-        lines = [f"Trace with {len(self)} steps:"]
-        for i, label in enumerate(self.labels[:max_steps]):
-            lines.append(f"  {i + 1:3d}. {label}")
-        if len(self.labels) > max_steps:
-            lines.append(f"  ... ({len(self.labels) - max_steps} more)")
-        return "\n".join(lines)
-
-
-def traces_project_equal(
-    left: Sequence[Trace], right: Sequence[Trace], variables: FrozenSet[str]
-) -> bool:
-    """Set-equality of projected, condensed traces (the paper's T_S|M_i ==
-    T_S_i|M_i), used in property tests of the coarsening theorem."""
-    left_set = {trace.project(variables) for trace in left}
-    right_set = {trace.project(variables) for trace in right}
-    return left_set == right_set

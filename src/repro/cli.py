@@ -3,10 +3,10 @@
 Exposes the main workflows without writing Python:
 
 - ``check``       model-check one of the Table 1 specifications
-- ``conformance`` run conformance checking against the simulator
-- ``campaign``    run a parallel conformance campaign over the
-                  (grain x scenario x fault x seed) matrix of any
-                  registered system plugin (``--system``)
+- ``campaign``    check model-code conformance: random model traces
+                  replayed in lockstep on the implementation simulator,
+                  over the (grain x scenario x fault x seed) matrix of
+                  any registered system plugin (``--system``)
 - ``serve``       run the long-lived campaign server (streams
                   ``repro.campaign.event/1`` JSON-lines per request)
 - ``client``      send one campaign request to a server and stream
@@ -15,6 +15,7 @@ Exposes the main workflows without writing Python:
 - ``systems``     list the registered system plugins
 - ``bugs``        hunt each of the six paper bugs (a mini Table 4)
 - ``protocol``    verify the Zab protocol variants (§5.4)
+- ``lint``        static spec analysis before anything runs
 - ``efforts``     print the Table 3 effort metrics
 - ``lineage``     print the Figure 8 bug lineage
 
@@ -47,18 +48,27 @@ def _max_states(text: str) -> int:
     return value
 
 
-def _max_time(text: str) -> float:
-    """``--max-time``: finite seconds, at least zero (NaN would turn the
-    clock off)."""
+def _seconds(text: str) -> float:
+    """``--max-time`` and ``serve --heartbeat``: finite seconds, at least
+    zero (NaN would turn the clock off; a heartbeat of 0 is off)."""
     value = float(text)
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {value}")
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    """``serve --request-timeout``: finite seconds above zero (a socket
+    timeout of 0 never waits, and a negative one is refused)."""
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {value}")
+    return value
+
+
 def _add_budget_args(parser: argparse.ArgumentParser, max_states: int, max_time: float):
     parser.add_argument("--max-states", type=_max_states, default=max_states)
-    parser.add_argument("--max-time", type=_max_time, default=max_time)
+    parser.add_argument("--max-time", type=_seconds, default=max_time)
 
 
 def _add_config_args(parser: argparse.ArgumentParser):
@@ -142,43 +152,6 @@ def cmd_check(args) -> int:
         print()
         print(format_trace(result.first_violation.trace))
     return 1 if result.found_violation else 0
-
-
-def cmd_conformance(args) -> int:
-    from repro.checker.random_walk import RandomWalker
-    from repro.impl import Ensemble
-    from repro.remix import Coordinator, mapping_for
-    from repro.zookeeper import V391
-
-    spec = make_spec(args.spec, _config(args))
-    coordinator = Coordinator(
-        mapping_for(SELECTIONS[args.spec]),
-        lambda: Ensemble(args.servers, V391),
-    )
-    results = [
-        coordinator.replay(trace)
-        for trace in RandomWalker(spec, seed=args.seed).traces(
-            count=args.traces, max_steps=args.steps
-        )
-    ]
-    discrepancies = [d for result in results for d in result.discrepancies]
-    bugs = [result for result in results if result.impl_error is not None]
-    print(
-        f"conformance: {len(results)} traces, "
-        f"{sum(result.steps_executed for result in results)} steps replayed, "
-        f"{len(discrepancies)} discrepancies, "
-        f"{len(bugs)} implementation bug reports"
-    )
-    for discrepancy in discrepancies[:10]:
-        print(f"  {discrepancy}")
-    for result in bugs[:10]:
-        error = result.impl_error
-        tag = f" [{error.bug_id}]" if error.bug_id else ""
-        print(
-            f"  implementation bug{tag} at step {result.impl_error_step}: "
-            f"{type(error).__name__}: {error}"
-        )
-    return 1 if discrepancies else 0
 
 
 def request_from_args(args):
@@ -590,21 +563,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(p_check)
     p_check.set_defaults(fn=cmd_check)
 
-    p_conf = sub.add_parser("conformance", help="conformance-check a spec")
-    p_conf.add_argument(
-        "spec", choices=[n for n in SELECTIONS if n not in ("SysSpec", "mSpec-4")]
-    )
-    p_conf.add_argument("--traces", type=int, default=30)
-    p_conf.add_argument("--steps", type=int, default=25)
-    p_conf.add_argument("--seed", type=int, default=0)
-    _add_config_args(p_conf)
-    p_conf.set_defaults(fn=cmd_conformance)
-
     p_camp = sub.add_parser(
         "campaign",
         help="parallel conformance campaign over the fault-scenario matrix",
     )
-    # Axis values are validated by ConformanceCampaign (not argparse
+    # Axis values are validated by CampaignRequest (not argparse
     # choices) so the remix stack stays a lazy import like the other
     # heavy subcommands.
     p_camp.add_argument(
@@ -731,15 +694,17 @@ def build_parser() -> argparse.ArgumentParser:
         "announced as the first stdout line)",
     )
     p_serve.add_argument(
-        "--heartbeat", type=float, default=5.0,
-        help="seconds between heartbeat events on an active stream",
+        "--heartbeat", type=_seconds, default=5.0,
+        help="seconds between heartbeat events on an active stream "
+        "(0 = no heartbeats)",
     )
     p_serve.add_argument(
         "--max-requests", type=int, default=None,
         help="shut down after serving this many requests (CI harness)",
     )
     p_serve.add_argument(
-        "--request-timeout", type=float, default=30.0, metavar="SECONDS",
+        "--request-timeout", type=_positive_seconds, default=30.0,
+        metavar="SECONDS",
         help="seconds a fresh connection gets to send its request line "
         "before it is answered with an error event and closed "
         "(default: 30)",

@@ -3,7 +3,6 @@
 from repro.remix.campaign import (
     CampaignJob,
     CampaignReport,
-    ConformanceCampaign,
     run_campaign,
     validation_findings,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "CampaignReport",
     "CampaignRequest",
     "CampaignServer",
-    "ConformanceCampaign",
     "EVENT_SCHEMA",
     "RequestError",
     "ConformanceOracle",

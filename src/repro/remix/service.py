@@ -97,6 +97,7 @@ from the caches it filled.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 import time
@@ -202,6 +203,16 @@ class CampaignServer:
         max_requests: Optional[int] = None,
         request_timeout: float = 30.0,
     ):
+        # Checked before the listener binds: a bad value would otherwise
+        # kill every connection's handler, or silently stop heartbeats.
+        if not (math.isfinite(heartbeat) and heartbeat >= 0):
+            raise ValueError(
+                f"heartbeat must be finite and at least 0, got {heartbeat}"
+            )
+        if not (math.isfinite(request_timeout) and request_timeout > 0):
+            raise ValueError(
+                f"request_timeout must be finite and above 0, got {request_timeout}"
+            )
         self.heartbeat = heartbeat
         self.max_requests = max_requests
         #: Seconds a fresh connection gets to send its request line; a

@@ -16,7 +16,7 @@ Two facilities, mirroring Section 3.2/3.3 and Appendix B of the paper:
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, Sequence, Set, Tuple
 
 from repro.tla.module import Module, preserved_variables
 from repro.tla.spec import Specification
@@ -68,19 +68,6 @@ def check_interaction_preservation(
             f"touched"
         )
     return preserved
-
-
-def _project_trace(
-    states: Sequence[State], variables: FrozenSet[str]
-) -> Tuple[Tuple, ...]:
-    """Project a state sequence onto ``variables`` and condense stuttering
-    (Appendix B.3): consecutive equivalent states merge into one."""
-    out: List[Tuple] = []
-    for state in states:
-        projected = state.project(variables)
-        if not out or out[-1] != projected:
-            out.append(projected)
-    return tuple(out)
 
 
 def reachable_projections(

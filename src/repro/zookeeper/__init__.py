@@ -14,7 +14,6 @@ from repro.zookeeper.config import (
 from repro.zookeeper.specs import (
     SELECTIONS,
     build_spec,
-    check_spec,
     final_fix_spec,
     make_spec,
     mspec3_plus,
@@ -34,7 +33,6 @@ __all__ = [
     "V391_PLUS_4712",
     "ZkConfig",
     "build_spec",
-    "check_spec",
     "final_fix_spec",
     "make_spec",
     "mspec3_plus",

@@ -122,28 +122,6 @@ def zk4394_mask(state: State) -> bool:
 zk4394_mask.reads = frozenset({"errors"})
 
 
-def check_spec(
-    spec,
-    config: Optional[ZkConfig] = None,
-    *,
-    strategy: str = "bfs",
-    masked: bool = True,
-    **engine_kwargs,
-):
-    """Model-check a specification (or a Table 1 spec name) on the
-    unified exploration engine.
-
-    ``check_spec("mSpec-3", cfg, max_states=8000)``; ``masked=True``
-    applies the ZK-4394 mask (the paper's default).
-    """
-    from repro.checker.engine import ExplorationEngine
-
-    if isinstance(spec, str):
-        spec = make_spec(spec, config)
-    engine_kwargs.setdefault("mask", zk4394_mask if masked else None)
-    return ExplorationEngine(spec, strategy=strategy, **engine_kwargs).run()
-
-
 def build_spec(
     name: str,
     selection: Dict[str, str],

@@ -11,14 +11,15 @@ from repro.remix.campaign import (
     CampaignJob,
     CampaignReport,
     CampaignRequest,
-    ConformanceCampaign,
     RequestError,
+    campaign_jobs,
     canonical_value,
     dedup_min_traces,
     finding_fingerprint,
     merge_cells,
     new_fingerprints,
     parse_budget,
+    run_campaign,
     run_cell,
 )
 from repro.remix.registry import system_plugin
@@ -37,7 +38,7 @@ def fresh_cache():
     spec_cache.clear()
 
 
-def small_campaign(**overrides):
+def small_request(**overrides):
     kwargs = dict(
         grains=("mSpec-1",),
         scenarios=("election", "broadcast"),
@@ -47,13 +48,12 @@ def small_campaign(**overrides):
         seed=7,
     )
     kwargs.update(overrides)
-    return ConformanceCampaign(CampaignRequest(**kwargs))
+    return CampaignRequest(**kwargs)
 
 
 class TestMatrix:
     def test_default_matrix_size(self):
-        campaign = ConformanceCampaign(CampaignRequest(seeds=2))
-        jobs = campaign.jobs()
+        jobs = campaign_jobs(CampaignRequest(seeds=2))
         expected = (
             len(PLUGIN.grains)
             * len(PLUGIN.scenario_prefixes)
@@ -66,7 +66,7 @@ class TestMatrix:
     def test_scenario_fault_cells_at_least_12(self):
         cells = {
             (job.scenario, job.fault)
-            for job in ConformanceCampaign(CampaignRequest()).jobs()
+            for job in campaign_jobs(CampaignRequest())
         }
         assert len(cells) >= 12
 
@@ -101,10 +101,8 @@ class TestMatrix:
             CampaignRequest(directions=("sideways",))
 
     def test_both_directions_double_the_matrix(self):
-        single = ConformanceCampaign(CampaignRequest()).jobs()
-        both = ConformanceCampaign(
-            CampaignRequest(directions=("topdown", "bottomup"))
-        ).jobs()
+        single = campaign_jobs(CampaignRequest())
+        both = campaign_jobs(CampaignRequest(directions=("topdown", "bottomup")))
         assert len(both) == 2 * len(single)
         assert [job.direction for job in both[: len(single)]] == [
             "topdown"
@@ -187,16 +185,16 @@ class TestCellExecution:
 
 class TestDeterminismAndDedup:
     def test_fixed_seed_reproducible(self):
-        first = small_campaign().run().to_json()
-        second = small_campaign().run().to_json()
+        first = run_campaign(small_request()).to_json()
+        second = run_campaign(small_request()).to_json()
         assert first["cells"] == second["cells"]
         assert first["findings"] == second["findings"]
         assert first["totals"] == second["totals"]
 
     @pytest.mark.skipif(not available(), reason="needs fork")
     def test_workers_do_not_change_findings(self):
-        seq = small_campaign(workers=1).run().to_json()
-        par = small_campaign(workers=2).run().to_json()
+        seq = run_campaign(small_request(workers=1)).to_json()
+        par = run_campaign(small_request(workers=2)).to_json()
         assert seq["cells"] == par["cells"]
         assert seq["findings"] == par["findings"]
         assert seq["totals"] == par["totals"]
@@ -204,17 +202,17 @@ class TestDeterminismAndDedup:
     @pytest.mark.skipif(not available(), reason="needs fork")
     def test_mixed_direction_campaign_deterministic_across_workers(self):
         kw = dict(directions=("topdown", "bottomup"))
-        seq = small_campaign(workers=1, **kw).run().to_json()
-        par = small_campaign(workers=2, **kw).run().to_json()
+        seq = run_campaign(small_request(workers=1, **kw)).to_json()
+        par = run_campaign(small_request(workers=2, **kw)).to_json()
         assert seq["cells"] == par["cells"]
         assert seq["findings"] == par["findings"]
         assert seq["totals"] == par["totals"]
         assert seq["totals"]["bottomup_findings"] > 0
 
     def test_bottomup_findings_disjoint_from_topdown(self):
-        report = small_campaign(
+        report = run_campaign(small_request(
             directions=("topdown", "bottomup")
-        ).run()
+        ))
         by_direction = {"topdown": set(), "bottomup": set()}
         for finding in report.findings:
             by_direction[finding["direction"]].add(finding["fingerprint"])
@@ -247,24 +245,24 @@ class TestDeterminismAndDedup:
         assert report.totals["distinct_findings"] == 1
 
     def test_finding_counts_aggregate_to_cell_totals(self):
-        report = small_campaign(
+        report = run_campaign(small_request(
             scenarios=("sync",), faults=("crash-restart-follower",),
             grains=("mSpec-2",), traces=2, max_steps=10,
-        ).run()
+        ))
         totals = report.totals
         assert sum(f["count"] for f in report.findings) == (
             totals["discrepancies"] + totals["impl_bugs"]
         )
 
     def test_skipped_jobs_recorded(self):
-        report = small_campaign(budget=1e-9).run()
+        report = run_campaign(small_request(budget=1e-9))
         assert report.totals["skipped"] == report.totals["cells"] > 0
         assert report.findings == []
 
 
 class TestReportSchema:
     def test_json_round_trip(self):
-        report = small_campaign().run()
+        report = run_campaign(small_request())
         blob = json.dumps(report.to_json())
         back = CampaignReport.from_json(json.loads(blob))
         assert back.cells == report.cells
@@ -359,10 +357,10 @@ class TestDiskCache:
         # Cache on == cache off: every grain of both plugins, both
         # directions, shrink on -- reports byte-equal off, cold and warm.
         def report(system):
-            payload = small_campaign(
+            payload = run_campaign(small_request(
                 system=system, grains=None, scenarios=None, faults=None,
                 max_steps=4, directions=("topdown", "bottomup"), shrink=True,
-            ).run().to_json()
+            )).to_json()
             payload["campaign"].pop("elapsed_seconds", None)
             return json.dumps(payload, sort_keys=True)
 

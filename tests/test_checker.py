@@ -3,7 +3,6 @@
 import pytest
 
 from repro.checker import RandomWalker, Trace, explore
-from repro.checker.trace import traces_project_equal
 from repro.tla.action import Action, ActionLabel
 from repro.tla.module import Module
 from repro.tla.spec import Invariant, Specification
@@ -141,20 +140,6 @@ class TestRandomWalker:
         trace = RandomWalker(spec, seed=0).walk(max_steps=50)
         assert len(trace) <= 2  # IncX once, IncY once
 
-    def test_stop_when_truncates(self):
-        spec = counter_spec(y_bound=99)
-        traces = RandomWalker(spec, seed=5).traces(
-            count=10, max_steps=20, stop_when=lambda s: s.x >= 2
-        )
-        for trace in traces:
-            for state in trace.states[:-1]:
-                assert state.x < 2
-
-    def test_zero_time_budget_yields_no_traces(self):
-        # Same wall-clock test as every engine loop (elapsed >= budget).
-        walker = RandomWalker(counter_spec(y_bound=99), seed=0)
-        assert walker.traces(count=5, time_budget=0) == []
-
     def test_walk_states_consistent_with_labels(self):
         spec = counter_spec(y_bound=99)
         trace = RandomWalker(spec, seed=9).walk(max_steps=10)
@@ -175,28 +160,3 @@ class TestTrace:
         steps = list(trace.steps())
         assert steps == [(s0, ActionLabel("IncX"), s1)]
 
-    def test_projection_condenses_stuttering(self):
-        s0 = State.make(SCHEMA, x=0, y=0)
-        s1 = s0.set(y=1)  # invisible when projecting on x
-        s2 = s1.set(x=1)
-        trace = Trace(
-            states=[s0, s1, s2],
-            labels=[ActionLabel("IncY"), ActionLabel("IncX")],
-        )
-        assert trace.project(frozenset({"x"})) == ((0,), (1,))
-
-    def test_traces_project_equal(self):
-        s0 = State.make(SCHEMA, x=0, y=0)
-        t1 = Trace(states=[s0, s0.set(y=1)], labels=[ActionLabel("IncY")])
-        t2 = Trace(states=[s0], labels=[])
-        assert traces_project_equal([t1], [t2], frozenset({"x"}))
-        assert not traces_project_equal([t1], [t2], frozenset({"y"}))
-
-    def test_describe_truncates(self):
-        s0 = State.make(SCHEMA, x=0, y=0)
-        states = [s0.set(x=i) for i in range(6)]
-        trace = Trace(
-            states=states, labels=[ActionLabel("IncX")] * 5
-        )
-        text = trace.describe(max_steps=3)
-        assert "2 more" in text

@@ -1,18 +1,12 @@
-"""Tests for the checker extensions: DFS, coverage, trace shrinking and
-pretty-printing."""
+"""Tests for the checker extensions: DFS, coverage and pretty-printing."""
 
-import pytest
 
 from repro.checker import (
-    RandomWalker,
     explore,
     format_state,
     format_trace,
     measure_coverage,
-    shrink_trace,
-    violation_predicate,
 )
-from repro.checker.trace import Trace
 from repro.tla.action import Action
 from repro.tla.module import Module
 from repro.tla.spec import Invariant, Specification
@@ -119,42 +113,6 @@ class TestCoverage:
         assert (
             report.states_explored, sum(report.fired.values()), report.complete
         ) == (120_001, 319_861, False)
-
-
-class TestShrinking:
-    def test_shrinks_random_walk_to_minimal(self):
-        spec = counter_spec()
-        # find a failing random walk (y reaches 3 eventually)
-        walker = RandomWalker(spec, seed=1)
-        failing = None
-        for _ in range(200):
-            trace = walker.walk(max_steps=30)
-            if any(s.y > 2 for s in trace.states):
-                cut = next(
-                    k for k, s in enumerate(trace.states) if s.y > 2
-                )
-                failing = Trace(
-                    states=trace.states[: cut + 1], labels=trace.labels[:cut]
-                )
-                break
-        assert failing is not None
-        shrunk = shrink_trace(
-            spec, failing, violation_predicate(spec, "I-1")
-        )
-        assert len(shrunk) <= len(failing)
-        assert len(shrunk) == 6  # the true minimum
-        assert shrunk.final.y == 3
-
-    def test_rejects_non_failing_trace(self):
-        spec = counter_spec()
-        init = spec.initial_states()[0]
-        trace = Trace(states=[init], labels=[])
-        with pytest.raises(ValueError):
-            shrink_trace(spec, trace, violation_predicate(spec, "I-1"))
-
-    def test_unknown_invariant(self):
-        with pytest.raises(KeyError):
-            violation_predicate(counter_spec(), "I-99")
 
 
 class TestPretty:

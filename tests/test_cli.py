@@ -54,6 +54,8 @@ class TestParser:
             # campaign --request is the one-shot; "5" must not parse as an
             # abbreviated --request-timeout
             ["serve", "--request", "5"],
+            # `campaign --steps 25` is the one way into conformance
+            ["conformance", "mSpec-3"],
         ],
         ids=" ".join,
     )
@@ -61,6 +63,31 @@ class TestParser:
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--request-timeout", "-1"],
+            ["serve", "--request-timeout", "0"],
+            ["serve", "--request-timeout", "nan"],
+            ["serve", "--request-timeout", "inf"],
+            ["serve", "--heartbeat", "-1"],
+            ["serve", "--heartbeat", "nan"],
+            ["serve", "--heartbeat", "inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_serve_refuses_timeouts_that_would_kill_requests(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {argv[1]}: must be finite" in capsys.readouterr().err
+
+    def test_serve_heartbeat_zero_is_off(self):
+        args = build_parser().parse_args(
+            ["serve", "--heartbeat", "0", "--request-timeout", "0.5"]
+        )
+        assert (args.heartbeat, args.request_timeout) == (0.0, 0.5)
 
     def test_campaign_keeps_workers(self):
         assert build_parser().parse_args(["campaign", "--workers", "2"]).workers == 2
@@ -79,7 +106,6 @@ class TestParser:
                 (["check", "mSpec-3", "--crashes", "-1", "--max-states", "100"],
                  "max_crashes must be at least 0"),
                 (["check", "mSpec-3", "--servers", "0"], "n_servers must be at least 1"),
-                (["conformance", "mSpec-3", "--servers", "0"], "n_servers must be at least 1"),
                 (["check", "mSpec-3", "--max-states", "-5"], "argument --max-states: must be positive"),
                 (["bugs", "--max-states", "0"], "argument --max-states: must be positive"),
                 (["check", "mSpec-3", "--max-states", "100", "--max-time", "nan"],
@@ -144,14 +170,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.count('"mode": "compiled"') == runs
         assert out.count('"expand_calls"') == runs
-
-    def test_conformance(self, capsys):
-        code = main(
-            ["conformance", "mSpec-3", "--traces", "10", "--steps", "15"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "0 discrepancies" in out
 
     def test_efforts(self, capsys):
         assert main(["efforts"]) == 0

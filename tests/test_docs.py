@@ -205,3 +205,31 @@ def test_readme_flag_tables_name_real_flags():
         assert flags, f"README `{command}` flag table is empty"
         unknown = [flag for flag in flags if flag not in accepted]
         assert not unknown, f"README documents `{command}` flags it rejects: {unknown}"
+
+
+REPRO_LINE_RE = re.compile(r"^\s*python -m repro\b(.*)$", re.MULTILINE)
+#: Where the shell takes over from argparse: a pipe, a redirection
+#: (``>``, ``2>``), a background ``&`` or a comment.
+SHELL_CUT_RE = re.compile(r"\s(?:\d?>|[|&#])")
+
+
+def documented_repro_commands(doc):
+    """argv of every ``python -m repro ...`` line in a fenced block of
+    ``doc``, continuation lines joined, cut where the shell takes over."""
+    commands = []
+    for fence in ANY_FENCE_RE.findall(doc.read_text()):
+        for match in REPRO_LINE_RE.finditer(fence.replace("\\\n", " ")):
+            commands.append(SHELL_CUT_RE.split(" " + match.group(1))[0].split())
+    return commands
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+def test_documented_commands_parse(doc):
+    # A deleted subcommand or flag must not survive in the docs.
+    from repro.cli import build_parser
+
+    for argv in documented_repro_commands(doc):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{doc.name}: `python -m repro {' '.join(argv)}` does not parse")

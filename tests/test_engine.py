@@ -1,7 +1,6 @@
 """Tests for the unified exploration engine: fingerprinting, the
 kernel-vs-reference-expander differential (guard, outcome and invariant
-memoization soundness), budgets, and shrink round-trips on
-engine-produced traces."""
+memoization soundness) and budgets."""
 
 import pickle
 import random
@@ -15,8 +14,6 @@ from repro.checker import (
     IncrementalFingerprinter,
     RandomWalker,
     explore,
-    shrink_trace,
-    violation_predicate,
 )
 from repro.checker.engine import STRATEGIES, CompiledSpec, compiled_for
 from repro.checker.fingerprint import FingerprintError, canonical_bytes
@@ -25,7 +22,7 @@ from repro.tla.module import Module
 from repro.tla.spec import Invariant, Specification
 from repro.tla.state import Schema, State
 from repro.tla.values import Rec, Txn, Zxid
-from repro.zookeeper import ZkConfig, check_spec, zk4394_mask
+from repro.zookeeper import ZkConfig, make_spec, zk4394_mask
 
 SCHEMA = Schema(("x", "y"))
 
@@ -257,8 +254,8 @@ class TestEngineStrategies:
         # One recording rule for all three loops: every violated
         # invariant reported, the run carried on past the first and
         # stopped at the limit, which is named as the exhausted budget.
-        result = check_spec(
-            "mSpec-1", SMALL, strategy=strategy, masked=False,
+        result = explore(
+            make_spec("mSpec-1", SMALL), strategy=strategy,
             stop_at_first=False, violation_limit=5, max_time=120,
         )
         assert len(result.violations) == 5
@@ -272,8 +269,9 @@ class TestEngineOnZooKeeper:
         # engine is held to; both arms share the budget semantics, so the
         # comparison is exact.
         budget = dict(max_states=4_000, max_time=120)
-        kernel = check_spec("mSpec-2", SMALL, **budget)
-        reference = check_spec("mSpec-2", SMALL, reference=True, **budget)
+        budget.update(mask=zk4394_mask)
+        kernel = explore(make_spec("mSpec-2", SMALL), **budget)
+        reference = explore(make_spec("mSpec-2", SMALL), reference=True, **budget)
         assert kernel.states_explored == reference.states_explored == 4_000
         assert kernel.transitions == reference.transitions
         assert kernel.max_depth == reference.max_depth
@@ -308,10 +306,9 @@ class TestEngineOnZooKeeper:
             assert result.states_explored == len(values) == 1069
 
     def test_invariant_memoization_is_sound_on_zk(self):
-        fast = check_spec("mSpec-3", SMALL, max_states=4_000, max_time=120)
-        slow = check_spec(
-            "mSpec-3", SMALL, max_states=4_000, max_time=120, reference=True
-        )
+        budget = dict(mask=zk4394_mask, max_states=4_000, max_time=120)
+        fast = explore(make_spec("mSpec-3", SMALL), **budget)
+        slow = explore(make_spec("mSpec-3", SMALL), reference=True, **budget)
         assert fast.states_explored == slow.states_explored
         assert fast.transitions == slow.transitions
         assert [v.invariant.full_name for v in fast.violations] == [
@@ -400,32 +397,6 @@ class TestCompiledSpec:
         bad = State.make(SCHEMA, x=1, y=1)
         viols, masked, ok = core.classify_values(core.encode(bad.values))
         assert viols and not masked and ok
-
-
-class TestShrinkRoundTrip:
-    def test_dfs_trace_shrinks_to_bfs_minimum(self):
-        spec = counter_spec()
-        dfs = explore(spec, strategy="dfs", max_depth=25)
-        assert dfs.found_violation
-        shrunk = shrink_trace(
-            spec, dfs.first_violation.trace, violation_predicate(spec, "I-1")
-        )
-        assert len(shrunk) == 6  # the BFS minimum
-        replayed = spec.replay(shrunk.labels, shrunk.initial)
-        assert replayed == shrunk.states
-        assert shrunk.final.y == 3
-
-    def test_random_trace_shrinks_and_replays(self):
-        spec = counter_spec()
-        result = explore(spec, strategy="random", seed=11, max_states=5_000)
-        assert result.found_violation
-        shrunk = shrink_trace(
-            spec,
-            result.first_violation.trace,
-            violation_predicate(spec, "I-1"),
-        )
-        assert len(shrunk) <= len(result.first_violation.trace)
-        assert spec.replay(shrunk.labels, shrunk.initial)[-1] == shrunk.final
 
 
 def random_spec(seed):
@@ -608,7 +579,10 @@ class TestIncrementalProperties:
         # cross-check (this is what caught the NodeCrash and
         # FollowerSyncProcessorLogRequest undeclared update sources).
         for name in ("SysSpec", "mSpec-3"):
-            check_spec(name, SMALL, max_states=2_500, max_time=60, debug=True)
+            explore(
+                make_spec(name, SMALL), mask=zk4394_mask,
+                max_states=2_500, max_time=60, debug=True,
+            )
 
     def test_debug_mode_catches_untruthful_declaration(self):
         # The update reads y but declares neither reads nor sources for
@@ -709,9 +683,9 @@ class TestCompiledKernelLane:
     def test_zookeeper_compiled_identical(self, strategy):
         sigs = {}
         for reference in (False, True):
-            result = check_spec(
-                "mSpec-3",
-                SMALL,
+            result = explore(
+                make_spec("mSpec-3", SMALL),
+                mask=zk4394_mask,
                 strategy=strategy,
                 max_states=2_000,
                 max_time=60,
@@ -723,7 +697,10 @@ class TestCompiledKernelLane:
     def test_zookeeper_kernel_passes_debug_cross_check(self):
         # --debug-deps re-evaluates every kernel batch against the
         # reference expander.
-        check_spec("mSpec-3", SMALL, max_states=1_500, max_time=60, debug=True)
+        explore(
+            make_spec("mSpec-3", SMALL), mask=zk4394_mask,
+            max_states=1_500, max_time=60, debug=True,
+        )
 
     I14 = [("I-14/COMMIT_UNMATCHED_IN_SYNC", 13)]
     #: (states, transitions, max_depth, violations) per (strategy, masked).
@@ -756,9 +733,8 @@ class TestCompiledKernelLane:
         sigs = {}
         budget = {"max_states": 3_000, "max_time": 120, **extra}
         for reference in (False, True):
-            result = check_spec(
-                "mSpec-1",
-                SMALL,
+            result = explore(
+                make_spec("mSpec-1", SMALL),
                 strategy=strategy,
                 mask=zk4394_mask if masked else None,
                 reference=reference,

@@ -9,13 +9,12 @@ import time
 import pytest
 
 from repro.checker.backends.fork import available
-from repro.checker.shrink import shrink_trace, shrink_trace_oracle
-from repro.checker.trace import Trace
 from repro.remix import spec_cache
 from repro.remix.campaign import (
     CampaignJob,
     CampaignRequest,
-    ConformanceCampaign,
+    campaign_jobs,
+    run_campaign,
     run_cell,
     trace_findings,
 )
@@ -58,12 +57,10 @@ NPE_CAMPAIGN = dict(
 
 @pytest.fixture(scope="module")
 def npe_report():
-    return ConformanceCampaign(
-        CampaignRequest(**NPE_CAMPAIGN, shrink=True)
-    ).run()
+    return run_campaign(CampaignRequest(**NPE_CAMPAIGN, shrink=True))
 
 
-# --------------------------------------------------------- shrinker core
+# ------------------------------------- a toy spec for the shrinker tests
 
 
 SCHEMA = Schema(("x", "y"))
@@ -95,77 +92,6 @@ def counter_spec(max_x=4, y_bound=2):
         [Invariant("I-1", "y bounded", lambda cfg, s: s.y <= y_bound)],
         None,
     )
-
-
-def walk_to(spec, predicate, extra_steps=0):
-    """A trace whose first predicate-satisfying state sits ``extra_steps``
-    before the end (mid-trace when extra_steps > 0, with the final state
-    no longer satisfying the predicate)."""
-    from repro.checker import RandomWalker
-
-    walker = RandomWalker(spec, seed=3)
-    for _ in range(500):
-        trace = walker.walk(max_steps=40)
-        hits = [i for i, s in enumerate(trace.states) if predicate(s)]
-        if not hits:
-            continue
-        cut = hits[0] + extra_steps
-        if cut >= len(trace.states):
-            continue
-        if extra_steps and predicate(trace.states[cut]):
-            continue
-        return Trace(
-            states=trace.states[: cut + 1], labels=trace.labels[:cut]
-        )
-    raise AssertionError("no trace reached the target state")
-
-
-class TestTruncatedAt:
-    def test_truncates_at_first_match(self):
-        spec = counter_spec(max_x=8, y_bound=99)
-        trace = walk_to(spec, lambda s: s.y == 3, extra_steps=4)
-        truncated = trace.truncated_at(lambda s: s.y == 3)
-        assert len(truncated) == len(trace) - 4
-        assert truncated.final.y == 3
-        assert not any(s.y == 3 for s in truncated.states[:-1])
-
-    def test_no_match_returns_self(self):
-        spec = counter_spec()
-        trace = walk_to(spec, lambda s: s.y > 2)
-        assert trace.truncated_at(lambda s: s.y > 99) is trace
-
-
-class TestShrinkMidTraceViolation:
-    def test_mid_trace_violation_shrinks(self):
-        """Engine/DFS traces are not stop_when-truncated: the violating
-        state can sit mid-trace.  This used to raise ValueError."""
-        spec = counter_spec(max_x=8, y_bound=99)
-        predicate = lambda s: s.y == 3  # noqa: E731
-        trace = walk_to(spec, predicate, extra_steps=5)
-        assert not predicate(trace.final)  # genuinely mid-trace
-        shrunk = shrink_trace(spec, trace, predicate)
-        assert len(shrunk) == 6  # the true minimum
-        assert predicate(shrunk.final)
-
-    def test_never_failing_trace_still_rejected(self):
-        spec = counter_spec()
-        init = spec.initial_states()[0]
-        with pytest.raises(ValueError, match="does not reproduce"):
-            shrink_trace(
-                spec, Trace(states=[init], labels=[]), lambda s: s.y > 2
-            )
-
-    def test_oracle_shrink_accepts_arbitrary_trace_predicates(self):
-        """The oracle sees whole replayed traces, not just final states."""
-        spec = counter_spec()
-        trace = walk_to(spec, lambda s: s.y > 2)
-
-        def oracle(candidate):
-            return candidate.final.y == 3 and len(candidate) >= 6
-
-        shrunk = shrink_trace_oracle(spec, trace, oracle)
-        assert len(shrunk) == 6
-        assert shrunk.final.y == 3
 
 
 # -------------------------------------------------- campaign minimization
@@ -205,12 +131,12 @@ class TestCampaignShrink:
             n_servers=3, max_txns=2, max_crashes=1, max_partitions=0,
             max_epoch=3,
         ).with_variant(CONFIG.variant.with_(fix_follower_shutdown=True))
-        report = ConformanceCampaign(
+        report = run_campaign(
             CampaignRequest(
                 grains=("mSpec-1",), scenarios=("election",),
                 faults=("none",), traces=1, max_steps=2, config=custom,
             )
-        ).run()
+        )
         assert config_from_meta(report.to_json()["campaign"]) == custom
         # a meta block without a config falls back to the default
         assert config_from_meta({"system": "zookeeper"}) == CONFIG
@@ -254,9 +180,9 @@ class TestCampaignShrink:
 
     @pytest.mark.skipif(not available(), reason="needs fork")
     def test_shrink_deterministic_across_workers(self, npe_report):
-        parallel_report = ConformanceCampaign(
+        parallel_report = run_campaign(
             CampaignRequest(**NPE_CAMPAIGN, shrink=True, workers=2)
-        ).run()
+        )
         seq, par = npe_report.to_json(), parallel_report.to_json()
         for key in ("cells", "findings", "totals"):
             assert seq[key] == par[key], key
@@ -353,14 +279,12 @@ def test_cell_and_rebuild_derive_the_same_run(system, monkeypatch):
             return original(self, run, index)
 
         monkeypatch.setattr(direction.judge, "judge", recording)
-    campaign = ConformanceCampaign(
-        CampaignRequest(
-            system=system, seed=7, directions=("topdown", "bottomup"),
-            grains=plugin.grains[:1],
-        )
+    request = CampaignRequest(
+        system=system, seed=7, directions=("topdown", "bottomup"),
+        grains=plugin.grains[:1],
     )
     checked = 0
-    for job in campaign.jobs():
+    for job in campaign_jobs(request):
         del judged[:]
         cell = run_cell(job, config)
         runs = list(judged)
@@ -407,7 +331,7 @@ class TestValidationShrink:
         assert replay_min_trace(finding, CONFIG)
 
     def test_campaign_shrink_handles_both_directions(self):
-        report = ConformanceCampaign(
+        report = run_campaign(
             CampaignRequest(
                 grains=("mSpec-1",),
                 scenarios=("election", "broadcast"),
@@ -418,7 +342,7 @@ class TestValidationShrink:
                 directions=("topdown", "bottomup"),
                 shrink=True,
             )
-        ).run()
+        )
         bottomup = [
             f for f in report.findings if f["direction"] == "bottomup"
         ]

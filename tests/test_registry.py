@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.remix import spec_cache
-from repro.remix.campaign import CampaignRequest, ConformanceCampaign
+from repro.remix.campaign import CampaignRequest, campaign_jobs, run_campaign
 from repro.remix.minimize import unreplayable_min_traces
 from repro.remix.registry import (
     register_system,
@@ -24,7 +24,7 @@ def fresh_cache():
     spec_cache.clear()
 
 
-def small_raft_campaign(**overrides):
+def small_raft_request(**overrides):
     kwargs = dict(
         system="raft",
         grains=("raft-coarse",),
@@ -35,7 +35,7 @@ def small_raft_campaign(**overrides):
         directions=("topdown", "bottomup"),
     )
     kwargs.update(overrides)
-    return ConformanceCampaign(CampaignRequest(**kwargs))
+    return CampaignRequest(**kwargs)
 
 
 class TestRegistry:
@@ -107,7 +107,7 @@ class TestDigestIsolation:
 
 class TestRaftCampaign:
     def test_raft_campaign_finds_planted_bugs(self):
-        report = small_raft_campaign(shrink=True).run()
+        report = run_campaign(small_raft_request(shrink=True))
         totals = report.totals
         assert totals["distinct_findings"] > 0
         assert totals["bottomup_findings"] > 0
@@ -121,14 +121,14 @@ class TestRaftCampaign:
         assert unreplayable_min_traces(report.to_json()) == []
 
     def test_raft_campaign_workers_identical(self):
-        seq = small_raft_campaign(workers=1, shrink=True).run().to_json()
-        par = small_raft_campaign(workers=2, shrink=True).run().to_json()
+        seq = run_campaign(small_raft_request(workers=1, shrink=True)).to_json()
+        par = run_campaign(small_raft_request(workers=2, shrink=True)).to_json()
         for key in ("cells", "findings", "totals"):
             assert seq[key] == par[key], key
 
     def test_raft_report_is_reproducible(self):
-        first = small_raft_campaign().run().to_json()
-        second = small_raft_campaign().run().to_json()
+        first = run_campaign(small_raft_request()).to_json()
+        second = run_campaign(small_raft_request()).to_json()
         for key in ("cells", "findings", "totals"):
             assert json.dumps(first[key], sort_keys=True) == json.dumps(
                 second[key], sort_keys=True
@@ -139,19 +139,17 @@ class TestRaftCampaign:
 
         plugin = system_plugin("raft")
         config = plugin.campaign_config().with_variant(FIXED_VARIANT)
-        report = small_raft_campaign(config=config).run()
+        report = run_campaign(small_raft_request(config=config))
         assert report.totals["distinct_findings"] == 0
 
     def test_zookeeper_default_system_unchanged(self):
-        campaign = ConformanceCampaign(
-            CampaignRequest(
-                grains=("mSpec-1",),
-                scenarios=("election",),
-                faults=("none",),
-                traces=1,
-                max_steps=2,
-            )
+        request = CampaignRequest(
+            grains=("mSpec-1",),
+            scenarios=("election",),
+            faults=("none",),
+            traces=1,
+            max_steps=2,
         )
-        report = campaign.run()
+        report = run_campaign(request)
         assert report.meta["system"] == "zookeeper"
-        assert campaign.jobs()[0].system == "zookeeper"
+        assert campaign_jobs(request)[0].system == "zookeeper"

@@ -232,9 +232,3 @@ class TestConformance:
         assert result.impl_error is not None
         assert result.impl_error.bug_id == "ZK-4394"
         assert type(result.impl_error).__name__ == "NullPointerException"
-
-    def test_report_summary(self, capsys):
-        from repro.cli import main
-
-        main(["conformance", "mSpec-1", "--traces", "5", "--steps", "10"])
-        assert "conformance: 5 traces" in capsys.readouterr().out

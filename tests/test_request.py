@@ -1,6 +1,6 @@
 """The serializable campaign request: normalization, single-format axis
-validation, JSON round-trips, the request-only ``ConformanceCampaign``
-constructor, and the CLI's request surface (``--dry-run`` / ``--request``)."""
+validation, JSON round-trips, the request-only ``run_campaign``
+entry point, and the CLI's request surface (``--dry-run`` / ``--request``)."""
 
 import json
 import os
@@ -12,7 +12,7 @@ import pytest
 import repro
 
 from repro.cli import main
-from repro.remix.campaign import ConformanceCampaign, run_campaign
+from repro.remix.campaign import run_campaign
 from repro.remix.request import (
     REQUEST_SCHEMA,
     CampaignRequest,
@@ -191,9 +191,8 @@ class TestFromKwargsShim:
     def test_positional_request_required(self):
         # A CampaignRequest is the only way in (no keyword shim), and
         # anything else is refused by type.
-        assert not hasattr(ConformanceCampaign, "from_kwargs")
         with pytest.raises(TypeError, match="CampaignRequest, not dict"):
-            ConformanceCampaign({"grains": ("mSpec-1",)})
+            run_campaign({"grains": ("mSpec-1",)})
 
 
 class TestCliRequestSurface:

@@ -454,6 +454,24 @@ class TestCampaignServer:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("request_timeout", -1.0),
+            ("request_timeout", 0.0),
+            ("request_timeout", float("nan")),
+            ("request_timeout", float("inf")),
+            ("heartbeat", -1.0),
+            ("heartbeat", float("nan")),
+            ("heartbeat", float("inf")),
+        ],
+    )
+    def test_timeouts_that_would_kill_requests_are_refused(self, option, value):
+        # A negative or NaN request timeout used to kill every handler in
+        # sock.settimeout; a negative or NaN heartbeat silently meant off.
+        with pytest.raises(ValueError, match=option):
+            CampaignServer(**{option: value})
+
     def test_max_requests_stops_server(self):
         server = CampaignServer(heartbeat=0.0, max_requests=1)
         server.start()

@@ -122,6 +122,10 @@ class TestLoopContract:
             shrunk += len(result) < len(labels)
         assert shrunk > 20
 
+    def test_an_input_the_oracle_rejects_is_refused(self):
+        with pytest.raises(ValueError, match="does not reproduce"):
+            shrink_labels_oracle([1, 2, 3], lambda candidate, keep: False)
+
     def test_replay_then_judge_resumes_to_the_same_trace(self):
         """The model replay from ``states[keep]`` is the replay from the
         initial state, for every candidate of a shrink."""

@@ -13,6 +13,7 @@ from repro.tla.composition import (
     CompositionError,
     check_interaction_preservation,
     compose,
+    reachable_projections,
     traces_equivalent_for,
 )
 from repro.tla.module import Module
@@ -144,6 +145,16 @@ class TestTheoremDynamically:
         full = spec_with(fine_env(), "full")
         broken = spec_with(coarse_env(env_coarse_bad), "broken")
         assert not traces_equivalent_for(full, broken, target(), max_depth=6)
+
+    def test_projections_condense_stuttering(self):
+        # Stage and Observe leave ``shared`` alone: each such step
+        # stutters on the projection and merges into the state before.
+        full = spec_with(fine_env(), "full")
+        assert reachable_projections(full, frozenset({"shared"}), 6) == {
+            ((0,),),
+            ((0,), (1,)),
+            ((0,), (1,), (2,)),
+        }
 
 
 class TestCompose:
