@@ -51,9 +51,11 @@ def hunt(spec_name, config, family=None, variant=None, **engine_kw):
 def check(spec, mask, max_states=2_000_000, max_time=240, **engine_kw):
     """Run the engine on a composed spec under the harness's scale knob."""
     if SCALE == "small":
-        # Calibrated to the engine's ~8-9k states/sec: big enough that
-        # mSpec-2 still reaches its I-8 violation (~300k states), small
-        # enough to keep each bench under ~1 min.
+        # Big enough that mSpec-2 still reaches its I-8 violation (~300k
+        # states), small enough to keep each bench under ~1 min: the
+        # engine runs ~23k states/s on the ZooKeeper hunts (`hunt-zk`)
+        # and ~98k on Raft (`check-raft`) on a 2-core box, so the cap
+        # is ~15 s of ZooKeeper checking.
         max_states = min(max_states, 320_000)
         max_time = min(max_time, 60)
     return ExplorationEngine(

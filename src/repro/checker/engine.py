@@ -36,7 +36,8 @@ Every strategy and walker obtains successors through
   per dependency closure, disabled bits inherited from the parent
   through the ``affects`` interference matrix, invariant/mask/constraint
   verdicts memoized per declared-reads projection, all fused into one
-  emitted function;
+  emitted function, whose classification block is also
+  ``CompiledSpec.classify_values`` (this module never builds a memo key);
 - the **reference expander** (:meth:`CompiledSpec.reference_expand`) is
   what *defines* the behaviour: ``Specification.successors`` plus a full
   fingerprint -- no memo, no inherited bits, no deltas.
@@ -93,7 +94,6 @@ import time
 import warnings
 from array import array
 from functools import partial
-from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checker.bundle import Bundle
@@ -243,12 +243,6 @@ def out_of_time(start: float, max_time: Optional[float]) -> bool:
     return max_time is not None and time.monotonic() - start >= max_time
 
 
-def _projection(slots: Tuple[int, ...]) -> Callable[[tuple], Any]:
-    """Memo-key function for a slot projection (bare value for one slot,
-    the same key format the emitted kernels build inline)."""
-    return itemgetter(*slots) if len(slots) > 1 else itemgetter(slots[0])
-
-
 class CompiledSpec:
     """A specification pre-resolved for the exploration hot path.
 
@@ -291,13 +285,10 @@ class CompiledSpec:
         "invariant_fns",
         "invariants",
         "inv_groups",
-        "inv_group_slots",
         "inv_memos",
         "inv_ungrouped",
-        "mask_key",
         "mask_slots",
         "mask_memo",
-        "constraint_key",
         "constraint_slots",
         "constraint_memo",
         "constraint",
@@ -310,6 +301,7 @@ class CompiledSpec:
         "compile",
         "kernel",
         "kernel_source",
+        "classify_values",
         "expand_calls",
         "_label_index",
         "_last_adapt",
@@ -380,17 +372,20 @@ class CompiledSpec:
         self.guard_prefixes: List[GuardPrefix] = []
         self.direct: Tuple[int, ...] = ()
         self.ungrouped: Tuple[int, ...] = tuple(range(self.n_instances))
-        self.inv_groups: List[Tuple[Callable[[tuple], Any], Tuple[int, ...]]] = []
-        self.inv_group_slots: List[Tuple[int, ...]] = []
+        # Invariant groups: (declared-reads slots, invariant indices).
+        self.inv_groups: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
         self.inv_ungrouped: Tuple[int, ...] = tuple(range(len(self.invariants)))
-        self.mask_key: Optional[Callable[[tuple], Any]] = None
-        self.mask_slots: Tuple[int, ...] = ()
+        # The mask's and the constraint's declared-reads slots (None:
+        # evaluated on every state, never memoized).
+        self.mask_slots: Optional[Tuple[int, ...]] = None
         self.mask_memo: dict = {}
-        self.constraint_key: Optional[Callable[[tuple], Any]] = None
-        self.constraint_slots: Tuple[int, ...] = ()
+        self.constraint_slots: Optional[Tuple[int, ...]] = None
         self.constraint_memo: dict = {}
         self.kernel: Optional[Callable] = None
         self.kernel_source: Optional[str] = None
+        #: ``classify_values(codes, state=None)``: :meth:`verdicts`, or in
+        #: kernel mode the kernel's emitted ``_classify``, which memoizes.
+        self.classify_values = self.verdicts
         # What an earlier process derived for exactly this compile, from
         # the on-disk cache (None: persistence off, or a compile no key
         # can name).  The reference expander derives nothing.  The key it
@@ -544,15 +539,13 @@ class CompiledSpec:
                 inv_ungrouped.append(i)
             else:
                 by_inv_reads.setdefault(positions(decl.key), []).append(i)
-        for slots, group_members in by_inv_reads.items():
-            self.inv_groups.append((_projection(slots), tuple(group_members)))
-            self.inv_group_slots.append(slots)
+        self.inv_groups = [
+            (slots, tuple(group_members)) for slots, group_members in by_inv_reads.items()
+        ]
         self.inv_ungrouped = tuple(inv_ungrouped)
         for decl in decls:
             if decl.kind in ("mask", "constraint") and decl.key is not None:
-                slots = positions(decl.key)
-                setattr(self, f"{decl.kind}_slots", slots)
-                setattr(self, f"{decl.kind}_key", _projection(slots))
+                setattr(self, f"{decl.kind}_slots", positions(decl.key))
 
     def _emit_kernel(self) -> None:
         """(Re-)emit the batch kernel for the current group layout.
@@ -563,7 +556,7 @@ class CompiledSpec:
         """
         from repro.tla.codegen import emit_kernel
 
-        self.kernel_source, self.kernel = emit_kernel(self)
+        self.kernel_source, self.kernel, self.classify_values = emit_kernel(self)
 
     # ------------------------------------------------------ value table
 
@@ -619,90 +612,6 @@ class CompiledSpec:
     def decode(self, codes: Sequence[int]) -> Tuple[Any, ...]:
         """The values tuple a row of codes stands for."""
         return tuple([column[code] for column, code in zip(self.values, codes)])
-
-    def classify_values(
-        self, codes: Tuple[int, ...], state: Optional[State] = None
-    ) -> Tuple[Tuple[int, ...], bool, bool]:
-        """(violated invariant indices, masked, within constraint) of a
-        row of codes.
-
-        The memos are keyed on code projections.  The ``State`` is
-        decoded lazily -- only when a mask, a memo miss, an ungrouped
-        invariant or a constraint actually needs attribute access --
-        unless the caller already holds one.  The kernels classify
-        through this (or its fused inline copy, sharing the same memo
-        dicts), so a fully memo-hit candidate never allocates a ``State``
-        at all."""
-        if self.mask is not None:
-            mask_key = self.mask_key
-            if mask_key is not None:
-                memo = self.mask_memo
-                key = mask_key(codes)
-                hit = memo.get(key)
-                if hit is None:
-                    if state is None:
-                        state = State(self.schema, self.decode(codes))
-                    hit = bool(self.mask(state))
-                    if len(memo) >= self.VERDICT_MEMO_LIMIT:
-                        memo.clear()
-                    memo[key] = hit
-                if hit:
-                    return (), True, True
-            else:
-                if state is None:
-                    state = State(self.schema, self.decode(codes))
-                if self.mask(state):
-                    return (), True, True
-        config = self.config
-        invariant_fns = self.invariant_fns
-        memo_limit = self.VERDICT_MEMO_LIMIT
-        viol_bits = 0
-        for group_index, (key_fn, group_members) in enumerate(self.inv_groups):
-            memo = self.inv_memos[group_index]
-            key = key_fn(codes)
-            hit = memo.get(key)
-            if hit is None:
-                if state is None:
-                    state = State(self.schema, self.decode(codes))
-                hit = 0
-                for i in group_members:
-                    if not invariant_fns[i](config, state):
-                        hit |= 1 << i
-                if len(memo) >= memo_limit:
-                    memo.clear()
-                memo[key] = hit
-            viol_bits |= hit
-        if self.inv_ungrouped and state is None:
-            state = State(self.schema, self.decode(codes))
-        for i in self.inv_ungrouped:
-            if not invariant_fns[i](config, state):
-                viol_bits |= 1 << i
-        if viol_bits:
-            viols = tuple(
-                i for i in range(len(invariant_fns)) if (viol_bits >> i) & 1
-            )
-        else:
-            viols = ()
-        if self.constraint is None:
-            ok = True
-        else:
-            ckey = self.constraint_key
-            if ckey is not None:
-                memo = self.constraint_memo
-                key = ckey(codes)
-                ok = memo.get(key)
-                if ok is None:
-                    if state is None:
-                        state = State(self.schema, self.decode(codes))
-                    ok = bool(self.constraint(config, state))
-                    if len(memo) >= self.VERDICT_MEMO_LIMIT:
-                        memo.clear()
-                    memo[key] = ok
-            else:
-                if state is None:
-                    state = State(self.schema, self.decode(codes))
-                ok = bool(self.constraint(config, state))
-        return viols, False, ok
 
     def step(
         self,
@@ -796,7 +705,7 @@ class CompiledSpec:
                     continue
                 seen.add(fp)
             if classify_candidates:
-                viols, masked, ok = self.verdicts(nxt)
+                viols, masked, ok = self.verdicts(successor, nxt)
             else:
                 viols, masked, ok = (), False, True
             candidates.append(
@@ -804,11 +713,15 @@ class CompiledSpec:
             )
         return transitions, candidates
 
-    def verdicts(self, state: State) -> Tuple[Tuple[int, ...], bool, bool]:
+    def verdicts(
+        self, codes: Tuple[int, ...], state: Optional[State] = None
+    ) -> Tuple[Tuple[int, ...], bool, bool]:
         """(violated invariant indices, masked, within constraint) of a
-        state, by evaluating the mask, every invariant and the constraint
-        on it: the definition :meth:`classify_values` and the kernel's
-        verdict memos must reproduce."""
+        row of codes, by evaluating the mask, every invariant and the
+        constraint on its state (the caller's, or the decoded row): the
+        definition the kernel's memoized classification must reproduce."""
+        if state is None:
+            state = State(self.schema, self.decode(codes))
         if self.mask is not None and self.mask(state):
             return (), True, True
         config = self.config
@@ -974,12 +887,10 @@ class CompiledSpec:
             "guard_groups": [],  # no such tier; bench/passes.py iterates the key
             "demoted_groups": list(self.demoted_groups),
             "mask_memo_entries": (
-                len(self.mask_memo) if self.mask_key is not None else None
+                None if self.mask_slots is None else len(self.mask_memo)
             ),
             "constraint_memo_entries": (
-                len(self.constraint_memo)
-                if self.constraint_key is not None
-                else None
+                None if self.constraint_slots is None else len(self.constraint_memo)
             ),
             "values": {
                 "codes": sum(size for size, _ in sizes),

@@ -39,9 +39,10 @@ from repro.zookeeper import ZkConfig, make_spec, zk4394_mask
 from repro.zookeeper.specs import SELECTIONS
 
 
-def _max_states(text: str) -> int:
-    """``--max-states``: a positive integer (a budget of no states is no
-    run)."""
+def _positive(text: str) -> int:
+    """``--max-states`` and ``serve --max-requests``: a positive integer
+    (a budget of no states is no run, a quota of no requests no
+    server)."""
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
@@ -67,7 +68,7 @@ def _positive_seconds(text: str) -> float:
 
 
 def _add_budget_args(parser: argparse.ArgumentParser, max_states: int, max_time: float):
-    parser.add_argument("--max-states", type=_max_states, default=max_states)
+    parser.add_argument("--max-states", type=_positive, default=max_states)
     parser.add_argument("--max-time", type=_seconds, default=max_time)
 
 
@@ -627,8 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--task-retries", type=int, default=2, metavar="N",
-        help="transient failures (worker death, timeout) one cell may "
-        "survive before it is quarantined as poison (default: 2)",
+        help="timeouts and worker deaths one cell may survive "
+        "before it is quarantined as poison (default: 2); a cell whose "
+        "worker dies twice is quarantined whatever N is",
     )
     p_camp.add_argument(
         "--auth-token", default=None,
@@ -699,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = no heartbeats)",
     )
     p_serve.add_argument(
-        "--max-requests", type=int, default=None,
+        "--max-requests", type=_positive, default=None,
         help="shut down after serving this many requests (CI harness)",
     )
     p_serve.add_argument(

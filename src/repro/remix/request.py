@@ -121,8 +121,9 @@ class CampaignRequest:
     #: Hard per-task wall clock in seconds (``None`` = no watchdog): a
     #: cell that runs longer has its worker killed and is retried.
     task_timeout: Optional[float] = None
-    #: Transient failures (worker death, timeout) one task may survive
-    #: before it is quarantined as poison.
+    #: Timeouts and worker deaths one task may survive before it is
+    #: quarantined as poison; a task whose worker dies twice is
+    #: quarantined whatever this says (``SupervisionPolicy.quarantine_after``).
     task_retries: int = 2
     #: Shared secret for the socket backend's worker handshake.
     auth_token: Optional[str] = None

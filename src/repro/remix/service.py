@@ -213,6 +213,9 @@ class CampaignServer:
             raise ValueError(
                 f"request_timeout must be finite and above 0, got {request_timeout}"
             )
+        # A quota below one would serve nothing and exit as if healthy.
+        if max_requests is not None and max_requests < 1:
+            raise ValueError(f"max_requests must be positive, got {max_requests}")
         self.heartbeat = heartbeat
         self.max_requests = max_requests
         #: Seconds a fresh connection gets to send its request line; a

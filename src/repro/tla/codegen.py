@@ -52,6 +52,11 @@ tiers and no other cache: outcome memos (one dict per dependency closure)
 and verdict memos (invariant / mask / constraint, one dict per declared
 read set); every lookup is a plain ``dict.get``.
 
+One emitted block classifies a state, whatever the predicates declare
+(:func:`_emit_classify`): inline on each candidate, and as the module's
+``_classify``, which is ``CompiledSpec.classify_values``.  So this
+module alone knows the memo-key format (:func:`_key_expr`).
+
 Trust contract: emitting a kernel assumes the declarations are truthful.
 ``repro lint`` (PR 8) is the precondition — a spec with blocking D/P
 findings runs on the reference expander instead (with a warning), and
@@ -76,17 +81,16 @@ from repro.tla.state import State
 # Version tag of the kernel emitter.  Mixed into the spec_cache on-disk
 # digest (upgrading the emitter must orphan stale artifacts) and reported
 # by ``CompiledSpec.memo_stats``.
-CODEGEN_VERSION = 13
+CODEGEN_VERSION = 14
 
 
 def _key_expr(slots: Tuple[int, ...], var: str = "c") -> str:
     """Memo-key expression for a projection: direct tuple subscripts.
 
     Single-slot projections use the bare value (cheaper than a 1-tuple).
-    This is *the same* key format ``operator.itemgetter`` produces in
-    ``CompiledSpec.classify_values``, which is what lets the fused
-    classification below share the engine's mask/invariant/constraint
-    memo dicts instead of keeping kernel-private shadows.
+    Every memo key is spelled here and nowhere else: the engine only owns
+    the memo dicts, and the batch sweep and ``_classify`` fill them from
+    one emitted block (:func:`_emit_classify`).
     """
     if len(slots) == 1:
         return f"{var}[{slots[0]}]"
@@ -246,10 +250,89 @@ def _emit_guard_prefixes(
         emit(trie, "        ", {})
 
 
-def emit_kernel(core: Any) -> Tuple[str, Callable]:
+def _emit_classify(
+    w: Callable[[str], None],
+    core: Any,
+    pad: str,
+    verdict: Callable[[str, str, bool, str], None],
+    held: bool,
+) -> None:
+    """Emit the classification of the codes ``sc``: mask, invariant
+    groups, ungrouped invariants, constraint.  A predicate with declared
+    reads is looked up in its verdict memo and evaluated on a miss, one
+    without is evaluated.  The ``State`` ``cst`` is decoded once, at the
+    first evaluation (``held``: the caller may have brought one).
+    ``verdict(pad, viols, masked, ok)`` emits each exit."""
+
+    def decode(p: str, sure: bool = False) -> None:
+        if not sure:
+            w(f"{p}if cst is None:")
+            p += "    "
+        w(f"{p}cst = _state(sc)")
+
+    def memoized(
+        slots: Tuple[int, ...], key: str, hit: str, memo: str, get: str,
+        evaluate: List[str], sure: bool = False,
+    ) -> None:
+        """``hit``: the verdict ``memo`` holds under the projection
+        ``key``, or what ``evaluate`` computes on a miss."""
+        w(f"{pad}{key} = {_key_expr(slots, 'sc')}")
+        w(f"{pad}{hit} = {get}({key})")
+        w(f"{pad}if {hit} is None:")
+        decode(pad + "    ", sure)
+        for line in evaluate:
+            w(f"{pad}    {line}")
+        w(f"{pad}    if len({memo}) >= {core.VERDICT_MEMO_LIMIT}:")
+        w(f"{pad}        {memo}.clear()")
+        w(f"{pad}    {memo}[{key}] = {hit}")
+
+    if core.mask is not None:
+        if core.mask_slots is not None:
+            masking = ["mh = True if maskf(cst) else False"]
+            memoized(core.mask_slots, "mkk", "mh", "mmemo", "mget", masking, sure=not held)
+            w(f"{pad}if mh:")
+        else:
+            decode(pad, not held)
+            w(f"{pad}if maskf(cst):")
+        verdict(pad + "    ", "()", True, "True")
+    if not core.inv_groups:
+        w(f"{pad}vb = 0")
+    for g, (slots, members) in enumerate(core.inv_groups):
+        judging = ["ih = 0"]
+        for i in members:
+            judging += [f"if not inv{i}(config, cst):", f"    ih |= {1 << i}"]
+        memoized(slots, "ikk", "ih", f"imemo{g}", f"iget{g}", judging)
+        w(f"{pad}vb {'|=' if g else '='} ih")
+    if core.inv_ungrouped:
+        decode(pad)
+        for i in core.inv_ungrouped:
+            w(f"{pad}if not inv{i}(config, cst):")
+            w(f"{pad}    vb |= {1 << i}")
+    w(f"{pad}if vb:")
+    w(f"{pad}    viols = vget(vb)")
+    w(f"{pad}    if viols is None:")
+    w(f"{pad}        viols = tuple(")
+    w(f"{pad}            i for i in range({len(core.invariant_fns)}) if (vb >> i) & 1")
+    w(f"{pad}        )")
+    w(f"{pad}        vmemo[vb] = viols")
+    w(f"{pad}else:")
+    w(f"{pad}    viols = ()")
+    ok = "True"
+    if core.constraint is not None:
+        ok = "ok"
+        bounding = "ok = True if consf(config, cst) else False"
+        if core.constraint_slots is not None:
+            memoized(core.constraint_slots, "ckk", "ok", "cmemo", "cget", [bounding])
+        else:
+            decode(pad)
+            w(f"{pad}{bounding}")
+    verdict(pad, "viols", False, ok)
+
+
+def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
     """Emit the batch expansion kernel for a ``CompiledSpec``.
 
-    Returns ``(source, expand_batch)`` where ``expand_batch(rows, seen,
+    Returns ``(source, expand_batch, classify)``.  ``expand_batch(rows, seen,
     classify)`` expands a whole frontier batch of ``(fp, codes,
     known_disabled)`` rows and returns ``[(entry_fp, transitions,
     candidates), ...]`` with ``engine.Candidate`` tuples whose successor is
@@ -261,7 +344,8 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     are processed in order, per-entry candidates are rebuilt in sorted
     instance order, and the dedupe set is only touched during per-entry
     finalization — the same order ``reference_expand`` over the entries
-    one by one produces.
+    one by one produces.  ``classify(codes, state=None)`` is the batch's
+    classification block as a function: ``CompiledSpec.classify_values``.
     """
     schema = core.schema
     names = schema.names
@@ -290,36 +374,25 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     constants = _container_constants(core)
     binds.update((name, value) for value, name in constants.items())
 
-    # Classification fuses into the candidate loop only when every verdict
-    # is memoizable by a declared-reads projection: a mask/constraint with
-    # ``fn.reads`` (or none at all) and no ungrouped invariants.  The fused
-    # sweep shares ``classify_values``'s memo dicts (identical key format),
-    # so verdicts stay coherent across the inline and the called form.
-    fused = (
-        (core.mask is None or core.mask_key is not None)
-        and (core.constraint is None or core.constraint_key is not None)
-        and not core.inv_ungrouped
-    )
-    if fused:
-        vmemo: Dict[int, Tuple[int, ...]] = {}
-        binds["vmemo"] = vmemo
-        binds["vget"] = vmemo.get
-        for g, memo in enumerate(core.inv_memos):
-            binds[f"imemo{g}"] = memo
-            binds[f"iget{g}"] = memo.get
-        for _kf, group_members in core.inv_groups:
-            for i in group_members:
-                binds[f"inv{i}"] = core.invariant_fns[i]
-        if core.mask is not None:
-            binds["maskf"] = core.mask
-            binds["mmemo"] = core.mask_memo
-            binds["mget"] = core.mask_memo.get
-        if core.constraint is not None:
-            binds["consf"] = core.constraint
-            binds["cmemo"] = core.constraint_memo
-            binds["cget"] = core.constraint_memo.get
-    else:
-        binds["classify_values"] = core.classify_values
+    # What classification reads, shared by the batch and ``_classify``.
+    classify_from = len(binds)
+    vmemo: Dict[int, Tuple[int, ...]] = {}
+    binds.update(vmemo=vmemo, vget=vmemo.get)
+    for g, memo in enumerate(core.inv_memos):
+        binds[f"imemo{g}"] = memo
+        binds[f"iget{g}"] = memo.get
+    grouped = [i for _slots, members in core.inv_groups for i in members]
+    for i in grouped + list(core.inv_ungrouped):
+        binds[f"inv{i}"] = core.invariant_fns[i]
+    for fn, slots, memo, name, m in (
+        (core.mask, core.mask_slots, core.mask_memo, "maskf", "m"),
+        (core.constraint, core.constraint_slots, core.constraint_memo, "consf", "c"),
+    ):
+        if fn is not None:
+            binds[name] = fn
+            if slots is not None:
+                binds[f"{m}memo"] = memo
+                binds[f"{m}get"] = memo.get
     env: Dict[str, Any] = {"_State": State, "_schema": schema}
     env.update((f"_{name}", value) for name, value in binds.items())
     # The stats cells are read once per call, after the loop: globals.  As
@@ -435,76 +508,17 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     w("                sv[slot] = code")
     w("            sc = tuple(sv)")
     w("            if classify:")
-    if fused:
-        # Inline classification: mask, invariant groups and constraint
-        # verdicts all resolve through declared-reads memo projections,
-        # in the exact evaluation order of ``classify_values`` so shared
-        # memo state and results are bitwise-identical.
-        w("                cst = None")
-        if core.mask is not None:
-            w(f"                mkk = {_key_expr(core.mask_slots, 'sc')}")
-            w("                mh = mget(mkk)")
-            w("                if mh is None:")
-            w("                    cst = _state(sc)")
-            w("                    mh = True if maskf(cst) else False")
-            w(f"                    if len(mmemo) >= {core.VERDICT_MEMO_LIMIT}:")
-            w("                        mmemo.clear()")
-            w("                    mmemo[mkk] = mh")
-            w("                if mh:")
-            w("                    cands_append(")
-            w("                        (idx, sc, fp, d & naffects[idx],")
-            w("                         (), True, True)")
-            w("                    )")
-            w("                    continue")
-        if not core.inv_groups:
-            w("                vb = 0")
-        for g, (_kf, group_members) in enumerate(core.inv_groups):
-            slots = core.inv_group_slots[g]
-            w(f"                ikk = {_key_expr(slots, 'sc')}")
-            w(f"                ih = iget{g}(ikk)")
-            w("                if ih is None:")
-            w("                    if cst is None:")
-            w("                        cst = _state(sc)")
-            w("                    ih = 0")
-            for i in group_members:
-                w(f"                    if not inv{i}(config, cst):")
-                w(f"                        ih |= {1 << i}")
-            w(f"                    if len(imemo{g}) >= {core.VERDICT_MEMO_LIMIT}:")
-            w(f"                        imemo{g}.clear()")
-            w(f"                    imemo{g}[ikk] = ih")
-            w(f"                vb {'|=' if g else '='} ih")
-        n_inv = len(core.invariant_fns)
-        w("                if vb:")
-        w("                    viols = vget(vb)")
-        w("                    if viols is None:")
-        w("                        viols = tuple(")
-        w(f"                            i for i in range({n_inv}) if (vb >> i) & 1")
-        w("                        )")
-        w("                        vmemo[vb] = viols")
-        w("                else:")
-        w("                    viols = ()")
-        if core.constraint is not None:
-            w(f"                ckk = {_key_expr(core.constraint_slots, 'sc')}")
-            w("                ok = cget(ckk)")
-            w("                if ok is None:")
-            w("                    if cst is None:")
-            w("                        cst = _state(sc)")
-            w("                    ok = True if consf(config, cst) else False")
-            w(f"                    if len(cmemo) >= {core.VERDICT_MEMO_LIMIT}:")
-            w("                        cmemo.clear()")
-            w("                    cmemo[ckk] = ok")
-            ok_expr = "ok"
-        else:
-            ok_expr = "True"
-        w("                cands_append(")
-        w("                    (idx, sc, fp, d & naffects[idx],")
-        w(f"                     viols, False, {ok_expr})")
-        w("                )")
-    else:
-        w("                viols, masked, ok = classify_values(sc)")
-        w("                cands_append(")
-        w("                    (idx, sc, fp, d & naffects[idx], viols, masked, ok)")
-        w("                )")
+    w("                cst = None")
+
+    def candidate(pad: str, viols: str, masked: bool, ok: str) -> None:
+        w(f"{pad}cands_append(")
+        w(f"{pad}    (idx, sc, fp, d & naffects[idx],")
+        w(f"{pad}     {viols}, {masked}, {ok})")
+        w(f"{pad})")
+        if masked:
+            w(f"{pad}continue")
+
+    _emit_classify(w, core, "                ", candidate, held=False)
     w("            else:")
     w("                cands_append(")
     w("                    (idx, sc, fp, d & naffects[idx], (), False, True)")
@@ -515,6 +529,20 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
         w(f"    if om{g}: _ostats_{g}[0] += om{g}")
         w(f"    if os{g}: _ostats_{g}[1] += os{g}")
     w("    return results")
+    w("")
+    # The same block as a function, for the states a strategy judges
+    # outside a batch (a BFS root, a DFS pop, a walk step).
+    w("def _classify(")
+    w("    sc,")
+    w("    cst=None,")
+    for name in ["config", *list(binds)[classify_from:]]:
+        w(f"    {name}=_{name},")
+    w("):")
+
+    def verdict(pad: str, viols: str, masked: bool, ok: str) -> None:
+        w(f"{pad}return {viols}, {masked}, {ok}")
+
+    _emit_classify(w, core, "    ", verdict, held=True)
     w("")
 
     # The source text is always re-emitted (it is cheap, and it is what
@@ -530,4 +558,4 @@ def emit_kernel(core: Any) -> Tuple[str, Callable]:
     else:
         code = compile(source, filename, "exec")
     exec(code, env)
-    return source, env["_expand_batch"]
+    return source, env["_expand_batch"], env["_classify"]

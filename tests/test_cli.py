@@ -83,6 +83,13 @@ class TestParser:
         assert exit_info.value.code == 2
         assert f"argument {argv[1]}: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_serve_refuses_a_quota_that_serves_nothing(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--max-requests", value])
+        assert exit_info.value.code == 2
+        assert "argument --max-requests: must be positive" in capsys.readouterr().err
+
     def test_serve_heartbeat_zero_is_off(self):
         args = build_parser().parse_args(
             ["serve", "--heartbeat", "0", "--request-timeout", "0.5"]

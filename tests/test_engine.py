@@ -15,6 +15,7 @@ from repro.checker import (
     RandomWalker,
     explore,
 )
+from repro.checker import engine as engine_module
 from repro.checker.engine import STRATEGIES, CompiledSpec, compiled_for
 from repro.checker.fingerprint import FingerprintError, canonical_bytes
 from repro.tla.action import Action
@@ -406,7 +407,8 @@ def random_spec(seed):
     the declared reads, and the declared update_sources -- exactly the
     contract :meth:`Action.dependency_closure` documents.  Roughly one
     action in five omits its reads declaration to exercise the
-    never-memoized path."""
+    never-memoized path; each invariant declares its reads half the
+    time, and the state constraint is drawn by :func:`random_predicate`."""
     rng = random.Random(seed)
     n_vars = rng.randint(3, 6)
     names = tuple(f"v{i}" for i in range(n_vars))
@@ -455,14 +457,53 @@ def random_spec(seed):
         lambda cfg, s, _n=names, _b=bound: sum(s[v] for v in _n) <= _b,
         reads=frozenset(names) if rng.random() < 0.5 else frozenset(),
     )
+    constraint = random_predicate(rng, names, "constraint")
+    pair = tuple(rng.sample(names, 2))
+    second = Invariant(
+        "I-P",
+        "pair bounded",
+        lambda cfg, s, _p=pair: s[_p[0]] + s[_p[1]] <= 6,
+        reads=frozenset(pair) if rng.random() < 0.5 else frozenset(),
+    )
     return Specification(
         f"rand-{seed}",
         schema,
         lambda cfg: [init],
         [Module("rand", actions)],
-        [invariant],
+        [invariant, second],
         None,
+        constraint,
     )
+
+
+def random_predicate(rng, names, kind):
+    """An honest random mask (``kind="mask"``, called with the state) or
+    state constraint (called with the config and the state) over one or
+    two variables: absent one time in three, otherwise with its ``reads``
+    declared or not -- every shape the kernel classifies."""
+    shape = rng.choice(("absent", "declared", "undeclared"))
+    if shape == "absent":
+        return None
+    on = tuple(rng.sample(names, rng.randint(1, 2)))
+    limit = rng.randint(1, 4)
+    if kind == "mask":
+
+        def fn(state, _on=on, _l=limit):
+            return sum(state[v] for v in _on) == _l
+
+    else:
+
+        def fn(config, state, _on=on, _l=limit):
+            return sum(state[v] for v in _on) <= _l + 2
+
+    if shape == "declared":
+        fn.reads = frozenset(on)
+    return fn
+
+
+def random_mask(spec, seed):
+    """A :func:`random_predicate` mask for ``random_spec(seed)``."""
+    return random_predicate(random.Random(-1 - seed), spec.schema.names, "mask")
 
 
 class TestIncrementalProperties:
@@ -665,19 +706,52 @@ class TestCompiledKernelLane:
             ),
         )
 
-    def test_fuzzed_random_specs_identical(self):
+    #: Per strategy, a budget that ends every run deterministically.
+    FUZZ_BUDGETS = {
+        "bfs": {"max_states": 2_000},
+        "dfs": {"max_states": 2_000},
+        "random": {"max_depth": 12},  # 1 000 walks
+    }
+
+    def test_fuzzed_random_specs_identical(self, monkeypatch):
+        # Every predicate shape -- mask and constraint absent, declared or
+        # undeclared, invariants grouped or not -- through the batch sweep
+        # and through classify_values (BFS roots, DFS pops, walk steps).
+        # The fuzzed declarations are honest by construction, but the
+        # analyzer cannot read closures over defaults (D05): trust them,
+        # so the kernel runs exactly as it does for a proven spec.
+        monkeypatch.setattr(engine_module, "kernel_trusted", lambda *args: True)
+
+        def run(seed, strategy, **options):
+            spec = random_spec(seed)
+            engine = ExplorationEngine(
+                spec,
+                strategy,
+                mask=random_mask(spec, seed),
+                seed=seed,
+                stop_at_first=False,
+                **self.FUZZ_BUDGETS[strategy],
+                **options,
+            )
+            result = engine.run()
+            assert (engine.core.kernel is None) == options.get("reference", False)
+            return (
+                result.states_explored,
+                result.transitions,
+                result.max_depth,
+                [
+                    (v.invariant.full_name, [str(label) for label in v.trace.labels])
+                    for v in result.violations
+                ],
+            )
+
         for seed in range(10):
-            sigs = {}
-            for reference in (False, True):
-                engine = ExplorationEngine(
-                    random_spec(seed),
-                    max_states=2_000,
-                    reference=reference,
-                    debug=not reference,  # the analyzer cannot prove these
+            for strategy in STRATEGIES:
+                assert run(seed, strategy) == run(seed, strategy, reference=True), (
+                    f"seed {seed}, {strategy}"
                 )
-                sigs[reference] = self._sig(engine.run())
-                assert (engine.core.kernel is None) == reference
-            assert sigs[False] == sigs[True], f"seed {seed}"
+            # and once under the per-batch cross-check
+            run(seed, "bfs", debug=True)
 
     @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
     def test_zookeeper_compiled_identical(self, strategy):

@@ -173,12 +173,12 @@ class TestEmission:
         # invariant evaluated on every state.
         assert not core.outcome_groups
         assert core.memo_stats()["guard_groups"] == []
-        assert not core.inv_groups and core.mask_key is None
+        assert not core.inv_groups and core.mask_slots is None
 
     def test_emit_kernel_is_pure_python_source(self):
         core = compiled_for(counter_spec())
-        source, fn = emit_kernel(core)
-        assert callable(fn)
+        source, fn, classify = emit_kernel(core)
+        assert callable(fn) and callable(classify)
         compile(source, "<test>", "exec")  # round-trips as real source
 
     def test_memo_stats_reports_codegen_version(self):
@@ -483,11 +483,15 @@ class TestMaskConstraintMemo:
             spec = counter_spec(max_x=9, constraint=cap)
             engine = ExplorationEngine(spec, "bfs", max_states=10_000)
             sigs[label] = run_sig(engine.run())
+            stats = engine.core.memo_stats()
             if label == "declared":
-                assert engine.core.constraint_key is not None
-                assert len(engine.core.constraint_memo) > 0
+                assert engine.core.constraint_slots is not None
+                assert stats["constraint_memo_entries"] > 0
             else:
-                assert engine.core.constraint_key is None
+                # evaluated on every state, never memoized
+                assert engine.core.constraint_slots is None
+                assert stats["constraint_memo_entries"] is None
+                assert not engine.core.constraint_memo
         assert sigs["declared"] == sigs["plain"]
 
     def test_declared_mask_is_memoized_and_identical(self):
@@ -508,9 +512,12 @@ class TestMaskConstraintMemo:
                 mask=m,
             )
             sigs[label] = run_sig(engine.run())
+            stats = engine.core.memo_stats()
             if label == "declared":
-                assert engine.core.mask_key is not None
-                assert len(engine.core.mask_memo) > 0
+                assert engine.core.mask_slots is not None
+                assert stats["mask_memo_entries"] > 0
             else:
-                assert engine.core.mask_key is None
+                assert engine.core.mask_slots is None
+                assert stats["mask_memo_entries"] is None
+                assert not engine.core.mask_memo
         assert sigs["declared"] == sigs["plain"]

@@ -81,6 +81,14 @@ class TestSupervisionPolicy:
         assert "task-3" in sup.quarantined
         assert sup.snapshot()["worker_deaths"] == 2
 
+    def test_a_second_worker_death_quarantines_whatever_the_retry_budget(self):
+        # --task-retries sets max_retries; quarantine_after keeps its 2.
+        sup = TaskSupervisor(SupervisionPolicy(max_retries=5))
+        sup.begin_map()
+        assert sup.worker_died(0, {"t": 0}) == RETRY
+        assert sup.worker_died(0, {"t": 0}) == QUARANTINE
+        assert sup.quarantined == {"task-0": "killed 2 workers (worker death)"}
+
     def test_quarantine_after_retry_budget(self):
         sup = TaskSupervisor(
             SupervisionPolicy(max_retries=1, quarantine_after=99)

@@ -472,6 +472,14 @@ class TestCampaignServer:
         with pytest.raises(ValueError, match=option):
             CampaignServer(**{option: value})
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_a_quota_that_serves_nothing_is_refused(self, value, monkeypatch):
+        # It used to bind, serve no request and stop as if healthy.  The
+        # refusal comes before the listener exists.
+        monkeypatch.setattr(socket, "socket", None)
+        with pytest.raises(ValueError, match="max_requests"):
+            CampaignServer(max_requests=value)
+
     def test_max_requests_stops_server(self):
         server = CampaignServer(heartbeat=0.0, max_requests=1)
         server.start()
