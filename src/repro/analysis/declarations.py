@@ -2,7 +2,7 @@
 
 Compares what each function of a composed spec declares -- an action's
 ``reads`` / ``writes`` / ``update_sources``, the ``reads`` of an
-invariant, of the state constraint and of a mask -- with the
+invariant and of the state constraint -- with the
 :class:`~repro.analysis.deps.Summary` the AST analysis computed,
 emitting the D-series findings:
 
@@ -53,8 +53,7 @@ def check_declaration(
     D05, D06, D01 in both forms, D02 and the purity rules) for any
     function with declared reads, and for an action the write side (D03,
     D04, D07 on ``writes`` / ``update_sources``)."""
-    # mask(state) takes the state first, every other function (config, state, ...).
-    summary = analyzer.analyze(decl.fn, state_positions=(0 if decl.kind == "mask" else 1,))
+    summary = analyzer.analyze(decl.fn)
     file, line = function_location(decl.fn) or ("", 0)
     findings: List[Finding] = []
 

@@ -108,10 +108,10 @@ class SpecAnalyzer:
         self._keepalive: List[Any] = []  # pin ids used as cache keys
         self._active: Set[Tuple[int, FrozenSet[str]]] = set()
 
-    def analyze(self, fn: Any, state_positions: Tuple[int, ...] = (1,)) -> Summary:
-        """Analyze ``fn`` with the given positional parameters bound to
-        the state (position 1 for the ``(config, state, **params)``
-        action/invariant signature)."""
+    def analyze(self, fn: Any) -> Summary:
+        """Analyze ``fn`` with its second positional parameter bound to
+        the state: the ``(config, state, **params)`` signature of every
+        action, invariant and constraint."""
         code = getattr(fn, "__code__", None)
         if code is None:
             summary = Summary()
@@ -119,11 +119,7 @@ class SpecAnalyzer:
                 Access("", "", 0, "callable has no Python code object")
             )
             return summary
-        names = frozenset(
-            code.co_varnames[p]
-            for p in state_positions
-            if p < code.co_argcount
-        )
+        names = frozenset(code.co_varnames[1:2] if code.co_argcount > 1 else ())
         return self._analyze(fn, names, 0)
 
     def _analyze(

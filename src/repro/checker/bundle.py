@@ -23,11 +23,12 @@ scripts the prefixes.  The entry names a :class:`Signature` of what was
 read.  For a compile that is its *shape* -- spec name, the configuration
 *by value* (:meth:`Signature.config`; not ``repr``, which for a class
 without ``__repr__`` is an address), schema, per instance its label,
-binding, declarations and function, the invariants in order, constraint
-and mask -- plus a digest of the source files beside every module a spec
-function lives in or reaches through its globals (:meth:`Signature.reach`)
-or through the bases of a class it names, which is where the helpers the
-analyzer and the tracer followed live.  :func:`signature` keeps that key
+binding, declarations and function, the invariants in order and the
+constraint (a mask is folded into both) -- plus a digest of the source
+files beside every module a spec function lives in or reaches through
+its globals (:meth:`Signature.reach`) or through the bases of a class it
+names, which is where the helpers the analyzer and the tracer followed
+live.  :func:`signature` keeps that key
 on the compile, so a prefix key can build on it.
 
 A function is identified by what it *is*, never by its name: its code
@@ -323,7 +324,7 @@ def _entry_key(core: Any) -> str:
                 signature.names(sources)
             signature.function(action.fn)
         signature.text(index, repr(instance.binding))
-    for decl in memoized_declarations(spec, core.mask):
+    for decl in memoized_declarations(spec):
         if decl.kind != "action":
             signature.text(decl.kind, decl.name)
             signature.names(decl.reads)

@@ -85,7 +85,7 @@ def measure_coverage(
         # seen=None: every state-changing successor counts as a firing,
         # revisits included.
         ((_, _, candidates),) = core.expand_batch([row], classify_candidates=False)
-        for idx, codes, fp, known, _, _, _ in candidates:
+        for idx, codes, fp, known, _, _ in candidates:
             report.fired[names[idx]] += 1
             if fp not in seen:
                 seen.add(fp)

@@ -34,7 +34,7 @@ Every strategy and walker obtains successors through
   so a disabled instance costs a comparison instead of an applier call;
   whole outcomes (verdict, update bindings, fingerprint delta) memoized
   per dependency closure, disabled bits inherited from the parent
-  through the ``affects`` interference matrix, invariant/mask/constraint
+  through the ``affects`` interference matrix, invariant and constraint
   verdicts memoized per declared-reads projection, all fused into one
   emitted function, whose classification block is also
   ``CompiledSpec.classify_values`` (this module never builds a memo key);
@@ -44,8 +44,8 @@ Every strategy and walker obtains successors through
 
 The kernel is sound exactly when the declarations it memoizes on are
 truthful -- each action's ``reads`` / ``writes`` / ``update_sources``,
-each invariant's ``reads``, the ``.reads`` of the state constraint and
-of the mask, one list (:func:`~repro.tla.spec.memoized_declarations`) --
+each invariant's ``reads`` and the state constraint's ``.reads``, one list
+(:func:`~repro.tla.spec.memoized_declarations`) --
 so it is emitted only for specs the static analyzer proves
 (:func:`kernel_trusted`); any other spec runs on the reference expander,
 loudly (one warning per spec, and ``memo_stats()["mode"] ==
@@ -55,6 +55,10 @@ expander, successors and verdicts both -- the one proof obligation
 between the two.  ``reference=True`` pins a run to the reference
 expander (the differential arm of the tests and of
 ``bench_table5_efficiency.py --ab-reference``).
+
+A mask is not a compile input: ``ExplorationEngine(mask=)`` folds it
+into the specification once (:func:`~repro.tla.spec.masked`), and
+everything below sees only a specification.
 
 A state is a row of small ints
 ------------------------------
@@ -101,7 +105,7 @@ from repro.checker.fingerprint import Fingerprinter
 from repro.checker.result import CheckResult, Violation
 from repro.checker.trace import Trace
 from repro.tla.guards import GuardPrefix, guard_prefix, render
-from repro.tla.spec import Specification, memoized_declarations
+from repro.tla.spec import Specification, masked, memoized_declarations
 from repro.tla.state import State
 
 #: Strategy names accepted by the engine (and the CLI ``--strategy`` flag).
@@ -123,9 +127,9 @@ _KERNEL_CHUNK = 512
 #: functions are evaluated on every state.
 _TRUST_BLOCKING = frozenset({"D01", "D03", "D05", "D07", "P01", "P02", "P03", "P04"})
 
-def trust_blocker(spec: Specification, mask: Optional[Callable[[State], bool]] = None) -> str:
+def trust_blocker(spec: Specification) -> str:
     """Why the static analyzer does not prove the declarations a kernel
-    for this spec and ``mask`` relies on (``""``: it does).
+    for this spec relies on (``""``: it does).
 
     Runs the static analyzer over every action and every memoized
     predicate of :func:`~repro.tla.spec.memoized_declarations` (an
@@ -143,7 +147,7 @@ def trust_blocker(spec: Specification, mask: Optional[Callable[[State], bool]] =
         from repro.analysis.deps import SpecAnalyzer
 
         analyzer = SpecAnalyzer()
-        for decl in memoized_declarations(spec, mask):
+        for decl in memoized_declarations(spec):
             if decl.kind != "action" and decl.key is None:
                 continue  # evaluated on every state: nothing rests on it
             findings = check_declaration(spec.name, decl, schema_names, analyzer)
@@ -155,13 +159,9 @@ def trust_blocker(spec: Specification, mask: Optional[Callable[[State], bool]] =
     return ""
 
 
-def kernel_trusted(
-    spec: Specification,
-    bundle: Optional[Bundle] = None,
-    mask: Optional[Callable[[State], bool]] = None,
-) -> bool:
-    """Whether the declarations a kernel for this spec and ``mask``
-    relies on are proven, so it may run.
+def kernel_trusted(spec: Specification, bundle: Optional[Bundle] = None) -> bool:
+    """Whether the declarations a kernel for this spec relies on are
+    proven, so it may run.
 
     A loaded compile ``bundle`` *is* the proof (only trusted bundles are
     written, under a key that covers everything the analyzer read);
@@ -172,7 +172,7 @@ def kernel_trusted(
     """
     if bundle is not None and bundle.loaded:
         return True
-    blocker = trust_blocker(spec, mask)
+    blocker = trust_blocker(spec)
     if blocker:
         warnings.warn(
             f"spec {spec.name!r} is not kernel-trusted ({blocker}; rule "
@@ -191,8 +191,8 @@ Row = Tuple[int, Tuple[int, ...], int]
 
 #: Candidate successor record produced by :meth:`CompiledSpec.expand_batch`:
 #: (instance_index, successor_codes, fingerprint, child_known_disabled,
-#:  violated_invariant_indices, masked, within_constraint)
-Candidate = Tuple[int, Tuple[int, ...], int, int, Tuple[int, ...], bool, bool]
+#:  violated_invariant_indices, within_constraint)
+Candidate = Tuple[int, Tuple[int, ...], int, int, Tuple[int, ...], bool]
 
 
 class Links:
@@ -283,16 +283,12 @@ class CompiledSpec:
         "eager",
         "ungrouped",
         "invariant_fns",
-        "invariants",
         "inv_groups",
         "inv_memos",
         "inv_ungrouped",
-        "mask_slots",
-        "mask_memo",
         "constraint_slots",
         "constraint_memo",
         "constraint",
-        "mask",
         "n_instances",
         "debug",
         "bundle",
@@ -308,7 +304,7 @@ class CompiledSpec:
         "demoted_groups",
     )
 
-    #: Invariant / mask / constraint verdict memo entries kept per
+    #: Invariant / constraint verdict memo entries kept per
     #: declared-reads projection before reset.
     VERDICT_MEMO_LIMIT = 1 << 18
 
@@ -332,18 +328,11 @@ class CompiledSpec:
     ADAPT_WIDE_RATE = 0.10
     ADAPT_NARROW_RATE = 0.02
 
-    def __init__(
-        self,
-        spec: Specification,
-        fingerprinter: Optional[Fingerprinter] = None,
-        mask: Optional[Callable[[State], bool]] = None,
-        debug: bool = False,
-        reference: bool = False,
-    ):
+    def __init__(self, spec: Specification, debug: bool = False, reference: bool = False):
         self.spec = spec
         self.config = spec.config
         self.schema = spec.schema
-        self.fingerprinter = fingerprinter or Fingerprinter()
+        self.fingerprinter = Fingerprinter()
         # The value table, one column per slot.  It only grows, and the
         # emitted kernel binds these lists, so they are never replaced.
         slots = range(len(self.schema))
@@ -355,15 +344,13 @@ class CompiledSpec:
         self.pairs: List[List[Tuple[int, int]]] = [[] for _ in slots]
         # `serve` expands one resident compile on several request threads.
         self._mint_lock = threading.Lock()
-        self.mask = mask
         self.debug = debug
         instances = spec.action_instances()
         self.n_instances = len(instances)
         self.labels = [inst.label for inst in instances]
         self._label_index = {label: i for i, label in enumerate(self.labels)}
         self.actions = [inst.action for inst in instances]
-        self.invariants = list(spec.invariants)
-        self.invariant_fns = [inv.predicate for inv in self.invariants]
+        self.invariant_fns = [inv.predicate for inv in spec.invariants]
         self.constraint = spec.constraint
         # Reference-mode layout: nothing grouped, nothing memoized.
         self.appliers: List[Callable] = []
@@ -374,11 +361,9 @@ class CompiledSpec:
         self.ungrouped: Tuple[int, ...] = tuple(range(self.n_instances))
         # Invariant groups: (declared-reads slots, invariant indices).
         self.inv_groups: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        self.inv_ungrouped: Tuple[int, ...] = tuple(range(len(self.invariants)))
-        # The mask's and the constraint's declared-reads slots (None:
-        # evaluated on every state, never memoized).
-        self.mask_slots: Optional[Tuple[int, ...]] = None
-        self.mask_memo: dict = {}
+        self.inv_ungrouped: Tuple[int, ...] = tuple(range(len(self.invariant_fns)))
+        # The constraint's declared-reads slots (None: evaluated on every
+        # state, never memoized).
         self.constraint_slots: Optional[Tuple[int, ...]] = None
         self.constraint_memo: dict = {}
         self.kernel: Optional[Callable] = None
@@ -401,10 +386,10 @@ class CompiledSpec:
         #: whatever the analyzer says).
         self.blocker = ""
         compiled = not reference
-        if compiled and not debug and not kernel_trusted(spec, self.bundle, mask):
+        if compiled and not debug and not kernel_trusted(spec, self.bundle):
             # The rare path (no shipped composition takes it): ask once
             # more for the reason kernel_trusted() warned about.
-            self.blocker = trust_blocker(spec, mask)
+            self.blocker = trust_blocker(spec)
             compiled = False
         if compiled:
             self._analyze(instances)
@@ -445,13 +430,13 @@ class CompiledSpec:
             return
         if not bundle.dirty:
             self.compile = "loaded"
-        elif bundle.loaded or not self.debug or not trust_blocker(self.spec, self.mask):
+        elif bundle.loaded or not self.debug or not trust_blocker(self.spec):
             bundle.save()
 
     def _analyze(self, instances: list) -> None:
         """Kernel-mode layout: pre-bound appliers, the interference
-        matrix, and the outcome / invariant / mask / constraint memo
-        groups the emitted code is specialized on."""
+        matrix, and the outcome / invariant / constraint memo groups the
+        emitted code is specialized on."""
         spec = self.spec
         positions = spec.schema.positions
         self.appliers = [
@@ -509,16 +494,16 @@ class CompiledSpec:
         # the closure: the adaptive hit-rate monitor (_adapt) demotes
         # groups whose projections turn out near-unique at runtime.
         #
-        # Invariant, mask and constraint verdicts are memoized by their
-        # declared reads (``Invariant.reads`` / ``fn.reads``).  All are
-        # pure state predicates, so both outcomes are cacheable per
-        # projection: the ZK-4394 mask reads only ``errors`` and the
-        # epoch constraint only ``accepted_epoch``, so their verdicts
-        # replay from a one-slot projection instead of building a State
-        # per candidate.  Predicates without (resolvable) declarations
+        # Invariant and constraint verdicts are memoized by their declared
+        # reads (``Invariant.reads`` / ``fn.reads``).  Both are pure state
+        # predicates, so both outcomes are cacheable per projection: the
+        # epoch constraint reads only ``accepted_epoch`` (``errors`` too
+        # once the ZK-4394 mask is folded in), so its verdict replays
+        # from a narrow projection instead of building a State per
+        # candidate.  Predicates without (resolvable) declarations
         # are evaluated on every state.  Which function is keyed on what
         # is memoized_declarations()'s answer, the one trust proves.
-        decls = memoized_declarations(spec, self.mask)
+        decls = memoized_declarations(spec)
         closures = {id(d.source): d.key for d in decls if d.kind == "action"}
         by_closure: Dict[Tuple[int, ...], List[int]] = {}
         ungrouped: List[int] = []
@@ -544,8 +529,8 @@ class CompiledSpec:
         ]
         self.inv_ungrouped = tuple(inv_ungrouped)
         for decl in decls:
-            if decl.kind in ("mask", "constraint") and decl.key is not None:
-                setattr(self, f"{decl.kind}_slots", positions(decl.key))
+            if decl.kind == "constraint" and decl.key is not None:
+                self.constraint_slots = positions(decl.key)
 
     def _emit_kernel(self) -> None:
         """(Re-)emit the batch kernel for the current group layout.
@@ -705,28 +690,24 @@ class CompiledSpec:
                     continue
                 seen.add(fp)
             if classify_candidates:
-                viols, masked, ok = self.verdicts(successor, nxt)
+                viols, ok = self.verdicts(successor, nxt)
             else:
-                viols, masked, ok = (), False, True
-            candidates.append(
-                (index_of[label], successor, fp, 0, viols, masked, ok)
-            )
+                viols, ok = (), True
+            candidates.append((index_of[label], successor, fp, 0, viols, ok))
         return transitions, candidates
 
     def verdicts(
         self, codes: Tuple[int, ...], state: Optional[State] = None
-    ) -> Tuple[Tuple[int, ...], bool, bool]:
-        """(violated invariant indices, masked, within constraint) of a
-        row of codes, by evaluating the mask, every invariant and the
-        constraint on its state (the caller's, or the decoded row): the
-        definition the kernel's memoized classification must reproduce."""
+    ) -> Tuple[Tuple[int, ...], bool]:
+        """(violated invariant indices, within constraint) of a row of
+        codes, by evaluating every invariant and the constraint on its
+        state (the caller's, or the decoded row): the definition the
+        kernel's memoized classification must reproduce."""
         if state is None:
             state = State(self.schema, self.decode(codes))
-        if self.mask is not None and self.mask(state):
-            return (), True, True
         config = self.config
         viols = tuple(i for i, fn in enumerate(self.invariant_fns) if not fn(config, state))
-        return viols, False, self.constraint is None or bool(self.constraint(config, state))
+        return viols, self.constraint is None or bool(self.constraint(config, state))
 
     def _debug_check_batch(self, kernel: Callable, rows: Sequence[Row]) -> None:
         """Debug mode: cross-check the kernel against the reference
@@ -766,15 +747,15 @@ class CompiledSpec:
         """Name the predicate whose memoized verdict (``got``) differs
         from evaluating it (``want``): only a memo keyed on a lying
         ``reads`` can make them differ."""
-        kind = "mask" if got[1] != want[1] else "invariant" if got[0] != want[0] else "constraint"
-        decls = [d for d in memoized_declarations(self.spec, self.mask) if d.kind == kind]
+        kind = "invariant" if got[0] != want[0] else "constraint"
+        decls = [d for d in memoized_declarations(self.spec) if d.kind == kind]
         decl = decls[min(set(got[0]) ^ set(want[0]))] if kind == "invariant" else decls[0]
         return AssertionError(
             f"{decl.kind} {decl.name} violated its reads declaration "
             f"(reads={sorted(decl.reads)}): on state "
             f"{State(self.schema, self.decode(codes))!r} the kernel judged "
             f"{got!r} but evaluating it gives {want!r} (violated invariant "
-            f"indices, masked, within constraint)"
+            f"indices, within constraint)"
         )
 
     # ------------------------------------------------ adaptive memoing
@@ -886,9 +867,6 @@ class CompiledSpec:
             },
             "guard_groups": [],  # no such tier; bench/passes.py iterates the key
             "demoted_groups": list(self.demoted_groups),
-            "mask_memo_entries": (
-                None if self.mask_slots is None else len(self.mask_memo)
-            ),
             "constraint_memo_entries": (
                 None if self.constraint_slots is None else len(self.constraint_memo)
             ),
@@ -910,32 +888,27 @@ class CompiledSpec:
 
 
 def compiled_for(
-    spec: Specification,
-    fingerprinter: Optional[Fingerprinter] = None,
-    mask: Optional[Callable[[State], bool]] = None,
-    debug: bool = False,
-    reference: bool = False,
+    spec: Specification, debug: bool = False, reference: bool = False
 ) -> CompiledSpec:
     """The compiled form of a specification, cached on the spec.
 
-    The default configuration (64-bit fingerprints, no mask, no debug, no
-    reference pin) is compiled once per :class:`Specification` instance
-    and shared by every consumer -- engine runs, random walkers, the
-    conformance campaign's suffix replays -- so the interference matrix
-    and the generated kernel are built once and the outcome memos
-    stay warm across calls.  Campaign workers fork after the parent
-    pre-warms the cache and inherit the compiled core (kernel included)
-    by memory image.  Any non-default argument bypasses the cache.
+    The default configuration (no debug, no reference pin) is compiled
+    once per :class:`Specification` instance and shared by every
+    consumer -- engine runs, random walkers, the conformance campaign's
+    suffix replays -- so the interference matrix and the generated kernel
+    are built once and the outcome memos stay warm across calls.
+    Campaign workers fork after the parent pre-warms the cache and
+    inherit the compiled core (kernel included) by memory image.  Either
+    pin bypasses the cache; a masked spec (:func:`~repro.tla.spec.masked`)
+    is a spec of its own, with its own cached compile.
     """
-    if fingerprinter is None and mask is None and not debug and not reference:
+    if not debug and not reference:
         core = getattr(spec, "_compiled_core", None)
         if core is None:
             core = CompiledSpec(spec)
             spec._compiled_core = core
         return core
-    return CompiledSpec(
-        spec, fingerprinter=fingerprinter, mask=mask, debug=debug, reference=reference
-    )
+    return CompiledSpec(spec, debug=debug, reference=reference)
 
 
 class ExplorationEngine:
@@ -947,16 +920,16 @@ class ExplorationEngine:
         The specification to check.
     strategy:
         One of ``"bfs"``, ``"dfs"``, ``"random"``.
-    max_states / max_time / max_depth / violation_limit / stop_at_first /
-    mask:
+    max_states / max_time / max_depth / violation_limit / stop_at_first:
         The familiar budgets, with the seed checker's semantics.  Every
         strategy tests ``max_time`` the same way (:func:`out_of_time`,
         ``elapsed >= max_time``), so ``max_time=0`` expands nothing.
+    mask:
+        States to neither report nor explore (the ZK-4394 mask of §4.1).
+        Folded into the spec once, here (:func:`~repro.tla.spec.masked`);
+        a ``Violation`` still names the spec's own ``Invariant``.
     seed:
         Seed for the random strategy.
-    fingerprinter:
-        Override the 64-bit default (tests use narrow widths to force
-        collisions).
     workers, dedupe:
         Accepted for the benchmark harness only and stored nowhere: every
         run is one in-process loop whatever ``workers`` says, and
@@ -969,8 +942,8 @@ class ExplorationEngine:
         against the reference expander and direct predicate evaluation
         (slow; an untruthful declaration -- an action's
         ``reads``/``writes``/``update_sources``, the ``reads`` of an
-        invariant, the constraint or the mask -- raises
-        ``AssertionError`` naming the function).
+        invariant or the constraint, the mask's folded into both --
+        raises ``AssertionError`` naming the function).
     reference:
         Run on the reference expander instead of the generated kernel
         (no memo of any kind; the differential arm of tests and
@@ -989,7 +962,6 @@ class ExplorationEngine:
         stop_at_first: bool = True,
         mask: Optional[Callable[[State], bool]] = None,
         seed: int = 0,
-        fingerprinter: Optional[Fingerprinter] = None,
         dedupe: str = "rounds",
         debug: bool = False,
         reference: bool = False,
@@ -1015,9 +987,9 @@ class ExplorationEngine:
         self.max_depth = max_depth
         self.violation_limit = violation_limit
         self.stop_at_first = stop_at_first
-        self.mask = mask
+        #: What the strategies check: ``spec``, with ``mask`` folded in.
+        self.checked = spec if mask is None else masked(spec, mask)
         self.seed = seed
-        self.fingerprinter = fingerprinter
         self.debug = debug
         self.reference = reference
         #: The compiled core of the last run (memo/kernel telemetry for
@@ -1038,21 +1010,11 @@ class ExplorationEngine:
                 gc.enable()
 
     def _compile(self) -> CompiledSpec:
-        self.core = compiled_for(
-            self.spec,
-            fingerprinter=self.fingerprinter,
-            mask=self.mask,
-            debug=self.debug,
-            reference=self.reference,
-        )
+        self.core = compiled_for(self.checked, debug=self.debug, reference=self.reference)
         return self.core
 
     def _record(
-        self,
-        result: CheckResult,
-        core: CompiledSpec,
-        viols: Sequence[int],
-        trace_of: Callable[[], Trace],
+        self, result: CheckResult, viols: Sequence[int], trace_of: Callable[[], Trace]
     ) -> bool:
         """Report a state's violated invariants, one ``Violation`` each;
         True when the run must stop (``stop_at_first``, or the
@@ -1061,7 +1023,7 @@ class ExplorationEngine:
         both, and none expands a violating state."""
         for i in viols:
             result.violations.append(
-                Violation(invariant=core.invariants[i], trace=trace_of())
+                Violation(invariant=self.spec.invariants[i], trace=trace_of())
             )
             if self.stop_at_first:
                 return True
@@ -1098,7 +1060,7 @@ class ExplorationEngine:
         stop = False
 
         def record(index: int, viols: Sequence[int]) -> bool:
-            return self._record(result, core, viols, lambda: links.trace(index))
+            return self._record(result, viols, lambda: links.trace(index))
 
         # Round 0: the initial states, each encoded once.  Frontier
         # entries are (fp, codes, known_disabled) rows, so states that only
@@ -1112,9 +1074,7 @@ class ExplorationEngine:
                 continue
             seen.add(fp)
             index = links.root(init)
-            viols, masked, ok = core.classify_values(codes, init)
-            if masked:
-                continue
+            viols, ok = core.classify_values(codes, init)
             if viols and record(index, viols):
                 stop = True
                 break
@@ -1159,23 +1119,22 @@ class ExplorationEngine:
                     break
                 result.transitions += transitions
                 parent = frontier_ix[pos]
-                for idx, codes, fp, known, viols, masked, ok in candidates:
+                for idx, codes, fp, known, viols, ok in candidates:
                     index = len(links.parents)
                     parents_append(parent)
                     actions_append(idx)
                     if child_depth > result.max_depth:
                         result.max_depth = child_depth
-                    if not masked:
-                        if viols:
-                            if record(index, viols):
-                                stop = True
-                                break
-                        elif ok:
-                            if expandable_depth:
-                                next_frontier.append((fp, codes, known))
-                                next_ix.append(index)
-                            else:
-                                pruned = True
+                    if viols:
+                        if record(index, viols):
+                            stop = True
+                            break
+                    elif ok:
+                        if expandable_depth:
+                            next_frontier.append((fp, codes, known))
+                            next_ix.append(index)
+                        else:
+                            pruned = True
                     if self.max_states is not None and index + 1 >= self.max_states:
                         result.budget_exhausted = "max_states"
                         break
@@ -1226,12 +1185,10 @@ class ExplorationEngine:
             visited.add(fp)
             if depth > result.max_depth:
                 result.max_depth = depth
-            viols, masked, ok = core.classify_values(codes)
-            if masked:
-                continue
+            viols, ok = core.classify_values(codes)
             if viols:
                 trace = links.trace(index)
-                stop = self._record(result, core, viols, lambda: trace)
+                stop = self._record(result, viols, lambda: trace)
                 continue
             if not ok:
                 continue
@@ -1244,7 +1201,7 @@ class ExplorationEngine:
             )
             result.transitions += transitions
             child_depth = depth + 1
-            for idx, successor, nfp, nknown, _, _, _ in candidates:
+            for idx, successor, nfp, nknown, _, _ in candidates:
                 if nfp not in visited:
                     stack.append((successor, nfp, len(links.parents), child_depth, nknown))
                     parents_append(index)
@@ -1301,11 +1258,9 @@ class ExplorationEngine:
                 return Trace(states=[init] + decoded, labels=list(labels))
 
             for _ in range(max_steps):
-                viols, masked, ok = core.classify_values(codes, state)
-                if masked:
-                    break
+                viols, ok = core.classify_values(codes, state)
                 if viols:
-                    stop = self._record(result, core, viols, trace_of)
+                    stop = self._record(result, viols, trace_of)
                     break
                 if not ok:
                     break

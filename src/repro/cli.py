@@ -186,21 +186,18 @@ def request_from_args(args):
 
 def _load_request(source: str):
     """Read a serialized ``CampaignRequest`` from a file (``-`` =
-    stdin).  Accepts either the bare request JSON or a server envelope
-    ``{"request": {...}}``."""
+    stdin): the bare request JSON or a server envelope
+    (:func:`~repro.remix.request.from_envelope`)."""
     import json
 
-    from repro.remix.request import CampaignRequest
+    from repro.remix.request import from_envelope
 
     if source == "-":
         text = sys.stdin.read()
     else:
         with open(source) as fh:
             text = fh.read()
-    data = json.loads(text)
-    if isinstance(data, dict) and "request" in data:
-        data = data["request"]
-    return CampaignRequest.from_json(data)
+    return from_envelope(json.loads(text))
 
 
 def cmd_campaign(args) -> int:

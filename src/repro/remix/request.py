@@ -47,6 +47,8 @@ def _unknown(field_name: str, value: Any, options: Sequence[str]) -> None:
 def _seconds(field_name: str, value: Any) -> float:
     """A wall-clock field (``"5s"`` or a number): finite and positive.  A
     NaN deadline never passes, and neither NaN nor infinity is JSON."""
+    if isinstance(value, bool):
+        _fail(field_name, f"expected seconds, got {value!r}")
     try:
         seconds = parse_budget(value) if isinstance(value, str) else float(value)
     except (TypeError, ValueError) as error:
@@ -279,3 +281,22 @@ class CampaignRequest:
                 f"invalid campaign request: unknown field(s) {unknown}"
             )
         return cls(**kwargs)
+
+
+def from_envelope(data: Any) -> CampaignRequest:
+    """The request a client sent to ``serve`` or ``campaign --request``:
+    a bare :meth:`CampaignRequest.to_json` object, or an envelope
+    ``{"request": {...}, "deadline": seconds}`` whose deadline folds into
+    the budget (the smaller wins).  As strict as :meth:`CampaignRequest.
+    from_json`: any other envelope key is an error."""
+    if not (isinstance(data, Mapping) and "request" in data):
+        return CampaignRequest.from_json(data)
+    unknown = sorted(data.keys() - {"request", "deadline"})
+    if unknown:
+        raise RequestError(f"invalid campaign request: unknown envelope key(s) {unknown}")
+    request = CampaignRequest.from_json(data["request"])
+    if data.get("deadline") is None:
+        return request
+    deadline = _seconds("deadline", data["deadline"])
+    budget = deadline if request.budget is None else min(request.budget, deadline)
+    return request.with_options(budget=budget)

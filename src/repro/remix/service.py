@@ -107,7 +107,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.checker.backends import ExecutionBackend, create_backend
 from repro.remix import spec_cache
 from repro.remix.campaign import TASK_HANDLER, run_campaign
-from repro.remix.request import CampaignRequest, RequestError
+from repro.remix.request import CampaignRequest, RequestError, from_envelope
 
 #: Version tag of the event stream; bump on breaking schema changes.
 EVENT_SCHEMA = "repro.campaign.event/1"
@@ -443,19 +443,8 @@ class CampaignServer:
             if isinstance(data, dict) and data.get("stats") is True:
                 answer("stats", **self.stats())
                 return
-            deadline = None
-            if isinstance(data, dict) and "request" in data:
-                deadline = data.get("deadline")
-                data = data["request"]
             try:
-                request = CampaignRequest.from_json(data)
-                if deadline is not None:
-                    budget = (
-                        min(request.budget, float(deadline))
-                        if request.budget is not None
-                        else float(deadline)
-                    )
-                    request = request.with_options(budget=budget)
+                request = from_envelope(data)
             except (RequestError, TypeError, ValueError) as error:
                 answer(
                     "error",

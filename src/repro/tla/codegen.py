@@ -49,13 +49,15 @@ candidate finalization.  Compared to a
 group-major sweep this loads the inherited disabled mask and the raw
 successor list into locals exactly once per state.  There are two memo
 tiers and no other cache: outcome memos (one dict per dependency closure)
-and verdict memos (invariant / mask / constraint, one dict per declared
-read set); every lookup is a plain ``dict.get``.
+and verdict memos (invariant / constraint, one dict per declared read
+set); every lookup is a plain ``dict.get``.
 
 One emitted block classifies a state, whatever the predicates declare
 (:func:`_emit_classify`): inline on each candidate, and as the module's
 ``_classify``, which is ``CompiledSpec.classify_values``.  So this
-module alone knows the memo-key format (:func:`_key_expr`).
+module alone knows the memo-key format (:func:`_key_expr`).  It judges
+two shapes of predicate, invariants and the constraint: a mask reaches
+the kernel already folded into both (:func:`repro.tla.spec.masked`).
 
 Trust contract: emitting a kernel assumes the declarations are truthful.
 ``repro lint`` (PR 8) is the precondition — a spec with blocking D/P
@@ -81,7 +83,7 @@ from repro.tla.state import State
 # Version tag of the kernel emitter.  Mixed into the spec_cache on-disk
 # digest (upgrading the emitter must orphan stale artifacts) and reported
 # by ``CompiledSpec.memo_stats``.
-CODEGEN_VERSION = 14
+CODEGEN_VERSION = 15
 
 
 def _key_expr(slots: Tuple[int, ...], var: str = "c") -> str:
@@ -250,51 +252,33 @@ def _emit_guard_prefixes(
         emit(trie, "        ", {})
 
 
-def _emit_classify(
-    w: Callable[[str], None],
-    core: Any,
-    pad: str,
-    verdict: Callable[[str, str, bool, str], None],
-    held: bool,
-) -> None:
-    """Emit the classification of the codes ``sc``: mask, invariant
-    groups, ungrouped invariants, constraint.  A predicate with declared
-    reads is looked up in its verdict memo and evaluated on a miss, one
-    without is evaluated.  The ``State`` ``cst`` is decoded once, at the
-    first evaluation (``held``: the caller may have brought one).
-    ``verdict(pad, viols, masked, ok)`` emits each exit."""
+def _emit_classify(w: Callable[[str], None], core: Any, pad: str) -> str:
+    """Emit the classification of the codes ``sc``: invariant groups,
+    ungrouped invariants, constraint.  A predicate with declared reads
+    is looked up in its verdict memo and evaluated on a miss, one without
+    is evaluated.  The ``State`` ``cst`` (None, or the caller's) is
+    decoded once, at the first evaluation.  Leaves the violated indices
+    in ``viols``; returns the within-constraint expression."""
 
-    def decode(p: str, sure: bool = False) -> None:
-        if not sure:
-            w(f"{p}if cst is None:")
-            p += "    "
-        w(f"{p}cst = _state(sc)")
+    def decode(p: str) -> None:
+        w(f"{p}if cst is None:")
+        w(f"{p}    cst = _state(sc)")
 
     def memoized(
-        slots: Tuple[int, ...], key: str, hit: str, memo: str, get: str,
-        evaluate: List[str], sure: bool = False,
+        slots: Tuple[int, ...], key: str, hit: str, memo: str, get: str, evaluate: List[str]
     ) -> None:
         """``hit``: the verdict ``memo`` holds under the projection
         ``key``, or what ``evaluate`` computes on a miss."""
         w(f"{pad}{key} = {_key_expr(slots, 'sc')}")
         w(f"{pad}{hit} = {get}({key})")
         w(f"{pad}if {hit} is None:")
-        decode(pad + "    ", sure)
+        decode(pad + "    ")
         for line in evaluate:
             w(f"{pad}    {line}")
         w(f"{pad}    if len({memo}) >= {core.VERDICT_MEMO_LIMIT}:")
         w(f"{pad}        {memo}.clear()")
         w(f"{pad}    {memo}[{key}] = {hit}")
 
-    if core.mask is not None:
-        if core.mask_slots is not None:
-            masking = ["mh = True if maskf(cst) else False"]
-            memoized(core.mask_slots, "mkk", "mh", "mmemo", "mget", masking, sure=not held)
-            w(f"{pad}if mh:")
-        else:
-            decode(pad, not held)
-            w(f"{pad}if maskf(cst):")
-        verdict(pad + "    ", "()", True, "True")
     if not core.inv_groups:
         w(f"{pad}vb = 0")
     for g, (slots, members) in enumerate(core.inv_groups):
@@ -326,7 +310,7 @@ def _emit_classify(
         else:
             decode(pad)
             w(f"{pad}{bounding}")
-    verdict(pad, "viols", False, ok)
+    return ok
 
 
 def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
@@ -384,15 +368,11 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
     grouped = [i for _slots, members in core.inv_groups for i in members]
     for i in grouped + list(core.inv_ungrouped):
         binds[f"inv{i}"] = core.invariant_fns[i]
-    for fn, slots, memo, name, m in (
-        (core.mask, core.mask_slots, core.mask_memo, "maskf", "m"),
-        (core.constraint, core.constraint_slots, core.constraint_memo, "consf", "c"),
-    ):
-        if fn is not None:
-            binds[name] = fn
-            if slots is not None:
-                binds[f"{m}memo"] = memo
-                binds[f"{m}get"] = memo.get
+    if core.constraint is not None:
+        binds["consf"] = core.constraint
+        if core.constraint_slots is not None:
+            binds["cmemo"] = core.constraint_memo
+            binds["cget"] = core.constraint_memo.get
     env: Dict[str, Any] = {"_State": State, "_schema": schema}
     env.update((f"_{name}", value) for name, value in binds.items())
     # The stats cells are read once per call, after the loop: globals.  As
@@ -509,20 +489,10 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
     w("            sc = tuple(sv)")
     w("            if classify:")
     w("                cst = None")
-
-    def candidate(pad: str, viols: str, masked: bool, ok: str) -> None:
-        w(f"{pad}cands_append(")
-        w(f"{pad}    (idx, sc, fp, d & naffects[idx],")
-        w(f"{pad}     {viols}, {masked}, {ok})")
-        w(f"{pad})")
-        if masked:
-            w(f"{pad}continue")
-
-    _emit_classify(w, core, "                ", candidate, held=False)
+    ok = _emit_classify(w, core, "                ")
+    w(f"                cands_append((idx, sc, fp, d & naffects[idx], viols, {ok}))")
     w("            else:")
-    w("                cands_append(")
-    w("                    (idx, sc, fp, d & naffects[idx], (), False, True)")
-    w("                )")
+    w("                cands_append((idx, sc, fp, d & naffects[idx], (), True))")
     w("        res_append((entry_fp, len(raw), cands))")
 
     for g in range(n_outcomes):
@@ -538,11 +508,8 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
     for name in ["config", *list(binds)[classify_from:]]:
         w(f"    {name}=_{name},")
     w("):")
-
-    def verdict(pad: str, viols: str, masked: bool, ok: str) -> None:
-        w(f"{pad}return {viols}, {masked}, {ok}")
-
-    _emit_classify(w, core, "    ", verdict, held=True)
+    ok = _emit_classify(w, core, "    ")
+    w(f"    return viols, {ok}")
     w("")
 
     # The source text is always re-emitted (it is cheap, and it is what

@@ -10,11 +10,16 @@ A :class:`Specification` bundles:
 ``Next`` is the nondeterministic disjunction of every action instance of
 every module: in each step any enabled action with any parameter binding
 may fire (Figure 7 of the paper).
+
+:func:`masked` is how a run leaves a known bug's states alone (the
+ZK-4394 mask of §4.1): it folds the mask into the specification the way
+TLC does, a ``CONSTRAINT`` conjunct ``~mask`` plus ``mask \\/ inv`` on each
+invariant, so nothing that checks a specification knows masks exist.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -174,8 +179,8 @@ class Specification:
 class Declaration(NamedTuple):
     """One function of a run and what it declares it reads.
 
-    ``kind`` is ``"action"``, ``"invariant"``, ``"constraint"`` or
-    ``"mask"``; ``reads`` is the declaration as written (empty: none);
+    ``kind`` is ``"action"``, ``"invariant"`` or ``"constraint"``;
+    ``reads`` is the declaration as written (empty: none);
     ``key`` is what the kernel files the function's results under -- an
     action's dependency closure, a predicate's ``reads`` when they all
     lie in the schema -- or None (evaluated on every state).  ``source``
@@ -198,15 +203,51 @@ class Declaration(NamedTuple):
         )
 
 
-def memoized_declarations(
-    spec: Specification, mask: Optional[Callable[[State], bool]] = None
-) -> List[Declaration]:
+def masked(spec: Specification, mask: Callable[[State], bool]) -> Specification:
+    """``spec`` with the states ``mask`` holds neither judged nor explored:
+    the same schema, init, modules, config and name, the constraint
+    ``not mask(state) and constraint(config, state)`` and each invariant
+    ``mask(state) or predicate(config, state)``.  Every strategy counts a
+    state outside the constraint but never expands it, and short-circuiting
+    keeps the other predicates off masked states, so this *is* masking.  A
+    folded predicate declares the union of its parts' ``reads`` (none when
+    a part declares none); the folded constraint carries the mask's
+    ``__name__``, so lint and ``--debug-deps`` name the mask."""
+    mask_reads = frozenset(getattr(mask, "reads", None) or ())
+
+    def joint(reads: Any) -> FrozenSet[str]:
+        return frozenset(reads) | mask_reads if reads and mask_reads else frozenset()
+
+    def guard(predicate: Callable[[Any, State], bool]) -> Callable[[Any, State], bool]:
+        def guarded(config, state):
+            return mask(state) or predicate(config, state)
+
+        return guarded
+
+    constraint = spec.constraint
+    if constraint is None:
+        def bounded(config, state):
+            return not mask(state)
+    else:
+        def bounded(config, state):
+            return not mask(state) and constraint(config, state)
+    bounded.reads = joint(getattr(constraint, "reads", None)) if constraint else mask_reads
+    bounded.__name__ = getattr(mask, "__name__", "masked")
+    invariants = [
+        replace(inv, predicate=guard(inv.predicate), reads=joint(inv.reads))
+        for inv in spec.invariants
+    ]
+    return Specification(
+        spec.name, spec.schema, spec.init, spec.modules, invariants, spec.config, bounded
+    )
+
+
+def memoized_declarations(spec: Specification) -> List[Declaration]:
     """Every declaration the generated kernel memoizes on: each action,
-    each invariant, the state constraint and the run's ``mask``
-    (``fn.reads`` on the last two).  The one list: ``CompiledSpec.
-    _analyze`` groups memos by its keys, the compile bundle keys on it,
-    kernel trust proves what a kernel relies on, lint checks all of
-    them (a lint run has no mask) and ``--debug-deps`` names the entry
+    each invariant and the state constraint (``fn.reads`` on the last).
+    The one list: ``CompiledSpec._analyze`` groups memos by its keys, the
+    compile bundle keys on it, kernel trust proves what a kernel relies
+    on, lint checks all of them and ``--debug-deps`` names the entry
     whose memoized verdict disagreed with direct evaluation."""
     schema = spec.schema
 
@@ -222,9 +263,9 @@ def memoized_declarations(
                 reads, keyed(reads), invariant,
             )
         )
-    for kind, fn in (("constraint", spec.constraint), ("mask", mask)):
-        if fn is not None:
-            reads = frozenset(getattr(fn, "reads", None) or ())
-            name = getattr(fn, "__name__", kind)
-            out.append(Declaration(kind, name, fn, reads, keyed(reads), fn))
+    constraint = spec.constraint
+    if constraint is not None:
+        reads = frozenset(getattr(constraint, "reads", None) or ())
+        name = getattr(constraint, "__name__", "constraint")
+        out.append(Declaration("constraint", name, constraint, reads, keyed(reads), constraint))
     return out

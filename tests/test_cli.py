@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -129,6 +131,39 @@ class TestParser:
         out, err = capsys.readouterr()
         assert out == ""
         assert complaint in err
+
+
+class TestRequestEnvelope:
+    """``campaign --request FILE`` reads a ``serve`` envelope the way the
+    server does: its deadline folds into the budget, and a key that is
+    neither ``request`` nor ``deadline`` is refused."""
+
+    def dry_run(self, tmp_path, envelope):
+        path = tmp_path / "request.json"
+        path.write_text(json.dumps(envelope))
+        return main(["campaign", "--request", str(path), "--dry-run"])
+
+    @pytest.mark.parametrize("budget, deadline, folded", [(None, 1e-06, 1e-06), (5, 9, 5.0)])
+    def test_deadline_folds_into_the_printed_budget(
+        self, tmp_path, capsys, budget, deadline, folded
+    ):
+        request = {"grains": ["mSpec-1"], "budget": budget}
+        assert self.dry_run(tmp_path, {"request": request, "deadline": deadline}) == 0
+        assert json.loads(capsys.readouterr().out)["budget"] == folded
+
+    @pytest.mark.parametrize(
+        "extra, complaint",
+        [
+            ({"deadline": 1e-06, "bogus": 1}, "unknown envelope key(s) ['bogus']"),
+            ({"deadline": True}, "deadline: expected seconds"),
+            ({"deadline": -1}, "deadline: deadline must be finite and positive"),
+        ],
+    )
+    def test_envelope_it_cannot_honour_exits_2(self, tmp_path, capsys, extra, complaint):
+        envelope = {"request": {"grains": ["mSpec-1"]}, **extra}
+        assert self.dry_run(tmp_path, envelope) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and complaint in err
 
 
 class TestCommands:

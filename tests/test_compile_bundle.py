@@ -28,7 +28,7 @@ from repro.system.plugin import Scenario, ScenarioError
 from repro.tla.action import Action
 from repro.tla.guards import Atom, Const, GuardPrefix
 from repro.tla.module import Module
-from repro.tla.spec import Specification
+from repro.tla.spec import Specification, masked
 from repro.tla.state import State
 from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec
 from repro.zookeeper import zk4394_mask
@@ -302,7 +302,8 @@ class TestMissMatrix:
 
 class TestTheKey:
     def key(self, spec, mask=None):
-        return bundle._entry_key(CompiledSpec(spec, mask=mask, reference=True))
+        spec = masked(spec, mask) if mask else spec
+        return bundle._entry_key(CompiledSpec(spec, reference=True))
 
     def spec_with(self, fn, name="keyed", config=None):
         return Specification(

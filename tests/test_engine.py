@@ -171,14 +171,12 @@ class TestEngineBFS:
         assert fast.transitions == slow.transitions
         assert fast.completed and slow.completed
 
-    def test_collision_handling_terminates_and_undercounts(self):
+    def test_collision_handling_terminates_and_undercounts(self, monkeypatch):
         # A 3-bit fingerprint space cannot hold the 28 distinct states:
         # colliding states are silently merged, never duplicated, and
         # the run still terminates.
-        result = ExplorationEngine(
-            counter_spec(max_x=6, y_bound=99),
-            fingerprinter=Fingerprinter(bits=3),
-        ).run()
+        monkeypatch.setattr(engine_module, "Fingerprinter", lambda: Fingerprinter(bits=3))
+        result = ExplorationEngine(counter_spec(max_x=6, y_bound=99)).run()
         assert result.completed
         assert result.states_explored <= 8
 
@@ -396,8 +394,8 @@ class TestCompiledSpec:
         spec = counter_spec(y_bound=0)
         core = CompiledSpec(spec)
         bad = State.make(SCHEMA, x=1, y=1)
-        viols, masked, ok = core.classify_values(core.encode(bad.values))
-        assert viols and not masked and ok
+        viols, ok = core.classify_values(core.encode(bad.values))
+        assert viols and ok
 
 
 def random_spec(seed):
@@ -504,6 +502,40 @@ def random_predicate(rng, names, kind):
 def random_mask(spec, seed):
     """A :func:`random_predicate` mask for ``random_spec(seed)``."""
     return random_predicate(random.Random(-1 - seed), spec.schema.names, "mask")
+
+
+def masked_bfs(spec, mask, max_states):
+    """The mask's documented meaning, by brute force over
+    ``Specification.successors`` and no engine: a masked state is counted
+    and linked, never judged, never expanded.  Returns ``(states,
+    transitions, max_depth, violations)``, each violation its invariant's
+    name and label chain, as a ``stop_at_first=False`` BFS reports them."""
+    config = spec.config
+    paths = {}
+    frontier, violations = [], []
+    transitions = 0
+
+    def reach(state, path):  # True: the state budget is spent
+        paths[state.values] = path
+        if mask is None or not mask(state):
+            bad = [inv.full_name for inv in spec.invariants if not inv.holds(config, state)]
+            violations.extend((name, [str(label) for label in path]) for name in bad)
+            if not bad and spec.within_constraint(state):
+                frontier.append((state, path))
+        return len(paths) >= max_states
+
+    spent = any([reach(init, []) for init in spec.initial_states()])
+    for state, path in frontier:  # grows as it is walked: layer by layer
+        if spent:
+            break
+        successors = list(spec.successors(state))
+        transitions += len(successors)
+        for label, nxt in successors:
+            if nxt.values not in paths and reach(nxt, path + [label]):
+                spent = True
+                break
+    depth = max(len(path) for path in paths.values())
+    return len(paths), transitions, depth, violations
 
 
 class TestIncrementalProperties:
@@ -752,6 +784,34 @@ class TestCompiledKernelLane:
                 )
             # and once under the per-batch cross-check
             run(seed, "bfs", debug=True)
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_mask_matches_brute_force_oracle(self, monkeypatch, reference):
+        # Kernel and reference expander both see the folded spec, so
+        # agreeing with each other cannot catch a wrong fold: masked_bfs
+        # applies the documented rule to the unfolded spec instead.
+        monkeypatch.setattr(engine_module, "kernel_trusted", lambda *args: True)
+        declared = set()
+        for seed in range(12):
+            spec = random_spec(seed)
+            mask = random_mask(spec, seed)
+            if mask is None:
+                continue
+            declared.add(bool(getattr(mask, "reads", None)))
+            result = ExplorationEngine(
+                spec, mask=mask, stop_at_first=False, max_states=2_000, reference=reference
+            ).run()
+            got = (
+                result.states_explored,
+                result.transitions,
+                result.max_depth,
+                [
+                    (v.invariant.full_name, [str(label) for label in v.trace.labels])
+                    for v in result.violations
+                ],
+            )
+            assert got == masked_bfs(random_spec(seed), mask, 2_000), f"seed {seed}"
+        assert declared == {True, False}
 
     @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
     def test_zookeeper_compiled_identical(self, strategy):

@@ -18,6 +18,7 @@ from repro.remix.registry import registered_systems, system_plugin
 import repro
 from repro.tla import codegen, guards
 from repro.tla.guards import NO_PREFIX, Atom, Const, guard_prefix, render, variables
+from repro.tla.spec import masked
 from repro.tla.values import Rec
 from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec
 from repro.zookeeper import zk4394_mask
@@ -287,7 +288,7 @@ class TestShippedCompositions:
         spec, mask = hunt_spec(bug)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert kernel_trusted(spec, mask=mask)
+            assert kernel_trusted(masked(spec, mask) if mask else spec)
 
     @pytest.mark.parametrize("make", compositions())
     def test_prefixes_mention_declared_reads_only(self, make):

@@ -12,7 +12,7 @@ from repro.checker.engine import compiled_for, kernel_trusted
 from repro.tla.action import Action
 from repro.tla.codegen import CODEGEN_VERSION, emit_kernel
 from repro.tla.module import Module
-from repro.tla.spec import Invariant, Specification
+from repro.tla.spec import Invariant, Specification, masked
 from repro.tla.state import Schema, State
 
 SCHEMA = Schema(("x", "y"))
@@ -114,11 +114,14 @@ sum_at_least_4.reads = frozenset({"x"})
 
 #: One spec per kind of memoized declaration, each omitting a variable
 #: its function reads: (kind, name, honest reference counts or None).
+#: (which declaration lies, the kind the messages name it by, its name,
+#: counts).  A mask is folded into the constraint (``masked``), and the
+#: folded constraint carries the mask's name.
 LIES = [
-    ("action", "IncY", None),
-    ("invariant", "I-1", (13, 18, 3)),
-    ("constraint", "sum_below_3", (10, 12, 0)),
-    ("mask", "sum_at_least_4", None),
+    ("action", "action", "IncY", None),
+    ("invariant", "invariant", "I-1", (13, 18, 3)),
+    ("constraint", "constraint", "sum_below_3", (10, 12, 0)),
+    ("mask", "constraint", "sum_at_least_4", None),
 ]
 
 
@@ -173,7 +176,7 @@ class TestEmission:
         # invariant evaluated on every state.
         assert not core.outcome_groups
         assert core.memo_stats()["guard_groups"] == []
-        assert not core.inv_groups and core.mask_slots is None
+        assert not core.inv_groups and core.constraint_slots is None
 
     def test_emit_kernel_is_pure_python_source(self):
         core = compiled_for(counter_spec())
@@ -314,15 +317,15 @@ class TestLintGatedCompile:
         # An untrusted verdict must never be silent: one RuntimeWarning
         # per compile naming the first blocking action + lint rule.  Every
         # engine and strategy on a spec shares one compile (compiled_for),
-        # so they warn once between them; a private compile (a mask) asks
-        # the analyzer itself, and says so too.
+        # so they warn once between them; a masked spec is another spec,
+        # whose compile asks the analyzer itself, and says so too.
         spec = lying_spec()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for strategy in ("bfs", "dfs", "random"):
                 ExplorationEngine(spec, strategy, max_states=5).run()
             shared = len(caught)
-            compiled_for(spec, mask=lambda state: False)
+            compiled_for(masked(spec, lambda state: False))
         loud = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert shared == 1 and len(loud) == 2
         assert all("IncY" in str(w.message) and "D01" in str(w.message) for w in loud)
@@ -374,13 +377,13 @@ class TestLintGatedCompile:
         assert engine.core.kernel is not None
 
 
-@pytest.mark.parametrize("kind, name, counts", LIES, ids=[lie[0] for lie in LIES])
+@pytest.mark.parametrize("kind, said, name, counts", LIES, ids=[lie[0] for lie in LIES])
 class TestLyingDeclarationTable:
     """Every declaration the kernel memoizes on is proven before it runs
     and cross-checked under ``debug=True``: an action's closure, an
-    invariant's ``reads``, the constraint's and the mask's ``.reads``."""
+    invariant's ``reads``, the constraint's ``.reads`` (a mask's folded in)."""
 
-    def test_runs_on_the_reference_expander_loudly(self, kind, name, counts):
+    def test_runs_on_the_reference_expander_loudly(self, kind, said, name, counts):
         spec, mask = lying_toy(kind)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -390,9 +393,9 @@ class TestLyingDeclarationTable:
         assert len(loud) == 1 and name in str(loud[0].message)
         stats = engine.core.memo_stats()
         assert stats["mode"] == "reference"
-        assert stats["untrusted"] == f"{kind} {name} fails lint rule D01"
+        assert stats["untrusted"] == f"{said} {name} fails lint rule D01"
 
-    def test_counts_equal_the_reference_expander(self, kind, name, counts):
+    def test_counts_equal_the_reference_expander(self, kind, said, name, counts):
         sigs = []
         for reference in (False, True):
             spec, mask = lying_toy(kind)
@@ -406,10 +409,10 @@ class TestLyingDeclarationTable:
         if counts is not None:
             assert sigs[0] == counts
 
-    def test_debug_names_the_lying_function(self, kind, name, counts):
+    def test_debug_names_the_lying_function(self, kind, said, name, counts):
         spec, mask = lying_toy(kind)
         engine = ExplorationEngine(spec, stop_at_first=False, mask=mask, debug=True)
-        with pytest.raises(AssertionError, match=rf"^{kind} {name} violated its"):
+        with pytest.raises(AssertionError, match=rf"^{said} {name} violated its"):
             engine.run()
         assert engine.core.kernel is not None
 
@@ -513,11 +516,12 @@ class TestMaskConstraintMemo:
             )
             sigs[label] = run_sig(engine.run())
             stats = engine.core.memo_stats()
+            # the mask is folded into the constraint, and memoized there
             if label == "declared":
-                assert engine.core.mask_slots is not None
-                assert stats["mask_memo_entries"] > 0
+                assert engine.core.constraint_slots is not None
+                assert stats["constraint_memo_entries"] > 0
             else:
-                assert engine.core.mask_slots is None
-                assert stats["mask_memo_entries"] is None
-                assert not engine.core.mask_memo
+                assert engine.core.constraint_slots is None
+                assert stats["constraint_memo_entries"] is None
+                assert not engine.core.constraint_memo
         assert sigs["declared"] == sigs["plain"]

@@ -118,6 +118,7 @@ class TestValidation:
             ('{"budget": NaN}', "budget"),  # no deadline at all, and invalid JSON out
             ('{"budget": Infinity}', "budget"),
             ('{"budget": "nan"}', "budget"),
+            ('{"budget": true}', "budget"),  # not one second
             ('{"task_timeout": NaN}', "task_timeout"),
             ('{"task_timeout": 0}', "task_timeout"),
             ('{"traces": -3}', "traces"),  # an empty run

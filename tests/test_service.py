@@ -235,6 +235,22 @@ class TestCampaignServer:
         assert totals["skipped"] == totals["cells"] > 0
         assert totals["traces"] == 0
 
+    @pytest.mark.parametrize(
+        "extra, complaint",
+        [
+            ({"bogus": 1}, "unknown envelope key(s) ['bogus']"),
+            ({"deadline": True}, "deadline: expected seconds"),
+            ({"deadline": 0}, "deadline: deadline must be finite and positive"),
+        ],
+    )
+    def test_envelope_it_cannot_honour_is_error_event(self, server, extra, complaint):
+        events = stream_request(
+            server.address, {"request": CampaignRequest(**TINY).to_json(), **extra}
+        )
+        terminal = check_stream(events)
+        assert terminal["event"] == "error"
+        assert complaint in terminal["message"]
+
     def test_stats_request_describes_the_server(self, server):
         check_stream(
             stream_request(server.address, CampaignRequest(**TINY).to_json())
