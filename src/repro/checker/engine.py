@@ -12,7 +12,9 @@ Strategies
     of full states; each visited state is one link in two flat columns
     indexed in discovery order (:class:`Links`: parent index, instance
     index) and counterexamples are rebuilt by replaying the label chain
-    from the initial state.
+    from the initial state.  A level waiting to be expanded is flat
+    columns too (:class:`Level`), turned back into rows one chunk at a
+    time.
 ``dfs``
     Bounded depth-first search for a quick first violation.
 ``random``
@@ -93,6 +95,8 @@ from __future__ import annotations
 
 import gc
 import random
+import struct
+import sys
 import threading
 import time
 import warnings
@@ -111,10 +115,11 @@ from repro.tla.state import State
 #: Strategy names accepted by the engine (and the CLI ``--strategy`` flag).
 STRATEGIES = ("bfs", "dfs", "random")
 
-#: BFS rounds are swept through ``expand_batch`` in chunks of this many
-#: frontier entries.  Large enough to amortize batch setup, small enough
-#: that budget checks between chunks keep truncated runs from
-#: over-expanding far past ``max_states``.
+#: BFS levels are swept through ``expand_batch`` in chunks of this many
+#: rows.  Large enough to amortize batch setup, small enough that budget
+#: checks between chunks keep truncated runs from over-expanding far
+#: past ``max_states``, and that the one chunk of rows rebuilt from a
+#: packed level (:meth:`Level.rows`) stays small.
 _KERNEL_CHUNK = 512
 
 #: Lint rules that block kernel emission.  The kernel replays memoized
@@ -236,6 +241,53 @@ class Links:
         core = self.core
         labels = [core.labels[i] for i in chain]
         return Trace(states=core.spec.replay(labels, self.inits[index]), labels=labels)
+
+
+class Level:
+    """One BFS level, stored as flat columns: fingerprints in
+    ``array('Q')``, every row's codes in one array of ``len(schema)``
+    items per row, known-disabled masks in ``array('Q')`` (a list when
+    the spec has more than 64 action instances) and each row's link
+    index.  A queued raft state costs ~40 bytes here instead of the ~260
+    of an ``(fp, codes, known)`` tuple row.
+
+    The loop that fills a level appends a row's codes as ``pack(*codes)``
+    to ``codes``.  The codes column is 16-bit until the value table holds
+    a code that needs more (a code indexes ``values[slot]``, so the
+    table's size bounds every code); :meth:`fit` widens it, and is called
+    after each ``expand_batch`` call, before its candidates are appended.
+    :meth:`rows` rebuilds one chunk's rows just before it is expanded,
+    so at most one chunk of row objects is alive at a time."""
+
+    __slots__ = ("width", "fps", "codes", "pack", "known", "links")
+
+    def __init__(self, core: "CompiledSpec"):
+        self.width = len(core.schema)
+        self.fps = array("Q")
+        self.codes = array("H")
+        self.pack = struct.Struct(f"{self.width}H").pack
+        self.known: Any = array("Q") if core.n_instances <= 64 else []
+        self.links = array("I")
+        self.fit(core.values)
+
+    def __len__(self) -> int:
+        return len(self.links)
+
+    def fit(self, values: List[List[Any]]) -> None:
+        """Widen the codes column (and ``pack``) if ``values`` outgrew it."""
+        n = max(map(len, values), default=0)
+        typecode = "H" if n <= 1 << 16 else "I" if n <= 1 << 32 else "Q"
+        if typecode != self.codes.typecode:
+            self.codes = array(typecode, self.codes)
+            self.pack = struct.Struct(f"{self.width}{typecode}").pack
+
+    def rows(self, lo: int, hi: int) -> List[Row]:
+        """The ``(fp, codes, known)`` rows ``lo`` up to ``hi``.  Zipping
+        ``width`` references to one iterator cuts the codes into row
+        tuples in C."""
+        width = self.width
+        flat = iter(self.codes[lo * width : hi * width])
+        return list(zip(self.fps[lo:hi], zip(*[flat] * width), self.known[lo:hi]))
 
 
 def out_of_time(start: float, max_time: Optional[float]) -> bool:
@@ -924,6 +976,11 @@ class ExplorationEngine:
         The familiar budgets, with the seed checker's semantics.  Every
         strategy tests ``max_time`` the same way (:func:`out_of_time`,
         ``elapsed >= max_time``), so ``max_time=0`` expands nothing.
+        BFS and DFS report at most ``max_states`` states, none deeper
+        than ``max_depth`` (``max_depth=0``: the initial states,
+        unexpanded).  ``random`` tests ``max_states`` between walks, not
+        steps, so the walk that crosses the budget runs to its end: a
+        budget of 600 distinct states can report 603.
     mask:
         States to neither report nor explore (the ZK-4394 mask of §4.1).
         Folded into the spec once, here (:func:`~repro.tla.spec.masked`);
@@ -1050,6 +1107,9 @@ class ExplorationEngine:
         spec = self.spec
         result = CheckResult(spec_name=spec.name)
         start = time.monotonic()
+        max_depth = self.max_depth
+        # The link index of the last state the max_states budget admits.
+        last = sys.maxsize if self.max_states is None else self.max_states - 1
 
         links = Links(core)
         parents_append = links.parents.append
@@ -1057,17 +1117,16 @@ class ExplorationEngine:
         # Every fingerprint visited so far.  The kernel adds a successor's
         # as it emits it, so every candidate it returns is new.
         seen: set = set()
-        stop = False
+        stop = False  # a violation or a budget ended the run
+        pruned = False  # a state left unexpanded because of max_depth
 
         def record(index: int, viols: Sequence[int]) -> bool:
             return self._record(result, viols, lambda: links.trace(index))
 
-        # Round 0: the initial states, each encoded once.  Frontier
-        # entries are (fp, codes, known_disabled) rows, so states that only
-        # transit the frontier never materialize a State; each row's own
-        # link index rides beside it in ``frontier_ix``.
-        frontier: List[Row] = []
-        frontier_ix = array("I")
+        # Level 0: the initial states, each encoded once and linked while
+        # the max_states budget lasts.  States that only transit a level
+        # never materialize a State.
+        level = Level(core)
         for init in spec.initial_states():
             fp, codes = core.row(init.values)
             if fp in seen:
@@ -1075,76 +1134,82 @@ class ExplorationEngine:
             seen.add(fp)
             index = links.root(init)
             viols, ok = core.classify_values(codes, init)
-            if viols and record(index, viols):
+            if viols:
+                stop = record(index, viols)
+            elif ok:
+                if max_depth is None or max_depth > 0:
+                    level.fit(core.values)
+                    level.fps.append(fp)
+                    level.codes.frombytes(level.pack(*codes))
+                    level.known.append(0)
+                    level.links.append(index)
+                else:
+                    pruned = True
+            if not stop and index >= last:
+                result.budget_exhausted = "max_states"
                 stop = True
+            if stop:
                 break
-            if viols or not ok:
-                continue
-            frontier.append((fp, codes, 0))
-            frontier_ix.append(index)
-        if (
-            not stop
-            and self.max_states is not None
-            and len(links) >= self.max_states
-        ):
-            result.budget_exhausted = "max_states"
-            stop = True
 
         depth = 0
-        pruned = False  # a state left unexpanded because of max_depth
-        while frontier and not stop and result.budget_exhausted is None:
-            if out_of_time(start, self.max_time):
-                result.budget_exhausted = "max_time"
-                break
-
-            # Sweep the round in fixed-size batches.  Chunking keeps
-            # budget semantics lazy: when the merge loop stops mid-round
-            # (max_states, max_time, violation), unexpanded chunks are
-            # never swept.
-            def _batched(round_frontier=frontier):
-                for lo in range(0, len(round_frontier), _KERNEL_CHUNK):
-                    yield from core.expand_batch(
-                        round_frontier[lo : lo + _KERNEL_CHUNK], seen
-                    )
-
-            next_frontier: List[Row] = []
-            next_ix = array("I")
-            child_depth = depth + 1
-            expandable_depth = self.max_depth is None or child_depth < self.max_depth
-            for pos, (_, transitions, candidates) in enumerate(_batched()):
-                if stop or result.budget_exhausted is not None:
-                    break
+        while len(level) and not stop:
+            depth += 1
+            expandable = max_depth is None or depth < max_depth
+            below = Level(core)
+            fps_append = below.fps.append
+            known_append = below.known.append
+            links_append = below.links.append
+            level_links = level.links
+            index = first = len(links)
+            transitions = 0
+            # Sweep the level in fixed-size chunks, so a budget that stops
+            # the run mid-level (max_states, max_time, a violation) leaves
+            # the chunks after it unexpanded.
+            for lo in range(0, len(level), _KERNEL_CHUNK):
                 if out_of_time(start, self.max_time):
                     result.budget_exhausted = "max_time"
+                    stop = True
                     break
-                result.transitions += transitions
-                parent = frontier_ix[pos]
-                for idx, codes, fp, known, viols, ok in candidates:
-                    index = len(links.parents)
-                    parents_append(parent)
-                    actions_append(idx)
-                    if child_depth > result.max_depth:
-                        result.max_depth = child_depth
-                    if viols:
-                        if record(index, viols):
+                hi = min(lo + _KERNEL_CHUNK, len(level))
+                batch = core.expand_batch(level.rows(lo, hi), seen)
+                below.fit(core.values)
+                pack, put_codes = below.pack, below.codes.frombytes
+                for parent, (_, n, candidates) in zip(level_links[lo:hi], batch):
+                    transitions += n
+                    for idx, codes, fp, known, viols, ok in candidates:
+                        parents_append(parent)
+                        actions_append(idx)
+                        if viols:
+                            if record(index, viols):
+                                stop = True
+                                break
+                        elif ok:
+                            if expandable:
+                                fps_append(fp)
+                                put_codes(pack(*codes))
+                                known_append(known)
+                                links_append(index)
+                            else:
+                                pruned = True
+                        if index >= last:
+                            result.budget_exhausted = "max_states"
                             stop = True
                             break
-                    elif ok:
-                        if expandable_depth:
-                            next_frontier.append((fp, codes, known))
-                            next_ix.append(index)
-                        else:
-                            pruned = True
-                    if self.max_states is not None and index + 1 >= self.max_states:
-                        result.budget_exhausted = "max_states"
+                        index += 1
+                    if stop:
                         break
-            frontier = next_frontier
-            frontier_ix = next_ix
-            depth += 1
+                if stop:
+                    break
+                # The next chunk's rows and candidates must not meet these.
+                del batch
+            result.transitions += transitions
+            if len(links) > first:
+                result.max_depth = depth
+            level = below
 
         result.states_explored = len(links)
         result.elapsed_seconds = time.monotonic() - start
-        self._finish(result, exhausted=not frontier and not stop, pruned=pruned)
+        self._finish(result, exhausted=not len(level) and not stop, pruned=pruned)
         return result
 
     # ------------------------------------------------------------- DFS

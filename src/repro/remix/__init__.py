@@ -1,76 +1,63 @@
-"""Remix: composition, deterministic replay and conformance checking."""
+"""Remix: composition, deterministic replay and conformance checking.
 
-from repro.remix.campaign import (
-    CampaignJob,
-    CampaignReport,
-    run_campaign,
-    validation_findings,
-)
-from repro.remix.coordinator import (
-    COMPARED_VARIABLES,
-    Coordinator,
-    Discrepancy,
-    ReplayResult,
-)
-from repro.remix.mapping import ActionMapping, MappedAction, mapping_for
-from repro.remix.minimize import (
-    ConformanceOracle,
-    Direction,
-    ValidationOracle,
-    rebuild_witness,
-    replay_min_trace,
-    shrink_finding,
-    unreplayable_min_traces,
-)
-from repro.remix.registry import (
-    SpecRegistry,
-    register_system,
-    registered_systems,
-    system_plugin,
-)
-from repro.remix.request import CampaignRequest, RequestError
-from repro.remix.service import EVENT_SCHEMA, CampaignServer, serve_request
-from repro.remix.spec_cache import cached_mapping, cached_prefix, cached_spec
-from repro.remix.trace_validation import (
-    ImplExplorer,
-    TraceValidator,
-    ValidationIssue,
-    ValidationReport,
-)
+Every public name loads on first use (a module ``__getattr__``), so
+resolving a system plugin through :mod:`repro.remix.registry` imports
+the registry alone, not the campaign, the service, the backends or the
+shrinker behind the other names.
+"""
 
-__all__ = [
-    "ActionMapping",
-    "COMPARED_VARIABLES",
-    "CampaignJob",
-    "CampaignReport",
-    "CampaignRequest",
-    "CampaignServer",
-    "EVENT_SCHEMA",
-    "RequestError",
-    "ConformanceOracle",
-    "Coordinator",
-    "Direction",
-    "Discrepancy",
-    "MappedAction",
-    "ReplayResult",
-    "ImplExplorer",
-    "SpecRegistry",
-    "TraceValidator",
-    "ValidationIssue",
-    "ValidationOracle",
-    "ValidationReport",
-    "cached_mapping",
-    "cached_prefix",
-    "cached_spec",
-    "mapping_for",
-    "rebuild_witness",
-    "register_system",
-    "registered_systems",
-    "replay_min_trace",
-    "run_campaign",
-    "serve_request",
-    "shrink_finding",
-    "system_plugin",
-    "unreplayable_min_traces",
-    "validation_findings",
-]
+from importlib import import_module
+from typing import Any, List
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ActionMapping": "mapping",
+    "COMPARED_VARIABLES": "coordinator",
+    "CampaignJob": "campaign",
+    "CampaignReport": "campaign",
+    "CampaignRequest": "request",
+    "CampaignServer": "service",
+    "EVENT_SCHEMA": "service",
+    "RequestError": "request",
+    "ConformanceOracle": "minimize",
+    "Coordinator": "coordinator",
+    "Direction": "minimize",
+    "Discrepancy": "coordinator",
+    "MappedAction": "mapping",
+    "ReplayResult": "coordinator",
+    "ImplExplorer": "trace_validation",
+    "SpecRegistry": "registry",
+    "TraceValidator": "trace_validation",
+    "ValidationIssue": "trace_validation",
+    "ValidationOracle": "minimize",
+    "ValidationReport": "trace_validation",
+    "cached_mapping": "spec_cache",
+    "cached_prefix": "spec_cache",
+    "cached_spec": "spec_cache",
+    "mapping_for": "mapping",
+    "rebuild_witness": "minimize",
+    "register_system": "registry",
+    "registered_systems": "registry",
+    "replay_min_trace": "minimize",
+    "run_campaign": "campaign",
+    "serve_request": "service",
+    "shrink_finding": "minimize",
+    "system_plugin": "registry",
+    "unreplayable_min_traces": "minimize",
+    "validation_findings": "campaign",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

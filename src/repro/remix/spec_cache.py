@@ -75,6 +75,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.checker import bundle, disk_cache
 from repro.checker.disk_cache import set_disk_cache_dir  # noqa: F401  (public here)
+from repro.remix.registry import system_plugin
 from repro.tla.spec import Specification
 from repro.zookeeper.config import SpecVariant, ZkConfig
 
@@ -150,14 +151,6 @@ def _single_flight(
         return value
 
 
-def _plugin(system: str):
-    """Resolve a system plugin by name (lazy import avoids a cycle with
-    the package ``__init__``'s eager campaign import)."""
-    from repro.remix.registry import system_plugin
-
-    return system_plugin(system)
-
-
 def cached_spec(
     name: str,
     config: Optional[ZkConfig] = None,
@@ -173,7 +166,7 @@ def cached_spec(
     exactly once (single-flight).  ``variant`` is a ZooKeeper-only
     convenience that folds into the config before keying.
     """
-    plugin = _plugin(system)
+    plugin = system_plugin(system)
     config = config or plugin.default_config()
     if variant is not None:
         config = config.with_variant(variant)
@@ -200,7 +193,7 @@ def cached_mapping(name: str, *, system: str = "zookeeper"):
     return _single_flight(
         _MAPPINGS,
         ("mapping", system, name),
-        lambda: _plugin(system).make_mapping(name),
+        lambda: system_plugin(system).make_mapping(name),
     )
 
 
@@ -311,7 +304,7 @@ def cached_prefix(
     from repro.system.plugin import Scenario, ScenarioError
     from repro.tla.state import State
 
-    plugin = _plugin(system)
+    plugin = system_plugin(system)
     quorum = tuple(quorum) if quorum is not None else config.servers
     spec = cached_spec(grain, config, system=system)
     key = (system, grain, config, scenario, fault, leader, follower, quorum)

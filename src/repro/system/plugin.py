@@ -9,9 +9,8 @@ plugins by name through :func:`repro.remix.registry.system_plugin`;
 ``zookeeper`` is simply the default registered plugin.
 
 This module deliberately imports only :mod:`repro.tla` and the standard
-library so that system packages can depend on it without creating an
-import cycle with :mod:`repro.remix` (whose ``__init__`` eagerly imports
-the campaign machinery).
+library, so a system package that depends on it depends on nothing of
+the remix layer.
 """
 
 from __future__ import annotations

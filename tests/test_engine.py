@@ -2,6 +2,7 @@
 kernel-vs-reference-expander differential (guard, outcome and invariant
 memoization soundness) and budgets."""
 
+import hashlib
 import pickle
 import random
 import warnings
@@ -30,7 +31,7 @@ SCHEMA = Schema(("x", "y"))
 SMALL = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)
 
 
-def counter_spec(max_x=4, y_bound=2, constraint=None):
+def counter_spec(max_x=4, y_bound=2, constraint=None, roots=1):
     def inc_x(config, state):
         if state.x >= max_x:
             return None
@@ -51,7 +52,7 @@ def counter_spec(max_x=4, y_bound=2, constraint=None):
     return Specification(
         "counter",
         SCHEMA,
-        lambda cfg: [State.make(SCHEMA, x=0, y=0)],
+        lambda cfg: [State.make(SCHEMA, x=x, y=0) for x in range(roots)],
         [module],
         [Invariant("I-1", "y bounded", lambda cfg, s: s.y <= y_bound)],
         None,
@@ -315,6 +316,11 @@ class TestEngineOnZooKeeper:
         ]
 
 
+def label_digest(labels):
+    """sha256 prefix of a counterexample's labels joined by newlines."""
+    return hashlib.sha256("\n".join(str(label) for label in labels).encode()).hexdigest()[:16]
+
+
 #: DFS on every ``HUNTS`` row (default depth bound 40), as the engine read
 #: when a stack entry still carried its whole label chain: (states,
 #: transitions, depth, counterexample length, sha256 prefix of its labels
@@ -335,23 +341,133 @@ class TestLinks:
         # A stack entry is one link into parent/action columns; the labels
         # exist only once a violation is recorded, and must be the chain a
         # pushed tuple of labels gave.
-        import hashlib
-
         from repro.zookeeper.specs import hunt_spec
 
         spec, mask = hunt_spec(bug)
         result = explore(spec, strategy="dfs", mask=mask)
         (violation,) = result.violations
-        labels = [str(label) for label in violation.trace.labels]
-        digest = hashlib.sha256("\n".join(labels).encode()).hexdigest()[:16]
+        labels = violation.trace.labels
         got = (result.states_explored, result.transitions, result.max_depth)
-        assert got + (len(labels), digest) == DFS_HUNTS[bug]
+        assert got + (len(labels), label_digest(labels)) == DFS_HUNTS[bug]
         assert violation.trace.states == spec.replay(
             violation.trace.labels, violation.trace.states[0]
         )
 
 
+#: BFS on every ``HUNTS`` row, as the engine read when a level was a list
+#: of ``(fp, codes, known)`` tuples: (states, transitions, depth,
+#: counterexample length, :func:`label_digest`).
+#: The ZooKeeper specs have 135 action instances, so their levels keep
+#: the known-disabled masks in a list.
+BFS_HUNTS = {
+    "ZK-3023": (17940, 36546, 23, 23, "4f69e0bab3870730"),
+    "ZK-4394": (2681, 4782, 13, 13, "183eeb480eb8c26e"),
+    "ZK-4643": (105544, 216751, 25, 25, "31a45c0b9a703f38"),
+    "ZK-4646": (107414, 243999, 24, 24, "ad0b287349ec5008"),
+    "ZK-4685": (4881, 9853, 14, 14, "e3b0de43117a4d5d"),
+    "ZK-4712": (52454, 115978, 22, 22, "b52a23218a7e3fe1"),
+}
+
+
+def wide_slot_spec(n=70_000):
+    """One slot that takes ``n`` distinct values (x climbs by 1 or by
+    300): more codes than 16 bits hold."""
+    schema = Schema(("x", "y"))
+
+    def step(k):
+        def fn(config, state):
+            return {"x": state.x + k} if state.x + k < n else None
+
+        return fn
+
+    module = Module(
+        "wide",
+        [
+            Action("Step1", step(1), reads=["x"], writes=["x"]),
+            Action("Step300", step(300), reads=["x"], writes=["x"]),
+        ],
+    )
+    return Specification(
+        "wide",
+        schema,
+        lambda cfg: [State.make(schema, x=0, y=0)],
+        [module],
+        [Invariant("I-1", "x bounded", lambda cfg, s: s.x < n)],
+        None,
+    )
+
+
+class TestPackedLevels:
+    """A BFS level is flat columns; these answers are the ones a list of
+    row tuples gave."""
+
+    @pytest.mark.parametrize(
+        "bug",
+        [
+            pytest.param(bug, marks=pytest.mark.slow)
+            if bug in ("ZK-4643", "ZK-4646", "ZK-4712")
+            else bug
+            for bug in sorted(BFS_HUNTS)
+        ],
+    )
+    def test_bfs_hunts_answer_as_before(self, bug):
+        from repro.zookeeper.specs import hunt_spec
+
+        spec, mask = hunt_spec(bug)
+        result = explore(spec, mask=mask)
+        (violation,) = result.violations
+        labels = violation.trace.labels
+        got = (result.states_explored, result.transitions, result.max_depth)
+        assert got + (len(labels), label_digest(labels)) == BFS_HUNTS[bug]
+
+    def test_max_states_stops_mid_level(self):
+        # mSpec-3 at the Table 5 configuration, every violation recorded:
+        # the 50 000th state is linked while level 18 is being filled.
+        # The counts are the ones a list of row tuples gave.
+        config = ZkConfig(n_servers=3, max_txns=2, max_crashes=2, max_partitions=0, max_epoch=3)
+        result = explore(
+            make_spec("mSpec-3", config),
+            mask=zk4394_mask,
+            max_states=50_000,
+            stop_at_first=False,
+        )
+        assert result.budget_exhausted == "max_states"
+        got = (result.states_explored, result.transitions, result.max_depth)
+        assert got + (len(result.violations),) == (50_000, 120_591, 18, 76)
+
+    def test_codes_column_widens_past_16_bits(self):
+        # The levels fill past code 65 535 mid-run; both expanders give
+        # the counts a list of row tuples gave.
+        spec = wide_slot_spec()
+        engine = ExplorationEngine(spec)
+        fast = engine.run()
+        assert len(engine.core.values[0]) == 70_000
+        slow = ExplorationEngine(wide_slot_spec(), reference=True).run()
+        for result in (fast, slow):
+            assert result.completed
+            got = (result.states_explored, result.transitions, result.max_depth)
+            assert got == (70_000, 139_699, 531)
+
+
 class TestBudgets:
+    @pytest.mark.parametrize("max_depth", [0, 1, 2])
+    @pytest.mark.parametrize("max_states", [1, 2, None])
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+    def test_state_and_depth_budgets_bound_the_answer(self, strategy, max_states, max_depth):
+        # Three initial states: BFS used to link all of them before it
+        # tested max_states, and to expand them at max_depth=0.
+        result = explore(
+            counter_spec(max_x=6, y_bound=99, roots=3),
+            strategy=strategy,
+            max_states=max_states,
+            max_depth=max_depth,
+        )
+        if max_states is not None:
+            assert result.states_explored <= max_states
+        assert result.max_depth <= max_depth
+        assert result.budget_exhausted == ("max_depth" if max_states is None else "max_states")
+        assert not result.completed
+
     @pytest.mark.parametrize(
         "strategy,extra",
         [

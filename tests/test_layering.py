@@ -10,6 +10,7 @@ which must not drag in the lineage figure's graph library or the campaign
 stack."""
 
 import ast
+import importlib
 import importlib.util
 import os
 import subprocess
@@ -66,6 +67,42 @@ def test_checker_run_imports_neither_networkx_nor_the_campaign_stack():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_resolving_a_plugin_leaves_the_campaign_stack_out():
+    # The remix package's names load on first use, so resolving a plugin
+    # through the registry imports neither the campaign nor the service
+    # nor the backends.
+    script = (
+        "import sys\n"
+        "from repro.remix.registry import system_plugin\n"
+        "plugin = system_plugin('raft')\n"
+        "plugin.make_spec('raft-coarse', plugin.default_config())\n"
+        "print(sorted(m for m in sys.modules if m in WATCHED))\n"
+    )
+    watched = ("repro.remix.campaign", "repro.remix.service", "repro.checker.backends")
+    src = os.path.dirname(os.path.dirname(importlib.util.find_spec("repro").origin))
+    done = subprocess.run(
+        [sys.executable, "-c", f"WATCHED = {watched!r}\n" + script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_remix_names_load_on_first_use():
+    import repro.remix as remix
+
+    assert set(remix.__all__) <= set(dir(remix))
+    for name in remix.__all__:
+        assert getattr(remix, name) is getattr(
+            importlib.import_module(f"repro.remix.{remix._EXPORTS[name]}"), name
+        )
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        remix.nope
 
 
 ANALYZER = ("repro.analysis.declarations", "repro.analysis.deps", "repro.analysis.purity")
