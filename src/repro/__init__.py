@@ -7,8 +7,8 @@ The package provides:
   TLA+: immutable states, guarded actions, modules, and composition with
   interaction-preservation checking.
 - :mod:`repro.checker` -- the explicit-state exploration engine playing
-  the role of TLC: fingerprinted BFS/DFS/random-walk strategies on one
-  sequential successor path.
+  the role of TLC: fingerprinted BFS and DFS plus one seeded random walk,
+  all on one sequential successor path.
 - :mod:`repro.zab` -- the Zab protocol specification and the improved
   protocol of the paper's Section 5.4.
 - :mod:`repro.zookeeper` -- the multi-grained ZooKeeper system

@@ -8,6 +8,7 @@ specification mistakes conformance checking hunts at the code level.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -59,7 +60,11 @@ def measure_coverage(
     max_states: Optional[int] = 50_000,
     max_time: Optional[float] = 60.0,
 ) -> CoverageReport:
-    """BFS over the state graph counting transitions per action."""
+    """BFS over the state graph counting transitions per action.
+
+    Reports at most ``max_states`` states, initial states included: the
+    run stops at the state that reaches the budget, as the engine's BFS
+    does."""
     report = CoverageReport(
         spec_name=spec.name,
         declared=[action.name for action in spec.actions],
@@ -67,16 +72,15 @@ def measure_coverage(
     core = compiled_for(spec)
     names = [label.name for label in core.labels]
     start = time.monotonic()
+    limit = sys.maxsize if max_states is None else max_states
     seen: Set[int] = set()
     frontier: deque = deque()  # (fp, codes, known_disabled) rows
     for init in spec.initial_states():
         fp, codes = core.row(init.values)
-        if fp not in seen:
+        if fp not in seen and len(seen) < limit:
             seen.add(fp)
             frontier.append((fp, codes, 0))
-    while frontier:
-        if max_states is not None and len(seen) >= max_states:
-            break
+    while frontier and len(seen) < limit:
         if out_of_time(start, max_time):
             break
         row = frontier.popleft()
@@ -90,7 +94,9 @@ def measure_coverage(
             if fp not in seen:
                 seen.add(fp)
                 frontier.append((fp, codes, known))
+                if len(seen) >= limit:
+                    break
     report.states_explored = len(seen)
     report.elapsed_seconds = time.monotonic() - start
-    report.complete = not frontier
+    report.complete = not frontier and len(seen) < limit
     return report

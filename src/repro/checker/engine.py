@@ -17,8 +17,11 @@ Strategies
     time.
 ``dfs``
     Bounded depth-first search for a quick first violation.
-``random``
-    Seeded random walks that check invariants along the way.
+
+The one seeded model walk is not a strategy:
+:class:`~repro.checker.random_walk.RandomWalker` generates the traces a
+conformance campaign replays on the code, one :meth:`CompiledSpec.step`
+at a time.
 
 Every strategy is one in-process loop that owns its visited-fingerprint
 set, and every strategy is deterministic in its arguments: no verdict
@@ -28,7 +31,7 @@ conformance campaign, whose cells are independent.
 One successor path
 ------------------
 
-Every strategy and walker obtains successors through
+Both strategies and the walker obtain successors through
 :meth:`CompiledSpec.expand_batch`, which has exactly two things behind it:
 
 - the **generated kernel** (:mod:`repro.tla.codegen`) is what runs:
@@ -113,7 +116,7 @@ from repro.tla.spec import Specification, masked, memoized_declarations
 from repro.tla.state import State
 
 #: Strategy names accepted by the engine (and the CLI ``--strategy`` flag).
-STRATEGIES = ("bfs", "dfs", "random")
+STRATEGIES = ("bfs", "dfs")
 
 #: BFS levels are swept through ``expand_batch`` in chunks of this many
 #: rows.  Large enough to amortize batch setup, small enough that budget
@@ -657,7 +660,7 @@ class CompiledSpec:
         known_disabled: int,
         rng: random.Random,
     ):
-        """One random-walk step.
+        """One walk step; its caller is :class:`~repro.checker.random_walk.RandomWalker`.
 
         Expands with ``seen=None`` -- every state-changing successor, in
         instance order, exactly the distribution
@@ -665,9 +668,7 @@ class CompiledSpec:
         consuming the same entropy) -- and returns
         ``(instance_index, codes, fp, known_disabled)`` for the chosen
         successor, or ``None`` in a dead end.  The caller decodes the
-        chosen successor if it needs a ``State``.  Shared by
-        :class:`~repro.checker.random_walk.RandomWalker` and the engine's
-        ``random`` strategy.
+        chosen successor if it needs a ``State``.
         """
         ((_, _, candidates),) = self.expand_batch(
             [(state_fp, codes, known_disabled)], classify_candidates=False
@@ -694,7 +695,7 @@ class CompiledSpec:
         fingerprint set; candidate fingerprints are added to it, so every
         candidate returned is new to it.
         ``seen=None`` emits every state-changing successor exactly in
-        instance order -- the random walkers use it to draw from the full
+        instance order -- the walker uses it to draw from the full
         successor distribution.  Successors are rows of codes; decoding
         one is the caller's choice.
         """
@@ -946,7 +947,7 @@ def compiled_for(
 
     The default configuration (no debug, no reference pin) is compiled
     once per :class:`Specification` instance and shared by every
-    consumer -- engine runs, random walkers, the conformance campaign's
+    consumer -- engine runs, the walker, the conformance campaign's
     suffix replays -- so the interference matrix and the generated kernel
     are built once and the outcome memos stay warm across calls.
     Campaign workers fork after the parent pre-warms the cache and
@@ -971,22 +972,17 @@ class ExplorationEngine:
     spec:
         The specification to check.
     strategy:
-        One of ``"bfs"``, ``"dfs"``, ``"random"``.
+        One of ``"bfs"``, ``"dfs"``.
     max_states / max_time / max_depth / violation_limit / stop_at_first:
         The familiar budgets, with the seed checker's semantics.  Every
         strategy tests ``max_time`` the same way (:func:`out_of_time`,
         ``elapsed >= max_time``), so ``max_time=0`` expands nothing.
-        BFS and DFS report at most ``max_states`` states, none deeper
-        than ``max_depth`` (``max_depth=0``: the initial states,
-        unexpanded).  ``random`` tests ``max_states`` between walks, not
-        steps, so the walk that crosses the budget runs to its end: a
-        budget of 600 distinct states can report 603.
+        Both report at most ``max_states`` states, none deeper than
+        ``max_depth`` (``max_depth=0``: the initial states, unexpanded).
     mask:
         States to neither report nor explore (the ZK-4394 mask of §4.1).
         Folded into the spec once, here (:func:`~repro.tla.spec.masked`);
         a ``Violation`` still names the spec's own ``Invariant``.
-    seed:
-        Seed for the random strategy.
     workers, dedupe:
         Accepted for the benchmark harness only and stored nowhere: every
         run is one in-process loop whatever ``workers`` says, and
@@ -1018,7 +1014,6 @@ class ExplorationEngine:
         violation_limit: int = 10_000,
         stop_at_first: bool = True,
         mask: Optional[Callable[[State], bool]] = None,
-        seed: int = 0,
         dedupe: str = "rounds",
         debug: bool = False,
         reference: bool = False,
@@ -1046,7 +1041,6 @@ class ExplorationEngine:
         self.stop_at_first = stop_at_first
         #: What the strategies check: ``spec``, with ``mask`` folded in.
         self.checked = spec if mask is None else masked(spec, mask)
-        self.seed = seed
         self.debug = debug
         self.reference = reference
         #: The compiled core of the last run (memo/kernel telemetry for
@@ -1059,9 +1053,7 @@ class ExplorationEngine:
         try:
             if self.strategy == "bfs":
                 return self._run_bfs()
-            if self.strategy == "dfs":
-                return self._run_dfs()
-            return self._run_random()
+            return self._run_dfs()
         finally:
             if was_collecting:
                 gc.enable()
@@ -1128,6 +1120,10 @@ class ExplorationEngine:
         # never materialize a State.
         level = Level(core)
         for init in spec.initial_states():
+            if len(links) > last:  # max_states=0 admits no state
+                result.budget_exhausted = "max_states"
+                stop = True
+                break
             fp, codes = core.row(init.values)
             if fp in seen:
                 continue
@@ -1275,74 +1271,6 @@ class ExplorationEngine:
         result.states_explored = len(visited)
         result.elapsed_seconds = time.monotonic() - start
         self._finish(result, exhausted=not stack and not stop, pruned=pruned)
-        return result
-
-    # ---------------------------------------------------------- random
-
-    def _run_random(self) -> CheckResult:
-        """Seeded random walks until a budget lapses or a violation stops
-        the run.  ``states_explored`` is distinct states, not steps."""
-        core = self._compile()
-        spec = self.spec
-        result = CheckResult(spec_name=spec.name)
-        start = time.monotonic()
-        rng = random.Random(self.seed)
-        # Without any budget a random search would never terminate; cap
-        # the number of walks as a final backstop.
-        max_walks = None
-        if self.max_states is None and self.max_time is None:
-            max_walks = 1_000
-        max_steps = self.max_depth if self.max_depth is not None else 60
-        # Each initial state encoded once; one rng.choice per walk over a
-        # list as long as the initial states draws what it always drew.
-        starts = [(init, *core.row(init.values)) for init in spec.initial_states()]
-        seen: set = set()
-        walks = 0
-        stop = False
-
-        while not stop:
-            if max_walks is not None and walks >= max_walks:
-                result.budget_exhausted = "max_walks"
-                break
-            if self.max_states is not None and len(seen) >= self.max_states:
-                result.budget_exhausted = "max_states"
-                break
-            if out_of_time(start, self.max_time):
-                result.budget_exhausted = "max_time"
-                break
-            walks += 1
-            init, fp, codes = rng.choice(starts)
-            state: Optional[State] = init
-            known = 0
-            path = [codes]
-            labels: List[Any] = []
-            seen.add(fp)
-
-            def trace_of() -> Trace:
-                decoded = [State(core.schema, core.decode(row)) for row in path[1:]]
-                return Trace(states=[init] + decoded, labels=list(labels))
-
-            for _ in range(max_steps):
-                viols, ok = core.classify_values(codes, state)
-                if viols:
-                    stop = self._record(result, viols, trace_of)
-                    break
-                if not ok:
-                    break
-                chosen = core.step(codes, fp, known, rng)
-                if chosen is None:
-                    break
-                idx, codes, fp, known = chosen
-                state = None
-                result.transitions += 1
-                labels.append(core.labels[idx])
-                path.append(codes)
-                seen.add(fp)
-                if len(path) - 1 > result.max_depth:
-                    result.max_depth = len(path) - 1
-
-        result.states_explored = len(seen)
-        result.elapsed_seconds = time.monotonic() - start
         return result
 
 

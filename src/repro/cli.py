@@ -89,10 +89,6 @@ def _add_engine_args(parser: argparse.ArgumentParser):
         help="exploration strategy (default: bfs)",
     )
     parser.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for the random strategy",
-    )
-    parser.add_argument(
         "--debug-deps",
         action="store_true",
         help="emit the generated kernel even for a spec the static "
@@ -112,7 +108,6 @@ def _add_engine_args(parser: argparse.ArgumentParser):
 def _engine(args, spec, **overrides) -> ExplorationEngine:
     kwargs = dict(
         strategy=getattr(args, "strategy", "bfs"),
-        seed=getattr(args, "seed", 0),
         debug=getattr(args, "debug_deps", False),
         max_states=args.max_states,
         max_time=args.max_time,

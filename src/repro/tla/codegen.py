@@ -501,7 +501,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
     w("    return results")
     w("")
     # The same block as a function, for the states a strategy judges
-    # outside a batch (a BFS root, a DFS pop, a walk step).
+    # outside a batch (a BFS root, a DFS pop).
     w("def _classify(")
     w("    sc,")
     w("    cst=None,")

@@ -20,6 +20,23 @@ def _isolated_spec_cache(tmp_path_factory):
     yield
 
 
+def pytest_collection_modifyitems(items):
+    """Run each test once: ``from test_x import TestY`` in another test
+    module collects every test of ``TestY`` a second time there, so a
+    test collected from a module other than the one that defines it
+    fails the collection.  Import constants and helpers, not tests."""
+    strays = [
+        item.nodeid
+        for item in items
+        if getattr(item, "function", None) is not None
+        and item.function.__module__ != item.module.__name__
+    ]
+    if strays:
+        raise pytest.UsageError(
+            "tests collected outside the module that defines them: " + ", ".join(strays)
+        )
+
+
 def txn(epoch, counter, value=None):
     """Shorthand transaction constructor."""
     return Txn(Zxid(epoch, counter), value if value is not None else counter)

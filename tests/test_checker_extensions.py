@@ -1,5 +1,6 @@
 """Tests for the checker extensions: DFS, coverage and pretty-printing."""
 
+import pytest
 
 from repro.checker import (
     explore,
@@ -15,7 +16,7 @@ from repro.tla.state import Schema, State
 SCHEMA = Schema(("x", "y"))
 
 
-def counter_spec(max_x=4, y_bound=2):
+def counter_spec(max_x=4, y_bound=2, roots=1):
     def inc_x(config, state):
         if state.x >= max_x:
             return None
@@ -40,7 +41,7 @@ def counter_spec(max_x=4, y_bound=2):
     return Specification(
         "counter",
         SCHEMA,
-        lambda cfg: [State.make(SCHEMA, x=0, y=0)],
+        lambda cfg: [State.make(SCHEMA, x=x, y=0) for x in range(roots)],
         [module],
         [Invariant("I-1", "y bounded", lambda cfg, s: s.y <= y_bound)],
         None,
@@ -88,6 +89,17 @@ class TestCoverage:
         assert report.unfired() == ["NeverFires"]
         assert 0 < report.coverage_fraction() < 1
 
+    @pytest.mark.parametrize("roots,max_states", [(1, 5), (3, 1), (3, 2), (1, 0), (3, 0)])
+    def test_reports_at_most_max_states(self, roots, max_states):
+        # The engine's BFS rule, initial states included: the run stops
+        # at the state that reaches the budget.
+        spec = counter_spec(y_bound=99, roots=roots)
+        report = measure_coverage(spec, max_states=max_states)
+        assert report.states_explored == max_states
+        assert not report.complete
+        bfs = explore(counter_spec(y_bound=99, roots=roots), max_states=max_states)
+        assert bfs.states_explored == max_states
+
     def test_summary_mentions_unfired(self):
         report = measure_coverage(counter_spec(y_bound=99))
         assert "UNFIRED: NeverFires" in report.summary()
@@ -108,11 +120,10 @@ class TestCoverage:
         report = measure_coverage(spec, max_states=120_000, max_time=90)
         # every action of the composition is reachable
         assert report.coverage_fraction() == 1.0, report.unfired()
-        # the numbers the pre-expand_batch BFS over Specification.successors
-        # produced at this budget (a max_states cut, never max_time)
+        # a max_states cut, never max_time
         assert (
             report.states_explored, sum(report.fired.values()), report.complete
-        ) == (120_001, 319_861, False)
+        ) == (120_000, 319_859, False)
 
 
 class TestPretty:

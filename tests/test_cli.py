@@ -23,14 +23,18 @@ class TestParser:
         assert args.txns == 2 and args.crashes == 3
 
     def test_engine_args(self):
-        args = build_parser().parse_args(
-            ["check", "mSpec-3", "--seed", "4", "--strategy", "random"]
-        )
-        assert args.seed == 4 and args.strategy == "random"
+        args = build_parser().parse_args(["check", "mSpec-3", "--strategy", "dfs"])
+        assert args.strategy == "dfs"
+
+    def test_campaign_keeps_its_seed(self):
+        # `--seed` left check, bugs and protocol with the random
+        # strategy; a campaign's walks are still seeded.
+        args = build_parser().parse_args(["campaign", "--seed", "7"])
+        assert args.seed == 7
 
     def test_engine_args_on_bugs_and_protocol(self):
-        args = build_parser().parse_args(["bugs", "--seed", "2"])
-        assert args.seed == 2 and args.strategy == "bfs"
+        args = build_parser().parse_args(["bugs"])
+        assert args.strategy == "bfs"
         args = build_parser().parse_args(["protocol", "--strategy", "dfs"])
         assert args.strategy == "dfs"
 
@@ -46,6 +50,13 @@ class TestParser:
             ["check", "mSpec-1", "--strategy", "portfolio"],
             ["bugs", "--strategy", "portfolio"],
             ["protocol", "--strategy", "portfolio"],
+            # the random strategy is gone, and the seed only it read;
+            # `campaign --seed` seeds the walks and stays
+            ["check", "mSpec-3", "--strategy", "random"],
+            ["bugs", "--strategy", "random"],
+            ["check", "mSpec-3", "--seed", "4"],
+            ["bugs", "--seed", "4"],
+            ["protocol", "--seed", "4"],
             # parallel BFS is gone; `campaign --workers` is not
             ["check", "mSpec-1", "--workers", "2"],
             ["bugs", "--workers", "2"],

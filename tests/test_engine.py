@@ -30,6 +30,18 @@ SCHEMA = Schema(("x", "y"))
 
 SMALL = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)
 
+#: ``mSpec-1`` at ``SMALL`` to 3 000 states, with and without the ZK-4394
+#: mask: (states, transitions, max_depth, violations) per (strategy,
+#: masked).  The answers every engine change is held to
+#: (``TestCompiledKernelLane.test_kernel_matches_reference_matrix`` runs
+#: them).
+PINNED = {
+    ("bfs", True): (3000, 5337, 14, []),
+    ("dfs", True): (3000, 5011, 20, []),
+    ("bfs", False): (2681, 4782, 13, [("I-14/COMMIT_UNMATCHED_IN_SYNC", 13)]),
+    ("dfs", False): (29, 54, 17, [("I-14/COMMIT_UNMATCHED_IN_SYNC", 16)]),
+}
+
 
 def counter_spec(max_x=4, y_bound=2, constraint=None, roots=1):
     def inc_x(config, state):
@@ -186,11 +198,18 @@ class TestEngineBFS:
         assert exact.completed
         assert exact.states_explored == 28  # x in 0..6, y in 0..x
 
+    @pytest.mark.parametrize("run", [ExplorationEngine, explore])
+    def test_seed_keyword_is_gone(self, run):
+        # Only the deleted random strategy read a seed; RandomWalker
+        # takes the one seed a model walk needs.
+        with pytest.raises(TypeError, match="seed"):
+            run(counter_spec(), seed=3)
+
     def test_unknown_strategy_rejected(self):
-        for strategy in ("bogus", "portfolio"):  # the latter removed in PR 22
+        for strategy in ("bogus", "portfolio", "random"):  # the last two removed
             with pytest.raises(ValueError, match="unknown strategy"):
                 ExplorationEngine(counter_spec(), strategy=strategy)
-        assert set(STRATEGIES) == {"bfs", "dfs", "random"}
+        assert set(STRATEGIES) == {"bfs", "dfs"}
 
     def test_rounds_is_the_only_dedupe_mode(self):
         # The keyword outlives --dedupe only because bench/probes.py
@@ -240,18 +259,9 @@ class TestEngineStrategies:
         # A budget that stopped the run first is the one reported.
         assert run(max_depth=4, max_states=5).budget_exhausted == "max_states"
 
-    def test_random_is_seed_deterministic(self):
-        spec = counter_spec(y_bound=1)
-        a = explore(spec, strategy="random", seed=5, max_states=500)
-        b = explore(counter_spec(y_bound=1), strategy="random", seed=5, max_states=500)
-        assert a.states_explored == b.states_explored
-        assert [v.invariant.ident for v in a.violations] == [
-            v.invariant.ident for v in b.violations
-        ]
-
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_violation_limit_is_honoured_by_every_strategy(self, strategy):
-        # One recording rule for all three loops: every violated
+        # One recording rule for both loops: every violated
         # invariant reported, the run carried on past the first and
         # stopped at the limit, which is named as the exhausted budget.
         result = explore(
@@ -451,11 +461,12 @@ class TestPackedLevels:
 
 class TestBudgets:
     @pytest.mark.parametrize("max_depth", [0, 1, 2])
-    @pytest.mark.parametrize("max_states", [1, 2, None])
+    @pytest.mark.parametrize("max_states", [1, 2, None, 0])
     @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
     def test_state_and_depth_budgets_bound_the_answer(self, strategy, max_states, max_depth):
         # Three initial states: BFS used to link all of them before it
-        # tested max_states, and to expand them at max_depth=0.
+        # tested max_states, and to expand them at max_depth=0; it also
+        # linked one initial state under max_states=0.
         result = explore(
             counter_spec(max_x=6, y_bound=99, roots=3),
             strategy=strategy,
@@ -468,20 +479,22 @@ class TestBudgets:
         assert result.budget_exhausted == ("max_depth" if max_states is None else "max_states")
         assert not result.completed
 
-    @pytest.mark.parametrize(
-        "strategy,extra",
-        [
-            ("bfs", {}),
-            ("dfs", {}),
-            ("random", {}),
-        ],
-    )
-    def test_max_time_zero_expands_nothing(self, strategy, extra):
-        # Every loop tests the wall clock the same way (elapsed >=
-        # max_time), so a zero budget expands nothing in any of them.
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_strategy_reports_at_most_max_states_on_a_grain(self, strategy):
+        # The deleted random strategy reported 603 states under this
+        # budget; the two that stay stop at the state that reaches it.
         result = explore(
-            counter_spec(max_x=50, y_bound=99), strategy=strategy, max_time=0, **extra
+            make_spec("mSpec-1", SMALL), strategy=strategy, mask=zk4394_mask, max_states=600
         )
+        assert result.states_explored == 600
+        assert result.budget_exhausted == "max_states"
+        assert not result.found_violation
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_max_time_zero_expands_nothing(self, strategy):
+        # Both loops test the wall clock the same way (elapsed >=
+        # max_time), so a zero budget expands nothing in either.
+        result = explore(counter_spec(max_x=50, y_bound=99), strategy=strategy, max_time=0)
         assert result.budget_exhausted == "max_time"
         assert result.transitions == 0
         assert not result.completed and not result.found_violation
@@ -854,17 +867,10 @@ class TestCompiledKernelLane:
             ),
         )
 
-    #: Per strategy, a budget that ends every run deterministically.
-    FUZZ_BUDGETS = {
-        "bfs": {"max_states": 2_000},
-        "dfs": {"max_states": 2_000},
-        "random": {"max_depth": 12},  # 1 000 walks
-    }
-
     def test_fuzzed_random_specs_identical(self, monkeypatch):
         # Every predicate shape -- mask and constraint absent, declared or
         # undeclared, invariants grouped or not -- through the batch sweep
-        # and through classify_values (BFS roots, DFS pops, walk steps).
+        # and through classify_values (BFS roots, DFS pops).
         # The fuzzed declarations are honest by construction, but the
         # analyzer cannot read closures over defaults (D05): trust them,
         # so the kernel runs exactly as it does for a proven spec.
@@ -876,9 +882,8 @@ class TestCompiledKernelLane:
                 spec,
                 strategy,
                 mask=random_mask(spec, seed),
-                seed=seed,
                 stop_at_first=False,
-                **self.FUZZ_BUDGETS[strategy],
+                max_states=2_000,
                 **options,
             )
             result = engine.run()
@@ -952,26 +957,12 @@ class TestCompiledKernelLane:
             max_states=1_500, max_time=60, debug=True,
         )
 
-    I14 = [("I-14/COMMIT_UNMATCHED_IN_SYNC", 13)]
-    #: (states, transitions, max_depth, violations) per (strategy, masked).
-    PINNED = {
-        ("bfs", True): (3000, 5337, 14, []),
-        ("dfs", True): (3000, 5011, 20, []),
-        ("random", True): (603, 3310, 22, []),
-        ("bfs", False): (2681, 4782, 13, I14),
-        ("dfs", False): (29, 54, 17, [("I-14/COMMIT_UNMATCHED_IN_SYNC", 16)]),
-        ("random", False): (603, 3310, 22, []),
-    }
-
     @pytest.mark.parametrize("masked", [True, False])
     @pytest.mark.parametrize(
         "strategy,extra",
         [
             ("bfs", {}),
             ("dfs", {"max_depth": 20}),
-            # walks revisit states: a small distinct-state budget keeps the
-            # cut deterministic (max_states, never max_time)
-            ("random", {"seed": 3, "max_states": 600}),
         ],
     )
     def test_kernel_matches_reference_matrix(self, strategy, extra, masked):
@@ -995,7 +986,43 @@ class TestCompiledKernelLane:
                 [v.trace.labels for v in result.violations],
             )
         assert sigs[False] == sigs[True]
-        assert sigs[True][:4] == self.PINNED[strategy, masked]
+        assert sigs[True][:4] == PINNED[strategy, masked]
+
+    @pytest.mark.parametrize("grain", ["mSpec-3", "mSpec-3-masked", "raft-fine"])
+    def test_walk_matches_reference_walk(self, grain):
+        # RandomWalker is the one seeded model walk (every top-down
+        # campaign cell takes it): on the kernel, on the reference
+        # expander and on a debug core that cross-checks every step
+        # batch, a seed draws one walk, step for step.
+        if grain == "raft-fine":
+            from repro.remix.registry import system_plugin
+
+            raft = system_plugin("raft")
+            spec = raft.make_spec(grain, raft.default_config())
+        else:
+            from repro.tla.spec import masked
+
+            spec = make_spec("mSpec-3", SMALL)
+            if grain.endswith("masked"):
+                spec = masked(spec, zk4394_mask)
+        cores = (
+            compiled_for(spec),
+            CompiledSpec(spec, reference=True),
+            CompiledSpec(spec, debug=True),
+        )
+        assert cores[0].kernel is not None and cores[1].kernel is None
+        steps = 0
+        for seed in (0, 3, 11, 42):
+            walks = [
+                [
+                    (trace.labels, trace.states)
+                    for trace in RandomWalker(spec, seed=seed, compiled=core).traces(3, 50)
+                ]
+                for core in cores
+            ]
+            assert walks[0] == walks[1] == walks[2], seed
+            steps += sum(len(labels) for labels, _ in walks[0])
+        assert steps > 200
 
     def test_untrusted_spec_falls_back_in_auto(self):
         # A spec with a lint finding on a trust-critical rule runs on the

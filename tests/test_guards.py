@@ -321,7 +321,6 @@ class TestShippedCompositions:
                 strategy,
                 mask=zk4394_mask if masked else None,
                 max_states=1_200,
-                seed=11,
                 **pin,
             ).run()
             sigs.append(run_sig(result) + ([v.trace.labels for v in result.violations],))

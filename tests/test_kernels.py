@@ -208,23 +208,6 @@ class TestDifferentialIdentity:
             assert (engine.core.kernel is None) == reference
         assert sigs[False] == sigs[True]
 
-    def test_random_walk_identical_entropy(self):
-        # Same seed, same candidate distributions => same walk, compiled
-        # or not.  The space (~465 states at max_x=30) is larger than the
-        # budget so both arms stop on the same deterministic state-count
-        # cutoff, never on wall-clock.
-        sigs = {}
-        for reference in (False, True):
-            engine = ExplorationEngine(
-                counter_spec(max_x=30, y_bound=10 ** 9),
-                "random",
-                max_states=300,
-                seed=11,
-                reference=reference,
-            )
-            sigs[reference] = run_sig(engine.run())
-        assert sigs[False] == sigs[True]
-
     def test_fuzzed_counter_family_identical(self):
         rng = random.Random(2024)
         for trial in range(6):
@@ -322,7 +305,7 @@ class TestLintGatedCompile:
         spec = lying_spec()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for strategy in ("bfs", "dfs", "random"):
+            for strategy in ("bfs", "dfs"):
                 ExplorationEngine(spec, strategy, max_states=5).run()
             shared = len(caught)
             compiled_for(masked(spec, lambda state: False))

