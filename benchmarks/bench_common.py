@@ -27,8 +27,9 @@ from repro.zookeeper.specs import SELECTIONS, build_spec
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "normal")
 
 def bench_config(**kw):
-    """The Table 5 configuration shape (3 servers, 2 txns, 2 crashes,
-    2 partitions) at laptop scale."""
+    """The Table 5 configuration shape (3 servers, 2 txns, 2 crashes) at
+    laptop scale, with 0 partitions where the paper runs 2 (ROADMAP item
+    15: at 2 partitions mSpec-1 and mSpec-2 fail I-10 early)."""
     defaults = dict(
         n_servers=3, max_txns=2, max_crashes=2, max_partitions=0, max_epoch=3
     )

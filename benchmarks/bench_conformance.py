@@ -17,10 +17,10 @@ from repro.remix import (
     Coordinator,
     ImplExplorer,
     TraceValidator,
-    mapping_for,
     system_plugin,
 )
 from repro.zookeeper import V391, ZkConfig, make_spec
+from repro.zookeeper.mapping import mapping_for
 from repro.zookeeper.specs import SELECTIONS
 
 CFG = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)

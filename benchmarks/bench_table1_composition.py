@@ -1,14 +1,13 @@
 """Table 1: the composition matrix of mixed-grained specifications.
 
-Regenerates the matrix from the registry and benchmarks the composition
+Regenerates the matrix from the selections and benchmarks the composition
 step itself (Remix's "composing them is straightforward").
 """
 
 import pytest
 
 from bench_common import bench_config, print_table
-from repro.remix import SpecRegistry
-from repro.zookeeper.specs import SELECTIONS
+from repro.zookeeper.specs import SELECTIONS, make_spec
 
 EXPECTED = {
     "SysSpec": ("Baseline", "Baseline", "Baseline", "Baseline"),
@@ -56,9 +55,8 @@ def test_selection_matches_table1(name):
 
 @pytest.mark.parametrize("name", list(EXPECTED))
 def test_composition_benchmark(benchmark, name):
-    registry = SpecRegistry()
     config = bench_config()
-    spec = benchmark(lambda: registry.compose_named(name, config))
+    spec = benchmark(lambda: make_spec(name, config))
     assert spec.name == name
 
 

@@ -12,10 +12,10 @@ Run:  python examples/custom_composition.py
 """
 
 from repro.checker import explore
-from repro.remix import SpecRegistry
 from repro.tla.composition import CompositionError
 from repro.tla.module import interaction_variables
 from repro.zookeeper import ZkConfig, zk4394_mask
+from repro.zookeeper.specs import SpecRegistry
 
 
 def main():

@@ -12,11 +12,11 @@ The package provides:
 - :mod:`repro.zab` -- the Zab protocol specification and the improved
   protocol of the paper's Section 5.4.
 - :mod:`repro.zookeeper` -- the multi-grained ZooKeeper system
-  specification (baseline, atomicity-split, concurrency-aware) and the
-  mixed-grained specifications mSpec-1..mSpec-4.
+  specification (baseline, atomicity-split, concurrency-aware), its spec
+  registry and the mixed-grained specifications mSpec-1..mSpec-4.
 - :mod:`repro.impl` -- a deterministic ZooKeeper implementation simulator
   with the six paper bugs, used for conformance checking.
-- :mod:`repro.remix` -- the Remix framework: spec registry, composer,
+- :mod:`repro.remix` -- the Remix framework: system-plugin registry,
   deterministic-replay coordinator and the conformance campaign
   (one way in: ``run_campaign(CampaignRequest)``).
 - :mod:`repro.analysis` -- effort metrics (Table 3) and the bug lineage

@@ -14,9 +14,9 @@ import inspect
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
-from repro.remix.mapping import mapping_for
 from repro.tla.spec import Specification
 from repro.zookeeper.config import ZkConfig
+from repro.zookeeper.mapping import mapping_for
 from repro.zookeeper.specs import SELECTIONS, build_spec
 
 

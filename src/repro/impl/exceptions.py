@@ -3,17 +3,12 @@ ZooKeeper bugs produce (the paper's conformance checker "reports
 implementation bugs with obvious symptoms like assertion failures when
 replaying traces", §3.5.2).
 
-:class:`ImplError` is the system-agnostic base the remix layer catches;
-other system plugins (e.g. :mod:`repro.raft.impl`) derive their own
-hierarchies from it."""
+They derive from :class:`repro.system.plugin.ImplError`, the
+system-agnostic base the remix layer catches."""
 
 from __future__ import annotations
 
-
-class ImplError(Exception):
-    """Base class for implementation-level failures of any system."""
-
-    bug_id = ""
+from repro.system.plugin import ImplError
 
 
 class ZkImplError(ImplError):

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.impl.exceptions import ImplError
 from repro.raft.config import RaftVariant
+from repro.system.plugin import ImplError
 
 FOLLOWER = "follower"
 CANDIDATE = "candidate"

@@ -26,7 +26,6 @@ _EXPORTS = {
     "MappedAction": "mapping",
     "ReplayResult": "coordinator",
     "ImplExplorer": "trace_validation",
-    "SpecRegistry": "registry",
     "TraceValidator": "trace_validation",
     "ValidationIssue": "trace_validation",
     "ValidationOracle": "minimize",
@@ -34,7 +33,6 @@ _EXPORTS = {
     "cached_mapping": "spec_cache",
     "cached_prefix": "spec_cache",
     "cached_spec": "spec_cache",
-    "mapping_for": "mapping",
     "rebuild_witness": "minimize",
     "register_system": "registry",
     "registered_systems": "registry",

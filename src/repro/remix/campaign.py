@@ -231,9 +231,10 @@ def trace_findings(result, trace, grain: str) -> List[Dict[str, Any]]:
 
 
 def validation_findings(
-    report: ValidationReport, grain: str
+    report: ValidationReport, labels, grain: str, run: int = 0
 ) -> List[Dict[str, Any]]:
-    """Reduce one bottom-up validation report to fingerprinted findings.
+    """Reduce the bottom-up validation report of run ``run`` (its
+    ``labels``) to fingerprinted findings.
 
     The identity payload embeds ``direction: "bottomup"``: a bug
     reachable through implementation exploration is a distinct piece of
@@ -253,9 +254,10 @@ def validation_findings(
             "impl": canonical_value(issue.impl_value),
         }
         findings.append(_finding(identity, str(issue), run=issue.run))
-    for run, step, label, error in report.impl_errors:
+    if report.impl_error is not None:
+        step = report.impl_error_step
         identity, detail = _impl_bug(
-            error, label, direction="bottomup", grain=grain
+            report.impl_error, labels[step], direction="bottomup", grain=grain
         )
         findings.append(
             _finding(identity, f"{detail} (run {run} step {step})", run=run)

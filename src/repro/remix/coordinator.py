@@ -14,9 +14,8 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.checker.trace import Trace
-from repro.impl.ensemble import Ensemble
-from repro.impl.exceptions import ImplError
 from repro.remix.mapping import ActionMapping
+from repro.system.plugin import ImplError
 from repro.tla.action import ActionLabel
 from repro.tla.state import Schema, State
 
@@ -193,7 +192,7 @@ class Coordinator:
         self,
         trace: Trace,
         stop_on_discrepancy: bool = True,
-        resume: Optional[Tuple[int, Ensemble]] = None,
+        resume: Optional[Tuple[int, Any]] = None,
     ) -> ReplayResult:
         """Drive the implementation through the trace's actions.
 
@@ -266,12 +265,12 @@ class Coordinator:
                 return result
         return result
 
-    def start(self) -> Tuple[int, Ensemble]:
+    def start(self) -> Tuple[int, Any]:
         """The resume point every replay starts from unless handed
         another: step 0 on a fresh ensemble."""
         return 0, self.ensemble_factory()
 
-    def advance(self, point: Tuple[int, Ensemble], labels) -> Tuple[int, Ensemble]:
+    def advance(self, point: Tuple[int, Any], labels) -> Tuple[int, Any]:
         """Drive a resume point through ``labels`` without comparing: for
         steps an earlier replay already found clean."""
         step, ensemble = point

@@ -309,6 +309,14 @@ class _Resumable:
         return True
 
 
+def _stopped(outcome, problems) -> Optional[int]:
+    """The step a lockstep loop stopped at: its implementation error's,
+    else its last problem's; None when it ran to the end."""
+    if outcome.impl_error is not None:
+        return outcome.impl_error_step
+    return problems[-1].step if problems else None
+
+
 class ConformanceOracle(_Resumable):
     """The top-down judge: replay a model trace through the coordinator."""
 
@@ -341,13 +349,10 @@ class ConformanceOracle(_Resumable):
 
     def _findings_from(self, trace: Trace, resume):
         result = self.lockstep.replay(trace, resume=resume)
-        if result.impl_error is not None:
-            stopped = result.impl_error_step
-        elif result.discrepancies:
-            stopped = result.discrepancies[-1].step
-        else:
-            stopped = None
-        return trace_findings(result, trace, self.grain), stopped
+        return (
+            trace_findings(result, trace, self.grain),
+            _stopped(result, result.discrepancies),
+        )
 
     def __call__(self, trace: Trace, keep: int = 0) -> bool:
         return self._reproduces(trace, keep)
@@ -390,18 +395,15 @@ class ValidationOracle(_Resumable):
         return (
             report.steps_validated + (resume[0] if resume else 0),
             labels,
-            validation_findings(report, self.grain),
+            validation_findings(report, labels, self.grain, index),
         )
 
     def _findings_from(self, labels: List, resume):
         report = self.lockstep.validate_labels(labels, resume=resume)
-        if report.impl_errors:
-            stopped = report.impl_errors[-1][1]
-        elif report.issues:
-            stopped = report.issues[-1].step
-        else:
-            stopped = None
-        return validation_findings(report, self.grain), stopped
+        return (
+            validation_findings(report, labels, self.grain),
+            _stopped(report, report.issues),
+        )
 
     def __call__(self, labels: List, keep: int = 0) -> bool:
         return self._reproduces(labels, keep)
@@ -420,13 +422,12 @@ class Direction:
     steps_key: str
     #: ``derive(grain, witness, config, system, prefix) -> run``
     derive: Callable
-    #: The oracle class (see "judge" above).
+    #: The oracle class (see "judge" above); ``judge.labels(run)`` is
+    #: what the shrinker deletes from.
     judge: Callable
-    #: ``labels(run)`` is what the shrinker deletes from, and
     #: ``lift(spec, judge)`` makes a ``judge(run, keep)`` the loop's
     #: ``oracle(labels, keep)``: it turns a candidate back into a run for
     #: the judge, or rejects it when it is not a run in this direction.
-    labels: Callable
     lift: Callable
 
 
@@ -436,7 +437,6 @@ DIRECTION_TABLE: Dict[str, Direction] = {
         steps_key="suffix_steps",
         derive=_walk_suffix,
         judge=ConformanceOracle,
-        labels=ConformanceOracle.labels,
         # a candidate is a run only if it replays at the model level
         lift=lambda spec, judge: ReplayThenJudge(
             spec, spec.initial_states()[0], judge
@@ -447,7 +447,6 @@ DIRECTION_TABLE: Dict[str, Direction] = {
         steps_key="explorer_steps",
         derive=_explore_suffix,
         judge=ValidationOracle,
-        labels=ValidationOracle.labels,
         lift=lambda spec, judge: judge,
     ),
 }
@@ -509,7 +508,7 @@ def shrink_finding(
     if not oracle(run):
         return {"status": "unreproducible", "witness_steps": len(run)}
     shrunk = shrink_labels_oracle(
-        direction.labels(run),
+        direction.judge.labels(run),
         direction.lift(cached_spec(grain, config, system=system), oracle),
         max_rounds=max_rounds,
     )

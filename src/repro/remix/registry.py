@@ -1,33 +1,22 @@
-"""The Remix registries: system plugins and multi-grained specifications.
+"""The Remix system-plugin registry.
 
-Two registries live here:
-
-- The **system-plugin registry** (:func:`register_system`,
-  :func:`system_plugin`, :func:`registered_systems`) maps a system name
-  (``--system`` on the CLI) to its
-  :class:`~repro.system.plugin.SystemPlugin`.  Built-in plugins --
-  ZooKeeper (the paper's subject) and Raft -- are imported lazily on
-  first lookup; third-party plugins register themselves by calling
-  :func:`register_system` at import time.
-- The **specification registry** (:class:`SpecRegistry`, §3.5.1) wraps
-  :mod:`repro.zookeeper.specs`: Remix keeps multi-grained
-  specifications of each module and composes the selected granularities
-  into a mixed-grained specification, automatically selecting the
-  invariants applicable to the composition.
+:func:`register_system`, :func:`system_plugin` and
+:func:`registered_systems` map a system name (``--system`` on the CLI)
+to its :class:`~repro.system.plugin.SystemPlugin`.  Built-in plugins --
+ZooKeeper (the paper's subject) and Raft -- are imported lazily on first
+lookup; third-party plugins register themselves by calling
+:func:`register_system` at import time.  A system's own specification
+registry lives in its package (ZooKeeper's multi-grained one, §3.5.1, is
+:class:`repro.zookeeper.specs.SpecRegistry`).
 """
 
 from __future__ import annotations
 
 import importlib
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.system.plugin import SystemPlugin
-from repro.tla.spec import Specification
-from repro.zookeeper.config import SpecVariant, ZkConfig
-from repro.zookeeper.specs import MODULE_FACTORIES, SELECTIONS, build_spec
-
-# ------------------------------------------------------ system plugins
 
 #: Registered plugins by name.  Mutated only under ``_SYSTEMS_LOCK``.
 _SYSTEM_PLUGINS: Dict[str, SystemPlugin] = {}
@@ -81,72 +70,3 @@ def registered_systems() -> List[str]:
     for name in _BUILTIN_SYSTEMS:
         _load_builtin(name)
     return sorted(_SYSTEM_PLUGINS)
-
-
-# ------------------------------------------------- spec registry (§3.5.1)
-
-
-class SpecRegistry:
-    """Multi-grained specification registry.
-
-    New granularities can be registered at runtime (the paper: "if there
-    is no specification at the desired granularity, one can write a new
-    specification.  The new specification will then be added into
-    Remix").
-    """
-
-    def __init__(self):
-        """Seed the registry with the shipped per-module factories."""
-        self._entries: Dict[str, Dict[str, Callable]] = {
-            module: dict(granularities)
-            for module, granularities in MODULE_FACTORIES.items()
-        }
-        # The coarse Election+Discovery is a single merged module.
-        self._entries.setdefault("Election", {})["coarsened"] = None
-        self._entries.setdefault("Discovery", {})["coarsened"] = None
-
-    def modules(self) -> List[str]:
-        """The registered module names."""
-        return list(self._entries)
-
-    def granularities(self, module: str) -> List[str]:
-        """The granularities registered for one module."""
-        return list(self._entries[module])
-
-    def register(self, module: str, granularity: str, factory: Callable):
-        """Add a new per-module specification."""
-        self._entries.setdefault(module, {})[granularity] = factory
-
-    def has(self, module: str, granularity: str) -> bool:
-        """True when a spec exists for ``(module, granularity)``."""
-        return granularity in self._entries.get(module, {})
-
-    def compose(
-        self,
-        name: str,
-        selection: Dict[str, str],
-        config: Optional[ZkConfig] = None,
-        variant: Optional[SpecVariant] = None,
-    ) -> Specification:
-        """Compose a mixed-grained specification from a selection like
-        ``{"Election": "coarsened", ..., "Synchronization":
-        "fine_atomic", "Broadcast": "baseline"}``."""
-        for module, granularity in selection.items():
-            if not self.has(module, granularity):
-                raise KeyError(
-                    f"no {granularity!r} specification registered for "
-                    f"module {module!r}"
-                )
-        config = config or ZkConfig()
-        if variant is not None:
-            config = config.with_variant(variant)
-        return build_spec(name, selection, config, self._entries)
-
-    def compose_named(
-        self,
-        name: str,
-        config: Optional[ZkConfig] = None,
-        variant: Optional[SpecVariant] = None,
-    ) -> Specification:
-        """Compose one of the predefined Table 1 rows."""
-        return self.compose(name, SELECTIONS[name], config, variant)

@@ -194,8 +194,11 @@ class CampaignRequest:
             set_field(self, "auth_token", str(self.auth_token))
 
         # Counts are non-negative; zero seeds or workers still means one.
-        for name in ("seeds", "workers", "traces", "max_steps", "shrink_rounds", "task_retries"):
+        # A cell of zero traces checks nothing, so ``traces`` starts at 1
+        # (``max_steps=0`` still judges the scripted prefix).
+        for name in ("seeds", "workers", "max_steps", "shrink_rounds", "task_retries"):
             set_field(self, name, _count(name, getattr(self, name)))
+        set_field(self, "traces", _count("traces", self.traces, minimum=1))
         set_field(self, "seeds", max(1, self.seeds))
         set_field(self, "workers", max(1, self.workers))
         set_field(self, "seed", _count("seed", self.seed, minimum=None))

@@ -5,9 +5,8 @@ Composing a mixed-grained :class:`~repro.tla.spec.Specification` rebuilds
 every module, enumerates all action instances and wires invariants --
 which dominates the startup of small conformance jobs.  A campaign runs
 O(grains x scenarios x faults x seeds) jobs over only O(grains) distinct
-specifications, so the cache keys composed specs on ``(name, config)``
-(both hashable: :class:`~repro.zookeeper.config.ZkConfig` is a frozen
-dataclass that embeds the :class:`SpecVariant`).
+specifications, so the cache keys composed specs on ``(system, name,
+config)`` (a plugin's configuration is a frozen, hashable dataclass).
 
 Concurrent first calls for the same key are *single-flighted*: one
 caller composes (or scripts a prefix) while the others wait on a
@@ -77,7 +76,6 @@ from repro.checker import bundle, disk_cache
 from repro.checker.disk_cache import set_disk_cache_dir  # noqa: F401  (public here)
 from repro.remix.registry import system_plugin
 from repro.tla.spec import Specification
-from repro.zookeeper.config import SpecVariant, ZkConfig
 
 _LOCK = threading.Lock()
 _SPECS: Dict[Tuple, Specification] = {}
@@ -152,24 +150,17 @@ def _single_flight(
 
 
 def cached_spec(
-    name: str,
-    config: Optional[ZkConfig] = None,
-    variant: Optional[SpecVariant] = None,
-    *,
-    system: str = "zookeeper",
+    name: str, config: Any = None, *, system: str = "zookeeper"
 ) -> Specification:
     """A shared, composed specification for ``(system, name, config)``.
 
     The first call per key composes via the system plugin's
     ``make_spec`` and primes the instance index; later calls (and forked
     children) reuse the same object.  Concurrent first calls compose
-    exactly once (single-flight).  ``variant`` is a ZooKeeper-only
-    convenience that folds into the config before keying.
+    exactly once (single-flight).
     """
     plugin = system_plugin(system)
     config = config or plugin.default_config()
-    if variant is not None:
-        config = config.with_variant(variant)
     key = (system, name, config)
 
     def build() -> Specification:
@@ -277,7 +268,7 @@ def _prefix_path(
 
 def cached_prefix(
     grain: str,
-    config: ZkConfig,
+    config: Any,
     scenario: str,
     fault: str,
     leader: int,

@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.impl.ensemble import Ensemble
-from repro.impl.exceptions import ImplError
 from repro.remix.coordinator import (
     COMPARED_VARIABLES,
     CONFIG_LABEL,
@@ -35,6 +33,7 @@ from repro.remix.coordinator import (
     split_compared_variables,
 )
 from repro.remix.mapping import ActionMapping
+from repro.system.plugin import ImplError
 from repro.tla.action import ActionLabel
 from repro.tla.spec import Specification
 from repro.tla.state import State
@@ -81,11 +80,9 @@ class ValidationReport:
 
     steps_validated: int = 0
     issues: List[ValidationIssue] = field(default_factory=list)
-    #: (run, step, label, error) -- the implementation exception that
-    #: ended the run.
-    impl_errors: List[Tuple[int, int, ActionLabel, ImplError]] = field(
-        default_factory=list
-    )
+    #: The implementation exception that ended the run, and its step.
+    impl_error: Optional[ImplError] = None
+    impl_error_step: Optional[int] = None
     #: The implementation labels that executed before validation stopped.
     executed: List[ActionLabel] = field(default_factory=list)
 
@@ -98,7 +95,7 @@ class ValidationReport:
             f"trace validation: "
             f"{self.steps_validated} impl steps validated, "
             f"{len(self.issues)} issues, "
-            f"{len(self.impl_errors)} impl exceptions"
+            f"{int(self.impl_error is not None)} impl exceptions"
         )
 
 
@@ -118,7 +115,7 @@ class ImplExplorer:
         self,
         spec: Specification,
         mapping: ActionMapping,
-        ensemble_factory: Callable[[], Ensemble],
+        ensemble_factory: Callable[[], Any],
         seed: int = 0,
         *,
         budgets: Mapping[str, int],
@@ -152,7 +149,7 @@ class ImplExplorer:
 
     def explore(
         self, max_steps: int = 20, prefix: Sequence[ActionLabel] = ()
-    ) -> Tuple[List[ActionLabel], Ensemble, Optional[ImplError]]:
+    ) -> Tuple[List[ActionLabel], Any, Optional[ImplError]]:
         """One implementation run: the labels executed, the final
         ensemble, and the exception that ended the run (if any).
 
@@ -210,7 +207,7 @@ class TraceValidator:
         self,
         spec: Specification,
         mapping: ActionMapping,
-        ensemble_factory: Callable[[], Ensemble],
+        ensemble_factory: Callable[[], Any],
         compared_variables=COMPARED_VARIABLES,
     ):
         self.spec = spec
@@ -230,7 +227,7 @@ class TraceValidator:
         self,
         labels: Sequence[ActionLabel],
         run: int = 0,
-        resume: Optional[Tuple[int, Ensemble, State]] = None,
+        resume: Optional[Tuple[int, Any, State]] = None,
     ) -> ValidationReport:
         """Replay ``labels`` against BOTH the model and a fresh ensemble,
         comparing the compared variables after each step.
@@ -272,7 +269,8 @@ class TraceValidator:
             try:
                 ok = mapped.step(ensemble, label)
             except ImplError as exc:
-                report.impl_errors.append((run, step, label, exc))
+                report.impl_error = exc
+                report.impl_error_step = step
                 # the model must agree that this path is an error path:
                 # the corresponding model action must lead to an error
                 # state (checked by the code-level invariants), or at
@@ -314,14 +312,14 @@ class TraceValidator:
                 return report
         return report
 
-    def start(self) -> Tuple[int, Ensemble, State]:
+    def start(self) -> Tuple[int, Any, State]:
         """The resume point every validation starts from unless handed
         another: step 0 on a fresh ensemble and the initial model state."""
         return 0, self.ensemble_factory(), self.initial
 
     def advance(
-        self, point: Tuple[int, Ensemble, State], labels
-    ) -> Tuple[int, Ensemble, State]:
+        self, point: Tuple[int, Any, State], labels
+    ) -> Tuple[int, Any, State]:
         """Drive a resume point through ``labels`` without comparing: for
         steps an earlier validation already found clean."""
         step, ensemble, model_state = point

@@ -37,6 +37,14 @@ class ScenarioError(RuntimeError):
     """A scripted action was not enabled."""
 
 
+class ImplError(Exception):
+    """Base class for implementation-level failures of any system: the
+    bug symptom an ensemble step raises, which the lockstep loops catch.
+    Each system derives its own hierarchy from it."""
+
+    bug_id = ""
+
+
 class Scenario:
     """A fluent builder driving a specification through named actions.
 

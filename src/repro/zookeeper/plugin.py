@@ -14,6 +14,7 @@ from repro.remix.coordinator import COMPARED_VARIABLES
 from repro.system.plugin import SystemPlugin
 from repro.zookeeper.config import SpecVariant, ZkConfig
 from repro.zookeeper.faults import FAULT_SCHEDULES
+from repro.zookeeper.mapping import mapping_for
 from repro.zookeeper.scenarios import SCENARIO_PREFIXES
 from repro.zookeeper.specs import SELECTIONS
 
@@ -53,8 +54,6 @@ class ZooKeeperPlugin(SystemPlugin):
 
     def make_mapping(self, grain: str):
         """The grain's spec-action -> ensemble-step mapping."""
-        from repro.remix.mapping import mapping_for
-
         if grain not in SELECTIONS:
             raise KeyError(
                 f"unknown or unmappable grain {grain!r}; "

@@ -134,8 +134,8 @@ def build_spec(
 
     ``factories`` is the module -> granularity -> factory table the
     selection is resolved against: the shipped :data:`MODULE_FACTORIES`
-    by default, or a :class:`~repro.remix.registry.SpecRegistry`'s own
-    entries, which may hold granularities registered at runtime."""
+    by default, or a :class:`SpecRegistry`'s own entries, which may hold
+    granularities registered at runtime."""
     ele = selection["Election"]
     dis = selection["Discovery"]
     if (ele == "coarsened") != (dis == "coarsened"):
@@ -174,18 +174,64 @@ def build_spec(
     )
 
 
-def make_spec(
-    name: str,
-    config: Optional[ZkConfig] = None,
-    variant: Optional[SpecVariant] = None,
-) -> Specification:
+def make_spec(name: str, config: Optional[ZkConfig] = None) -> Specification:
     """Build one of the named Table 1 specifications."""
     if name not in SELECTIONS:
         raise KeyError(f"unknown specification {name!r}; options: {list(SELECTIONS)}")
-    config = config or ZkConfig()
-    if variant is not None:
-        config = config.with_variant(variant)
-    return build_spec(name, SELECTIONS[name], config)
+    return build_spec(name, SELECTIONS[name], config or ZkConfig())
+
+
+class SpecRegistry:
+    """The multi-grained specification registry (§3.5.1): Remix keeps
+    specifications of each module at several granularities and composes
+    a selection of them into a mixed-grained specification, with the
+    invariants applicable to the composition selected automatically.
+
+    New granularities can be registered at runtime (the paper: "if there
+    is no specification at the desired granularity, one can write a new
+    specification.  The new specification will then be added into
+    Remix").  The Table 1 rows are :func:`make_spec`.
+    """
+
+    def __init__(self):
+        """Seed the registry with the shipped per-module factories."""
+        self._entries: Dict[str, Dict[str, Callable]] = {
+            module: dict(granularities)
+            for module, granularities in MODULE_FACTORIES.items()
+        }
+        # The coarse Election+Discovery is a single merged module.
+        self._entries.setdefault("Election", {})["coarsened"] = None
+        self._entries.setdefault("Discovery", {})["coarsened"] = None
+
+    def modules(self) -> List[str]:
+        """The registered module names."""
+        return list(self._entries)
+
+    def granularities(self, module: str) -> List[str]:
+        """The granularities registered for one module."""
+        return list(self._entries[module])
+
+    def register(self, module: str, granularity: str, factory: Callable):
+        """Add a new per-module specification."""
+        self._entries.setdefault(module, {})[granularity] = factory
+
+    def has(self, module: str, granularity: str) -> bool:
+        """True when a spec exists for ``(module, granularity)``."""
+        return granularity in self._entries.get(module, {})
+
+    def compose(
+        self, name: str, selection: Dict[str, str], config: Optional[ZkConfig] = None
+    ) -> Specification:
+        """Compose a mixed-grained specification from a selection like
+        ``{"Election": "coarsened", ..., "Synchronization":
+        "fine_atomic", "Broadcast": "baseline"}``."""
+        for module, granularity in selection.items():
+            if not self.has(module, granularity):
+                raise KeyError(
+                    f"no {granularity!r} specification registered for "
+                    f"module {module!r}"
+                )
+        return build_spec(name, selection, config or ZkConfig(), self._entries)
 
 
 #: Table 4, one row per bug: the paper's most-efficient grain, the config

@@ -12,10 +12,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_check_spec_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["check", "nope"])
-
     def test_config_args(self):
         args = build_parser().parse_args(
             ["check", "mSpec-2", "--txns", "2", "--crashes", "3"]
@@ -126,6 +122,8 @@ class TestParser:
                 (["check", "mSpec-3", "--crashes", "-1", "--max-states", "100"],
                  "max_crashes must be at least 0"),
                 (["check", "mSpec-3", "--servers", "0"], "n_servers must be at least 1"),
+                # the spec name is make_spec's to validate, not argparse's
+                (["check", "nope"], "unknown specification 'nope'; options: ['SysSpec',"),
                 (["check", "mSpec-3", "--max-states", "-5"], "argument --max-states: must be positive"),
                 (["bugs", "--max-states", "0"], "argument --max-states: must be positive"),
                 (["check", "mSpec-3", "--max-states", "100", "--max-time", "nan"],
@@ -142,6 +140,14 @@ class TestParser:
         out, err = capsys.readouterr()
         assert out == ""
         assert complaint in err
+
+
+    def test_a_campaign_of_no_traces_exits_2(self, capsys):
+        argv = ["campaign", "--grains", "mSpec-1", "--scenarios", "election",
+                "--faults", "none", "--traces", "0", "--no-shrink"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "traces: traces must be at least 1, got 0" in err
 
 
 class TestRequestEnvelope:

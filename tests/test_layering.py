@@ -1,9 +1,13 @@
 """Layering: platform modules import no system package directly.
 
-The campaign and its shrink stage reach every protocol through
-``system_plugin(name)``; a direct import of a system package (or of the
-ZooKeeper implementation simulator) would wire one protocol back into
-the platform.  Extend ``PLATFORM_MODULES`` instead of re-arguing it.
+The platform -- ``repro.remix``, ``repro.checker``, ``repro.system``,
+``repro.tla`` and the linter half of ``repro.analysis`` -- reaches every
+protocol through ``system_plugin(name)``; a direct import of a system
+package (or of the ZooKeeper implementation simulator) would wire one
+protocol back into it.  The Raft plugin holds itself to the same rule
+against ZooKeeper, and the CLI imports ZooKeeper only inside the
+commands that are ZooKeeper's.  ``PLATFORM_MODULES`` is walked, not
+listed, so a new platform module is checked without re-arguing it.
 
 And a checker run stays light: deciding kernel trust imports the linter,
 which must not drag in the lineage figure's graph library or the campaign
@@ -13,36 +17,142 @@ import ast
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
-FORBIDDEN = ("repro.zookeeper", "repro.raft", "repro.impl")
+ZOOKEEPER = ("repro.zookeeper", "repro.impl", "repro.zab")
+FORBIDDEN = ZOOKEEPER + ("repro.raft",)
 
-PLATFORM_MODULES = ["repro.remix.campaign", "repro.remix.minimize"]
+#: The Table 3 and Figure 8 modules are ZooKeeper's paper artefacts.
+PAPER_ARTEFACTS = ("repro.analysis.efforts", "repro.analysis.lineage")
+
+
+def walk(package):
+    """A package and every module below it, by name."""
+    path = importlib.import_module(package).__path__
+    return [package] + [
+        info.name for info in pkgutil.walk_packages(path, package + ".")
+    ]
+
+
+PLATFORM_MODULES = [
+    name
+    for package in ("repro.remix", "repro.checker", "repro.system", "repro.tla", "repro.analysis")
+    for name in walk(package)
+    if name not in PAPER_ARTEFACTS
+]
+RAFT_MODULES = walk("repro.raft")
+
+
+def parse(module):
+    """A module's syntax tree and the package its relative imports
+    resolve against."""
+    spec = importlib.util.find_spec(module)
+    with open(spec.origin) as fh:
+        tree = ast.parse(fh.read(), spec.origin)
+    return tree, module if spec.submodule_search_locations else module.rpartition(".")[0]
+
+
+def imported_names(tree, package):
+    """Every module name imported under ``tree``, at any nesting depth,
+    relative imports resolved against ``package``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            yield base
 
 
 def direct_imports(module):
     """Every module name a source file imports, at any nesting depth."""
-    path = importlib.util.find_spec(module).origin
-    with open(path) as fh:
-        tree = ast.parse(fh.read(), path)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module
+    return list(imported_names(*parse(module)))
+
+
+def within(name, packages):
+    return any(name == pkg or name.startswith(pkg + ".") for pkg in packages)
+
+
+def test_the_walk_finds_the_platform():
+    assert len(PLATFORM_MODULES) > 40
+    assert {"repro.remix.registry", "repro.checker.backends.sockets",
+            "repro.analysis.lint"} <= set(PLATFORM_MODULES)
+    assert not set(PAPER_ARTEFACTS) & set(PLATFORM_MODULES)
+    assert "repro.raft.plugin" in RAFT_MODULES
 
 
 @pytest.mark.parametrize("module", PLATFORM_MODULES)
 def test_platform_module_imports_no_system_package(module):
-    offending = sorted(
-        name
-        for name in direct_imports(module)
-        if any(name == pkg or name.startswith(pkg + ".") for pkg in FORBIDDEN)
-    )
+    offending = sorted(name for name in direct_imports(module) if within(name, FORBIDDEN))
     assert not offending, f"{module} imports {offending}"
+
+
+@pytest.mark.parametrize("module", RAFT_MODULES)
+def test_raft_imports_nothing_of_zookeeper(module):
+    offending = sorted(name for name in direct_imports(module) if within(name, ZOOKEEPER))
+    assert not offending, f"{module} imports {offending}"
+
+
+def test_the_cli_imports_zookeeper_only_in_its_commands():
+    tree, package = parse("repro.cli")
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    inside = {
+        function.name
+        for function in functions
+        if any(within(name, ZOOKEEPER) for name in imported_names(function, package))
+    }
+    everywhere = [name for name in imported_names(tree, package) if within(name, ZOOKEEPER)]
+    in_functions = [
+        name
+        for function in functions
+        for name in imported_names(function, package)
+        if within(name, ZOOKEEPER)
+    ]
+    assert sorted(everywhere) == sorted(in_functions), "ZooKeeper imported outside a command"
+    assert inside == {"cmd_check", "cmd_hunt", "cmd_protocol"}
+
+
+def run_script(script):
+    src = os.path.dirname(os.path.dirname(importlib.util.find_spec("repro").origin))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_a_raft_run_loads_no_zookeeper_code():
+    """A Raft BFS and one inline Raft campaign cell per direction, end to
+    end in a fresh process: no ``repro.zookeeper*``, ``repro.impl*`` or
+    ``repro.zab*`` module is ever imported."""
+    script = (
+        "import sys\n"
+        "from repro.checker import ExplorationEngine\n"
+        "from repro.remix.registry import system_plugin\n"
+        "plugin = system_plugin('raft')\n"
+        "spec = plugin.make_spec('raft-fine', plugin.default_config())\n"
+        "assert ExplorationEngine(spec, max_states=300).run().states_explored == 300\n"
+        "from repro.remix.campaign import run_campaign\n"
+        "from repro.remix.request import CampaignRequest\n"
+        "report = run_campaign(CampaignRequest(system='raft', seed=7,\n"
+        "    directions=('topdown', 'bottomup'), grains=('raft-coarse',),\n"
+        "    scenarios=('election',), faults=('none',), traces=1, max_steps=4))\n"
+        "cells = report.to_json()['cells']\n"
+        "assert [(c['direction'], c['status']) for c in cells] == [\n"
+        "    ('topdown', 'ok'), ('bottomup', 'ok')], cells\n"
+        "print(sorted(m for m in sys.modules if m.startswith(ZOOKEEPER)))\n"
+    )
+    assert run_script(f"ZOOKEEPER = {ZOOKEEPER!r}\n" + script) == "[]"
 
 
 def test_checker_run_imports_neither_networkx_nor_the_campaign_stack():
@@ -153,7 +263,7 @@ def test_trace_validation_names_no_zookeeper_action():
     """The explorer and validator serve every plugin: which ACK a label
     means is the mapping entry's ``applies``, next to the ZooKeeper
     steps it describes -- and the explorer has no ``clone()`` to call."""
-    from repro.remix.mapping import mapping_for
+    from repro.zookeeper.mapping import mapping_for
     from repro.zookeeper.specs import SELECTIONS
 
     path = importlib.util.find_spec("repro.remix.trace_validation").origin

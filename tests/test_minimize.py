@@ -19,7 +19,6 @@ from repro.remix.campaign import (
     trace_findings,
 )
 from repro.remix.coordinator import Coordinator
-from repro.remix.mapping import mapping_for
 from repro.remix.minimize import (
     DIRECTION_TABLE,
     rebuild_witness,
@@ -34,6 +33,7 @@ from repro.tla.module import Module
 from repro.tla.spec import Invariant, Specification
 from repro.tla.state import Schema, State
 from repro.zookeeper import V391, make_spec
+from repro.zookeeper.mapping import mapping_for
 from repro.zookeeper.scenarios import Scenario
 from repro.zookeeper.specs import SELECTIONS
 
@@ -274,8 +274,8 @@ def test_cell_and_rebuild_derive_the_same_run(system, monkeypatch):
     for direction in DIRECTION_TABLE.values():
         original = direction.judge.judge
 
-        def recording(self, run, index=0, original=original, labels=direction.labels):
-            judged.append(list(labels(run)))
+        def recording(self, run, index=0, original=original):
+            judged.append(list(self.labels(run)))
             return original(self, run, index)
 
         monkeypatch.setattr(direction.judge, "judge", recording)
@@ -296,7 +296,7 @@ def test_cell_and_rebuild_derive_the_same_run(system, monkeypatch):
                 if _cell_seed(job, i) == witness[direction.seed_key]
             )
             rebuilt = rebuild_witness(job.grain, witness, config, system)
-            assert list(direction.labels(rebuilt)) == runs[index]
+            assert list(direction.judge.labels(rebuilt)) == runs[index]
             checked += 1
     assert checked > 0
 

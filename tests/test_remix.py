@@ -6,11 +6,12 @@ import pytest
 from repro.checker import RandomWalker, explore
 from repro.checker.trace import Trace
 from repro.impl import Ensemble
-from repro.remix import Coordinator, SpecRegistry, mapping_for
+from repro.remix import Coordinator
 from repro.tla.action import ActionLabel
 from repro.tla.composition import CompositionError
 from repro.zookeeper import V391, ZkConfig, make_spec
-from repro.zookeeper.specs import SELECTIONS
+from repro.zookeeper.mapping import mapping_for
+from repro.zookeeper.specs import SELECTIONS, SpecRegistry
 
 CFG = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)
 
@@ -24,11 +25,6 @@ class TestRegistry:
             "fine_atomic",
             "fine_concurrent",
         }
-
-    def test_compose_named(self):
-        registry = SpecRegistry()
-        spec = registry.compose_named("mSpec-2", CFG)
-        assert spec.name == "mSpec-2"
 
     def test_compose_unknown_granularity(self):
         registry = SpecRegistry()
@@ -55,7 +51,7 @@ class TestRegistry:
         assert registry.has("Synchronization", "custom")
         selection = dict(SELECTIONS["mSpec-1"], Synchronization="custom")
         custom = registry.compose("custom", selection, CFG)
-        shipped = registry.compose_named("mSpec-1", CFG)
+        shipped = make_spec("mSpec-1", CFG)
 
         def first_states(spec, count=500):
             frontier = list(spec.initial_states())

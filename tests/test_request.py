@@ -70,6 +70,13 @@ class TestNormalization:
         assert request.workers == 1
         assert request.traces == 3
 
+    def test_a_cell_checks_a_trace_but_may_take_no_random_steps(self):
+        # Zero traces would report every cell ok having checked nothing;
+        # zero steps still judges the scripted prefix.
+        with pytest.raises(RequestError, match="traces: traces must be at least 1, got 0"):
+            CampaignRequest(traces=0)
+        assert CampaignRequest(max_steps=0).max_steps == 0
+
     def test_config_object_round_trips(self):
         request = CampaignRequest(**TINY)
         config = request.config_object()

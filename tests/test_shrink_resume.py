@@ -188,7 +188,7 @@ def reference_shrink(finding, config, system):
     run = rebuild_witness(grain, finding["witness"], config, system)
     assert reproduces(run)
     calls = []
-    shrunk = shrink_labels_oracle(direction.labels(run), recorded(oracle, calls))
+    shrunk = shrink_labels_oracle(direction.judge.labels(run), recorded(oracle, calls))
     payload = {
         "status": "ok",
         "steps": len(shrunk),
@@ -266,7 +266,7 @@ def oracle_for(finding, config, system):
     spec = cached_spec(finding["grain"], config, system=system)
     oracle = direction.lift(spec, judge)
     run = rebuild_witness(finding["grain"], finding["witness"], config, system)
-    witness = list(direction.labels(run))
+    witness = list(direction.judge.labels(run))
     assert oracle(witness, 0)
     return judge, oracle, witness
 

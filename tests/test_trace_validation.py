@@ -7,12 +7,12 @@ from repro.remix import (
     COMPARED_VARIABLES,
     ImplExplorer,
     TraceValidator,
-    mapping_for,
     system_plugin,
 )
 from repro.remix.campaign import validation_findings
 from repro.remix.mapping import ActionMapping
 from repro.zookeeper import V391, ZkConfig, make_spec
+from repro.zookeeper.mapping import mapping_for
 from repro.zookeeper.scenarios import Scenario
 from repro.zookeeper.specs import SELECTIONS
 
@@ -131,8 +131,8 @@ class TestTraceValidator:
         ]
         assert report.steps_validated == cut
         assert report.executed == executed[:cut]
-        assert not report.impl_errors
-        finding = validation_findings(report, "mSpec-1")[0]
+        assert report.impl_error is None and report.impl_error_step is None
+        finding = validation_findings(report, executed, "mSpec-1", 3)[0]
         assert finding["kind"] == "unmapped_action"
         assert str(executed[cut]) in finding["detail"]
 
