@@ -24,6 +24,7 @@ from repro.zookeeper.mapping import mapping_for
 from repro.zookeeper.specs import SELECTIONS
 
 CFG = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)
+PLUGIN = system_plugin("zookeeper")
 
 #: name -> (runs, steps, discrepancies)
 _ROWS = {}
@@ -31,7 +32,9 @@ _ROWS = {}
 
 def coordinator_for(name, divergence=""):
     return Coordinator(
-        mapping_for(SELECTIONS[name]), lambda: Ensemble(3, V391, divergence)
+        mapping_for(SELECTIONS[name]),
+        lambda: Ensemble(3, V391, divergence),
+        PLUGIN.compared_variables,
     )
 
 
@@ -96,9 +99,9 @@ def test_bottom_up_validation(benchmark):
 
     explorer = ImplExplorer(
         spec, mapping, factory, seed=7,
-        budgets=system_plugin("zookeeper").budget_limits(CFG),
+        budgets=PLUGIN.budget_limits(CFG),
     )
-    validator = TraceValidator(spec, mapping, factory)
+    validator = TraceValidator(spec, mapping, factory, PLUGIN.compared_variables)
 
     def run():
         reports = [

@@ -9,18 +9,16 @@ within the budgets.  The paper's shape to reproduce:
 - mSpec-1 finishes without violations (ZK-4394 masked);
 - mSpec-2 finds I-8, mSpec-3 finds a violation fastest.
 
-Besides the pytest-benchmark entry points, this file doubles as a CLI
-smoke benchmark for CI::
+Besides the pytest-benchmark entry points, this file is CI's perf
+gate::
 
     python benchmarks/bench_table5_efficiency.py \
-        --max-states 2000 --max-time 10 --json bench-smoke.json
+        --max-time 60 --min-ratio 1.5 --json BENCH_engine.json
 
-which runs all five specs through the exploration engine under a tiny
-budget and writes a JSON artifact (states, transitions, states/sec,
-violated invariant).  ``--ab-reference`` instead emits the
-``BENCH_engine.json`` artifact: the generated kernel A/B'd against the
-reference expander (``ExplorationEngine(reference=True)``) per
-:data:`AB_ROWS` row, with a hard equal-enumeration check.
+which emits the ``BENCH_engine.json`` artifact: the generated kernel
+A/B'd against the reference expander
+(``ExplorationEngine(reference=True)``) per :data:`AB_ROWS` row, with a
+hard equal-enumeration check.
 """
 
 import argparse
@@ -135,48 +133,7 @@ def test_zz_report(benchmark):
         assert len(_COMPLETE["mSpec-3"].violated_invariant_ids()) >= 1
 
 
-# --------------------------------------------------------------- CLI smoke
-
-
-def _smoke_row(result):
-    found = result.first_violation
-    rate = (
-        result.states_explored / result.elapsed_seconds
-        if result.elapsed_seconds > 0
-        else 0.0
-    )
-    return {
-        "states_explored": result.states_explored,
-        "transitions": result.transitions,
-        "max_depth": result.max_depth,
-        "elapsed_seconds": round(result.elapsed_seconds, 3),
-        "states_per_second": round(rate, 1),
-        "violated": found.invariant.ident if found else None,
-        "budget_exhausted": result.budget_exhausted,
-        "completed": result.completed,
-    }
-
-
-def run_smoke(max_states, max_time):
-    """Run the five Table 5 specs under a small budget; return a report."""
-    config = bench_config()
-    report = {
-        "workload": {
-            "max_states": max_states,
-            "max_time": max_time,
-        },
-        "specs": {},
-    }
-    for name in PAPER_A:
-        result = hunt(
-            name,
-            config,
-            max_states=max_states,
-            max_time=max_time,
-        )
-        report["specs"][name] = _smoke_row(result)
-    return report
-
+# --------------------------------------------- CLI: kernel vs reference
 
 #: The kernel-vs-reference A/B lane: one row per (protocol, spec, budget),
 #: kernel-trusted specs only (an untrusted spec *is* the reference arm).
@@ -330,38 +287,28 @@ def run_ab_reference(max_time, reps=2):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Table 5 efficiency smoke benchmark (engine-based)"
+        description="the BENCH_engine.json artifact: generated kernel vs "
+        "reference expander per AB_ROWS row (own state budgets), "
+        "sequential, min-of-2 CPU time, with a hard equal-enumeration check"
     )
-    parser.add_argument("--max-states", type=int, default=2_000)
     parser.add_argument("--max-time", type=float, default=15.0)
     parser.add_argument("--json", dest="json_path", default=None)
-    parser.add_argument(
-        "--ab-reference",
-        action="store_true",
-        help="emit the BENCH_engine.json artifact instead: generated "
-        "kernel vs reference expander per AB_ROWS row (own state "
-        "budgets), sequential, min-of-2 CPU time, with a hard "
-        "equal-enumeration check",
-    )
     parser.add_argument(
         "--min-ratio",
         type=float,
         default=None,
-        help=f"with --ab-reference: exit 1 unless the gate row "
-        f"({AB_GATE_ROW}) reaches this kernel/reference speedup and "
-        f"every row stays at or above the {AB_FLOOR} floor",
+        help=f"exit 1 unless the gate row ({AB_GATE_ROW}) reaches this "
+        f"kernel/reference speedup and every row stays at or above the "
+        f"{AB_FLOOR} floor",
     )
     args = parser.parse_args(argv)
-    if args.ab_reference:
-        report = run_ab_reference(args.max_time)
-    else:
-        report = run_smoke(args.max_states, args.max_time)
+    report = run_ab_reference(args.max_time)
     text = json.dumps(report, indent=2)
     print(text)
     if args.json_path:
         with open(args.json_path, "w") as fh:
             fh.write(text + "\n")
-    if args.ab_reference and args.min_ratio is not None:
+    if args.min_ratio is not None:
         agg = report["aggregate"]
         gate, floor = agg["gate_kernel_speedup"], agg["min_kernel_speedup"]
         if gate < args.min_ratio or floor < AB_FLOOR:

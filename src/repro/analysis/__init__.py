@@ -15,8 +15,6 @@ from repro.analysis.findings import (
     Finding,
     LintReport,
     Rule,
-    baseline_error,
-    new_fingerprints,
 )
 from repro.analysis.lint import lint_plugin, lint_system, lint_systems
 
@@ -27,9 +25,7 @@ __all__ = [
     "Rule",
     "SpecAnalyzer",
     "Summary",
-    "baseline_error",
     "lint_plugin",
     "lint_system",
     "lint_systems",
-    "new_fingerprints",
 ]

@@ -2,9 +2,8 @@
 
 The static spec analyzer (``python -m repro lint``) emits
 :class:`Finding` records with stable fingerprints and ``file:line``
-locations, collected into a :class:`LintReport` whose JSON form
-(schema ``repro.lint/1``) doubles as the CI baseline format -- the same
-gate pattern the campaign uses for impl-bug fingerprints.
+locations, collected into a :class:`LintReport` with a JSON form
+(schema ``repro.lint/1``).  CI gates on zero findings.
 """
 
 from __future__ import annotations
@@ -12,9 +11,9 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-#: Report / baseline schema identifier.
+#: Report schema identifier.
 SCHEMA = "repro.lint/1"
 
 ERROR = "error"
@@ -113,8 +112,8 @@ RULES: Dict[str, Rule] = {
             "C04", "compared-variable-missing", ERROR,
             "a compared_variables entry is not in every grain's schema",
         ),
-        # C05 (uncovered-source-module) is retired, not reused: baselines
-        # fingerprint by rule id.
+        # C05 (uncovered-source-module) is retired, not reused:
+        # fingerprints key on the rule id.
         Rule(
             "C06", "unknown-budget-action", ERROR,
             "a budget_limits key is not an action of any grain",
@@ -183,8 +182,8 @@ class Finding:
         """Stable identity: rule + system + subject + variable + file.
 
         The line number is deliberately excluded so unrelated edits that
-        shift code do not churn baselines (same policy as the campaign's
-        impl-bug fingerprints).
+        shift code do not churn fingerprints (same policy as the
+        campaign's impl-bug fingerprints).
         """
         payload = "|".join(
             (self.rule, self.system, self.subject, self.variable, self.file)
@@ -256,9 +255,6 @@ class LintReport:
     def warnings(self) -> List[Finding]:
         return [f for f in self.findings if f.severity == WARNING]
 
-    def fingerprints(self) -> List[str]:
-        return [f.fingerprint for f in self.findings]
-
     def to_json(self) -> Dict[str, Any]:
         return {
             "schema": SCHEMA,
@@ -278,31 +274,3 @@ class LintReport:
             f"{len(self.errors)} error(s), {len(self.warnings)} warning(s)"
         )
 
-
-def new_fingerprints(
-    report: LintReport, baseline: Dict[str, Any]
-) -> List[str]:
-    """Finding fingerprints present in ``report`` but not the baseline
-    (a previously saved ``repro.lint/1`` JSON report), in report order."""
-    known = {
-        finding.get("fingerprint")
-        for finding in baseline.get("findings", ())
-    }
-    fresh: List[str] = []
-    for finding in report.findings:
-        fingerprint = finding.fingerprint
-        if fingerprint not in known and fingerprint not in fresh:
-            fresh.append(fingerprint)
-    return fresh
-
-
-def baseline_error(baseline: Dict[str, Any]) -> Optional[str]:
-    """Validate a loaded baseline document; an error message or None."""
-    if not isinstance(baseline, dict):
-        return "baseline is not a JSON object"
-    if baseline.get("schema") != SCHEMA:
-        return (
-            f"unsupported baseline schema {baseline.get('schema')!r} "
-            f"(expected {SCHEMA!r})"
-        )
-    return None

@@ -168,10 +168,9 @@ def worker_main(
     host: str,
     port: int,
     token: Optional[str] = None,
-    reconnect: bool = True,
     max_attempts: int = 5,
     backoff: float = 0.25,
-) -> None:
+) -> str:
     """The worker loop behind ``python -m repro worker HOST:PORT``.
 
     Connects to the backend's listener, announces itself (protocol,
@@ -181,30 +180,34 @@ def worker_main(
     across reconnects, so a long-lived worker pays the import (and any
     module-level cache warming) once.
 
-    ``reconnect=True`` (the default) makes the worker resilient to a
-    dropped connection: failed connects and mid-session drops retry
-    with exponential backoff, up to ``max_attempts`` consecutive
-    failures -- so a worker outlives a parent's brief restart, but a
-    worker whose parent is truly gone exits instead of spinning.  A
-    clean shutdown frame, or a rejected hello, always ends the loop."""
+    Failed connects and mid-session drops retry with exponential
+    backoff, up to ``max_attempts`` consecutive failures -- so a worker
+    outlives a parent's brief restart, but a worker whose parent is
+    truly gone exits instead of spinning.  Returns why the loop ended:
+    ``"shutdown"`` (a clean shutdown frame), ``"rejected"`` (the
+    listener refused our hello; the same credentials cannot do better),
+    ``"unreachable"`` (no connect ever succeeded) or ``"lost"`` (a
+    session was established, then dropped past the retry budget)."""
     handlers: Dict[str, Any] = {}
     attempts = 0
+    connected = False
     while True:
         try:
             sock = socket.create_connection((host, port))
         except OSError:
             attempts += 1
-            if not reconnect or attempts >= max_attempts:
-                return
+            if attempts >= max_attempts:
+                return "lost" if connected else "unreachable"
             time.sleep(min(backoff * (2 ** (attempts - 1)), 5.0))
             continue
         attempts = 0
+        connected = True
         reason = _serve_connection(JsonLineConnection(sock), handlers, token)
-        if reason in ("shutdown", "rejected") or not reconnect:
-            return
+        if reason in ("shutdown", "rejected"):
+            return reason
         attempts += 1
         if attempts >= max_attempts:
-            return
+            return "lost"
         time.sleep(min(backoff * (2 ** (attempts - 1)), 5.0))
 
 

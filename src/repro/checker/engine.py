@@ -58,8 +58,8 @@ loudly (one warning per spec, and ``memo_stats()["mode"] ==
 regardless and cross-checks every batch it expands against the reference
 expander, successors and verdicts both -- the one proof obligation
 between the two.  ``reference=True`` pins a run to the reference
-expander (the differential arm of the tests and of
-``bench_table5_efficiency.py --ab-reference``).
+expander (the differential arm of the tests and of the
+``bench_table5_efficiency.py`` perf gate).
 
 A mask is not a compile input: ``ExplorationEngine(mask=)`` folds it
 into the specification once (:func:`~repro.tla.spec.masked`), and

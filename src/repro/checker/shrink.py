@@ -41,11 +41,13 @@ from repro.tla.state import State
 #: exactly the failure under minimization.
 LabelsOracle = Callable[[List[ActionLabel], int], bool]
 
+#: Passes of the loop at most; a pass that deletes nothing ends it
+#: sooner.
+MAX_ROUNDS = 10
+
 
 def shrink_labels_oracle(
-    labels: List[ActionLabel],
-    oracle: LabelsOracle,
-    max_rounds: int = 10,
+    labels: List[ActionLabel], oracle: LabelsOracle
 ) -> List[ActionLabel]:
     """Remove steps from a label sequence while ``oracle`` still accepts
     the remainder (the one delta-debugging loop every shrinker shares).
@@ -66,7 +68,7 @@ def shrink_labels_oracle(
     labels = list(labels)
     if not oracle(list(labels), 0):
         raise ValueError("the input does not reproduce the failure")
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         changed = False
         chunk = max(1, len(labels) // 2)
         while chunk >= 1:

@@ -16,8 +16,6 @@ Exposes the main workflows without writing Python:
 - ``bugs``        hunt each of the six paper bugs (a mini Table 4)
 - ``protocol``    verify the Zab protocol variants (§5.4)
 - ``lint``        static spec analysis before anything runs
-- ``efforts``     print the Table 3 effort metrics
-- ``lineage``     print the Figure 8 bug lineage
 
 The ``campaign``/``serve``/``client`` trio all speak the same
 serialized :class:`~repro.remix.request.CampaignRequest`:
@@ -330,13 +328,19 @@ def cmd_serve(args) -> int:
 
     from repro.remix.service import CampaignServer
 
-    server = CampaignServer(
-        host=args.host,
-        port=args.port,
-        heartbeat=args.heartbeat,
-        max_requests=args.max_requests,
-        request_timeout=args.request_timeout,
-    )
+    # A port out of range or an address this host cannot bind ends the
+    # run with exit 2 and no announcement.
+    try:
+        server = CampaignServer(
+            host=args.host,
+            port=args.port,
+            heartbeat=args.heartbeat,
+            max_requests=args.max_requests,
+            request_timeout=args.request_timeout,
+        )
+    except (OverflowError, OSError) as error:
+        print(f"serve: cannot listen on {args.host}:{args.port}: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
     host, port = server.start()
     # The first stdout line announces the bound address (ephemeral
     # ports included), so scripts can connect without racing logs.
@@ -366,8 +370,6 @@ def cmd_client(args) -> int:
         print(f"client: {message}", file=sys.stderr)
         return 2
     payload = {"request": request.to_json()}
-    if args.deadline is not None:
-        payload["deadline"] = args.deadline
     try:
         sock = socket.create_connection((args.host, args.port), timeout=30)
     except OSError as error:
@@ -394,6 +396,15 @@ def cmd_client(args) -> int:
     return outcome
 
 
+#: How a worker that served no shutdown frame ends, by ``worker_main``'s
+#: reason: exit 2 when no session ever began, 1 when one was lost.
+WORKER_EXITS = {
+    "rejected": (2, "the listener rejected our hello (wrong token or protocol)"),
+    "unreachable": (2, "no listener reached; gave up"),
+    "lost": (1, "the session was lost and reconnecting gave up"),
+}
+
+
 def cmd_worker(args) -> int:
     import os
 
@@ -407,8 +418,11 @@ def cmd_worker(args) -> int:
     # keeping secrets out of `ps`); --auth-token overrides for hand-run
     # external workers.
     token = args.auth_token or os.environ.get(TOKEN_ENV) or None
-    worker_main(host, int(port), token=token, reconnect=args.reconnect)
-    return 0
+    reason = worker_main(host, int(port), token=token)
+    if reason == "shutdown":
+        return 0
+    print(f"worker: {args.address}: {WORKER_EXITS[reason][1]}", file=sys.stderr)
+    return WORKER_EXITS[reason][0]
 
 
 def cmd_hunt(args) -> int:
@@ -474,29 +488,10 @@ def cmd_systems(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from repro.analysis.findings import (
-        baseline_error,
-        new_fingerprints,
-    )
     from repro.analysis.lint import lint_systems
     from repro.remix.registry import registered_systems
 
     names = args.system or registered_systems()
-    baseline = None
-    if args.baseline:
-        # Validate before any analysis runs: a missing or stale
-        # baseline should fail immediately.
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as error:
-            print(f"lint: baseline {args.baseline}: {error}", file=sys.stderr)
-            return 2
-        problem = baseline_error(baseline)
-        if problem is not None:
-            print(f"lint: baseline {args.baseline}: {problem}", file=sys.stderr)
-            return 2
-
     try:
         report = lint_systems(names)
     except KeyError as error:
@@ -508,36 +503,7 @@ def cmd_lint(args) -> int:
         for finding in report.findings:
             print(finding.format())
         print(report.summary(), file=sys.stderr)
-
-    if baseline is not None:
-        fresh = new_fingerprints(report, baseline)
-        if fresh:
-            print(
-                f"NEW lint fingerprints vs {args.baseline}: "
-                f"{', '.join(fresh)}",
-                file=sys.stderr,
-            )
-            return 2
-        print(
-            f"no new lint fingerprints vs {args.baseline}", file=sys.stderr
-        )
-        return 0
     return 1 if report.findings else 0
-
-
-def cmd_efforts(args) -> int:
-    from repro.analysis.efforts import table3
-
-    for row in table3():
-        print(row)
-    return 0
-
-
-def cmd_lineage(args) -> int:
-    from repro.analysis.lineage import render_ascii
-
-    print(render_ascii())
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -716,11 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--request", default="-", metavar="FILE",
         help="CampaignRequest JSON to send (default '-' = stdin)",
     )
-    p_client.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-request wall-clock deadline in seconds (the server "
-        "folds it into the campaign budget)",
-    )
     p_client.set_defaults(fn=cmd_client)
 
     p_worker = sub.add_parser(
@@ -735,11 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--auth-token", default=None,
         help="shared secret for the backend's hello handshake (default: "
         "$REPRO_WORKER_TOKEN, which is how spawned workers receive it)",
-    )
-    p_worker.add_argument(
-        "--reconnect", action=argparse.BooleanOptionalAction, default=True,
-        help="reconnect with exponential backoff when the connection "
-        "drops mid-session (clean shutdown always exits; on by default)",
     )
     p_worker.set_defaults(fn=cmd_worker)
 
@@ -766,23 +722,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="text findings (default) or the repro.lint/1 JSON report",
     )
-    p_lint.add_argument(
-        "--baseline", default=None,
-        help="lint report JSON to diff finding fingerprints against; "
-        "exits 2 on new ones (the CI gate), 0 otherwise",
-    )
     p_lint.set_defaults(fn=cmd_lint)
 
     sub.add_parser(
         "systems", help="list registered system plugins"
     ).set_defaults(fn=cmd_systems)
 
-    sub.add_parser("efforts", help="Table 3 effort metrics").set_defaults(
-        fn=cmd_efforts
-    )
-    sub.add_parser("lineage", help="Figure 8 bug lineage").set_defaults(
-        fn=cmd_lineage
-    )
     return parser
 
 
@@ -790,7 +735,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BrokenPipeError:  # e.g. `repro lineage | head`
+    except BrokenPipeError:  # e.g. `repro systems | head`
         return 0
 
 

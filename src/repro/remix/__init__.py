@@ -12,7 +12,6 @@ from typing import Any, List
 #: Public name -> the submodule that defines it.
 _EXPORTS = {
     "ActionMapping": "mapping",
-    "COMPARED_VARIABLES": "coordinator",
     "CampaignJob": "campaign",
     "CampaignReport": "campaign",
     "CampaignRequest": "request",

@@ -386,7 +386,7 @@ def execute_campaign_task(message: Dict[str, Any]) -> Any:
                  "max_steps": 12, "direction": "topdown",
                  "system": "zookeeper"}}
         {"kind": "shrink", "system": ..., "config": {...},
-         "finding": {...}, "shrink_rounds": 10}
+         "finding": {...}}
 
     Results are plain JSON too, so the message can travel over any
     transport (a fork pipe, a TCP frame) without pickling.
@@ -401,12 +401,7 @@ def execute_campaign_task(message: Dict[str, Any]) -> Any:
     if kind == "shrink":
         from repro.remix.minimize import shrink_finding
 
-        return shrink_finding(
-            message["finding"],
-            config,
-            message.get("shrink_rounds", 10),
-            system=system,
-        )
+        return shrink_finding(message["finding"], config, system=system)
     raise ValueError(f"unknown campaign task kind {kind!r}")
 
 
@@ -668,7 +663,6 @@ def _shrink_task(
         "system": request.system,
         "config": dict(request.config),
         "finding": dict(finding),
-        "shrink_rounds": request.shrink_rounds,
     }
 
 

@@ -11,28 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.checker.trace import Trace
 from repro.remix.mapping import ActionMapping
 from repro.system.plugin import ImplError
 from repro.tla.action import ActionLabel
 from repro.tla.state import Schema, State
-
-#: Variables compared between model and implementation after each step.
-COMPARED_VARIABLES = (
-    "state",
-    "zab_state",
-    "accepted_epoch",
-    "current_epoch",
-    "history",
-    "last_committed",
-    "my_leader",
-    "newleader_recv",
-    "queued_requests",
-    "committed_requests",
-)
-
 
 #: Synthetic label attached to configuration-level discrepancies (an
 #: unknown compared variable is detected before any action runs).
@@ -165,7 +150,7 @@ class Coordinator:
         self,
         mapping: ActionMapping,
         ensemble_factory,
-        compared_variables=COMPARED_VARIABLES,
+        compared_variables: Sequence[str],
     ):
         self.mapping = mapping
         self.ensemble_factory = ensemble_factory

@@ -480,7 +480,6 @@ def rebuild_witness(
 def shrink_finding(
     finding: Dict[str, Any],
     config: Any = None,
-    max_rounds: int = 10,
     system: str = "zookeeper",
 ) -> Dict[str, Any]:
     """The campaign shrink-stage worker: rebuild one distinct finding's
@@ -510,7 +509,6 @@ def shrink_finding(
     shrunk = shrink_labels_oracle(
         direction.judge.labels(run),
         direction.lift(cached_spec(grain, config, system=system), oracle),
-        max_rounds=max_rounds,
     )
     return {
         "status": "ok",

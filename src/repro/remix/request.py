@@ -119,7 +119,6 @@ class CampaignRequest:
     backend: str = "fork"
     budget: Optional[float] = None
     shrink: bool = False
-    shrink_rounds: int = 10
     #: Hard per-task wall clock in seconds (``None`` = no watchdog): a
     #: cell that runs longer has its worker killed and is retried.
     task_timeout: Optional[float] = None
@@ -150,18 +149,9 @@ class CampaignRequest:
         grains = (
             tuple(self.grains) if self.grains is not None else tuple(plugin.grains)
         )
-        note = (
-            " (SysSpec/mSpec-4 have no code-level action mapping)"
-            if self.system == "zookeeper"
-            else ""
-        )
         for name in grains:
             if name not in plugin.grains:
-                _fail(
-                    "grains",
-                    f"unknown value {name!r}; options: "
-                    f"{list(plugin.grains)}{note}",
-                )
+                _unknown("grains", name, plugin.grains)
         set_field(self, "grains", grains)
 
         scenarios = (
@@ -196,7 +186,7 @@ class CampaignRequest:
         # Counts are non-negative; zero seeds or workers still means one.
         # A cell of zero traces checks nothing, so ``traces`` starts at 1
         # (``max_steps=0`` still judges the scripted prefix).
-        for name in ("seeds", "workers", "max_steps", "shrink_rounds", "task_retries"):
+        for name in ("seeds", "workers", "max_steps", "task_retries"):
             set_field(self, name, _count(name, getattr(self, name)))
         set_field(self, "traces", _count("traces", self.traces, minimum=1))
         set_field(self, "seeds", max(1, self.seeds))
@@ -251,7 +241,6 @@ class CampaignRequest:
             "backend": self.backend,
             "budget": self.budget,
             "shrink": self.shrink,
-            "shrink_rounds": self.shrink_rounds,
             "task_timeout": self.task_timeout,
             "task_retries": self.task_retries,
             "auth_token": self.auth_token,

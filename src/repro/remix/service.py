@@ -86,7 +86,7 @@ returned after it is closed rather than kept, and
 :meth:`CampaignServer.serve_forever` joins the in-flight requests -- so
 no worker process outlives a server that was stopped.  (A server that
 is SIGKILLed leaves its workers to their reconnect budget: a few
-seconds, then they exit.)
+seconds, then they exit 1 with one ``worker:`` line on stderr.)
 
 Requests run concurrently (one thread each), and a client that
 disconnects mid-stream just stops receiving events -- the campaign
@@ -224,7 +224,11 @@ class CampaignServer:
         self.request_timeout = request_timeout
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
+        try:
+            self._listener.bind((host, port))
+        except (OverflowError, OSError):
+            self._listener.close()
+            raise
         self._listener.listen(16)
         #: The bound ``(host, port)`` (resolves ephemeral port 0).
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.remix.coordinator import (
-    COMPARED_VARIABLES,
     CONFIG_LABEL,
     mismatches,
     split_compared_variables,
@@ -208,7 +207,7 @@ class TraceValidator:
         spec: Specification,
         mapping: ActionMapping,
         ensemble_factory: Callable[[], Any],
-        compared_variables=COMPARED_VARIABLES,
+        compared_variables: Sequence[str],
     ):
         self.spec = spec
         self.mapping = mapping

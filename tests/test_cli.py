@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
+import functools
 import json
+import socket
+import threading
 
 import pytest
 
@@ -65,6 +68,14 @@ class TestParser:
             ["serve", "--request", "5"],
             # `campaign --steps 25` is the one way into conformance
             ["conformance", "mSpec-3"],
+            # Table 3 and Figure 8 are rendered by their benchmarks
+            ["efforts"],
+            ["lineage"],
+            # lint gates on zero findings; workers always reconnect; a
+            # deadline rides in a request envelope, not a client flag
+            ["lint", "--baseline", "lint.json"],
+            ["worker", "127.0.0.1:7700", "--no-reconnect"],
+            ["client", "--port", "7700", "--deadline", "5"],
         ],
         ids=" ".join,
     )
@@ -130,6 +141,11 @@ class TestParser:
                  "argument --max-time"),
                 (["bugs", "--max-states", "50", "--max-time", "inf"], "argument --max-time"),
                 (["protocol", "--max-time", "-1"], "argument --max-time"),
+                # a bind failure is bad input, not a traceback
+                (["serve", "--port", "70000"], "serve: cannot listen on 127.0.0.1:70000"),
+                # an address of no local interface (TEST-NET-1, RFC 5737):
+                # the bind fails without a name lookup
+                (["serve", "--host", "192.0.2.1"], "serve: cannot listen on 192.0.2.1:0"),
             ]
         ],
     )
@@ -230,12 +246,86 @@ class TestCommands:
         assert out.count('"mode": "compiled"') == runs
         assert out.count('"expand_calls"') == runs
 
-    def test_efforts(self, capsys):
-        assert main(["efforts"]) == 0
-        out = capsys.readouterr().out
-        assert "mSpec-1 - SysSpec" in out
 
-    def test_lineage(self, capsys):
-        assert main(["lineage"]) == 0
-        out = capsys.readouterr().out
-        assert "ZK-2678" in out
+class TestWorkerExit:
+    """``repro worker`` exits 0 only after a shutdown frame; a worker
+    that served nothing says why on stderr and exits non-zero."""
+
+    @pytest.fixture(autouse=True)
+    def fast_backoff(self, monkeypatch):
+        from repro.checker.backends import sockets
+
+        monkeypatch.setattr(
+            sockets, "worker_main", functools.partial(sockets.worker_main, backoff=0.01)
+        )
+
+    @staticmethod
+    def listener(answer):
+        """A one-connection listener that reads the hello, then hands
+        the connection and listening socket to ``answer`` in a thread."""
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = server.accept()
+            with conn:
+                conn.makefile().readline()
+                answer(conn, server)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        return server, thread
+
+    def test_shutdown_frame_exits_0(self, capsys):
+        server, thread = self.listener(lambda conn, _: conn.sendall(b'{"type": "shutdown"}\n'))
+        with server:
+            assert main(["worker", "127.0.0.1:%d" % server.getsockname()[1]]) == 0
+        thread.join()
+        assert capsys.readouterr().err == ""
+
+    def test_wrong_token_exits_2(self, capsys):
+        from repro.checker.backends.sockets import SocketBackend
+
+        backend = SocketBackend(
+            "repro.checker.backends.testing:add_one", workers=1, spawn=False,
+            auth_token="right", connect_timeout=1.0,
+        )
+        refused = []
+
+        def run_map():  # the band polls while it maps, so the hello is answered
+            try:
+                backend.map([{"value": 1}])
+            except RuntimeError as error:  # no verified worker ever joined
+                refused.append(error)
+
+        mapping = threading.Thread(target=run_map)
+        mapping.start()
+        try:
+            address = "%s:%d" % backend.address
+            assert main(["worker", address, "--auth-token", "wrong"]) == 2
+        finally:
+            mapping.join()
+            backend.close()
+        assert refused
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"worker: {address}: the listener rejected our hello")
+
+    def test_unreachable_listener_exits_2(self, capsys):
+        # bound, never listening: every connect is refused
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            address = "127.0.0.1:%d" % closed.getsockname()[1]
+            assert main(["worker", address]) == 2
+        err = capsys.readouterr().err
+        assert err == f"worker: {address}: no listener reached; gave up\n"
+
+    def test_lost_session_exits_1(self, capsys):
+        def hang_up(conn, server):
+            server.close()  # first, so no reconnect is accepted
+
+        server, thread = self.listener(hang_up)
+        address = "127.0.0.1:%d" % server.getsockname()[1]
+        assert main(["worker", address]) == 1
+        thread.join()
+        err = capsys.readouterr().err
+        assert err == f"worker: {address}: the session was lost and reconnecting gave up\n"

@@ -2,7 +2,7 @@
 
 Covers the three passes (declarations, purity, conformance) on small
 fixtures, the two PR-5 lying-declaration regressions against the real
-ZooKeeper spec functions, the baseline/CLI plumbing, and the guarantee
+ZooKeeper spec functions, the fingerprints and CLI plumbing, and the guarantee
 that the shipped plugins lint clean.
 """
 
@@ -37,11 +37,7 @@ from lint_fixtures_broken import BrokenPlugin, RefusingPlugin
 
 from repro.analysis import SpecAnalyzer, lint_plugin, lint_systems
 from repro.analysis.declarations import check_action
-from repro.analysis.findings import (
-    LintReport,
-    make_finding,
-    new_fingerprints,
-)
+from repro.analysis.findings import make_finding
 from repro.cli import main
 from repro.tla.action import Action
 from repro.remix import registry
@@ -292,7 +288,7 @@ class TestPR5Regressions:
         )
 
 
-# --- fingerprints and baselines ------------------------------------------------
+# --- fingerprints ---------------------------------------------------------------
 
 class TestFingerprints:
     def test_stable_across_runs(self):
@@ -306,21 +302,6 @@ class TestFingerprints:
         b = make_finding("D01", "s", "action:A", "m", variable="x",
                          file="f.py", line=99)
         assert a.fingerprint == b.fingerprint
-
-    def test_new_fingerprints(self):
-        findings = lint_plugin("brokenfix", BrokenPlugin())
-        report = LintReport(["brokenfix"], findings)
-        prints = report.fingerprints()
-        baseline = {"findings": [{"fingerprint": p} for p in prints]}
-        assert new_fingerprints(report, baseline) == []
-        # Drop every entry carrying the first fingerprint: it must
-        # resurface as new.
-        short = {
-            "findings": [
-                {"fingerprint": p} for p in prints if p != prints[0]
-            ]
-        }
-        assert new_fingerprints(report, short) == [prints[0]]
 
 
 # --- CLI -----------------------------------------------------------------------
@@ -341,7 +322,7 @@ class TestLintCLI:
         out = capsys.readouterr()
         assert "0 error(s), 0 warning(s)" in out.err
 
-    def test_findings_without_baseline_exit_one(self, fixture_registry, capsys):
+    def test_findings_exit_one(self, fixture_registry, capsys):
         assert main(["lint", "--system", "brokenfix"]) == 1
         out = capsys.readouterr()
         assert "C02" in out.out
@@ -353,35 +334,8 @@ class TestLintCLI:
         assert payload["systems"] == ["brokenfix"]
         rules = {f["rule"] for f in payload["findings"]}
         assert "C02" in rules and "C07" in rules
-
-    def test_baseline_gate(self, fixture_registry, capsys, tmp_path):
-        assert main(["lint", "--system", "brokenfix", "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(payload))
-        # Every finding baselined: gate passes.
-        assert main(
-            ["lint", "--system", "brokenfix", "--baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
-        # Drop every baselined entry for one fingerprint: the gate
-        # reports the regression.
-        dropped = payload["findings"][0]["fingerprint"]
-        payload["findings"] = [
-            f for f in payload["findings"] if f["fingerprint"] != dropped
-        ]
-        baseline.write_text(json.dumps(payload))
-        assert main(
-            ["lint", "--system", "brokenfix", "--baseline", str(baseline)]
-        ) == 2
-        assert "NEW lint fingerprints" in capsys.readouterr().err
-
-    def test_invalid_baseline_exits_two(self, fixture_registry, capsys, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"schema": "bogus/9"}))
-        assert main(
-            ["lint", "--system", "goodfix", "--baseline", str(baseline)]
-        ) == 2
+        # every finding keeps its stable fingerprint
+        assert all(len(f["fingerprint"]) == 12 for f in payload["findings"])
 
     def test_unknown_system_errors(self, capsys):
         assert main(["lint", "--system", "nope"]) == 2

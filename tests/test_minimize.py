@@ -439,7 +439,9 @@ class TestCompareValidation:
                 return dict(super().snapshot(), history=lie, state=lie)
 
         coordinator = Coordinator(
-            mapping_for(SELECTIONS["mSpec-1"]), lambda: Lying(3, V391)
+            mapping_for(SELECTIONS["mSpec-1"]),
+            lambda: Lying(3, V391),
+            system_plugin("zookeeper").compared_variables,
         )
         result = coordinator.replay(self.electing_trace())
         assert [(d.kind, d.step, d.variable) for d in result.discrepancies] == [

@@ -6,7 +6,7 @@ import pytest
 from repro.checker import RandomWalker, explore
 from repro.checker.trace import Trace
 from repro.impl import Ensemble
-from repro.remix import Coordinator
+from repro.remix import Coordinator, system_plugin
 from repro.tla.action import ActionLabel
 from repro.tla.composition import CompositionError
 from repro.zookeeper import V391, ZkConfig, make_spec
@@ -14,6 +14,7 @@ from repro.zookeeper.mapping import mapping_for
 from repro.zookeeper.specs import SELECTIONS, SpecRegistry
 
 CFG = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)
+COMPARED = system_plugin("zookeeper").compared_variables
 
 
 class TestRegistry:
@@ -134,6 +135,7 @@ class TestCoordinator:
         return Coordinator(
             mapping_for(SELECTIONS[name]),
             lambda: Ensemble(3, V391, divergence),
+            COMPARED,
         )
 
     def test_replays_violating_trace_to_impl_bug(self):
@@ -180,6 +182,7 @@ class TestConformance:
         coordinator = Coordinator(
             mapping_for(SELECTIONS[name]),
             lambda: Ensemble(3, V391, divergence),
+            COMPARED,
         )
         walker = RandomWalker(make_spec(name, CFG), seed=seed)
         results = [
@@ -222,7 +225,7 @@ class TestConformance:
         # surfaces the implementation symptom.
         spec, trace = replay_first_violation("mSpec-1", "I-14")
         coordinator = Coordinator(
-            mapping_for(SELECTIONS["mSpec-1"]), lambda: Ensemble(3, V391)
+            mapping_for(SELECTIONS["mSpec-1"]), lambda: Ensemble(3, V391), COMPARED
         )
         result = coordinator.replay(trace, stop_on_discrepancy=False)
         assert result.impl_error is not None

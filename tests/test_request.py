@@ -130,7 +130,6 @@ class TestValidation:
             ('{"task_timeout": 0}', "task_timeout"),
             ('{"traces": -3}', "traces"),  # an empty run
             ('{"max_steps": -1}', "max_steps"),
-            ('{"shrink_rounds": -1}', "shrink_rounds"),
             ('{"task_retries": -1}', "task_retries"),
             ('{"seeds": 1.7}', "seeds"),  # not silently 1
             ('{"workers": "two"}', "workers"),
@@ -187,6 +186,9 @@ class TestWireFormat:
             CampaignRequest.from_json({"adaptive": True})
         with pytest.raises(TypeError, match="adaptive"):
             CampaignRequest(adaptive=True)
+        # the shrink loop's round cap is a constant, not a request field
+        with pytest.raises(RequestError, match=r"unknown field\(s\) \['shrink_rounds'\]"):
+            CampaignRequest.from_json({"shrink_rounds": 10})
 
     def test_from_json_rejects_wrong_schema(self):
         with pytest.raises(RequestError, match="schema"):

@@ -203,8 +203,8 @@ def resumed_shrink(finding, config, system, monkeypatch):
     """The production ``shrink_finding`` with the loop's calls recorded."""
     calls = []
 
-    def recording_loop(labels, oracle, max_rounds=10):
-        return shrink_labels_oracle(labels, recorded(oracle, calls), max_rounds)
+    def recording_loop(labels, oracle):
+        return shrink_labels_oracle(labels, recorded(oracle, calls))
 
     with monkeypatch.context() as patch:
         patch.setattr(minimize, "shrink_labels_oracle", recording_loop)

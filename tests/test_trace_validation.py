@@ -4,7 +4,6 @@ import pytest
 
 from repro.impl import Ensemble
 from repro.remix import (
-    COMPARED_VARIABLES,
     ImplExplorer,
     TraceValidator,
     system_plugin,
@@ -20,6 +19,7 @@ CFG = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)
 
 
 BUDGETS = system_plugin("zookeeper").budget_limits
+COMPARED = system_plugin("zookeeper").compared_variables
 
 
 def explorer(name, seed, config=CFG, divergence="", spec=None):
@@ -44,7 +44,7 @@ class Validation:
             spec,
             mapping_for(SELECTIONS[name]),
             lambda: Ensemble(config.n_servers, V391, divergence),
-            compared_variables=compared or COMPARED_VARIABLES,
+            compared_variables=compared or COMPARED,
         )
 
     def run(self, max_steps, run=0):
@@ -151,7 +151,7 @@ class TestUnknownVariable:
 
     def test_typo_reported_not_silently_skipped(self):
         report = Validation(
-            "mSpec-1", compared=COMPARED_VARIABLES + ("historyy",)
+            "mSpec-1", compared=COMPARED + ("historyy",)
         ).run(max_steps=6)
         bad = [i for i in report.issues if i.kind == "unknown_variable"]
         assert len(bad) == 1
@@ -173,7 +173,7 @@ class TestUnknownVariable:
             i.kind == "unknown_variable" for i in report.issues
         )
 
-    def validator(self, ensemble_cls, compared=COMPARED_VARIABLES):
+    def validator(self, ensemble_cls, compared=COMPARED):
         return TraceValidator(
             make_spec("mSpec-1", CFG),
             mapping_for(SELECTIONS["mSpec-1"]),
@@ -192,7 +192,7 @@ class TestUnknownVariable:
 
         executed, _, _ = explorer("mSpec-1", 5).explore(max_steps=6)
         report = self.validator(
-            WiderSnapshot, COMPARED_VARIABLES + ("impl_only",)
+            WiderSnapshot, COMPARED + ("impl_only",)
         ).validate_labels(executed, run=2)
         assert [(i.kind, i.variable, i.run) for i in report.issues] == [
             ("unknown_variable", "impl_only", 2)
