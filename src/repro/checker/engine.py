@@ -333,6 +333,8 @@ class CompiledSpec:
         "outcome_memos",
         "outcome_stats",
         "idle_outcomes",
+        "shared_changes",
+        "shared_masks",
         "guard_prefixes",
         "direct",
         "eager",
@@ -462,10 +464,13 @@ class CompiledSpec:
             [0, 0, 0, 0] for _ in self.outcome_groups
         ]
         self.inv_memos: List[dict] = [{} for _ in self.inv_groups]
-        # Outcome memo values with no enabled change, ``gd -> (gd, ())``:
-        # equal masks share one tuple across every group and every demotion
-        # re-emit.
-        self.idle_outcomes: Dict[int, Tuple[int, tuple]] = {}
+        # What outcome memo entries share, across every group, every
+        # demotion re-emit and every request thread (store_outcome):
+        # the entry of a miss with no enabled change, ``gd -> (gd,)``;
+        # each change tuple; each mask of an entry with changes.
+        self.idle_outcomes: Dict[int, Tuple[int]] = {}
+        self.shared_changes: Dict[tuple, tuple] = {}
+        self.shared_masks: Dict[int, int] = {}
         self.demoted_groups: List[dict] = []
         # Instances evaluated on every state they are not proven disabled
         # in: demoted-group instances (skippable via inherited disabled
@@ -622,11 +627,26 @@ class CompiledSpec:
                 codes[value] = code
             return code
 
-    def idle_outcome(self, gd: int) -> Tuple[int, tuple]:
-        """The outcome-memo value of a miss with no enabled change: one
-        shared ``(gd, ())`` per disabled mask.  ``setdefault`` keeps it
-        one even when two request threads miss on one mask at once."""
-        return self.idle_outcomes.setdefault(gd, (gd, ()))
+    def store_outcome(self, memo: dict, key: Any, items: List[tuple], gd: int) -> None:
+        """File a miss's outcome in its group's memo: ``(item0, ...,
+        gd)`` with the mask shared, or the one shared ``(gd,)`` when no
+        member had a change.  ``setdefault`` keeps each shared object one
+        even when two request threads miss on one mask at once (a race
+        could only ever lose sharing, never correctness).
+
+        A memo that reaches :attr:`OUTCOME_MEMO_LIMIT` is reset, and with
+        it the shared dicts, so they never hold more than what the memos
+        filed since."""
+        if len(memo) >= self.OUTCOME_MEMO_LIMIT:
+            memo.clear()
+            self.idle_outcomes.clear()
+            self.shared_changes.clear()
+            self.shared_masks.clear()
+        if items:
+            items.append(self.shared_masks.setdefault(gd, gd))
+            memo[key] = tuple(items)
+        else:
+            memo[key] = self.idle_outcomes.setdefault(gd, (gd,))
 
     def encode(self, values: Sequence[Any]) -> Tuple[int, ...]:
         """A values tuple as a row of codes (minting what is new)."""
@@ -882,6 +902,7 @@ class CompiledSpec:
         """Per-action-group memo telemetry for ``--stats``."""
         compiled = self.kernel is not None
         groups = []
+        counted: set = set()
         for (slots, members), cell, memo in zip(
             self.outcome_groups, self.outcome_stats, self.outcome_memos
         ):
@@ -890,6 +911,7 @@ class CompiledSpec:
                 round(row["hits"] / row["lookups"], 4) if row["lookups"] else None
             )
             row["entries"] = len(memo)
+            row["bytes"] = _footprint(memo, counted)
             groups.append(row)
         # Per action name, the first instance's prefix: "why is this
         # action never filtered" without reading emitted code.
@@ -938,6 +960,34 @@ class CompiledSpec:
             # blocking lint finding kernel_trusted() warned about.
             stats["untrusted"] = self.blocker or None
         return stats
+
+
+def _footprint(memo: dict, counted: set) -> int:
+    """Bytes of an outcome memo: its table, its keys and its entries down
+    to the ints.  What entries share -- a bare-code key, a change tuple
+    and its pairs, a mask, an idle ``(gd,)``, an instance index -- is
+    charged once per :meth:`CompiledSpec.memo_stats` call (``counted``
+    holds their ids; the rest is one object per entry, charged as met,
+    so the walk tracks only the few distinct shared objects)."""
+    size = sys.getsizeof
+
+    def once(obj: Any) -> int:
+        if id(obj) in counted:
+            return 0
+        counted.add(id(obj))
+        return size(obj) + (sum(once(part) for part in obj) if type(obj) is tuple else 0)
+
+    total = size(memo)
+    for key, entry in memo.items():
+        total += once(key) if type(key) is int else size(key)
+        if len(entry) == 1:
+            total += once(entry)
+            continue
+        total += size(entry) + once(entry[-1])
+        for item in entry[:-1]:
+            idx, changes, delta = item
+            total += size(item) + once(idx) + once(changes) + size(delta)
+    return total
 
 
 def compiled_for(

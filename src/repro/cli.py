@@ -63,6 +63,16 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _port(text: str) -> int:
+    """``serve --port``, ``client --port`` and the port of ``worker
+    HOST:PORT``: 0-65535 (the resolver would wrap a larger one modulo
+    65536 and reach another port)."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be between 0 and 65535, got {value}")
+    return value
+
+
 def _add_budget_args(parser: argparse.ArgumentParser, max_states: int, max_time: float):
     parser.add_argument("--max-states", type=_positive, default=max_states)
     parser.add_argument("--max-time", type=_seconds, default=max_time)
@@ -328,8 +338,8 @@ def cmd_serve(args) -> int:
 
     from repro.remix.service import CampaignServer
 
-    # A port out of range or an address this host cannot bind ends the
-    # run with exit 2 and no announcement.
+    # An address this host cannot bind ends the run with exit 2 and no
+    # announcement (a port out of range is argparse's to refuse).
     try:
         server = CampaignServer(
             host=args.host,
@@ -338,7 +348,7 @@ def cmd_serve(args) -> int:
             max_requests=args.max_requests,
             request_timeout=args.request_timeout,
         )
-    except (OverflowError, OSError) as error:
+    except OSError as error:
         print(f"serve: cannot listen on {args.host}:{args.port}: {error}", file=sys.stderr)
         raise SystemExit(2) from None
     host, port = server.start()
@@ -414,11 +424,16 @@ def cmd_worker(args) -> int:
     if not host or not port.isdigit():
         print(f"worker: expected HOST:PORT, got {args.address!r}", file=sys.stderr)
         return 2
+    try:
+        port = _port(port)
+    except argparse.ArgumentTypeError as error:
+        print(f"worker: HOST:PORT: port {error}", file=sys.stderr)
+        return 2
     # The token prefers the environment (how spawned workers get it,
     # keeping secrets out of `ps`); --auth-token overrides for hand-run
     # external workers.
     token = args.auth_token or os.environ.get(TOKEN_ENV) or None
-    reason = worker_main(host, int(port), token=token)
+    reason = worker_main(host, port, token=token)
     if reason == "shutdown":
         return 0
     print(f"worker: {args.address}: {WORKER_EXITS[reason][1]}", file=sys.stderr)
@@ -650,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
-        "--port", type=int, default=0,
+        "--port", type=_port, default=0,
         help="TCP port (default 0 = ephemeral; the bound address is "
         "announced as the first stdout line)",
     )
@@ -677,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="send one campaign request to a server, stream events to stdout",
     )
     p_client.add_argument("--host", default="127.0.0.1")
-    p_client.add_argument("--port", type=int, required=True)
+    p_client.add_argument("--port", type=_port, required=True)
     p_client.add_argument(
         "--request", default="-", metavar="FILE",
         help="CampaignRequest JSON to send (default '-' = stdin)",

@@ -17,21 +17,25 @@ runtime trick: changed slots are a subset of an action's declared
 ``writes``, ``writes`` are a subset of its dependency closure, and the
 closure projection *is* the memo key.  So, per memo entry, the changed
 slots, their old values, their new values and the complete fingerprint
-delta are all constants.  A kernel memo entry therefore stores
-``(gd, items)``: the group's disabled bitmask and, per enabled
-change-ful instance, an item ``(idx, ((slot, new_code), ...), fp_delta)``;
-a hit replays a successor with a single XOR plus a couple of list
-writes — no guard call, no update call, no digest lookups, no change
-filtering.  For the same reason frontier entries carry no per-slot digest
-tuples: digests are only touched on a memo miss, where the delta is
-folded once and for all.
+delta are all constants.  A kernel memo entry is therefore one tuple
+``(item0, item1, ..., gd)``: per enabled change-ful instance an item
+``(idx, ((slot, new_code), ...), fp_delta)``, then the group's disabled
+bitmask.  A hit replays it with ``raw.extend(e); gd = raw.pop()`` -- no
+guard call, no update call, no digest lookups, no change filtering.  For
+the same reason frontier entries carry no per-slot digest tuples:
+digests are only touched on a memo miss, where the delta is folded once
+and for all.
 
 An entry stores only what varies.  Each ``(slot, new_code)`` pair is the
 value table's own (``CompiledSpec.pairs[slot][code]``, minted with the
-code), so equal changes in a million entries are one tuple; and an
-outcome with no enabled change, ``(gd, ())``, is taken from one
-per-compile dict keyed by ``gd``, so equal masks share one tuple (member
-bits are disjoint across groups, so one dict serves them all).
+code); on a miss each change tuple and each mask is passed through a
+per-compile dict (``CompiledSpec.shared_changes`` / ``shared_masks``), so
+equal changes or masks in a million entries are one object; and an
+outcome with no enabled change is the one ``(gd,)`` per mask
+(``CompiledSpec.idle_outcomes``; member bits are disjoint across groups,
+so one dict serves them all).  A key of two or more slots is the codes
+packed into ``bytes`` (:func:`_key_expr`): 57 bytes instead of the
+tuple's 88 at six slots, for ~70 ns more per lookup.
 
 The kernel runs on the compile's value codes (``CompiledSpec.encode``):
 a row is ``(fp, codes, known)``, memo keys are projections of small ints,
@@ -74,8 +78,9 @@ orphaned instead of replayed.
 
 from __future__ import annotations
 
+import struct
 from itertools import count
-from typing import Any, Callable, Dict, List, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.tla.guards import CONTAINERS, Atom, Const, Path, condition, expression, paths
 from repro.tla.state import State
@@ -83,25 +88,45 @@ from repro.tla.state import State
 # Version tag of the kernel emitter.  Mixed into the spec_cache on-disk
 # digest (upgrading the emitter must orphan stale artifacts) and reported
 # by ``CompiledSpec.memo_stats``.
-CODEGEN_VERSION = 15
+CODEGEN_VERSION = 16
+
+
+#: The ``struct`` format of one code in a packed memo key: four bytes,
+#: unsigned.  A code is an index into a value-table column, so a column
+#: would need 2**32 values -- far past any memory this runs in -- before
+#: a key could fail to pack.  Two bytes would cap a slot at 65 536 values
+#: (Table 5's ``msgs`` takes 17 018 at 1.1M states, and the paper's run
+#: is 16x longer).
+KEY_FIELD = "I"
 
 
 def _key_expr(slots: Tuple[int, ...], var: str = "c") -> str:
-    """Memo-key expression for a projection: direct tuple subscripts.
+    """Memo-key expression for a projection.
 
-    Single-slot projections use the bare value (cheaper than a 1-tuple).
-    Every memo key is spelled here and nowhere else: the engine only owns
-    the memo dicts, and the batch sweep and ``_classify`` fill them from
-    one emitted block (:func:`_emit_classify`).
+    A single-slot projection is the bare code; a wider one is its codes
+    packed into ``bytes`` by the ``_kp<width>`` packer the kernel module
+    holds (:func:`_key_packers`).  Every memo key is spelled here and nowhere
+    else: the engine only owns the memo dicts, and the batch sweep and
+    ``_classify`` fill them from one emitted block (:func:`_emit_classify`).
     """
     if len(slots) == 1:
         return f"{var}[{slots[0]}]"
-    return "(" + ", ".join(f"{var}[{s}]" for s in slots) + ")"
+    return f"_kp{len(slots)}(" + ", ".join(f"{var}[{s}]" for s in slots) + ")"
 
 
-def make_outcome_compiler(core: Any) -> Callable:
+def _key_packers(core: Any) -> Dict[str, Callable]:
+    """The ``_kp<width>`` packers the keys of :func:`_key_expr` call, one
+    per width some outcome, invariant or constraint memo keys on."""
+    keyed = [slots for slots, _members in core.outcome_groups + core.inv_groups]
+    if core.constraint_slots is not None:
+        keyed.append(core.constraint_slots)
+    widths = sorted({len(slots) for slots in keyed if len(slots) > 1})
+    return {f"_kp{n}": struct.Struct(f"<{n}{KEY_FIELD}").pack for n in widths}
+
+
+def make_outcome_compiler(core: Any, shared: Optional[Dict[tuple, tuple]] = None) -> Callable:
     """Build the shared miss-path helper that compiles one applier outcome
-    into a kernel memo entry.
+    into a kernel memo item.
 
     Returns the item ``(idx, ((slot, new_code), ...), fp_delta)`` for a
     change-ful outcome, or ``None`` when every update is a no-op (matching
@@ -110,11 +135,14 @@ def make_outcome_compiler(core: Any) -> Callable:
     ``(slot, new_code)`` pair is the table's own (``pairs[slot][code]``),
     so the item holds no private copy of an equal value or pair, and the
     fingerprint delta folds both digests by list index, at miss time --
-    replays never touch a digest again.
+    replays never touch a digest again.  With ``shared`` (the memo
+    miss's compiler, not the eager sweep's, whose items are never
+    stored) the change tuple is the dict's one copy of it.
     """
     schema_index = core.schema._index
     codes, values, digests, pairs = core.codes, core.values, core.digests, core.pairs
     mint = core.mint
+    share = None if shared is None else shared.setdefault
 
     def compile_outcome(idx: int, updates: Dict[str, Any], parent: Tuple[int, ...]):
         changes = []
@@ -134,7 +162,10 @@ def make_outcome_compiler(core: Any) -> Callable:
             changes.append(pairs[slot][code])
         if not changes:
             return None
-        return (idx, tuple(changes), delta)
+        changes = tuple(changes)
+        if share is not None:
+            changes = share(changes, changes)
+        return (idx, changes, delta)
 
     return compile_outcome
 
@@ -340,7 +371,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
     # call -- most calls are one-row walk steps.
     binds: Dict[str, Any] = {
         "config": core.config,
-        "mk": make_outcome_compiler(core),
+        "mk": make_outcome_compiler(core, core.shared_changes),
         "vt": core.values,
         "naffects": [~bits for bits in core.affects],
     }
@@ -351,6 +382,8 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
     )
     for idx in used:
         binds[f"a{idx}"] = core.appliers[idx]
+    if core.eager:
+        binds["mke"] = make_outcome_compiler(core)
     n_outcomes = len(core.outcome_groups)
     for g, memo in enumerate(core.outcome_memos):
         binds[f"omemo{g}"] = memo
@@ -380,9 +413,12 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
     # parameters, past slot 255, where every use costs an EXTENDED_ARG.
     for g, cell in enumerate(core.outcome_stats):
         env[f"_ostats_{g}"] = cell
-    # Only a miss with no enabled change calls this (it files its mask's
-    # shared outcome): a global too, for the same reason.
-    env["_idle"] = core.idle_outcome
+    # Only a miss calls this (it files the entry, sharing its mask): a
+    # global too, for the same reason.
+    env["_store"] = core.store_outcome
+    # The key packers too: as parameters, up to ~15 of them moved every
+    # hot local of a ZooKeeper kernel up by as many slots.
+    env.update(_key_packers(core))
 
     src: List[str] = []
     w = src.append
@@ -423,12 +459,10 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
         w(f"            k = {_key_expr(slots)}")
         w(f"            e = oget{g}(k)")
         w("            if e is not None:")
-        w("                gd = e[0]")
+        w("                raw.extend(e)")
+        w("                gd = raw.pop()")
         w("                if gd:")
         w("                    d |= gd")
-        w("                en = e[1]")
-        w("                if en:")
-        w("                    raw.extend(en)")
         w("            else:")
         w(f"                om{g} += 1")
         w("                if st is None:")
@@ -449,9 +483,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
             w("                        if item is not None:")
             w("                            en.append(item)")
             w("                            raw.append(item)")
-        w(f"                if len(omemo{g}) >= {core.OUTCOME_MEMO_LIMIT}:")
-        w(f"                    omemo{g}.clear()")
-        w(f"                omemo{g}[k] = (gd, tuple(en)) if en else _idle(gd)")
+        w(f"                _store(omemo{g}, k, en, gd)")
         w("        else:")
         w(f"            os{g} += 1")
 
@@ -466,7 +498,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
             w("            if u is None:")
             w(f"                d |= {bit}")
             w("            else:")
-            w(f"                item = mk({idx}, u, c)")
+            w(f"                item = mke({idx}, u, c)")
             w("                if item is not None:")
             w("                    raw.append(item)")
 

@@ -141,8 +141,10 @@ class TestParser:
                  "argument --max-time"),
                 (["bugs", "--max-states", "50", "--max-time", "inf"], "argument --max-time"),
                 (["protocol", "--max-time", "-1"], "argument --max-time"),
-                # a bind failure is bad input, not a traceback
-                (["serve", "--port", "70000"], "serve: cannot listen on 127.0.0.1:70000"),
+                # the resolver would wrap a port above 65535 modulo 65536
+                (["serve", "--port", "70000"],
+                 "argument --port: must be between 0 and 65535, got 70000"),
+                (["serve", "--port", "-1"], "argument --port: must be between 0 and 65535"),
                 # an address of no local interface (TEST-NET-1, RFC 5737):
                 # the bind fails without a name lookup
                 (["serve", "--host", "192.0.2.1"], "serve: cannot listen on 192.0.2.1:0"),
@@ -245,6 +247,36 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.count('"mode": "compiled"') == runs
         assert out.count('"expand_calls"') == runs
+
+
+class TestPortRange:
+    """A port above 65535 is refused before anything connects: the
+    resolver would wrap it modulo 65536 (``client --port 70000`` reached
+    a listener on 4464)."""
+
+    @pytest.fixture
+    def connects(self, monkeypatch):
+        from repro.checker.backends import sockets
+
+        attempts = []
+        monkeypatch.setattr(socket, "create_connection", lambda *a, **k: attempts.append(a))
+        monkeypatch.setattr(sockets, "worker_main", lambda *a, **k: attempts.append(a))
+        return attempts
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_client_refuses_the_port(self, port, connects, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["client", "--port", port, "--request", "-"])
+        assert exit_info.value.code == 2
+        assert "argument --port: must be between 0 and 65535" in capsys.readouterr().err
+        assert connects == []
+
+    @pytest.mark.parametrize("port", ["70000", "65536"])
+    def test_worker_refuses_the_port(self, port, connects, capsys):
+        assert main(["worker", f"127.0.0.1:{port}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"worker: HOST:PORT: port must be between 0 and 65535, got {port}\n"
+        assert connects == []
 
 
 class TestWorkerExit:

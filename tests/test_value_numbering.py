@@ -8,10 +8,13 @@ values are one value (the contract the outcome memo always relied on);
 two threads minting into one resident compile never hand out one code
 for two values; a repeated campaign request mints nothing; and an
 outcome memo stores only what varies -- its change pairs are the value
-table's own, and outcomes with no enabled change are shared per mask."""
+table's own, its change tuples and masks the compile's shared ones,
+outcomes with no enabled change are shared per mask, and a key is a
+bare code or the packed bytes of its codes."""
 
 import json
 import random
+import struct
 import sys
 import threading
 from functools import partial
@@ -23,6 +26,11 @@ from repro.checker.engine import CompiledSpec, compiled_for
 from repro.remix import spec_cache
 from repro.remix.campaign import CampaignRequest, run_campaign
 from repro.remix.registry import registered_systems, system_plugin
+from repro.tla import codegen
+from repro.tla.action import Action
+from repro.tla.module import Module
+from repro.tla.spec import Invariant, Specification
+from repro.tla.state import Schema, State
 from repro.tla.values import Rec
 
 from repro.zookeeper.specs import SELECTIONS, build_spec
@@ -53,19 +61,44 @@ def table_defects(core):
 
 
 def sharing_defects(core):
-    """Every outcome-memo value holding a private copy of what the compile
-    shares: a change pair that is not ``pairs[slot][code]``, or an outcome
-    with no enabled change that is not the one for its mask."""
+    """Every memo entry or key holding a private copy of what the compile
+    shares, or laid out otherwise than the kernel reads it: a change pair
+    that is not ``pairs[slot][code]``, a change tuple that is not the
+    compile's shared one, a mask of an entry with changes that is not the
+    shared int, an outcome with no enabled change that is not the one
+    ``(gd,)`` for its mask, and a key that is neither a bare code (one
+    slot) nor ``bytes`` of the packed width (two or more)."""
+    field = struct.calcsize("<" + codegen.KEY_FIELD)
     defects = []
-    for group, memo in enumerate(core.outcome_memos):
+
+    def key_defects(kind, group, slots, memo):
+        for key in memo:
+            if len(slots) == 1:
+                if type(key) is not int:
+                    defects.append((kind, group, "not a bare code", key))
+            elif type(key) is not bytes or len(key) != field * len(slots):
+                defects.append((kind, group, "not packed", key))
+
+    for group, ((slots, _), memo) in enumerate(zip(core.outcome_groups, core.outcome_memos)):
+        key_defects("outcome", group, slots, memo)
         for entry in memo.values():
-            gd, items = entry
-            if not items and entry is not core.idle_outcomes.get(gd):
-                defects.append((group, "unshared idle outcome", gd))
+            *items, gd = entry
+            if not items:
+                if entry is not core.idle_outcomes.get(gd):
+                    defects.append((group, "unshared idle outcome", gd))
+                continue
+            if core.shared_masks.get(gd) is not gd:
+                defects.append((group, "unshared mask", gd))
             for idx, changes, _ in items:
+                if core.shared_changes.get(changes) is not changes:
+                    defects.append((group, "unshared changes", idx, changes))
                 for pair in changes:
                     if pair is not core.pairs[pair[0]][pair[1]]:
                         defects.append((group, "private pair", idx, pair))
+    for group, ((slots, _), memo) in enumerate(zip(core.inv_groups, core.inv_memos)):
+        key_defects("invariant", group, slots, memo)
+    if core.constraint_slots is not None:
+        key_defects("constraint", 0, core.constraint_slots, core.constraint_memo)
     return defects
 
 
@@ -204,14 +237,38 @@ class TestSharedOutcomes:
         assert sharing_defects(core) == []
         assert table_defects(core) == []
         entries = [entry for memo in core.outcome_memos for entry in memo.values()]
-        pairs = [
-            pair for _, items in entries for _, changes, _ in items for pair in changes
-        ]
-        idle = [entry for entry in entries if not entry[1]]
-        # Sharing happens, not just holds: many entries, few objects.
+        items = [item for entry in entries for item in entry[:-1]]
+        pairs = [pair for _, changes, _ in items for pair in changes]
+        changes = [changes for _, changes, _ in items]
+        masks = [entry[-1] for entry in entries if len(entry) > 1]
+        idle = [entry for entry in entries if len(entry) == 1]
+        # Sharing happens, not just holds: many entries, few objects --
+        # one object per distinct change tuple and per distinct mask.
         assert len({id(pair) for pair in pairs}) < len(pairs) // 4
+        assert len({id(c) for c in changes}) == len(set(changes)) < len(changes)
+        assert len({id(gd) for gd in masks}) == len(set(masks)) < len(masks)
         assert 0 < len(core.idle_outcomes) < len(idle)
-        assert all(core.idle_outcomes[gd] == (gd, ()) for gd in core.idle_outcomes)
+        assert all(core.idle_outcomes[gd] == (gd,) for gd in core.idle_outcomes)
+
+    @pytest.mark.parametrize("make", bfs_specs())
+    def test_stats_count_each_shared_object_once(self, make):
+        engine = ExplorationEngine(make(), max_states=6_000, stop_at_first=False)
+        engine.run()
+        rows = engine.core.memo_stats()["outcome_groups"]
+        # every key bench/passes.py reads stays
+        assert all({"lookups", "hits", "entries", "bytes"} <= set(row) for row in rows)
+        # The oracle walks every object the memos reach, each one once.
+        counted = set()
+        stack = list(engine.core.outcome_memos)
+        stack += [part for memo in stack for part in (*memo.keys(), *memo.values())]
+        total = 0
+        while stack:
+            obj = stack.pop()
+            if id(obj) not in counted:
+                counted.add(id(obj))
+                total += sys.getsizeof(obj)
+                stack.extend(obj if type(obj) is tuple else ())
+        assert sum(row["bytes"] for row in rows) == total
 
     def test_sharing_survives_demotion(self):
         # A demotion re-emits the kernel; the surviving groups' entries and
@@ -223,6 +280,86 @@ class TestSharedOutcomes:
         engine.run()
         assert engine.core.demoted_groups
         assert sharing_defects(engine.core) == []
+
+
+#: Values of ``x`` the run reaches; the first half is numbered before it.
+REACHED = 200
+
+
+def two_slot_counter_spec():
+    """``x`` climbs to ``REACHED - 1`` while ``y`` flips between 0 and 1.
+    Both actions, the invariant (violated where ``x >= 150`` and ``y ==
+    1``) and the constraint read both slots, so every memo keys on a
+    packed two-slot projection."""
+    schema = Schema(("x", "y"))
+
+    def inc_x(config, state):
+        return {"x": state.x + 1} if state.x + 1 < REACHED and state.y < 2 else None
+
+    def flip(config, state):
+        return {"y": 1 - state.y} if state.x < REACHED else None
+
+    def below_150(config, state):
+        return state.x < 150 or state.y == 0
+
+    def in_bounds(config, state):
+        return state.x + state.y < REACHED + 1
+
+    in_bounds.reads = frozenset({"x", "y"})
+    module = Module(
+        "counter",
+        [
+            Action("IncX", inc_x, reads=["x", "y"], writes=["x"]),
+            Action("Flip", flip, reads=["x", "y"], writes=["y"]),
+        ],
+    )
+    return Specification(
+        "two-slot-counter",
+        schema,
+        lambda cfg: [State.make(schema, x=0, y=0)],
+        [module],
+        [Invariant("I-1", "x below 150 where y is 1", below_150, reads=frozenset({"x", "y"}))],
+        None,
+        constraint=in_bounds,
+    )
+
+
+class WideTable(ExplorationEngine):
+    """Numbers 2**16 values of ``x`` before the run: ``0 .. REACHED/2 - 1``
+    (codes equal to the values), then fillers the run never reaches.  The
+    run mints ``REACHED/2 .. REACHED - 1`` in its batches, at codes from
+    2**16 on -- each one 2**16 above the code of a value it also reaches."""
+
+    def _compile(self):
+        core = super()._compile()
+        half = REACHED // 2
+        for value in [*range(half), *(f"filler{i}" for i in range(half, 1 << 16))]:
+            core.encode((value, 0))
+        return core
+
+
+class TestPackedKeys:
+    def test_keys_hold_codes_past_16_bits(self):
+        # debug=True checks every batch against the reference expander and
+        # every verdict against evaluation: a key field that truncated a
+        # code would give x and x + REACHED/2 one key -- and replay one's
+        # successor or verdict for the other -- and one that raised would
+        # stop the run.
+        checked = WideTable(two_slot_counter_spec(), debug=True, stop_at_first=False)
+        result = checked.run()
+        core = checked.core
+        assert len(core.values[0]) == (1 << 16) + REACHED // 2
+        assert [slots for slots, _ in core.outcome_groups] == [(0, 1)]
+        assert [slots for slots, _ in core.inv_groups] == [(0, 1)]
+        assert core.constraint_slots == (0, 1)
+        assert sharing_defects(core) == []
+        unpack = struct.Struct("<2" + codegen.KEY_FIELD).unpack
+        for memo in core.outcome_memos + core.inv_memos + [core.constraint_memo]:
+            x_codes = {unpack(key)[0] for key in memo}
+            assert {0, 1 << 16} <= x_codes and max(x_codes) == (1 << 16) + REACHED // 2 - 1
+        reference = ExplorationEngine(two_slot_counter_spec(), reference=True, stop_at_first=False)
+        assert run_sig(result) == run_sig(reference.run())
+        assert result.completed and len(result.violations) == REACHED - 150
 
 
 def one_grain_request(seed):
