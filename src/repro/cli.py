@@ -235,6 +235,7 @@ def cmd_campaign(args) -> int:
         except (OSError, ValueError) as error:
             print(f"campaign: baseline {args.baseline}: {error}", file=sys.stderr)
             return 2
+    _refuse_unusable_outputs(args)
     report = run_campaign(
         request, journal_dir=args.journal, resume=args.resume
     )
@@ -300,13 +301,41 @@ def cmd_campaign(args) -> int:
     return 0
 
 
+def _refuse_unusable_outputs(args) -> None:
+    """End the run with exit 2 and one line if an output location cannot
+    be written, before any cell runs: ``--journal`` and ``--repros`` are
+    the directories the run would make, ``--json PATH`` a file opened
+    for appending (and removed again if this made it)."""
+    import os
+
+    json_path = None if args.json_path == "-" else args.json_path
+    for flag, path, directory in (
+        ("--journal", args.journal, True),
+        ("--repros", args.repros, True),
+        ("--json", json_path, False),
+    ):
+        if path is None:
+            continue
+        try:
+            if directory:
+                os.makedirs(path, exist_ok=True)
+            else:
+                made = not os.path.exists(path)
+                open(path, "a").close()
+                if made:
+                    os.remove(path)
+        except OSError as error:
+            print(f"campaign: {flag} {path}: {error.strerror or error}", file=sys.stderr)
+            raise SystemExit(2) from None
+
+
 def _write_repros(directory: str, report, stream=sys.stdout) -> None:
     """Dump one replayable repro JSON per finding (the nightly artifact
-    uploaded next to the campaign report)."""
+    uploaded next to the campaign report) into ``directory``, which
+    :func:`_refuse_unusable_outputs` made before the run."""
     import json
     import os
 
-    os.makedirs(directory, exist_ok=True)
     for finding in report.findings:
         path = os.path.join(directory, f"{finding['fingerprint']}.json")
         with open(path, "w") as fh:

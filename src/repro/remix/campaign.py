@@ -80,13 +80,7 @@ from repro.checker.backends import ExecutionBackend, create_backend
 from repro.checker.backends.supervision import SupervisionPolicy, TaskSupervisor
 from repro.remix.journal import CampaignJournal, JournaledBackend
 from repro.remix.registry import system_plugin
-from repro.remix.request import (  # redundant aliases: re-exports (the historical home)
-    DEFAULT_DIRECTIONS as DEFAULT_DIRECTIONS,
-    DIRECTIONS as DIRECTIONS,
-    CampaignRequest as CampaignRequest,
-    RequestError as RequestError,
-    parse_budget as parse_budget,
-)
+from repro.remix.request import CampaignRequest
 from repro.remix.spec_cache import cached_mapping, cached_prefix, cached_spec
 from repro.remix.trace_validation import ValidationReport
 from repro.system.plugin import ScenarioError

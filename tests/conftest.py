@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import json
+
 import pytest
 
 from repro.tla.values import Rec, Txn, Zxid
@@ -35,6 +37,25 @@ def pytest_collection_modifyitems(items):
         raise pytest.UsageError(
             "tests collected outside the module that defines them: " + ", ".join(strays)
         )
+
+
+@pytest.fixture(scope="session")
+def campaign_json():
+    """``run_campaign(request).to_json()``, run once per distinct request
+    in a session (each call gets its own copy): the default-matrix
+    campaigns that several tests judge are the costliest runs in the
+    suite."""
+    from repro.remix.campaign import run_campaign
+
+    runs = {}
+
+    def run(request):
+        key = json.dumps(request.to_json(), sort_keys=True)
+        if key not in runs:
+            runs[key] = json.dumps(run_campaign(request).to_json())
+        return json.loads(runs[key])
+
+    return run
 
 
 def txn(epoch, counter, value=None):

@@ -19,7 +19,8 @@ from repro.checker.backends.fork import ForkBackend, ForkBand, available
 from repro.checker.backends.sockets import SocketBackend, TcpBand
 from repro.checker.backends.supervision import SupervisionPolicy, TaskSupervisor
 from repro.checker.backends.testing import chaos_backend
-from repro.remix.campaign import CampaignRequest, run_campaign
+from repro.remix.campaign import run_campaign
+from repro.remix.request import CampaignRequest
 
 ECHO = "repro.checker.backends.testing:echo"
 ADD_ONE = "repro.checker.backends.testing:add_one"
@@ -411,13 +412,21 @@ class TestBackendIdentity:
         assert self.report_bytes(request, backend=lent) == expected
         monkeypatch.undo()  # let the fixture really close it
 
-    def test_socket_matches_fork_bitwise(self):
-        fork = run_campaign(
-            CampaignRequest(**self.KW, backend="fork")
-        ).to_json()
-        sock = run_campaign(
-            CampaignRequest(**self.KW, backend="socket")
-        ).to_json()
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            pytest.param(KW, id="small"),
+            # the default matrix: every grain, scenario and fault
+            pytest.param(
+                dict(seed=7, workers=2, directions=("topdown", "bottomup"), shrink=True),
+                id="default-matrix",
+            ),
+        ],
+    )
+    def test_socket_matches_fork_bitwise(self, kw, campaign_json):
+        # the default matrix's fork run is test_campaign's workers=2 run
+        fork = campaign_json(CampaignRequest(**kw, backend="fork"))
+        sock = campaign_json(CampaignRequest(**kw, backend="socket"))
         for data in (fork, sock):
             data["campaign"].pop("elapsed_seconds", None)
         assert json.dumps(fork, sort_keys=True) == json.dumps(

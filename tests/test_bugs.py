@@ -18,8 +18,9 @@ from repro.zookeeper import (
     pr_spec,
     zk4394_mask,
 )
-from repro.zookeeper import constants as C
-from repro.zookeeper.specs import SELECTIONS, build_spec
+from repro.zookeeper.specs import HUNTS, SELECTIONS, build_spec, hunt_spec
+
+from test_engine import BFS_HUNTS, label_digest
 
 
 def hunt(
@@ -49,21 +50,64 @@ def hunt(
     )
 
 
+#: What each Table 4 hunt's counterexample shows beyond its invariant:
+#: actions it passes through, the actions it ends on, a depth bound.
+TRACE_FACTS = {
+    # Data sync failure: the leader handles the ACK of UPTODATE while the
+    # follower's CommitProcessor still has pending commits (I-11).
+    "ZK-3023": {},
+    # Data sync failure: COMMIT between NEWLEADER and UPTODATE throws
+    # NullPointerException (I-14).  mSpec-1* = unmasked.
+    "ZK-4394": {"max_depth": 15},
+    # Data loss: crash between the epoch and history updates; the stale
+    # follower wins the next election on its higher epoch and truncates
+    # committed data (I-8).
+    "ZK-4643": {"passes": ("FollowerProcessNEWLEADER_UpdateEpoch", "NodeCrash")},
+    # Data loss: ACK of NEWLEADER before the SyncRequestProcessor
+    # persisted the synced txns; crashes lose a committed txn (I-8).  The
+    # row applies PR-1930's history-before-epoch ordering so that the
+    # ZK-4643 window cannot produce this I-8 violation instead.
+    "ZK-4646": {"passes": ("FollowerProcessNEWLEADER_LogAsync",)},
+    # Data sync failure: the SyncRequestProcessor's per-txn ACK overtakes
+    # the ACK of NEWLEADER (I-12).  Needs >= 2 txns so the txn zxid
+    # differs from the NEWLEADER zxid.
+    "ZK-4685": {"ends": ("FollowerSyncProcessorLogRequest", "LeaderProcessACK")},
+    # Data inconsistency: the un-stopped SyncRequestProcessor logs a
+    # stale request after data recovery (I-10).
+    "ZK-4712": {"passes": ("FollowerShutdown",)},
+}
+
+
 class TestBugDetection:
     """Table 4: bug detection in ZooKeeper v3.9.1."""
 
-    def test_zk4394_found_by_mspec1_unmasked(self):
-        # Data sync failure: COMMIT between NEWLEADER and UPTODATE
-        # throws NullPointerException (I-14).  mSpec-1* = unmasked.
-        result = hunt(
-            "mSpec-1",
-            ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3),
-            "I-14",
-            instance=C.ERR_COMMIT_UNMATCHED_IN_SYNC,
-            masked=False,
-        )
-        assert result.found_violation
-        assert result.first_violation.depth <= 15
+    @pytest.mark.parametrize(
+        "bug",
+        [
+            pytest.param(bug, marks=pytest.mark.slow)
+            if bug in ("ZK-4643", "ZK-4646", "ZK-4712")
+            else bug
+            for bug in HUNTS
+        ],
+    )
+    def test_hunt_finds_the_bug(self, bug):
+        # One BFS per row, to the first violation: the row's invariant,
+        # the counterexample's facts, and the counts and labels pinned
+        # when a BFS level was a list of row tuples.
+        spec, mask = hunt_spec(bug)
+        result = explore(spec, mask=mask)
+        (violation,) = result.violations
+        _grain, _bounds, family, instance, _masked, _variant = HUNTS[bug]
+        assert violation.invariant.ident == family
+        assert instance is None or violation.invariant.instance == instance
+        labels = [label.name for label in violation.trace.labels]
+        facts = TRACE_FACTS[bug]
+        assert set(facts.get("passes", ())) <= set(labels)
+        ends = list(facts.get("ends", ()))
+        assert labels[len(labels) - len(ends):] == ends
+        assert violation.depth <= facts.get("max_depth", violation.depth)
+        got = (result.states_explored, result.transitions, result.max_depth)
+        assert got + (len(labels), label_digest(violation.trace.labels)) == BFS_HUNTS[bug]
 
     def test_zk4394_masked_in_mspec1(self):
         # With the known bug masked, mSpec-1 finds nothing (Table 5).
@@ -77,21 +121,6 @@ class TestBugDetection:
         )
         assert not result.found_violation
 
-    @pytest.mark.slow
-    def test_zk4643_found_by_mspec2(self):
-        # Data loss: crash between the epoch and history updates; the
-        # stale follower wins the next election on its higher epoch and
-        # truncates committed data (I-8).
-        result = hunt(
-            "mSpec-2",
-            ZkConfig(max_txns=1, max_crashes=2, max_partitions=0, max_epoch=3),
-            "I-8",
-        )
-        assert result.found_violation
-        labels = [l.name for l in result.first_violation.trace.labels]
-        assert "FollowerProcessNEWLEADER_UpdateEpoch" in labels
-        assert "NodeCrash" in labels
-
     def test_zk4643_not_found_by_mspec1(self):
         # The baseline's atomic NEWLEADER hides the crash window.
         result = hunt(
@@ -102,24 +131,6 @@ class TestBugDetection:
             max_time=120,
         )
         assert not result.found_violation
-
-    @pytest.mark.slow
-    def test_zk4646_found_by_mspec3(self):
-        # Data loss: ACK of NEWLEADER before the SyncRequestProcessor
-        # persisted the synced txns; crashes lose a committed txn (I-8).
-        # The history-before-epoch ordering is applied so that the
-        # ZK-4643 window cannot produce this I-8 violation instead.
-        from repro.zookeeper import PR_1930
-
-        result = hunt(
-            "mSpec-3",
-            ZkConfig(max_txns=1, max_crashes=2, max_partitions=0, max_epoch=3),
-            "I-8",
-            variant=PR_1930,
-        )
-        assert result.found_violation
-        labels = [l.name for l in result.first_violation.trace.labels]
-        assert "FollowerProcessNEWLEADER_LogAsync" in labels
 
     def test_zk4646_not_found_with_synchronous_logging(self):
         from repro.zookeeper import PR_1993
@@ -133,49 +144,6 @@ class TestBugDetection:
             max_time=200,
         )
         assert not result.found_violation
-
-    @pytest.mark.slow
-    def test_zk3023_found_by_mspec3(self):
-        # Data sync failure: leader handles the ACK of UPTODATE while the
-        # follower's CommitProcessor still has pending commits (I-11).
-        result = hunt(
-            "mSpec-3",
-            ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3),
-            "I-11",
-            instance=C.ERR_ACK_UPTODATE_OUT_OF_SYNC,
-        )
-        assert result.found_violation
-
-    def test_zk4685_found_by_mspec3(self):
-        # Data sync failure: the SyncRequestProcessor's per-txn ACK
-        # overtakes the ACK of NEWLEADER (I-12).  Needs >= 2 txns so the
-        # txn zxid differs from the NEWLEADER zxid.
-        result = hunt(
-            "mSpec-3",
-            ZkConfig(max_txns=2, max_crashes=1, max_partitions=0, max_epoch=3),
-            "I-12",
-            instance=C.ERR_ACK_BEFORE_NEWLEADER_ACK,
-        )
-        assert result.found_violation
-        labels = [l.name for l in result.first_violation.trace.labels]
-        assert labels[-2:] == [
-            "FollowerSyncProcessorLogRequest",
-            "LeaderProcessACK",
-        ]
-
-    @pytest.mark.slow
-    def test_zk4712_found_by_mspec3(self):
-        # Data inconsistency: the un-stopped SyncRequestProcessor logs a
-        # stale request after data recovery (I-10).
-        result = hunt(
-            "mSpec-3",
-            ZkConfig(max_txns=2, max_crashes=1, max_partitions=0, max_epoch=3),
-            "I-10",
-            max_time=400,
-        )
-        assert result.found_violation
-        labels = [l.name for l in result.first_violation.trace.labels]
-        assert "FollowerShutdown" in labels
 
     def test_zk4712_not_found_with_fixed_shutdown(self):
         from repro.zookeeper import V391_PLUS_4712
@@ -297,8 +265,6 @@ class TestHuntTable:
         import sys
         from pathlib import Path
 
-        from repro.zookeeper.specs import HUNTS
-
         root = str(Path(__file__).resolve().parent.parent)
         if root not in sys.path:
             sys.path.insert(0, root)
@@ -310,7 +276,6 @@ class TestHuntTable:
 
     def test_hunt_spec_composes_the_row(self):
         from repro.zookeeper import PR_1930
-        from repro.zookeeper.specs import HUNTS, hunt_spec
 
         assert list(HUNTS) == [
             "ZK-3023", "ZK-4394", "ZK-4643", "ZK-4646", "ZK-4685", "ZK-4712",

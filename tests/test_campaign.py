@@ -1,6 +1,7 @@
 """Tests for the conformance campaign: matrix enumeration, determinism,
 dedup, JSON schema round-trip, the spec cache and the generic task pool."""
 
+import functools
 import json
 
 import pytest
@@ -10,19 +11,17 @@ from repro.remix import spec_cache
 from repro.remix.campaign import (
     CampaignJob,
     CampaignReport,
-    CampaignRequest,
-    RequestError,
     campaign_jobs,
     canonical_value,
     dedup_min_traces,
     finding_fingerprint,
     merge_cells,
     new_fingerprints,
-    parse_budget,
     run_campaign,
     run_cell,
 )
 from repro.remix.registry import system_plugin
+from repro.remix.request import CampaignRequest, RequestError, parse_budget
 from repro.zookeeper import make_spec
 from repro.zookeeper.faults import FaultSchedule, fault_schedule, fault_schedules
 from repro.zookeeper.scenarios import SCENARIO_PREFIXES, Scenario, scenario_prefix
@@ -200,10 +199,22 @@ class TestDeterminismAndDedup:
         assert seq["totals"] == par["totals"]
 
     @pytest.mark.skipif(not available(), reason="needs fork")
-    def test_mixed_direction_campaign_deterministic_across_workers(self):
+    @pytest.mark.parametrize(
+        "request_for",
+        [
+            pytest.param(small_request, id="small"),
+            # every grain, scenario and fault, shrink included
+            pytest.param(
+                functools.partial(CampaignRequest, seed=7, shrink=True), id="default-matrix"
+            ),
+        ],
+    )
+    def test_mixed_direction_campaign_deterministic_across_workers(
+        self, request_for, campaign_json
+    ):
         kw = dict(directions=("topdown", "bottomup"))
-        seq = run_campaign(small_request(workers=1, **kw)).to_json()
-        par = run_campaign(small_request(workers=2, **kw)).to_json()
+        seq = campaign_json(request_for(workers=1, **kw))
+        par = campaign_json(request_for(workers=2, **kw))
         assert seq["cells"] == par["cells"]
         assert seq["findings"] == par["findings"]
         assert seq["totals"] == par["totals"]

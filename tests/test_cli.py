@@ -2,12 +2,25 @@
 
 import functools
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+#: A path under a regular file (this one): no directory or file can be
+#: made there.
+UNDER_A_FILE = os.path.join(os.path.abspath(__file__), "out")
+
+#: The smallest campaign: one cell, two steps, no shrink.
+ONE_CELL = ["campaign", "--grains", "mSpec-1", "--scenarios", "election",
+            "--faults", "none", "--traces", "1", "--steps", "2", "--no-shrink"]
 
 
 class TestParser:
@@ -126,7 +139,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv, complaint",
         [
-            pytest.param(argv, complaint, id=" ".join(argv))
+            pytest.param(argv, complaint, id=" ".join(argv).replace(UNDER_A_FILE, "FILE/out"))
             for argv, complaint in [
                 (["check", "mSpec-3", "--txns", "-1", "--max-states", "100"],
                  "max_txns must be at least 0"),
@@ -148,6 +161,14 @@ class TestParser:
                 # an address of no local interface (TEST-NET-1, RFC 5737):
                 # the bind fails without a name lookup
                 (["serve", "--host", "192.0.2.1"], "serve: cannot listen on 192.0.2.1:0"),
+                # an output location the run could not write is refused
+                # before any cell runs, not after the whole campaign
+                (ONE_CELL + ["--journal", UNDER_A_FILE],
+                 f"campaign: --journal {UNDER_A_FILE}: Not a directory"),
+                (ONE_CELL + ["--json", UNDER_A_FILE],
+                 f"campaign: --json {UNDER_A_FILE}: Not a directory"),
+                (ONE_CELL + ["--repros", UNDER_A_FILE],
+                 f"campaign: --repros {UNDER_A_FILE}: Not a directory"),
             ]
         ],
     )
@@ -247,6 +268,39 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.count('"mode": "compiled"') == runs
         assert out.count('"expand_calls"') == runs
+
+    def test_serve_exits_0_on_ctrl_c_and_no_worker_outlives_it(self, tmp_path, capsys):
+        # A server holding a resident socket band, interrupted as a
+        # terminal would: exit 0, every worker of the band reaped.
+        assert main(ONE_CELL + ["--backend", "socket", "--workers", "2", "--dry-run"]) == 0
+        request = tmp_path / "request.json"
+        request.write_text(capsys.readouterr().out)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1", "--port", "0"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        try:
+            port = json.loads(server.stdout.readline())["port"]
+            assert main(["client", "--port", str(port), "--request", str(request)]) == 0
+            events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            assert events[-1]["event"] == "report"
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b'{"stats": true}\n')
+                (band,) = json.loads(sock.makefile().readline())["bands"]
+            assert len(band["pids"]) == 2
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=30) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+        for pid in band["pids"]:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestPortRange:

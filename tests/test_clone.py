@@ -13,8 +13,9 @@ from repro.analysis.conformance import clone_defects
 from repro.impl import Ensemble
 from repro.raft.impl import RaftEnsemble
 from repro.remix import ImplExplorer
-from repro.remix.campaign import CampaignRequest, run_campaign
+from repro.remix.campaign import run_campaign
 from repro.remix.registry import system_plugin
+from repro.remix.request import CampaignRequest
 from repro.remix.spec_cache import cached_mapping, cached_prefix, cached_spec
 from repro.system.plugin import ScenarioError
 

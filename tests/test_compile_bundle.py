@@ -10,6 +10,7 @@ recomputes and overwrites, never an exception; and nothing untrusted or
 unnameable is ever written."""
 
 import glob
+import json
 import os
 import pickle
 import subprocess
@@ -32,12 +33,14 @@ from repro.tla.spec import Specification, masked
 from repro.tla.state import State
 from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec
 from repro.zookeeper import zk4394_mask
-from repro.zookeeper.specs import SELECTIONS, build_spec, hunt_spec
+from repro.zookeeper.specs import HUNTS, SELECTIONS, build_spec, hunt_spec
 
-from test_engine import SMALL
+from test_engine import BFS_HUNTS, SMALL, label_digest
+from test_guards import SHIPPED_SPECS
 from test_kernels import SCHEMA, counter_spec, lying_spec, run_sig
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 class Driver(Scenario):
@@ -76,11 +79,38 @@ def identity(fn):
     return signature.sha1.digest()
 
 
+def in_another_process(disk, script, *args):
+    """Run ``script`` (which may import from this module and prints one
+    JSON value last) in a new interpreter under a hash seed other than
+    this process's, on the cache directory ``disk``; return the value."""
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([SRC, TESTS]),
+            "PYTHONHASHSEED": seed,
+            "REPRO_SPEC_CACHE_DIR": str(disk),
+        },
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def as_json(value):
+    """``value`` as it comes back from :func:`in_another_process`."""
+    return json.loads(json.dumps(value))
+
+
 def shapes():
     """Every compile shape that ships: each plugin grain of both systems,
-    each ZooKeeper selection, each Zab variant, and the two hunt shapes
-    (a masked spec; a spec with its invariants filtered after
-    composition).  Each yields ``make() -> (spec, mask)``."""
+    each ZooKeeper selection bare and under the ZK-4394 mask (as
+    ``repro check`` composes it), each Zab variant, and a hunt's spec,
+    its invariants filtered after composition.  Each yields
+    ``make() -> (spec, mask)``."""
     for system in registered_systems():
         plugin = system_plugin(system)
         for grain in plugin.grains:
@@ -89,13 +119,10 @@ def shapes():
     for name, selection in SELECTIONS.items():
         make = partial(build_spec, name, selection, SMALL)
         yield pytest.param(lambda make=make: (make(), None), id=name)
+        yield pytest.param(lambda make=make: (make(), zk4394_mask), id=f"{name}-masked")
     for variant in VARIANTS:
         make = partial(zab_spec, ZabConfig(variant=variant))
         yield pytest.param(lambda make=make: (make(), None), id=f"zab-{variant}")
-    yield pytest.param(
-        lambda: (build_spec("mSpec-1", SELECTIONS["mSpec-1"], SMALL), zk4394_mask),
-        id="hunt-masked",
-    )
     yield pytest.param(lambda: hunt_spec("ZK-4685"), id="hunt-filtered")
 
 
@@ -116,6 +143,30 @@ def observe(make, **pins):
     }, core.compile
 
 
+def debug_budget(shape):
+    """How far the debug lane explores the ``shapes()`` entry named
+    ``shape``: 2 000 states where ``repro check --debug-deps --max-states
+    2000`` runs it too (each selection masked as ``check`` composes it,
+    each Raft grain, each Zab variant), 1 200 on the rest."""
+    wide = shape.endswith("-masked") or shape.startswith(("raft-", "zab-"))
+    return dict(max_states=2_000 if wide else 1_200, stop_at_first=False)
+
+
+#: The debug lane on the ``shapes()`` entry named ``argv[1]``:
+#: ``[run_sig, compile, memo_stats()["compile"]]``.
+DEBUG_PASS = (
+    "import json, sys\n"
+    "from repro.checker import ExplorationEngine\n"
+    "from test_compile_bundle import debug_budget, shapes\n"
+    "from test_kernels import run_sig\n"
+    "(make,) = next(shape.values for shape in shapes() if shape.id == sys.argv[1])\n"
+    "spec, mask = make()\n"
+    "engine = ExplorationEngine(spec, mask=mask, debug=True, **debug_budget(sys.argv[1]))\n"
+    "sig = run_sig(engine.run())\n"
+    "print(json.dumps([sig, engine.core.compile, engine.core.memo_stats()['compile']]))\n"
+)
+
+
 class TestFreshVersusLoaded:
     @pytest.mark.parametrize("make", shapes())
     def test_off_cold_and_warm_agree(self, make, disk):
@@ -134,22 +185,24 @@ class TestFreshVersusLoaded:
         assert off["source"] is not None and off["run"][0] > 0
 
     @pytest.mark.parametrize("make", shapes())
-    def test_debug_deps_passes_on_a_warm_disk(self, make, disk):
+    def test_debug_deps_passes_on_a_warm_disk(self, make, disk, request):
         # The proof lane: a *loaded* kernel and *loaded* prefixes, equal
         # to the reference expander on every batch.  The debug lane's
         # first pass also writes (it asks the analyzer for that alone).
-        budget = dict(max_states=1_200, stop_at_first=False)
+        shape = request.node.callspec.id
+        budget = debug_budget(shape)
         spec, mask = make()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             first = ExplorationEngine(spec, mask=mask, debug=True, **budget)
             sig = run_sig(first.run())
         assert first.core.compile == "fresh" and len(entries(disk)) == 1
-        spec, mask = make()
-        second = ExplorationEngine(spec, mask=mask, debug=True, **budget)
-        assert run_sig(second.run()) == sig
-        assert second.core.compile == "loaded"
-        assert second.core.memo_stats()["compile"] == "loaded"
+        # The loaded pass runs in a new process under another hash seed,
+        # so a stored kernel or prefix that leans on the writer's state
+        # (value codes, set order) fails the cross-check there.  A load
+        # into the writing process is test_off_cold_and_warm_agree's.
+        second = in_another_process(disk, DEBUG_PASS, shape)
+        assert second == as_json([sig, "loaded", "loaded"])
         spec, mask = make()
         reference = ExplorationEngine(spec, mask=mask, reference=True, **budget)
         assert run_sig(reference.run()) == sig
@@ -210,17 +263,39 @@ def check_run(name):
     return answer, engine.core.memo_stats()["compile"]
 
 
+#: :func:`check_run` of ``argv[1]``: ``[answer, compile]``.
+WARM_CHECK = (
+    "import json, sys\n"
+    "from test_compile_bundle import check_run\n"
+    "print(json.dumps(check_run(sys.argv[1])))\n"
+)
+
+#: raft-fine to 40 000 states: (states, transitions, depth).
+RAFT_FINE_40K = (40_000, 122_832, 8)
+
+
 class TestCheckCacheDifferential:
-    @pytest.mark.parametrize("name", ["ZK-4394", "ZK-4685", "raft-fine"])
+    @pytest.mark.parametrize("name", ["ZK-3023", "ZK-4394", "ZK-4685", "raft-fine"])
     def test_off_cold_and_warm_give_one_answer(self, name, disk):
         answers = {}
-        for way in ("off", "cold", "warm"):
+        for way in ("off", "cold"):
             disk_cache.set_disk_cache_dir("off" if way == "off" else str(disk))
             answers[way], how = check_run(name)
-            assert how == ("loaded" if way == "warm" else "fresh"), way
-        assert answers["off"] == answers["cold"] == answers["warm"]
-        assert answers["off"][0] > 0
-        assert (answers["off"][3] is not None) == name.startswith("ZK-")
+            assert how == "fresh", way
+        # the warm way is a new process under another hash seed
+        warm, how = in_another_process(disk, WARM_CHECK, name)
+        assert how == "loaded"
+        assert answers["off"] == answers["cold"]
+        assert as_json(answers["off"]) == warm
+        # pinned, so a change that moved all three ways alike fails too
+        *counts, violation = answers["off"]
+        if name == "raft-fine":
+            assert tuple(counts) == RAFT_FINE_40K and violation is None
+        else:
+            invariant, labels = violation
+            _grain, _bounds, family, instance, _masked, _variant = HUNTS[name]
+            assert invariant == f"{family}/{instance}"
+            assert (*counts, len(labels), label_digest(labels)) == BFS_HUNTS[name]
 
 
 class TestMissMatrix:
@@ -385,11 +460,8 @@ class TestTheKey:
         script = (
             "from repro.checker import bundle\n"
             "from repro.checker.engine import CompiledSpec\n"
-            "from repro.zab.protocol import ZabConfig, zab_spec\n"
-            "from repro.zookeeper import ZkConfig\n"
-            "from repro.zookeeper.specs import SELECTIONS, build_spec\n"
-            "for spec in (zab_spec(ZabConfig()),\n"
-            "             build_spec('mSpec-3', SELECTIONS['mSpec-3'], ZkConfig())):\n"
+            + SHIPPED_SPECS
+            + "for spec in specs:\n"
             "    print(bundle.namespace('kernels'), bundle._entry_key(CompiledSpec(spec, reference=True)))\n"
         )
         outputs = set()
@@ -403,7 +475,7 @@ class TestTheKey:
             )
             assert done.returncode == 0, done.stderr
             outputs.add(done.stdout)
-        assert len(outputs) == 1 and len(outputs.pop().splitlines()) == 2
+        assert len(outputs) == 1 and len(outputs.pop().splitlines()) == 18
 
     @pytest.mark.parametrize(
         "cell",
@@ -600,7 +672,8 @@ class TestNegativePrefixEntries:
         assert (stats["disk_hits"], stats["disk_misses"]) == (1, 0)
 
     def test_a_warm_campaign_misses_nothing_and_reports_the_same_bytes(self, disk):
-        from repro.remix.campaign import CampaignRequest, run_campaign
+        from repro.remix.campaign import run_campaign
+        from repro.remix.request import CampaignRequest
 
         def report():
             payload = run_campaign(

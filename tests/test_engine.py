@@ -368,7 +368,8 @@ class TestLinks:
 #: of ``(fp, codes, known)`` tuples: (states, transitions, depth,
 #: counterexample length, :func:`label_digest`).
 #: The ZooKeeper specs have 135 action instances, so their levels keep
-#: the known-disabled masks in a list.
+#: the known-disabled masks in a list.  ``tests/test_bugs.py``'s one
+#: Table 4 hunt per row holds these.
 BFS_HUNTS = {
     "ZK-3023": (17940, 36546, 23, 23, "4f69e0bab3870730"),
     "ZK-4394": (2681, 4782, 13, 13, "183eeb480eb8c26e"),
@@ -410,25 +411,6 @@ def wide_slot_spec(n=70_000):
 class TestPackedLevels:
     """A BFS level is flat columns; these answers are the ones a list of
     row tuples gave."""
-
-    @pytest.mark.parametrize(
-        "bug",
-        [
-            pytest.param(bug, marks=pytest.mark.slow)
-            if bug in ("ZK-4643", "ZK-4646", "ZK-4712")
-            else bug
-            for bug in sorted(BFS_HUNTS)
-        ],
-    )
-    def test_bfs_hunts_answer_as_before(self, bug):
-        from repro.zookeeper.specs import hunt_spec
-
-        spec, mask = hunt_spec(bug)
-        result = explore(spec, mask=mask)
-        (violation,) = result.violations
-        labels = violation.trace.labels
-        got = (result.states_explored, result.transitions, result.max_depth)
-        assert got + (len(labels), label_digest(labels)) == BFS_HUNTS[bug]
 
     def test_max_states_stops_mid_level(self):
         # mSpec-3 at the Table 5 configuration, every violation recorded:

@@ -399,6 +399,27 @@ class TestMutatedAtomIsCaught:
             engine.run()
 
 
+#: A script prelude that builds ``specs``: every plugin grain, every
+#: ZooKeeper selection at the default config, and at ``repro check``'s
+#: default bounds under the ZK-4394 mask (as ``check`` composes it), and
+#: every Zab variant -- 18 specifications.
+SHIPPED_SPECS = (
+    "from repro.remix.registry import registered_systems, system_plugin\n"
+    "from repro.tla.spec import masked\n"
+    "from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec\n"
+    "from repro.zookeeper import ZkConfig, zk4394_mask\n"
+    "from repro.zookeeper.specs import SELECTIONS, build_spec\n"
+    "plugins = [system_plugin(system) for system in registered_systems()]\n"
+    "specs = [plugin.make_spec(grain, plugin.default_config())\n"
+    "         for plugin in plugins for grain in plugin.grains]\n"
+    "specs += [build_spec(name, SELECTIONS[name], ZkConfig()) for name in SELECTIONS]\n"
+    "check = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)\n"
+    "specs += [masked(build_spec(name, SELECTIONS[name], check), zk4394_mask)\n"
+    "          for name in SELECTIONS]\n"
+    "specs += [zab_spec(ZabConfig(variant=variant)) for variant in VARIANTS]\n"
+)
+
+
 class TestKernelText:
     def test_kernel_text_does_not_depend_on_the_hash_seed(self):
         # A frozenset constant spelled into the text would list its items
@@ -407,16 +428,8 @@ class TestKernelText:
         script = (
             "import json\n"
             "from repro.checker.engine import compiled_for\n"
-            "from repro.remix.registry import registered_systems, system_plugin\n"
-            "from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec\n"
-            "from repro.zookeeper import ZkConfig\n"
-            "from repro.zookeeper.specs import SELECTIONS, build_spec\n"
-            "plugins = [system_plugin(system) for system in registered_systems()]\n"
-            "specs = [plugin.make_spec(grain, plugin.default_config())\n"
-            "         for plugin in plugins for grain in plugin.grains]\n"
-            "specs += [build_spec(name, SELECTIONS[name], ZkConfig()) for name in SELECTIONS]\n"
-            "specs += [zab_spec(ZabConfig(variant=variant)) for variant in VARIANTS]\n"
-            "print(json.dumps([compiled_for(spec).kernel_source for spec in specs]))\n"
+            + SHIPPED_SPECS
+            + "print(json.dumps([compiled_for(spec).kernel_source for spec in specs]))\n"
         )
         sources = []
         for seed in ("0", "1"):
@@ -434,7 +447,7 @@ class TestKernelText:
             )
             assert done.returncode == 0, done.stderr
             sources.append(json.loads(done.stdout))
-        assert len(sources[0]) == 13
+        assert len(sources[0]) == 18
         # the constants are bound, not spelled
         assert any("k0=_k0" in text for text in sources[0])
         assert not any("frozenset" in text for text in sources[0])

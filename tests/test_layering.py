@@ -230,7 +230,8 @@ BUDGET_SCRIPT = (
     "check = sorted(m for m in WATCHED if m in sys.modules)\n"
     "assert 'repro.remix' not in sys.modules and 'networkx' not in sys.modules\n"
     # one inline campaign cell: the campaign stack may load, the analyzer may not
-    "from repro.remix.campaign import CampaignRequest, run_campaign\n"
+    "from repro.remix.campaign import run_campaign\n"
+    "from repro.remix.request import CampaignRequest\n"
     "report = run_campaign(CampaignRequest(seed=7, grains=('mSpec-1',),\n"
     "    scenarios=('election',), faults=('none',), traces=1, max_steps=4))\n"
     "assert [c['status'] for c in report.to_json()['cells']] == ['ok']\n"

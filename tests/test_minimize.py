@@ -10,14 +10,7 @@ import pytest
 
 from repro.checker.backends.fork import available
 from repro.remix import spec_cache
-from repro.remix.campaign import (
-    CampaignJob,
-    CampaignRequest,
-    campaign_jobs,
-    run_campaign,
-    run_cell,
-    trace_findings,
-)
+from repro.remix.campaign import CampaignJob, campaign_jobs, run_campaign, run_cell, trace_findings
 from repro.remix.coordinator import Coordinator
 from repro.remix.minimize import (
     DIRECTION_TABLE,
@@ -27,6 +20,7 @@ from repro.remix.minimize import (
     unreplayable_min_traces,
 )
 from repro.remix.registry import system_plugin
+from repro.remix.request import CampaignRequest
 from repro.impl import Ensemble
 from repro.tla.action import Action
 from repro.tla.module import Module

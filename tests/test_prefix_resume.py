@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis.conformance import clone_defects
 from repro.remix import minimize, spec_cache
-from repro.remix.campaign import CampaignJob, CampaignRequest, run_campaign, run_cell
+from repro.remix.campaign import CampaignJob, run_campaign, run_cell
 from repro.remix.mapping import ActionMapping, MappedAction
 from repro.remix.minimize import (
     DIRECTION_TABLE,
@@ -26,6 +26,7 @@ from repro.remix.minimize import (
     replay_min_trace,
 )
 from repro.remix.registry import system_plugin
+from repro.remix.request import CampaignRequest
 from repro.remix.service import serve_request
 from repro.system.plugin import ScenarioError
 

@@ -25,9 +25,10 @@ from repro.raft.config import FIXED_VARIANT, RaftVariant
 from repro.raft.impl import RaftEnsemble
 from repro.remix import ImplExplorer
 from repro.remix import minimize
-from repro.remix.campaign import CampaignRequest, run_campaign
+from repro.remix.campaign import run_campaign
 from repro.remix.coordinator import Coordinator
 from repro.remix.registry import system_plugin
+from repro.remix.request import CampaignRequest
 from repro.remix.spec_cache import cached_mapping, cached_prefix, cached_spec
 from repro.system.plugin import ScenarioError
 from repro.tla.values import Txn, Zxid

@@ -1,19 +1,21 @@
 """The system-plugin registry: lookup, isolation and cross-plugin
 campaign behaviour (ISSUE 6's tentpole surface)."""
 
+import functools
 import json
 
 import pytest
 
 from repro.cli import main
 from repro.remix import spec_cache
-from repro.remix.campaign import CampaignRequest, campaign_jobs, run_campaign
+from repro.remix.campaign import campaign_jobs, run_campaign
 from repro.remix.minimize import unreplayable_min_traces
 from repro.remix.registry import (
     register_system,
     registered_systems,
     system_plugin,
 )
+from repro.remix.request import CampaignRequest
 from repro.system.plugin import SystemPlugin
 
 
@@ -120,9 +122,22 @@ class TestRaftCampaign:
         assert report.meta["system"] == "raft"
         assert unreplayable_min_traces(report.to_json()) == []
 
-    def test_raft_campaign_workers_identical(self):
-        seq = run_campaign(small_raft_request(workers=1, shrink=True)).to_json()
-        par = run_campaign(small_raft_request(workers=2, shrink=True)).to_json()
+    @pytest.mark.parametrize(
+        "request_for",
+        [
+            pytest.param(small_raft_request, id="small"),
+            # every grain, scenario and fault
+            pytest.param(
+                functools.partial(
+                    CampaignRequest, system="raft", seed=7, directions=("topdown", "bottomup")
+                ),
+                id="default-matrix",
+            ),
+        ],
+    )
+    def test_raft_campaign_workers_identical(self, request_for):
+        seq = run_campaign(request_for(workers=1, shrink=True)).to_json()
+        par = run_campaign(request_for(workers=2, shrink=True)).to_json()
         for key in ("cells", "findings", "totals"):
             assert seq[key] == par[key], key
 

@@ -27,13 +27,14 @@ from repro.checker.backends.supervision import (
     TaskSupervisor,
 )
 from repro.checker.backends.testing import chaos_backend
-from repro.remix.campaign import CampaignRequest, clean_degraded, run_campaign
+from repro.remix.campaign import clean_degraded, run_campaign
 from repro.remix.journal import (
     CampaignJournal,
     JournaledBackend,
     request_digest,
     task_key,
 )
+from repro.remix.request import CampaignRequest
 
 ADD_ONE = "repro.checker.backends.testing:add_one"
 

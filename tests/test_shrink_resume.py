@@ -22,7 +22,7 @@ from repro.checker.shrink import (
     shrink_labels_oracle,
 )
 from repro.remix import minimize
-from repro.remix.campaign import CampaignJob, CampaignRequest, run_campaign, run_cell
+from repro.remix.campaign import CampaignJob, run_campaign, run_cell
 from repro.remix.minimize import (
     DIRECTION_TABLE,
     ConformanceOracle,
@@ -33,6 +33,7 @@ from repro.remix.minimize import (
     shrink_finding,
 )
 from repro.remix.registry import system_plugin
+from repro.remix.request import CampaignRequest
 from repro.remix.spec_cache import cached_spec
 
 from test_minimize import counter_spec

@@ -24,8 +24,9 @@ import pytest
 from repro.checker import ExplorationEngine, Fingerprinter, RandomWalker
 from repro.checker.engine import CompiledSpec, compiled_for
 from repro.remix import spec_cache
-from repro.remix.campaign import CampaignRequest, run_campaign
+from repro.remix.campaign import run_campaign
 from repro.remix.registry import registered_systems, system_plugin
+from repro.remix.request import CampaignRequest
 from repro.tla import codegen
 from repro.tla.action import Action
 from repro.tla.module import Module
