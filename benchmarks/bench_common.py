@@ -1,10 +1,11 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-and prints it side by side with the paper-reported values (EXPERIMENTS.md
-records the comparison).  Absolute numbers differ -- pure-Python
-exploration at laptop scale vs TLC on a 96-core server -- but the *shape*
-(who finds what, which invariant fires, relative ordering) must match.
+and prints it side by side with the paper-reported values
+(``print_table`` also appends it to ``bench_reports.txt``).  Absolute
+numbers differ -- pure-Python exploration at laptop scale vs TLC on a
+96-core server -- but the *shape* (who finds what, which invariant
+fires, relative ordering) must match.
 
 This module used to be ``benchmarks/conftest.py``; it was renamed so the
 top-level module name ``conftest`` unambiguously resolves to
@@ -20,8 +21,7 @@ Environment knobs:
 import os
 
 from repro.checker.engine import ExplorationEngine
-from repro.zookeeper import ZkConfig, zk4394_mask
-from repro.zookeeper.specs import SELECTIONS, build_spec
+from repro.zookeeper import ZkConfig
 
 #: Scale knob: REPRO_BENCH_SCALE=small keeps every bench under ~1 min.
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "normal")
@@ -35,18 +35,6 @@ def bench_config(**kw):
     )
     defaults.update(kw)
     return ZkConfig(**defaults)
-
-
-def hunt(spec_name, config, family=None, variant=None, **engine_kw):
-    """One model-checking run of a Table 1 grain with ZK-4394 masked,
-    optionally restricted to an invariant family (Tables 5 and 6; the
-    Table 4 rows are ``repro.zookeeper.specs.hunt_spec``)."""
-    if variant is not None:
-        config = config.with_variant(variant)
-    spec = build_spec(spec_name, SELECTIONS[spec_name], config)
-    if family is not None:
-        spec.invariants = [inv for inv in spec.invariants if inv.ident == family]
-    return check(spec, zk4394_mask, **engine_kw)
 
 
 def check(spec, mask, max_states=2_000_000, max_time=240, **engine_kw):

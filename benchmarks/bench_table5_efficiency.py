@@ -29,7 +29,8 @@ import time
 
 import pytest
 
-from bench_common import bench_config, hunt, once, print_table
+from bench_common import bench_config, check, once, print_table
+from repro.zookeeper import make_spec, zk4394_mask
 
 #: spec -> paper row for mode (a): (time, depth, states, invariant)
 PAPER_A = {
@@ -58,7 +59,7 @@ def test_stop_at_first_violation(benchmark, name):
     config = bench_config()
 
     def run():
-        return hunt(name, config, **BUDGETS[name])
+        return check(make_spec(name, config), zk4394_mask, **BUDGETS[name])
 
     result = once(benchmark, run)
     _FIRST[name] = result
@@ -73,9 +74,9 @@ def test_run_to_completion(benchmark, name):
     config = bench_config()
 
     def run():
-        return hunt(
-            name,
-            config,
+        return check(
+            make_spec(name, config),
+            zk4394_mask,
             stop_at_first=False,
             violation_limit=500,
             max_states=450_000,

@@ -1,91 +1,55 @@
 """Table 6: verifying the four bug-fix pull requests.
 
-Each PR is modeled as a SpecVariant update of mSpec-3+ (mSpec-3 with the
-verified ZK-4712 fix).  The checker searches for the invariant the paper
-reports for each PR; the §5.4 resolution passes.
+Each PR is a SpecVariant update of mSpec-3+ (mSpec-3 with the verified
+ZK-4712 fix) and still violates an invariant; the §5.4 resolution passes.
+The rows, their budgets and verdicts are ``repro.zookeeper.specs.FIXES``.
 """
 
 import pytest
 
-from bench_common import bench_config, hunt, once, print_table
-from repro.checker import explore
-from repro.zookeeper import final_fix_spec, zk4394_mask
-from repro.zookeeper.specs import PR_VARIANTS
+from bench_common import check, once, print_table
+from repro.zookeeper.specs import FIXES, hunt_spec
 
-#: PR -> (targeted invariant family, paper row (time, depth, states, inv))
+#: PR -> paper row (time, depth, states, invariant)
 PAPER = {
-    "PR-1848": ("I-8", ("274s", 21, 8_166_775, "I-8")),
-    "PR-1930": ("I-12", ("17s", 13, 270_881, "I-12")),
-    "PR-1993": ("I-11", ("34s", 15, 765_437, "I-11")),
-    "PR-2111": ("I-11", ("38s", 15, 808_697, "I-11")),
+    "PR-1848": ("274s", 21, 8_166_775, "I-8"),
+    "PR-1930": ("17s", 13, 270_881, "I-12"),
+    "PR-1993": ("34s", 15, 765_437, "I-11"),
+    "PR-2111": ("38s", 15, 808_697, "I-11"),
 }
 
 _RESULTS = {}
 
 
-@pytest.mark.parametrize("pr", list(PAPER))
-def test_pr_still_buggy(benchmark, pr):
-    family, _ = PAPER[pr]
-    config = bench_config(
-        max_txns=1 if family == "I-8" else 2,
-        max_crashes=2,
+@pytest.mark.parametrize("fix", list(FIXES))
+def test_fix_verdict(benchmark, fix):
+    *_, max_states, expected = FIXES[fix]
+    result = once(
+        benchmark,
+        lambda: check(*hunt_spec(fix), max_states=max_states, max_time=260),
     )
-
-    def run():
-        return hunt(
-            "mSpec-3",
-            config,
-            family=family,
-            variant=PR_VARIANTS[pr],
-            max_time=260,
-        )
-
-    result = once(benchmark, run)
-    _RESULTS[pr] = result
-    assert result.found_violation, f"{pr} unexpectedly verified"
-    assert result.first_violation.invariant.ident == family
-
-
-def test_final_fix_verifies(benchmark):
-    config = bench_config(max_txns=1, max_crashes=2)
-
-    def run():
-        spec = final_fix_spec(config)
-        return explore(
-            spec, max_states=120_000, max_time=120, mask=zk4394_mask
-        )
-
-    result = once(benchmark, run)
-    _RESULTS["FinalFix"] = result
-    assert not result.found_violation
+    _RESULTS[fix] = result
+    found = result.first_violation
+    assert (found.invariant.ident if found else None) == expected
 
 
 def test_zz_report(benchmark):
     benchmark(lambda: None)  # keep the report under --benchmark-only
     rows = []
-    for pr, (family, paper) in PAPER.items():
-        result = _RESULTS.get(pr)
-        if result is None:
+    for fix, result in _RESULTS.items():
+        found = result.first_violation
+        if found is None:
+            rows.append((fix, f"{result.elapsed_seconds:.1f}s", "-",
+                         str(result.states_explored), "none (passes)"))
             continue
-        violation = result.first_violation
+        paper = PAPER[fix]
         rows.append(
             (
-                pr,
+                fix,
                 f"{result.elapsed_seconds:.1f}s ({paper[0]})",
-                f"{violation.depth} ({paper[1]})",
+                f"{found.depth} ({paper[1]})",
                 f"{result.states_explored} ({paper[2]:,})",
-                f"{violation.invariant.ident} ({paper[3]})",
-            )
-        )
-    final = _RESULTS.get("FinalFix")
-    if final is not None:
-        rows.append(
-            (
-                "§5.4 fix",
-                f"{final.elapsed_seconds:.1f}s",
-                "-",
-                str(final.states_explored),
-                "none (passes)",
+                f"{found.invariant.ident} ({paper[3]})",
             )
         )
     print_table(

@@ -14,10 +14,7 @@ from repro.zookeeper.config import (
 from repro.zookeeper.specs import (
     SELECTIONS,
     build_spec,
-    final_fix_spec,
     make_spec,
-    mspec3_plus,
-    pr_spec,
     zk4394_mask,
 )
 
@@ -33,9 +30,6 @@ __all__ = [
     "V391_PLUS_4712",
     "ZkConfig",
     "build_spec",
-    "final_fix_spec",
     "make_spec",
-    "mspec3_plus",
-    "pr_spec",
     "zk4394_mask",
 ]

@@ -15,11 +15,7 @@ from repro.tla.values import Rec, Txn
 from repro.zookeeper import constants as C
 from repro.zookeeper import prims as P
 from repro.zookeeper.config import ZkConfig
-from repro.zookeeper.sync_baseline import (
-    _pairs_distinct,
-    newleader_zxid_for,
-    pairwise,
-)
+from repro.zookeeper.sync_baseline import newleader_zxid_for
 
 
 # --- leader side ---------------------------------------------------------------
@@ -138,8 +134,8 @@ def _leader_actions():
         ),
         Action(
             "LeaderProcessACK",
-            pairwise(leader_process_ack),
-            params={"pair": _pairs_distinct},
+            P.pairwise(leader_process_ack),
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "state",
@@ -231,8 +227,8 @@ def broadcast_baseline_module(config: ZkConfig) -> Module:
     actions = _leader_actions() + [
         Action(
             "FollowerProcessPROPOSAL",
-            pairwise(follower_process_proposal),
-            params={"pair": _pairs_distinct},
+            P.pairwise(follower_process_proposal),
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "state",
@@ -245,8 +241,8 @@ def broadcast_baseline_module(config: ZkConfig) -> Module:
         ),
         Action(
             "FollowerProcessCOMMIT",
-            pairwise(follower_process_commit),
-            params={"pair": _pairs_distinct},
+            P.pairwise(follower_process_commit),
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "state",
@@ -328,8 +324,8 @@ def broadcast_fine_module(config: ZkConfig) -> Module:
     actions = _leader_actions() + [
         Action(
             "FollowerProcessPROPOSAL",
-            pairwise(follower_process_proposal_queue),
-            params={"pair": _pairs_distinct},
+            P.pairwise(follower_process_proposal_queue),
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "state",
@@ -345,8 +341,8 @@ def broadcast_fine_module(config: ZkConfig) -> Module:
         ),
         Action(
             "FollowerProcessCOMMIT",
-            pairwise(follower_process_commit_queue),
-            params={"pair": _pairs_distinct},
+            P.pairwise(follower_process_commit_queue),
+            params={"pair": P.pairs_distinct},
             reads=["msgs", "state", "zab_state", "my_leader", "committed_requests"],
             writes=["msgs", "committed_requests"],
         ),

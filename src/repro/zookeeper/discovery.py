@@ -138,19 +138,12 @@ def leader_process_ackepoch(config: ZkConfig, state, i: int, j: int):
     return updates
 
 
-def _pairs_distinct(cfg: ZkConfig):
-    return [(i, j) for i in cfg.servers for j in cfg.servers if i != j]
-
-
 def discovery_module(config: ZkConfig) -> Module:
-    def pairwise(fn):
-        return lambda cfg, s, pair: fn(cfg, s, pair[0], pair[1])
-
     actions = [
         Action(
             "ConnectAndFollowerSendFOLLOWERINFO",
-            pairwise(connect_and_send_followerinfo),
-            params={"pair": _pairs_distinct},
+            P.pairwise(connect_and_send_followerinfo),
+            params={"pair": P.pairs_distinct},
             reads=[
                 "state",
                 "zab_state",
@@ -164,16 +157,16 @@ def discovery_module(config: ZkConfig) -> Module:
         ),
         Action(
             "LeaderProcessFOLLOWERINFO",
-            pairwise(leader_process_followerinfo),
-            params={"pair": _pairs_distinct},
+            P.pairwise(leader_process_followerinfo),
+            params={"pair": P.pairs_distinct},
             reads=["msgs", "state", "zab_state", "cepoch_recv", "accepted_epoch", "disconnected"],
             writes=["msgs", "cepoch_recv", "accepted_epoch"],
             update_sources={"accepted_epoch": ["cepoch_recv", "accepted_epoch"]},
         ),
         Action(
             "FollowerProcessLEADERINFO",
-            pairwise(follower_process_leaderinfo),
-            params={"pair": _pairs_distinct},
+            P.pairwise(follower_process_leaderinfo),
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "my_leader",
@@ -187,8 +180,8 @@ def discovery_module(config: ZkConfig) -> Module:
         ),
         Action(
             "LeaderProcessACKEPOCH",
-            pairwise(leader_process_ackepoch),
-            params={"pair": _pairs_distinct},
+            P.pairwise(leader_process_ackepoch),
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "state",

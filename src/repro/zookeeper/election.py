@@ -124,10 +124,6 @@ def fle_decide(config: ZkConfig, state, i: int):
 _PAIRS = {"i": lambda cfg: cfg.servers, "j": lambda cfg: cfg.servers}
 
 
-def _pairs_distinct(cfg: ZkConfig):
-    return [(i, j) for i in cfg.servers for j in cfg.servers if i != j]
-
-
 def election_module(config: ZkConfig) -> Module:
     actions = [
         Action(
@@ -141,14 +137,14 @@ def election_module(config: ZkConfig) -> Module:
         Action(
             "FLEReceiveNotmsg",
             lambda cfg, s, pair: fle_receive_notmsg(cfg, s, pair[0], pair[1]),
-            params={"pair": _pairs_distinct},
+            params={"pair": P.pairs_distinct},
             reads=["msgs", "state", "current_vote", "recv_votes"],
             writes=["msgs", "current_vote", "vote_sent", "recv_votes"],
         ),
         Action(
             "FLEReplyNotmsg",
             lambda cfg, s, pair: fle_reply_notmsg(cfg, s, pair[0], pair[1]),
-            params={"pair": _pairs_distinct},
+            params={"pair": P.pairs_distinct},
             reads=["msgs", "state", "my_leader", "current_epoch", "history", "disconnected"],
             writes=["msgs"],
         ),

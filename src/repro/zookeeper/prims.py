@@ -11,6 +11,7 @@ from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.tla.values import Rec, Txn, Zxid, last_zxid
 from repro.zookeeper import constants as C
+from repro.zookeeper.config import ZkConfig
 
 
 # --- network ---------------------------------------------------------------
@@ -174,6 +175,19 @@ def raise_error(state, code: str, server: int) -> Dict:
 
 def has_error(state, code: str) -> bool:
     return any(err.code == code for err in state["errors"])
+
+
+# --- action parameters -----------------------------------------------------
+
+def pairs_distinct(cfg: ZkConfig):
+    """The ordered pairs of distinct servers, the ``pair`` parameter of
+    every two-server action."""
+    return [(i, j) for i in cfg.servers for j in cfg.servers if i != j]
+
+
+def pairwise(fn):
+    """Adapt ``fn(cfg, state, i, j)`` to a ``pair``-parameterised action."""
+    return lambda cfg, s, pair: fn(cfg, s, pair[0], pair[1])
 
 
 # --- per-server tuple update -----------------------------------------------

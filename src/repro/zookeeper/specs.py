@@ -12,13 +12,14 @@ mSpec-3    coarsened  coarsened  fine (atom+concur)  fine (concur)
 mSpec-4    baseline   baseline   fine (atom+concur)  fine (concur)
 =========  =========  =========  ==================  ==============
 
-plus the Table 6 variants: mSpec-3+ (mSpec-3 with the ZK-4712 fix) and
-the four PR specifications, and the §5.4 final-fix specification.
+plus the hunt tables: :data:`HUNTS` (Table 4's bugs) and :data:`FIXES`
+(Table 6's fix PRs and the §5.4 final fix), each row composed by
+:func:`hunt_spec`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.tla.composition import CompositionError, compose
 from repro.tla.module import Module
@@ -39,7 +40,6 @@ from repro.zookeeper.config import (
     PR_1993,
     PR_2111,
     SpecVariant,
-    V391_PLUS_4712,
     ZkConfig,
 )
 from repro.zookeeper.discovery import discovery_module
@@ -256,48 +256,51 @@ HUNTS: Dict[
                 None, True, None),
 }
 
+#: Table 6, one row per verdict: a :data:`HUNTS` row (a family of None
+#: checks every invariant), then the state budget and the expected
+#: verdict -- the family of the first violation, or None for a check that
+#: stays clean within the budget.  Each fix PR is a variant of mSpec-3+
+#: (mSpec-3 with the verified ZK-4712 fix) and still violates an
+#: invariant; the §5.4 resolution is clean.  PR-1848 is hunted at one txn
+#: and for I-8 only: its SNAP path still opens the ZK-4643 window, and at
+#: two txns ZK-4685's I-12 fires first.  ``tests/test_bugs.py``,
+#: ``examples/verify_bug_fix.py`` and ``benchmarks/`` check these rows.
+FIXES: Dict[
+    str,
+    Tuple[str, Dict[str, int], Optional[str], Optional[str], bool, SpecVariant,
+          int, Optional[str]],
+] = {
+    "PR-1848": ("mSpec-3", {"max_txns": 1, "max_crashes": 2}, "I-8",
+                None, True, PR_1848, 3_000_000, "I-8"),
+    "PR-1930": ("mSpec-3", {"max_txns": 2, "max_crashes": 2}, None,
+                None, True, PR_1930, 400_000, "I-12"),
+    "PR-1993": ("mSpec-3", {"max_txns": 2, "max_crashes": 2}, None,
+                None, True, PR_1993, 400_000, "I-11"),
+    "PR-2111": ("mSpec-3", {"max_txns": 2, "max_crashes": 2}, None,
+                None, True, PR_2111, 400_000, "I-11"),
+    "FinalFix": ("mSpec-3", {"max_txns": 1, "max_crashes": 2}, None,
+                 None, False, FINAL_FIX, 120_000, None),
+}
 
-def hunt_spec(bug: str) -> Tuple[Specification, Optional[Callable[[State], bool]]]:
-    """The specification and mask of one :data:`HUNTS` row: the grain
-    composed at the row's bounds, checked against the row's invariant
-    family only."""
-    grain, bounds, family, instance, masked, variant = HUNTS[bug]
+
+def hunt_spec(
+    row: Union[str, tuple],
+) -> Tuple[Specification, Optional[Callable[[State], bool]]]:
+    """The specification and mask of one hunt: a :data:`HUNTS` or
+    :data:`FIXES` name, or a row of their shape.  The grain is composed
+    at the row's bounds and variant, and checked against the row's
+    invariant family only (every invariant when the family is None)."""
+    if isinstance(row, str):
+        row = HUNTS[row] if row in HUNTS else FIXES[row]
+    grain, bounds, family, instance, masked, variant = row[:6]
     config = ZkConfig(max_partitions=0, max_epoch=3, **bounds)
     if variant is not None:
         config = config.with_variant(variant)
     spec = build_spec(grain, SELECTIONS[grain], config)
-    spec.invariants = [
-        inv
-        for inv in spec.invariants
-        if inv.ident == family and (instance is None or inv.instance == instance)
-    ]
+    if family is not None:
+        spec.invariants = [
+            inv
+            for inv in spec.invariants
+            if inv.ident == family and (instance is None or inv.instance == instance)
+        ]
     return spec, zk4394_mask if masked else None
-
-
-def mspec3_plus(config: Optional[ZkConfig] = None) -> Specification:
-    """mSpec-3+ of Table 6: mSpec-3 with the verified ZK-4712 fix."""
-    config = (config or ZkConfig()).with_variant(V391_PLUS_4712)
-    spec = build_spec("mSpec-3+", SELECTIONS["mSpec-3"], config)
-    return spec
-
-#: Table 6: the four fix PRs, each as an update of mSpec-3+.
-PR_VARIANTS: Dict[str, SpecVariant] = {
-    "PR-1848": PR_1848,
-    "PR-1930": PR_1930,
-    "PR-1993": PR_1993,
-    "PR-2111": PR_2111,
-}
-
-
-def pr_spec(pr: str, config: Optional[ZkConfig] = None) -> Specification:
-    if pr not in PR_VARIANTS:
-        raise KeyError(f"unknown PR {pr!r}; options: {list(PR_VARIANTS)}")
-    config = (config or ZkConfig()).with_variant(PR_VARIANTS[pr])
-    return build_spec(pr, SELECTIONS["mSpec-3"], config)
-
-
-def final_fix_spec(config: Optional[ZkConfig] = None) -> Specification:
-    """The §5.4 resolution: history-before-epoch ordering, synchronous
-    logging and commit, fixed shutdown and commit matching."""
-    config = (config or ZkConfig()).with_variant(FINAL_FIX)
-    return build_spec("FinalFix", SELECTIONS["mSpec-3"], config)

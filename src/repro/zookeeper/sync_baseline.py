@@ -21,14 +21,6 @@ from repro.zookeeper.config import ZkConfig
 from repro.zookeeper.schema import EMPTY_SYNC
 
 
-def _pairs_distinct(cfg: ZkConfig):
-    return [(i, j) for i in cfg.servers for j in cfg.servers if i != j]
-
-
-def pairwise(fn):
-    return lambda cfg, s, pair: fn(cfg, s, pair[0], pair[1])
-
-
 def newleader_zxid_for(state, i: int, j: int):
     """The zxid the leader i sent in NEWLEADER to j (None if not sent)."""
     for follower, zxid in state["synced_sent"][i]:
@@ -447,8 +439,8 @@ def leader_sync_actions():
     return [
         Action(
             "LeaderSyncFollower",
-            pairwise(leader_sync_follower),
-            params={"pair": _pairs_distinct},
+            P.pairwise(leader_sync_follower),
+            params={"pair": P.pairs_distinct},
             reads=[
                 "state",
                 "zab_state",
@@ -464,8 +456,8 @@ def leader_sync_actions():
         ),
         Action(
             "LeaderProcessACKLD",
-            pairwise(leader_process_ackld),
-            params={"pair": _pairs_distinct},
+            P.pairwise(leader_process_ackld),
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "state",
@@ -508,8 +500,8 @@ def follower_sync_shared_actions(concurrent: bool = False):
     return [
         Action(
             "FollowerProcessSyncMessage",
-            pairwise(follower_process_sync_message),
-            params={"pair": _pairs_distinct},
+            P.pairwise(follower_process_sync_message),
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "state",
@@ -523,19 +515,19 @@ def follower_sync_shared_actions(concurrent: bool = False):
         ),
         Action(
             "FollowerProcessPROPOSALInSync",
-            pairwise(follower_process_proposal_in_sync),
-            params={"pair": _pairs_distinct},
+            P.pairwise(follower_process_proposal_in_sync),
+            params={"pair": P.pairs_distinct},
             reads=["msgs", "state", "zab_state", "my_leader", "packets_sync"],
             writes=["msgs", "packets_sync"],
         ),
         Action(
             "FollowerProcessCOMMITInSync",
-            pairwise(
+            P.pairwise(
                 lambda cfg, s, i, j: follower_process_commit_in_sync(
                     cfg, s, i, j, concurrent=concurrent
                 )
             ),
-            params={"pair": _pairs_distinct},
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "state",
@@ -566,8 +558,8 @@ def sync_baseline_module(config: ZkConfig) -> Module:
     actions = leader_sync_actions() + follower_sync_shared_actions() + [
         Action(
             "FollowerProcessNEWLEADER",
-            pairwise(follower_process_newleader),
-            params={"pair": _pairs_distinct},
+            P.pairwise(follower_process_newleader),
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "state",
@@ -597,8 +589,8 @@ def sync_baseline_module(config: ZkConfig) -> Module:
         ),
         Action(
             "FollowerProcessUPTODATE",
-            pairwise(follower_process_uptodate),
-            params={"pair": _pairs_distinct},
+            P.pairwise(follower_process_uptodate),
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "state",

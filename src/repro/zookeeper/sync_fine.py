@@ -27,11 +27,9 @@ from repro.zookeeper import prims as P
 from repro.zookeeper.config import ZkConfig
 from repro.zookeeper.schema import EMPTY_SYNC
 from repro.zookeeper.sync_baseline import (
-    _pairs_distinct,
     follower_sync_shared_actions,
     is_my_follower_syncing,
     leader_sync_actions,
-    pairwise,
     pending_newleader,
 )
 
@@ -333,10 +331,10 @@ def _split_actions(asynchronous: bool):
     return [
         Action(
             "FollowerProcessNEWLEADER_UpdateEpoch",
-            pairwise(
+            P.pairwise(
                 lambda cfg, s, i, j: _update_epoch(cfg, s, i, j, asynchronous)
             ),
-            params={"pair": _pairs_distinct},
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "state",
@@ -352,18 +350,18 @@ def _split_actions(asynchronous: bool):
         ),
         Action(
             log_name,
-            pairwise(log_fn),
-            params={"pair": _pairs_distinct},
+            P.pairwise(log_fn),
+            params={"pair": P.pairs_distinct},
             reads=log_reads,
             writes=log_writes,
             update_sources={"history": ["packets_sync"]},
         ),
         Action(
             "FollowerProcessNEWLEADER_ReplyAck",
-            pairwise(
+            P.pairwise(
                 lambda cfg, s, i, j: _reply_ack(cfg, s, i, j, asynchronous)
             ),
-            params={"pair": _pairs_distinct},
+            params={"pair": P.pairs_distinct},
             reads=[
                 "msgs",
                 "state",
@@ -393,8 +391,8 @@ def sync_fine_atomic_module(config: ZkConfig) -> Module:
         + [
             Action(
                 "FollowerProcessUPTODATE",
-                pairwise(follower_process_uptodate),
-                params={"pair": _pairs_distinct},
+                P.pairwise(follower_process_uptodate),
+                params={"pair": P.pairs_distinct},
                 reads=[
                     "msgs",
                     "state",
@@ -442,8 +440,8 @@ def sync_fine_concurrent_module(config: ZkConfig) -> Module:
             ),
             Action(
                 "FollowerProcessUPTODATE",
-                pairwise(follower_process_uptodate_async),
-                params={"pair": _pairs_distinct},
+                P.pairwise(follower_process_uptodate_async),
+                params={"pair": P.pairs_distinct},
                 reads=[
                     "msgs",
                     "state",
@@ -495,8 +493,8 @@ def sync_fine_concurrent_module(config: ZkConfig) -> Module:
             ),
             Action(
                 "LeaderProcessACKUPTODATE",
-                pairwise(leader_process_ack_uptodate),
-                params={"pair": _pairs_distinct},
+                P.pairwise(leader_process_ack_uptodate),
+                params={"pair": P.pairs_distinct},
                 reads=[
                     "msgs",
                     "state",

@@ -12,45 +12,18 @@ import pytest
 from repro.checker import explore
 from repro.zookeeper import (
     FINAL_FIX,
-    ZkConfig,
-    final_fix_spec,
-    mspec3_plus,
-    pr_spec,
+    PR_1848,
+    PR_1993,
+    V391,
+    V391_PLUS_4712,
     zk4394_mask,
 )
-from repro.zookeeper.specs import HUNTS, SELECTIONS, build_spec, hunt_spec
+from repro.zookeeper.specs import FIXES, HUNTS, hunt_spec
 
 from test_engine import BFS_HUNTS, label_digest
 
 
-def hunt(
-    spec_name,
-    config,
-    family,
-    instance=None,
-    masked=True,
-    max_states=3_000_000,
-    max_time=300,
-    variant=None,
-):
-    """BFS for the first violation of one invariant family."""
-    if variant is not None:
-        config = config.with_variant(variant)
-    spec = build_spec(spec_name, SELECTIONS[spec_name], config)
-    spec.invariants = [
-        inv
-        for inv in spec.invariants
-        if inv.ident == family and (instance is None or inv.instance == instance)
-    ]
-    return explore(
-        spec,
-        max_states=max_states,
-        max_time=max_time,
-        mask=zk4394_mask if masked else None,
-    )
-
-
-#: What each Table 4 hunt's counterexample shows beyond its invariant:
+#: What each hunt's counterexample shows beyond its invariant:
 #: actions it passes through, the actions it ends on, a depth bound.
 TRACE_FACTS = {
     # Data sync failure: the leader handles the ACK of UPTODATE while the
@@ -75,6 +48,8 @@ TRACE_FACTS = {
     # Data inconsistency: the un-stopped SyncRequestProcessor logs a
     # stale request after data recovery (I-10).
     "ZK-4712": {"passes": ("FollowerShutdown",)},
+    # The ZK-4785 control: the direct COMMIT application is on the path.
+    "ZK-4785": {"passes": ("FollowerProcessCOMMITInSync",)},
 }
 
 
@@ -109,105 +84,70 @@ class TestBugDetection:
         got = (result.states_explored, result.transitions, result.max_depth)
         assert got + (len(labels), label_digest(violation.trace.labels)) == BFS_HUNTS[bug]
 
-    def test_zk4394_masked_in_mspec1(self):
-        # With the known bug masked, mSpec-1 finds nothing (Table 5).
-        result = hunt(
-            "mSpec-1",
-            ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3),
-            "I-14",
-            masked=True,
-            max_states=150_000,
-            max_time=120,
+
+#: Verdicts no table of the paper prints, in the :data:`FIXES` row shape:
+#: a grain, bound or fix that hides a bug, one that exposes ZK-4785, and
+#: Table 6's PR-1848 and §5.4 checks at two txns.
+CONTROLS = {
+    # With the known bug masked, mSpec-1 finds nothing (Table 5).
+    "ZK-4394-masked": ("mSpec-1", {"max_txns": 1, "max_crashes": 1}, "I-14",
+                       None, True, None, 150_000, None),
+    # The baseline's atomic NEWLEADER hides the ZK-4643 crash window.
+    "ZK-4643-mSpec-1": ("mSpec-1", {"max_txns": 1, "max_crashes": 2}, "I-8",
+                        None, True, None, 200_000, None),
+    # Synchronous sync-phase logging (PR-1993) closes ZK-4646.
+    "ZK-4646-PR-1993": ("mSpec-3", {"max_txns": 1, "max_crashes": 2}, "I-8",
+                        None, True, PR_1993, 250_000, None),
+    # The fixed shutdown closes ZK-4712; with it, v3.9.1's order-preserving
+    # COMMIT in sync is safe too.
+    "ZK-4712-fixed": ("mSpec-3", {"max_txns": 2, "max_crashes": 1}, "I-10",
+                      None, True, V391_PLUS_4712, 150_000, None),
+    # Extension beyond the paper's six bugs: ZK-4785 (the paper's
+    # reference [26]) -- a COMMIT between NEWLEADER and UPTODATE applied
+    # directly to the log races the SyncRequestProcessor queue.
+    "ZK-4785": ("mSpec-3", {"max_txns": 2, "max_crashes": 1}, "I-10", None,
+                True, V391_PLUS_4712.with_(direct_commit_in_sync=True),
+                3_000_000, "I-10"),
+    # PR-1848 at two txns: ZK-4685's I-12 fires before its SNAP hole's I-8.
+    "PR-1848-2txns": ("mSpec-3", {"max_txns": 2, "max_crashes": 2}, None,
+                      None, True, PR_1848, 400_000, "I-12"),
+    # The §5.4 resolution at two txns, masked.
+    "FinalFix-2txns": ("mSpec-3", {"max_txns": 2, "max_crashes": 2}, None,
+                       None, True, FINAL_FIX, 150_000, None),
+}
+
+
+def verdicts():
+    """The tier-1 :data:`FIXES` rows (PR-1993 and PR-2111 run nightly, in
+    ``examples/verify_bug_fix.py``) and every control."""
+    for name, row in FIXES.items():
+        if name not in ("PR-1993", "PR-2111"):
+            yield pytest.param(name, row, id=name)
+    for name, row in CONTROLS.items():
+        slow = name in ("ZK-4785", "PR-1848-2txns", "FinalFix-2txns")
+        yield pytest.param(
+            name, row, id=name, marks=[pytest.mark.slow] if slow else []
         )
-        assert not result.found_violation
-
-    def test_zk4643_not_found_by_mspec1(self):
-        # The baseline's atomic NEWLEADER hides the crash window.
-        result = hunt(
-            "mSpec-1",
-            ZkConfig(max_txns=1, max_crashes=2, max_partitions=0, max_epoch=3),
-            "I-8",
-            max_states=200_000,
-            max_time=120,
-        )
-        assert not result.found_violation
-
-    def test_zk4646_not_found_with_synchronous_logging(self):
-        from repro.zookeeper import PR_1993
-
-        result = hunt(
-            "mSpec-3",
-            ZkConfig(max_txns=1, max_crashes=2, max_partitions=0, max_epoch=3),
-            "I-8",
-            variant=PR_1993,
-            max_states=250_000,
-            max_time=200,
-        )
-        assert not result.found_violation
-
-    def test_zk4712_not_found_with_fixed_shutdown(self):
-        from repro.zookeeper import V391_PLUS_4712
-
-        result = hunt(
-            "mSpec-3",
-            ZkConfig(max_txns=2, max_crashes=1, max_partitions=0, max_epoch=3),
-            "I-10",
-            variant=V391_PLUS_4712,
-            max_states=150_000,
-            max_time=200,
-        )
-        assert not result.found_violation
 
 
-class TestFixVerification:
-    """Table 6: the four fix PRs still violate invariants."""
+class TestVerdicts:
+    """Table 6: the four fix PRs still violate invariants and the §5.4
+    resolution passes; and the controls."""
 
-    CFG = ZkConfig(max_txns=2, max_crashes=2, max_partitions=0, max_epoch=3)
-
-    def first_family(self, pr, max_states=400_000, max_time=200):
-        spec = pr_spec(pr, self.CFG)
-        result = explore(
-            spec, max_states=max_states, max_time=max_time, mask=zk4394_mask
-        )
-        assert result.found_violation, f"{pr} unexpectedly verified"
-        return result.first_violation.invariant.ident
-
-    @pytest.mark.slow
-    def test_pr1848_still_violates(self):
-        # PR-1848 fixed the DIFF ordering only; the SNAP path still opens
-        # the ZK-4643 window (paper: I-8) and ZK-4685 remains reachable.
-        assert self.first_family("PR-1848") in ("I-8", "I-12")
-
-    def test_pr1848_snap_hole_violates_i8(self):
-        result = hunt(
-            "mSpec-3",
-            ZkConfig(max_txns=1, max_crashes=2, max_partitions=0, max_epoch=3),
-            "I-8",
-            variant=__import__("repro.zookeeper", fromlist=["PR_1848"]).PR_1848,
-        )
-        assert result.found_violation
-
-    def test_pr1930_violates_i12(self):
-        assert self.first_family("PR-1930") == "I-12"
-
-    @pytest.mark.slow
-    def test_pr1993_violates_i11(self):
-        assert self.first_family("PR-1993") == "I-11"
-
-    @pytest.mark.slow
-    def test_pr2111_violates_i11(self):
-        assert self.first_family("PR-2111") == "I-11"
+    @pytest.mark.parametrize("name, row", verdicts())
+    def test_first_violation_is_the_expected_family(self, name, row):
+        spec, mask = hunt_spec(row)
+        *_, max_states, expected = row
+        result = explore(spec, max_states=max_states, mask=mask)
+        found = result.first_violation
+        assert (found.invariant.ident if found else None) == expected
+        if found:
+            labels = {label.name for label in found.trace.labels}
+            assert set(TRACE_FACTS.get(name, {}).get("passes", ())) <= labels
 
 
 class TestFinalFix:
-    """§5.4: the holistic resolution passes model checking."""
-
-    def test_no_violation_within_budget(self):
-        cfg = ZkConfig(max_txns=1, max_crashes=2, max_partitions=0, max_epoch=3)
-        result = explore(
-            final_fix_spec(cfg), max_states=120_000, max_time=180
-        )
-        assert not result.found_violation
+    """§5.4: the holistic resolution's flags, and what every fix adds to."""
 
     def test_final_fix_flags(self):
         assert FINAL_FIX.history_before_epoch == "full"
@@ -216,45 +156,10 @@ class TestFinalFix:
         assert FINAL_FIX.fix_follower_shutdown
         assert FINAL_FIX.match_commit_in_sync
 
-    def test_mspec3_plus_differs_from_mspec3_only_in_shutdown(self):
-        spec = mspec3_plus()
-        assert spec.config.variant.fix_follower_shutdown
-        assert not spec.config.variant.synchronous_sync_logging
-
-
-class TestExtensionZK4785:
-    """Extension beyond the paper's six bugs: ZK-4785 (the paper's
-    reference [26]) -- a COMMIT between NEWLEADER and UPTODATE applied
-    directly to the log races the SyncRequestProcessor queue."""
-
-    @pytest.mark.slow
-    def test_direct_commit_application_violates_safety(self):
-        from repro.zookeeper import V391_PLUS_4712
-
-        variant = V391_PLUS_4712.with_(direct_commit_in_sync=True)
-        result = hunt(
-            "mSpec-3",
-            ZkConfig(max_txns=2, max_crashes=1, max_partitions=0, max_epoch=3),
-            "I-10",
-            variant=variant,
-            max_time=400,
-        )
-        assert result.found_violation
-        labels = [l.name for l in result.first_violation.trace.labels]
-        assert "FollowerProcessCOMMITInSync" in labels
-
-    def test_order_preserving_commit_is_safe(self):
-        from repro.zookeeper import V391_PLUS_4712
-
-        result = hunt(
-            "mSpec-3",
-            ZkConfig(max_txns=2, max_crashes=1, max_partitions=0, max_epoch=3),
-            "I-10",
-            variant=V391_PLUS_4712,
-            max_states=150_000,
-            max_time=200,
-        )
-        assert not result.found_violation
+    def test_every_fix_builds_on_the_shutdown_fix(self):
+        # mSpec-3+ is mSpec-3 with the ZK-4712 fix and nothing else.
+        assert V391_PLUS_4712 == V391.with_(fix_follower_shutdown=True)
+        assert all(row[5].fix_follower_shutdown for row in FIXES.values())
 
 
 class TestHuntTable:

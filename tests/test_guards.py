@@ -22,7 +22,7 @@ from repro.tla.spec import masked
 from repro.tla.values import Rec
 from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec
 from repro.zookeeper import zk4394_mask
-from repro.zookeeper.specs import HUNTS, SELECTIONS, build_spec, hunt_spec
+from repro.zookeeper.specs import FIXES, HUNTS, SELECTIONS, build_spec, hunt_spec
 
 from test_engine import SMALL, random_spec
 from test_kernels import counter_spec, lying_spec, run_sig
@@ -283,7 +283,7 @@ class TestShippedCompositions:
             warnings.simplefilter("error")
             assert kernel_trusted(make())
 
-    @pytest.mark.parametrize("bug", sorted(HUNTS))
+    @pytest.mark.parametrize("bug", sorted(HUNTS) + list(FIXES))
     def test_hunt_trusted_with_its_mask_without_a_warning(self, bug):
         spec, mask = hunt_spec(bug)
         with warnings.catch_warnings():

@@ -183,39 +183,46 @@ def test_comparable_symmetric(left, right):
 
 #: value -> (canonical bytes of ``(value,)``, 64-bit fingerprint of it).
 PINNED = [
-    (Rec(), b"t1;r0;", "46821ad10ad082ce"),
-    (Rec(a=1), b"t1;r1;s1;ai1;", "910cbfd72ce937be"),
-    (
+    pytest.param(Rec(), b"t1;r0;", "46821ad10ad082ce", id="rec-empty"),
+    pytest.param(Rec(a=1), b"t1;r1;s1;ai1;", "910cbfd72ce937be", id="rec"),
+    pytest.param(
         Rec(mtype="ACK", zxid=Zxid(1, 2), sid=1),
         b"t1;r3;s5;mtypes3;ACKs3;sidi1;s4;zxidt2;i1;i2;",
         "e93e3cd9455c4e98",
+        id="rec-with-zxid",
     ),
-    (
+    pytest.param(
         Rec(vote=Rec(epoch=1, zxid=ZXID_ZERO, sid=2), round=3),
         b"t1;r2;s5;roundi3;s4;voter3;s5;epochi1;s3;sidi2;s4;zxidt2;i0;i0;",
         "7196d782ce34bcf4",
+        id="rec-nested",
     ),
-    (
+    pytest.param(
         Rec(not_committed=(Txn(Zxid(1, 1), 1),), committed=(Zxid(1, 1),), mode="DIFF"),
         b"t1;r3;s9;committedt1;t2;i1;i1;s4;modes4;DIFFs13;not_committedt1;t2;t2;i1;i1;i1;",
         "e7bbc5851b15c43e",
+        id="rec-with-tuples",
     ),
-    (
+    pytest.param(
         (Rec(a=1), Rec(b=2), Rec(mtype="COMMIT", zxid=Zxid(2, 1))),
         b"t1;t3;r1;s1;ai1;r1;s1;bi2;r2;s5;mtypes6;COMMITs4;zxidt2;i2;i1;",
         "4308a636b0834974",
+        id="tuple-of-recs",
     ),
-    (
+    pytest.param(
         frozenset({Rec(a=1), Rec(a=2), Rec(b=(1, 2))}),
         b"t1;f3;r1;s1;ai1;r1;s1;ai2;r1;s1;bt2;i1;i2;",
         "c6870312bb41ce52",
+        id="frozenset-of-recs",
     ),
-    (Zxid(3, 4), b"t1;t2;i3;i4;", "b104396fd49350cd"),
-    (Txn(Zxid(1, 2), 7), b"t1;t2;t2;i1;i2;i7;", "7be718d91eb6b19b"),
+    pytest.param(Zxid(3, 4), b"t1;t2;i3;i4;", "b104396fd49350cd", id="zxid"),
+    pytest.param(
+        Txn(Zxid(1, 2), 7), b"t1;t2;t2;i1;i2;i7;", "7be718d91eb6b19b", id="txn"
+    ),
 ]
 
 
-@pytest.mark.parametrize("value, raw, fp", PINNED, ids=lambda v: repr(v)[:40])
+@pytest.mark.parametrize("value, raw, fp", PINNED)
 def test_canonical_bytes_and_fingerprint_are_pinned(value, raw, fp):
     assert canonical_bytes((value,)) == raw
     assert "%016x" % Fingerprinter().of_values((value,)) == fp
