@@ -392,7 +392,11 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:  # pragma: no cover
         pass
     finally:
+        # This thread waits for every band before the interpreter exits
+        # (which would cut a daemon thread's reap short): stop() for the
+        # idle ones, serve_forever() for those in-flight requests hold.
         server.stop()
+        server.serve_forever()
     return 0
 
 

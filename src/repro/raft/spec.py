@@ -24,6 +24,7 @@ from repro.tla.action import Action
 from repro.tla.module import Module
 from repro.tla.spec import Invariant
 from repro.tla.state import Schema, State
+from repro.tla.values import updated as _up
 from repro.tla.composition import compose
 from repro.raft.config import RaftConfig
 
@@ -97,10 +98,6 @@ def _log_key(log: Tuple) -> Tuple[int, int]:
 def _up_to_date(log_i: Tuple, log_j: Tuple) -> bool:
     """True when ``log_i`` is at least as up-to-date as ``log_j``."""
     return _log_key(log_i) >= _log_key(log_j)
-
-
-def _up(values: Tuple, i: int, value) -> Tuple:
-    return values[:i] + (value,) + values[i + 1 :]
 
 
 # --- coarse election ---------------------------------------------------------

@@ -241,6 +241,9 @@ class CampaignServer:
         self._lock = threading.Lock()
         #: Resident bands, lent and idle; idle ones in give-back order.
         self._bands: List[ResidentBand] = []
+        #: Held by :meth:`stop` across its closes, so that every caller
+        #: returns after them.
+        self._closing = threading.Lock()
         self._in_flight = 0
 
     def start(self) -> Tuple[str, int]:
@@ -255,7 +258,13 @@ class CampaignServer:
     def serve_forever(self) -> None:
         """Block until the server stops (``max_requests`` served, or
         :meth:`stop` from another thread) and its in-flight requests
-        have ended -- by then every resident band is closed."""
+        have ended -- by then every resident band is closed.
+
+        The calling thread does the waiting: it joins the accept thread,
+        whose last act is :meth:`stop`, then every handler thread, each
+        of which closes the band it held.  A thread that called
+        :meth:`stop` itself (``repro serve`` on Ctrl-C) calls this
+        afterwards to wait."""
         if self._accept_thread is None:
             self.start()
         self._accept_thread.join()
@@ -264,17 +273,23 @@ class CampaignServer:
 
     def stop(self) -> None:
         """Stop accepting and close the idle resident bands; in-flight
-        requests run to completion and close the band they hold."""
+        requests run to completion and close the band they hold.
+
+        Returns once the idle bands are closed and their workers reaped.
+        The calling thread closes them, or, when another thread is
+        already inside ``stop`` (the accept loop calls it on its way
+        out), waits until that one has."""
         self._stopping.set()
         try:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass
-        with self._lock:
-            idle = [band for band in self._bands if not band.lent]
-            self._bands = [band for band in self._bands if band.lent]
-        for band in idle:
-            band.backend.close()
+        with self._closing:
+            with self._lock:
+                idle = [band for band in self._bands if not band.lent]
+                self._bands = [band for band in self._bands if band.lent]
+            for band in idle:
+                band.backend.close()
 
     def stats(self) -> Dict[str, Any]:
         """Live server state: the payload of the ``stats`` event."""

@@ -26,7 +26,7 @@ from repro.tla.action import Action
 from repro.tla.module import Module
 from repro.tla.spec import Specification
 from repro.tla.state import Schema, State
-from repro.tla.values import Rec, Txn, Zxid, last_zxid
+from repro.tla.values import Rec, Txn, Zxid, last_zxid, updated as _up
 from repro.zab.invariants import protocol_invariants
 
 VARIANTS = ("original", "improved", "epoch_first")
@@ -126,10 +126,6 @@ def init(config: ZabConfig):
             zab_state=_per(config, "ELECTION"),
         )
     ]
-
-
-def _up(vec, i, value):
-    return vec[:i] + (value,) + vec[i + 1 :]
 
 
 def _send(msgs, src, dst, *messages):

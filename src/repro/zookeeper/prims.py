@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
-from repro.tla.values import Rec, Txn, Zxid, last_zxid
+from repro.tla.values import Rec, Txn, Zxid, last_zxid, updated
 from repro.zookeeper import constants as C
 from repro.zookeeper.config import ZkConfig
 
@@ -192,9 +192,8 @@ def pairwise(fn):
 
 # --- per-server tuple update -----------------------------------------------
 
-def up(vec: Tuple, server: int, value) -> Tuple:
-    """Functional update of a per-server tuple (TLA+ EXCEPT ![i])."""
-    return vec[:server] + (value,) + vec[server + 1 :]
+#: TLA+ ``EXCEPT ![i]`` on a per-server tuple, as the action modules call it.
+up = updated
 
 
 # --- history utilities -------------------------------------------------------

@@ -76,14 +76,3 @@ def established(epoch, initial=(), committed=()):
     """A g_established record."""
     return Rec(epoch=epoch, initial=tuple(initial), committed=tuple(committed))
 
-
-@pytest.fixture
-def config():
-    return ZkConfig()
-
-
-@pytest.fixture
-def small_config():
-    """The standard small model-checking configuration used by the bug
-    reproduction tests."""
-    return ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)

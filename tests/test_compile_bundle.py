@@ -24,19 +24,18 @@ import repro
 from repro.checker import ExplorationEngine, bundle, disk_cache
 from repro.checker.engine import CompiledSpec, kernel_trusted
 from repro.remix import spec_cache
-from repro.remix.registry import registered_systems, system_plugin
+from repro.remix.registry import system_plugin
 from repro.system.plugin import Scenario, ScenarioError
 from repro.tla.action import Action
 from repro.tla.guards import Atom, Const, GuardPrefix
 from repro.tla.module import Module
 from repro.tla.spec import Specification, masked
 from repro.tla.state import State
-from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec
-from repro.zookeeper import zk4394_mask
-from repro.zookeeper.specs import HUNTS, SELECTIONS, build_spec, hunt_spec
+from repro.zab.protocol import ZabConfig, zab_spec
+from repro.zookeeper.specs import HUNTS, SELECTIONS, build_spec
 
+from shipped import PROVED, SHAPES, answer, key, shape_id
 from test_engine import BFS_HUNTS, SMALL, label_digest
-from test_guards import SHIPPED_SPECS
 from test_kernels import SCHEMA, counter_spec, lying_spec, run_sig
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -79,60 +78,84 @@ def identity(fn):
     return signature.sha1.digest()
 
 
-def in_another_process(disk, script, *args):
-    """Run ``script`` (which may import from this module and prints one
-    JSON value last) in a new interpreter under a hash seed other than
-    this process's, on the cache directory ``disk``; return the value."""
-    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    done = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env={
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join([SRC, TESTS]),
-            "PYTHONHASHSEED": seed,
-            "REPRO_SPEC_CACHE_DIR": str(disk),
-        },
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
-
-
 def as_json(value):
-    """``value`` as it comes back from :func:`in_another_process`."""
+    """``value`` as it comes back from another interpreter."""
     return json.loads(json.dumps(value))
 
 
-def shapes():
-    """Every compile shape that ships: each plugin grain of both systems,
-    each ZooKeeper selection bare and under the ZK-4394 mask (as
-    ``repro check`` composes it), each Zab variant, and a hunt's spec,
-    its invariants filtered after composition.  Each yields
-    ``make() -> (spec, mask)``."""
-    for system in registered_systems():
-        plugin = system_plugin(system)
-        for grain in plugin.grains:
-            make = partial(plugin.make_spec, grain, plugin.default_config())
-            yield pytest.param(lambda make=make: (make(), None), id=f"{system}-{grain}")
-    for name, selection in SELECTIONS.items():
-        make = partial(build_spec, name, selection, SMALL)
-        yield pytest.param(lambda make=make: (make(), None), id=name)
-        yield pytest.param(lambda make=make: (make(), zk4394_mask), id=f"{name}-masked")
-    for variant in VARIANTS:
-        make = partial(zab_spec, ZabConfig(variant=variant))
-        yield pytest.param(lambda make=make: (make(), None), id=f"zab-{variant}")
-    yield pytest.param(lambda: hunt_spec("ZK-4685"), id="hunt-filtered")
+def got(value):
+    """An answer of :func:`proofs`; fails with what its job raised."""
+    if isinstance(value, dict) and "error" in value:
+        pytest.fail(value["error"], pytrace=False)
+    return value
 
 
-def observe(make, **pins):
+def interpreter(seed):
+    """``tests/shipped.py`` in a new interpreter under hash seed ``seed``."""
+    return subprocess.Popen(
+        [sys.executable, os.path.join(TESTS, "shipped.py")],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS]), "PYTHONHASHSEED": seed},
+    )
+
+
+def ask(child, kind, name, directory="off"):
+    child.stdin.write(json.dumps([kind, name, str(directory)]) + "\n")
+    child.stdin.flush()
+
+
+def answers(child):
+    out, err = child.communicate(timeout=600)
+    assert child.returncode == 0, err
+    return json.loads(out)
+
+
+#: The ``check`` runs of :class:`TestCheckCacheDifferential`.
+CHECKS = ("ZK-3023", "ZK-4394", "ZK-4685", "raft-fine")
+
+
+@pytest.fixture(scope="module")
+def proofs(tmp_path_factory):
+    """``{"here", "twin", "loader": {kind: {name: answer}}}``: two new
+    interpreters per session, under hash seeds other than this process's
+    and each other's.  The twin, disk off: texts and keys, reference runs,
+    each check's off pass.  Here: each fresh debug pass and cold check,
+    writing to a directory (``"stored"``: its bundles) that the loader
+    then loads (after its texts and keys) -- a stored kernel or prefix
+    that leans on the writer's state (value codes, set order) fails
+    there.  Each test reads its own answers, so a failure names its
+    shape."""
+    root = tmp_path_factory.mktemp("proofs")
+    seeds = [seed for seed in ("1", "2", "3") if seed != os.environ.get("PYTHONHASHSEED")]
+    twin, loader = interpreter(seeds[1]), interpreter(seeds[0])
+    for shape in SHAPES:
+        ask(twin, "compiled", shape.id)
+        ask(loader, "compiled", shape.id)
+    for shape in PROVED:
+        ask(twin, "reference", shape.id)
+    for name in CHECKS:
+        ask(twin, "check", name)
+    here = {"debug": {}, "check": {}, "stored": {}}
+    writes = [("debug", shape.id) for shape in PROVED] + [("check", name) for name in CHECKS]
+    try:
+        for kind, name in writes:
+            here[kind][name] = answer(kind, name, str(root / name))
+            here["stored"][name] = len(entries(root / name))
+            ask(loader, kind, name, root / name)
+    finally:
+        disk_cache.set_disk_cache_dir(None)
+        spec_cache.clear()
+    return {"here": here, "twin": answers(twin), "loader": answers(loader)}
+
+
+def observe(make):
     """One compile + BFS to 3 000 states: everything that must not
     depend on where the compile's products came from."""
     spec, mask = make()
-    engine = ExplorationEngine(
-        spec, mask=mask, max_states=3_000, stop_at_first=False, **pins
-    )
+    engine = ExplorationEngine(spec, mask=mask, max_states=3_000, stop_at_first=False)
     result = engine.run()
     core = engine.core
     return {
@@ -143,69 +166,36 @@ def observe(make, **pins):
     }, core.compile
 
 
-def debug_budget(shape):
-    """How far the debug lane explores the ``shapes()`` entry named
-    ``shape``: 2 000 states where ``repro check --debug-deps --max-states
-    2000`` runs it too (each selection masked as ``check`` composes it,
-    each Raft grain, each Zab variant), 1 200 on the rest."""
-    wide = shape.endswith("-masked") or shape.startswith(("raft-", "zab-"))
-    return dict(max_states=2_000 if wide else 1_200, stop_at_first=False)
-
-
-#: The debug lane on the ``shapes()`` entry named ``argv[1]``:
-#: ``[run_sig, compile, memo_stats()["compile"]]``.
-DEBUG_PASS = (
-    "import json, sys\n"
-    "from repro.checker import ExplorationEngine\n"
-    "from test_compile_bundle import debug_budget, shapes\n"
-    "from test_kernels import run_sig\n"
-    "(make,) = next(shape.values for shape in shapes() if shape.id == sys.argv[1])\n"
-    "spec, mask = make()\n"
-    "engine = ExplorationEngine(spec, mask=mask, debug=True, **debug_budget(sys.argv[1]))\n"
-    "sig = run_sig(engine.run())\n"
-    "print(json.dumps([sig, engine.core.compile, engine.core.memo_stats()['compile']]))\n"
-)
-
-
 class TestFreshVersusLoaded:
-    @pytest.mark.parametrize("make", shapes())
-    def test_off_cold_and_warm_agree(self, make, disk):
+    @pytest.mark.parametrize("shape", PROVED, ids=shape_id)
+    def test_off_cold_and_warm_agree(self, shape, disk):
         disk_cache.set_disk_cache_dir("off")
-        off, how = observe(make)
+        off, how = observe(shape.make)
         assert how == "fresh" and bundle.stats()["bundle_misses"] == 0
         disk_cache.set_disk_cache_dir(str(disk))
-        cold, how = observe(make)
+        cold, how = observe(shape.make)
         assert how == "fresh"
         assert bundle.stats() == {"bundle_hits": 0, "bundle_misses": 1, "bundle_stale": 0}
         assert len(entries(disk)) == 1
-        warm, how = observe(make)
+        warm, how = observe(shape.make)
         assert how == "loaded"
         assert bundle.stats() == {"bundle_hits": 1, "bundle_misses": 1, "bundle_stale": 0}
         assert off == cold == warm
         assert off["source"] is not None and off["run"][0] > 0
 
-    @pytest.mark.parametrize("make", shapes())
-    def test_debug_deps_passes_on_a_warm_disk(self, make, disk, request):
-        # The proof lane: a *loaded* kernel and *loaded* prefixes, equal
-        # to the reference expander on every batch.  The debug lane's
-        # first pass also writes (it asks the analyzer for that alone).
-        shape = request.node.callspec.id
-        budget = debug_budget(shape)
-        spec, mask = make()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            first = ExplorationEngine(spec, mask=mask, debug=True, **budget)
-            sig = run_sig(first.run())
-        assert first.core.compile == "fresh" and len(entries(disk)) == 1
-        # The loaded pass runs in a new process under another hash seed,
-        # so a stored kernel or prefix that leans on the writer's state
-        # (value codes, set order) fails the cross-check there.  A load
-        # into the writing process is test_off_cold_and_warm_agree's.
-        second = in_another_process(disk, DEBUG_PASS, shape)
-        assert second == as_json([sig, "loaded", "loaded"])
-        spec, mask = make()
-        reference = ExplorationEngine(spec, mask=mask, reference=True, **budget)
-        assert run_sig(reference.run()) == sig
+    @pytest.mark.parametrize("shape", PROVED, ids=shape_id)
+    def test_debug_deps_passes_on_a_warm_disk(self, shape, proofs):
+        # The proof lane: kernel == reference expander on every batch,
+        # fresh here and *loaded* (kernel, prefixes) in the loader; it
+        # caught NodeCrash's and FollowerSyncProcessorLogRequest's
+        # undeclared update sources.  A load into the writing process is
+        # test_off_cold_and_warm_agree's.
+        sig, how, stats_how, with_prefix = got(proofs["here"]["debug"][shape.id])
+        assert how == stats_how == "fresh" and proofs["here"]["stored"][shape.id] == 1
+        assert with_prefix > 0
+        assert got(proofs["twin"]["reference"][shape.id]) == as_json(sig)
+        loaded = got(proofs["loader"]["debug"][shape.id])
+        assert loaded == as_json([sig, "loaded", "loaded", with_prefix])
 
     def test_a_poisoned_bundle_is_caught_by_debug_deps(self, disk):
         # The mutated atom of tests/test_guards.py, planted in the stored
@@ -241,54 +231,23 @@ class TestFreshVersusLoaded:
         assert entries(disk) == [] and sum(bundle.stats().values()) == 0
 
 
-def check_run(name):
-    """The ``check`` runs the benchmark times: a bug hunt of
-    ``repro.zookeeper.specs.HUNTS`` (BFS to the first violation) or
-    raft-fine to 40 000 states.  Everything the answer is made of."""
-    if name.startswith("ZK-"):
-        (spec, mask), budget = hunt_spec(name), None
-    else:
-        raft = system_plugin("raft")
-        spec, mask, budget = raft.make_spec(name, raft.default_config()), None, 40_000
-    engine = ExplorationEngine(spec, mask=mask, max_states=budget)
-    result = engine.run()
-    violation = result.first_violation
-    answer = (
-        result.states_explored,
-        result.transitions,
-        result.max_depth,
-        violation
-        and (violation.invariant.full_name, [str(label) for label in violation.trace.labels]),
-    )
-    return answer, engine.core.memo_stats()["compile"]
-
-
-#: :func:`check_run` of ``argv[1]``: ``[answer, compile]``.
-WARM_CHECK = (
-    "import json, sys\n"
-    "from test_compile_bundle import check_run\n"
-    "print(json.dumps(check_run(sys.argv[1])))\n"
-)
-
 #: raft-fine to 40 000 states: (states, transitions, depth).
 RAFT_FINE_40K = (40_000, 122_832, 8)
 
 
 class TestCheckCacheDifferential:
-    @pytest.mark.parametrize("name", ["ZK-3023", "ZK-4394", "ZK-4685", "raft-fine"])
-    def test_off_cold_and_warm_give_one_answer(self, name, disk):
-        answers = {}
-        for way in ("off", "cold"):
-            disk_cache.set_disk_cache_dir("off" if way == "off" else str(disk))
-            answers[way], how = check_run(name)
-            assert how == "fresh", way
-        # the warm way is a new process under another hash seed
-        warm, how = in_another_process(disk, WARM_CHECK, name)
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_off_cold_and_warm_give_one_answer(self, name, proofs):
+        # off in the twin, cold here, warm in the loader: three hash seeds
+        cold, cold_how = got(proofs["here"]["check"][name])
+        assert cold_how == "fresh" and proofs["here"]["stored"][name] == 1
+        off, off_how = got(proofs["twin"]["check"][name])
+        assert off_how == "fresh"
+        warm, how = got(proofs["loader"]["check"][name])
         assert how == "loaded"
-        assert answers["off"] == answers["cold"]
-        assert as_json(answers["off"]) == warm
+        assert off == as_json(cold) == warm
         # pinned, so a change that moved all three ways alike fails too
-        *counts, violation = answers["off"]
+        *counts, violation = cold
         if name == "raft-fine":
             assert tuple(counts) == RAFT_FINE_40K and violation is None
         else:
@@ -456,26 +415,18 @@ class TestTheKey:
         assert self.key(zab_spec(ZabConfig(max_epoch=4))) != same  # same functions
         assert self.key(zab_spec(ZabConfig(variant="improved"))) != same
 
-    def test_key_is_stable_across_processes_and_hash_seeds(self):
-        script = (
-            "from repro.checker import bundle\n"
-            "from repro.checker.engine import CompiledSpec\n"
-            + SHIPPED_SPECS
-            + "for spec in specs:\n"
-            "    print(bundle.namespace('kernels'), bundle._entry_key(CompiledSpec(spec, reference=True)))\n"
-        )
-        outputs = set()
-        for seed in ("1", "2", "random"):
-            done = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                timeout=120,
-                env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed},
-            )
-            assert done.returncode == 0, done.stderr
-            outputs.add(done.stdout)
-        assert len(outputs) == 1 and len(outputs.pop().splitlines()) == 18
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_key_and_kernel_text_do_not_depend_on_the_hash_seed(self, shape, proofs):
+        # Three hash seeds for the key, two for the text: a frozenset
+        # constant spelled into the text would list its items in hash
+        # order, and a kernel stored by one process would be stale in
+        # the next.
+        text, entry = got(proofs["loader"]["compiled"][shape.id])
+        assert [text, entry] == got(proofs["twin"]["compiled"][shape.id])
+        assert entry == key(shape)  # and this process's
+        # container constants are bound, not spelled (Zab's guards have none)
+        assert "frozenset" not in text
+        assert ("k0=_k0" in text) != shape.id.startswith("zab-")
 
     @pytest.mark.parametrize(
         "cell",

@@ -756,18 +756,6 @@ class TestIncrementalProperties:
         for seed in range(6):
             ExplorationEngine(random_spec(seed), max_states=1_500, debug=True).run()
 
-    def test_zookeeper_specs_pass_debug_cross_checks(self):
-        # The walkers and the campaign ride the kernel's memoized
-        # outcomes, so the real specs' reads/writes/update_sources
-        # declarations are load-bearing: sweep them under the debug
-        # cross-check (this is what caught the NodeCrash and
-        # FollowerSyncProcessorLogRequest undeclared update sources).
-        for name in ("SysSpec", "mSpec-3"):
-            explore(
-                make_spec(name, SMALL), mask=zk4394_mask,
-                max_states=2_500, max_time=60, debug=True,
-            )
-
     def test_debug_mode_catches_untruthful_declaration(self):
         # The update reads y but declares neither reads nor sources for
         # it: two states sharing the closure projection {x} but
@@ -930,14 +918,6 @@ class TestCompiledKernelLane:
             )
             sigs[reference] = self._sig(result)
         assert sigs[False] == sigs[True]
-
-    def test_zookeeper_kernel_passes_debug_cross_check(self):
-        # --debug-deps re-evaluates every kernel batch against the
-        # reference expander.
-        explore(
-            make_spec("mSpec-3", SMALL), mask=zk4394_mask,
-            max_states=1_500, max_time=60, debug=True,
-        )
 
     @pytest.mark.parametrize("masked", [True, False])
     @pytest.mark.parametrize(

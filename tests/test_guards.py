@@ -1,11 +1,7 @@
 """Guard prefixes: the tracer on toy actions, the structural rule that
-ties a prefix to the declared reads, the differential sweep over every
+ties a prefix to the declared reads, trust and prefix counts on every
 shipped composition, and a mutated atom caught by ``--debug-deps``."""
 
-import json
-import os
-import subprocess
-import sys
 import warnings
 from functools import partial
 
@@ -14,21 +10,19 @@ import pytest
 from repro.checker import ExplorationEngine
 from repro.checker import engine as engine_module
 from repro.checker.engine import CompiledSpec, compiled_for, kernel_trusted
-from repro.remix.registry import registered_systems, system_plugin
-import repro
+from repro.remix.registry import system_plugin
 from repro.tla import codegen, guards
 from repro.tla.guards import NO_PREFIX, Atom, Const, guard_prefix, render, variables
 from repro.tla.spec import masked
 from repro.tla.values import Rec
-from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec
 from repro.zookeeper import zk4394_mask
 from repro.zookeeper.specs import FIXES, HUNTS, SELECTIONS, build_spec, hunt_spec
 
+from shipped import SHAPES, composed, shape_id
 from test_engine import SMALL, random_spec
 from test_kernels import counter_spec, lying_spec, run_sig
 
 NAMES = ("x", "y", "z", "box")
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def prefix_of(fn, reads=frozenset(NAMES)):
@@ -258,30 +252,12 @@ class TestTracer:
             ExplorationEngine(random_spec(seed), max_states=800, debug=True).run()
 
 
-def compositions():
-    """Every shipped composition: each plugin grain, each ZooKeeper
-    selection, each Zab variant."""
-    for system in registered_systems():
-        plugin = system_plugin(system)
-        for grain in plugin.grains:
-            yield pytest.param(
-                partial(plugin.make_spec, grain, plugin.default_config()),
-                id=f"{system}-{grain}",
-            )
-    for name, selection in SELECTIONS.items():
-        yield pytest.param(partial(build_spec, name, selection, SMALL), id=name)
-    for variant in VARIANTS:
-        yield pytest.param(
-            partial(zab_spec, ZabConfig(variant=variant)), id=f"zab-{variant}"
-        )
-
-
 class TestShippedCompositions:
-    @pytest.mark.parametrize("make", compositions())
-    def test_kernel_trusted_without_a_warning(self, make):
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_kernel_trusted_without_a_warning(self, shape):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert kernel_trusted(make())
+            assert kernel_trusted(composed(shape))
 
     @pytest.mark.parametrize("bug", sorted(HUNTS) + list(FIXES))
     def test_hunt_trusted_with_its_mask_without_a_warning(self, bug):
@@ -290,25 +266,16 @@ class TestShippedCompositions:
             warnings.simplefilter("error")
             assert kernel_trusted(masked(spec, mask) if mask else spec)
 
-    @pytest.mark.parametrize("make", compositions())
-    def test_prefixes_mention_declared_reads_only(self, make):
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_prefixes_mention_declared_reads_only(self, shape):
         # What makes a prefix-disabled bit stored in a memo entry, or
         # inherited through ``affects``, a function of the key it is
         # filed under.
-        core = compiled_for(make())
+        core = compiled_for(composed(shape))
         assert any(prefix.atoms for prefix in core.guard_prefixes)
         for action, prefix in zip(core.actions, core.guard_prefixes):
             for atom in prefix.atoms:
                 assert variables(atom) <= action.reads, (action.name, render(atom))
-
-    @pytest.mark.parametrize("make", compositions())
-    def test_kernel_equals_reference_on_every_batch(self, make):
-        budget = dict(max_states=2_500, stop_at_first=False)
-        checked = ExplorationEngine(make(), debug=True, **budget)
-        reference = ExplorationEngine(make(), reference=True, **budget)
-        assert run_sig(checked.run()) == run_sig(reference.run())
-        stats = checked.core.memo_stats()["guard_prefixes"]
-        assert stats["with_prefix"] > 0
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("strategy", engine_module.STRATEGIES)
@@ -399,61 +366,6 @@ class TestMutatedAtomIsCaught:
             engine.run()
 
 
-#: A script prelude that builds ``specs``: every plugin grain, every
-#: ZooKeeper selection at the default config, and at ``repro check``'s
-#: default bounds under the ZK-4394 mask (as ``check`` composes it), and
-#: every Zab variant -- 18 specifications.
-SHIPPED_SPECS = (
-    "from repro.remix.registry import registered_systems, system_plugin\n"
-    "from repro.tla.spec import masked\n"
-    "from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec\n"
-    "from repro.zookeeper import ZkConfig, zk4394_mask\n"
-    "from repro.zookeeper.specs import SELECTIONS, build_spec\n"
-    "plugins = [system_plugin(system) for system in registered_systems()]\n"
-    "specs = [plugin.make_spec(grain, plugin.default_config())\n"
-    "         for plugin in plugins for grain in plugin.grains]\n"
-    "specs += [build_spec(name, SELECTIONS[name], ZkConfig()) for name in SELECTIONS]\n"
-    "check = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)\n"
-    "specs += [masked(build_spec(name, SELECTIONS[name], check), zk4394_mask)\n"
-    "          for name in SELECTIONS]\n"
-    "specs += [zab_spec(ZabConfig(variant=variant)) for variant in VARIANTS]\n"
-)
-
-
-class TestKernelText:
-    def test_kernel_text_does_not_depend_on_the_hash_seed(self):
-        # A frozenset constant spelled into the text would list its items
-        # in hash order, and a kernel stored by one process would be stale
-        # in the next.
-        script = (
-            "import json\n"
-            "from repro.checker.engine import compiled_for\n"
-            + SHIPPED_SPECS
-            + "print(json.dumps([compiled_for(spec).kernel_source for spec in specs]))\n"
-        )
-        sources = []
-        for seed in ("0", "1"):
-            done = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                timeout=120,
-                env={
-                    **os.environ,
-                    "PYTHONPATH": SRC,
-                    "PYTHONHASHSEED": seed,
-                    "REPRO_SPEC_CACHE_DIR": "off",
-                },
-            )
-            assert done.returncode == 0, done.stderr
-            sources.append(json.loads(done.stdout))
-        assert len(sources[0]) == 18
-        # the constants are bound, not spelled
-        assert any("k0=_k0" in text for text in sources[0])
-        assert not any("frozenset" in text for text in sources[0])
-        assert sources[0] == sources[1]
-
-
 def count_applier_calls(monkeypatch):
     """Wrap every applier a kernel binds in a counter, as the mechanism
     ledger's probe does; the cell holds the calls so far."""
@@ -481,21 +393,19 @@ def count_applier_calls(monkeypatch):
 class TestPinnedCounts:
     """Losing an atom fails here, not only as a slower run."""
 
-    #: ``memo_stats()["guard_prefixes"]``: (with_prefix, atoms, dead).
+    #: ``memo_stats()["guard_prefixes"]``: (with_prefix, atoms, dead) per
+    #: specification name -- the same at every config and mask.
     PREFIXES = {
-        "raft-raft-coarse": (39, 114, 3),  # (36, 64, 3) before membership
-        "raft-raft-fine": (42, 123, 0),  # (36, 66, 0)
-        "zookeeper-mSpec-1": (108, 276, 3),  # (102, 234, 3)
-        "zookeeper-mSpec-2": (120, 300, 3),  # (114, 258, 3)
-        "zookeeper-mSpec-3": (132, 330, 3),  # (126, 288, 3)
+        "raft-coarse": (39, 114, 3),  # (36, 64, 3) before membership
+        "raft-fine": (42, 123, 0),  # (36, 66, 0)
+        "mSpec-1": (108, 276, 3),  # (102, 234, 3)
+        "mSpec-2": (120, 300, 3),  # (114, 258, 3)
+        "mSpec-3": (132, 330, 3),  # (126, 288, 3)
         "SysSpec": (141, 369, 0),  # (135, 330, 0)
-        "mSpec-1": (108, 276, 3),
-        "mSpec-2": (120, 300, 3),
-        "mSpec-3": (132, 330, 3),
         "mSpec-4": (165, 423, 0),  # (159, 384, 0)
-        "zab-original": (66, 216, 27),
-        "zab-improved": (72, 258, 21),
-        "zab-epoch_first": (72, 252, 21),
+        "Zab-original": (66, 216, 27),
+        "Zab-improved": (72, 258, 21),
+        "Zab-epoch_first": (72, 252, 21),
     }
 
     #: (applier calls, expansions); before membership, constant
@@ -507,12 +417,12 @@ class TestPinnedCounts:
         "ZK-4394": (9_061, 2_227),
     }
 
-    @pytest.mark.parametrize("make", compositions())
-    def test_prefix_counts(self, make, request, monkeypatch):
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_prefix_counts(self, shape, monkeypatch):
         monkeypatch.setenv("REPRO_SPEC_CACHE_DIR", "off")
-        stats = CompiledSpec(make()).memo_stats()["guard_prefixes"]
-        name = request.node.callspec.id
-        assert (stats["with_prefix"], stats["atoms"], stats["dead"]) == self.PREFIXES[name]
+        spec = composed(shape)
+        stats = CompiledSpec(spec).memo_stats()["guard_prefixes"]
+        assert (stats["with_prefix"], stats["atoms"], stats["dead"]) == self.PREFIXES[spec.name]
 
     @pytest.mark.parametrize("run", sorted(CALLS))
     def test_applier_calls_per_expansion(self, run, monkeypatch):

@@ -9,7 +9,6 @@ judges enter there on a ``clone()`` of it.  Every test here holds that
 against a never-resuming reference: the same code with the cache lookup
 patched to miss, so every run replays from step 0 on a fresh ensemble."""
 
-import functools
 import json
 import threading
 import time
@@ -22,7 +21,6 @@ from repro.remix.campaign import CampaignJob, run_campaign, run_cell
 from repro.remix.mapping import ActionMapping, MappedAction
 from repro.remix.minimize import (
     DIRECTION_TABLE,
-    reducible_min_traces,
     replay_min_trace,
 )
 from repro.remix.registry import system_plugin
@@ -214,16 +212,12 @@ def test_a_divergent_prefix_is_a_negative_entry(monkeypatch):
 # ------------------------------------------------- who never consults it
 
 
-@functools.lru_cache(maxsize=None)
-def shrunk_report(system):
-    return run_campaign(
-        CampaignRequest(system=system, seed=7, directions=DIRECTIONS, shrink=True)
-    ).to_json()
-
-
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_the_min_trace_checks_never_consult_the_cache(system, monkeypatch):
-    report = shrunk_report(system)
+def test_the_min_trace_checks_never_consult_the_cache(system, monkeypatch, campaign_json):
+    # test_shrink_resume.py's reducible_min_traces replays through replay_min_trace
+    report = campaign_json(
+        CampaignRequest(system=system, seed=7, directions=DIRECTIONS, shrink=True)
+    )
     consulted = []
     real = minimize.cached_resume_point
 
@@ -236,7 +230,6 @@ def test_the_min_trace_checks_never_consult_the_cache(system, monkeypatch):
     assert all(
         replay_min_trace(finding, config, system) for finding in report["findings"]
     )
-    assert reducible_min_traces(report) == []
     assert consulted == []
 
 

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.checker.backends.sockets import SocketBackend
 from repro.remix import registry, spec_cache
 from repro.remix.campaign import clean_degraded, run_campaign
 from repro.remix.request import CampaignRequest
@@ -446,6 +447,29 @@ class TestCampaignServer:
         while bands(server):  # closed right after the client's EOF
             assert time.monotonic() < patience
             time.sleep(0.05)
+
+    def test_every_stop_returns_after_the_idle_bands_are_closed(self, monkeypatch):
+        # On Ctrl-C the main thread and the accept loop both call stop(): the
+        # one not closing the idle band must wait too, or serve exits mid-reap.
+        server = CampaignServer(heartbeat=0.0)
+        server.start()
+        served_report(server.address, 7)
+        (band,) = bands(server)
+        close = SocketBackend.close
+        monkeypatch.setattr(SocketBackend, "close", lambda b: (time.sleep(0.5), close(b)))
+        seen = []
+
+        def stop():
+            server.stop()
+            seen.append(all(gone(pid) for pid in band["pids"]))
+
+        stoppers = [threading.Thread(target=stop) for _ in range(2)]
+        for thread in stoppers:
+            thread.start()
+        for thread in stoppers:
+            thread.join(timeout=30)
+        server.serve_forever()
+        assert seen == [True, True]
 
     def test_no_worker_outlives_a_stopped_server(self):
         server = CampaignServer(heartbeat=0.0)

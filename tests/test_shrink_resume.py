@@ -240,12 +240,12 @@ def test_resumed_shrink_equals_from_scratch(system, seed, monkeypatch):
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_min_traces_are_one_minimal(system):
+def test_min_traces_are_one_minimal(system, campaign_json):
     """The loop's documented guarantee, judged from scratch: no single
     label of any ``min_trace`` can be deleted."""
-    report = run_campaign(
+    report = campaign_json(
         CampaignRequest(system=system, seed=7, directions=DIRECTIONS, shrink=True)
-    ).to_json()
+    )
     deletions = sum(
         len(finding["min_trace"]["labels"]) for finding in report["findings"]
     )

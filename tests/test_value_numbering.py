@@ -17,7 +17,6 @@ import random
 import struct
 import sys
 import threading
-from functools import partial
 
 import pytest
 
@@ -34,10 +33,8 @@ from repro.tla.spec import Invariant, Specification
 from repro.tla.state import Schema, State
 from repro.tla.values import Rec
 
-from repro.zookeeper.specs import SELECTIONS, build_spec
-
-from test_engine import PINNED, SMALL
-from test_guards import compositions
+from shipped import SHAPES, shape_id
+from test_engine import PINNED
 from test_kernels import counter_spec, run_sig
 
 SEEDS = (7, 1007, 3, 42, 99)
@@ -148,12 +145,15 @@ class TestEncodeDecode:
 
 
 class TestSameAnswers:
-    @pytest.mark.parametrize("make", compositions())
-    def test_kernel_equals_reference_on_codes(self, make):
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_kernel_equals_reference_on_codes(self, shape):
         # debug=True asserts kernel == reference on every expanded row,
         # comparing the two sides' code rows directly.
-        checked = ExplorationEngine(make(), "dfs", debug=True, max_states=600, max_depth=30)
-        reference = ExplorationEngine(make(), "dfs", reference=True, max_states=600, max_depth=30)
+        budget = dict(max_states=600, max_depth=30)
+        spec, mask = shape.make()
+        checked = ExplorationEngine(spec, "dfs", mask=mask, debug=True, **budget)
+        spec, mask = shape.make()
+        reference = ExplorationEngine(spec, "dfs", mask=mask, reference=True, **budget)
         assert run_sig(checked.run()) == run_sig(reference.run())
         assert table_defects(checked.core) == []
         assert sharing_defects(checked.core) == []
@@ -223,16 +223,13 @@ class TestSameAnswers:
             assert walked.final == state
 
 
-def bfs_specs():
-    raft = system_plugin("raft")
-    yield pytest.param(partial(raft.make_spec, "raft-fine", raft.default_config()), id="raft-fine")
-    yield pytest.param(partial(build_spec, "mSpec-3", SELECTIONS["mSpec-3"], SMALL), id="mSpec-3")
+BFS_SHAPES = [shape for shape in SHAPES if shape.id in ("raft-raft-fine", "mSpec-3")]
 
 
 class TestSharedOutcomes:
-    @pytest.mark.parametrize("make", bfs_specs())
-    def test_memo_entries_hold_shared_pairs_and_idle_outcomes(self, make):
-        engine = ExplorationEngine(make(), max_states=12_000, stop_at_first=False)
+    @pytest.mark.parametrize("shape", BFS_SHAPES, ids=shape_id)
+    def test_memo_entries_hold_shared_pairs_and_idle_outcomes(self, shape):
+        engine = ExplorationEngine(shape.make()[0], max_states=12_000, stop_at_first=False)
         engine.run()
         core = engine.core
         assert sharing_defects(core) == []
@@ -251,9 +248,9 @@ class TestSharedOutcomes:
         assert 0 < len(core.idle_outcomes) < len(idle)
         assert all(core.idle_outcomes[gd] == (gd,) for gd in core.idle_outcomes)
 
-    @pytest.mark.parametrize("make", bfs_specs())
-    def test_stats_count_each_shared_object_once(self, make):
-        engine = ExplorationEngine(make(), max_states=6_000, stop_at_first=False)
+    @pytest.mark.parametrize("shape", BFS_SHAPES, ids=shape_id)
+    def test_stats_count_each_shared_object_once(self, shape):
+        engine = ExplorationEngine(shape.make()[0], max_states=6_000, stop_at_first=False)
         engine.run()
         rows = engine.core.memo_stats()["outcome_groups"]
         # every key bench/passes.py reads stays
