@@ -189,17 +189,25 @@ def request_from_args(args):
 def _load_request(source: str):
     """Read a serialized ``CampaignRequest`` from a file (``-`` =
     stdin): the bare request JSON or a server envelope
-    (:func:`~repro.remix.request.from_envelope`)."""
+    (:func:`~repro.remix.request.from_envelope`).  A file that cannot be
+    read or is not JSON is a ``RequestError`` that names it."""
     import json
 
-    from repro.remix.request import from_envelope
+    from repro.remix.request import RequestError, from_envelope
 
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
-    return from_envelope(json.loads(text))
+    where = "stdin" if source == "-" else source
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source) as fh:
+                text = fh.read()
+        data = json.loads(text)
+    except OSError as error:
+        raise RequestError(f"--request {where}: {error.strerror or error}") from error
+    except ValueError as error:
+        raise RequestError(f"--request {where}: {error}") from error
+    return from_envelope(data)
 
 
 def cmd_campaign(args) -> int:
@@ -215,7 +223,7 @@ def cmd_campaign(args) -> int:
             if args.request
             else request_from_args(args)
         )
-    except (RequestError, KeyError, ValueError, OSError) as error:
+    except (RequestError, KeyError, ValueError) as error:
         message = error.args[0] if error.args else str(error)
         print(f"campaign: {message}", file=sys.stderr)
         return 2
@@ -408,7 +416,7 @@ def cmd_client(args) -> int:
 
     try:
         request = _load_request(args.request)
-    except (RequestError, ValueError, OSError) as error:
+    except (RequestError, ValueError) as error:
         message = error.args[0] if error.args else str(error)
         print(f"client: {message}", file=sys.stderr)
         return 2

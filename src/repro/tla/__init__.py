@@ -15,8 +15,6 @@ from repro.tla.values import (
     last_zxid,
     seq,
     seq_append,
-    seq_concat,
-    seq_head,
     seq_tail,
     updated,
 )
@@ -59,8 +57,6 @@ __all__ = [
     "preserved_variables",
     "seq",
     "seq_append",
-    "seq_concat",
-    "seq_head",
     "seq_tail",
     "traces_equivalent_for",
     "updated",

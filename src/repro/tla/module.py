@@ -43,9 +43,6 @@ class Module:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def action_names(self) -> List[str]:
-        return [a.name for a in self.actions]
-
     def reads(self) -> FrozenSet[str]:
         """Union of the enabling-condition variables of all actions."""
         out: Set[str] = set()

@@ -146,18 +146,10 @@ class Specification:
             if nxt is not None and nxt.values != state.values:
                 yield inst.label, nxt
 
-    def enabled_labels(self, state: State) -> List[ActionLabel]:
-        return [label for label, _ in self.successors(state)]
-
     def within_constraint(self, state: State) -> bool:
         if self.constraint is None:
             return True
         return bool(self.constraint(self.config, state))
-
-    def violated_invariants(self, state: State) -> List[Invariant]:
-        return [
-            inv for inv in self.invariants if not inv.holds(self.config, state)
-        ]
 
     def replay(self, labels: Iterable[ActionLabel], initial: State) -> List[State]:
         """Deterministically re-execute a trace of labels from an initial

@@ -17,7 +17,7 @@ specifications use:
 from __future__ import annotations
 
 from collections.abc import ItemsView, KeysView, Mapping, ValuesView
-from typing import Any, Dict, Iterable, NamedTuple, Tuple
+from typing import Any, Dict, NamedTuple, Tuple
 
 
 #: Names a record field may not take, besides ``_...`` ones: :class:`Rec`'s
@@ -194,16 +194,6 @@ def seq(*items: Any) -> Tuple:
 def seq_append(sequence: Tuple, item: Any) -> Tuple:
     """``Append(seq, item)``."""
     return sequence + (item,)
-
-def seq_concat(left: Tuple, right: Iterable) -> Tuple:
-    """``left \\o right``."""
-    return left + tuple(right)
-
-
-def seq_head(sequence: Tuple) -> Any:
-    """``Head(seq)``; raises IndexError on the empty sequence."""
-    return sequence[0]
-
 
 def seq_tail(sequence: Tuple) -> Tuple:
     """``Tail(seq)``."""

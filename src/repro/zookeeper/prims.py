@@ -113,10 +113,6 @@ def vote_of(state, i: int) -> Tuple[int, Zxid, int]:
     return (state["current_epoch"][i], last_zxid(state["history"][i]), i)
 
 
-def max_vote_holder(state, members: Iterable[int]) -> int:
-    return max(members, key=lambda i: vote_of(state, i))
-
-
 # --- commit / delivery ghosts ------------------------------------------------
 
 def deliver(g_delivered, server: int, txns: Iterable[Txn]):
@@ -208,15 +204,6 @@ def index_of_zxid(history: Tuple[Txn, ...], zxid: Zxid) -> int:
         if txn.zxid == zxid:
             return k
     return -1
-
-
-def common_prefix_len(left: Tuple[Txn, ...], right: Tuple[Txn, ...]) -> int:
-    n = 0
-    for a, b in zip(left, right):
-        if a != b:
-            break
-        n += 1
-    return n
 
 
 class QEntry(NamedTuple):

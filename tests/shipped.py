@@ -7,6 +7,7 @@ As a script (``src`` and ``tests`` on the path), the other interpreter
 of ``tests/test_compile_bundle.py``: one JSON ``[kind, name, directory]``
 job a stdin line, every :func:`answer` as one JSON document at EOF."""
 
+import hashlib
 import json
 import sys
 import traceback
@@ -23,8 +24,7 @@ from repro.zab.protocol import VARIANTS, ZabConfig, zab_spec
 from repro.zookeeper import ZkConfig, zk4394_mask
 from repro.zookeeper.specs import SELECTIONS, build_spec, hunt_spec
 
-from test_engine import SMALL
-from test_kernels import run_sig
+from conftest import SMALL, run_sig
 
 
 class Shape(NamedTuple):
@@ -52,7 +52,7 @@ def _shapes():
             shapes.append(Shape(f"zookeeper-{name}", make, None))
         shapes.append(Shape(name, partial(_with, None, build_spec, name, selection, SMALL), 2_500))
         # each budget is the largest any earlier copy of its proof used
-        states = 2_500 if name in ("SysSpec", "mSpec-3") else 2_000
+        states = {"SysSpec": 2_500, "mSpec-3": 4_000, "mSpec-2": 4_000}.get(name, 2_000)
         make = partial(_with, zk4394_mask, build_spec, name, selection, SMALL)
         shapes.append(Shape(f"{name}-masked", make, states))
     for variant in VARIANTS:
@@ -88,7 +88,8 @@ def compiled(shape):
 
 
 def bfs(shape, **pin):
-    """BFS to the shape's debug budget: ``(engine, run_sig)``."""
+    """BFS to the shape's debug budget, every violation recorded:
+    ``(engine, run_sig)``."""
     spec, mask = shape.make()
     engine = ExplorationEngine(spec, mask=mask, max_states=shape.states, stop_at_first=False, **pin)
     return engine, run_sig(engine.run())
@@ -103,6 +104,28 @@ def debug_pass(shape):
         engine, sig = bfs(shape, debug=True)
     stats = engine.core.memo_stats()
     return [sig, engine.core.compile, stats["compile"], stats["guard_prefixes"]["with_prefix"]]
+
+
+def label_digest(labels):
+    """sha256 prefix of a counterexample's labels joined by newlines."""
+    return hashlib.sha256("\n".join(str(label) for label in labels).encode()).hexdigest()[:16]
+
+
+#: BFS on every ``HUNTS`` row, as the engine read when a level was a list
+#: of ``(fp, codes, known)`` tuples: (states, transitions, depth,
+#: counterexample length, :func:`label_digest`).
+#: The ZooKeeper specs have 135 action instances, so their levels keep
+#: the known-disabled masks in a list.  ``tests/test_bugs.py``'s one
+#: Table 4 hunt per row and the ``check`` rows of
+#: ``tests/test_compile_bundle.py`` hold these.
+BFS_HUNTS = {
+    "ZK-3023": (17940, 36546, 23, 23, "4f69e0bab3870730"),
+    "ZK-4394": (2681, 4782, 13, 13, "183eeb480eb8c26e"),
+    "ZK-4643": (105544, 216751, 25, 25, "31a45c0b9a703f38"),
+    "ZK-4646": (107414, 243999, 24, 24, "ad0b287349ec5008"),
+    "ZK-4685": (4881, 9853, 14, 14, "e3b0de43117a4d5d"),
+    "ZK-4712": (52454, 115978, 22, 22, "b52a23218a7e3fe1"),
+}
 
 
 def check_run(name):

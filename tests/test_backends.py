@@ -3,7 +3,6 @@ band and the TCP band (and both bands under chaos), the ``close()``
 escalation ladder, and the acceptance bar -- socket and fork campaigns
 are bitwise-identical at a fixed seed."""
 
-import json
 import os
 import time
 
@@ -21,6 +20,8 @@ from repro.checker.backends.supervision import SupervisionPolicy, TaskSupervisor
 from repro.checker.backends.testing import chaos_backend
 from repro.remix.campaign import run_campaign
 from repro.remix.request import CampaignRequest
+
+from conftest import report_bytes
 
 ECHO = "repro.checker.backends.testing:echo"
 ADD_ONE = "repro.checker.backends.testing:add_one"
@@ -368,12 +369,6 @@ class TestBackendIdentity:
         shrink=True,
     )
 
-    @staticmethod
-    def report_bytes(request, **how):
-        data = run_campaign(request, **how).to_json()
-        data["campaign"].pop("elapsed_seconds", None)
-        return json.dumps(data, sort_keys=True)
-
     @pytest.mark.parametrize("kind", KINDS)
     def test_lent_backend_gives_the_same_report_and_stays_open(
         self, make_backend, kind, tmp_path, monkeypatch
@@ -388,7 +383,7 @@ class TestBackendIdentity:
             **{**self.KW, "workers": 1 if kind == "inline" else 2},
             backend="socket" if kind == "socket" else "fork",
         )
-        expected = self.report_bytes(request)
+        expected = report_bytes(run_campaign(request))
         lent = make_backend(kind, TASK_HANDLER)
         lenders_supervisor = lent.supervisor
         closed = []
@@ -400,16 +395,16 @@ class TestBackendIdentity:
             journal_close(journal)
 
         monkeypatch.setattr(CampaignJournal, "close", spy)
-        assert self.report_bytes(request, backend=lent) == expected
+        assert report_bytes(run_campaign(request, backend=lent)) == expected
         assert closed == []
         assert lent.supervisor is lenders_supervisor
-        journaled = self.report_bytes(
-            request, backend=lent, journal_dir=str(tmp_path)
+        journaled = report_bytes(
+            run_campaign(request, backend=lent, journal_dir=str(tmp_path))
         )
         assert journaled == expected
         assert closed == ["journal"]
         # still open: the lent backend maps a third campaign
-        assert self.report_bytes(request, backend=lent) == expected
+        assert report_bytes(run_campaign(request, backend=lent)) == expected
         monkeypatch.undo()  # let the fixture really close it
 
     @pytest.mark.parametrize(
@@ -427,9 +422,5 @@ class TestBackendIdentity:
         # the default matrix's fork run is test_campaign's workers=2 run
         fork = campaign_json(CampaignRequest(**kw, backend="fork"))
         sock = campaign_json(CampaignRequest(**kw, backend="socket"))
-        for data in (fork, sock):
-            data["campaign"].pop("elapsed_seconds", None)
-        assert json.dumps(fork, sort_keys=True) == json.dumps(
-            sock, sort_keys=True
-        )
+        assert report_bytes(fork) == report_bytes(sock)
         assert fork["totals"]["distinct_findings"] > 0

@@ -20,7 +20,7 @@ from repro.zookeeper import (
 )
 from repro.zookeeper.specs import FIXES, HUNTS, hunt_spec
 
-from test_engine import BFS_HUNTS, label_digest
+from shipped import BFS_HUNTS, label_digest
 
 
 #: What each hunt's counterexample shows beyond its invariant:

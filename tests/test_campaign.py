@@ -26,15 +26,12 @@ from repro.zookeeper import make_spec
 from repro.zookeeper.faults import FaultSchedule, fault_schedule, fault_schedules
 from repro.zookeeper.scenarios import SCENARIO_PREFIXES, Scenario, scenario_prefix
 
+from conftest import report_bytes
+
+pytestmark = pytest.mark.usefixtures("fresh_cache")
+
 PLUGIN = system_plugin("zookeeper")
 campaign_config = PLUGIN.campaign_config
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    spec_cache.clear()
-    yield
-    spec_cache.clear()
 
 
 def small_request(**overrides):
@@ -368,12 +365,10 @@ class TestDiskCache:
         # Cache on == cache off: every grain of both plugins, both
         # directions, shrink on -- reports byte-equal off, cold and warm.
         def report(system):
-            payload = run_campaign(small_request(
+            return report_bytes(run_campaign(small_request(
                 system=system, grains=None, scenarios=None, faults=None,
                 max_steps=4, directions=("topdown", "bottomup"), shrink=True,
-            )).to_json()
-            payload["campaign"].pop("elapsed_seconds", None)
-            return json.dumps(payload, sort_keys=True)
+            )))
 
         for system in ("zookeeper", "raft"):
             spec_cache.set_disk_cache_dir("off")

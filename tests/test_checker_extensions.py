@@ -1,4 +1,4 @@
-"""Tests for the checker extensions: DFS, coverage and pretty-printing."""
+"""Tests for the checker extensions: coverage and pretty-printing."""
 
 import pytest
 
@@ -8,82 +8,13 @@ from repro.checker import (
     format_trace,
     measure_coverage,
 )
-from repro.tla.action import Action
-from repro.tla.module import Module
-from repro.tla.spec import Invariant, Specification
-from repro.tla.state import Schema, State
+from repro.tla.state import State
 
-SCHEMA = Schema(("x", "y"))
-
-
-def counter_spec(max_x=4, y_bound=2, roots=1):
-    def inc_x(config, state):
-        if state.x >= max_x:
-            return None
-        return {"x": state.x + 1}
-
-    def inc_y(config, state):
-        if state.y >= state.x:
-            return None
-        return {"y": state.y + 1}
-
-    def noop_z(config, state):
-        return None  # never enabled: coverage must flag it
-
-    module = Module(
-        "counter",
-        [
-            Action("IncX", inc_x, reads=["x"], writes=["x"]),
-            Action("IncY", inc_y, reads=["x", "y"], writes=["y"]),
-            Action("NeverFires", noop_z, reads=["x"], writes=["x"]),
-        ],
-    )
-    return Specification(
-        "counter",
-        SCHEMA,
-        lambda cfg: [State.make(SCHEMA, x=x, y=0) for x in range(roots)],
-        [module],
-        [Invariant("I-1", "y bounded", lambda cfg, s: s.y <= y_bound)],
-        None,
-    )
-
-
-class TestDFS:
-    def test_finds_a_violation(self):
-        result = explore(counter_spec(), strategy="dfs", max_depth=20)
-        assert result.found_violation
-        assert result.first_violation.trace.final.y == 3
-
-    def test_trace_replays(self):
-        spec = counter_spec()
-        result = explore(spec, strategy="dfs", max_depth=20)
-        trace = result.first_violation.trace
-        states = spec.replay(trace.labels, trace.initial)
-        assert states[-1] == trace.final
-
-    def test_completes_clean_space(self):
-        result = explore(
-            counter_spec(max_x=2, y_bound=9), strategy="dfs", max_depth=20
-        )
-        assert result.completed and not result.found_violation
-
-    def test_depth_bound_blocks_deep_violation(self):
-        result = explore(counter_spec(), strategy="dfs", max_depth=4)
-        assert not result.found_violation
-
-    def test_budget(self):
-        result = explore(
-            counter_spec(max_x=100, y_bound=99),
-            strategy="dfs",
-            max_depth=300,
-            max_states=20,
-        )
-        assert result.budget_exhausted == "max_states"
-
+from conftest import SCHEMA, counter_spec
 
 class TestCoverage:
     def test_counts_and_unfired(self):
-        report = measure_coverage(counter_spec(y_bound=99))
+        report = measure_coverage(counter_spec(y_bound=99, never_fires=True))
         assert report.fired["IncX"] > 0
         assert report.fired["IncY"] > 0
         assert report.unfired() == ["NeverFires"]
@@ -93,15 +24,17 @@ class TestCoverage:
     def test_reports_at_most_max_states(self, roots, max_states):
         # The engine's BFS rule, initial states included: the run stops
         # at the state that reaches the budget.
-        spec = counter_spec(y_bound=99, roots=roots)
-        report = measure_coverage(spec, max_states=max_states)
+        def spec():
+            return counter_spec(y_bound=99, roots=roots, never_fires=True)
+
+        report = measure_coverage(spec(), max_states=max_states)
         assert report.states_explored == max_states
         assert not report.complete
-        bfs = explore(counter_spec(y_bound=99, roots=roots), max_states=max_states)
+        bfs = explore(spec(), max_states=max_states)
         assert bfs.states_explored == max_states
 
     def test_summary_mentions_unfired(self):
-        report = measure_coverage(counter_spec(y_bound=99))
+        report = measure_coverage(counter_spec(y_bound=99, never_fires=True))
         assert "UNFIRED: NeverFires" in report.summary()
 
     def test_zookeeper_mspec1_full_coverage(self):

@@ -222,6 +222,77 @@ class TestRequestEnvelope:
         assert out == "" and complaint in err
 
 
+@pytest.mark.parametrize("command", ["campaign", "client"])
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_text("{not json"), "Expecting property name"),
+    ],
+    ids=["missing", "directory", "not-json"],
+)
+def test_an_unreadable_request_file_is_named(command, make, reason, tmp_path, capsys):
+    # The OSError's errno ("campaign: 2") or a bare decoder message
+    # named neither the file nor what was wrong with it.
+    path = tmp_path / "request.json"
+    make(path)
+    argv = ["--port", "1"] if command == "client" else []
+    assert main([command, *argv, "--request", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{command}: --request {path}: {reason}")
+
+
+class TestClientExit:
+    """``repro client`` exits 0 only when the stream ends in a report;
+    a stub listener thread plays the server."""
+
+    @staticmethod
+    def listener(events):
+        """A one-connection server that reads the request line, answers
+        ``events`` one JSON line each and hangs up: its port."""
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            with server:
+                conn, _ = server.accept()
+                with conn, conn.makefile("r") as stream:
+                    assert "request" in json.loads(stream.readline())
+                    conn.sendall("".join(json.dumps(e) + "\n" for e in events).encode())
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        return server.getsockname()[1], thread
+
+    @pytest.mark.parametrize(
+        "events, code",
+        [
+            ([{"event": "cell_done"}, {"event": "report", "report": {}}], 0),
+            ([{"event": "cell_done"}, {"event": "error", "error": "boom"}], 1),
+            ([{"event": "cell_done"}], 1),
+        ],
+        ids=["report", "error", "no-report"],
+    )
+    def test_exit_follows_the_stream(self, events, code, tmp_path, capsys):
+        request = tmp_path / "request.json"
+        request.write_text(json.dumps({"grains": ["mSpec-1"]}))
+        port, thread = self.listener(events)
+        assert main(["client", "--port", str(port), "--request", str(request)]) == code
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        out = capsys.readouterr().out
+        assert [json.loads(line) for line in out.splitlines()] == events
+
+    def test_nothing_listening_exits_2(self, tmp_path, capsys):
+        request = tmp_path / "request.json"
+        request.write_text(json.dumps({"grains": ["mSpec-1"]}))
+        with socket.create_server(("127.0.0.1", 0)) as closed:
+            port = closed.getsockname()[1]
+        assert main(["client", "--port", str(port), "--request", str(request)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"client: 127.0.0.1:{port}: ")
+
+
 class TestCommands:
     def test_check_finds_zk4394(self, capsys):
         code = main(

@@ -5,7 +5,6 @@ rejected candidate move that cursor.  (The explorer no longer clones:
 ``tests/test_refusal.py``.)"""
 
 import copy
-import json
 
 import pytest
 
@@ -18,6 +17,8 @@ from repro.remix.registry import system_plugin
 from repro.remix.request import CampaignRequest
 from repro.remix.spec_cache import cached_mapping, cached_prefix, cached_spec
 from repro.system.plugin import ScenarioError
+
+from conftest import report_bytes
 
 SYSTEMS = ("zookeeper", "raft")
 
@@ -128,23 +129,13 @@ class TestCloneMatchesDeepcopyReference:
         [("zookeeper", Ensemble), ("raft", RaftEnsemble)],
     )
     def test_bottomup_campaign_is_byte_identical(
-        self, system, ensemble_cls, monkeypatch
+        self, system, ensemble_cls, monkeypatch, campaign_json
     ):
         """``copy.deepcopy`` is the reference ``clone()``: swapping it
         in must not move one byte of a bottom-up campaign report."""
-
-        def report():
-            document = run_campaign(
-                CampaignRequest(
-                    system=system, seed=7, directions=("bottomup",),
-                    shrink=True,
-                )
-            ).to_json()
-            document["campaign"].pop("elapsed_seconds")
-            return json.dumps(document, sort_keys=True)
-
-        fast = report()
+        request = CampaignRequest(system=system, seed=7, directions=("bottomup",), shrink=True)
+        fast = campaign_json(request)
         monkeypatch.setattr(
             ensemble_cls, "clone", lambda self: copy.deepcopy(self)
         )
-        assert report() == fast
+        assert report_bytes(run_campaign(request)) == report_bytes(fast)

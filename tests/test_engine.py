@@ -2,7 +2,6 @@
 kernel-vs-reference-expander differential (guard, outcome and invariant
 memoization soundness) and budgets."""
 
-import hashlib
 import pickle
 import random
 import warnings
@@ -26,13 +25,13 @@ from repro.tla.state import Schema, State
 from repro.tla.values import Rec, Txn, Zxid
 from repro.zookeeper import ZkConfig, make_spec, zk4394_mask
 
-SCHEMA = Schema(("x", "y"))
-
-SMALL = ZkConfig(max_txns=1, max_crashes=1, max_partitions=0, max_epoch=3)
+from conftest import SCHEMA, SMALL, counter_spec, lying_spec, run_sig
+from shipped import label_digest
 
 #: ``mSpec-1`` at ``SMALL`` to 3 000 states, with and without the ZK-4394
 #: mask: (states, transitions, max_depth, violations) per (strategy,
-#: masked).  The answers every engine change is held to
+#: masked), each violation its invariant and counterexample length.  The
+#: answers every engine change is held to
 #: (``TestCompiledKernelLane.test_kernel_matches_reference_matrix`` runs
 #: them).
 PINNED = {
@@ -41,35 +40,6 @@ PINNED = {
     ("bfs", False): (2681, 4782, 13, [("I-14/COMMIT_UNMATCHED_IN_SYNC", 13)]),
     ("dfs", False): (29, 54, 17, [("I-14/COMMIT_UNMATCHED_IN_SYNC", 16)]),
 }
-
-
-def counter_spec(max_x=4, y_bound=2, constraint=None, roots=1):
-    def inc_x(config, state):
-        if state.x >= max_x:
-            return None
-        return {"x": state.x + 1}
-
-    def inc_y(config, state):
-        if state.y >= state.x:
-            return None
-        return {"y": state.y + 1}
-
-    module = Module(
-        "counter",
-        [
-            Action("IncX", inc_x, reads=["x"], writes=["x"]),
-            Action("IncY", inc_y, reads=["x", "y"], writes=["y"]),
-        ],
-    )
-    return Specification(
-        "counter",
-        SCHEMA,
-        lambda cfg: [State.make(SCHEMA, x=x, y=0) for x in range(roots)],
-        [module],
-        [Invariant("I-1", "y bounded", lambda cfg, s: s.y <= y_bound)],
-        None,
-        constraint=constraint,
-    )
 
 
 class TestFingerprinter:
@@ -131,23 +101,25 @@ class TestFingerprinter:
 
 
 class TestEngineBFS:
-    def test_complete_space_counts_exactly(self):
-        result = explore(counter_spec(max_x=2, y_bound=5), strategy="bfs")
-        assert result.completed
+    @pytest.mark.parametrize(
+        "strategy, budget", [("bfs", {}), ("dfs", {"max_depth": 20})], ids=STRATEGIES
+    )
+    def test_complete_space_counts_exactly(self, strategy, budget):
+        result = explore(counter_spec(max_x=2, y_bound=5), strategy=strategy, **budget)
+        assert result.completed and not result.found_violation
+        # x in 0..2, y in 0..x: 1 + 2 + 3
         assert result.states_explored == 6
 
-    def test_incremental_guard_analysis_is_sound(self):
-        kernel_engine = ExplorationEngine(counter_spec(max_x=6, y_bound=3))
-        fast = kernel_engine.run()
-        assert kernel_engine.core.kernel is not None
-        slow = ExplorationEngine(
-            counter_spec(max_x=6, y_bound=3), reference=True
-        ).run()
-        assert fast.states_explored == slow.states_explored
-        assert fast.transitions == slow.transitions
-        assert [v.invariant.ident for v in fast.violations] == [
-            v.invariant.ident for v in slow.violations
-        ]
+    def test_mask_hides_and_prunes(self):
+        masked = explore(counter_spec(), mask=lambda s: s.y >= 3, stop_at_first=False)
+        assert not masked.found_violation
+        assert masked.completed
+
+    def test_constraint_bounds_exploration(self):
+        spec = counter_spec(max_x=50, y_bound=99, constraint=lambda cfg, s: s.x <= 2)
+        result = explore(spec)
+        assert result.completed
+        assert result.max_depth <= 6
 
     def test_undeclared_reads_are_never_pruned(self):
         # Regression: an action that omits its reads declaration (the
@@ -235,10 +207,33 @@ class TestEngineBFS:
 
 
 class TestEngineStrategies:
-    def test_dfs_finds_violation(self):
-        result = explore(counter_spec(), strategy="dfs", max_depth=20)
-        assert result.found_violation
-        assert result.first_violation.trace.final.y == 3
+    @pytest.mark.parametrize(
+        "strategy, budget", [("bfs", {}), ("dfs", {"max_depth": 20})], ids=STRATEGIES
+    )
+    def test_violation_trace_replays(self, strategy, budget):
+        spec = counter_spec()
+        result = explore(spec, strategy=strategy, **budget)
+        trace = result.first_violation.trace
+        assert trace.final.y == 3
+        assert spec.replay(trace.labels, trace.initial)[-1] == trace.final
+        assert "I-1" in result.summary()
+        if strategy == "bfs":
+            # minimal: x must reach 3 before y can (IncX*3 then IncY*3)
+            assert result.first_violation.depth == 6
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_violating_states_are_terminal(self, strategy):
+        # Every violation is recorded, all of I-1, and none is expanded:
+        # no state with y == 4 is reachable.
+        result = explore(
+            counter_spec(max_x=9, y_bound=2),
+            strategy=strategy,
+            stop_at_first=False,
+            violation_limit=10_000,
+        )
+        assert len(result.violations) > 1
+        assert result.violated_invariant_ids() == ["I-1"]
+        assert all(violation.trace.final.y == 3 for violation in result.violations)
 
     @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
     def test_a_depth_bounded_run_is_not_completed(self, strategy):
@@ -258,6 +253,8 @@ class TestEngineStrategies:
         assert deep_enough.states_explored == 28
         # A budget that stopped the run first is the one reported.
         assert run(max_depth=4, max_states=5).budget_exhausted == "max_states"
+        # The violation at depth 6 lies beyond the bound.
+        assert not explore(counter_spec(), strategy=strategy, max_depth=4).found_violation
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_violation_limit_is_honoured_by_every_strategy(self, strategy):
@@ -274,21 +271,6 @@ class TestEngineStrategies:
 
 
 class TestEngineOnZooKeeper:
-    def test_engine_matches_legacy_checker(self):
-        # The reference arm is the independent, memo-free enumeration the
-        # engine is held to; both arms share the budget semantics, so the
-        # comparison is exact.
-        budget = dict(max_states=4_000, max_time=120)
-        budget.update(mask=zk4394_mask)
-        kernel = explore(make_spec("mSpec-2", SMALL), **budget)
-        reference = explore(make_spec("mSpec-2", SMALL), reference=True, **budget)
-        assert kernel.states_explored == reference.states_explored == 4_000
-        assert kernel.transitions == reference.transitions
-        assert kernel.max_depth == reference.max_depth
-        assert [
-            (v.invariant.full_name, v.trace.labels) for v in kernel.violations
-        ] == [(v.invariant.full_name, v.trace.labels) for v in reference.violations]
-
     def test_fingerprint_dedup_matches_full_state_dedup(self):
         # A collision (or a fingerprint/equality mismatch) would make the
         # engine's fingerprint count drift from the number of distinct
@@ -314,21 +296,6 @@ class TestEngineOnZooKeeper:
             result = ExplorationEngine(spec, reference=reference).run()
             assert result.completed
             assert result.states_explored == len(values) == 1069
-
-    def test_invariant_memoization_is_sound_on_zk(self):
-        budget = dict(mask=zk4394_mask, max_states=4_000, max_time=120)
-        fast = explore(make_spec("mSpec-3", SMALL), **budget)
-        slow = explore(make_spec("mSpec-3", SMALL), reference=True, **budget)
-        assert fast.states_explored == slow.states_explored
-        assert fast.transitions == slow.transitions
-        assert [v.invariant.full_name for v in fast.violations] == [
-            v.invariant.full_name for v in slow.violations
-        ]
-
-
-def label_digest(labels):
-    """sha256 prefix of a counterexample's labels joined by newlines."""
-    return hashlib.sha256("\n".join(str(label) for label in labels).encode()).hexdigest()[:16]
 
 
 #: DFS on every ``HUNTS`` row (default depth bound 40), as the engine read
@@ -362,22 +329,6 @@ class TestLinks:
         assert violation.trace.states == spec.replay(
             violation.trace.labels, violation.trace.states[0]
         )
-
-
-#: BFS on every ``HUNTS`` row, as the engine read when a level was a list
-#: of ``(fp, codes, known)`` tuples: (states, transitions, depth,
-#: counterexample length, :func:`label_digest`).
-#: The ZooKeeper specs have 135 action instances, so their levels keep
-#: the known-disabled masks in a list.  ``tests/test_bugs.py``'s one
-#: Table 4 hunt per row holds these.
-BFS_HUNTS = {
-    "ZK-3023": (17940, 36546, 23, 23, "4f69e0bab3870730"),
-    "ZK-4394": (2681, 4782, 13, 13, "183eeb480eb8c26e"),
-    "ZK-4643": (105544, 216751, 25, 25, "31a45c0b9a703f38"),
-    "ZK-4646": (107414, 243999, 24, 24, "ad0b287349ec5008"),
-    "ZK-4685": (4881, 9853, 14, 14, "e3b0de43117a4d5d"),
-    "ZK-4712": (52454, 115978, 22, 22, "b52a23218a7e3fe1"),
-}
 
 
 def wide_slot_spec(n=70_000):
@@ -826,17 +777,6 @@ class TestCompiledKernelLane:
     transitions, same violations -- on random honest specs and on the
     real ZooKeeper specs."""
 
-    @staticmethod
-    def _sig(result):
-        return (
-            result.states_explored,
-            result.transitions,
-            result.max_depth,
-            sorted(
-                (v.invariant.full_name, len(v.trace)) for v in result.violations
-            ),
-        )
-
     def test_fuzzed_random_specs_identical(self, monkeypatch):
         # Every predicate shape -- mask and constraint absent, declared or
         # undeclared, invariants grouped or not -- through the batch sweep
@@ -858,15 +798,7 @@ class TestCompiledKernelLane:
             )
             result = engine.run()
             assert (engine.core.kernel is None) == options.get("reference", False)
-            return (
-                result.states_explored,
-                result.transitions,
-                result.max_depth,
-                [
-                    (v.invariant.full_name, [str(label) for label in v.trace.labels])
-                    for v in result.violations
-                ],
-            )
+            return run_sig(result)
 
         for seed in range(10):
             for strategy in STRATEGIES:
@@ -892,32 +824,8 @@ class TestCompiledKernelLane:
             result = ExplorationEngine(
                 spec, mask=mask, stop_at_first=False, max_states=2_000, reference=reference
             ).run()
-            got = (
-                result.states_explored,
-                result.transitions,
-                result.max_depth,
-                [
-                    (v.invariant.full_name, [str(label) for label in v.trace.labels])
-                    for v in result.violations
-                ],
-            )
-            assert got == masked_bfs(random_spec(seed), mask, 2_000), f"seed {seed}"
+            assert run_sig(result) == masked_bfs(random_spec(seed), mask, 2_000), f"seed {seed}"
         assert declared == {True, False}
-
-    @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
-    def test_zookeeper_compiled_identical(self, strategy):
-        sigs = {}
-        for reference in (False, True):
-            result = explore(
-                make_spec("mSpec-3", SMALL),
-                mask=zk4394_mask,
-                strategy=strategy,
-                max_states=2_000,
-                max_time=60,
-                reference=reference,
-            )
-            sigs[reference] = self._sig(result)
-        assert sigs[False] == sigs[True]
 
     @pytest.mark.parametrize("masked", [True, False])
     @pytest.mark.parametrize(
@@ -944,11 +852,11 @@ class TestCompiledKernelLane:
                 **budget,
             )
             assert result.budget_exhausted != "max_time"
-            sigs[reference] = self._sig(result) + (
-                [v.trace.labels for v in result.violations],
-            )
+            sigs[reference] = run_sig(result)
         assert sigs[False] == sigs[True]
-        assert sigs[True][:4] == PINNED[strategy, masked]
+        *counts, violations = sigs[True]
+        pinned = (*counts, [(name, len(labels)) for name, labels in violations])
+        assert pinned == PINNED[strategy, masked]
 
     @pytest.mark.parametrize("grain", ["mSpec-3", "mSpec-3-masked", "raft-fine"])
     def test_walk_matches_reference_walk(self, grain):
@@ -992,8 +900,6 @@ class TestCompiledKernelLane:
         # and cross-checks -- the kernel.  Every shipped composition is
         # trusted (tests/test_guards.py), so the example is a spec built
         # to lie.
-        from test_kernels import lying_spec
-
         with pytest.warns(RuntimeWarning, match="liar.*D01"):
             assert compiled_for(lying_spec()).kernel is None
         with warnings.catch_warnings():

@@ -15,12 +15,11 @@ from repro.tla import codegen, guards
 from repro.tla.guards import NO_PREFIX, Atom, Const, guard_prefix, render, variables
 from repro.tla.spec import masked
 from repro.tla.values import Rec
-from repro.zookeeper import zk4394_mask
 from repro.zookeeper.specs import FIXES, HUNTS, SELECTIONS, build_spec, hunt_spec
 
+from conftest import SMALL, counter_spec, lying_spec
 from shipped import SHAPES, composed, shape_id
-from test_engine import SMALL, random_spec
-from test_kernels import counter_spec, lying_spec, run_sig
+from test_engine import random_spec
 
 NAMES = ("x", "y", "z", "box")
 
@@ -276,22 +275,6 @@ class TestShippedCompositions:
         for action, prefix in zip(core.actions, core.guard_prefixes):
             for atom in prefix.atoms:
                 assert variables(atom) <= action.reads, (action.name, render(atom))
-
-    @pytest.mark.parametrize("masked", [False, True])
-    @pytest.mark.parametrize("strategy", engine_module.STRATEGIES)
-    def test_every_strategy_on_one_grain(self, strategy, masked):
-        sigs = []
-        for pin in ({"debug": True}, {"reference": True}):
-            spec = build_spec("mSpec-3", SELECTIONS["mSpec-3"], SMALL)
-            result = ExplorationEngine(
-                spec,
-                strategy,
-                mask=zk4394_mask if masked else None,
-                max_states=1_200,
-                **pin,
-            ).run()
-            sigs.append(run_sig(result) + ([v.trace.labels for v in result.violations],))
-        assert sigs[0] == sigs[1]
 
 
 class TestStructuralRule:

@@ -13,69 +13,9 @@ from repro.tla.action import Action
 from repro.tla.codegen import CODEGEN_VERSION, emit_kernel
 from repro.tla.module import Module
 from repro.tla.spec import Invariant, Specification, masked
-from repro.tla.state import Schema, State
+from repro.tla.state import State
 
-SCHEMA = Schema(("x", "y"))
-
-
-def counter_spec(max_x=4, y_bound=2, constraint=None, name="counter"):
-    def inc_x(config, state):
-        if state.x >= max_x:
-            return None
-        return {"x": state.x + 1}
-
-    def inc_y(config, state):
-        if state.y >= state.x:
-            return None
-        return {"y": state.y + 1}
-
-    module = Module(
-        "counter",
-        [
-            Action("IncX", inc_x, reads=["x"], writes=["x"]),
-            Action("IncY", inc_y, reads=["x", "y"], writes=["y"]),
-        ],
-    )
-    return Specification(
-        name,
-        SCHEMA,
-        lambda cfg: [State.make(SCHEMA, x=0, y=0)],
-        [module],
-        [Invariant("I-1", "y bounded", lambda cfg, s: s.y <= y_bound)],
-        None,
-        constraint=constraint,
-    )
-
-
-def lying_spec():
-    """IncY's guard reads ``x`` but declares only ``y`` -- an untruthful
-    dependency declaration that poisons memo/kernel entries."""
-
-    def inc_x(config, state):
-        if state.x >= 3:
-            return None
-        return {"x": state.x + 1}
-
-    def inc_y(config, state):
-        if state.y >= state.x:  # reads x, undeclared
-            return None
-        return {"y": state.y + 1}
-
-    module = Module(
-        "liar",
-        [
-            Action("IncX", inc_x, reads=["x"], writes=["x"]),
-            Action("IncY", inc_y, reads=["y"], writes=["y"]),
-        ],
-    )
-    return Specification(
-        "liar",
-        SCHEMA,
-        lambda cfg: [State.make(SCHEMA, x=0, y=0)],
-        [module],
-        [Invariant("I-1", "y bounded", lambda cfg, s: s.y <= 99)],
-        None,
-    )
+from conftest import SCHEMA, counter_spec, lying_spec, run_sig
 
 
 def inc_x(config, state):
@@ -148,17 +88,6 @@ def lying_toy(kind):
         constraint=sum_below_3 if kind == "constraint" else None,
     )
     return spec, sum_at_least_4 if kind == "mask" else None
-
-
-def run_sig(result):
-    return (
-        result.states_explored,
-        result.transitions,
-        result.max_depth,
-        sorted(
-            (v.invariant.full_name, len(v.trace)) for v in result.violations
-        ),
-    )
 
 
 class TestEmission:

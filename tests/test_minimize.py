@@ -22,10 +22,6 @@ from repro.remix.minimize import (
 from repro.remix.registry import system_plugin
 from repro.remix.request import CampaignRequest
 from repro.impl import Ensemble
-from repro.tla.action import Action
-from repro.tla.module import Module
-from repro.tla.spec import Invariant, Specification
-from repro.tla.state import Schema, State
 from repro.zookeeper import V391, make_spec
 from repro.zookeeper.mapping import mapping_for
 from repro.zookeeper.scenarios import Scenario
@@ -52,40 +48,6 @@ NPE_CAMPAIGN = dict(
 @pytest.fixture(scope="module")
 def npe_report():
     return run_campaign(CampaignRequest(**NPE_CAMPAIGN, shrink=True))
-
-
-# ------------------------------------- a toy spec for the shrinker tests
-
-
-SCHEMA = Schema(("x", "y"))
-
-
-def counter_spec(max_x=4, y_bound=2):
-    def inc_x(config, state):
-        if state.x >= max_x:
-            return None
-        return {"x": state.x + 1}
-
-    def inc_y(config, state):
-        if state.y >= state.x:
-            return None
-        return {"y": state.y + 1}
-
-    module = Module(
-        "counter",
-        [
-            Action("IncX", inc_x, reads=["x"], writes=["x"]),
-            Action("IncY", inc_y, reads=["x", "y"], writes=["y"]),
-        ],
-    )
-    return Specification(
-        "counter",
-        SCHEMA,
-        lambda cfg: [State.make(SCHEMA, x=0, y=0)],
-        [module],
-        [Invariant("I-1", "y bounded", lambda cfg, s: s.y <= y_bound)],
-        None,
-    )
 
 
 # -------------------------------------------------- campaign minimization

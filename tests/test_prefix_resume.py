@@ -9,7 +9,6 @@ judges enter there on a ``clone()`` of it.  Every test here holds that
 against a never-resuming reference: the same code with the cache lookup
 patched to miss, so every run replays from step 0 on a fresh ensemble."""
 
-import json
 import threading
 import time
 
@@ -28,32 +27,19 @@ from repro.remix.request import CampaignRequest
 from repro.remix.service import serve_request
 from repro.system.plugin import ScenarioError
 
+from conftest import report_bytes
+
 SYSTEMS = ("zookeeper", "raft")
 DIRECTIONS = ("topdown", "bottomup")
 SEEDS = (7, 1007, 3, 42, 99)
 
 
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    """Engines and resume points are process-wide: every test starts
-    and ends on an empty cache, so a patched mapping or compared tuple
-    cannot leak into another test."""
-    spec_cache.clear()
-    yield
-    spec_cache.clear()
+pytestmark = pytest.mark.usefixtures("fresh_cache")
 
 
 def never_resuming(monkeypatch):
     """The reference: the resume-point lookup always misses."""
     monkeypatch.setattr(minimize, "cached_resume_point", lambda *args: None)
-
-
-def report_bytes(system, seed):
-    report = run_campaign(
-        CampaignRequest(system=system, seed=seed, directions=DIRECTIONS, shrink=True)
-    ).to_json()
-    report["campaign"].pop("elapsed_seconds")
-    return json.dumps(report, sort_keys=True)
 
 
 def coordinates(system):
@@ -80,18 +66,18 @@ def coordinates(system):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_reports_equal_the_never_resuming_reference(system, seed, monkeypatch):
+def test_reports_equal_the_never_resuming_reference(system, seed, monkeypatch, campaign_json):
     """Both directions, every grain, shrink on: cells, findings and
     ``min_trace``s byte for byte."""
-    resumed = report_bytes(system, seed)
-    stats = spec_cache.stats()
+    request = CampaignRequest(system=system, seed=seed, directions=DIRECTIONS, shrink=True)
+    resumed, stats = campaign_json(request, stats=True)
     assert stats["resume_hits"] > stats["resume_misses"] > 0
     with monkeypatch.context() as patch:
         never_resuming(patch)
         spec_cache.clear()
-        reference = report_bytes(system, seed)
+        reference = run_campaign(request)
         assert spec_cache.stats()["resume_misses"] == 0
-    assert resumed == reference
+    assert report_bytes(resumed) == report_bytes(reference)
 
 
 @pytest.mark.parametrize("system", SYSTEMS)

@@ -19,11 +19,7 @@ from repro.remix.request import CampaignRequest
 from repro.system.plugin import SystemPlugin
 
 
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    spec_cache.clear()
-    yield
-    spec_cache.clear()
+pytestmark = pytest.mark.usefixtures("fresh_cache")
 
 
 def small_raft_request(**overrides):
@@ -135,9 +131,9 @@ class TestRaftCampaign:
             ),
         ],
     )
-    def test_raft_campaign_workers_identical(self, request_for):
-        seq = run_campaign(request_for(workers=1, shrink=True)).to_json()
-        par = run_campaign(request_for(workers=2, shrink=True)).to_json()
+    def test_raft_campaign_workers_identical(self, request_for, campaign_json):
+        seq = campaign_json(request_for(workers=1, shrink=True))
+        par = campaign_json(request_for(workers=2, shrink=True))
         for key in ("cells", "findings", "totals"):
             assert seq[key] == par[key], key
 

@@ -20,6 +20,8 @@ from repro.remix.request import (
     parse_budget,
 )
 
+from conftest import report_bytes
+
 #: A campaign small enough to run in every test that needs a report.
 TINY = dict(
     grains=("mSpec-1",),
@@ -29,12 +31,6 @@ TINY = dict(
     max_steps=4,
     seed=7,
 )
-
-
-def report_json(request):
-    data = run_campaign(request).to_json()
-    data["campaign"].pop("elapsed_seconds", None)
-    return data
 
 
 class TestNormalization:
@@ -170,7 +166,7 @@ class TestWireFormat:
     def test_round_tripped_request_reports_identically(self):
         request = CampaignRequest(**TINY)
         clone = CampaignRequest.from_json(request.to_json())
-        assert report_json(request) == report_json(clone)
+        assert report_bytes(run_campaign(request)) == report_bytes(run_campaign(clone))
 
     def test_from_json_tolerates_sparse_input(self):
         request = CampaignRequest.from_json({"grains": ["mSpec-1"]})

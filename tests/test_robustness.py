@@ -36,6 +36,8 @@ from repro.remix.journal import (
 )
 from repro.remix.request import CampaignRequest
 
+from conftest import report_bytes
+
 ADD_ONE = "repro.checker.backends.testing:add_one"
 
 #: A small but non-trivial campaign: two scenarios, a crash lane, both
@@ -50,13 +52,6 @@ CAMPAIGN_KW = dict(
     workers=2,
     directions=("topdown", "bottomup"),
 )
-
-
-def report_identity(report_json):
-    """The bitwise-comparison form of a report (elapsed time excluded --
-    the single legitimately non-deterministic field)."""
-    report_json["campaign"].pop("elapsed_seconds", None)
-    return json.dumps(report_json, sort_keys=True)
 
 
 class TestSupervisionPolicy:
@@ -270,9 +265,9 @@ class TestKillAndResume:
     """The tentpole acceptance bar: kill a journaled campaign at ~50%,
     resume, and get the uninterrupted report bit for bit."""
 
-    def _identity_after_kill(self, tmp_path, backend):
+    def _identity_after_kill(self, tmp_path, backend, campaign_json):
         request = CampaignRequest(**CAMPAIGN_KW, backend=backend)
-        clean = report_identity(run_campaign(request).to_json())
+        clean = report_bytes(campaign_json(request))
 
         journal_dir = str(tmp_path / backend)
         total = 2 * 2 * 2 * 2  # directions x scenarios x faults (x grains)
@@ -298,13 +293,13 @@ class TestKillAndResume:
             request, progress=watch, journal_dir=journal_dir, resume=True
         )
         assert replayed, "resume must replay journaled cells"
-        assert report_identity(resumed.to_json()) == clean
+        assert report_bytes(resumed) == clean
 
-    def test_fork_campaign_survives_kill(self, tmp_path):
-        self._identity_after_kill(tmp_path, "fork")
+    def test_fork_campaign_survives_kill(self, tmp_path, campaign_json):
+        self._identity_after_kill(tmp_path, "fork", campaign_json)
 
-    def test_socket_campaign_survives_kill(self, tmp_path):
-        self._identity_after_kill(tmp_path, "socket")
+    def test_socket_campaign_survives_kill(self, tmp_path, campaign_json):
+        self._identity_after_kill(tmp_path, "socket", campaign_json)
 
     def test_resume_without_journal_rejected(self):
         with pytest.raises(ValueError, match="journal"):
@@ -363,13 +358,11 @@ class TestChaosLane:
             finally:
                 backend.close()
 
-    def test_campaign_report_identical_under_chaos(self):
+    def test_campaign_report_identical_under_chaos(self, campaign_json):
         """The differential lane: a chaos campaign's findings and cells
         equal the clean run's; only ``degraded`` may differ, and it must
         tell the truth."""
-        clean = run_campaign(
-            CampaignRequest(**CAMPAIGN_KW, backend="fork")
-        ).to_json()
+        clean = campaign_json(CampaignRequest(**CAMPAIGN_KW, backend="fork"))
         chaos = run_campaign(
             # generous retry budget: injected faults must be retried
             # through, not quarantined into missing cells
@@ -378,7 +371,7 @@ class TestChaosLane:
         degraded = chaos.pop("degraded")
         clean_degraded_section = clean.pop("degraded")
         assert clean_degraded_section == clean_degraded()
-        assert report_identity(chaos) == report_identity(clean)
+        assert report_bytes(chaos) == report_bytes(clean)
         # truthfulness: the supervision half is reported verbatim and
         # nothing was quarantined away (every injected fault was retried
         # through; the matching clean report proves it)
@@ -390,7 +383,7 @@ class TestChaosLane:
         assert degraded["quarantined_cells"] == []
         assert degraded["skipped_cells"] == []
 
-    def test_campaign_report_identical_under_chaos_over_fork(self, monkeypatch):
+    def test_campaign_report_identical_under_chaos_over_fork(self, monkeypatch, campaign_json):
         """The same decorator over the pipe band: composed in Python
         (``--backend chaos`` keeps meaning TCP), same differential."""
         from repro.remix import campaign as campaign_module
@@ -409,16 +402,14 @@ class TestChaosLane:
             )
             return built[-1]
 
-        clean = run_campaign(
-            CampaignRequest(**CAMPAIGN_KW, backend="fork")
-        ).to_json()
+        clean = campaign_json(CampaignRequest(**CAMPAIGN_KW, backend="fork"))
         monkeypatch.setattr(campaign_module, "create_backend", chaos_over_fork)
         chaos = run_campaign(
             CampaignRequest(**CAMPAIGN_KW, backend="fork", task_retries=100)
         ).to_json()
         degraded = chaos.pop("degraded")
         assert clean.pop("degraded") == clean_degraded()
-        assert report_identity(chaos) == report_identity(clean)
+        assert report_bytes(chaos) == report_bytes(clean)
         # truthfulness: every kill is a death, a retry and a respawn
         kills = built[0].band.injected["kills"]
         assert kills > 0

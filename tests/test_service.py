@@ -19,6 +19,8 @@ from repro.remix.campaign import clean_degraded, run_campaign
 from repro.remix.request import CampaignRequest
 from repro.remix.service import EVENT_SCHEMA, CampaignServer, serve_request
 
+from conftest import report_bytes
+
 TINY = dict(
     grains=("mSpec-1",),
     scenarios=("election",),
@@ -82,18 +84,12 @@ def served_report(address, seed, on_event=None):
     return terminal
 
 
-def canonical(report_json):
-    """A report's bytes, minus its one wall-clock field."""
-    report_json["campaign"].pop("elapsed_seconds", None)
-    return json.dumps(report_json, sort_keys=True)
-
-
 @functools.lru_cache(maxsize=None)
 def solo_report(seed):
     """What a direct ``run_campaign`` says for ``socket_request(seed)``
     (over fork: reports are byte-identical across backends)."""
     request = socket_request(seed).with_options(backend="fork")
-    return canonical(run_campaign(request).to_json())
+    return report_bytes(run_campaign(request))
 
 
 def bands(server):
@@ -187,9 +183,7 @@ class TestCampaignServer:
         assert second["spec_cache"].get("hits", 0) > 0
         assert second["spec_cache"].get("misses", 0) == 0
         # resident caches change the economics, not the answer
-        for terminal in (first, second):
-            terminal["report"]["campaign"].pop("elapsed_seconds", None)
-        assert first["report"] == second["report"]
+        assert report_bytes(first["report"]) == report_bytes(second["report"])
 
     @pytest.mark.parametrize(
         "shape",
@@ -342,8 +336,8 @@ class TestCampaignServer:
         # 0.06-0.07 s on an idle 2-core box, 0.81-0.95 s -> 0.14-0.19 s
         # with a test suite busy on both cores (4.4x at worst against 2x)
         assert second["elapsed"] < first["elapsed"] / 2, (first["elapsed"], second["elapsed"])
-        assert canonical(first["report"]) == solo_report(7)
-        assert canonical(second["report"]) == solo_report(8)
+        assert report_bytes(first["report"]) == solo_report(7)
+        assert report_bytes(second["report"]) == solo_report(8)
         assert "auth_token" not in json.dumps(again)
 
     def test_concurrent_socket_requests_equal_their_solo_runs(self, server):
@@ -358,7 +352,7 @@ class TestCampaignServer:
         for thread in threads:
             thread.join(timeout=120)
         for seed in (7, 8):
-            assert canonical(served[seed]["report"]) == solo_report(seed)
+            assert report_bytes(served[seed]["report"]) == solo_report(seed)
         # one band per request while both ran; one idle band per shape after
         assert [band["state"] for band in bands(server)] == ["idle"]
 
@@ -381,7 +375,7 @@ class TestCampaignServer:
         assert supervision["worker_deaths"] == supervision["retries"] <= 1
         assert supervision["quarantined"] == []
         hit["report"]["degraded"] = clean_degraded()
-        assert canonical(hit["report"]) == solo_report(8)
+        assert report_bytes(hit["report"]) == solo_report(8)
         after = served_report(server.address, 9)
         assert after["report"]["degraded"] == clean_degraded()
         (again,) = bands(server)
@@ -396,7 +390,7 @@ class TestCampaignServer:
         after = served_report(server.address, 8)
         for terminal in (before, after):
             assert terminal["report"]["degraded"] == clean_degraded()
-        assert canonical(after["report"]) == solo_report(8)
+        assert report_bytes(after["report"]) == solo_report(8)
         (again,) = bands(server)
         assert again["address"] == band["address"] and again["requests"] == 2
         assert band["pids"][0] not in again["pids"]

@@ -36,7 +36,7 @@ from repro.remix.registry import system_plugin
 from repro.remix.request import CampaignRequest
 from repro.remix.spec_cache import cached_spec
 
-from test_minimize import counter_spec
+from conftest import counter_spec
 
 SYSTEMS = ("zookeeper", "raft")
 DIRECTIONS = ("topdown", "bottomup")

@@ -34,7 +34,7 @@ class TestModule:
     def test_iteration_and_len(self):
         module = Module("M", [act("A"), act("B")])
         assert len(module) == 2
-        assert module.action_names() == ["A", "B"]
+        assert [a.name for a in module] == ["A", "B"]
 
     def test_dependency_variables_direct(self):
         module = Module("M", [act("A", reads=["x", "y"])])

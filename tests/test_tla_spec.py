@@ -75,16 +75,6 @@ class TestSpecification:
         with pytest.raises(ValueError, match="replay failed"):
             spec.replay(labels, spec.initial_states()[0])
 
-    def test_enabled_labels(self):
-        spec = spec_with_actions()
-        labels = spec.enabled_labels(State.make(SCHEMA, x=0))
-        assert len(labels) == 2
-
-    def test_violated_invariants(self):
-        spec = spec_with_actions()
-        # force an out-of-bounds state directly
-        bad = State.make(SCHEMA, x=9)
-        assert [i.ident for i in spec.violated_invariants(bad)] == ["I-1"]
 
 
 class TestInvariant:

@@ -18,8 +18,6 @@ from repro.tla.values import (
     last_zxid,
     seq,
     seq_append,
-    seq_concat,
-    seq_head,
     seq_tail,
     updated,
 )
@@ -103,16 +101,8 @@ class TestSequences:
     def test_append(self):
         assert seq_append((1,), 2) == (1, 2)
 
-    def test_concat(self):
-        assert seq_concat((1,), [2, 3]) == (1, 2, 3)
-
-    def test_head_tail(self):
-        assert seq_head((1, 2)) == 1
+    def test_tail(self):
         assert seq_tail((1, 2)) == (2,)
-
-    def test_head_of_empty_raises(self):
-        with pytest.raises(IndexError):
-            seq_head(())
 
     def test_updated(self):
         assert updated((1, 2, 3), 1, 9) == (1, 9, 3)

@@ -65,14 +65,14 @@ class TestVotes:
         )
         # server 0 has a higher epoch but an empty history: it wins.
         assert P.vote_of(state, 0) > P.vote_of(state, 1)
-        assert P.max_vote_holder(state, (0, 1, 2)) == 0
 
     def test_zxid_breaks_epoch_ties(self):
         state = zk_state(history=((), (txn(1, 1),), ()))
-        assert P.max_vote_holder(state, (0, 1)) == 1
+        assert P.vote_of(state, 1) > P.vote_of(state, 0)
 
     def test_sid_breaks_full_ties(self):
-        assert P.max_vote_holder(zk_state(), (0, 1, 2)) == 2
+        state = zk_state()
+        assert P.vote_of(state, 2) > P.vote_of(state, 1) > P.vote_of(state, 0)
 
 
 class TestCommitGhosts:
@@ -133,11 +133,6 @@ class TestHistoryUtils:
             current_epoch=(1, 0, 0), history=((txn(1, 1), txn(1, 2)), (), ())
         )
         assert P.next_zxid(state, 0) == Zxid(1, 3)
-
-    def test_common_prefix_len(self):
-        a = (txn(1, 1), txn(1, 2))
-        b = (txn(1, 1), txn(2, 1))
-        assert P.common_prefix_len(a, b) == 1
 
     def test_is_learner(self):
         state = zk_state(
