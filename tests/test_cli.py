@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import functools
+import io
 import json
 import os
 import signal
@@ -13,6 +14,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.remix.registry import registered_systems, system_plugin
 
 #: A path under a regular file (this one): no directory or file can be
 #: made there.
@@ -21,6 +23,20 @@ UNDER_A_FILE = os.path.join(os.path.abspath(__file__), "out")
 #: The smallest campaign: one cell, two steps, no shrink.
 ONE_CELL = ["campaign", "--grains", "mSpec-1", "--scenarios", "election",
             "--faults", "none", "--traces", "1", "--steps", "2", "--no-shrink"]
+
+
+def children(pid):
+    """The pids whose parent is ``pid``, read from ``/proc``."""
+    found = set()
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+        except OSError:  # exited since the listing
+            continue
+        if int(fields[1]) == pid:
+            found.add(int(entry))
+    return found
 
 
 class TestParser:
@@ -243,6 +259,15 @@ def test_an_unreadable_request_file_is_named(command, make, reason, tmp_path, ca
     assert out == "" and err.startswith(f"{command}: --request {path}: {reason}")
 
 
+@pytest.mark.parametrize("command", ["campaign", "client"])
+def test_a_request_on_stdin_that_is_not_json_names_stdin(command, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))
+    argv = ["--port", "1"] if command == "client" else []
+    assert main([command, *argv, "--request", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{command}: --request stdin: Expecting property name")
+
+
 class TestClientExit:
     """``repro client`` exits 0 only when the stream ends in a report;
     a stub listener thread plays the server."""
@@ -340,6 +365,20 @@ class TestCommands:
         assert out.count('"mode": "compiled"') == runs
         assert out.count('"expand_calls"') == runs
 
+    def test_systems_lists_every_plugin_with_its_axes(self, capsys):
+        assert main(["systems"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = registered_systems()
+        assert [line.split()[0] for line in lines[::4]] == names
+        for name, head, *axes in zip(names, *(lines[k::4] for k in range(4))):
+            plugin = system_plugin(name)
+            assert head.split(None, 1)[1] == plugin.title
+            assert [axis.split(None, 1) for axis in axes] == [
+                ["grains:", ", ".join(plugin.grains)],
+                ["scenarios:", ", ".join(plugin.scenario_names())],
+                ["faults:", ", ".join(plugin.fault_names())],
+            ]
+
     def test_serve_exits_0_on_ctrl_c_and_no_worker_outlives_it(self, tmp_path, capsys):
         # A server holding a resident socket band, interrupted as a
         # terminal would: exit 0, every worker of the band reaped.
@@ -361,7 +400,12 @@ class TestCommands:
             with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
                 sock.sendall(b'{"stats": true}\n')
                 (band,) = json.loads(sock.makefile().readline())["bands"]
-            assert len(band["pids"]) == 2
+            # ``stats`` lists only the workers whose hello the band has
+            # read, and a one-cell request may end before the second
+            # says hello; the server's children are every worker.
+            workers = children(server.pid)
+            assert band["workers"] == len(workers) == 2
+            assert band["pids"] and set(band["pids"]) <= workers
             server.send_signal(signal.SIGINT)
             assert server.wait(timeout=30) == 0
         finally:
@@ -369,7 +413,7 @@ class TestCommands:
                 server.kill()
                 server.wait()
             server.stdout.close()
-        for pid in band["pids"]:
+        for pid in workers:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 

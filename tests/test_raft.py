@@ -7,7 +7,7 @@ from repro.raft.config import FIXED_VARIANT, RaftConfig, RaftVariant
 from repro.raft.impl import NO_VOTE, CommitAheadError, RaftEnsemble
 from repro.raft.mapping import raft_mapping
 from repro.raft.scenarios import FAULT_SCHEDULES, SCENARIO_PREFIXES
-from repro.raft.spec import DOWN, FOLLOWER, LEADER, make_spec
+from repro.raft.spec import DOWN, FOLLOWER, INVARIANTS, LEADER, initial_state, make_spec
 from repro.system.plugin import Scenario, ScenarioError
 
 CONFIG = RaftConfig(max_entries=1, max_crashes=1, max_partitions=1, max_term=2)
@@ -89,6 +89,39 @@ class TestSpec:
         # server 0 never replicated: its log cannot win against 1 and 2
         with pytest.raises(ScenarioError):
             scenario.apply("ElectLeader", i=0, Q=(0, 1, 2))
+
+
+#: Case -> (invariant, the initial state's variables it replaces,
+#: whether the invariant holds there).  Entries are ``(term, seq)``.
+INVARIANT_CASES = {
+    "two-leaders-of-one-term": (
+        "R-1", dict(role=(LEADER, LEADER, FOLLOWER), current_term=(1, 1, 0)), False),
+    "leaders-of-two-terms": (
+        "R-1", dict(role=(LEADER, LEADER, FOLLOWER), current_term=(1, 2, 2)), True),
+    "equal-entry-after-a-divergence": (
+        "R-2", dict(log=(((1, 1), (1, 2)), ((2, 1), (1, 2)), ())), False),
+    "divergent-tails": (
+        "R-2", dict(log=(((1, 1), (1, 2)), ((1, 1), (2, 2)), ())), True),
+    "commit-beyond-the-log": (
+        "R-3", dict(log=(((1, 1),), (), ()), commit_index=(2, 0, 0)), False),
+    "committed-prefixes-disagree": (
+        "R-3", dict(log=(((1, 1),), ((2, 1),), ()), commit_index=(1, 1, 0)), False),
+    "uncommitted-tails-differ": (
+        "R-3",
+        dict(log=(((1, 1), (1, 2)), ((1, 1), (2, 2)), ()), commit_index=(1, 1, 0)),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INVARIANT_CASES)
+def test_invariant_verdicts_on_hand_built_states(case):
+    # test_model_is_safe would pass an invariant that is always true.
+    ident, edits, holds = INVARIANT_CASES[case]
+    (invariant,) = [inv for inv in INVARIANTS if inv.ident == ident]
+    assert set(edits) <= invariant.reads
+    assert invariant.holds(CONFIG, initial_state(CONFIG))
+    assert invariant.holds(CONFIG, initial_state(CONFIG).set(**edits)) is holds
 
 
 class TestScenariosAndFaults:

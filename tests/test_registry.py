@@ -3,10 +3,12 @@ campaign behaviour (ISSUE 6's tentpole surface)."""
 
 import functools
 import json
+from math import comb
 
 import pytest
 
 from repro.cli import main
+from repro.raft.config import RaftConfig
 from repro.remix import spec_cache
 from repro.remix.campaign import campaign_jobs, run_campaign
 from repro.remix.minimize import unreplayable_min_traces
@@ -17,6 +19,8 @@ from repro.remix.registry import (
 )
 from repro.remix.request import CampaignRequest
 from repro.system.plugin import SystemPlugin
+from repro.zab import ZabConfig
+from repro.zookeeper import ZkConfig
 
 
 pytestmark = pytest.mark.usefixtures("fresh_cache")
@@ -164,3 +168,27 @@ class TestRaftCampaign:
         report = run_campaign(request)
         assert report.meta["system"] == "zookeeper"
         assert campaign_jobs(request)[0].system == "zookeeper"
+
+
+class TestConfigs:
+    @pytest.mark.parametrize(
+        "config", [ZkConfig, RaftConfig, ZabConfig], ids=["zookeeper", "raft", "zab"]
+    )
+    def test_every_two_quorums_intersect(self, config):
+        # Safety of every election and commit rests on this.
+        for n in range(1, 7):
+            cfg = config(n_servers=n)
+            quorums = cfg.quorums()
+            sizes = range(cfg.quorum_size, n + 1)
+            assert len(set(quorums)) == len(quorums) == sum(comb(n, k) for k in sizes)
+            assert all(cfg.is_quorum(q) and set(q) <= set(cfg.servers) for q in quorums)
+            assert all(set(a) & set(b) for a in quorums for b in quorums)
+            assert not cfg.is_quorum(cfg.servers[: cfg.quorum_size - 1])
+            # a repeated vote counts once
+            assert cfg.is_quorum((0,) * n) == (n == 1)
+
+    @pytest.mark.parametrize("bound", ["max_partitions", "max_epoch", "max_msg_faults"])
+    def test_zookeeper_refuses_a_negative_bound(self, bound):
+        with pytest.raises(ValueError, match=f"{bound} must be at least 0, got -1"):
+            ZkConfig(**{bound: -1})
+        assert getattr(ZkConfig(**{bound: 0}), bound) == 0

@@ -56,6 +56,22 @@ class TestNetwork:
         cleared = P.clear_pair(msgs, 0, 1)
         assert cleared[0][1] == () and cleared[1][0] == ()
 
+    def test_rotate_head_moves_the_head_behind_the_rest(self):
+        state = zk_state()
+        msgs = P.send(state["msgs"], 0, 1, Rec(mtype="A"), Rec(mtype="B"), Rec(mtype="C"))
+        msgs = P.send(msgs, 1, 0, Rec(mtype="D"))
+        rotated = P.rotate_head(msgs, 0, 1)
+        assert [m.mtype for m in rotated[0][1]] == ["B", "C", "A"]
+        assert rotated[1] == msgs[1] and rotated[0][2] == msgs[0][2]
+
+    def test_duplicate_head_appends_a_copy(self):
+        state = zk_state()
+        msgs = P.send(state["msgs"], 2, 0, Rec(mtype="A"), Rec(mtype="B"))
+        msgs = P.send(msgs, 0, 2, Rec(mtype="C"))
+        duplicated = P.duplicate_head(msgs, 2, 0)
+        assert [m.mtype for m in duplicated[2][0]] == ["A", "B", "A"]
+        assert duplicated[0] == msgs[0] and duplicated[2][1] == msgs[2][1]
+
 
 class TestVotes:
     def test_epoch_dominates_zxid(self):
