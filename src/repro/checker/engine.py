@@ -111,7 +111,7 @@ from repro.checker.bundle import Bundle
 from repro.checker.fingerprint import Fingerprinter
 from repro.checker.result import CheckResult, Violation
 from repro.checker.trace import Trace
-from repro.tla.guards import GuardPrefix, guard_prefix, render
+from repro.tla.guards import NO_PREFIX, GuardPrefix, guard_prefix, render, shape
 from repro.tla.spec import Specification, masked, memoized_declarations
 from repro.tla.state import State
 
@@ -467,7 +467,8 @@ class CompiledSpec:
         # What outcome memo entries share, across every group, every
         # demotion re-emit and every request thread (store_outcome):
         # the entry of a miss with no enabled change, ``gd -> (gd,)``;
-        # each change tuple; each mask of an entry with changes.
+        # each change tuple and each item (one dict: their shapes never
+        # compare equal); each mask of an entry with changes.
         self.idle_outcomes: Dict[int, Tuple[int]] = {}
         self.shared_changes: Dict[tuple, tuple] = {}
         self.shared_masks: Dict[int, int] = {}
@@ -913,15 +914,14 @@ class CompiledSpec:
             row["entries"] = len(memo)
             row["bytes"] = _footprint(memo, counted)
             groups.append(row)
-        # Per action name, the first instance's prefix: "why is this
+        # Per action name, the first instance's prefix tree: "why is this
         # action never filtered" without reading emitted code.
         rendered: Dict[str, List[str]] = {}
         for action, prefix in zip(self.actions, self.guard_prefixes):
-            rendered.setdefault(
-                action.name,
-                ["False"] if prefix.dead else [render(atom) for atom in prefix.atoms],
-            )
+            if action.name not in rendered:
+                rendered[action.name] = render(prefix)
         live = [prefix for prefix in self.guard_prefixes if not prefix.dead]
+        shapes = [shape(prefix) for prefix in live]
         # How many distinct values each variable has taken so far.
         sizes = sorted(
             ((len(column), name) for name, column in zip(self.schema.names, self.values)),
@@ -935,8 +935,9 @@ class CompiledSpec:
             "outcome_groups": groups,
             "guard_prefixes": {
                 "instances": len(self.guard_prefixes),
-                "with_prefix": sum(1 for prefix in live if prefix.atoms),
-                "atoms": sum(len(prefix.atoms) for prefix in live),
+                "with_prefix": sum(1 for prefix in live if prefix != NO_PREFIX),
+                "atoms": sum(atoms for atoms, _branches in shapes),
+                "branches": sum(branches for _atoms, branches in shapes),
                 "dead": len(self.guard_prefixes) - len(live),
                 "actions": rendered,
             },
@@ -964,11 +965,11 @@ class CompiledSpec:
 
 def _footprint(memo: dict, counted: set) -> int:
     """Bytes of an outcome memo: its table, its keys and its entries down
-    to the ints.  What entries share -- a bare-code key, a change tuple
-    and its pairs, a mask, an idle ``(gd,)``, an instance index -- is
-    charged once per :meth:`CompiledSpec.memo_stats` call (``counted``
-    holds their ids; the rest is one object per entry, charged as met,
-    so the walk tracks only the few distinct shared objects)."""
+    to the ints.  What entries share -- a bare-code key, an item, its
+    change tuple and pairs, a mask, an idle ``(gd,)`` -- is charged once
+    per :meth:`CompiledSpec.memo_stats` call (``counted`` holds their
+    ids; a packed key and an entry tuple are one object per entry,
+    charged as met)."""
     size = sys.getsizeof
 
     def once(obj: Any) -> int:
@@ -983,10 +984,7 @@ def _footprint(memo: dict, counted: set) -> int:
         if len(entry) == 1:
             total += once(entry)
             continue
-        total += size(entry) + once(entry[-1])
-        for item in entry[:-1]:
-            idx, changes, delta = item
-            total += size(item) + once(idx) + once(changes) + size(delta)
+        total += size(entry) + sum(once(part) for part in entry)
     return total
 
 

@@ -63,6 +63,16 @@ class RaftConfig:
     max_term: int = 3
     variant: RaftVariant = field(default_factory=RaftVariant)
 
+    def __post_init__(self):
+        # Neither a cluster without servers nor a negative bound is a
+        # model: reject them rather than check something else and report
+        # its verdict (as ZkConfig does).
+        if self.n_servers < 1:
+            raise ValueError(f"n_servers must be at least 1, got {self.n_servers}")
+        for name in ("max_entries", "max_crashes", "max_partitions", "max_term"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+
     @property
     def servers(self) -> Tuple[int, ...]:
         """Server ids ``0 .. n_servers-1``."""

@@ -28,9 +28,10 @@ and for all.
 
 An entry stores only what varies.  Each ``(slot, new_code)`` pair is the
 value table's own (``CompiledSpec.pairs[slot][code]``, minted with the
-code); on a miss each change tuple and each mask is passed through a
-per-compile dict (``CompiledSpec.shared_changes`` / ``shared_masks``), so
-equal changes or masks in a million entries are one object; and an
+code); on a miss each change tuple, each item and each mask is passed
+through a per-compile dict (``CompiledSpec.shared_changes``, which holds
+the items too, / ``shared_masks``), so equal changes, items or masks in
+a million entries are one object; and an
 outcome with no enabled change is the one ``(gd,)`` per mask
 (``CompiledSpec.idle_outcomes``; member bits are disjoint across groups,
 so one dict serves them all).  A key of two or more slots is the codes
@@ -79,16 +80,29 @@ orphaned instead of replayed.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from itertools import count
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.tla.guards import CONTAINERS, Atom, Const, Path, condition, expression, paths
+from repro.tla.guards import (
+    CONTAINERS,
+    Const,
+    GuardPrefix,
+    Path,
+    Test,
+    base,
+    condition,
+    expression,
+    paths,
+    shifted,
+    terms,
+)
 from repro.tla.state import State
 
 # Version tag of the kernel emitter.  Mixed into the spec_cache on-disk
 # digest (upgrading the emitter must orphan stale artifacts) and reported
 # by ``CompiledSpec.memo_stats``.
-CODEGEN_VERSION = 16
+CODEGEN_VERSION = 17
 
 
 #: The ``struct`` format of one code in a packed memo key: four bytes,
@@ -137,7 +151,9 @@ def make_outcome_compiler(core: Any, shared: Optional[Dict[tuple, tuple]] = None
     fingerprint delta folds both digests by list index, at miss time --
     replays never touch a digest again.  With ``shared`` (the memo
     miss's compiler, not the eager sweep's, whose items are never
-    stored) the change tuple is the dict's one copy of it.
+    stored) the change tuple and the item are the dict's one copy of
+    them: the entries of a group whose closure reads more than its
+    action writes repeat the same items many times over.
     """
     schema_index = core.schema._index
     codes, values, digests, pairs = core.codes, core.values, core.digests, core.pairs
@@ -163,73 +179,136 @@ def make_outcome_compiler(core: Any, shared: Optional[Dict[tuple, tuple]] = None
         if not changes:
             return None
         changes = tuple(changes)
-        if share is not None:
-            changes = share(changes, changes)
-        return (idx, changes, delta)
+        if share is None:
+            return (idx, changes, delta)
+        item = (idx, share(changes, changes), delta)
+        return share(item, item)
 
     return compile_outcome
 
 
-def _container_constants(core: Any) -> Dict[Any, str]:
+#: A guard trie arm: per test the node ``[false arm, true arm]`` (a list
+#: indexed by the answer), and under the key ``None`` the mask of the
+#: instances a walk that reaches the arm disables.
+Arm = Dict[Any, Any]
+
+
+def _guard_trie(core: Any) -> Tuple[int, Arm]:
+    """The mask of the instances whose prefix is dead, and every other
+    prefix (:mod:`repro.tla.guards`) merged into one trie by test.
+
+    An atom files its instance's disabled bit under its failing answer
+    and goes on under its passing one; a branch goes on under both; a
+    disabled leaf files the bit where the walk reached it.  So the
+    comparison a dozen handlers share (``msgs[1][0]`` non-empty), as an
+    atom of one and a branch of another, is one node, evaluated once."""
+    dead = 0
+    root: Arm = {}
+
+    def file(prefix: GuardPrefix, arm: Arm, bit: int) -> None:
+        while not prefix.dead:
+            for atom in prefix.atoms:
+                node = arm.setdefault(atom.test, [{}, {}])
+                failing = node[not atom.passing]
+                failing[None] = failing.get(None, 0) | bit
+                arm = node[atom.passing]
+            branch = prefix.branch
+            if branch is None:
+                return
+            node = arm.setdefault(branch.test, [{}, {}])
+            file(branch.false, node[False], bit)
+            prefix, arm = branch.true, node[True]
+        arm[None] = arm.get(None, 0) | bit
+
+    for idx, prefix in enumerate(core.guard_prefixes):
+        if prefix.dead:
+            dead |= 1 << idx
+        else:
+            file(prefix, root, 1 << idx)
+    return dead, root
+
+
+def _arm_tests(arm: Arm) -> Iterator[Test]:
+    """The tests of a trie arm, each before its arms, true arm first."""
+    for test, node in arm.items():
+        if test is not None:
+            yield test
+            yield from _arm_tests(node[True])
+            yield from _arm_tests(node[False])
+
+
+def _container_constants(root: Arm) -> Dict[Any, str]:
     """A kernel parameter name per distinct tuple or frozenset constant
-    the live guard prefixes mention, in order of first mention.
+    the guard trie mentions, in order of first mention.
 
     Bound once per emission, these are neither rebuilt per row nor
     spelled into the kernel text: a frozenset's ``repr`` follows hash
     order, so text that held one would change with ``PYTHONHASHSEED`` and
     miss the compile bundle it was stored under."""
     names: Dict[Any, str] = {}
-    for prefix in core.guard_prefixes:
-        for atom in () if prefix.dead else prefix.atoms:
-            right = atom.test.right
-            if isinstance(right, Const) and type(right.value) in CONTAINERS:
-                names.setdefault(right.value, f"k{len(names)}")
+    for test in _arm_tests(root):
+        right = test.right
+        if isinstance(right, Const) and type(right.value) in CONTAINERS:
+            names.setdefault(right.value, f"k{len(names)}")
     return names
 
 
 def _emit_guard_prefixes(
-    w: Callable[[str], None], core: Any, constants: Dict[Any, str]
+    w: Callable[[str], None], core: Any, trie: Tuple[int, Arm], constants: Dict[Any, str]
 ) -> None:
     """Emit every instance's guard prefix (:mod:`repro.tla.guards`) as the
-    first thing an entry does: an instance whose prefix fails is OR-ed
-    into the known-disabled mask ``d`` for the price of the comparison.
-    A literal operand is spelled in place, a container one is read from
-    its parameter (``constants``).
+    first thing an entry does: an instance the trie (:func:`_guard_trie`)
+    walks to a failed atom or a disabled leaf is OR-ed into the
+    known-disabled mask ``d`` for the price of the comparisons.  A node
+    is one ``if`` on its test, the arm that goes on under it and the
+    other under ``else``; an offset term is spelled as written, a literal
+    operand in place, a container one read from its parameter
+    (``constants``).
 
-    The chains are merged into a trie, so an atom a dozen handlers share
-    (``msgs[1][0]`` non-empty) is evaluated once and disables the whole
-    subtree when it fails.  A root-to-leaf walk is one function's own
-    evaluation order, so an atom only dereferences what the atoms above
-    it proved present; a path that later atoms extend or compare again
-    is loaded into a local once, right before the first atom that would
-    have dereferenced it anyway.
+    A root-to-leaf walk is one function's own evaluation order, so a test
+    only dereferences what the tests above it proved present; a path that
+    later tests extend or compare again is loaded into a local once,
+    right before the first test that would have dereferenced it anyway.
     """
     slot_of = core.schema._index
-    dead = 0
-    trie: Dict[Atom, list] = {}  # atom -> [mask of instances below, children]
-    for idx, prefix in enumerate(core.guard_prefixes):
-        if prefix.dead:
-            dead |= 1 << idx
-            continue
-        children = trie
-        for atom in prefix.atoms:
-            node = children.setdefault(atom, [0, {}])
-            node[0] |= 1 << idx
-            children = node[1]
+    dead, root = trie
     if dead:
         w(f"        d |= {dead}")
-    fresh = count()
 
-    def prefixes(atom: Atom) -> Set[Path]:
-        return {path[:n] for path in paths(atom) for n in range(1, len(path) + 1)}
+    def fresh(bound: Dict[Path, str]) -> str:
+        """A local no enclosing test still holds: a subtrie's locals die
+        with it, so a sibling reuses their names and the kernel's frame
+        holds as many as one walk keeps at once."""
+        live = set(bound.values())
+        return next(name for name in (f"p{n}" for n in count()) if name not in live)
 
-    def mentioned(children: Dict[Atom, list]) -> Set[Path]:
-        """Every path prefix some atom of the subtrie dereferences."""
-        found: Set[Path] = set()
-        for atom, (_mask, below) in children.items():
-            found |= prefixes(atom)
-            found |= mentioned(below)
-        return found
+    # The tests in walk order (each before its arms, the true arm first):
+    # per test node its index, per arm the end of its range, and per path
+    # prefix the indices of the tests that dereference it -- so "does a
+    # test after this one, in its own arms or in a later sibling, load
+    # this path again" is one bisection.
+    index_of: Dict[int, int] = {}
+    end_of: Dict[int, int] = {}
+    loads: Dict[Path, List[int]] = {}
+
+    def number(arm: Arm) -> None:
+        for test, node in arm.items():
+            if test is not None:
+                index_of[id(node)] = k = len(index_of)
+                for path in paths(test):
+                    for n in range(1, len(path) + 1):
+                        loads.setdefault(path[:n], []).append(k)
+                number(node[True])
+                number(node[False])
+        end_of[id(arm)] = len(index_of)
+
+    number(root)
+
+    def again(path: Path, after: int, end: int) -> bool:
+        """A test numbered in ``(after, end)`` dereferences ``path``."""
+        at = loads.get(path, ())
+        i = bisect_right(at, after)
+        return i < len(at) and at[i] < end
 
     def source(path: Path, bound: Dict[Path, str]) -> str:
         for n in range(len(path), 0, -1):
@@ -238,49 +317,54 @@ def _emit_guard_prefixes(
         slot = slot_of[path[0]]
         return expression(path, f"vt[{slot}][c[{slot}]]")
 
-    def emit(children: Dict[Atom, list], pad: str, bound: Dict[Path, str]) -> None:
-        items = list(children.items())
-        # Per sibling: what its own subtrie and the siblings after it go
-        # on to dereference -- the paths worth a local.
-        reused: List[Set[Path]] = []
-        later: Set[Path] = set()
-        for atom, (_mask, below) in reversed(items):
-            reused.append(later | mentioned(below))
-            later = reused[-1] | prefixes(atom)
-        for (atom, (mask, below)), again in zip(items, reversed(reused)):
+    def disables(arm: Arm) -> bool:
+        """The arm only disables: no test below it."""
+        return list(arm) == [None]
+
+    def emit(arm: Arm, pad: str, bound: Dict[Path, str]) -> None:
+        if None in arm:
+            w(f"{pad}d |= {arm[None]}")
+        end = end_of[id(arm)]
+        for test, node in arm.items():
+            if test is None:
+                continue
+            k = index_of[id(node)]
             operands = []
-            for path in paths(atom):
-                # the longest prefix worth a local, unless a longer one
-                # already has one
+            for term in terms(test):
+                path = base(term)
+                # the longest prefix worth a local -- one this test's arms
+                # or a later sibling's walk loads again -- unless a longer
+                # one already has one
                 shared = next(
                     (
                         path[:n]
                         for n in range(len(path), 0, -1)
-                        if path[:n] in again or path[:n] in bound
+                        if path[:n] in bound or again(path[:n], k, end)
                     ),
                     None,
                 )
                 if shared is not None and shared not in bound:
-                    local = f"p{next(fresh)}"
+                    local = fresh(bound)
                     w(f"{pad}{local} = {source(shared, bound)}")
                     bound[shared] = local
-                operands.append(source(path, bound))
-            right = atom.test.right
+                operands.append(shifted(term, source(path, bound)))
+            right = test.right
             if isinstance(right, Const):
                 value = right.value
                 operands.append(constants[value] if type(value) in CONTAINERS else repr(value))
-            if below:
-                w(f"{pad}if {condition(atom, *operands)}:")
-                emit(below, pad + "    ", dict(bound))
+            # The arm that goes on under the ``if``, the one that only
+            # disables (if any) under ``else``.
+            answer = bool(node[True]) and not (disables(node[True]) and node[False])
+            first, other = node[answer], node[not answer]
+            w(f"{pad}if {condition(test, answer, *operands)}:")
+            emit(first, pad + "    ", dict(bound))
+            if other:
                 w(f"{pad}else:")
-                w(f"{pad}    d |= {mask}")
-            else:
-                w(f"{pad}if {condition(atom, *operands, passing=False)}:")
-                w(f"{pad}    d |= {mask}")
+                emit(other, pad + "    ", dict(bound))
 
-    if trie:
+    if root:
         w("        # guard prefixes")
-        emit(trie, "        ", {})
+        emit(root, "        ", {})
 
 
 def _emit_classify(w: Callable[[str], None], core: Any, pad: str) -> str:
@@ -388,7 +472,8 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
     for g, memo in enumerate(core.outcome_memos):
         binds[f"omemo{g}"] = memo
         binds[f"oget{g}"] = memo.get
-    constants = _container_constants(core)
+    trie = _guard_trie(core)
+    constants = _container_constants(trie[1])
     binds.update((name, value) for value, name in constants.items())
 
     # What classification reads, shared by the batch and ``_classify``.
@@ -449,7 +534,8 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
     w("        st = None")
     w("        raw = []")
 
-    _emit_guard_prefixes(w, core, constants)
+    _emit_guard_prefixes(w, core, trie, constants)
+    del trie  # the largest thing emission builds: not kept through compile()
     # Bits a group sets along the way are its own members', so one
     # complement serves every group's "is anyone left to ask" test.
     w("        nd = ~d")
@@ -550,6 +636,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
     # compiled from byte-identical text, so a stale bundle -- or the new
     # layout of a demotion re-emit -- costs a compile, never a wrong kernel.
     source = "\n".join(src)
+    del src, w  # nor are the lines
     filename = f"<repro-kernel:{core.spec.name}>"
     bundle = core.bundle
     if bundle is not None:

@@ -74,6 +74,15 @@ class ZabConfig:
     ):
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        if n_servers < 1:
+            raise ValueError(f"n_servers must be at least 1, got {n_servers}")
+        for name, bound in (
+            ("max_txns", max_txns),
+            ("max_crashes", max_crashes),
+            ("max_epoch", max_epoch),
+        ):
+            if bound < 0:
+                raise ValueError(f"{name} must be at least 0, got {bound}")
         self.n_servers = n_servers
         self.max_txns = max_txns
         self.max_crashes = max_crashes

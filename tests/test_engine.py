@@ -465,10 +465,13 @@ def random_spec(seed):
     declarations: every action's guard reads only its declared reads,
     and every update value is computed from the written variable itself,
     the declared reads, and the declared update_sources -- exactly the
-    contract :meth:`Action.dependency_closure` documents.  Roughly one
-    action in five omits its reads declaration to exercise the
-    never-memoized path; each invariant declares its reads half the
-    time, and the state constraint is drawn by :func:`random_predicate`."""
+    contract :meth:`Action.dependency_closure` documents.  A guard is
+    either a sum modulo a constant (no guard prefix) or, two times in
+    three, an if/else on ``path ± k`` comparisons (a guard-prefix tree
+    with a branch).  Roughly one action in five omits its reads
+    declaration to exercise the never-memoized path; each invariant
+    declares its reads half the time, and the state constraint is drawn
+    by :func:`random_predicate`."""
     rng = random.Random(seed)
     n_vars = rng.randint(3, 6)
     names = tuple(f"v{i}" for i in range(n_vars))
@@ -482,6 +485,9 @@ def random_spec(seed):
         }
         threshold = rng.randint(0, 3)
         modulus = rng.randint(2, 4)
+        style = rng.choice(("sum", "tree", "tree"))
+        offsets = (rng.randint(-2, 2), rng.randint(-2, 2))
+        cuts = (rng.randint(0, 4), rng.randint(0, 4))
 
         def fn(
             config,
@@ -491,14 +497,25 @@ def random_spec(seed):
             _s=sources,
             _t=threshold,
             _m=modulus,
+            _style=style,
+            _o=offsets,
+            _c=cuts,
         ):
-            if sum(state[v] for v in _g) % _m == _t % _m:
+            if _style == "tree":
+                first, last = state[_g[0]], state[_g[-1]]
+                if first + _o[0] > _c[0]:
+                    if last - _o[1] == _c[1]:
+                        return None
+                elif last + _o[1] < _c[1]:
+                    return None
+            elif sum(state[v] for v in _g) % _m == _t % _m:
                 return None
             return {
                 w: (state[w] + 1 + sum(state[s] for s in _s[w])) % 5
                 for w in _w
             }
 
+        fn.style = style
         declare = rng.random() < 0.8
         actions.append(
             Action(

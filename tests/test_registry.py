@@ -192,3 +192,25 @@ class TestConfigs:
         with pytest.raises(ValueError, match=f"{bound} must be at least 0, got -1"):
             ZkConfig(**{bound: -1})
         assert getattr(ZkConfig(**{bound: 0}), bound) == 0
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            pytest.param(config, field, id=f"{config.__name__}-{field}")
+            for config, fields in [
+                (
+                    RaftConfig,
+                    ("n_servers", "max_entries", "max_crashes", "max_partitions", "max_term"),
+                ),
+                (ZabConfig, ("n_servers", "max_txns", "max_crashes", "max_epoch")),
+            ]
+            for field in fields
+        ],
+    )
+    def test_a_model_that_is_no_cluster_is_refused(self, config, field):
+        # Accepted, a zero-server Raft model explored one state and
+        # reported no violation; a zero-server Zab model had no quorum.
+        least = 1 if field == "n_servers" else 0
+        with pytest.raises(ValueError, match=f"{field} must be at least {least}, got {least - 1}"):
+            config(**{field: least - 1})
+        assert getattr(config(**{field: least}), field) == least

@@ -3,7 +3,6 @@ requests, resident spec-cache economics, the resident socket band and
 its lease (reuse, per-request ``degraded``, failure containment,
 shutdown), heartbeats and deadlines."""
 
-import functools
 import json
 import os
 import signal
@@ -15,7 +14,7 @@ import pytest
 
 from repro.checker.backends.sockets import SocketBackend
 from repro.remix import registry, spec_cache
-from repro.remix.campaign import clean_degraded, run_campaign
+from repro.remix.campaign import clean_degraded
 from repro.remix.request import CampaignRequest
 from repro.remix.service import EVENT_SCHEMA, CampaignServer, serve_request
 
@@ -84,12 +83,10 @@ def served_report(address, seed, on_event=None):
     return terminal
 
 
-@functools.lru_cache(maxsize=None)
-def solo_report(seed):
+def solo_report(campaign_json, seed):
     """What a direct ``run_campaign`` says for ``socket_request(seed)``
     (over fork: reports are byte-identical across backends)."""
-    request = socket_request(seed).with_options(backend="fork")
-    return report_bytes(run_campaign(request))
+    return report_bytes(campaign_json(socket_request(seed).with_options(backend="fork")))
 
 
 def bands(server):
@@ -322,7 +319,7 @@ class TestCampaignServer:
 
     # ------------------------------------------- the resident socket band
 
-    def test_sequential_socket_requests_reuse_the_workers(self, server):
+    def test_sequential_socket_requests_reuse_the_workers(self, server, campaign_json):
         first = served_report(server.address, 7)
         (band,) = bands(server)
         assert band["state"] == "idle" and band["requests"] == 1
@@ -336,11 +333,11 @@ class TestCampaignServer:
         # 0.06-0.07 s on an idle 2-core box, 0.81-0.95 s -> 0.14-0.19 s
         # with a test suite busy on both cores (4.4x at worst against 2x)
         assert second["elapsed"] < first["elapsed"] / 2, (first["elapsed"], second["elapsed"])
-        assert report_bytes(first["report"]) == solo_report(7)
-        assert report_bytes(second["report"]) == solo_report(8)
+        assert report_bytes(first["report"]) == solo_report(campaign_json, 7)
+        assert report_bytes(second["report"]) == solo_report(campaign_json, 8)
         assert "auth_token" not in json.dumps(again)
 
-    def test_concurrent_socket_requests_equal_their_solo_runs(self, server):
+    def test_concurrent_socket_requests_equal_their_solo_runs(self, server, campaign_json):
         served = {}
 
         def client(seed):
@@ -352,11 +349,11 @@ class TestCampaignServer:
         for thread in threads:
             thread.join(timeout=120)
         for seed in (7, 8):
-            assert report_bytes(served[seed]["report"]) == solo_report(seed)
+            assert report_bytes(served[seed]["report"]) == solo_report(campaign_json, seed)
         # one band per request while both ran; one idle band per shape after
         assert [band["state"] for band in bands(server)] == ["idle"]
 
-    def test_worker_killed_mid_request_shows_in_that_report_only(self, server):
+    def test_worker_killed_mid_request_shows_in_that_report_only(self, server, campaign_json):
         served_report(server.address, 7)  # the band is resident from here
         (band,) = bands(server)
         victim = band["pids"][0]
@@ -375,7 +372,7 @@ class TestCampaignServer:
         assert supervision["worker_deaths"] == supervision["retries"] <= 1
         assert supervision["quarantined"] == []
         hit["report"]["degraded"] = clean_degraded()
-        assert report_bytes(hit["report"]) == solo_report(8)
+        assert report_bytes(hit["report"]) == solo_report(campaign_json, 8)
         after = served_report(server.address, 9)
         assert after["report"]["degraded"] == clean_degraded()
         (again,) = bands(server)
@@ -383,14 +380,14 @@ class TestCampaignServer:
         assert again["requests"] == 3
         assert victim not in again["pids"]
 
-    def test_worker_killed_while_idle_is_replaced_uncharged(self, server):
+    def test_worker_killed_while_idle_is_replaced_uncharged(self, server, campaign_json):
         before = served_report(server.address, 7)
         (band,) = bands(server)
         kill_worker(band["pids"][0])
         after = served_report(server.address, 8)
         for terminal in (before, after):
             assert terminal["report"]["degraded"] == clean_degraded()
-        assert report_bytes(after["report"]) == solo_report(8)
+        assert report_bytes(after["report"]) == solo_report(campaign_json, 8)
         (again,) = bands(server)
         assert again["address"] == band["address"] and again["requests"] == 2
         assert band["pids"][0] not in again["pids"]

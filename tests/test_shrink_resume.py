@@ -9,7 +9,6 @@ reference: a full replay on a fresh ensemble for every candidate, written
 locally so that nothing under test is part of the yardstick."""
 
 import copy
-import functools
 import random
 
 import pytest
@@ -22,7 +21,7 @@ from repro.checker.shrink import (
     shrink_labels_oracle,
 )
 from repro.remix import minimize
-from repro.remix.campaign import CampaignJob, run_campaign, run_cell
+from repro.remix.campaign import CampaignJob, run_cell
 from repro.remix.minimize import (
     DIRECTION_TABLE,
     ConformanceOracle,
@@ -213,21 +212,18 @@ def resumed_shrink(finding, config, system, monkeypatch):
     return payload, calls
 
 
-@functools.lru_cache(maxsize=None)
-def campaign_findings(system, seed):
+def campaign_findings(campaign_json, system, seed):
     """The distinct findings of the default matrix, both directions,
-    unshrunk (nothing here mutates them)."""
-    report = run_campaign(
-        CampaignRequest(system=system, seed=seed, directions=DIRECTIONS)
-    )
-    return report.to_json()["findings"]
+    unshrunk (each call gets its own copy)."""
+    request = CampaignRequest(system=system, seed=seed, directions=DIRECTIONS)
+    return campaign_json(request)["findings"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_resumed_shrink_equals_from_scratch(system, seed, monkeypatch):
+def test_resumed_shrink_equals_from_scratch(system, seed, monkeypatch, campaign_json):
     config = system_plugin(system).campaign_config()
-    findings = campaign_findings(system, seed)
+    findings = campaign_findings(campaign_json, system, seed)
     assert {finding["direction"] for finding in findings} == set(DIRECTIONS)
     candidates = 0
     for finding in findings:
@@ -283,19 +279,19 @@ def from_scratch(finding, config, system):
     return verdict
 
 
-def first_finding(system, direction, kind=None):
-    for finding in campaign_findings(system, 7):
+def first_finding(campaign_json, system, direction, kind=None):
+    for finding in campaign_findings(campaign_json, system, 7):
         if finding["direction"] == direction and kind in (None, finding["kind"]):
             return finding
     raise AssertionError(f"no {direction} finding of kind {kind}")
 
 
-def test_topdown_stays_two_phase():
+def test_topdown_stays_two_phase(campaign_json):
     """Trap 1: the whole candidate replays at the model level before the
     implementation judges it.  A lockstep merge would stop at the firing
     step and accept a candidate whose tail the model forbids."""
     system, config = "zookeeper", system_plugin("zookeeper").campaign_config()
-    finding = first_finding(system, "topdown", kind="impl_bug")
+    finding = first_finding(campaign_json, system, "topdown", kind="impl_bug")
     payload = shrink_finding(finding, config, system=system)
     spec = cached_spec(finding["grain"], config, system=system)
     fires = [
@@ -369,14 +365,14 @@ def test_unknown_variable_finding_takes_the_full_replay(
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("direction", DIRECTIONS)
 def test_a_memo_hit_moves_neither_the_accepted_run_nor_the_cursor(
-    direction, system, monkeypatch
+    direction, system, monkeypatch, campaign_json
 ):
     """Trap 3: a rejected candidate seen again is answered from the memo
     -- counted, not replayed -- and the next candidate still resumes
     along the *accepted* run: the witness here, not the rejected
     sequence, whose prefix is a different one."""
     config = system_plugin(system).campaign_config()
-    finding = first_finding(system, direction)
+    finding = first_finding(campaign_json, system, direction)
     reference = from_scratch(finding, config, system)
     spec = cached_spec(finding["grain"], config, system=system)
     _, _, witness = oracle_for(finding, config, system)
@@ -416,7 +412,7 @@ def test_a_memo_hit_moves_neither_the_accepted_run_nor_the_cursor(
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_a_judged_probe_never_mutates_the_cursor(system, monkeypatch):
+def test_a_judged_probe_never_mutates_the_cursor(system, monkeypatch, campaign_json):
     """The cursor is lent to a candidate as a ``clone()``: sharing one
     mutable container with the probe would leak a rejected candidate's
     steps into every later verdict."""
@@ -438,7 +434,7 @@ def test_a_judged_probe_never_mutates_the_cursor(system, monkeypatch):
 
         monkeypatch.setattr(oracle_cls, "_findings_from", guarded)
     config = system_plugin(system).campaign_config()
-    for finding in campaign_findings(system, 7):
+    for finding in campaign_findings(campaign_json, system, 7):
         assert shrink_finding(finding, config, system=system)["status"] == "ok"
     assert checked.count("ConformanceOracle") > 50
     assert checked.count("ValidationOracle") > 50
@@ -449,12 +445,12 @@ def test_a_judged_probe_never_mutates_the_cursor(system, monkeypatch):
 
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("direction", DIRECTIONS)
-def test_resume_entry_reports_what_the_full_run_reports(direction, system):
+def test_resume_entry_reports_what_the_full_run_reports(direction, system, campaign_json):
     """Entering the lockstep loop at any step before the one a finding
     fires at, on a point driven there uncompared, ends in the same
     findings as the run from step 0."""
     config = system_plugin(system).campaign_config()
-    finding = first_finding(system, direction)
+    finding = first_finding(campaign_json, system, direction)
     judge, _, witness = oracle_for(finding, config, system)
     run = rebuild_witness(finding["grain"], finding["witness"], config, system)
     full, fired = judge._findings_from(run, None)

@@ -59,8 +59,8 @@ def table_defects(core):
 def sharing_defects(core):
     """Every memo entry or key holding a private copy of what the compile
     shares, or laid out otherwise than the kernel reads it: a change pair
-    that is not ``pairs[slot][code]``, a change tuple that is not the
-    compile's shared one, a mask of an entry with changes that is not the
+    that is not ``pairs[slot][code]``, an item or a change tuple that is
+    not the compile's shared one, a mask of an entry with changes that is not the
     shared int, an outcome with no enabled change that is not the one
     ``(gd,)`` for its mask, and a key that is neither a bare code (one
     slot) nor ``bytes`` of the packed width (two or more)."""
@@ -85,7 +85,10 @@ def sharing_defects(core):
                 continue
             if core.shared_masks.get(gd) is not gd:
                 defects.append((group, "unshared mask", gd))
-            for idx, changes, _ in items:
+            for item in items:
+                idx, changes, _ = item
+                if core.shared_changes.get(item) is not item:
+                    defects.append((group, "unshared item", item))
                 if core.shared_changes.get(changes) is not changes:
                     defects.append((group, "unshared changes", idx, changes))
                 for pair in changes:
@@ -234,8 +237,9 @@ class TestSharedOutcomes:
         masks = [entry[-1] for entry in entries if len(entry) > 1]
         idle = [entry for entry in entries if len(entry) == 1]
         # Sharing happens, not just holds: many entries, few objects --
-        # one object per distinct change tuple and per distinct mask.
+        # one object per distinct item, change tuple and mask.
         assert len({id(pair) for pair in pairs}) < len(pairs) // 4
+        assert len({id(item) for item in items}) == len(set(items)) < len(items)
         assert len({id(c) for c in changes}) == len(set(changes)) < len(changes)
         assert len({id(gd) for gd in masks}) == len(set(masks)) < len(masks)
         assert 0 < len(core.idle_outcomes) < len(idle)
@@ -264,13 +268,19 @@ class TestSharedOutcomes:
     def test_sharing_survives_demotion(self):
         # A demotion re-emits the kernel; the surviving groups' entries and
         # the re-emitted miss path keep drawing from the same shared dict.
+        # (No shipped grain demotes a group within a short run since
+        # ElectLeader's guard prefix became a tree, so demote the widest
+        # group between two runs on one compile.)
         raft = system_plugin("raft")
-        engine = ExplorationEngine(
-            raft.make_spec("raft-coarse", raft.default_config()), max_states=40_000
-        )
+        spec = raft.make_spec("raft-coarse", raft.default_config())
+        ExplorationEngine(spec, max_states=20_000).run()
+        core = compiled_for(spec)
+        widest = max(range(len(core.outcome_groups)), key=lambda g: len(core.outcome_groups[g][0]))
+        core._demote([widest])
+        engine = ExplorationEngine(spec, max_states=40_000)
         engine.run()
-        assert engine.core.demoted_groups
-        assert sharing_defects(engine.core) == []
+        assert engine.core is core and core.demoted_groups
+        assert sharing_defects(core) == []
 
 
 #: Values of ``x`` the run reaches; the first half is numbered before it.
