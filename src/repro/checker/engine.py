@@ -467,8 +467,9 @@ class CompiledSpec:
         # What outcome memo entries share, across every group, every
         # demotion re-emit and every request thread (store_outcome):
         # the entry of a miss with no enabled change, ``gd -> (gd,)``;
-        # each change tuple and each item (one dict: their shapes never
-        # compare equal); each mask of an entry with changes.
+        # each change tuple, and each item of a wide group (one dict:
+        # their shapes never compare equal); each mask of an entry with
+        # changes.
         self.idle_outcomes: Dict[int, Tuple[int]] = {}
         self.shared_changes: Dict[tuple, tuple] = {}
         self.shared_masks: Dict[int, int] = {}
@@ -965,11 +966,11 @@ class CompiledSpec:
 
 def _footprint(memo: dict, counted: set) -> int:
     """Bytes of an outcome memo: its table, its keys and its entries down
-    to the ints.  What entries share -- a bare-code key, an item, its
-    change tuple and pairs, a mask, an idle ``(gd,)`` -- is charged once
-    per :meth:`CompiledSpec.memo_stats` call (``counted`` holds their
-    ids; a packed key and an entry tuple are one object per entry,
-    charged as met)."""
+    to the ints.  What entries share -- a bare-code key, an item (a wide
+    group's), its change tuple and pairs, a mask, an idle ``(gd,)`` -- is
+    charged once per :meth:`CompiledSpec.memo_stats` call (``counted``
+    holds their ids; a packed key and an entry tuple are one object per
+    entry, charged as met)."""
     size = sys.getsizeof
 
     def once(obj: Any) -> int:

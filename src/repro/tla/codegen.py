@@ -28,10 +28,10 @@ and for all.
 
 An entry stores only what varies.  Each ``(slot, new_code)`` pair is the
 value table's own (``CompiledSpec.pairs[slot][code]``, minted with the
-code); on a miss each change tuple, each item and each mask is passed
-through a per-compile dict (``CompiledSpec.shared_changes``, which holds
-the items too, / ``shared_masks``), so equal changes, items or masks in
-a million entries are one object; and an
+code); on a miss each change tuple and each mask, and each item of a
+wide group, is passed through a per-compile dict
+(``CompiledSpec.shared_changes`` / ``shared_masks``), so equal changes,
+items or masks in a million entries are one object; and an
 outcome with no enabled change is the one ``(gd,)`` per mask
 (``CompiledSpec.idle_outcomes``; member bits are disjoint across groups,
 so one dict serves them all).  A key of two or more slots is the codes
@@ -138,7 +138,9 @@ def _key_packers(core: Any) -> Dict[str, Callable]:
     return {f"_kp{n}": struct.Struct(f"<{n}{KEY_FIELD}").pack for n in widths}
 
 
-def make_outcome_compiler(core: Any, shared: Optional[Dict[tuple, tuple]] = None) -> Callable:
+def make_outcome_compiler(
+    core: Any, shared: Optional[Dict[tuple, tuple]] = None, items: bool = False
+) -> Callable:
     """Build the shared miss-path helper that compiles one applier outcome
     into a kernel memo item.
 
@@ -151,9 +153,10 @@ def make_outcome_compiler(core: Any, shared: Optional[Dict[tuple, tuple]] = None
     fingerprint delta folds both digests by list index, at miss time --
     replays never touch a digest again.  With ``shared`` (the memo
     miss's compiler, not the eager sweep's, whose items are never
-    stored) the change tuple and the item are the dict's one copy of
-    them: the entries of a group whose closure reads more than its
-    action writes repeat the same items many times over.
+    stored) the change tuple is the dict's one copy of it, and with
+    ``items`` the item is too: a *wide* group's key (a closure over more
+    than half the schema, as :meth:`CompiledSpec._adapt` counts it) is
+    near-unique, so its entries file the same few items many times over.
     """
     schema_index = core.schema._index
     codes, values, digests, pairs = core.codes, core.values, core.digests, core.pairs
@@ -182,7 +185,7 @@ def make_outcome_compiler(core: Any, shared: Optional[Dict[tuple, tuple]] = None
         if share is None:
             return (idx, changes, delta)
         item = (idx, share(changes, changes), delta)
-        return share(item, item)
+        return share(item, item) if items else item
 
     return compile_outcome
 
@@ -468,6 +471,9 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
         binds[f"a{idx}"] = core.appliers[idx]
     if core.eager:
         binds["mke"] = make_outcome_compiler(core)
+    wide = len(schema) // 2
+    if any(len(slots) > wide for slots, _members in core.outcome_groups):
+        binds["mki"] = make_outcome_compiler(core, core.shared_changes, items=True)
     n_outcomes = len(core.outcome_groups)
     for g, memo in enumerate(core.outcome_memos):
         binds[f"omemo{g}"] = memo
@@ -540,6 +546,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
     # complement serves every group's "is anyone left to ask" test.
     w("        nd = ~d")
     for g, (slots, members) in enumerate(core.outcome_groups):
+        compiler = "mki" if len(slots) > wide else "mk"
         w(f"        # outcome group {g}: closure ({', '.join(names[s] for s in slots)})")
         w(f"        if nd & {sum(1 << idx for idx in members)}:")
         w(f"            k = {_key_expr(slots)}")
@@ -565,7 +572,7 @@ def emit_kernel(core: Any) -> Tuple[str, Callable, Callable]:
             w(f"                        d |= {bit}")
             w(f"                        gd |= {bit}")
             w("                    else:")
-            w(f"                        item = mk({idx}, u, c)")
+            w(f"                        item = {compiler}({idx}, u, c)")
             w("                        if item is not None:")
             w("                            en.append(item)")
             w("                            raw.append(item)")

@@ -43,9 +43,10 @@ with the decisions before it answered the way the tree got there:
 
 A run answers ``True`` to every decision past its script, so the run
 that answers a node's decision ``True`` is the node's own and growing a
-node costs one new run.  A path's value is one object per run, as a
-real state's is, so a tuple comparison's identity shortcut skips the
-same ``==`` on both.
+node costs one new run.  A path's value is one object, as a real
+state's is, so a tuple comparison's identity shortcut skips the same
+``==`` on both; it lives as long as the trace, so later runs reuse it
+and every value and test derived from it.
 
 Anything else -- the runs disagreeing on whether they return ``None``,
 or anything a symbolic value does not model (iteration, ``len``, hashing
@@ -94,7 +95,7 @@ Path = Tuple[Any, ...]
 #: run answers past its script.  ElectLeader's tree over a three-server
 #: quorum holds 12 and LeaderShutdown's 13; the cap bounds a function
 #: that asks decisions in a loop, or compares many votes: tracing a
-#: ZooKeeper grain costs about twice what atom chains did.
+#: grain costs 1.3-1.7 times what atom chains did.
 MAX_TESTS = 16
 
 #: Runs of the function a prefix with disjunctive atoms stands for (the
@@ -193,9 +194,11 @@ class BeyondScript(BaseException):
 
 
 class _Run:
-    """One execution of an applier against a script of answers, and past
+    """The execution of an applier against a script of answers, and past
     its end ``True`` to every decision, so that the run also stands for
-    every longer script it answered the same way.
+    every longer script it answered the same way.  One object serves
+    every run of a trace (:meth:`begin` starts the next), so the
+    symbolic values that refer to it outlive a run.
 
     ``stopped`` keeps the *first* reason the run left the modelled world
     (``"more"`` / ``"untraceable"``), so even a function that swallows
@@ -203,7 +206,7 @@ class _Run:
 
     __slots__ = ("script", "asked", "known", "equal", "stopped")
 
-    def __init__(self, script: Tuple[bool, ...]):
+    def begin(self, script: Tuple[bool, ...]) -> None:
         self.script = script
         self.asked: List[Test] = []
         #: The answers given so far, and per term the constant it was
@@ -275,13 +278,19 @@ _new = tuple.__new__
 
 def _comparison(op: str, flip: bool = False) -> Callable[..., Any]:
     def compare(self: "_Sym", other: Any) -> Any:
-        if type(other) is _Sym:
-            right: Any = other._term
-        elif type(other) in _LITERALS or _constant(other):
-            right = _new(Const, (other,))
+        kind = type(other)
+        if kind is _Sym:
+            key: Any = (op, flip, id(other))
+        elif kind in _LITERALS or _constant(other):
+            key = (op, flip, kind, other)
         else:
             return self._run.unmodelled()
-        return _Cmp(self._run, _new(Test, (op, self._term, right)), flip)
+        made = self._made
+        cmp = made.get(key)
+        if cmp is None:
+            right = other._term if kind is _Sym else _new(Const, (other,))
+            cmp = made[key] = _Cmp(self._run, _new(Test, (op, self._term, right)), flip)
+        return cmp
 
     return compare
 
@@ -290,7 +299,12 @@ def _shift(op: str) -> Callable[..., Any]:
     def shift(self: "_Sym", k: Any) -> Any:
         if type(k) is not int:
             return self._run.unmodelled()
-        return _Sym(self._run, Offset(self._term, op, k))
+        key = (op, k)
+        made = self._made
+        value = made.get(key)
+        if value is None:
+            value = made[key] = _Sym(self._run, Offset(self._term, op, k))
+        return value
 
     return shift
 
@@ -298,51 +312,53 @@ def _shift(op: str) -> Callable[..., Any]:
 class _Sym(_Opaque):
     """A state-derived value that only knows its term.
 
-    A path's value is one object per run (``_kids`` holds the values
-    reached from this one): a real state gives back the same object for
-    the same path, so a tuple comparison's identity shortcut skips the
-    same ``==`` here as there."""
+    A path's value is one object per trace, and so are the values and
+    tests derived from it (``_made`` holds them by how they were
+    derived): a real state gives back the same object for the same path,
+    so a tuple comparison's identity shortcut skips the same ``==`` here
+    as there -- and a run after the first finds what it derives already
+    made."""
 
-    __slots__ = ("_term", "_kids")
+    __slots__ = ("_term", "_made")
 
     def __init__(self, run: _Run, term: Any):
         self._run = run
         self._term = term
-        self._kids: Optional[Dict[Any, _Sym]] = None
+        self._made: Dict[Any, Any] = {}
 
     def _step(self, key: Any, step: Tuple[str, Any]) -> "_Sym":
         if type(self._term) is Offset:
             return self._run.unmodelled()
-        value = _Sym(self._run, self._term + (step,))
-        kids = self._kids
-        if kids is None:
-            self._kids = {key: value}
-        else:
-            kids[key] = value
+        self._made[key] = value = _Sym(self._run, self._term + (step,))
         return value
 
     def __getitem__(self, key: Any) -> "_Sym":
         if type(key) is not int and type(key) is not str:
             return self._run.unmodelled()  # slices, symbolic subscripts
-        kids = self._kids
-        value = None if kids is None else kids.get(key)
+        value = self._made.get(key)
         return self._step(key, ("[]", key)) if value is None else value
 
     def __getattr__(self, name: str) -> "_Sym":
         if name.startswith("_"):
             return self._run.unmodelled()
         key = (".", name)
-        kids = self._kids
-        value = None if kids is None else kids.get(key)
+        value = self._made.get(key)
         return self._step(key, key) if value is None else value
 
     def __bool__(self) -> bool:
-        return self._run.decide(_new(Test, ("bool", self._term, None)))
+        test = self._made.get(("bool",))
+        if test is None:
+            test = self._made[("bool",)] = _new(Test, ("bool", self._term, None))
+        return self._run.decide(test)
 
     def __contains__(self, item: Any) -> bool:
         if type(self._term) is Offset or not _constant(item):
             return self._run.unmodelled()  # a path, a Rec, a list, ...
-        return self._run.decide(_new(Test, ("contains", self._term, _new(Const, (item,)))))
+        key = ("contains", type(item), item)
+        test = self._made.get(key)
+        if test is None:
+            test = self._made[key] = _new(Test, ("contains", self._term, _new(Const, (item,))))
+        return self._run.decide(test)
 
     __eq__ = _comparison("==")
     __ne__ = _comparison("==", flip=True)
@@ -417,14 +433,13 @@ class _Way(NamedTuple):
         return self.ended, self.asked[len(self.script) :]
 
 
-def _execute(
-    applier: Callable, config: Any, names: Container[str], script: Tuple[bool, ...]
-) -> _Way:
+def _execute(applier: Callable, config: Any, state: _SymState, script: Tuple[bool, ...]) -> _Way:
     """Run the applier under ``script``."""
-    run = _Run(script)
+    run = state._run
+    run.begin(script)
     result = None
     try:
-        result = applier(config, _SymState(run, names))
+        result = applier(config, state)
     except (Untraceable, BeyondScript):
         pass
     except Exception:
@@ -437,8 +452,6 @@ def _execute(
 def _ending(ways: List[_Way]) -> str:
     """``"none"`` when every run returned None, ``"go"`` when none did,
     ``""`` when they disagree."""
-    if len(ways) == 1:  # no disjunction folded: the common case
-        return "none" if ways[0].end == "none" else "go"
     nones = {way.end == "none" for way in ways}
     if len(nones) != 1:
         return ""
@@ -448,8 +461,6 @@ def _ending(ways: List[_Way]) -> str:
 def _next_decision(ways: List[_Way]) -> Optional[Test]:
     """The decision every run asks right after its script, if they all
     ask one and the same."""
-    if len(ways) == 1:
-        return ways[0].next()
     tests = {way.next() for way in ways}
     return tests.pop() if len(tests) == 1 else None
 
@@ -473,13 +484,14 @@ def guard_prefix(
     """
 
     runs_of: Dict[Tuple[bool, ...], _Way] = {}
+    state = _SymState(_Run(), names)
 
     def execute(script: Tuple[bool, ...]) -> _Way:
         """The run under ``script`` (a folded disjunction and the branch
         that replaces it when it does not fold ask for the same ones)."""
         way = runs_of.get(script)
         if way is None:
-            way = runs_of[script] = _execute(applier, config, names, script)
+            way = runs_of[script] = _execute(applier, config, state, script)
         return way
 
     def extend(ways: List[_Way], answer: bool) -> Optional[List[_Way]]:

@@ -59,12 +59,14 @@ def table_defects(core):
 def sharing_defects(core):
     """Every memo entry or key holding a private copy of what the compile
     shares, or laid out otherwise than the kernel reads it: a change pair
-    that is not ``pairs[slot][code]``, an item or a change tuple that is
-    not the compile's shared one, a mask of an entry with changes that is not the
-    shared int, an outcome with no enabled change that is not the one
-    ``(gd,)`` for its mask, and a key that is neither a bare code (one
-    slot) nor ``bytes`` of the packed width (two or more)."""
+    that is not ``pairs[slot][code]``, a change tuple -- or an item of a
+    wide group -- that is not the compile's shared one, a mask of an
+    entry with changes that is not the shared int, an outcome with no
+    enabled change that is not the one ``(gd,)`` for its mask, and a key
+    that is neither a bare code (one slot) nor ``bytes`` of the packed
+    width (two or more)."""
     field = struct.calcsize("<" + codegen.KEY_FIELD)
+    wide = len(core.schema) // 2
     defects = []
 
     def key_defects(kind, group, slots, memo):
@@ -87,7 +89,7 @@ def sharing_defects(core):
                 defects.append((group, "unshared mask", gd))
             for item in items:
                 idx, changes, _ = item
-                if core.shared_changes.get(item) is not item:
+                if len(slots) > wide and core.shared_changes.get(item) is not item:
                     defects.append((group, "unshared item", item))
                 if core.shared_changes.get(changes) is not changes:
                     defects.append((group, "unshared changes", idx, changes))
@@ -236,10 +238,17 @@ class TestSharedOutcomes:
         changes = [changes for _, changes, _ in items]
         masks = [entry[-1] for entry in entries if len(entry) > 1]
         idle = [entry for entry in entries if len(entry) == 1]
+        wide = [
+            item
+            for (slots, _), memo in zip(core.outcome_groups, core.outcome_memos)
+            if len(slots) > len(core.schema) // 2
+            for entry in memo.values()
+            for item in entry[:-1]
+        ]
         # Sharing happens, not just holds: many entries, few objects --
-        # one object per distinct item, change tuple and mask.
+        # one object per distinct change tuple, wide group's item and mask.
         assert len({id(pair) for pair in pairs}) < len(pairs) // 4
-        assert len({id(item) for item in items}) == len(set(items)) < len(items)
+        assert len({id(item) for item in wide}) == len(set(wide)) < len(wide)
         assert len({id(c) for c in changes}) == len(set(changes)) < len(changes)
         assert len({id(gd) for gd in masks}) == len(set(masks)) < len(masks)
         assert 0 < len(core.idle_outcomes) < len(idle)
@@ -265,12 +274,25 @@ class TestSharedOutcomes:
                 stack.extend(obj if type(obj) is tuple else ())
         assert sum(row["bytes"] for row in rows) == total
 
-    def test_sharing_survives_demotion(self):
-        # A demotion re-emits the kernel; the surviving groups' entries and
-        # the re-emitted miss path keep drawing from the same shared dict.
-        # (No shipped grain demotes a group within a short run since
-        # ElectLeader's guard prefix became a tree, so demote the widest
-        # group between two runs on one compile.)
+    def test_sharing_survives_demotion(self, monkeypatch):
+        # A demotion re-emits the kernel mid-run; the surviving groups'
+        # entries and the re-emitted miss path keep drawing from the same
+        # shared dict.  ElectLeader's wide group hits ~45 % of its first
+        # window since its guard prefix became a tree: a floor of 50 %
+        # has the adaptive policy demote it partway through the run.
+        monkeypatch.setattr(CompiledSpec, "ADAPT_WIDE_RATE", 0.5)
+        raft = system_plugin("raft")
+        engine = ExplorationEngine(
+            raft.make_spec("raft-coarse", raft.default_config()), max_states=40_000
+        )
+        result = engine.run()
+        assert [group["members"] for group in engine.core.demoted_groups] == [12]
+        assert (result.states_explored, result.transitions) == (40_000, 97_156)
+        assert sharing_defects(engine.core) == []
+
+    def test_sharing_survives_a_demotion_between_runs(self):
+        # The same, with the widest group demoted by hand between two runs
+        # on one compile.
         raft = system_plugin("raft")
         spec = raft.make_spec("raft-coarse", raft.default_config())
         ExplorationEngine(spec, max_states=20_000).run()
